@@ -73,5 +73,5 @@ pub use ppa_faults::{DomainId, FailureEvent, FailureTrace, FaultDomainTree};
 // Re-exported so harnesses can attach sinks and read metrics without
 // naming the obs crate explicitly.
 pub use ppa_obs::{EngineEvent, MetricsRegistry, MetricsSnapshot, TraceSink, VecSink};
-pub use tuple::{Key, Tuple, Value};
+pub use tuple::{Chunk, Key, Tuple, Value};
 pub use udf::{BatchCtx, InputBatch, SourceGen, Udf};

@@ -1,6 +1,6 @@
 //! Run reports: everything the experiment harness extracts from a run.
 
-use crate::tuple::Tuple;
+use crate::tuple::Chunk;
 use ppa_core::model::TaskIndex;
 use ppa_sim::{SimDuration, SimTime};
 
@@ -121,7 +121,9 @@ pub struct SinkBatch {
     pub at: SimTime,
     /// Whether any proxy punctuation (lost input) degraded this batch.
     pub tentative: bool,
-    pub tuples: Vec<Tuple>,
+    /// The sink task's output for the batch — the chunk the task produced,
+    /// shared (not copied) by every report that carries this record.
+    pub tuples: Chunk,
 }
 
 /// Per-task throughput accounting, the raw material for §V-C's dynamic plan
@@ -393,6 +395,25 @@ mod tests {
         assert!(!undetected.detected());
     }
 
+    /// `tests/approx_parity.rs` compares `RunReport` debug text, so a sink
+    /// record must print exactly as it did when it owned a `Vec<Tuple>`.
+    #[test]
+    fn sink_batch_debug_text_is_pinned() {
+        use crate::tuple::{Tuple, Value};
+        let record = SinkBatch {
+            task: TaskIndex(5),
+            batch: 3,
+            at: SimTime::from_secs(4),
+            tentative: true,
+            tuples: vec![Tuple::new(7, Value::Int(-1)), Tuple::key_only(8)].into(),
+        };
+        assert_eq!(
+            format!("{record:?}"),
+            "SinkBatch { task: TaskIndex(5), batch: 3, at: SimTime(4000000), tentative: true, \
+             tuples: [Tuple { key: 7, value: Int(-1) }, Tuple { key: 8, value: Empty }] }"
+        );
+    }
+
     #[test]
     fn tentative_lookup() {
         let mut rep = RunReport::default();
@@ -401,14 +422,14 @@ mod tests {
             batch: 3,
             at: SimTime::from_secs(4),
             tentative: false,
-            tuples: vec![],
+            tuples: Chunk::default(),
         });
         rep.sink.push(SinkBatch {
             task: TaskIndex(5),
             batch: 9,
             at: SimTime::from_secs(10),
             tentative: true,
-            tuples: vec![],
+            tuples: Chunk::default(),
         });
         assert_eq!(
             rep.first_tentative_after(SimTime::ZERO),

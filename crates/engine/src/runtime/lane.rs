@@ -20,11 +20,11 @@
 use super::{Event, Msg, Rt, Status, TaskRt};
 use crate::config::{EngineConfig, FtMode};
 use crate::report::SinkBatch;
-use crate::tuple::{route, Tuple};
+use crate::tuple::{route, Chunk, Tuple};
 use crate::udf::{BatchCtx, InputBatch};
 use ppa_core::model::{TaskGraph, TaskIndex};
 use ppa_sim::{SimDuration, SimTime};
-use std::sync::Arc;
+use std::collections::BTreeMap;
 
 /// Read-only simulation state a lane handler may consult. All fields are
 /// immutable for the whole span (only solo, carried events mutate them),
@@ -34,6 +34,9 @@ pub(super) struct LaneCtx<'a> {
     pub config: &'a EngineConfig,
     pub replica_slot: &'a [Option<Rt>],
     pub storm_buffer_batches: Option<u64>,
+    /// Storm-mode replay cones per recovering target (see
+    /// [`upstream_cone`]); filled before the target's first replay send.
+    pub replay_cones: &'a BTreeMap<usize, Vec<TaskIndex>>,
     /// The span's instant (== the scheduler clock while it executes).
     pub now: SimTime,
 }
@@ -155,54 +158,30 @@ fn generate(
         task.throughput.tuples_out += tuples.len() as u64;
     }
     task.next_batch = task.next_batch.max(batch + 1);
-    emit(cx, task, batch, tuples, false, finish, fx);
+    emit(cx, task, batch, tuples.into(), false, finish, fx);
     trim_storm_buffer(cx, task);
 }
 
-/// Partitions `tuples` across the task's out targets, buffers them and
+/// Partitions `whole` across the task's out targets, buffers the parts and
 /// (if outputs are enabled) schedules deliveries at `finish + latency`.
 ///
 /// The route table (`TaskRt::stream_spans`) is precomputed at task
-/// construction; single-target streams forward the whole batch behind one
-/// shared `Arc` with no per-tuple work at all, and multi-target streams
+/// construction; single-target streams forward the whole batch as the one
+/// shared chunk with no per-tuple work at all, and multi-target streams
 /// bin each tuple exactly once.
 pub(super) fn emit(
     cx: &LaneCtx<'_>,
     task: &mut TaskRt,
     batch: u64,
-    tuples: Vec<Tuple>,
+    whole: Chunk,
     degraded: bool,
     finish: SimTime,
     fx: &mut LaneEffects,
 ) {
-    let n_targets = task.out_targets.len();
-    if n_targets == 0 {
-        return;
-    }
-    let whole = Arc::new(tuples);
-    let mut parts: Vec<Option<Arc<Vec<Tuple>>>> = vec![None; n_targets];
-    for &(start, len) in &task.stream_spans {
-        if len == 1 {
-            parts[start] = Some(whole.clone());
-        } else {
-            let mut bins: Vec<Vec<Tuple>> = vec![Vec::new(); len];
-            for t in whole.iter() {
-                bins[route(t.key, len)].push(t.clone());
-            }
-            for (j, bin) in bins.into_iter().enumerate() {
-                parts[start + j] = Some(Arc::new(bin));
-            }
-        }
-    }
-    let outputs_enabled = task.outputs_enabled;
     let deliver_at = finish + cx.config.costs.network_latency;
-    for (k, part) in parts.into_iter().enumerate() {
-        let Some(part) = part else {
-            debug_assert!(false, "stream spans must cover every out target");
-            continue;
-        };
+    let mut send = |task: &mut TaskRt, k: usize, part: Chunk| {
         task.out_buffer[k].push_back((batch, part.clone(), degraded));
-        if outputs_enabled {
+        if task.outputs_enabled {
             let (to, to_substream) = (task.out_targets[k].to, task.out_targets[k].to_substream);
             deliver_to(
                 cx,
@@ -216,6 +195,20 @@ pub(super) fn emit(
                 deliver_at,
             );
         }
+    };
+    for i in 0..task.stream_spans.len() {
+        let (start, len) = task.stream_spans[i];
+        if len == 1 {
+            send(task, start, whole.clone());
+        } else {
+            let mut bins: Vec<Vec<Tuple>> = vec![Vec::new(); len];
+            for t in &whole {
+                bins[route(t.key, len)].push(t.clone());
+            }
+            for (j, bin) in bins.into_iter().enumerate() {
+                send(task, start + j, bin.into());
+            }
+        }
     }
 }
 
@@ -228,7 +221,7 @@ pub(super) fn deliver_to(
     to: TaskIndex,
     substream: usize,
     batch: u64,
-    tuples: Arc<Vec<Tuple>>,
+    tuples: Chunk,
     degraded: bool,
     replay_for: Option<TaskIndex>,
     at: SimTime,
@@ -326,44 +319,50 @@ fn forward_replay(
     let finish = reserve(busy, cx.now, work);
     task.cpu.processing += work;
     let deliver_at = finish + cx.config.costs.network_latency;
-    let cone = upstream_cone(cx.graph, target);
-    let mut sends: Vec<(TaskIndex, usize, u64, Arc<Vec<Tuple>>)> = Vec::new();
+    let Some(cone) = cx.replay_cones.get(&target.0) else {
+        debug_assert!(
+            false,
+            "replay delivery for a target whose replay never started"
+        );
+        return;
+    };
     for (k, tgt) in task.out_targets.iter().enumerate() {
-        if tgt.to != target && !cone[tgt.to.0] {
+        if tgt.to != target && cone.binary_search(&tgt.to).is_err() {
             continue;
         }
         if let Some((b, tuples, _)) = task.out_buffer[k].iter().find(|(b, _, _)| *b == batch) {
-            sends.push((tgt.to, tgt.to_substream, *b, tuples.clone()));
+            deliver_to(
+                cx,
+                fx,
+                tgt.to,
+                tgt.to_substream,
+                *b,
+                tuples.clone(),
+                false,
+                Some(target),
+                deliver_at,
+            );
         }
-    }
-    for (to, substream, b, tuples) in sends {
-        deliver_to(
-            cx,
-            fx,
-            to,
-            substream,
-            b,
-            tuples,
-            false,
-            Some(target),
-            deliver_at,
-        );
     }
 }
 
-/// Logical tasks with a path to `t` (the replay cone), excluding `t`.
-pub(super) fn upstream_cone(graph: &TaskGraph, t: TaskIndex) -> Vec<bool> {
-    let mut cone = vec![false; graph.n_tasks()];
+/// Logical tasks with a path to `t` (the replay cone), excluding `t`,
+/// in ascending order.
+pub(super) fn upstream_cone(graph: &TaskGraph, t: TaskIndex) -> Vec<TaskIndex> {
+    let mut seen = vec![false; graph.n_tasks()];
     let mut stack = vec![t];
     while let Some(x) = stack.pop() {
         for u in graph.upstream_tasks(x) {
-            if !cone[u.0] {
-                cone[u.0] = true;
+            if !seen[u.0] {
+                seen[u.0] = true;
                 stack.push(u);
             }
         }
     }
-    cone
+    (0..seen.len())
+        .filter(|&u| seen[u])
+        .map(TaskIndex)
+        .collect()
 }
 
 /// Processes as many consecutive ready batches as possible.
@@ -392,24 +391,23 @@ fn process_batch(
         task.next_batch = b + 1;
         return;
     }
-    // Assemble per-stream inputs (round-robin merge across substreams).
-    let n_streams = cx.graph.inputs(task.logical).len();
+    // Gather this batch's chunk per flat substream; the streams' inputs
+    // borrow them in place.
     let mut degraded = false;
     let mut total_in = 0usize;
-    // Gather this batch's substream data per stream.
-    let mut per_stream: Vec<Vec<Arc<Vec<Tuple>>>> = vec![Vec::new(); n_streams];
+    let mut chunks: Vec<Chunk> = Vec::with_capacity(task.n_substreams());
     for s in 0..task.n_substreams() {
-        let (stream, _) = task.sub_from[s];
         match task.staged[s].remove(&b) {
             Some((tuples, d)) => {
                 degraded |= d;
                 total_in += tuples.len();
-                per_stream[stream].push(tuples);
+                chunks.push(tuples);
             }
             None => {
                 // Closed by proxy: missing contribution.
                 debug_assert!(task.closed[s] > b);
                 degraded = true;
+                chunks.push(Chunk::default());
             }
         }
         // Drop any stale staged batches below the cursor.
@@ -421,35 +419,6 @@ fn process_batch(
             }
         }
     }
-    // Streams fed by exactly one substream (the common case) pass their
-    // chunk through zero-copy; fan-in streams round-robin interleave for
-    // deterministic replica order, exactly like the interleave of one
-    // chunk would.
-    enum StreamData {
-        Whole(Arc<Vec<Tuple>>),
-        Merged(Vec<Tuple>),
-    }
-    let merged: Vec<StreamData> = per_stream
-        .into_iter()
-        .map(|mut chunks| {
-            if chunks.len() == 1 {
-                let Some(only) = chunks.pop() else {
-                    return StreamData::Merged(Vec::new());
-                };
-                return StreamData::Whole(only);
-            }
-            let max_len = chunks.iter().map(|c| c.len()).max().unwrap_or(0);
-            let mut out = Vec::with_capacity(chunks.iter().map(|c| c.len()).sum());
-            for i in 0..max_len {
-                for c in &chunks {
-                    if let Some(t) = c.get(i) {
-                        out.push(t.clone());
-                    }
-                }
-            }
-            StreamData::Merged(out)
-        })
-        .collect();
 
     // CPU charge.
     let catching_up = task.status == Status::CatchingUp;
@@ -475,15 +444,18 @@ fn process_batch(
             task_local: cx.graph.local_index(task.logical),
             parallelism: cx.graph.topology().operator(op).parallelism,
         };
-        let inputs: Vec<InputBatch<'_>> = merged
+        // Flat substreams are laid out stream by stream.
+        let mut rest = chunks.as_slice();
+        let inputs: Vec<InputBatch<'_>> = cx
+            .graph
+            .inputs(task.logical)
             .iter()
             .enumerate()
-            .map(|(stream, data)| InputBatch {
-                stream,
-                tuples: match data {
-                    StreamData::Whole(arc) => arc.as_slice(),
-                    StreamData::Merged(v) => v.as_slice(),
-                },
+            .map(|(stream, input)| {
+                let n = input.substreams.len().min(rest.len());
+                let (head, tail) = rest.split_at(n);
+                rest = tail;
+                InputBatch::new(stream, head)
             })
             .collect();
         if let Some(udf) = task.udf.as_mut() {
@@ -491,6 +463,7 @@ fn process_batch(
         }
         task.next_batch = b + 1;
     }
+    let out = Chunk::from(out);
     if !catching_up {
         task.throughput.tuples_out += out.len() as u64;
     }
@@ -535,10 +508,10 @@ fn process_batch(
         if task.outputs_enabled {
             fx.sink.push(record);
         } else {
-            task.pending_sink.push(record);
+            task.pending_sink.push_back(record);
             // Bound the stash to the replica sync horizon.
             if task.pending_sink.len() > 256 {
-                task.pending_sink.remove(0);
+                task.pending_sink.pop_front();
             }
         }
     }

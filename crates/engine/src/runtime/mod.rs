@@ -37,7 +37,7 @@ use crate::query::Query;
 use crate::report::{
     CpuStats, Lifecycle, OutageRecord, RunReport, SinkBatch, TaskOutages, TaskRecovery,
 };
-use crate::tuple::Tuple;
+use crate::tuple::Chunk;
 use crate::udf::{SourceGen, Udf};
 use ppa_core::model::{TaskGraph, TaskIndex};
 use ppa_core::{AdaptivePlanner, StructureAwarePlanner, TaskSet};
@@ -47,7 +47,6 @@ use ppa_obs::{EngineEvent, MetricsRegistry, TraceSink};
 use ppa_sim::{Scheduler, SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 mod lane;
 mod shard;
@@ -90,7 +89,7 @@ struct OutTarget {
 }
 
 /// Output buffered for one downstream substream.
-type Buffered = (u64, Arc<Vec<Tuple>>, bool);
+type Buffered = (u64, Chunk, bool);
 
 struct Checkpoint {
     /// `next_batch` at snapshot time.
@@ -111,7 +110,7 @@ struct TaskRt {
     /// (input-stream index, upstream logical task) per flat substream.
     sub_from: Vec<(usize, TaskIndex)>,
     /// Staged (not yet processed) data per flat substream.
-    staged: Vec<BTreeMap<u64, (Arc<Vec<Tuple>>, bool)>>,
+    staged: Vec<BTreeMap<u64, (Chunk, bool)>>,
     /// Per substream: batches `< closed[s]` may be processed without data
     /// (closed by proxy punctuations).
     closed: Vec<u64>,
@@ -130,7 +129,7 @@ struct TaskRt {
     pre_failure_progress: Option<u64>,
     /// Sink outputs a muted replica produced; promoted at takeover so the
     /// record has no hole between the primary's death and the takeover.
-    pending_sink: Vec<SinkBatch>,
+    pending_sink: VecDeque<SinkBatch>,
     cpu: CpuStats,
     throughput: crate::report::TaskThroughput,
     /// Approximate mode: drift since the last shipped backup (idle — all
@@ -178,7 +177,7 @@ impl TaskRt {
             out_buffer: Vec::new(),
             checkpoint: None,
             pre_failure_progress: None,
-            pending_sink: Vec::new(),
+            pending_sink: VecDeque::new(),
             cpu: CpuStats::default(),
             throughput: crate::report::TaskThroughput::default(),
             divergence: crate::approx::DivergenceModel::default(),
@@ -210,7 +209,7 @@ impl TaskRt {
 
 enum Msg {
     Data {
-        tuples: Arc<Vec<Tuple>>,
+        tuples: Chunk,
         degraded: bool,
         replay_for: Option<TaskIndex>,
     },
@@ -303,6 +302,10 @@ pub struct Simulation {
     spare_sources: Vec<Option<Box<dyn SourceGen>>>,
     /// Storm-mode source buffer length in batches.
     storm_buffer_batches: Option<u64>,
+    /// Storm-mode replay cones (sorted logical tasks with a path to the
+    /// key), computed once when a target's replay starts; the graph never
+    /// changes, so entries stay valid for late forwarded deliveries.
+    replay_cones: BTreeMap<usize, Vec<TaskIndex>>,
     checkpoint_interval: Option<SimDuration>,
     /// Per-fault-domain time-decayed failure scores (when the placement
     /// carries a node → domain mapping) — the raw material of the
@@ -441,7 +444,7 @@ impl Simulation {
                 out_buffer: vec![VecDeque::new(); out_targets[t].len()],
                 checkpoint: None,
                 pre_failure_progress: None,
-                pending_sink: Vec::new(),
+                pending_sink: VecDeque::new(),
                 cpu: CpuStats::default(),
                 throughput: crate::report::TaskThroughput::default(),
                 divergence: crate::approx::DivergenceModel::default(),
@@ -519,6 +522,7 @@ impl Simulation {
             fresh_udf,
             spare_sources,
             storm_buffer_batches,
+            replay_cones: BTreeMap::new(),
             checkpoint_interval,
             domain_health,
             active_plan,
@@ -1409,7 +1413,7 @@ impl Simulation {
             out_buffer: vec![VecDeque::new(); self.tasks[t].out_targets.len()],
             checkpoint: None,
             pre_failure_progress: None,
-            pending_sink: Vec::new(),
+            pending_sink: VecDeque::new(),
             cpu: CpuStats::default(),
             throughput: crate::report::TaskThroughput::default(),
             divergence: crate::approx::DivergenceModel::default(),
@@ -1527,6 +1531,7 @@ impl Simulation {
             config: &self.config,
             replica_slot: &self.replica_slot,
             storm_buffer_batches: self.storm_buffer_batches,
+            replay_cones: &self.replay_cones,
             now: self.sched.now(),
         }
     }
@@ -1542,6 +1547,7 @@ impl Simulation {
             config: &self.config,
             replica_slot: &self.replica_slot,
             storm_buffer_batches: self.storm_buffer_batches,
+            replay_cones: &self.replay_cones,
             now: self.sched.now(),
         };
         lane::handle(
@@ -1671,6 +1677,7 @@ impl Simulation {
             config: &self.config,
             replica_slot: &self.replica_slot,
             storm_buffer_batches: self.storm_buffer_batches,
+            replay_cones: &self.replay_cones,
             now: at,
         };
         let results = shard::run_lanes(self.config.shards, jobs, |mut job: shard::LaneJob| {
@@ -1740,31 +1747,6 @@ impl Simulation {
     }
 
     // ------------------------------------------------------------------
-    // Output emission
-    // ------------------------------------------------------------------
-
-    /// Schedules a Data delivery to the primary slot and replica slot (if
-    /// any) of a logical task.
-    #[allow(clippy::too_many_arguments)]
-    fn deliver_to_incarnations(
-        &mut self,
-        to: TaskIndex,
-        substream: usize,
-        batch: u64,
-        tuples: Arc<Vec<Tuple>>,
-        degraded: bool,
-        replay_for: Option<TaskIndex>,
-        at: SimTime,
-    ) {
-        let mut fx = lane::LaneEffects::default();
-        let cx = self.lane_ctx();
-        lane::deliver_to(
-            &cx, &mut fx, to, substream, batch, tuples, degraded, replay_for, at,
-        );
-        self.apply_effects(fx);
-    }
-
-    // ------------------------------------------------------------------
     // Delivery + processing
     // ------------------------------------------------------------------
 
@@ -1777,11 +1759,6 @@ impl Simulation {
                 msg,
             },
         );
-    }
-
-    /// Logical tasks with a path to `t` (the replay cone), excluding `t`.
-    fn upstream_cone(&self, t: TaskIndex) -> Vec<bool> {
-        lane::upstream_cone(&self.graph, t)
     }
 
     /// Processes as many consecutive ready batches as possible.
@@ -2463,86 +2440,71 @@ impl Simulation {
         }
         // Sources replay their buffered window through the topology toward
         // this task; hops forward with reprocessing charges.
-        let cone = self.upstream_cone(logical);
+        let graph = &self.graph;
+        self.replay_cones
+            .entry(logical.0)
+            .or_insert_with(|| lane::upstream_cone(graph, logical));
         let cursor = self.tasks[rt].next_batch;
         let deliver_at = now + self.config.costs.network_latency;
-        for s in 0..self.graph.n_tasks() {
-            if !cone[s] || self.tasks[s].source.is_none() {
-                continue;
-            }
-            if self.tasks[s].status == Status::Dead || self.tasks[s].status == Status::Restoring {
-                continue;
-            }
-            self.resend_buffered_replay(s, logical, cursor, deliver_at, &cone);
+        let live_sources: Vec<Rt> = self.replay_cones[&logical.0]
+            .iter()
+            .map(|u| u.0)
+            .filter(|&s| {
+                self.tasks[s].source.is_some()
+                    && !matches!(self.tasks[s].status, Status::Dead | Status::Restoring)
+            })
+            .collect();
+        for s in live_sources {
+            self.resend_buffered_replay(s, logical, cursor, deliver_at);
         }
     }
 
-    /// Re-sends slot `rt`'s buffered batches `>= cursor` addressed to
-    /// `target` (normal replay after checkpoint restore).
-    fn resend_buffered(&mut self, rt: Rt, target: TaskIndex, cursor: u64, at: SimTime) {
-        let mut sends: Vec<(usize, u64, Arc<Vec<Tuple>>, bool)> = Vec::new();
-        {
-            let task = &self.tasks[rt];
-            for (k, tgt) in task.out_targets.iter().enumerate() {
-                if tgt.to != target {
-                    continue;
-                }
-                for (b, tuples, degraded) in task.out_buffer[k].iter() {
-                    if *b >= cursor {
-                        sends.push((tgt.to_substream, *b, tuples.clone(), *degraded));
-                    }
-                }
-            }
-        }
-        for (substream, b, tuples, degraded) in sends {
-            self.deliver_to_incarnations(target, substream, b, tuples, degraded, None, at);
-        }
-    }
-
-    /// Storm replay: re-send buffered batches `>= cursor` along every edge
-    /// inside the cone (or directly to the target), flagged `replay_for`.
-    fn resend_buffered_replay(
+    /// Re-sends slot `rt`'s buffered batches `>= cursor` on the out targets
+    /// `keep` selects, to the primary and replica incarnation of each — the
+    /// buffered chunks themselves, not copies. `replay_for` flags a Storm
+    /// replay, which hops forward and is never tentative.
+    fn resend(
         &mut self,
         rt: Rt,
-        target: TaskIndex,
         cursor: u64,
         at: SimTime,
-        cone: &[bool],
+        replay_for: Option<TaskIndex>,
+        keep: impl Fn(&Self, TaskIndex) -> bool,
     ) {
-        let mut sends: Vec<(TaskIndex, usize, u64, Arc<Vec<Tuple>>)> = Vec::new();
-        {
-            let task = &self.tasks[rt];
-            for (k, tgt) in task.out_targets.iter().enumerate() {
-                if tgt.to != target && !cone[tgt.to.0] {
-                    continue;
-                }
-                for (b, tuples, _) in task.out_buffer[k].iter() {
-                    if *b >= cursor {
-                        sends.push((tgt.to, tgt.to_substream, *b, tuples.clone()));
-                    }
-                }
+        let mut fx = lane::LaneEffects::default();
+        let cx = self.lane_ctx();
+        let task = &self.tasks[rt];
+        for (k, tgt) in task.out_targets.iter().enumerate() {
+            if !keep(self, tgt.to) {
+                continue;
+            }
+            for (b, tuples, degraded) in task.out_buffer[k].iter().filter(|e| e.0 >= cursor) {
+                let degraded = *degraded && replay_for.is_none();
+                let (to, sub, tuples) = (tgt.to, tgt.to_substream, tuples.clone());
+                lane::deliver_to(&cx, &mut fx, to, sub, *b, tuples, degraded, replay_for, at);
             }
         }
-        for (to, substream, b, tuples) in sends {
-            self.deliver_to_incarnations(to, substream, b, tuples, false, Some(target), at);
-        }
+        self.apply_effects(fx);
+    }
+
+    /// Normal replay after a checkpoint restore: batches `>= cursor`
+    /// addressed to `target`.
+    fn resend_buffered(&mut self, rt: Rt, target: TaskIndex, cursor: u64, at: SimTime) {
+        self.resend(rt, cursor, at, None, |_, to| to == target);
+    }
+
+    /// Storm replay: batches `>= cursor` along every edge inside the cone
+    /// (or directly to the target).
+    fn resend_buffered_replay(&mut self, rt: Rt, target: TaskIndex, cursor: u64, at: SimTime) {
+        self.resend(rt, cursor, at, Some(target), |sim, to| {
+            to == target || sim.replay_cones[&target.0].binary_search(&to).is_ok()
+        });
     }
 
     /// Flushes a slot's entire output buffer downstream (dedup makes this
     /// idempotent); used at replica takeover and checkpoint restore.
     fn flush_out_buffer(&mut self, rt: Rt, at: SimTime) {
-        let mut sends: Vec<(TaskIndex, usize, u64, Arc<Vec<Tuple>>, bool)> = Vec::new();
-        {
-            let task = &self.tasks[rt];
-            for (k, tgt) in task.out_targets.iter().enumerate() {
-                for (b, tuples, degraded) in task.out_buffer[k].iter() {
-                    sends.push((tgt.to, tgt.to_substream, *b, tuples.clone(), *degraded));
-                }
-            }
-        }
-        for (to, substream, b, tuples, degraded) in sends {
-            self.deliver_to_incarnations(to, substream, b, tuples, degraded, None, at);
-        }
+        self.resend(rt, 0, at, None, |_, _| true);
     }
 
     fn on_takeover_done(&mut self, logical: usize) {

@@ -6,6 +6,7 @@ use super::*;
 use crate::config::{CostModel, EngineConfig, FtMode};
 use crate::placement::Placement;
 use crate::query::{Query, QueryBuilder};
+use crate::tuple::Tuple;
 use crate::udf::{BatchCtx, CountingSource, InputBatch, Udf, WindowBuffer};
 use ppa_core::model::{OperatorSpec, Partitioning};
 use ppa_core::TaskSet;
@@ -32,12 +33,11 @@ impl WindowedPass {
 
 impl Udf for WindowedPass {
     fn on_batch(&mut self, ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Vec<Tuple>) {
-        let mut all = Vec::new();
         for i in inputs {
-            all.extend_from_slice(i.tuples);
+            out.extend(i.iter().cloned());
         }
-        out.extend(all.iter().cloned());
-        self.buf.push(ctx.batch, all, self.window_batches);
+        let chunks = inputs.iter().flat_map(|i| i.chunks()).cloned();
+        self.buf.push(ctx.batch, chunks, self.window_batches);
     }
 
     fn snapshot(&self) -> Box<dyn Udf> {
@@ -733,9 +733,56 @@ fn domain_injection_matches_expanded_kill_set() -> TestResult {
     Ok(())
 }
 
+/// The zero-copy contract of the tuple plane, checked on allocations
+/// rather than on a clock (so it executes on any core count): the chunk a
+/// task emits is the one its output buffer keeps, the one delivered, and
+/// the one a downstream window retains; a sink record is shared, never
+/// copied, by the reports that carry it.
+#[test]
+fn one_chunk_from_emit_to_window_and_sink_record() -> TestResult {
+    let window = 3u64;
+    let q = chain_query(100, window)?;
+    // No checkpoint fires inside the horizon, so no buffer is trimmed.
+    let mode = FtMode::checkpoint(5, SimDuration::from_secs(1000));
+    let mut sim = Simulation::new(&q, one_task_per_node(&q)?, base_config(mode));
+    let first = sim.run_until(SimTime::from_secs(8));
+
+    // Hops source 0 -> mid 2 (one-to-one) and mid 2 -> sink 4 (two-way
+    // Merge fan-in): every buffered batch the receiver's window still
+    // covers has exactly two holders — the sender's buffer and that
+    // window — and every batch the window slid past is back to one.
+    for (sender, receiver, fan_in) in [(0usize, 2usize, 1usize), (2, 4, 2)] {
+        let done = sim.tasks[receiver].next_batch;
+        assert!(done > window + 1, "the window slid at least once");
+        let buffered = &sim.tasks[sender].out_buffer[0];
+        for (b, chunk, _) in buffered.iter().filter(|(b, _, _)| *b < done) {
+            let expected = if *b + window >= done { 2 } else { 1 };
+            assert_eq!(chunk.holders(), expected, "{sender}->{receiver} batch {b}");
+            assert_eq!(chunk.len(), 100);
+        }
+        assert_eq!(
+            sim.tasks[receiver].state_tuples(),
+            window as usize * 100 * fan_in,
+            "state is still priced at the full window volume"
+        );
+    }
+
+    // The sink record is the UDF's output chunk itself: the simulation and
+    // every report it has handed out hold the one allocation.
+    let second = sim.run_until(SimTime::from_secs(8));
+    assert!(!first.sink.is_empty());
+    assert_eq!(first.sink.len(), second.sink.len());
+    for (i, record) in sim.sink.iter().enumerate() {
+        assert!(Chunk::ptr_eq(&record.tuples, &first.sink[i].tuples));
+        assert!(Chunk::ptr_eq(&record.tuples, &second.sink[i].tuples));
+        assert_eq!(record.tuples.holders(), 3);
+    }
+    Ok(())
+}
+
 /// Full observable digest of a run (sink payloads included) for
 /// byte-identity assertions.
-fn full_digest(rep: &RunReport) -> (u64, Vec<(u64, Vec<Tuple>, bool)>, Vec<(TaskIndex, SimTime)>) {
+fn full_digest(rep: &RunReport) -> (u64, Vec<(u64, Chunk, bool)>, Vec<(TaskIndex, SimTime)>) {
     (
         rep.events,
         rep.sink

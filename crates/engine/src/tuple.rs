@@ -4,6 +4,8 @@
 //! keys as 64-bit integers (workloads hash their natural keys into them) and
 //! values as a small enum covering what the evaluation workloads carry.
 
+use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// Tuple key. The engine partitions substreams by `Key` hash.
@@ -79,6 +81,62 @@ impl Tuple {
     }
 }
 
+/// A batch of tuples in flight: immutable and refcounted.
+///
+/// One `Chunk` is what an upstream task emits, buffers until the downstream
+/// checkpoint acknowledges it (§V-B), delivers to a primary and its replica,
+/// hands to the UDF and records at a sink — every hand-off is a refcount
+/// bump, never a copy. A chunk is therefore **never mutated** after it is
+/// built: whoever holds a clone (a UDF's window, an output buffer, a
+/// checkpoint, a report) sees the same tuples for as long as it keeps it.
+///
+/// It dereferences to `[Tuple]` and prints exactly like the `Vec<Tuple>` it
+/// is built from.
+#[derive(Clone, PartialEq, Default)]
+pub struct Chunk(Arc<Vec<Tuple>>);
+
+impl Chunk {
+    /// Whether `a` and `b` are the same allocation (not merely equal).
+    pub fn ptr_eq(a: &Chunk, b: &Chunk) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+
+    /// How many clones of this chunk are alive, this one included.
+    #[cfg(test)]
+    pub(crate) fn holders(&self) -> usize {
+        Arc::strong_count(&self.0)
+    }
+}
+
+impl From<Vec<Tuple>> for Chunk {
+    fn from(tuples: Vec<Tuple>) -> Self {
+        Chunk(Arc::new(tuples))
+    }
+}
+
+impl Deref for Chunk {
+    type Target = [Tuple];
+
+    fn deref(&self) -> &[Tuple] {
+        &self.0
+    }
+}
+
+impl<'a> IntoIterator for &'a Chunk {
+    type Item = &'a Tuple;
+    type IntoIter = std::slice::Iter<'a, Tuple>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl fmt::Debug for Chunk {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// The deterministic key hash used for substream partitioning.
 ///
 /// SplitMix64: fast, well mixed, and stable across platforms — partitioning
@@ -110,7 +168,27 @@ mod tests {
         assert_eq!(Value::Pair(3, 4).as_pair(), Some((3, 4)));
         assert_eq!(Value::Int(1).as_float(), None);
         let c = Value::Counts(vec![(1, 2)].into());
-        assert_eq!(c.as_counts().unwrap()[0], (1, 2));
+        assert_eq!(c.as_counts(), Some(&[(1, 2)][..]));
+    }
+
+    #[test]
+    fn chunk_is_a_shared_slice_that_prints_like_its_vec() {
+        let tuples = vec![
+            Tuple::new(3, Value::Pair(1, 2)),
+            Tuple::key_only(4),
+            Tuple::new(5, Value::Counts(vec![(1, 2)].into())),
+        ];
+        let chunk = Chunk::from(tuples.clone());
+        let shared = chunk.clone();
+        assert!(Chunk::ptr_eq(&chunk, &shared));
+        assert_eq!(chunk.holders(), 2);
+        assert_eq!(&chunk[..], &tuples[..]);
+        assert_eq!((&chunk).into_iter().count(), 3);
+        assert!(!Chunk::ptr_eq(&chunk, &Chunk::from(tuples.clone())));
+        assert_eq!(chunk, Chunk::from(tuples.clone()), "equality is by value");
+        assert_eq!(format!("{chunk:?}"), format!("{tuples:?}"));
+        assert_eq!(format!("{chunk:#?}"), format!("{tuples:#?}"));
+        assert_eq!(format!("{:?}", Chunk::default()), "[]");
     }
 
     #[test]

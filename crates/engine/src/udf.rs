@@ -4,7 +4,7 @@
 //! to run them batch-at-a-time, snapshot their state for checkpoints, and
 //! know a state-size proxy for checkpoint/restore cost accounting.
 
-use crate::tuple::Tuple;
+use crate::tuple::{Chunk, Tuple};
 use ppa_sim::SimTime;
 
 /// Context handed to a UDF for each batch.
@@ -21,16 +21,59 @@ pub struct BatchCtx {
     pub parallelism: usize,
 }
 
-/// One input stream's merged tuples for a batch.
+/// One input stream's tuples for a batch, lent to the UDF in place.
 ///
 /// `stream` is the input-stream index (one per upstream operator, in task
-/// graph order); tuples from the stream's substreams are merged
-/// round-robin, so a replica observes the identical sequence as its primary
-/// (§V-B's deterministic batch processing).
+/// graph order). The batch is the stream's substream [`Chunk`]s exactly as
+/// the upstream tasks emitted them, one per flat substream (an empty chunk
+/// where a proxy punctuation closed the substream without data); nothing
+/// is copied to build it.
+///
+/// [`iter`](InputBatch::iter) is the stream's deterministic tuple order:
+/// round-robin across the substream chunks — row-major, the `i`-th tuple of
+/// every chunk in chunk order before any `i+1`-th, skipping chunks that are
+/// exhausted. A replica observes the identical sequence as its primary
+/// (§V-B's deterministic batch processing), and order-sensitive UDFs (a
+/// float sum, a last-write-wins map) may rely on it.
+///
+/// A UDF may keep clones of [`chunks`](InputBatch::chunks) as state — a
+/// clone is a refcount bump — but chunks are shared with the sender's
+/// output buffer, checkpoints and replicas and can never be mutated.
 #[derive(Debug)]
 pub struct InputBatch<'a> {
     pub stream: usize,
-    pub tuples: &'a [Tuple],
+    chunks: &'a [Chunk],
+}
+
+impl<'a> InputBatch<'a> {
+    /// The batch of input stream `stream` made of `chunks`, one per
+    /// substream in flat substream order.
+    pub fn new(stream: usize, chunks: &'a [Chunk]) -> Self {
+        InputBatch { stream, chunks }
+    }
+
+    /// The substream chunks, in flat substream order.
+    pub fn chunks(&self) -> &'a [Chunk] {
+        self.chunks
+    }
+
+    /// Number of tuples in the batch.
+    pub fn len(&self) -> usize {
+        self.chunks.iter().map(|c| c.len()).sum()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.chunks.iter().all(|c| c.is_empty())
+    }
+
+    /// The batch's tuples in round-robin order (see the type docs). The
+    /// iterator carries no length hint: size an output from
+    /// [`len`](InputBatch::len) when collecting from it.
+    pub fn iter(&self) -> impl Iterator<Item = &'a Tuple> + 'a {
+        let chunks = self.chunks;
+        let rows = chunks.iter().map(|c| c.len()).max().unwrap_or(0);
+        (0..rows).flat_map(move |i| chunks.iter().filter_map(move |c| c.get(i)))
+    }
 }
 
 /// A user-defined operator function.
@@ -39,6 +82,11 @@ pub struct InputBatch<'a> {
 /// active replication and checkpoint replay both rely on it.
 pub trait Udf: Send {
     /// Processes one batch, appending output tuples to `out`.
+    ///
+    /// `inputs` holds one [`InputBatch`] per input stream, in stream order.
+    /// The tuples are read in place: iterate them in the batch's
+    /// round-robin order, and retain input chunks by cloning them if the
+    /// operator keeps raw input as state — never by mutating them.
     fn on_batch(&mut self, ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Vec<Tuple>);
 
     /// Snapshots the full operator state (for checkpoints and replicas).
@@ -73,7 +121,7 @@ impl<F: Fn(&Tuple) -> Option<Tuple> + Clone + Send + 'static> MapUdf<F> {
 impl<F: Fn(&Tuple) -> Option<Tuple> + Clone + Send + 'static> Udf for MapUdf<F> {
     fn on_batch(&mut self, _ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Vec<Tuple>) {
         for input in inputs {
-            for t in input.tuples {
+            for t in input.iter() {
                 if let Some(o) = (self.f)(t) {
                     out.push(o);
                 }
@@ -112,12 +160,12 @@ impl SourceGen for CountingSource {
     }
 }
 
-/// A sliding window of per-batch tuple counts — the building block for
-/// windowed UDFs. Stores whole batches as refcounted chunks so snapshots
-/// are cheap while `state_tuples` still reflects the real window volume.
+/// A sliding window over raw input — the building block for windowed
+/// UDFs. Retains the input chunks it is handed (no copy), so snapshots are
+/// cheap while `len_tuples` still reflects the real window volume.
 #[derive(Debug, Clone, Default)]
 pub struct WindowBuffer {
-    batches: std::collections::VecDeque<(u64, std::sync::Arc<Vec<Tuple>>)>,
+    batches: std::collections::VecDeque<(u64, Chunk)>,
     tuples: usize,
 }
 
@@ -126,33 +174,27 @@ impl WindowBuffer {
         Self::default()
     }
 
-    /// Appends a batch and evicts batches older than `window_batches`.
-    pub fn push(&mut self, batch: u64, tuples: Vec<Tuple>, window_batches: u64) {
-        self.tuples += tuples.len();
-        self.batches.push_back((batch, std::sync::Arc::new(tuples)));
+    /// Appends a batch's chunks and evicts batches older than
+    /// `window_batches`.
+    pub fn push(
+        &mut self,
+        batch: u64,
+        chunks: impl IntoIterator<Item = Chunk>,
+        window_batches: u64,
+    ) {
+        for chunk in chunks {
+            self.tuples += chunk.len();
+            self.batches.push_back((batch, chunk));
+        }
         let min_keep = batch.saturating_sub(window_batches.saturating_sub(1));
-        while let Some((b, _)) = self.batches.front() {
-            if *b < min_keep {
-                let (_, dropped) = self.batches.pop_front().unwrap();
-                self.tuples -= dropped.len();
-            } else {
-                break;
-            }
+        while let Some((_, dropped)) = self.batches.pop_front_if(|(b, _)| *b < min_keep) {
+            self.tuples -= dropped.len();
         }
     }
 
     /// Number of tuples currently inside the window.
     pub fn len_tuples(&self) -> usize {
         self.tuples
-    }
-
-    /// Iterates over the window's batches, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &[Tuple])> {
-        self.batches.iter().map(|(b, v)| (*b, v.as_slice()))
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.batches.is_empty()
     }
 }
 
@@ -176,14 +218,7 @@ mod tests {
             task_local: 0,
             parallelism: 1,
         };
-        udf.on_batch(
-            &ctx,
-            &[InputBatch {
-                stream: 0,
-                tuples: &tuples,
-            }],
-            &mut out,
-        );
+        udf.on_batch(&ctx, &[InputBatch::new(0, &[tuples.into()])], &mut out);
         assert_eq!(out.len(), 3);
         assert!(out.iter().all(|t| t.key % 2 == 0));
     }
@@ -212,18 +247,74 @@ mod tests {
     fn window_buffer_evicts_old_batches() {
         let mut w = WindowBuffer::new();
         for b in 0..10u64 {
-            w.push(b, vec![Tuple::key_only(b); 5], 3);
+            w.push(b, [vec![Tuple::key_only(b); 5].into()], 3);
         }
         assert_eq!(w.len_tuples(), 15, "3 batches × 5 tuples");
-        let batches: Vec<u64> = w.iter().map(|(b, _)| b).collect();
+        let batches: Vec<u64> = w.batches.iter().map(|(b, _)| *b).collect();
         assert_eq!(batches, vec![7, 8, 9]);
     }
 
     #[test]
     fn window_buffer_snapshot_is_cheap_but_counts_state() {
+        let chunks = [Chunk::from(vec![Tuple::key_only(1); 600]), Chunk::default()];
         let mut w = WindowBuffer::new();
-        w.push(0, vec![Tuple::key_only(1); 1000], 10);
+        w.push(0, chunks.iter().cloned(), 10);
+        w.push(1, [], 10);
         let snap = w.clone();
-        assert_eq!(snap.len_tuples(), 1000);
+        assert_eq!(snap.len_tuples(), 600);
+        assert!(Chunk::ptr_eq(&snap.batches[0].1, &chunks[0]), "no copy");
+        // A batch without chunks still slides the window.
+        w.push(10, [], 10);
+        assert_eq!(w.len_tuples(), 0);
+    }
+
+    /// The interleave `process_batch` used to materialise per fan-in
+    /// stream: row-major over the chunks, skipping exhausted ones.
+    fn reference_interleave(chunks: &[Chunk]) -> Vec<Tuple> {
+        let max_len = chunks.iter().map(|c| c.len()).max().unwrap_or(0);
+        let mut out = Vec::new();
+        for i in 0..max_len {
+            for c in chunks {
+                if let Some(t) = c.get(i) {
+                    out.push(t.clone());
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn input_batch_iter_is_the_round_robin_interleave() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..64u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Ragged, empty (also what a proxy-closed substream lends),
+            // single and no chunks at all.
+            let n_chunks = rng.gen_range(0..6usize);
+            let chunks: Vec<Chunk> = (0..n_chunks)
+                .map(|c| {
+                    let len = if rng.gen_bool(0.25) {
+                        0
+                    } else {
+                        rng.gen_range(0..40usize)
+                    };
+                    (0..len)
+                        .map(|i| Tuple::new((c * 1000 + i) as u64, Value::Int(rng.gen_range(0..9))))
+                        .collect::<Vec<_>>()
+                        .into()
+                })
+                .collect();
+            let batch = InputBatch::new(0, &chunks);
+            let expected = reference_interleave(&chunks);
+            assert_eq!(batch.len(), expected.len(), "seed {seed}");
+            assert_eq!(batch.is_empty(), expected.is_empty(), "seed {seed}");
+            let got: Vec<Tuple> = batch.iter().cloned().collect();
+            assert_eq!(got, expected, "seed {seed}");
+            // Stepping (what a selectivity filter does) sees the same order.
+            let stepped: Vec<Tuple> = batch.iter().step_by(3).cloned().collect();
+            let expected_stepped: Vec<Tuple> = expected.iter().step_by(3).cloned().collect();
+            assert_eq!(stepped, expected_stepped, "seed {seed}");
+        }
     }
 }

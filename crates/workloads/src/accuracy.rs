@@ -254,7 +254,7 @@ mod tests {
                 batch,
                 at: SimTime::from_secs(batch),
                 tentative: false,
-                tuples,
+                tuples: tuples.into(),
             });
         }
         rep
@@ -336,7 +336,7 @@ mod tests {
             batch: 3,
             at: SimTime::from_secs(3),
             tentative: false,
-            tuples,
+            tuples: tuples.into(),
         };
         // A parallelism-2 sink: golden volume is 60 + 40.
         let mut g = RunReport::default();
@@ -360,7 +360,7 @@ mod tests {
             batch: 3,
             at: SimTime::from_secs(at_secs),
             tentative: false,
-            tuples,
+            tuples: tuples.into(),
         };
         // A parallel sink whose heavier partition legitimately emits 7 s
         // after the lighter one — far more than the 5 s lateness budget.
@@ -392,7 +392,7 @@ mod tests {
             batch: 3,
             at: SimTime::from_secs(30),
             tentative: false,
-            tuples: vec![key(1), key(2)],
+            tuples: vec![key(1), key(2)].into(),
         });
         let slack = ppa_sim::SimDuration::from_secs(5);
         assert_eq!(batch_fidelity(&g, &late, 0, 10, slack), 0.0);

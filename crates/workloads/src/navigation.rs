@@ -238,7 +238,7 @@ impl Udf for AvgSpeed {
     fn on_batch(&mut self, _ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Vec<Tuple>) {
         let mut acc: BTreeMap<u64, (f64, usize)> = BTreeMap::new();
         for input in inputs {
-            for t in input.tuples {
+            for t in input.iter() {
                 if let Some((_user, speed)) = t.value.as_pair() {
                     let e = acc.entry(t.key).or_insert((0.0, 0));
                     e.0 += speed as f64;
@@ -280,7 +280,7 @@ impl Udf for DedupIncidents {
     fn on_batch(&mut self, _ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Vec<Tuple>) {
         let mut batch_new: BTreeMap<i64, u64> = BTreeMap::new();
         for input in inputs {
-            for t in input.tuples {
+            for t in input.iter() {
                 if let Some(id) = t.value.as_int() {
                     if !self.seen.contains(&id) {
                         batch_new.entry(id).or_insert(t.key);
@@ -351,7 +351,7 @@ impl Udf for JamJoin {
         // Stream 0: speeds from O1; stream 1: incidents from O2.
         let mut batch_speeds: BTreeMap<u64, f64> = BTreeMap::new();
         for input in inputs {
-            for t in input.tuples {
+            for t in input.iter() {
                 match (input.stream, &t.value) {
                     (0, Value::Float(v)) => {
                         batch_speeds.insert(t.key, *v);
@@ -416,7 +416,7 @@ struct JamAggregate;
 impl Udf for JamAggregate {
     fn on_batch(&mut self, _ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Vec<Tuple>) {
         for input in inputs {
-            out.extend(input.tuples.iter().cloned());
+            out.extend(input.iter().cloned());
         }
     }
 
@@ -534,7 +534,7 @@ pub fn jam_set(tuples: &[Tuple]) -> Vec<(u64, i64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppa_engine::{EngineConfig, FtMode, Simulation};
+    use ppa_engine::{Chunk, EngineConfig, FtMode, Simulation};
     use ppa_sim::SimDuration;
 
     fn small() -> NavigationConfig {
@@ -646,38 +646,20 @@ mod tests {
         };
         let mut out = Vec::new();
         // Incident without slow speed: no jam.
-        let inc = vec![Tuple::new(7, Value::Int(1))];
-        let fast = vec![Tuple::new(7, Value::Float(50.0))];
+        let inc = [Chunk::from(vec![Tuple::new(7, Value::Int(1))])];
+        let fast = [Chunk::from(vec![Tuple::new(7, Value::Float(50.0))])];
         udf.on_batch(
             &ctx(0),
-            &[
-                InputBatch {
-                    stream: 0,
-                    tuples: &fast,
-                },
-                InputBatch {
-                    stream: 1,
-                    tuples: &inc,
-                },
-            ],
+            &[InputBatch::new(0, &fast), InputBatch::new(1, &inc)],
             &mut out,
         );
         assert!(out.is_empty());
         // Slow speeds arrive: jam fires exactly once.
-        let slow = vec![Tuple::new(7, Value::Float(10.0))];
+        let slow = [Chunk::from(vec![Tuple::new(7, Value::Float(10.0))])];
         for b in 1..4 {
             udf.on_batch(
                 &ctx(b),
-                &[
-                    InputBatch {
-                        stream: 0,
-                        tuples: &slow,
-                    },
-                    InputBatch {
-                        stream: 1,
-                        tuples: &[],
-                    },
-                ],
+                &[InputBatch::new(0, &slow), InputBatch::new(1, &[])],
                 &mut out,
             );
         }
@@ -695,16 +677,9 @@ mod tests {
             task_local: 0,
             parallelism: 1,
         };
-        let reports: Vec<Tuple> = (0..50).map(|_| Tuple::new(3, Value::Int(9))).collect();
+        let reports = [Chunk::from(vec![Tuple::new(3, Value::Int(9)); 50])];
         let mut out = Vec::new();
-        udf.on_batch(
-            &ctx,
-            &[InputBatch {
-                stream: 0,
-                tuples: &reports,
-            }],
-            &mut out,
-        );
+        udf.on_batch(&ctx, &[InputBatch::new(0, &reports)], &mut out);
         assert_eq!(
             out.len(),
             1,

@@ -35,7 +35,8 @@ impl Default for Fig6Config {
 }
 
 /// A synthetic sliding-window operator: keeps the window's raw input as
-/// state and emits a `selectivity` fraction of each batch.
+/// state (the input chunks themselves, not a copy) and emits a
+/// `selectivity` fraction of each batch.
 #[derive(Clone)]
 pub struct SyntheticOp {
     window_batches: u64,
@@ -55,24 +56,25 @@ impl SyntheticOp {
 
 impl Udf for SyntheticOp {
     fn on_batch(&mut self, ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Vec<Tuple>) {
-        let mut all: Vec<Tuple> = Vec::new();
-        for i in inputs {
-            all.extend_from_slice(i.tuples);
-        }
         // Deterministic selection of ~selectivity of the batch: every k-th
-        // tuple by position, so primaries and replicas agree exactly.
+        // tuple by position across the inputs, so primaries and replicas
+        // agree exactly.
         let keep_every = if self.selectivity > 0.0 {
             (1.0 / self.selectivity).round().max(1.0) as usize
         } else {
             usize::MAX
         };
+        let total: usize = inputs.iter().map(|i| i.len()).sum();
+        out.reserve(total.div_ceil(keep_every));
         out.extend(
-            all.iter()
-                .enumerate()
-                .filter(|(i, _)| i % keep_every == 0)
-                .map(|(_, t)| t.clone()),
+            inputs
+                .iter()
+                .flat_map(|i| i.iter())
+                .step_by(keep_every)
+                .cloned(),
         );
-        self.buf.push(ctx.batch, all, self.window_batches);
+        let chunks = inputs.iter().flat_map(|i| i.chunks()).cloned();
+        self.buf.push(ctx.batch, chunks, self.window_batches);
     }
 
     fn snapshot(&self) -> Box<dyn Udf> {
@@ -104,6 +106,11 @@ impl SourceGen for UniformSource {
 
 /// Builds the Fig. 6 query.
 pub fn fig6_query(cfg: &Fig6Config) -> Query {
+    // ppa-lint: allow(D005, reason = "the Fig. 6 shape is fixed in this file; an invalid topology is a bug here, not an input error")
+    try_fig6_query(cfg).expect("fig6 topology is valid")
+}
+
+fn try_fig6_query(cfg: &Fig6Config) -> Result<Query, ppa_core::CoreError> {
     let window_batches = (cfg.window.as_micros() / 1_000_000).max(1);
     let sel = cfg.selectivity;
     let rate = cfg.rate;
@@ -131,11 +138,11 @@ pub fn fig6_query(cfg: &Fig6Config) -> Query {
     let o4 = q.add_operator(OperatorSpec::map("O4", 1, sel), move |_| {
         Box::new(SyntheticOp::new(window_batches, sel))
     });
-    q.connect(src, o1, Partitioning::Merge).unwrap();
-    q.connect(o1, o2, Partitioning::Merge).unwrap();
-    q.connect(o2, o3, Partitioning::Merge).unwrap();
-    q.connect(o3, o4, Partitioning::Merge).unwrap();
-    q.build().expect("fig6 topology is valid")
+    q.connect(src, o1, Partitioning::Merge)?;
+    q.connect(o1, o2, Partitioning::Merge)?;
+    q.connect(o2, o3, Partitioning::Merge)?;
+    q.connect(o3, o4, Partitioning::Merge)?;
+    q.build()
 }
 
 /// Builds the full Fig. 6 scenario: query + the paper's placement (sources
@@ -156,8 +163,21 @@ pub fn fig6_scenario(cfg: &Fig6Config) -> Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppa_engine::{EngineConfig, FailureSpec, FtMode, Simulation};
+    use ppa_engine::{Chunk, EngineConfig, FailureSpec, FtMode, Simulation};
     use ppa_sim::SimTime;
+
+    fn ctx(batch: u64) -> BatchCtx {
+        BatchCtx {
+            batch,
+            now: SimTime::ZERO,
+            task_local: 0,
+            parallelism: 1,
+        }
+    }
+
+    fn keys(range: std::ops::Range<u64>) -> Chunk {
+        range.map(Tuple::key_only).collect::<Vec<_>>().into()
+    }
 
     #[test]
     fn fig6_topology_shape() {
@@ -172,22 +192,8 @@ mod tests {
     #[test]
     fn synthetic_op_halves_its_input() {
         let mut op = SyntheticOp::new(10, 0.5);
-        let tuples: Vec<Tuple> = (0..100).map(Tuple::key_only).collect();
         let mut out = Vec::new();
-        let ctx = BatchCtx {
-            batch: 0,
-            now: SimTime::ZERO,
-            task_local: 0,
-            parallelism: 1,
-        };
-        op.on_batch(
-            &ctx,
-            &[InputBatch {
-                stream: 0,
-                tuples: &tuples,
-            }],
-            &mut out,
-        );
+        op.on_batch(&ctx(0), &[InputBatch::new(0, &[keys(0..100)])], &mut out);
         assert_eq!(out.len(), 50);
         assert_eq!(op.state_tuples(), 100);
     }
@@ -195,25 +201,103 @@ mod tests {
     #[test]
     fn synthetic_state_tracks_window_and_rate() {
         let mut op = SyntheticOp::new(3, 0.5);
-        let ctx = |b| BatchCtx {
-            batch: b,
-            now: SimTime::ZERO,
-            task_local: 0,
-            parallelism: 1,
-        };
         for b in 0..10u64 {
-            let tuples: Vec<Tuple> = (0..200).map(Tuple::key_only).collect();
             let mut out = Vec::new();
-            op.on_batch(
-                &ctx(b),
-                &[InputBatch {
-                    stream: 0,
-                    tuples: &tuples,
-                }],
-                &mut out,
-            );
+            op.on_batch(&ctx(b), &[InputBatch::new(0, &[keys(0..200)])], &mut out);
         }
         assert_eq!(op.state_tuples(), 600, "window(3) × rate(200)");
+    }
+
+    /// The copy-then-select implementation `SyntheticOp` replaced, kept as
+    /// the reference: concatenate the inputs (each stream's round-robin
+    /// interleave materialised), keep every k-th, own the copy as state.
+    struct LegacySyntheticOp {
+        window_batches: u64,
+        selectivity: f64,
+        window: std::collections::VecDeque<(u64, Vec<Tuple>)>,
+    }
+
+    impl LegacySyntheticOp {
+        fn on_batch(&mut self, batch: u64, inputs: &[InputBatch<'_>], out: &mut Vec<Tuple>) {
+            let mut all: Vec<Tuple> = Vec::new();
+            for input in inputs {
+                let chunks = input.chunks();
+                let rows = chunks.iter().map(|c| c.len()).max().unwrap_or(0);
+                for i in 0..rows {
+                    all.extend(chunks.iter().filter_map(|c| c.get(i)).cloned());
+                }
+            }
+            let keep_every = if self.selectivity > 0.0 {
+                (1.0 / self.selectivity).round().max(1.0) as usize
+            } else {
+                usize::MAX
+            };
+            out.extend(
+                all.iter()
+                    .enumerate()
+                    .filter(|(i, _)| i % keep_every == 0)
+                    .map(|(_, t)| t.clone()),
+            );
+            self.window.push_back((batch, all));
+            let min_keep = batch.saturating_sub(self.window_batches.saturating_sub(1));
+            while self.window.front().is_some_and(|(b, _)| *b < min_keep) {
+                self.window.pop_front();
+            }
+        }
+
+        fn state_tuples(&self) -> usize {
+            self.window.iter().map(|(_, v)| v.len()).sum()
+        }
+    }
+
+    #[test]
+    fn synthetic_op_matches_the_legacy_copy_then_select() {
+        // Two streams; a ragged three-way fan-in with an empty (proxy-closed)
+        // substream; a batch with no input at all.
+        let shapes: [&[&[u64]]; 4] = [
+            &[&[7], &[5]],
+            &[&[4, 0, 9], &[3, 3]],
+            &[&[1, 6], &[0], &[2, 2, 2]],
+            &[&[0, 0]],
+        ];
+        for selectivity in [0.5, 0.3, 1.0, 0.0] {
+            let mut op = SyntheticOp::new(3, selectivity);
+            let mut legacy = LegacySyntheticOp {
+                window_batches: 3,
+                selectivity,
+                window: Default::default(),
+            };
+            for b in 0..12u64 {
+                let shape = shapes[b as usize % shapes.len()];
+                let streams: Vec<Vec<Chunk>> = shape
+                    .iter()
+                    .enumerate()
+                    .map(|(s, lens)| {
+                        lens.iter()
+                            .enumerate()
+                            .map(|(c, &len)| {
+                                let base = b * 10_000 + (s * 1000 + c * 100) as u64;
+                                keys(base..base + len)
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let inputs: Vec<InputBatch<'_>> = streams
+                    .iter()
+                    .enumerate()
+                    .map(|(s, chunks)| InputBatch::new(s, chunks))
+                    .collect();
+                let (mut out, mut expected) = (Vec::new(), Vec::new());
+                op.on_batch(&ctx(b), &inputs, &mut out);
+                legacy.on_batch(b, &inputs, &mut expected);
+                assert_eq!(out, expected, "selectivity {selectivity}, batch {b}");
+                assert_eq!(
+                    op.state_tuples(),
+                    legacy.state_tuples(),
+                    "selectivity {selectivity}, batch {b}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -95,7 +95,7 @@ impl Udf for CountCombine {
     fn on_batch(&mut self, _ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Vec<Tuple>) {
         let mut counts: BTreeMap<u64, i64> = BTreeMap::new();
         for input in inputs {
-            for t in input.tuples {
+            for t in input.iter() {
                 let add = t.value.as_int().unwrap_or(1);
                 *counts.entry(t.key).or_insert(0) += add;
             }
@@ -138,7 +138,7 @@ impl Udf for TopK {
     fn on_batch(&mut self, ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Vec<Tuple>) {
         let mut counts: BTreeMap<u64, i64> = BTreeMap::new();
         for input in inputs {
-            for t in input.tuples {
+            for t in input.iter() {
                 *counts.entry(t.key).or_insert(0) += t.value.as_int().unwrap_or(1);
             }
         }
@@ -246,7 +246,7 @@ pub fn topk_set(tuples: &[Tuple]) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppa_engine::{EngineConfig, FtMode, Simulation};
+    use ppa_engine::{Chunk, EngineConfig, FtMode, Simulation};
     use ppa_sim::SimDuration;
 
     fn small() -> Q1Config {
@@ -324,29 +324,20 @@ mod tests {
         let mut out = Vec::new();
         udf.on_batch(
             &ctx(0),
-            &[InputBatch {
-                stream: 0,
-                tuples: &batch(1, 10),
-            }],
+            &[InputBatch::new(0, &[batch(1, 10).into()])],
             &mut out,
         );
         out.clear();
         udf.on_batch(
             &ctx(1),
-            &[InputBatch {
-                stream: 0,
-                tuples: &batch(2, 5),
-            }],
+            &[InputBatch::new(0, &[batch(2, 5).into()])],
             &mut out,
         );
         out.clear();
         // Batch 2 evicts batch 0: object 1's count disappears.
         udf.on_batch(
             &ctx(2),
-            &[InputBatch {
-                stream: 0,
-                tuples: &batch(3, 1),
-            }],
+            &[InputBatch::new(0, &[batch(3, 1).into()])],
             &mut out,
         );
         let set = topk_set(&out);
@@ -363,21 +354,15 @@ mod tests {
             task_local: 0,
             parallelism: 1,
         };
-        let a = vec![Tuple::new(7, Value::Int(3)), Tuple::new(8, Value::Int(1))];
-        let b = vec![Tuple::new(7, Value::Int(2))];
+        let a = [Chunk::from(vec![
+            Tuple::new(7, Value::Int(3)),
+            Tuple::new(8, Value::Int(1)),
+        ])];
+        let b = [Chunk::from(vec![Tuple::new(7, Value::Int(2))])];
         let mut out = Vec::new();
         udf.on_batch(
             &ctx,
-            &[
-                InputBatch {
-                    stream: 0,
-                    tuples: &a,
-                },
-                InputBatch {
-                    stream: 0,
-                    tuples: &b,
-                },
-            ],
+            &[InputBatch::new(0, &a), InputBatch::new(0, &b)],
             &mut out,
         );
         let seven = out.iter().find(|t| t.key == 7).unwrap();

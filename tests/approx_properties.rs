@@ -95,7 +95,7 @@ fn lossy_run(error_bound: u64, kill_seed: u64) -> (Vec<(u64, u16)>, u64) {
         .worker_kill_set
         .iter()
         .copied()
-        .filter(|node| (node + kill_seed as usize) % 3 != 0)
+        .filter(|node| !(node + kill_seed as usize).is_multiple_of(3))
         .collect();
     let n = scenario.graph().n_tasks();
     let config = EngineConfig {
