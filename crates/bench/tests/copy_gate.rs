@@ -1,0 +1,83 @@
+//! The tuple-copy performance gate: `SyntheticOp::on_batch` — the inner
+//! loop of every recovery-efficiency experiment — must copy its selected
+//! tuples out at close to the speed of the memory it touches, at most 3x
+//! what `Vec::extend_from_slice` of the same count costs per tuple.
+//!
+//! Both sides are timed in this process, back to back, so the ratio is
+//! indifferent to the host's speed and core count: unlike the wall-clock
+//! gate in `throughput_gate.rs`, this one executes on a one-core container.
+//! It only measures release builds (debug codegen has no bearing on the
+//! claim) and skips loudly elsewhere.
+
+use ppa_bench::stopwatch::Stopwatch;
+use ppa_engine::{BatchCtx, Chunk, InputBatch, Tuple, Udf};
+use ppa_sim::SimTime;
+use ppa_workloads::synthetic::SyntheticOp;
+use std::hint::black_box;
+
+const REPS: usize = 9;
+const CALLS_PER_REP: u64 = 2_000;
+const CHUNK_TUPLES: u64 = 1_000;
+
+/// Median over `REPS` of the nanoseconds one call of `copy` takes per tuple
+/// it appends to a reused output vector.
+fn ns_per_tuple(mut copy: impl FnMut(u64, &mut Vec<Tuple>)) -> f64 {
+    let mut out = Vec::new();
+    let mut reps: Vec<f64> = (0..=REPS)
+        .map(|_| {
+            let watch = Stopwatch::start();
+            let mut copied = 0;
+            for call in 0..CALLS_PER_REP {
+                out.clear();
+                copy(call, &mut out);
+                copied += black_box(&out).len();
+            }
+            watch.elapsed().as_secs_f64() * 1e9 / copied as f64
+        })
+        .skip(1) // warm-up: the output vector's growth, cold caches
+        .collect();
+    reps.sort_by(f64::total_cmp);
+    reps[REPS / 2]
+}
+
+#[test]
+fn synthetic_op_copies_within_3x_of_extend_from_slice() {
+    if cfg!(debug_assertions) {
+        eprintln!("skipping copy gate: debug build (run with --release)");
+        return;
+    }
+    let chunk = |c: u64| -> Chunk {
+        (c * CHUNK_TUPLES..(c + 1) * CHUNK_TUPLES)
+            .map(Tuple::key_only)
+            .collect::<Vec<_>>()
+            .into()
+    };
+    for fan_in in [1, 2] {
+        let chunks: Vec<Chunk> = (0..fan_in).map(chunk).collect();
+        let mut op = SyntheticOp::new(1, 0.5);
+        let op_ns = ns_per_tuple(|call, out| {
+            let ctx = BatchCtx {
+                batch: call,
+                now: SimTime::ZERO,
+                task_local: 0,
+                parallelism: 1,
+            };
+            op.on_batch(&ctx, &[InputBatch::new(0, black_box(&chunks))], out);
+        });
+        // The same number of tuples, from one contiguous slice.
+        let selected: Vec<Tuple> = (0..fan_in * CHUNK_TUPLES / 2)
+            .map(Tuple::key_only)
+            .collect();
+        let memcpy_ns = ns_per_tuple(|_, out| out.extend_from_slice(black_box(&selected)));
+        let ratio = op_ns / memcpy_ns;
+        eprintln!(
+            "copy gate, fan-in {fan_in}: on_batch {op_ns:.2} ns/tuple, \
+             extend_from_slice {memcpy_ns:.2} ns/tuple, ratio {ratio:.2}x"
+        );
+        assert!(
+            ratio <= 3.0,
+            "SyntheticOp::on_batch at fan-in {fan_in} costs {op_ns:.2} ns per output tuple, \
+             {ratio:.2}x the {memcpy_ns:.2} ns of extend_from_slice (limit 3x)"
+        );
+    }
+}

@@ -6,6 +6,7 @@
 
 use crate::tuple::{Chunk, Tuple};
 use ppa_sim::SimTime;
+use std::ops::{Deref, Range};
 
 /// Context handed to a UDF for each batch.
 #[derive(Debug, Clone, Copy)]
@@ -66,13 +67,82 @@ impl<'a> InputBatch<'a> {
         self.chunks.iter().all(|c| c.is_empty())
     }
 
-    /// The batch's tuples in round-robin order (see the type docs). The
-    /// iterator carries no length hint: size an output from
-    /// [`len`](InputBatch::len) when collecting from it.
+    /// The batch's tuples in round-robin order (see the type docs): the
+    /// read path. It carries no length hint, so copy tuples out with
+    /// [`copy_every`](InputBatch::copy_every), not by collecting from it.
     pub fn iter(&self) -> impl Iterator<Item = &'a Tuple> + 'a {
         let chunks = self.chunks;
         let rows = chunks.iter().map(|c| c.len()).max().unwrap_or(0);
         (0..rows).flat_map(move |i| chunks.iter().filter_map(move |c| c.get(i)))
+    }
+
+    /// Appends to `out` a clone of every `step`-th tuple of the batch's
+    /// round-robin order, starting at position `first` — the tuples
+    /// `iter().skip(first).step_by(step)` yields, in that order — and
+    /// returns the carry-over offset: how far past this batch's end the
+    /// next selected position lies (saturating). Passing it as the next
+    /// input stream's `first` selects every `step`-th tuple of the
+    /// streams' concatenation, so a UDF folds it over its inputs starting
+    /// from 0. A batch shorter than `first` copies nothing and returns
+    /// `first - len()`.
+    ///
+    /// This is the way to copy tuples out of a batch: `out` is reserved
+    /// once and written in place, where collecting from
+    /// [`iter`](InputBatch::iter) builds each clone on the stack first.
+    ///
+    /// # Panics
+    /// If `step` is 0.
+    pub fn copy_every(&self, first: usize, step: usize, out: &mut Vec<Tuple>) -> usize {
+        assert!(step > 0, "copy_every needs a positive step");
+        let len = self.len();
+        if first >= len {
+            return first - len;
+        }
+        // Round-robin skips exhausted chunks, so empty ones never count.
+        if self.chunks.iter().any(|c| c.is_empty()) {
+            let live: Vec<&[Tuple]> = (self.chunks.iter())
+                .filter(|c| !c.is_empty())
+                .map(|c| &**c)
+                .collect();
+            self.copy_strided(&live, first..len, step, out);
+        } else {
+            self.copy_strided(self.chunks, first..len, step, out);
+        }
+        let taken = (len - first).div_ceil(step);
+        first.saturating_add(taken.saturating_mul(step)) - len
+    }
+
+    /// Extends `out` with every `step`-th tuple at the round-robin positions
+    /// `span` of `live`, the batch's non-empty chunks.
+    ///
+    /// Chunks of one length (a single chunk included) are spelled as
+    /// exact-size iterators, so `Vec::extend` reserves once and clones each
+    /// tuple straight into its slot: position `p` is tuple `p / width` of
+    /// chunk `p % width`, and a step that is a multiple of the width never
+    /// leaves its chunk — the fan-in-2, selectivity-0.5 case of Fig. 6 is a
+    /// plain slice copy. Ragged chunks take [`iter`](InputBatch::iter)
+    /// after an explicit reserve.
+    fn copy_strided<C: Deref<Target = [Tuple]>>(
+        &self,
+        live: &[C],
+        span: Range<usize>,
+        step: usize,
+        out: &mut Vec<Tuple>,
+    ) {
+        let width = live.len();
+        let equal = live.windows(2).all(|w| w[0].len() == w[1].len());
+        if equal && step.is_multiple_of(width) {
+            let column = &live[span.start % width][span.start / width..];
+            out.extend(column.iter().step_by(step / width).cloned());
+        } else if equal {
+            out.extend(
+                span.step_by(step)
+                    .map(|p| live[p % width][p / width].clone()),
+            );
+        } else {
+            out.reserve(span.len().div_ceil(step));
+            out.extend(self.iter().skip(span.start).step_by(step).cloned());
+        }
     }
 }
 
@@ -85,8 +155,9 @@ pub trait Udf: Send {
     ///
     /// `inputs` holds one [`InputBatch`] per input stream, in stream order.
     /// The tuples are read in place: iterate them in the batch's
-    /// round-robin order, and retain input chunks by cloning them if the
-    /// operator keeps raw input as state — never by mutating them.
+    /// round-robin order, copy them out with
+    /// [`InputBatch::copy_every`], and retain input chunks by cloning them
+    /// if the operator keeps raw input as state — never by mutating them.
     fn on_batch(&mut self, ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Vec<Tuple>);
 
     /// Snapshots the full operator state (for checkpoints and replicas).
@@ -139,7 +210,8 @@ impl<F: Fn(&Tuple) -> Option<Tuple> + Clone + Send + 'static> Udf for MapUdf<F> 
 }
 
 /// A fixed-rate source emitting `rate` key-only tuples per batch, with keys
-/// drawn deterministically from `(seed, task, batch, i)`; used by tests and
+/// below `key_space` drawn deterministically from `(seed, task, batch, i)`
+/// (a `key_space` of 0 is one key: every tuple has key 0); used by tests and
 /// the quickstart example.
 #[derive(Debug, Clone)]
 pub struct CountingSource {
@@ -154,7 +226,7 @@ impl SourceGen for CountingSource {
             .map(|i| {
                 let h =
                     crate::tuple::hash_key(self.seed ^ batch.wrapping_mul(0x9E37_79B9) ^ i as u64);
-                Tuple::key_only(h % self.key_space)
+                Tuple::key_only(h % self.key_space.max(1))
             })
             .collect()
     }
@@ -283,38 +355,125 @@ mod tests {
         out
     }
 
+    /// One chunk set per shape: none, one chunk, equal lengths, ragged,
+    /// equal lengths around empty chunks (also what a proxy-closed
+    /// substream lends), ragged with empties, all empty.
+    fn chunk_set(rng: &mut rand::rngs::StdRng, shape: u64, tag: usize) -> Vec<Chunk> {
+        use rand::Rng;
+        let lens: Vec<usize> = match shape % 7 {
+            0 => vec![],
+            1 => vec![rng.gen_range(1..40)],
+            2 => vec![rng.gen_range(1..20); rng.gen_range(2..6)],
+            3 => (0..rng.gen_range(2..6))
+                .map(|_| rng.gen_range(1..40))
+                .collect(),
+            4 => {
+                let len = rng.gen_range(1..20);
+                (0..rng.gen_range(2..7))
+                    .map(|c| if c % 2 == 0 { 0 } else { len })
+                    .collect()
+            }
+            5 => (0..rng.gen_range(2..6))
+                .map(|_| rng.gen_range(0..3usize) * rng.gen_range(1..20usize))
+                .collect(),
+            _ => vec![0; rng.gen_range(1..4)],
+        };
+        (lens.iter().enumerate())
+            .map(|(c, &len)| {
+                (0..len)
+                    .map(|i| {
+                        let key = (tag * 100_000 + c * 1000 + i) as u64;
+                        Tuple::new(key, Value::Int(rng.gen_range(0..9)))
+                    })
+                    .collect::<Vec<_>>()
+                    .into()
+            })
+            .collect()
+    }
+
+    const STEPS: [usize; 5] = [1, 2, 3, 7, usize::MAX];
+
     #[test]
     fn input_batch_iter_is_the_round_robin_interleave() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        for seed in 0..64u64 {
+        for seed in 0..70u64 {
             let mut rng = StdRng::seed_from_u64(seed);
-            // Ragged, empty (also what a proxy-closed substream lends),
-            // single and no chunks at all.
-            let n_chunks = rng.gen_range(0..6usize);
-            let chunks: Vec<Chunk> = (0..n_chunks)
-                .map(|c| {
-                    let len = if rng.gen_bool(0.25) {
-                        0
-                    } else {
-                        rng.gen_range(0..40usize)
-                    };
-                    (0..len)
-                        .map(|i| Tuple::new((c * 1000 + i) as u64, Value::Int(rng.gen_range(0..9))))
-                        .collect::<Vec<_>>()
-                        .into()
-                })
-                .collect();
+            let chunks = chunk_set(&mut rng, seed, 0);
             let batch = InputBatch::new(0, &chunks);
             let expected = reference_interleave(&chunks);
-            assert_eq!(batch.len(), expected.len(), "seed {seed}");
+            let len = expected.len();
+            assert_eq!(batch.len(), len, "seed {seed}");
             assert_eq!(batch.is_empty(), expected.is_empty(), "seed {seed}");
             let got: Vec<Tuple> = batch.iter().cloned().collect();
             assert_eq!(got, expected, "seed {seed}");
-            // Stepping (what a selectivity filter does) sees the same order.
-            let stepped: Vec<Tuple> = batch.iter().step_by(3).cloned().collect();
-            let expected_stepped: Vec<Tuple> = expected.iter().step_by(3).cloned().collect();
-            assert_eq!(stepped, expected_stepped, "seed {seed}");
+            // The copy primitive against the formulation it replaced, and
+            // its carry-over against the next selected position.
+            for step in STEPS {
+                for first in 0..step.min(len + 2) {
+                    let what = format!("seed {seed}, step {step}, first {first}");
+                    let reference: Vec<Tuple> =
+                        batch.iter().skip(first).step_by(step).cloned().collect();
+                    let next = first as u128 + (reference.len() as u128) * (step as u128);
+                    let carry = usize::try_from(next).unwrap_or(usize::MAX) - len;
+                    let mut out = vec![Tuple::key_only(u64::MAX)];
+                    assert_eq!(batch.copy_every(first, step, &mut out), carry, "{what}");
+                    assert_eq!(out[0], Tuple::key_only(u64::MAX), "{what}: appends");
+                    assert_eq!(out[1..], reference, "{what}");
+                }
+            }
         }
+        // Folded over a UDF's input streams, the carry-over selects from
+        // their concatenation.
+        for seed in 0..70u64 {
+            let mut rng = StdRng::seed_from_u64(1000 + seed);
+            // Two and three streams of every shape pairing; every other seed
+            // the middle or last stream is shorter than the offset a step of
+            // 7 carries into it.
+            let mut streams: Vec<Vec<Chunk>> = (0..2 + seed % 2)
+                .map(|s| chunk_set(&mut rng, seed / 2 + 3 * s, s as usize))
+                .collect();
+            if seed % 4 < 2 {
+                let short: Vec<Tuple> = (0..rng.gen_range(0..3)).map(Tuple::key_only).collect();
+                streams[1] = vec![Chunk::from(short)];
+            }
+            let inputs: Vec<InputBatch<'_>> = (streams.iter().enumerate())
+                .map(|(s, chunks)| InputBatch::new(s, chunks))
+                .collect();
+            for step in STEPS {
+                let reference: Vec<Tuple> = (inputs.iter())
+                    .flat_map(|i| i.iter())
+                    .step_by(step)
+                    .cloned()
+                    .collect();
+                let mut out = Vec::new();
+                (inputs.iter()).fold(0, |first, i| i.copy_every(first, step, &mut out));
+                assert_eq!(out, reference, "seed {seed}, step {step}");
+            }
+        }
+        // The carried offset outlives a stream it skips entirely.
+        let streams = [
+            vec![Chunk::from(vec![Tuple::key_only(0); 3])],
+            vec![Chunk::from(vec![Tuple::key_only(1); 2]), Chunk::default()],
+            vec![Chunk::from(vec![Tuple::key_only(2); 4])],
+        ];
+        let inputs: Vec<InputBatch<'_>> = (streams.iter().enumerate())
+            .map(|(s, chunks)| InputBatch::new(s, chunks))
+            .collect();
+        let mut out = Vec::new();
+        assert_eq!(inputs[0].copy_every(0, 7, &mut out), 4);
+        assert_eq!(inputs[1].copy_every(4, 7, &mut out), 2);
+        assert_eq!(inputs[2].copy_every(2, 7, &mut out), 5);
+        assert_eq!(out, [Tuple::key_only(0), Tuple::key_only(2)]);
+    }
+
+    #[test]
+    fn counting_source_with_no_key_space_emits_key_zero() {
+        let mut source = CountingSource {
+            per_batch: 3,
+            seed: 7,
+            key_space: 0,
+        };
+        assert_eq!(source.batch(1), vec![Tuple::key_only(0); 3]);
     }
 }

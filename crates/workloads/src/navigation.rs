@@ -416,7 +416,7 @@ struct JamAggregate;
 impl Udf for JamAggregate {
     fn on_batch(&mut self, _ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Vec<Tuple>) {
         for input in inputs {
-            out.extend(input.iter().cloned());
+            input.copy_every(0, 1, out);
         }
     }
 

@@ -40,15 +40,24 @@ impl Default for Fig6Config {
 #[derive(Clone)]
 pub struct SyntheticOp {
     window_batches: u64,
-    selectivity: f64,
+    /// Every `keep_every`-th tuple by position across the inputs is
+    /// emitted, so primaries and replicas agree exactly.
+    keep_every: usize,
     buf: WindowBuffer,
 }
 
 impl SyntheticOp {
+    /// A selectivity that is not positive (zero, negative, NaN) selects
+    /// only the first tuple of each batch.
     pub fn new(window_batches: u64, selectivity: f64) -> Self {
+        let keep_every = if selectivity > 0.0 {
+            (1.0 / selectivity).round().max(1.0) as usize
+        } else {
+            usize::MAX
+        };
         SyntheticOp {
             window_batches,
-            selectivity,
+            keep_every,
             buf: WindowBuffer::new(),
         }
     }
@@ -56,23 +65,9 @@ impl SyntheticOp {
 
 impl Udf for SyntheticOp {
     fn on_batch(&mut self, ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Vec<Tuple>) {
-        // Deterministic selection of ~selectivity of the batch: every k-th
-        // tuple by position across the inputs, so primaries and replicas
-        // agree exactly.
-        let keep_every = if self.selectivity > 0.0 {
-            (1.0 / self.selectivity).round().max(1.0) as usize
-        } else {
-            usize::MAX
-        };
-        let total: usize = inputs.iter().map(|i| i.len()).sum();
-        out.reserve(total.div_ceil(keep_every));
-        out.extend(
-            inputs
-                .iter()
-                .flat_map(|i| i.iter())
-                .step_by(keep_every)
-                .cloned(),
-        );
+        inputs.iter().fold(0, |first, input| {
+            input.copy_every(first, self.keep_every, out)
+        });
         let chunks = inputs.iter().flat_map(|i| i.chunks()).cloned();
         self.buf.push(ctx.batch, chunks, self.window_batches);
     }
@@ -253,22 +248,39 @@ mod tests {
     #[test]
     fn synthetic_op_matches_the_legacy_copy_then_select() {
         // Two streams; a ragged three-way fan-in with an empty (proxy-closed)
-        // substream; a batch with no input at all.
-        let shapes: [&[&[u64]]; 4] = [
-            &[&[7], &[5]],
-            &[&[4, 0, 9], &[3, 3]],
-            &[&[1, 6], &[0], &[2, 2, 2]],
-            &[&[0, 0]],
+        // substream; a batch with no input at all; then seeded streams of
+        // one / equal-length / ragged / partly-empty / no chunks, some
+        // shorter than the offset carried into them.
+        let mut shapes: Vec<Vec<Vec<u64>>> = vec![
+            vec![vec![7], vec![5]],
+            vec![vec![4, 0, 9], vec![3, 3]],
+            vec![vec![1, 6], vec![0], vec![2, 2, 2]],
+            vec![vec![0, 0]],
         ];
-        for selectivity in [0.5, 0.3, 1.0, 0.0] {
+        for seed in 0..64u64 {
+            let draw = |s: u64, c: u64, below: u64| {
+                (crate::zipf::uniform_hash(seed, s, c, below) * below as f64) as u64
+            };
+            let streams = (0..1 + draw(0, 0, 3)).map(|s| {
+                (0..draw(s, 0, 5))
+                    .map(|c| match draw(s, c, 4) {
+                        0 => 0,
+                        1 => draw(s, c, 12),
+                        _ => draw(s, 0, 12),
+                    })
+                    .collect()
+            });
+            shapes.push(streams.collect());
+        }
+        // Strides 2, 3, 1, 7, and `usize::MAX` three times over.
+        for selectivity in [0.5, 0.3, 1.0, 0.14, 0.0, -1.0, f64::NAN] {
             let mut op = SyntheticOp::new(3, selectivity);
             let mut legacy = LegacySyntheticOp {
                 window_batches: 3,
                 selectivity,
                 window: Default::default(),
             };
-            for b in 0..12u64 {
-                let shape = shapes[b as usize % shapes.len()];
+            for (b, shape) in (0u64..).zip(&shapes) {
                 let streams: Vec<Vec<Chunk>> = shape
                     .iter()
                     .enumerate()

@@ -6,6 +6,16 @@
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    /// `guide[b]` is the first item whose CDF entry lies in [`bucket`] `b`
+    /// or a later one, for the `n` buckets of `[0, 1)` and the bucket of
+    /// 1.0: where the search for a draw in bucket `b` starts.
+    guide: Vec<usize>,
+}
+
+/// The guide bucket of `u ∈ [0, 1]` among `n`: `⌊u·n⌋`. Monotone in `u`, so
+/// every CDF entry in an earlier bucket than a draw's is below the draw.
+fn bucket(u: f64, n: usize) -> usize {
+    (u * n as f64) as usize
 }
 
 impl Zipf {
@@ -22,7 +32,17 @@ impl Zipf {
         for c in &mut cdf {
             *c /= total;
         }
-        Zipf { cdf }
+        // The last entry is total / total = 1.0, in bucket `n`.
+        let mut item = 0;
+        let guide = (0..=n)
+            .map(|b| {
+                while bucket(cdf[item], n) < b {
+                    item += 1;
+                }
+                item
+            })
+            .collect();
+        Zipf { cdf, guide }
     }
 
     pub fn len(&self) -> usize {
@@ -33,13 +53,19 @@ impl Zipf {
         self.cdf.is_empty()
     }
 
-    /// Maps a uniform sample `u ∈ [0,1)` to an item.
+    /// Maps a uniform sample `u ∈ [0,1)` to an item: the first whose CDF
+    /// entry exceeds `u`. A `u` outside the range is clamped into it, and a
+    /// NaN maps to item 0.
     pub fn sample_u(&self, u: f64) -> usize {
         let u = u.clamp(0.0, 1.0 - f64::EPSILON);
-        match self.cdf.binary_search_by(|c| c.partial_cmp(&u).unwrap()) {
-            Ok(i) => (i + 1).min(self.cdf.len() - 1),
-            Err(i) => i,
+        // A NaN lands in bucket 0 and is below no entry; otherwise the last
+        // entry, 1.0 > u, ends the scan. About one step on average, as
+        // there are as many buckets as entries.
+        let mut item = self.guide[bucket(u, self.cdf.len())];
+        while self.cdf[item] <= u {
+            item += 1;
         }
+        item
     }
 
     /// Probability of item `i`.
@@ -116,6 +142,48 @@ mod tests {
         let z = Zipf::new(5, 1.0);
         assert_eq!(z.sample_u(0.0), 0);
         assert!(z.sample_u(0.999_999) < 5);
+        assert_eq!(z.sample_u(f64::NAN), 0, "a NaN draw is item 0, not a panic");
+    }
+
+    /// The binary search over the CDF that the guide table replaced.
+    fn reference_sample_u(z: &Zipf, u: f64) -> usize {
+        let u = u.clamp(0.0, 1.0 - f64::EPSILON);
+        // ppa-lint: allow(D005, reason = "the replaced search, verbatim, is the reference; the test draws no NaN")
+        match z.cdf.binary_search_by(|c| c.partial_cmp(&u).unwrap()) {
+            Ok(i) => (i + 1).min(z.cdf.len() - 1),
+            Err(i) => i,
+        }
+    }
+
+    #[test]
+    fn guided_lookup_matches_the_binary_search() {
+        let shapes = [
+            (1, 0.5),
+            (2, 1.0),
+            (7, 0.0),
+            (100, 0.5),
+            (1000, 0.5),
+            (1000, 1.2),
+            (5000, 0.9),
+        ];
+        for (n, s) in shapes {
+            let z = Zipf::new(n, s);
+            assert_eq!(z.guide.len(), n + 1);
+            let draws = (0..200_000).map(|k| uniform_hash(11, k, n as u64, 0));
+            // Every CDF entry and the floats next to it, where the two
+            // searches could part.
+            let edges = z.cdf.iter().flat_map(|c| {
+                let bits = c.to_bits();
+                [bits - 1, bits, bits + 1].map(f64::from_bits)
+            });
+            for u in draws.chain(edges).chain([0.0, 0.5, 1.0, 2.0, -1.0]) {
+                assert_eq!(
+                    z.sample_u(u),
+                    reference_sample_u(&z, u),
+                    "n {n}, s {s}, u {u:e}"
+                );
+            }
+        }
     }
 
     #[test]
