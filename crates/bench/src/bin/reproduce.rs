@@ -3,8 +3,8 @@
 //! report on disk.
 //!
 //! ```text
-//! reproduce [--quick] [--jobs N] [--shards N] [--seed S] [--swarm N]
-//!           [--json PATH] [--trace-dir DIR] [--list] [--filter SUBSTR]
+//! reproduce [--quick] [--jobs N] [--seed S] [--swarm N] [--json PATH]
+//!           [--trace-dir DIR] [--list] [--filter SUBSTR]
 //!           [fig07 fig08 fig09 fig10 fig12 fig13 fig14 tentative corr_sweep
 //!            placement_sweep adaptive_sweep refail_sweep scale_sweep
 //!            chaos_swarm | all]
@@ -12,12 +12,10 @@
 //!
 //! Experiments run concurrently on a bounded worker pool (`--jobs`,
 //! default = available parallelism); stdout is byte-identical for any job
-//! count — timings never touch it. `--shards` additionally shards every
-//! driven run's event loop internally (`EngineConfig::shards`); output is
-//! byte-identical for any shard count too. `--trace-dir` records every
-//! driven run's engine-event stream under `DIR/<experiment>/` as JSONL +
-//! Chrome `trace_event` files, themselves byte-identical for any job or
-//! shard count. `--seed` re-roots the chaos swarm's scenario stream and
+//! count — timings never touch it. `--trace-dir` records every driven
+//! run's engine-event stream under `DIR/<experiment>/` as JSONL + Chrome
+//! `trace_event` files, themselves byte-identical for any job count.
+//! `--seed` re-roots the chaos swarm's scenario stream and
 //! `--swarm` overrides its scenario count (`reproduce --seed S --swarm N
 //! chaos_swarm` replays exactly the swarm a CI failure named).
 
@@ -25,9 +23,9 @@ use ppa_bench::{registry, render_markdown, run_experiments, RunOptions};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: reproduce [--quick] [--jobs N] [--shards N] \
-     [--seed S] [--swarm N] [--json PATH] [--trace-dir DIR] [--list] \
-     [--filter SUBSTR] [EXPERIMENT.. | all]";
+const USAGE: &str = "usage: reproduce [--quick] [--jobs N] [--seed S] \
+     [--swarm N] [--json PATH] [--trace-dir DIR] [--list] [--filter SUBSTR] \
+     [EXPERIMENT.. | all]";
 
 fn main() -> ExitCode {
     let mut opts = RunOptions {
@@ -50,17 +48,6 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
                 opts.jobs = n;
-            }
-            "--shards" => {
-                let Some(n) = args.next().and_then(|v| v.parse::<usize>().ok()) else {
-                    eprintln!("--shards needs a positive integer\n{USAGE}");
-                    return ExitCode::from(2);
-                };
-                if n == 0 {
-                    eprintln!("--shards must be at least 1\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-                opts.shards = Some(n);
             }
             "--seed" => {
                 let Some(raw) = args.next() else {

@@ -4,7 +4,7 @@
 //! golden outputs, failures shrunk to minimal replayable repros.
 //!
 //! Stdout carries only the aggregate verdict table, byte-identical for any
-//! `--jobs` or `--shards`. On violation the experiment writes each failing
+//! `--jobs`. On violation the experiment writes each failing
 //! seed's shrunk repro under `chaos-repro/seed-<seed>/` (kill trace,
 //! chaos schedule, JSONL event stream, violation list) and panics, so a CI
 //! run fails loudly with the artifacts already on disk.
@@ -26,9 +26,8 @@ const FULL_SEEDS: usize = 1000;
 /// outcomes reassemble in index order, so the report is identical to the
 /// sequential [`ppa_chaos::run_swarm`] reference for any worker count.
 pub fn swarm(ctx: &RunCtx, root_seed: u64, n: usize) -> SwarmReport {
-    let shards = ctx.shards.unwrap_or(1);
     let outcomes = ctx.map((0..n).collect(), |index| {
-        run_seed(root_seed, index, shards)
+        run_seed(root_seed, index)
             .unwrap_or_else(|e| panic!("chaos seed index {index} was rejected outright: {e}"))
     });
     SwarmReport {
@@ -75,7 +74,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Figure> {
         "Every scenario is a pure function of (root seed {root_seed}, index): \
          topology, placement, ft-mode, failure process and buggify schedule \
          all derive from one seeded stream, so this table is byte-identical \
-         for any --jobs or --shards. Runs are checked against engine \
+         for any --jobs. Runs are checked against engine \
          invariants (outage lifecycle, report/trace/metrics agreement, sink \
          exactly-once, closed-or-explained outages), not golden outputs; a \
          violating seed shrinks to a replayable repro under chaos-repro/."
@@ -126,7 +125,7 @@ mod tests {
         let b = swarm(&RunCtx::new(true, Arc::new(Gate::new(4))), 2024, 12);
         assert_eq!(a, b, "verdicts differ between --jobs 1 and --jobs 4");
         assert_eq!(a.render(), b.render(), "rendering differs across jobs");
-        let reference = ppa_chaos::run_swarm(2024, 12, 1)
+        let reference = ppa_chaos::run_swarm(2024, 12)
             .expect("the sequential reference accepts every generated seed");
         assert_eq!(a, reference, "pooled fan-out diverged from run_swarm");
         assert_eq!(a.failed(), Vec::<usize>::new(), "{}", a.render());

@@ -199,11 +199,6 @@ pub fn drive_scenario_config(
     trace: &FailureTrace,
     duration_secs: u64,
 ) -> ppa_engine::DriveReport {
-    let mut config = config;
-    if let Some(shards) = ctx.shards {
-        // The harness-wide override; byte-identical output at any value.
-        config.shards = shards;
-    }
     let mut sim = Simulation::new(&scenario.query, scenario.placement.clone(), config);
     let buffer = ctx.tracing().then(|| {
         let buffer = Arc::new(Mutex::new(Vec::new()));

@@ -1,20 +1,18 @@
 //! `scale_sweep`: event-loop throughput at (and beyond) the paper's §VI
-//! cluster scale, across a shard count × cluster size grid.
+//! cluster scale, one row per cluster size.
 //!
 //! Every cell drives one failure-free run of a *homogeneous* wide
 //! topology — `S(W) → O1(W) → O2(W)` with `OneToOne` edges, so every node
-//! carries the same work and every batch instant produces a span of
-//! simultaneous per-node events as wide as the cluster. That shape is the
-//! best case for the sharded event loop (`EngineConfig::shards`), and the
-//! honest one for the paper's setting: §VI runs ~100 homogeneous workers.
+//! carries the same work and every batch instant fires as many
+//! simultaneous per-node events as the cluster is wide. That is the
+//! honest shape for the paper's setting: §VI runs ~100 homogeneous
+//! workers.
 //!
 //! The *deterministic* outputs of each cell — events processed and tuples
-//! moved — are the figure's series. Rows that differ only in shard count
-//! must show identical values: the table itself is a determinism check,
-//! not just a throughput claim. Wall-clock throughput (`events_per_sec`,
-//! `tuples_per_sec`) is deliberately kept out of stdout; it lands in the
-//! timed section of the `--json` report (BENCH_repro.json), where
-//! non-deterministic timings belong.
+//! moved — are the figure's series. Wall-clock throughput
+//! (`events_per_sec`, `tuples_per_sec`) is deliberately kept out of
+//! stdout; it lands in the timed section of the `--json` report
+//! (BENCH_repro.json), where non-deterministic timings belong.
 
 use super::{drive_scenario_config, Strategy};
 use crate::runner::RunCtx;
@@ -42,21 +40,19 @@ const RACK_SIZE: usize = 8;
 /// event budget purely on data movement.
 const NO_CHECKPOINTS_SECS: u64 = 100_000;
 
-/// One grid cell: a cluster, a topology width, a load, and a shard count.
+/// One grid cell: a cluster, a topology width and a load.
 #[derive(Debug, Clone, Copy)]
-pub struct ScaleSpec {
+struct ScaleSpec {
     /// Worker nodes in the cluster.
-    pub workers: usize,
+    workers: usize,
     /// Standby nodes (replica slots only; never activated here).
-    pub standby: usize,
+    standby: usize,
     /// Parallelism of each of the three operators (tasks = 3 × width).
-    pub width: usize,
+    width: usize,
     /// Tuples per source task per batch.
-    pub rate: usize,
+    rate: usize,
     /// Simulated run length in seconds (= batches at the 1 s interval).
-    pub duration_secs: u64,
-    /// `EngineConfig::shards` for this cell.
-    pub shards: usize,
+    duration_secs: u64,
 }
 
 /// A deterministic source: `rate` key-only tuples per batch, keys mixed
@@ -74,9 +70,8 @@ impl SourceGen for ScaleSource {
     }
 }
 
-/// Builds a cell's scenario plus the strategy/config driving it. Public
-/// so the throughput-gate test can time the identical workload directly.
-pub fn build(spec: &ScaleSpec) -> (Scenario, Strategy, EngineConfig) {
+/// Builds a cell's scenario plus the strategy/config driving it.
+fn build(spec: &ScaleSpec) -> (Scenario, Strategy, EngineConfig) {
     let width = spec.width;
     let rate = spec.rate;
     let mut q = QueryBuilder::new();
@@ -118,7 +113,6 @@ pub fn build(spec: &ScaleSpec) -> (Scenario, Strategy, EngineConfig) {
         interval_secs: NO_CHECKPOINTS_SECS,
     };
     let mut config = strategy.config(n_tasks, SimDuration::from_secs(WINDOW_BATCHES), SEED);
-    config.shards = spec.shards;
     // The default 30 ms per-batch overhead is calibrated for ~1 task per
     // node (README §Design notes); the big cells here pack ~26 tasks per
     // node and would saturate on overhead alone. Scale it down so load
@@ -127,60 +121,51 @@ pub fn build(spec: &ScaleSpec) -> (Scenario, Strategy, EngineConfig) {
     (scenario, strategy, config)
 }
 
-/// The shard × cluster grid. Quick keeps one paper-scale cluster and the
-/// `{1, 4}` shard endpoints; full adds a hundreds-of-nodes cell with
-/// ~10⁴ tasks and the intermediate shard counts.
+/// The swept clusters. Quick keeps one paper-scale cluster; full adds a
+/// hundreds-of-nodes cell with ~10⁴ tasks.
 fn cells(quick: bool) -> Vec<ScaleSpec> {
     let grids: &[(usize, usize, usize, usize, u64)] = if quick {
         &[(96, 12, 96, 150, 10)]
     } else {
         &[(96, 12, 96, 150, 12), (384, 48, 3334, 100, 12)]
     };
-    let shard_counts: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4, 8] };
-    let mut out = Vec::new();
-    for &(workers, standby, width, rate, duration_secs) in grids {
-        for &shards in shard_counts {
-            out.push(ScaleSpec {
+    grids
+        .iter()
+        .map(
+            |&(workers, standby, width, rate, duration_secs)| ScaleSpec {
                 workers,
                 standby,
                 width,
                 rate,
                 duration_secs,
-                shards,
-            });
-        }
-    }
-    out
+            },
+        )
+        .collect()
 }
 
 pub fn run(ctx: &RunCtx) -> Vec<Figure> {
     let mut fig = Figure::new(
         "scale_sweep",
-        "Event-loop throughput at scale: shard count × cluster size",
-        "cluster / shards",
+        "Event-loop throughput at scale, by cluster size",
+        "cluster",
         "count",
     );
     fig.note(
-        "Deterministic run outputs only: rows differing only in `s=N` (the \
-         shard count) must be identical — the table doubles as a determinism \
-         check. Wall-clock events/sec and tuples/sec are in the --json \
-         report's timed section.",
+        "Deterministic run outputs only. Wall-clock events/sec and \
+         tuples/sec are in the --json report's timed section.",
     );
     let mut events = Series::new("events");
     let mut tuples = Series::new("tuples moved");
     // Cells run sequentially on purpose (not via `ctx.map`): each cell's
     // wall clock feeds the JSON throughput numbers, and concurrent cells
-    // would contend with each other's shard workers.
+    // would contend for the same cores.
     for spec in cells(ctx.quick) {
         let (scenario, strategy, config) = build(&spec);
         let n_tasks = scenario.graph().n_tasks();
-        let tick = format!("{}w/{}t s={}", spec.workers, n_tasks, spec.shards);
+        let tick = format!("{}w/{}t", spec.workers, n_tasks);
         let driven = drive_scenario_config(
             ctx,
-            &format!(
-                "workers:{} tasks:{} shards:{}",
-                spec.workers, n_tasks, spec.shards
-            ),
+            &format!("workers:{} tasks:{}", spec.workers, n_tasks),
             &scenario,
             &strategy,
             config,

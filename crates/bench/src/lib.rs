@@ -23,9 +23,6 @@
 //! * [`report`] — the `--json` reporter: figures, per-run recovery
 //!   latencies and wall-clock timings, serialized with the dependency-free
 //!   [`json`] writer.
-//!
-//! The benches under `benches/` time scaled-down versions of the same
-//! experiments (one `harness = false` target per figure; see README.md).
 
 pub mod experiments;
 pub mod figure;
@@ -149,7 +146,7 @@ pub fn registry() -> Vec<Experiment> {
         Experiment {
             id: "scale_sweep",
             description:
-                "Event-loop throughput at scale: shard count × cluster size, deterministic outputs",
+                "Event-loop throughput at scale, by cluster size: deterministic outputs",
             section: "beyond §VI",
             run: experiments::scale_sweep::run,
         },

@@ -38,11 +38,6 @@ pub struct RunOptions {
     /// `<trace_dir>/<experiment id>/` as a JSONL trace plus a Chrome
     /// `trace_event` file. Trace files are byte-identical for any `jobs`.
     pub trace_dir: Option<PathBuf>,
-    /// Override the engine's intra-run shard count for every driven run
-    /// (`EngineConfig::shards`). `None` keeps each scenario's own
-    /// setting. Any value yields byte-identical output — this knob only
-    /// trades wall-clock time, like `jobs`.
-    pub shards: Option<usize>,
     /// Root seed for seeded experiments (the chaos swarm). `None` keeps
     /// each experiment's fixed default, so unseeded runs stay
     /// byte-identical run to run.
@@ -244,9 +239,6 @@ impl TraceLog {
 pub struct RunCtx {
     /// CI scale instead of paper scale.
     pub quick: bool,
-    /// Engine shard-count override for driven runs (see
-    /// [`RunOptions::shards`]).
-    pub shards: Option<usize>,
     /// Root-seed override for seeded experiments (see
     /// [`RunOptions::seed`]).
     pub seed: Option<u64>,
@@ -263,7 +255,6 @@ impl RunCtx {
     pub fn new(quick: bool, gate: Arc<Gate>) -> Self {
         RunCtx {
             quick,
-            shards: None,
             seed: None,
             swarm: None,
             gate,
@@ -271,12 +262,6 @@ impl RunCtx {
             trace_dir: None,
             traces: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Sets the engine shard-count override for driven runs.
-    pub fn with_shards(mut self, shards: Option<usize>) -> Self {
-        self.shards = shards;
-        self
     }
 
     /// Sets the root-seed and scenario-count overrides for seeded
@@ -288,7 +273,7 @@ impl RunCtx {
     }
 
     /// A context with a private single-permit gate — serial execution, for
-    /// benches and tests.
+    /// tests and the `benchmark/` crate.
     pub fn serial(quick: bool) -> Self {
         RunCtx::new(quick, Arc::new(Gate::new(1)))
     }
@@ -493,7 +478,6 @@ pub fn run_experiments(opts: &RunOptions) -> RunSummary {
                 let quick = opts.quick;
                 let progress = opts.progress;
                 let trace_dir = opts.trace_dir.as_ref().map(|d| d.join(e.id));
-                let shards = opts.shards;
                 let (seed, swarm) = (opts.seed, opts.swarm);
                 scope.spawn(move || {
                     if progress {
@@ -501,7 +485,6 @@ pub fn run_experiments(opts: &RunOptions) -> RunSummary {
                     }
                     let ctx = RunCtx::new(quick, gate)
                         .with_trace_dir(trace_dir)
-                        .with_shards(shards)
                         .with_swarm(seed, swarm);
                     let start = Stopwatch::start();
                     let figures = (e.run)(&ctx);

@@ -1,12 +1,4 @@
-//! Minimal timing harness for the `harness = false` bench targets.
-//!
-//! The offline build environment has no criterion; this provides the small
-//! slice the benches need — named groups, labelled cases, warmup + sampled
-//! timing with min/median/max — printed one line per case:
-//!
-//! ```text
-//! fig08_correlated_failure/Storm  min 41.2ms  med 42.0ms  max 44.9ms  (10 samples)
-//! ```
+//! The workspace's one wall-clock reader.
 
 use std::time::{Duration, Instant};
 
@@ -15,9 +7,9 @@ use std::time::{Duration, Instant};
 /// This module is the only place the workspace reads the host clock: the
 /// determinism lint (rule D002) confines `Instant`/`SystemTime` to this
 /// file, so everything that needs wall time — the experiment runner's
-/// progress reporting, the bench targets — goes through [`Stopwatch`] or
-/// [`Group`]. Simulated time (`ppa_sim`) stays the only clock anywhere
-/// results are computed.
+/// progress reporting, the timed JSON section, the copy gate — goes
+/// through [`Stopwatch`]. Simulated time (`ppa_sim`) stays the only clock
+/// anywhere results are computed.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
     start: Instant,
@@ -35,64 +27,5 @@ impl Stopwatch {
     /// Wall time elapsed since [`Stopwatch::start`].
     pub fn elapsed(&self) -> Duration {
         self.start.elapsed()
-    }
-}
-
-/// A named group of timed cases.
-pub struct Group {
-    name: String,
-    samples: usize,
-}
-
-impl Group {
-    pub fn new(name: impl Into<String>) -> Self {
-        Group {
-            name: name.into(),
-            samples: 10,
-        }
-    }
-
-    /// Samples per case (default 10, minimum 1).
-    pub fn sample_size(mut self, samples: usize) -> Self {
-        self.samples = samples.max(1);
-        self
-    }
-
-    /// Times `f` (one warmup, then `samples` measured runs) and prints the
-    /// result. The return value is passed through `black_box` so the work
-    /// cannot be optimized away.
-    pub fn bench<T>(&self, label: &str, mut f: impl FnMut() -> T) {
-        std::hint::black_box(f()); // warmup
-        let mut times: Vec<Duration> = Vec::with_capacity(self.samples);
-        for _ in 0..self.samples {
-            let start = Instant::now();
-            std::hint::black_box(f());
-            times.push(start.elapsed());
-        }
-        times.sort();
-        // ppa-lint: allow(D006, reason = "Duration has no Display; bench timing lines are not golden output")
-        println!(
-            "{}/{label}  min {:.1?}  med {:.1?}  max {:.1?}  ({} samples)",
-            self.name,
-            times[0],
-            times[times.len() / 2],
-            times[times.len() - 1],
-            self.samples,
-        );
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_runs_warmup_plus_samples() {
-        let mut calls = 0;
-        Group::new("g").sample_size(3).bench("case", || {
-            calls += 1;
-            calls
-        });
-        assert_eq!(calls, 4, "1 warmup + 3 samples");
     }
 }

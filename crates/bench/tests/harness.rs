@@ -283,10 +283,13 @@ fn filter_restricts_a_run_to_matching_ids() {
 
 #[test]
 fn filter_matching_nothing_exits_nonzero_listing_known_ids() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_reproduce"))
-        .args(["--quick", "--filter", "zzz-no-such-experiment"])
-        .output()
-        .expect("spawn reproduce");
+    let reproduce = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_reproduce"))
+            .args(args)
+            .output()
+            .expect("spawn reproduce")
+    };
+    let out = reproduce(&["--quick", "--filter", "zzz-no-such-experiment"]);
     assert!(
         !out.status.success(),
         "a zero-match filter must exit nonzero, not silently run nothing"
@@ -299,6 +302,17 @@ fn filter_matching_nothing_exits_nonzero_listing_known_ids() {
     assert!(
         stderr.contains("fig08"),
         "stderr lists the known ids: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "no report on stdout");
+
+    // A flag the CLI no longer has is rejected like any unknown flag, not
+    // silently accepted.
+    let out = reproduce(&["--quick", "--shards", "4", "fig08"]);
+    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown flag --shards") && stderr.contains("usage: reproduce"),
+        "stderr names the flag and prints the usage line: {stderr}"
     );
     assert!(out.stdout.is_empty(), "no report on stdout");
 }

@@ -29,9 +29,8 @@
 //!   reports, and shrunk repro artifacts on failure.
 //!
 //! Everything is a pure function of its seeds: outcomes are
-//! byte-identical across worker threads (`--jobs`), event-loop shards
-//! (`shards`) and repeated runs — the property the swarm's own
-//! determinism tests pin.
+//! byte-identical across `--jobs` and repeated runs — the property the
+//! swarm's own determinism tests pin.
 
 pub mod check;
 pub mod feed;

@@ -233,7 +233,7 @@ pub struct BuiltScenario {
 /// Materializes a parameterization: builds the query, places it on the
 /// racked cluster, derives the engine config (PPA plans against the
 /// placement's own fault-domain tree) and assembles the chaos feed.
-pub fn build(params: &ScenarioParams, shards: usize) -> Result<BuiltScenario, ScenarioError> {
+pub fn build(params: &ScenarioParams) -> Result<BuiltScenario, ScenarioError> {
     let err = |e: &dyn fmt::Display| ScenarioError(e.to_string());
 
     // Topology: `sources` counting sources → a chain of `mids` windowed
@@ -291,7 +291,6 @@ pub fn build(params: &ScenarioParams, shards: usize) -> Result<BuiltScenario, Sc
     let n_tasks = params.n_tasks();
     let mut config = EngineConfig {
         seed: params.seed,
-        shards,
         ..EngineConfig::default()
     };
     config.mode = match params.mode {
@@ -415,7 +414,7 @@ mod tests {
     fn every_scenario_in_range_builds() -> TestResult {
         for i in 0..16 {
             let params = ScenarioParams::for_seed(99, i);
-            let built = build(&params, 1)?;
+            let built = build(&params)?;
             assert_eq!(built.placement.primary.len(), params.n_tasks());
             assert!(built.horizon == SimTime::from_secs(60));
         }

@@ -1,12 +1,11 @@
 //! The swarm runner: execute N seeded scenarios, check every run's
 //! invariants, shrink failures to minimal repro artifacts.
 //!
-//! [`run_seed`] is a pure function of `(root_seed, index, shards)` —
-//! byte-identical outcomes however runs are distributed across worker
-//! threads or event-loop shards. The bench harness fans seeds out across
-//! its job pool and reassembles outcomes in index order; [`run_swarm`]
-//! is the sequential reference implementation the determinism tests
-//! compare against.
+//! [`run_seed`] is a pure function of `(root_seed, index)` — outcomes are
+//! byte-identical across `--jobs` and repeated runs. The bench harness
+//! fans seeds out across its job pool and reassembles outcomes in index
+//! order; [`run_swarm`] is the sequential reference implementation the
+//! determinism tests compare against.
 
 use crate::check::{check_run, CheckInput};
 use crate::feed::ResolvedChaos;
@@ -153,9 +152,9 @@ fn check_artifacts(
 /// Runs one seeded scenario end to end: derive parameters, build, resolve
 /// chaos, replay, check invariants — and on violation, shrink to a
 /// minimal replayable repro.
-pub fn run_seed(root_seed: u64, index: usize, shards: usize) -> Result<SeedOutcome, SwarmError> {
+pub fn run_seed(root_seed: u64, index: usize) -> Result<SeedOutcome, SwarmError> {
     let params = ScenarioParams::for_seed(root_seed, index);
-    let built = build(&params, shards)?;
+    let built = build(&params)?;
     let resolved = built.feed.resolve(&built.placement, built.horizon)?;
     let arts = run_once(&built, &resolved.trace, &resolved.schedule)?;
     let violations = check_artifacts(&built, &resolved, &arts);
@@ -228,7 +227,7 @@ impl SwarmReport {
     }
 
     /// A stable text rendering: one line per seed, violations expanded.
-    /// Byte-identical across `--jobs` and `shards` settings.
+    /// Byte-identical across `--jobs` and repeated runs.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -265,10 +264,10 @@ impl SwarmReport {
 
 /// Sequential swarm over `n` seeds. The parallel fan-out lives in the
 /// bench harness; this is the deterministic reference.
-pub fn run_swarm(root_seed: u64, n: usize, shards: usize) -> Result<SwarmReport, SwarmError> {
+pub fn run_swarm(root_seed: u64, n: usize) -> Result<SwarmReport, SwarmError> {
     let mut outcomes = Vec::with_capacity(n);
     for index in 0..n {
-        outcomes.push(run_seed(root_seed, index, shards)?);
+        outcomes.push(run_seed(root_seed, index)?);
     }
     Ok(SwarmReport {
         root_seed,
@@ -285,7 +284,7 @@ mod tests {
 
     #[test]
     fn a_seed_runs_clean_end_to_end() -> TestResult {
-        let outcome = run_seed(42, 0, 1)?;
+        let outcome = run_seed(42, 0)?;
         assert!(outcome.ok(), "violations: {:?}", outcome.violations);
         assert!(outcome.events > 0, "the trace sink saw the run");
         Ok(())
@@ -293,27 +292,17 @@ mod tests {
 
     #[test]
     fn seed_outcomes_are_deterministic() -> TestResult {
-        let a = run_seed(7, 3, 1)?;
-        let b = run_seed(7, 3, 1)?;
+        let a = run_seed(7, 3)?;
+        let b = run_seed(7, 3)?;
         assert_eq!(a, b);
         Ok(())
     }
 
     #[test]
-    fn outcomes_are_shard_invariant() -> TestResult {
-        for index in 0..4 {
-            let unsharded = run_seed(11, index, 1)?;
-            let sharded = run_seed(11, index, 4)?;
-            assert_eq!(unsharded, sharded, "seed index {index}");
-        }
-        Ok(())
-    }
-
-    #[test]
     fn swarm_report_renders_stably() -> TestResult {
-        let a = run_swarm(5, 3, 1)?;
-        let b = run_swarm(5, 3, 4)?;
-        assert_eq!(a.render(), b.render(), "byte-identical across shards");
+        let a = run_swarm(5, 3)?;
+        let b = run_swarm(5, 3)?;
+        assert_eq!(a.render(), b.render(), "byte-identical across runs");
         assert_eq!(a.failed(), Vec::<usize>::new());
         Ok(())
     }

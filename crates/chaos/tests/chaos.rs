@@ -1,7 +1,7 @@
 //! End-to-end chaos tests: each buggify point observably perturbs a
 //! deterministic scenario, zero chaos is byte-identical to the plain
 //! fault path, horizons reject out-of-range events with typed errors,
-//! and a small swarm runs clean and shard-invariant.
+//! and a small swarm runs clean and repeats itself exactly.
 
 use ppa_chaos::{build, run_swarm, ChaosConfig, ModeTag, ProcessTag, ScenarioParams, StrategyTag};
 use ppa_engine::{
@@ -43,7 +43,7 @@ fn params() -> ScenarioParams {
 /// Kills task 0's primary at 30 s and runs to the horizon with the given
 /// chaos schedule, returning the report and the recorded event stream.
 fn run_with_chaos(chaos: &[ChaosSpec]) -> RunOutcome {
-    let built = build(&params(), 1)?;
+    let built = build(&params())?;
     let kill_node = built.placement.primary[0];
     let mut sim = Simulation::new(&built.query, built.placement.clone(), built.config.clone());
     sim.set_horizon(built.horizon);
@@ -174,7 +174,7 @@ fn voided_approximate_restore_rearms_without_double_counting_the_floor() -> Test
     // restore closes the outage with exactly one floor on the record.
     let mut p = params();
     p.mode = ModeTag::Approx { error_bound: 100 };
-    let built = build(&p, 1)?;
+    let built = build(&p)?;
     let mid = 2; // first non-source task (sources recover exactly)
     let kill_node = built.placement.primary[mid];
     let mut sim = Simulation::new(&built.query, built.placement.clone(), built.config.clone());
@@ -260,7 +260,7 @@ fn voided_approximate_restore_rearms_without_double_counting_the_floor() -> Test
 
 #[test]
 fn zero_chaos_run_is_byte_identical_to_the_plain_fault_path() -> TestResult {
-    let built = build(&params(), 1)?;
+    let built = build(&params())?;
     let kill = FailureSpec {
         at: SimTime::from_secs(30),
         nodes: vec![built.placement.primary[0]],
@@ -272,7 +272,7 @@ fn zero_chaos_run_is_byte_identical_to_the_plain_fault_path() -> TestResult {
         .resolve(&built.placement, built.horizon)?;
     assert!(resolved.schedule.is_empty());
     let chaos_run = {
-        let b = build(&params(), 1)?;
+        let b = build(&params())?;
         let mut sim = Simulation::new(&b.query, b.placement.clone(), b.config.clone());
         sim.set_horizon(b.horizon);
         sim.drive(
@@ -284,7 +284,7 @@ fn zero_chaos_run_is_byte_identical_to_the_plain_fault_path() -> TestResult {
     };
     // …and the plain path, no chaos subsystem anywhere.
     let plain_run = {
-        let b = build(&params(), 1)?;
+        let b = build(&params())?;
         let mut sim = Simulation::new(&b.query, b.placement.clone(), b.config.clone());
         sim.drive(
             &FaultFeed::new().with_spec(kill),
@@ -303,7 +303,7 @@ fn zero_chaos_run_is_byte_identical_to_the_plain_fault_path() -> TestResult {
 
 #[test]
 fn horizons_reject_late_events_with_typed_errors() -> TestResult {
-    let built = build(&params(), 1)?;
+    let built = build(&params())?;
     let mut sim = Simulation::new(&built.query, built.placement.clone(), built.config.clone());
     let horizon = built.horizon;
     sim.set_horizon(horizon);
@@ -338,11 +338,11 @@ fn horizons_reject_late_events_with_typed_errors() -> TestResult {
 }
 
 #[test]
-fn a_small_swarm_runs_clean_and_shard_invariant() -> TestResult {
-    let a = run_swarm(2024, 10, 1)?;
+fn a_small_swarm_runs_clean_and_repeatably() -> TestResult {
+    let a = run_swarm(2024, 10)?;
     assert_eq!(a.failed(), Vec::<usize>::new(), "{}", a.render());
-    let b = run_swarm(2024, 10, 4)?;
-    assert_eq!(a, b, "outcomes are shard-invariant");
+    let b = run_swarm(2024, 10)?;
+    assert_eq!(a, b, "outcomes repeat run to run");
     assert_eq!(a.render(), b.render());
     Ok(())
 }

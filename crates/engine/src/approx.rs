@@ -16,8 +16,8 @@
 //! away from the snapshot by at most itself, so the tuple count is a
 //! conservative, deterministic, workload-independent drift bound.
 
-/// Per-task divergence accumulator. Lane-local: only the owning task's
-/// lane mutates it, so the sharded executor needs no synchronization.
+/// Per-task divergence accumulator, part of the task's own state: only
+/// the owning task's batch processing mutates it.
 #[derive(Debug, Clone, Default)]
 pub struct DivergenceModel {
     /// Drift (input tuples absorbed) since the last shipped backup.

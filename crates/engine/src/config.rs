@@ -169,12 +169,6 @@ pub struct EngineConfig {
     /// a domain's decayed failure count halves every such interval (the
     /// signal `HealthView` exposes to `ControlPolicy` hooks).
     pub health_half_life: SimDuration,
-    /// Worker threads for intra-run lane execution. `1` (the default) is
-    /// the legacy single-threaded event loop; `N > 1` executes
-    /// independent same-instant per-node lanes on up to `N` threads with
-    /// a deterministic merge. Every observable output — reports, sink
-    /// order, traces, stdout — is byte-identical at any shard count.
-    pub shards: usize,
     /// Cluster cost model.
     pub costs: CostModel,
 }
@@ -190,7 +184,6 @@ impl Default for EngineConfig {
             passive_recovery: true,
             seed: 42,
             health_half_life: SimDuration::from_secs(30),
-            shards: 1,
             costs: CostModel::default(),
         }
     }

@@ -1,21 +1,16 @@
-//! Lane-local event handlers: the data-plane half of the event loop
-//! (source generation, delivery, batch processing) factored so it can run
-//! either inline on the simulation thread or inside a worker lane of the
-//! sharded executor (see [`super::shard`]).
+//! The data-plane half of the event loop: source generation, delivery
+//! and batch processing.
 //!
-//! A lane handler may only touch the state passed to it — the receiving
-//! task's [`TaskRt`], its node's CPU horizon, and the read-only
-//! [`LaneCtx`] — and stages every global side effect (scheduling, sink
-//! output, recovery completion) into [`LaneEffects`]. The simulation
-//! applies staged effects per event in global span order, which is what
-//! makes the merged parallel execution byte-identical to the sequential
-//! one: two events of different lanes can only interact through effects,
-//! and effects replay in the exact order the single-threaded loop would
-//! have produced them.
+//! A handler touches only what it is passed — the receiving task's
+//! [`TaskRt`], its node's CPU horizon and the [`LaneCtx`] — and schedules,
+//! records sink output and counts tuples through the context in call
+//! order, so sequence numbers (and with them every same-instant
+//! tie-break) follow the handler's own control flow. The outage books are
+//! out of its reach: a handler that completes a catch-up hands the
+//! instant back and the simulation closes the outage.
 //!
-//! Handlers must be panic-free: a lane runs on a worker thread, so broken
-//! internal invariants degrade to `debug_assert!` + a safe early return
-//! instead of unwinding across the executor.
+//! Broken internal invariants degrade to `debug_assert!` + a safe early
+//! return instead of unwinding mid-run.
 
 use super::{Event, Msg, Rt, Status, TaskRt};
 use crate::config::{EngineConfig, FtMode};
@@ -23,12 +18,11 @@ use crate::report::SinkBatch;
 use crate::tuple::{route, Chunk, Tuple};
 use crate::udf::{BatchCtx, InputBatch};
 use ppa_core::model::{TaskGraph, TaskIndex};
-use ppa_sim::{SimDuration, SimTime};
+use ppa_sim::{Scheduler, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
-/// Read-only simulation state a lane handler may consult. All fields are
-/// immutable for the whole span (only solo, carried events mutate them),
-/// so sharing them across worker threads is safe.
+/// The simulation state a data-plane handler works against, besides the
+/// task and CPU horizon it is handed (built by `Simulation::lane`).
 pub(super) struct LaneCtx<'a> {
     pub graph: &'a TaskGraph,
     pub config: &'a EngineConfig,
@@ -37,62 +31,11 @@ pub(super) struct LaneCtx<'a> {
     /// Storm-mode replay cones per recovering target (see
     /// [`upstream_cone`]); filled before the target's first replay send.
     pub replay_cones: &'a BTreeMap<usize, Vec<TaskIndex>>,
-    /// The span's instant (== the scheduler clock while it executes).
-    pub now: SimTime,
-}
-
-/// Global side effects staged by one lane event, applied by the
-/// simulation in global span order.
-#[derive(Default)]
-pub(super) struct LaneEffects {
-    /// Events to schedule, in call order (so sequence numbers — and with
-    /// them all same-instant tie-breaks — match the sequential loop).
-    pub scheduled: Vec<(SimTime, Event)>,
+    pub sched: &'a mut Scheduler<Event>,
     /// Sink records produced by active sink incarnations.
-    pub sink: Vec<SinkBatch>,
-    /// Logical tasks whose catch-up completed at the given instant.
-    pub recovered: Vec<(usize, SimTime)>,
+    pub sink: &'a mut Vec<SinkBatch>,
     /// Tuples scheduled for delivery (including replica copies).
-    pub tuples_moved: u64,
-}
-
-/// A data-plane event in lane-local form.
-pub(super) enum LaneEvent {
-    /// [`Event::SourceBatch`]: cadence + generation.
-    Source { batch: u64 },
-    /// Bare generation (restore/catch-up paths; no cadence rescheduling).
-    Generate { batch: u64, regen: bool },
-    /// [`Event::Deliver`].
-    Deliver {
-        substream: usize,
-        batch: u64,
-        msg: Msg,
-    },
-    /// Drain consecutive ready batches (restore paths).
-    TryProcess,
-}
-
-/// Runs one lane event against one task. `busy` is the CPU horizon of
-/// the node hosting `task`; distinct lanes reference distinct nodes, so
-/// horizons never race.
-pub(super) fn handle(
-    cx: &LaneCtx<'_>,
-    rt: Rt,
-    task: &mut TaskRt,
-    busy: &mut SimTime,
-    ev: LaneEvent,
-    fx: &mut LaneEffects,
-) {
-    match ev {
-        LaneEvent::Source { batch } => source_batch(cx, rt, task, busy, batch, fx),
-        LaneEvent::Generate { batch, regen } => generate(cx, task, busy, batch, regen, fx),
-        LaneEvent::Deliver {
-            substream,
-            batch,
-            msg,
-        } => deliver(cx, task, busy, substream, batch, msg, fx),
-        LaneEvent::TryProcess => try_process(cx, task, busy, fx),
-    }
+    pub tuples_moved: &'a mut u64,
 }
 
 /// Reserves `work` on a node CPU horizon; returns the finish instant.
@@ -103,13 +46,13 @@ fn reserve(busy: &mut SimTime, now: SimTime, work: SimDuration) -> SimTime {
     finish
 }
 
-fn source_batch(
-    cx: &LaneCtx<'_>,
+/// [`Event::SourceBatch`]: cadence + generation.
+pub(super) fn source_batch(
+    cx: &mut LaneCtx<'_>,
     rt: Rt,
     task: &mut TaskRt,
     busy: &mut SimTime,
     batch: u64,
-    fx: &mut LaneEffects,
 ) {
     // A replica slot the control plane deactivated is orphaned: stop
     // its cadence instead of ticking an event stream forever.
@@ -117,29 +60,28 @@ fn source_batch(
         return;
     }
     // Always keep the cadence going; a dead source skips generation.
-    let next_at = cx.now + cx.config.batch_interval;
-    fx.scheduled.push((
-        next_at,
+    cx.sched.after(
+        cx.config.batch_interval,
         Event::SourceBatch {
             rt,
             batch: batch + 1,
         },
-    ));
+    );
 
     if task.status != Status::Running {
         return;
     }
-    generate(cx, task, busy, batch, false, fx);
+    generate(cx, task, busy, batch, false);
 }
 
-/// Generates one source batch; `regen` marks catch-up regeneration.
-fn generate(
-    cx: &LaneCtx<'_>,
+/// Generates one source batch; `regen` marks catch-up regeneration
+/// (restore paths call this bare, with no cadence rescheduling).
+pub(super) fn generate(
+    cx: &mut LaneCtx<'_>,
     task: &mut TaskRt,
     busy: &mut SimTime,
     batch: u64,
     regen: bool,
-    fx: &mut LaneEffects,
 ) {
     let Some(source) = task.source.as_mut() else {
         debug_assert!(false, "generate_source_batch on a non-source task");
@@ -152,13 +94,13 @@ fn generate(
         cx.config.costs.source_per_tuple
     };
     let work = cost * tuples.len() as u64;
-    let finish = reserve(busy, cx.now, work);
+    let finish = reserve(busy, cx.sched.now(), work);
     task.cpu.processing += work;
     if !regen {
         task.throughput.tuples_out += tuples.len() as u64;
     }
     task.next_batch = task.next_batch.max(batch + 1);
-    emit(cx, task, batch, tuples.into(), false, finish, fx);
+    emit(cx, task, batch, tuples.into(), false, finish);
     trim_storm_buffer(cx, task);
 }
 
@@ -169,14 +111,13 @@ fn generate(
 /// construction; single-target streams forward the whole batch as the one
 /// shared chunk with no per-tuple work at all, and multi-target streams
 /// bin each tuple exactly once.
-pub(super) fn emit(
-    cx: &LaneCtx<'_>,
+fn emit(
+    cx: &mut LaneCtx<'_>,
     task: &mut TaskRt,
     batch: u64,
     whole: Chunk,
     degraded: bool,
     finish: SimTime,
-    fx: &mut LaneEffects,
 ) {
     let deliver_at = finish + cx.config.costs.network_latency;
     let mut send = |task: &mut TaskRt, k: usize, part: Chunk| {
@@ -185,7 +126,6 @@ pub(super) fn emit(
             let (to, to_substream) = (task.out_targets[k].to, task.out_targets[k].to_substream);
             deliver_to(
                 cx,
-                fx,
                 to,
                 to_substream,
                 batch,
@@ -212,12 +152,11 @@ pub(super) fn emit(
     }
 }
 
-/// Stages a Data delivery to the primary slot and replica slot (if any)
-/// of a logical task.
+/// Schedules a Data delivery to the primary slot and replica slot (if
+/// any) of a logical task.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn deliver_to(
-    cx: &LaneCtx<'_>,
-    fx: &mut LaneEffects,
+    cx: &mut LaneCtx<'_>,
     to: TaskIndex,
     substream: usize,
     batch: u64,
@@ -226,8 +165,8 @@ pub(super) fn deliver_to(
     replay_for: Option<TaskIndex>,
     at: SimTime,
 ) {
-    fx.tuples_moved += tuples.len() as u64;
-    fx.scheduled.push((
+    *cx.tuples_moved += tuples.len() as u64;
+    cx.sched.at(
         at,
         Event::Deliver {
             to: to.0,
@@ -239,10 +178,10 @@ pub(super) fn deliver_to(
                 replay_for,
             },
         },
-    ));
+    );
     if let Some(slot) = cx.replica_slot[to.0] {
-        fx.tuples_moved += tuples.len() as u64;
-        fx.scheduled.push((
+        *cx.tuples_moved += tuples.len() as u64;
+        cx.sched.at(
             at,
             Event::Deliver {
                 to: slot,
@@ -254,23 +193,24 @@ pub(super) fn deliver_to(
                     replay_for,
                 },
             },
-        ));
+        );
     }
 }
 
-fn deliver(
-    cx: &LaneCtx<'_>,
+/// [`Event::Deliver`]. Returns the instant the task's catch-up completed,
+/// if this delivery completed it.
+pub(super) fn deliver(
+    cx: &mut LaneCtx<'_>,
     task: &mut TaskRt,
     busy: &mut SimTime,
     substream: usize,
     batch: u64,
     msg: Msg,
-    fx: &mut LaneEffects,
-) {
+) -> Option<SimTime> {
     match task.status {
         // Memory of dead/loading incarnations is gone; upstream buffers
         // (or checkpointed buffers) re-serve these batches after restore.
-        Status::Dead | Status::Restoring => return,
+        Status::Dead | Status::Restoring => return None,
         Status::Running | Status::CatchingUp => {}
     }
     match msg {
@@ -288,35 +228,34 @@ fn deliver(
             // buffered output toward the recovering task.
             if let Some(target) = replay_for {
                 if task.logical != target && batch < task.next_batch {
-                    forward_replay(cx, task, busy, batch, tuples.len(), target, fx);
-                    return;
+                    forward_replay(cx, task, busy, batch, tuples.len(), target);
+                    return None;
                 }
             }
             if batch < task.next_batch
                 || batch < task.closed[substream]
                 || task.staged[substream].contains_key(&batch)
             {
-                return; // duplicate
+                return None; // duplicate
             }
             task.staged[substream].insert(batch, (tuples, degraded));
         }
     }
-    try_process(cx, task, busy, fx);
+    try_process(cx, task, busy)
 }
 
 /// Storm-mode hop forwarding: charge replay CPU, forward the hop's own
 /// buffered output for this batch along edges toward `target`.
 fn forward_replay(
-    cx: &LaneCtx<'_>,
+    cx: &mut LaneCtx<'_>,
     task: &mut TaskRt,
     busy: &mut SimTime,
     batch: u64,
     in_tuples: usize,
     target: TaskIndex,
-    fx: &mut LaneEffects,
 ) {
     let work = cx.config.costs.replay_per_tuple * in_tuples as u64 + cx.config.costs.batch_overhead;
-    let finish = reserve(busy, cx.now, work);
+    let finish = reserve(busy, cx.sched.now(), work);
     task.cpu.processing += work;
     let deliver_at = finish + cx.config.costs.network_latency;
     let Some(cone) = cx.replay_cones.get(&target.0) else {
@@ -333,7 +272,6 @@ fn forward_replay(
         if let Some((b, tuples, _)) = task.out_buffer[k].iter().find(|(b, _, _)| *b == batch) {
             deliver_to(
                 cx,
-                fx,
                 tgt.to,
                 tgt.to_substream,
                 *b,
@@ -365,31 +303,38 @@ pub(super) fn upstream_cone(graph: &TaskGraph, t: TaskIndex) -> Vec<TaskIndex> {
         .collect()
 }
 
-/// Processes as many consecutive ready batches as possible.
-fn try_process(cx: &LaneCtx<'_>, task: &mut TaskRt, busy: &mut SimTime, fx: &mut LaneEffects) {
+/// Processes as many consecutive ready batches as possible (deliveries
+/// and restore paths). Returns the instant the task's catch-up completed,
+/// if one of the batches completed it — at most one can, because the
+/// task is `Running` from then on.
+pub(super) fn try_process(
+    cx: &mut LaneCtx<'_>,
+    task: &mut TaskRt,
+    busy: &mut SimTime,
+) -> Option<SimTime> {
+    let mut caught_up = None;
     loop {
         let b = task.next_batch;
         if !task.ready(b) {
-            return;
+            return caught_up;
         }
-        process_batch(cx, task, busy, b, fx);
+        caught_up = caught_up.or(process_batch(cx, task, busy, b));
     }
 }
 
 fn process_batch(
-    cx: &LaneCtx<'_>,
+    cx: &mut LaneCtx<'_>,
     task: &mut TaskRt,
     busy: &mut SimTime,
     b: u64,
-    fx: &mut LaneEffects,
-) {
+) -> Option<SimTime> {
     if task.udf.is_none() {
         // Never reached for well-formed graphs (sources have no inputs,
         // so nothing is delivered to them); advance the cursor anyway so
         // `try_process` cannot spin.
         debug_assert!(false, "process_batch on a task without a UDF");
         task.next_batch = b + 1;
-        return;
+        return None;
     }
     // Gather this batch's chunk per flat substream; the streams' inputs
     // borrow them in place.
@@ -428,7 +373,7 @@ fn process_batch(
         cx.config.costs.process_per_tuple
     };
     let work = cx.config.costs.batch_overhead + per_tuple * total_in as u64;
-    let finish = reserve(busy, cx.now, work);
+    let finish = reserve(busy, cx.sched.now(), work);
     task.cpu.processing += work;
     if !catching_up {
         task.throughput.tuples_in += total_in as u64;
@@ -468,15 +413,14 @@ fn process_batch(
         task.throughput.tuples_out += out.len() as u64;
     }
 
-    // Recovery completion check: progress vector dominated. Staged (not
-    // applied inline) because the outage books are global state; events
-    // reaching a catching-up task only ever run sequentially, so the
-    // deferred application preserves the legacy order exactly.
+    // Recovery completion check: progress vector dominated. Handed back
+    // (not applied here) because the outage books are the simulation's.
+    let mut caught_up = None;
     if catching_up {
         if let Some(pre) = task.pre_failure_progress {
             if task.next_batch >= pre {
                 task.status = Status::Running;
-                fx.recovered.push((task.logical.0, finish));
+                caught_up = Some(finish);
             }
         }
     }
@@ -489,8 +433,8 @@ fn process_batch(
     if let FtMode::Approximate { error_bound, .. } = cx.config.mode {
         if !task.is_replica && !catching_up && task.divergence.absorb(total_in as u64, error_bound)
         {
-            fx.scheduled
-                .push((finish, Event::ApproxShip { rt: task.logical.0 }));
+            cx.sched
+                .at(finish, Event::ApproxShip { rt: task.logical.0 });
         }
     }
 
@@ -506,7 +450,7 @@ fn process_batch(
             tuples: out.clone(),
         };
         if task.outputs_enabled {
-            fx.sink.push(record);
+            cx.sink.push(record);
         } else {
             task.pending_sink.push_back(record);
             // Bound the stash to the replica sync horizon.
@@ -516,8 +460,9 @@ fn process_batch(
         }
     }
 
-    emit(cx, task, b, out, degraded, finish, fx);
+    emit(cx, task, b, out, degraded, finish);
     trim_storm_buffer(cx, task);
+    caught_up
 }
 
 /// Storm mode keeps only the replay window (plus a safety margin so a

@@ -49,13 +49,6 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
 mod lane;
-mod shard;
-
-/// Spans smaller than this run inline on the simulation thread even when
-/// `shards > 1`: below it, thread hand-off costs more than the work.
-/// Has no observable effect besides wall-clock time — effects replay in
-/// global span order either way.
-const MIN_PARALLEL_SPAN: usize = 8;
 
 /// A failure injection: the listed nodes die at `at`.
 #[derive(Debug, Clone)]
@@ -133,8 +126,7 @@ struct TaskRt {
     cpu: CpuStats,
     throughput: crate::report::TaskThroughput,
     /// Approximate mode: drift since the last shipped backup (idle — all
-    /// zeros — under every other mode). Lane-local like the rest of the
-    /// task state.
+    /// zeros — under every other mode).
     divergence: crate::approx::DivergenceModel,
 }
 
@@ -155,35 +147,6 @@ fn stream_spans_of(out_targets: &[OutTarget]) -> Vec<(usize, usize)> {
 }
 
 impl TaskRt {
-    /// An inert, allocation-free placeholder left in a task slot while
-    /// the real state is lent to a worker lane (see
-    /// [`Simulation::run_span`]). Never executed: a slot is only lent to
-    /// the one lane that will run its events.
-    fn tombstone() -> TaskRt {
-        TaskRt {
-            logical: TaskIndex(usize::MAX),
-            is_replica: false,
-            node: 0,
-            status: Status::Dead,
-            udf: None,
-            source: None,
-            sub_from: Vec::new(),
-            staged: Vec::new(),
-            closed: Vec::new(),
-            next_batch: 0,
-            outputs_enabled: false,
-            out_targets: Vec::new(),
-            stream_spans: Vec::new(),
-            out_buffer: Vec::new(),
-            checkpoint: None,
-            pre_failure_progress: None,
-            pending_sink: VecDeque::new(),
-            cpu: CpuStats::default(),
-            throughput: crate::report::TaskThroughput::default(),
-            divergence: crate::approx::DivergenceModel::default(),
-        }
-    }
-
     fn n_substreams(&self) -> usize {
         self.sub_from.len()
     }
@@ -244,8 +207,7 @@ enum Event {
     },
     ProxyTick,
     /// Approximate mode: a task's drift crossed the error bound during
-    /// batch processing; ship its state backup (staged by the lane, run
-    /// solo because upstream buffer trims are global).
+    /// batch processing; ship its state backup at that batch's CPU finish.
     ApproxShip {
         rt: Rt,
     },
@@ -1520,192 +1482,36 @@ impl Simulation {
     }
 
     // ------------------------------------------------------------------
-    // Lane execution: the sharded event loop
+    // The event loop
     // ------------------------------------------------------------------
 
-    /// The read-only context lane handlers run against, frozen at the
-    /// current scheduler instant.
-    fn lane_ctx(&self) -> lane::LaneCtx<'_> {
-        lane::LaneCtx {
-            graph: &self.graph,
-            config: &self.config,
-            replica_slot: &self.replica_slot,
-            storm_buffer_batches: self.storm_buffer_batches,
-            replay_cones: &self.replay_cones,
-            now: self.sched.now(),
-        }
-    }
-
-    /// Runs one data-plane event inline through the lane handlers and
-    /// applies its staged effects immediately — the sequential execution
-    /// path, shared with every solo caller (restore, replica activation).
-    fn run_lane(&mut self, rt: Rt, ev: lane::LaneEvent) {
-        let node = self.tasks[rt].node;
-        let mut fx = lane::LaneEffects::default();
+    /// What a data-plane handler in [`lane`] works against for slot `rt`:
+    /// the context, the task and its node's CPU horizon.
+    fn lane(&mut self, rt: Rt) -> (lane::LaneCtx<'_>, &mut TaskRt, &mut SimTime) {
+        let task = &mut self.tasks[rt];
+        let busy = &mut self.node_busy[task.node];
         let cx = lane::LaneCtx {
             graph: &self.graph,
             config: &self.config,
             replica_slot: &self.replica_slot,
             storm_buffer_batches: self.storm_buffer_batches,
             replay_cones: &self.replay_cones,
-            now: self.sched.now(),
+            sched: &mut self.sched,
+            sink: &mut self.sink,
+            tuples_moved: &mut self.tuples_moved,
         };
-        lane::handle(
-            &cx,
-            rt,
-            &mut self.tasks[rt],
-            &mut self.node_busy[node],
-            ev,
-            &mut fx,
-        );
-        self.apply_effects(fx);
+        (cx, task, busy)
     }
 
-    /// Applies one event's staged effects. Scheduling in call order keeps
-    /// sequence numbers — and with them every same-instant tie-break —
-    /// identical to the single-threaded loop.
-    fn apply_effects(&mut self, fx: lane::LaneEffects) {
-        let lane::LaneEffects {
-            scheduled,
-            sink,
-            recovered,
-            tuples_moved,
-        } = fx;
-        for (at, ev) in scheduled {
-            self.sched.at(at, ev);
-        }
-        self.sink.extend(sink);
-        for (t, at) in recovered {
-            self.mark_recovered(t, at);
-        }
-        self.tuples_moved += tuples_moved;
-    }
-
-    /// Fires the next event (or same-instant span of events) at or before
-    /// `deadline`. Returns `None` when nothing fires, else whether a
-    /// failure event fired (the control-plane hook trigger).
+    /// Fires the next event at or before `deadline`. Returns `None` when
+    /// nothing fires, else whether a failure event fired (the
+    /// control-plane hook trigger).
     fn step_until(&mut self, deadline: SimTime) -> Option<bool> {
-        if self.config.shards <= 1 {
-            // The legacy path, bit-for-bit: one event per step.
-            let (_, ev) = self.sched.next_until(deadline)?;
-            self.events += 1;
-            let failure = matches!(ev, Event::Failure { .. });
-            self.handle(ev);
-            return Some(failure);
-        }
-        // Eligible for lane execution: data-plane events whose handler
-        // only touches the receiving task and its node. Deliveries to a
-        // catching-up task are excluded because finishing a catch-up
-        // closes the (global) outage books. Everything else — timers,
-        // failures, master actions — runs solo, carried after the span.
-        let tasks = &self.tasks;
-        let span = self.sched.pop_span(deadline, |ev| match *ev {
-            Event::SourceBatch { rt, .. } => Some(tasks[rt].node),
-            Event::Deliver { to, .. } if tasks[to].status != Status::CatchingUp => {
-                Some(tasks[to].node)
-            }
-            _ => None,
-        })?;
-        self.events += span.events.len() as u64;
-        self.run_span(span.at, span.events);
-        let mut failure = false;
-        if let Some(ev) = span.carried {
-            self.events += 1;
-            failure = matches!(ev, Event::Failure { .. });
-            self.handle(ev);
-        }
+        let (_, ev) = self.sched.next_until(deadline)?;
+        self.events += 1;
+        let failure = matches!(ev, Event::Failure { .. });
+        self.handle(ev);
         Some(failure)
-    }
-
-    /// Executes a same-instant span of eligible events: groups them into
-    /// per-node lanes, runs the lanes on the shard executor, then applies
-    /// every event's staged effects in global span order — reproducing
-    /// the sequential execution exactly (see `crates/sim/src/lane.rs`).
-    fn run_span(&mut self, at: SimTime, events: Vec<(ppa_sim::ShardId, Event)>) {
-        if events.len() < MIN_PARALLEL_SPAN {
-            for (_, ev) in events {
-                self.handle(ev);
-            }
-            return;
-        }
-        let lanes = ppa_sim::group_lanes(events);
-        // Lend each lane its tasks' state (tombstones hold the slots) and
-        // a copy of its node's CPU horizon.
-        let mut jobs: Vec<shard::LaneJob> = Vec::with_capacity(lanes.len());
-        for l in lanes {
-            let node = l.shard;
-            let mut tasks: Vec<(Rt, TaskRt)> = Vec::new();
-            let mut events: Vec<(usize, Rt, lane::LaneEvent)> = Vec::with_capacity(l.events.len());
-            for (global, ev) in l.events {
-                let (rt, lev) = match ev {
-                    Event::SourceBatch { rt, batch } => (rt, lane::LaneEvent::Source { batch }),
-                    Event::Deliver {
-                        to,
-                        substream,
-                        batch,
-                        msg,
-                    } => (
-                        to,
-                        lane::LaneEvent::Deliver {
-                            substream,
-                            batch,
-                            msg,
-                        },
-                    ),
-                    _ => {
-                        debug_assert!(false, "ineligible event classified into a span");
-                        continue;
-                    }
-                };
-                if !tasks.iter().any(|&(r, _)| r == rt) {
-                    tasks.push((
-                        rt,
-                        std::mem::replace(&mut self.tasks[rt], TaskRt::tombstone()),
-                    ));
-                }
-                events.push((global, rt, lev));
-            }
-            jobs.push(shard::LaneJob {
-                node,
-                busy: self.node_busy[node],
-                tasks,
-                events,
-            });
-        }
-        let cx = lane::LaneCtx {
-            graph: &self.graph,
-            config: &self.config,
-            replica_slot: &self.replica_slot,
-            storm_buffer_batches: self.storm_buffer_batches,
-            replay_cones: &self.replay_cones,
-            now: at,
-        };
-        let results = shard::run_lanes(self.config.shards, jobs, |mut job: shard::LaneJob| {
-            let mut out: Vec<(usize, lane::LaneEffects)> = Vec::with_capacity(job.events.len());
-            for (global, rt, ev) in std::mem::take(&mut job.events) {
-                let mut fx = lane::LaneEffects::default();
-                let Some(slot) = job.tasks.iter_mut().find(|t| t.0 == rt) else {
-                    debug_assert!(false, "lane event without its task state");
-                    continue;
-                };
-                lane::handle(&cx, rt, &mut slot.1, &mut job.busy, ev, &mut fx);
-                out.push((global, fx));
-            }
-            (job, out)
-        });
-        // Return the lent state, then replay effects in global order.
-        let mut effects: Vec<(usize, lane::LaneEffects)> = Vec::new();
-        for (job, out) in results {
-            self.node_busy[job.node] = job.busy;
-            for (rt, task) in job.tasks {
-                self.tasks[rt] = task;
-            }
-            effects.extend(out);
-        }
-        effects.sort_by_key(|&(global, _)| global);
-        for (_, fx) in effects {
-            self.apply_effects(fx);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1738,12 +1544,14 @@ impl Simulation {
     // ------------------------------------------------------------------
 
     fn on_source_batch(&mut self, rt: Rt, batch: u64) {
-        self.run_lane(rt, lane::LaneEvent::Source { batch });
+        let (mut cx, task, busy) = self.lane(rt);
+        lane::source_batch(&mut cx, rt, task, busy, batch);
     }
 
     /// Generates one source batch; `regen` marks catch-up regeneration.
     fn generate_source_batch(&mut self, rt: Rt, batch: u64, regen: bool) {
-        self.run_lane(rt, lane::LaneEvent::Generate { batch, regen });
+        let (mut cx, task, busy) = self.lane(rt);
+        lane::generate(&mut cx, task, busy, batch, regen);
     }
 
     // ------------------------------------------------------------------
@@ -1751,19 +1559,23 @@ impl Simulation {
     // ------------------------------------------------------------------
 
     fn on_deliver(&mut self, to: Rt, substream: usize, batch: u64, msg: Msg) {
-        self.run_lane(
-            to,
-            lane::LaneEvent::Deliver {
-                substream,
-                batch,
-                msg,
-            },
-        );
+        let (mut cx, task, busy) = self.lane(to);
+        let caught_up = lane::deliver(&mut cx, task, busy, substream, batch, msg);
+        self.close_catch_up(to, caught_up);
     }
 
     /// Processes as many consecutive ready batches as possible.
     fn try_process(&mut self, rt: Rt) {
-        self.run_lane(rt, lane::LaneEvent::TryProcess);
+        let (mut cx, task, busy) = self.lane(rt);
+        let caught_up = lane::try_process(&mut cx, task, busy);
+        self.close_catch_up(rt, caught_up);
+    }
+
+    /// Closes slot `rt`'s outage if its handler completed the catch-up.
+    fn close_catch_up(&mut self, rt: Rt, caught_up: Option<SimTime>) {
+        if let Some(at) = caught_up {
+            self.mark_recovered(self.tasks[rt].logical.0, at);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1780,8 +1592,8 @@ impl Simulation {
         self.ship_state_backup(rt);
     }
 
-    /// Approximate mode: a lane observed the task's drift crossing the
-    /// error bound at a batch boundary and staged this ship. A ship that
+    /// Approximate mode: batch processing saw the task's drift cross the
+    /// error bound at a batch boundary and scheduled this ship. A ship that
     /// arrives after the task died (or after an earlier ship already
     /// consumed the arm) is stale and must *not* fire — the unconsumed
     /// drift is exactly the divergence a lossy recovery will forfeit.
@@ -2469,22 +2281,19 @@ impl Simulation {
         cursor: u64,
         at: SimTime,
         replay_for: Option<TaskIndex>,
-        keep: impl Fn(&Self, TaskIndex) -> bool,
+        keep: impl Fn(&lane::LaneCtx<'_>, TaskIndex) -> bool,
     ) {
-        let mut fx = lane::LaneEffects::default();
-        let cx = self.lane_ctx();
-        let task = &self.tasks[rt];
+        let (mut cx, task, _) = self.lane(rt);
         for (k, tgt) in task.out_targets.iter().enumerate() {
-            if !keep(self, tgt.to) {
+            if !keep(&cx, tgt.to) {
                 continue;
             }
             for (b, tuples, degraded) in task.out_buffer[k].iter().filter(|e| e.0 >= cursor) {
                 let degraded = *degraded && replay_for.is_none();
                 let (to, sub, tuples) = (tgt.to, tgt.to_substream, tuples.clone());
-                lane::deliver_to(&cx, &mut fx, to, sub, *b, tuples, degraded, replay_for, at);
+                lane::deliver_to(&mut cx, to, sub, *b, tuples, degraded, replay_for, at);
             }
         }
-        self.apply_effects(fx);
     }
 
     /// Normal replay after a checkpoint restore: batches `>= cursor`
@@ -2496,8 +2305,8 @@ impl Simulation {
     /// Storm replay: batches `>= cursor` along every edge inside the cone
     /// (or directly to the target).
     fn resend_buffered_replay(&mut self, rt: Rt, target: TaskIndex, cursor: u64, at: SimTime) {
-        self.resend(rt, cursor, at, Some(target), |sim, to| {
-            to == target || sim.replay_cones[&target.0].binary_search(&to).is_ok()
+        self.resend(rt, cursor, at, Some(target), |cx, to| {
+            to == target || cx.replay_cones[&target.0].binary_search(&to).is_ok()
         });
     }
 

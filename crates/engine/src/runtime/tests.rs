@@ -832,6 +832,52 @@ fn drive_with_static_policy_matches_legacy_run() -> TestResult {
     Ok(())
 }
 
+/// One simulation resumed across three `drive` calls — failures fed on the
+/// first call only, an empty feed after — ends where a single `drive` to
+/// the same horizon ends, and each call's metrics snapshot counts every
+/// event and tuple so far exactly once (a repeated drive never
+/// double-adds).
+#[test]
+fn resumed_drives_equal_one_drive_and_meter_each_event_once() -> TestResult {
+    let q = chain_query(100, 5)?;
+    let sim = || -> Result<Simulation, Box<dyn Error>> {
+        Ok(Simulation::new(
+            &q,
+            one_task_per_node(&q)?,
+            base_config(FtMode::checkpoint(5, SimDuration::from_secs(5))),
+        ))
+    };
+    let failures = FaultFeed::from_specs(vec![FailureSpec {
+        at: SimTime::from_secs(14),
+        nodes: vec![node_of(2), node_of(3)],
+    }]);
+    let policy = &mut crate::control::StaticPolicy;
+    let whole = sim()?.drive(&failures, policy, SimTime::from_secs(60))?;
+
+    let mut resumed = sim()?;
+    let nothing = FaultFeed::new();
+    let mut last = None;
+    for (until_secs, feed) in [(10, &failures), (20, &nothing), (60, &nothing)] {
+        let driven = resumed.drive(feed, policy, SimTime::from_secs(until_secs))?;
+        assert!(driven.report.events > 0 && driven.report.tuples_moved > 0);
+        assert_eq!(
+            driven.metrics.counter("engine.events.processed"),
+            driven.report.events,
+            "events metered once by {until_secs} s"
+        );
+        assert_eq!(
+            driven.metrics.counter("engine.tuples.moved"),
+            driven.report.tuples_moved,
+            "tuples metered once by {until_secs} s"
+        );
+        last = Some(driven.report);
+    }
+    let last = last.ok_or("three drives ran")?;
+    assert_eq!(full_digest(&last), full_digest(&whole.report));
+    assert_eq!(last.tuples_moved, whole.report.tuples_moved);
+    Ok(())
+}
+
 #[test]
 fn drive_feed_unifies_domains_and_specs() -> TestResult {
     // A feed mixing a domain entry and a spec entry must behave exactly

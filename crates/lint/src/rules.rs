@@ -60,7 +60,7 @@ pub fn registry() -> Vec<Rule> {
         Rule {
             id: RuleId::D004,
             summary: "ambient concurrency (thread::spawn/scope, static mut, sync primitives) \
-                      outside the sanctioned shard executor",
+                      in a deterministic crate — no sanctioned surface inside a run",
             check: d004_ambient_concurrency,
         },
         Rule {
@@ -209,16 +209,9 @@ const SYNC_PRIMITIVES: [&str; 13] = [
 
 /// D004 — ambient concurrency inside the deterministic crates: spawned
 /// or scoped threads, `static mut`, or shared-state sync primitives. The
-/// harness (`bench`) parallelizes *across* runs; inside a run, the one
-/// sanctioned surface is the sharded event loop's worker module, whose
-/// deterministic merge keeps output byte-identical at any shard count.
+/// harness (`bench`) parallelizes *across* runs; there is no sanctioned
+/// surface inside a run.
 fn d004_ambient_concurrency(cx: &FileCx) -> Vec<Finding> {
-    // The sanctioned concurrency surface: the shard executor behind the
-    // deterministic merge (see its module docs and ppa-bench's
-    // shard_determinism suite). Everything else stays single-threaded.
-    if cx.path == "crates/engine/src/runtime/shard.rs" {
-        return Vec::new();
-    }
     if !in_deterministic_crate(cx.path) {
         return Vec::new();
     }
@@ -468,8 +461,9 @@ mod tests {
         assert_eq!(f.iter().filter(|f| f.rule == RuleId::D004).count(), 4);
         // The bench harness's worker pool is allowed to use threads.
         assert!(run_at("crates/bench/src/pool.rs", src).is_empty());
-        // The shard executor is the one sanctioned in-run surface.
-        assert!(run_at("crates/engine/src/runtime/shard.rs", src).is_empty());
+        // No path inside a deterministic crate is exempt.
+        let f = run_at("crates/engine/src/runtime/lane.rs", src);
+        assert_eq!(f.iter().filter(|f| f.rule == RuleId::D004).count(), 4);
     }
 
     #[test]

@@ -12,9 +12,7 @@
 //! * all randomness comes from seeded RNGs owned by the caller.
 
 pub mod event;
-pub mod lane;
 pub mod time;
 
 pub use event::{EventQueue, Scheduler};
-pub use lane::{group_lanes, Lane, ShardId, Span};
 pub use time::{SimDuration, SimTime};
