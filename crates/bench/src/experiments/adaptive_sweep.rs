@@ -12,8 +12,7 @@
 //! placement's own rack mapping, and replays one seeded failure scenario
 //! under two control policies:
 //!
-//! * **static** — the no-op policy: the run is byte-identical to the
-//!   legacy `run_trace` path (the parity suite asserts this), so this
+//! * **static** — the no-op policy: nobody at the controls, so this
 //!   series is the pre-control-plane baseline;
 //! * **domain-health** — on every failure hook, evacuate the degraded
 //!   rack's neighbours (one ring — cascades spread outward, so the
@@ -199,7 +198,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Figure> {
         config.passive_recovery = false;
 
         // Golden run: same placement, no failures, static policy.
-        let golden = Simulation::run_trace(
+        let golden = Simulation::run(
             &scenario.query,
             scenario.placement.clone(),
             config.clone(),
@@ -250,7 +249,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Figure> {
          failure, relative to a failure-free run of the same placement (5 s lateness \
          budget). Every cell replays one seeded scenario under both policies with \
          passive recovery held down: the static series is the legacy no-control-plane \
-         baseline (parity-tested byte-identical to run_trace), the domain-health \
+         baseline, the domain-health \
          series evacuates degraded racks' neighbours and re-plans replication \
          through AdaptivePlanner::step against the migrated placement.",
     );

@@ -147,7 +147,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Figure> {
             .map(|strategy| {
                 let config = strategy.config(n, cfg.window, cfg.seed);
                 let batch = config.batch_interval;
-                let golden = Simulation::run_trace(
+                let golden = Simulation::run(
                     &scenario.query,
                     scenario.placement.clone(),
                     strategy.config(n, cfg.window, cfg.seed),

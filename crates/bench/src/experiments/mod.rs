@@ -172,8 +172,7 @@ pub fn run_scenario(
 /// steady-state tentative sampling).
 ///
 /// Runs go through the control-plane loop (`Simulation::drive`) with the
-/// scenario's policy — the static no-op unless one is attached, which is
-/// parity-tested byte-identical to the legacy `run_trace` path.
+/// scenario's policy — the static no-op unless one is attached.
 pub fn run_scenario_config(
     ctx: &RunCtx,
     label: &str,
@@ -267,7 +266,7 @@ pub fn completion_latency(
     mut include: impl FnMut(ppa_core::model::TaskIndex) -> bool,
 ) -> f64 {
     report
-        .recoveries
+        .recoveries()
         .iter()
         .filter(|r| include(r.task))
         .map(|r| r.latency().map_or(f64::NAN, |d| d.as_secs_f64()))

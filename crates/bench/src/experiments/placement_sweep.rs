@@ -192,7 +192,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Figure> {
 
         // Golden run: same placement, no failures — the fidelity baseline
         // (placement-induced CPU contention cancels out).
-        let golden = Simulation::run_trace(
+        let golden = Simulation::run(
             &scenario.query,
             scenario.placement.clone(),
             config.clone(),

@@ -148,7 +148,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Figure> {
             c
         };
 
-        let golden = Simulation::run_trace(
+        let golden = Simulation::run(
             &base.query,
             base.placement.clone(),
             config(),

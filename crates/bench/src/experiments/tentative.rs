@@ -52,7 +52,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Figure> {
             duration,
         );
         let detected = report
-            .recoveries
+            .recoveries()
             .iter()
             .map(|r| r.detected_at)
             .min()

@@ -111,7 +111,7 @@ impl RunLog {
             fail_at_s,
             kill_nodes,
             recoveries: report
-                .recoveries
+                .recoveries()
                 .iter()
                 .map(|r| RecoveryRecord {
                     task: r.task.0,

@@ -308,12 +308,10 @@ fn horizons_reject_late_events_with_typed_errors() -> TestResult {
     let horizon = built.horizon;
     sim.set_horizon(horizon);
     let late = SimTime::from_secs(95);
+    let kill_at = |at| FaultFeed::new().with_spec(FailureSpec { at, nodes: vec![0] });
     assert_eq!(
-        sim.inject(FailureSpec {
-            at: late,
-            nodes: vec![0]
-        }),
-        Err(EngineError::EventPastHorizon { at: late, horizon })
+        sim.drive(&kill_at(late), &mut StaticPolicy, horizon).err(),
+        Some(EngineError::EventPastHorizon { at: late, horizon })
     );
     assert_eq!(
         sim.inject_chaos(ChaosSpec {
@@ -326,14 +324,11 @@ fn horizons_reject_late_events_with_typed_errors() -> TestResult {
         }))
     );
     // Within the horizon both paths accept.
-    sim.inject(FailureSpec {
-        at: SimTime::from_secs(30),
-        nodes: vec![0],
-    })?;
     sim.inject_chaos(ChaosSpec {
         at: SimTime::from_secs(30),
         kind: ChaosKind::HeartbeatDuplicate,
     })?;
+    sim.drive(&kill_at(SimTime::from_secs(30)), &mut StaticPolicy, horizon)?;
     Ok(())
 }
 

@@ -18,8 +18,8 @@
 //!   (`plan_evacuation`), with migration cost charged to the recovery
 //!   model.
 //!
-//! Two policies ship: [`StaticPolicy`] (never acts — byte-identical to the
-//! legacy run paths, the control-plane no-op baseline) and
+//! Two policies ship: [`StaticPolicy`] (never acts — the control-plane
+//! no-op baseline) and
 //! [`DomainHealthPolicy`] (migrate away from degraded domains and their
 //! cascade-threatened neighbours, then re-plan).
 
@@ -333,8 +333,8 @@ pub trait ControlPolicy {
     }
 }
 
-/// The do-nothing policy: `drive` with it is byte-identical to the legacy
-/// `run`/`run_trace` paths (asserted by the parity tests).
+/// The do-nothing policy: nobody at the controls. What
+/// [`crate::Simulation::run`] drives with.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StaticPolicy;
 
@@ -530,12 +530,13 @@ mod tests {
         );
         let actions = policy.on_failure(&view);
         assert_eq!(actions.len(), 2, "migrate + replan");
-        match &actions[0] {
-            ControlAction::MigrateTasks { domains } => {
-                assert_eq!(domains, &vec![racks[0], racks[1]], "origin + ring 1");
-            }
-            other => panic!("expected MigrateTasks first, got {other:?}"),
-        }
+        assert_eq!(
+            actions[0],
+            ControlAction::MigrateTasks {
+                domains: vec![racks[0], racks[1]]
+            },
+            "origin + ring 1"
+        );
         assert_eq!(actions[1], ControlAction::Replan { budget: 4 });
         // The same degradation does not trigger twice.
         assert!(policy.on_epoch(&view).is_empty());

@@ -213,7 +213,7 @@ mod tests {
             }],
             SimDuration::from_secs(160),
         );
-        let measured = report.recoveries[0]
+        let measured = report.recoveries()[0]
             .latency()
             .ok_or("never recovered")?
             .as_secs_f64();

@@ -1,17 +1,13 @@
 //! `FaultFeed`: the one ordered event source every kind of fault injection
-//! funnels through.
+//! funnels through, and the only way a failure reaches a run.
 //!
-//! Before this abstraction the engine exposed three disjoint injection
-//! entry points (`inject` for [`FailureSpec`] lists, `inject_domain` for
-//! fault-domain kills, `inject_trace` for replayable traces) and the
-//! generative [`FailureProcess`]es of `ppa-faults` could only reach a run
-//! by being pre-rendered into a trace by the caller. A [`FaultFeed`]
-//! accepts all four shapes, resolves them against the run's [`Placement`]
-//! (domain events expand through the placement's node → domain mapping,
-//! processes generate against its fault-domain tree) and validates every
-//! event centrally, yielding one normalized [`FailureTrace`] that
-//! [`crate::Simulation::drive`] consumes. The legacy `run`/`run_trace`
-//! entry points are thin wrappers over an equivalent feed.
+//! A feed accepts four shapes — explicit [`FailureSpec`] kill sets,
+//! whole-fault-domain kills, replayable [`FailureTrace`]s and live
+//! generative [`FailureProcess`]es — resolves them against the run's
+//! [`Placement`] (domain events expand through the placement's node →
+//! domain mapping, processes generate against its fault-domain tree) and
+//! validates every event's nodes centrally, yielding the one normalized
+//! [`FailureTrace`] that [`crate::Simulation::drive`] schedules.
 
 use crate::error::EngineError;
 use crate::placement::Placement;
@@ -52,14 +48,7 @@ impl FaultFeed {
         FaultFeed::default()
     }
 
-    /// A feed holding exactly the given failure specs — what the legacy
-    /// `Simulation::run` entry point wraps its argument into.
-    pub fn from_specs(specs: Vec<FailureSpec>) -> Self {
-        FaultFeed::new().with_specs(specs)
-    }
-
-    /// A feed replaying exactly the given trace — what the legacy
-    /// `Simulation::run_trace` entry point wraps its argument into.
+    /// A feed replaying exactly the given trace.
     pub fn from_trace(trace: FailureTrace) -> Self {
         FaultFeed::new().with_trace(trace)
     }
@@ -164,6 +153,20 @@ impl FaultFeed {
     }
 }
 
+/// A feed holding exactly the given failure specs.
+impl From<Vec<FailureSpec>> for FaultFeed {
+    fn from(specs: Vec<FailureSpec>) -> Self {
+        FaultFeed::new().with_specs(specs)
+    }
+}
+
+/// A feed replaying exactly the given trace.
+impl From<&FailureTrace> for FaultFeed {
+    fn from(trace: &FailureTrace) -> Self {
+        FaultFeed::from_trace(trace.clone())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,7 +240,7 @@ mod tests {
     #[test]
     fn out_of_range_nodes_are_rejected_centrally() -> TestResult {
         let p = placement()?;
-        let feed = FaultFeed::from_specs(vec![FailureSpec {
+        let feed = FaultFeed::from(vec![FailureSpec {
             at: SimTime::from_secs(5),
             nodes: vec![0, 99],
         }]);

@@ -149,7 +149,7 @@ impl Placement {
     }
 
     /// The nodes a failure of `domain` kills — exactly what
-    /// [`crate::Simulation::inject_domain`] expands a domain event into.
+    /// [`crate::FaultFeed::resolve`] expands a domain entry into.
     pub fn nodes_in_domain(&self, domain: DomainId) -> Result<Vec<NodeId>, PlacementError> {
         let tree = self
             .domains

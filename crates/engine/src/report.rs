@@ -88,8 +88,8 @@ impl TaskOutages {
     }
 }
 
-/// Recovery record of one failed task — the backward-compatible
-/// *first-outage* view derived from the task's [`TaskOutages`] history
+/// Recovery record of one failed task — the *first-outage* view derived
+/// from the task's [`TaskOutages`] history by [`RunReport::recoveries`]
 /// (identical to the history for single-failure runs).
 #[derive(Debug, Clone)]
 pub struct TaskRecovery {
@@ -174,10 +174,6 @@ impl CpuStats {
 /// Everything measured during one simulated run.
 #[derive(Debug, Clone, Default)]
 pub struct RunReport {
-    /// Per-failed-task recovery records, in task order — the first-outage
-    /// view of `outages`, kept for every consumer that models one failure
-    /// per task (the §VI-A figures).
-    pub recoveries: Vec<TaskRecovery>,
     /// Full per-task outage histories in first-failure order: every
     /// failure of a task's active incarnation — including an activated
     /// replica dying after takeover — appends a fresh [`OutageRecord`].
@@ -198,28 +194,39 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// Per-failed-task recovery records in first-failure order: each
+    /// task's *first* outage, for every consumer that models one failure
+    /// per task (the §VI-A figures). Derived from `outages`, the one
+    /// source of truth.
+    pub fn recoveries(&self) -> Vec<TaskRecovery> {
+        self.outages
+            .iter()
+            .filter_map(|o| {
+                o.records.first().map(|first| TaskRecovery {
+                    task: o.task,
+                    via_replica: first.via_replica,
+                    failed_at: first.failed_at,
+                    detected_at: first.detected_at,
+                    recovered_at: first.recovered_at,
+                })
+            })
+            .collect()
+    }
+
     /// Mean recovery latency over recovered tasks (`None` if nothing
     /// recovered).
     pub fn mean_recovery_latency(&self) -> Option<SimDuration> {
-        let lat: Vec<SimDuration> = self
-            .recoveries
-            .iter()
-            .filter_map(TaskRecovery::latency)
-            .collect();
-        if lat.is_empty() {
-            return None;
-        }
-        let total: u64 = lat.iter().map(|d| d.as_micros()).sum();
-        Some(SimDuration::from_micros(total / lat.len() as u64))
+        self.mean_latency_of(|_| true)
     }
 
     /// Latest recovery completion (the correlated-failure "recovery done"
     /// instant).
     pub fn full_recovery_at(&self) -> Option<SimTime> {
-        if self.recoveries.is_empty() || self.recoveries.iter().any(|r| r.recovered_at.is_none()) {
+        let recoveries = self.recoveries();
+        if recoveries.is_empty() || recoveries.iter().any(|r| r.recovered_at.is_none()) {
             return None;
         }
-        self.recoveries.iter().filter_map(|r| r.recovered_at).max()
+        recoveries.iter().filter_map(|r| r.recovered_at).max()
     }
 
     /// Mean recovery latency over a subset of tasks.
@@ -228,7 +235,7 @@ impl RunReport {
         mut include: impl FnMut(TaskIndex) -> bool,
     ) -> Option<SimDuration> {
         let lat: Vec<SimDuration> = self
-            .recoveries
+            .recoveries()
             .iter()
             .filter(|r| include(r.task))
             .filter_map(TaskRecovery::latency)
@@ -325,23 +332,33 @@ mod tests {
 
     #[test]
     fn report_aggregates() {
-        let mk = |task, rec| TaskRecovery {
-            task: TaskIndex(task),
+        // One-record histories: failed at 10 s, detected at 15 s.
+        let record = |recovered_at| OutageRecord {
             via_replica: false,
             failed_at: SimTime::from_secs(10),
             detected_at: SimTime::from_secs(15),
-            recovered_at: rec,
+            recovered_at,
+            fidelity_floor: None,
+        };
+        let mk = |task, rec| TaskOutages {
+            task: TaskIndex(task),
+            records: vec![record(rec)],
         };
         let mut rep = RunReport::default();
-        rep.recoveries.push(mk(0, Some(SimTime::from_secs(25))));
-        rep.recoveries.push(mk(1, Some(SimTime::from_secs(35))));
+        rep.outages.push(mk(0, Some(SimTime::from_secs(25))));
+        rep.outages.push(mk(1, Some(SimTime::from_secs(35))));
+        // A re-failure never shows in the first-outage view.
+        rep.outages[0]
+            .records
+            .push(record(Some(SimTime::from_secs(99))));
+        assert_eq!(rep.recoveries().len(), 2);
         assert_eq!(
             rep.mean_recovery_latency(),
             Some(SimDuration::from_secs(15))
         );
         assert_eq!(rep.full_recovery_at(), Some(SimTime::from_secs(35)));
         // Unrecovered task blocks full_recovery_at.
-        rep.recoveries.push(mk(2, None));
+        rep.outages.push(mk(2, None));
         assert_eq!(rep.full_recovery_at(), None);
         assert_eq!(
             rep.mean_latency_of(|t| t.0 == 1),
@@ -360,7 +377,7 @@ mod tests {
     }
 
     #[test]
-    fn outage_history_helpers() {
+    fn outage_history_helpers() -> Result<(), &'static str> {
         let rec = |failed: u64, det: u64, recv: Option<u64>| OutageRecord {
             via_replica: false,
             failed_at: SimTime::from_secs(failed),
@@ -383,7 +400,7 @@ mod tests {
             Some(SimDuration::from_secs(10))
         );
         assert_eq!(rep.outages[0].refail_count(), 1);
-        assert!(rep.outages[0].current().unwrap().open());
+        assert!(rep.outages[0].current().ok_or("two records")?.open());
         // The MAX sentinel reads as "not yet detected".
         let undetected = OutageRecord {
             via_replica: false,
@@ -393,6 +410,7 @@ mod tests {
             fidelity_floor: None,
         };
         assert!(!undetected.detected());
+        Ok(())
     }
 
     /// `tests/approx_parity.rs` compares `RunReport` debug text, so a sink

@@ -12,7 +12,7 @@
 //! Broken internal invariants degrade to `debug_assert!` + a safe early
 //! return instead of unwinding mid-run.
 
-use super::{Event, Msg, Rt, Status, TaskRt};
+use super::{trim_below, Backup, Event, Msg, Rt, Status, TaskRt};
 use crate::config::{EngineConfig, FtMode};
 use crate::report::SinkBatch;
 use crate::tuple::{route, Chunk, Tuple};
@@ -27,7 +27,7 @@ pub(super) struct LaneCtx<'a> {
     pub graph: &'a TaskGraph,
     pub config: &'a EngineConfig,
     pub replica_slot: &'a [Option<Rt>],
-    pub storm_buffer_batches: Option<u64>,
+    pub backup: Backup,
     /// Storm-mode replay cones per recovering target (see
     /// [`upstream_cone`]); filled before the target's first replay send.
     pub replay_cones: &'a BTreeMap<usize, Vec<TaskIndex>>,
@@ -469,16 +469,10 @@ fn process_batch(
 /// recovering task's oldest needed batch is still forwardable by hops
 /// whose cursors run slightly ahead) in output buffers.
 fn trim_storm_buffer(cx: &LaneCtx<'_>, task: &mut TaskRt) {
-    if let Some(w) = cx.storm_buffer_batches {
+    if let Backup::SourceBuffer(w) = cx.backup {
         let min_keep = task.next_batch.saturating_sub(w + 5);
         for q in &mut task.out_buffer {
-            while let Some((b, _, _)) = q.front() {
-                if *b < min_keep {
-                    q.pop_front();
-                } else {
-                    break;
-                }
-            }
+            trim_below(q, min_keep);
         }
     }
 }

@@ -1,6 +1,7 @@
 //! The simulated cluster runtime: batch dataflow, failure injection,
-//! detection and the three recovery paths (active replica takeover,
-//! checkpoint restore + replay, Storm-style source replay).
+//! detection and the recovery paths (active replica takeover, checkpoint
+//! restore + replay, approximate lossy restore, Storm-style source
+//! replay).
 //!
 //! One [`Simulation`] owns the whole cluster state and is driven by a
 //! deterministic event loop (`ppa_sim::Scheduler`). Runtime slots `0..n`
@@ -18,12 +19,27 @@
 //! * upstream output buffers are trimmed by downstream checkpoints (and by
 //!   primary→replica sync for replicas); checkpoints include the output
 //!   buffer, so a restored task can re-serve its downstream immediately.
+//!
+//! Module map:
+//! * this file — the cluster state, the one way in ([`FaultFeed`] →
+//!   [`Simulation::drive`]; [`Simulation::run`] is `new` + `drive` +
+//!   [`StaticPolicy`]), the event loop and dispatch, failure and
+//!   detection, backups, and the application of control-plane actions;
+//! * `lane` — the data plane: source generation, delivery, batch
+//!   processing, emit;
+//! * `ledger` — the outage books: the only code that writes an
+//!   [`OutageRecord`] field or a [`Lifecycle`], and the source of the
+//!   [`EngineEvent`] each transition implies;
+//! * `recovery` — detection → close: the shared recovery steps and the
+//!   three restore families composed from them, replica takeover, proxy
+//!   punctuations.
 
 // The runtime's internal bookkeeping uses nested generic types whose shape
 // is the documentation (batch id -> (payload, tentative), per-slot); naming
 // each would add indirection without clarity.
 #![allow(clippy::type_complexity)]
 
+use self::ledger::OutageLedger;
 use crate::chaos::{ChaosError, ChaosKind, ChaosSpec};
 use crate::config::{EngineConfig, FtMode};
 use crate::control::{
@@ -34,14 +50,11 @@ use crate::error::EngineError;
 use crate::feed::FaultFeed;
 use crate::placement::{move_counts, plan_evacuation, MoveRole, NodeId, Placement};
 use crate::query::Query;
-use crate::report::{
-    CpuStats, Lifecycle, OutageRecord, RunReport, SinkBatch, TaskOutages, TaskRecovery,
-};
+use crate::report::{CpuStats, Lifecycle, OutageRecord, RunReport, SinkBatch};
 use crate::tuple::Chunk;
 use crate::udf::{SourceGen, Udf};
 use ppa_core::model::{TaskGraph, TaskIndex};
 use ppa_core::{AdaptivePlanner, StructureAwarePlanner, TaskSet};
-use ppa_faults::FailureTrace;
 use ppa_obs::metrics::LATENCY_BUCKETS_US;
 use ppa_obs::{EngineEvent, MetricsRegistry, TraceSink};
 use ppa_sim::{Scheduler, SimDuration, SimTime};
@@ -49,6 +62,8 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
 mod lane;
+mod ledger;
+mod recovery;
 
 /// A failure injection: the listed nodes die at `at`.
 #[derive(Debug, Clone)]
@@ -84,6 +99,17 @@ struct OutTarget {
 /// Output buffered for one downstream substream.
 type Buffered = (u64, Chunk, bool);
 
+/// Drops the buffered batches below `ack` off the front of `queue`.
+fn trim_below(queue: &mut VecDeque<Buffered>, ack: u64) {
+    while let Some((b, _, _)) = queue.front() {
+        if *b < ack {
+            queue.pop_front();
+        } else {
+            break;
+        }
+    }
+}
+
 struct Checkpoint {
     /// `next_batch` at snapshot time.
     batch: u64,
@@ -91,6 +117,18 @@ struct Checkpoint {
     out_buffer: Vec<VecDeque<Buffered>>,
     closed: Vec<u64>,
     state_tuples: usize,
+}
+
+impl Clone for Checkpoint {
+    fn clone(&self) -> Self {
+        Checkpoint {
+            batch: self.batch,
+            udf: self.udf.as_ref().map(|u| u.snapshot()),
+            out_buffer: self.out_buffer.clone(),
+            closed: self.closed.clone(),
+            state_tuples: self.state_tuples,
+        }
+    }
 }
 
 struct TaskRt {
@@ -147,6 +185,39 @@ fn stream_spans_of(out_targets: &[OutTarget]) -> Vec<(usize, usize)> {
 }
 
 impl TaskRt {
+    /// A running slot at batch 0 with empty buffers; replicas start muted.
+    fn new(
+        logical: TaskIndex,
+        is_replica: bool,
+        node: NodeId,
+        (udf, source): (Option<Box<dyn Udf>>, Option<Box<dyn SourceGen>>),
+        sub_from: Vec<(usize, TaskIndex)>,
+        out_targets: Vec<OutTarget>,
+    ) -> TaskRt {
+        TaskRt {
+            logical,
+            is_replica,
+            node,
+            status: Status::Running,
+            udf,
+            source,
+            staged: vec![BTreeMap::new(); sub_from.len()],
+            closed: vec![0; sub_from.len()],
+            sub_from,
+            next_batch: 0,
+            outputs_enabled: !is_replica,
+            stream_spans: stream_spans_of(&out_targets),
+            out_buffer: vec![VecDeque::new(); out_targets.len()],
+            out_targets,
+            checkpoint: None,
+            pre_failure_progress: None,
+            pending_sink: VecDeque::new(),
+            cpu: CpuStats::default(),
+            throughput: crate::report::TaskThroughput::default(),
+            divergence: crate::approx::DivergenceModel::default(),
+        }
+    }
+
     fn n_substreams(&self) -> usize {
         self.sub_from.len()
     }
@@ -197,7 +268,7 @@ enum Event {
     ReplicaSync,
     HeartbeatScan,
     Failure {
-        idx: usize,
+        nodes: Vec<NodeId>,
     },
     RestoreDone {
         rt: Rt,
@@ -211,10 +282,42 @@ enum Event {
     ApproxShip {
         rt: Rt,
     },
-    /// A registered chaos injection fires (index into `Simulation::chaos`).
+    /// A registered chaos injection fires.
     Chaos {
-        idx: usize,
+        kind: ChaosKind,
     },
+}
+
+/// How the run's [`FtMode`] backs task state up — what the recovery
+/// families' cadence and replay window derive from, fixed in
+/// [`Simulation::new`].
+#[derive(Debug, Clone, Copy)]
+enum Backup {
+    /// Nothing is backed up (`FtMode::None`, pure active replication).
+    None,
+    /// A checkpoint per task every interval.
+    Interval(SimDuration),
+    /// Storm: no task state; sources keep this many batches for replay.
+    SourceBuffer(u64),
+    /// Approximate: a task ships when its drift crosses the mode's error
+    /// bound, never on a timer. Doubles as the gate on approximate-only
+    /// metric flushes so exact runs stay byte-identical.
+    Divergence,
+}
+
+/// Armed chaos (buggify) state, consumed by the heartbeat and restore
+/// paths. Idle for every non-chaos run.
+#[derive(Default)]
+struct Buggify {
+    /// Pending heartbeat-scan drops (`ChaosKind::HeartbeatDrop`).
+    heartbeat_drops: u32,
+    /// Pending one-shot heartbeat delay (`ChaosKind::HeartbeatDelay`):
+    /// the next scan, and the cadence behind it, shifts by this much.
+    heartbeat_delay: Option<SimDuration>,
+    /// Per logical task: pending restore stall
+    /// (`ChaosKind::RestoreStall`), consumed by the task's next restore
+    /// completion.
+    restore_stall: BTreeMap<usize, SimDuration>,
 }
 
 /// The simulated cluster.
@@ -229,46 +332,26 @@ pub struct Simulation {
     /// Node CPU horizon.
     node_busy: Vec<SimTime>,
     node_alive: Vec<bool>,
-    failures: Vec<FailureSpec>,
-    /// Per-task outage histories in first-failure order — the source of
-    /// truth behind both the report's `outages` and its derived first-
-    /// outage `recoveries` view.
-    outages: Vec<TaskOutages>,
-    /// Index into `outages` per logical task.
-    outage_of: Vec<Option<usize>>,
-    /// Lifecycle state of every logical task
-    /// (`Healthy → Failed → Replaying → Recovered → ReFailed → …`).
-    lifecycle: Vec<Lifecycle>,
-    /// Monotone count of recovery setbacks: re-failures (a new outage
-    /// record beyond a task's first), deaths that re-arm an open record
-    /// mid-recovery, and pending takeovers lost to a muted replica's
-    /// death. The policy-facing "something went backwards" signal —
-    /// strictly more sensitive than comparing outage counts, which miss
-    /// the re-arm cases.
-    recovery_setbacks: usize,
+    /// Outage histories, lifecycle states and the setback count.
+    ledger: OutageLedger,
     sink: Vec<SinkBatch>,
     events: u64,
     /// Tuples scheduled for delivery so far (replica copies included) —
     /// the denominator of the bench harness's tuples/sec figures.
     tuples_moved: u64,
-    /// Portions of `events` / `tuples_moved` already flushed into the
-    /// metrics registry (a repeated `drive` must not double-count).
-    events_metered: u64,
-    tuples_metered: u64,
-    /// Fresh-UDF factories for Storm restarts, one per logical task.
-    fresh_udf: Vec<Option<Box<dyn Fn() -> Box<dyn Udf>>>>,
+    /// A pristine (empty-state) UDF per non-source task; a restart from
+    /// scratch runs a snapshot of it.
+    fresh_udf: Vec<Option<Box<dyn Udf>>>,
     /// Spare source generators, one per source task — consumed when the
     /// control plane activates a source replica mid-run (generators are
     /// deterministic functions of the batch id, so a spare instance
     /// produces the identical stream).
     spare_sources: Vec<Option<Box<dyn SourceGen>>>,
-    /// Storm-mode source buffer length in batches.
-    storm_buffer_batches: Option<u64>,
+    backup: Backup,
     /// Storm-mode replay cones (sorted logical tasks with a path to the
     /// key), computed once when a target's replay starts; the graph never
     /// changes, so entries stay valid for late forwarded deliveries.
     replay_cones: BTreeMap<usize, Vec<TaskIndex>>,
-    checkpoint_interval: Option<SimDuration>,
     /// Per-fault-domain time-decayed failure scores (when the placement
     /// carries a node → domain mapping) — the raw material of the
     /// control plane's [`HealthView`].
@@ -284,34 +367,53 @@ pub struct Simulation {
     /// Deterministic run metrics fed by the same transitions, snapshotted
     /// into the [`DriveReport`].
     metrics: MetricsRegistry,
-    /// Per logical task: whether the currently open outage record has
-    /// already produced tentative (proxied) output — the first proxy of a
-    /// record emits `TentativeResumed`.
-    proxied: Vec<bool>,
-    /// Registered chaos injections (buggify points), fired by
-    /// `Event::Chaos`. Empty for every non-chaos run.
-    chaos: Vec<ChaosSpec>,
-    /// Declared run horizon: when set, `inject*` and `inject_chaos`
-    /// reject events scheduled past it (they would never fire).
+    /// Declared run horizon: when set, failure and chaos events scheduled
+    /// past it are rejected (they would never fire).
     horizon: Option<SimTime>,
-    /// Pending heartbeat-scan drops (armed by `ChaosKind::HeartbeatDrop`).
-    heartbeat_drops: u32,
-    /// Pending one-shot heartbeat delay (armed by
-    /// `ChaosKind::HeartbeatDelay`): the next scan, and the cadence
-    /// behind it, shifts by this much.
-    heartbeat_delay: Option<SimDuration>,
-    /// Per logical task: pending restore stall (armed by
-    /// `ChaosKind::RestoreStall`), consumed by the task's next restore
-    /// completion.
-    restore_stall: Vec<Option<SimDuration>>,
-    /// `FtMode::Approximate`'s error bound; `None` under every exact
-    /// mode. Doubles as the gate on approximate-only metric flushes so
-    /// exact runs stay byte-identical.
-    approx_bound: Option<u64>,
-    /// Portion of the tasks' skipped-backup counts already flushed into
-    /// the metrics registry (same repeated-`drive` contract as
-    /// `events_metered`).
-    approx_skipped_metered: u64,
+    buggify: Buggify,
+    /// How far [`Simulation::drive`] has run: the latest `until` so far.
+    driven_to: SimTime,
+}
+
+/// The flat substream layout per receiving task — (input-stream index,
+/// upstream task) per substream — and every task's out targets with the
+/// receiver-side substream index precomputed.
+fn wiring(graph: &TaskGraph) -> (Vec<Vec<(usize, TaskIndex)>>, Vec<Vec<OutTarget>>) {
+    let n = graph.n_tasks();
+    let sub_from: Vec<Vec<(usize, TaskIndex)>> = (0..n)
+        .map(|t| {
+            let mut subs = Vec::new();
+            for (stream, istream) in graph.inputs(TaskIndex(t)).iter().enumerate() {
+                for &u in &istream.substreams {
+                    subs.push((stream, u));
+                }
+            }
+            subs
+        })
+        .collect();
+    let out_targets = (0..n)
+        .map(|t| {
+            let mut outs = Vec::new();
+            for (stream, ostream) in graph.outputs(TaskIndex(t)).iter().enumerate() {
+                for &d in &ostream.targets {
+                    let to_substream = sub_from[d.0]
+                        .iter()
+                        .position(|&(s, u)| {
+                            u == TaskIndex(t) && graph.inputs(d)[s].edge == ostream.edge
+                        })
+                        // ppa-lint: allow(D005, reason = "inputs and outputs are two views of the same edge list, built together by TaskGraph::new; a target without the matching input is a bug there, not an input error")
+                        .expect("substream layout mismatch");
+                    outs.push(OutTarget {
+                        stream,
+                        to: d,
+                        to_substream,
+                    });
+                }
+            }
+            outs
+        })
+        .collect();
+    (sub_from, out_targets)
 }
 
 impl Simulation {
@@ -324,141 +426,56 @@ impl Simulation {
             n,
             "placement must cover every task"
         );
-
-        // Flat substream layout per receiving task.
-        let sub_from: Vec<Vec<(usize, TaskIndex)>> = (0..n)
-            .map(|t| {
-                let mut subs = Vec::new();
-                for (stream, istream) in graph.inputs(TaskIndex(t)).iter().enumerate() {
-                    for &u in &istream.substreams {
-                        subs.push((stream, u));
-                    }
-                }
-                subs
-            })
-            .collect();
-
-        // Out targets with precomputed receiver substream indices.
-        let out_targets: Vec<Vec<OutTarget>> = (0..n)
-            .map(|t| {
-                let mut outs = Vec::new();
-                for (stream, ostream) in graph.outputs(TaskIndex(t)).iter().enumerate() {
-                    for &d in &ostream.targets {
-                        let to_substream = sub_from[d.0]
-                            .iter()
-                            .position(|&(s, u)| {
-                                u == TaskIndex(t) && graph.inputs(d)[s].edge == ostream.edge
-                            })
-                            .expect("substream layout mismatch");
-                        outs.push(OutTarget {
-                            stream,
-                            to: d,
-                            to_substream,
-                        });
-                    }
-                }
-                outs
-            })
-            .collect();
-
-        let (plan, checkpoint_interval) = match &config.mode {
+        let (sub_from, out_targets) = wiring(&graph);
+        let (plan, backup) = match &config.mode {
+            FtMode::None => (None, Backup::None),
+            FtMode::SourceReplay { buffer } => (
+                None,
+                Backup::SourceBuffer(config.batches_in(*buffer).max(1)),
+            ),
             FtMode::Ppa {
                 plan,
                 checkpoint_interval,
-            } => (Some(plan.clone()), *checkpoint_interval),
-            // Approximate ships backups on divergence, never on a timer.
-            FtMode::Approximate { plan, .. } => (Some(plan.clone()), None),
-            _ => (None, None),
-        };
-        let approx_bound = match &config.mode {
-            FtMode::Approximate { error_bound, .. } => Some(*error_bound),
-            _ => None,
-        };
-        let storm_buffer_batches = match &config.mode {
-            FtMode::SourceReplay { buffer } => Some(config.batches_in(*buffer).max(1)),
-            _ => None,
+            } => (
+                Some(plan),
+                checkpoint_interval.map_or(Backup::None, Backup::Interval),
+            ),
+            FtMode::Approximate { plan, .. } => (Some(plan), Backup::Divergence),
         };
 
-        let mk_task = |t: usize, is_replica: bool, node: NodeId| -> TaskRt {
+        // The operator state or generator of one incarnation of task `t`.
+        let instantiate = |t: usize| -> (Option<Box<dyn Udf>>, Option<Box<dyn SourceGen>>) {
             let logical = TaskIndex(t);
-            let op = graph.operator_of(logical);
-            let local = graph.local_index(logical);
-            let (udf, source): (Option<Box<dyn Udf>>, Option<Box<dyn SourceGen>>) =
-                if query.is_source(op) {
-                    (None, Some(query.make_source(op, local)))
-                } else {
-                    (Some(query.make_udf(op, local)), None)
-                };
-            TaskRt {
-                logical,
-                is_replica,
-                node,
-                status: Status::Running,
-                udf,
-                source,
-                sub_from: sub_from[t].clone(),
-                staged: vec![BTreeMap::new(); sub_from[t].len()],
-                closed: vec![0; sub_from[t].len()],
-                next_batch: 0,
-                outputs_enabled: !is_replica,
-                out_targets: out_targets[t].clone(),
-                stream_spans: stream_spans_of(&out_targets[t]),
-                out_buffer: vec![VecDeque::new(); out_targets[t].len()],
-                checkpoint: None,
-                pre_failure_progress: None,
-                pending_sink: VecDeque::new(),
-                cpu: CpuStats::default(),
-                throughput: crate::report::TaskThroughput::default(),
-                divergence: crate::approx::DivergenceModel::default(),
+            let (op, local) = (graph.operator_of(logical), graph.local_index(logical));
+            if query.is_source(op) {
+                (None, Some(query.make_source(op, local)))
+            } else {
+                (Some(query.make_udf(op, local)), None)
             }
         };
-
+        let mk_task = |t: usize, is_replica: bool, node: NodeId| {
+            TaskRt::new(
+                TaskIndex(t),
+                is_replica,
+                node,
+                instantiate(t),
+                sub_from[t].clone(),
+                out_targets[t].clone(),
+            )
+        };
         let mut tasks: Vec<TaskRt> = (0..n)
             .map(|t| mk_task(t, false, placement.primary[t]))
             .collect();
         let mut replica_slot = vec![None; n];
-        if let Some(plan) = &plan {
-            for t in plan.iter() {
-                let slot = tasks.len();
-                tasks.push(mk_task(t.0, true, placement.standby[t.0]));
-                replica_slot[t.0] = Some(slot);
-            }
+        for t in plan.into_iter().flat_map(TaskSet::iter) {
+            replica_slot[t.0] = Some(tasks.len());
+            tasks.push(mk_task(t.0, true, placement.standby[t.0]));
         }
-
-        let fresh_udf: Vec<Option<Box<dyn Fn() -> Box<dyn Udf>>>> = (0..n)
-            .map(|t| {
-                let logical = TaskIndex(t);
-                let op = graph.operator_of(logical);
-                let local = graph.local_index(logical);
-                if query.is_source(op) {
-                    None
-                } else {
-                    // Rebuild a factory closure: Storm restarts need a fresh
-                    // (empty-state) UDF. We capture one prototype snapshot;
-                    // a fresh instance is a snapshot of the *initial* state.
-                    let proto = query.make_udf(op, local);
-                    Some(Box::new(move || proto.snapshot()) as Box<dyn Fn() -> Box<dyn Udf>>)
-                }
-            })
-            .collect();
-
-        // One spare generator per source task, for control-plane replica
-        // activation (the query's factories are not storable, so spares
-        // are instantiated up front; generation is pure per batch id).
-        let spare_sources: Vec<Option<Box<dyn SourceGen>>> = (0..n)
-            .map(|t| {
-                let logical = TaskIndex(t);
-                let op = graph.operator_of(logical);
-                query
-                    .is_source(op)
-                    .then(|| query.make_source(op, graph.local_index(logical)))
-            })
-            .collect();
-
-        let domain_health = placement
-            .fault_domains()
-            .map(|tree| DomainHealth::new(tree.n_domains(), config.health_half_life));
-        let active_plan = plan.clone().unwrap_or_else(|| TaskSet::empty(n));
+        // One more incarnation per task, kept aside (the query's
+        // factories are not storable): the pristine UDF behind restarts
+        // from scratch, the spare generator behind source-replica
+        // activation.
+        let (fresh_udf, spare_sources) = (0..n).map(instantiate).unzip();
 
         let mut sim = Simulation {
             // The steady state keeps roughly one pending event per task
@@ -467,38 +484,28 @@ impl Simulation {
             sched: Scheduler::with_capacity(2 * tasks.len() + 16),
             node_busy: vec![SimTime::ZERO; placement.n_nodes()],
             node_alive: vec![true; placement.n_nodes()],
-            failures: Vec::new(),
-            outages: Vec::new(),
-            outage_of: vec![None; n],
-            lifecycle: vec![Lifecycle::Healthy; n],
-            recovery_setbacks: 0,
+            ledger: OutageLedger::new(n),
             sink: Vec::new(),
             events: 0,
             tuples_moved: 0,
-            events_metered: 0,
-            tuples_metered: 0,
             tasks,
             replica_slot,
-            graph,
-            placement,
             fresh_udf,
             spare_sources,
-            storm_buffer_batches,
+            backup,
             replay_cones: BTreeMap::new(),
-            checkpoint_interval,
-            domain_health,
-            active_plan,
+            domain_health: placement
+                .fault_domains()
+                .map(|tree| DomainHealth::new(tree.n_domains(), config.health_half_life)),
+            active_plan: plan.cloned().unwrap_or_else(|| TaskSet::empty(n)),
             replica_sync_running: false,
             trace_sink: None,
             metrics: MetricsRegistry::new(),
-            proxied: vec![false; n],
-            chaos: Vec::new(),
             horizon: None,
-            heartbeat_drops: 0,
-            heartbeat_delay: None,
-            restore_stall: vec![None; n],
-            approx_bound,
-            approx_skipped_metered: 0,
+            buggify: Buggify::default(),
+            driven_to: SimTime::ZERO,
+            graph,
+            placement,
             config,
         };
         sim.bootstrap();
@@ -529,7 +536,7 @@ impl Simulation {
         }
         // Checkpoints, staggered per task so correlated recovery sees
         // asynchronous checkpoint ages (§V-B's synchronization effect).
-        if let Some(interval) = self.checkpoint_interval {
+        if let Backup::Interval(interval) = self.backup {
             for t in 0..self.graph.n_tasks() {
                 let offset = SimDuration::from_micros(
                     (t as u64).wrapping_mul(2_654_435_761) % interval.as_micros().max(1),
@@ -550,124 +557,77 @@ impl Simulation {
         }
     }
 
-    /// Registers a failure injection (before or during a run). Malformed
-    /// specs — a node the cluster does not have, an instant before the
-    /// simulation's current time, a node that is already dead at injection
-    /// time (e.g. the node an activated replica died on) — surface as
-    /// typed [`EngineError`]s instead of panicking deep inside the event
-    /// loop or silently short-circuiting at fire time. (Events injected
-    /// while their nodes are still alive may still find them dead when
-    /// they fire — an earlier event killed them first — and those are
-    /// skipped, so replayed traces with overlapping kill sets stay valid.)
-    pub fn inject(&mut self, spec: FailureSpec) -> Result<(), EngineError> {
+    /// The window every injected event must fall in: not before the
+    /// simulation's current time (it would rewrite history), not past a
+    /// declared horizon (it would never fire).
+    fn check_window(&self, at: SimTime) -> Result<(), EngineError> {
         let now = self.sched.now();
-        if spec.at < now {
-            return Err(EngineError::EventInPast { at: spec.at, now });
+        if at < now {
+            return Err(EngineError::EventInPast { at, now });
         }
-        if let Some(horizon) = self.horizon {
-            if spec.at > horizon {
-                return Err(EngineError::EventPastHorizon {
-                    at: spec.at,
-                    horizon,
-                });
-            }
+        match self.horizon {
+            Some(horizon) if at > horizon => Err(EngineError::EventPastHorizon { at, horizon }),
+            _ => Ok(()),
         }
-        let n_nodes = self.placement.n_nodes();
-        if let Some(&node) = spec.nodes.iter().find(|&&n| n >= n_nodes) {
-            return Err(EngineError::NodeOutOfRange { node, n_nodes });
-        }
-        if let Some(&node) = spec.nodes.iter().find(|&&n| !self.node_alive[n]) {
+    }
+
+    /// Schedules one resolved failure event (its nodes already checked
+    /// against the cluster size by [`FaultFeed::resolve`]). An instant
+    /// outside the window or a node that is already dead at injection
+    /// time (e.g. the node an activated replica died on) surfaces as a
+    /// typed [`EngineError`] instead of silently short-circuiting at fire
+    /// time. (Events injected while their nodes are still alive may still
+    /// find them dead when they fire — an earlier event killed them first
+    /// — and those are skipped, so replayed traces with overlapping kill
+    /// sets stay valid.)
+    fn inject(&mut self, at: SimTime, nodes: Vec<NodeId>) -> Result<(), EngineError> {
+        self.check_window(at)?;
+        if let Some(&node) = nodes.iter().find(|&&n| !self.node_alive[n]) {
             return Err(EngineError::NodeAlreadyDead { node });
         }
-        let at = spec.at;
-        self.failures.push(spec);
-        let idx = self.failures.len() - 1;
-        self.sched.at(at, Event::Failure { idx });
+        self.sched.at(at, Event::Failure { nodes });
         Ok(())
     }
 
-    /// Registers the failure of a whole fault domain at `at`: the kill set
-    /// is expanded through the placement's own node → domain mapping, so
-    /// callers name the blast radius (a rack, a zone) instead of
-    /// pre-expanding node lists. `Err` if the placement carries no
-    /// fault-domain hierarchy.
-    pub fn inject_domain(
-        &mut self,
-        at: SimTime,
-        domain: ppa_faults::DomainId,
-    ) -> Result<(), EngineError> {
-        let nodes = self.placement.nodes_in_domain(domain)?;
-        self.inject(FailureSpec { at, nodes })
-    }
-
-    /// Registers every event of a failure trace — the replay half of the
-    /// `ppa-faults` subsystem. A trace is just an ordered, normalized
-    /// sequence of [`FailureSpec`]-shaped events, so replaying the same
-    /// trace twice yields identical runs.
-    pub fn inject_trace(&mut self, trace: &FailureTrace) -> Result<(), EngineError> {
-        for event in trace.events() {
-            self.inject(FailureSpec {
-                at: event.at,
-                nodes: event.nodes.clone(),
-            })?;
-        }
-        Ok(())
-    }
-
-    /// Declares the run's horizon: from here on, `inject*` and
-    /// [`Simulation::inject_chaos`] reject events scheduled past it with
-    /// [`EngineError::EventPastHorizon`] instead of silently accepting
-    /// events that would never fire. Opt-in — harnesses that extend a
-    /// run with repeated `drive` calls leave it unset.
+    /// Declares the run's horizon: from here on, failure events fed to
+    /// [`Simulation::drive`] and [`Simulation::inject_chaos`] are rejected
+    /// with [`EngineError::EventPastHorizon`] when scheduled past it,
+    /// instead of silently accepted and never fired. Opt-in — harnesses
+    /// that extend a run with repeated `drive` calls leave it unset.
     pub fn set_horizon(&mut self, horizon: SimTime) {
         self.horizon = Some(horizon);
     }
 
     /// Registers a chaos injection (buggify point). The same validation
-    /// discipline as [`Simulation::inject`]: malformed specs — an instant
-    /// before the current virtual time or past the declared horizon, a
-    /// task the query does not have — surface as typed [`ChaosError`]s at
+    /// discipline as failure events: malformed specs — an instant before
+    /// the current virtual time or past the declared horizon, a task the
+    /// query does not have — surface as typed [`ChaosError`]s at
     /// injection time. A run whose chaos schedule is empty is
     /// byte-identical to a run made before this subsystem existed.
     pub fn inject_chaos(&mut self, spec: ChaosSpec) -> Result<(), ChaosError> {
-        let now = self.sched.now();
-        if spec.at < now {
-            return Err(EngineError::EventInPast { at: spec.at, now }.into());
-        }
-        if let Some(horizon) = self.horizon {
-            if spec.at > horizon {
-                return Err(EngineError::EventPastHorizon {
-                    at: spec.at,
-                    horizon,
-                }
-                .into());
-            }
-        }
+        self.check_window(spec.at)?;
         let n_tasks = self.graph.n_tasks();
-        if let Some(task) = spec.kind.task() {
-            if task >= n_tasks {
-                return Err(ChaosError::TaskOutOfRange { task, n_tasks });
-            }
+        if let Some(task) = spec.kind.task().filter(|&task| task >= n_tasks) {
+            return Err(ChaosError::TaskOutOfRange { task, n_tasks });
         }
-        let at = spec.at;
-        self.chaos.push(spec);
-        let idx = self.chaos.len() - 1;
-        self.sched.at(at, Event::Chaos { idx });
+        self.sched.at(spec.at, Event::Chaos { kind: spec.kind });
         Ok(())
     }
 
-    /// Fires one registered chaos injection: arms the targeted buggify
-    /// state (consumed by the heartbeat / restore paths) or perturbs the
-    /// run directly.
-    fn on_chaos(&mut self, idx: usize) {
+    /// Fires one chaos injection: arms the targeted buggify state
+    /// (consumed by the heartbeat / restore paths) or perturbs the run
+    /// directly.
+    fn on_chaos(&mut self, kind: ChaosKind) {
         self.metrics.inc("engine.chaos.fired");
-        match self.chaos[idx].kind.clone() {
+        match kind {
             ChaosKind::HeartbeatDrop { scans } => {
-                self.heartbeat_drops = self.heartbeat_drops.saturating_add(scans);
+                self.buggify.heartbeat_drops = self.buggify.heartbeat_drops.saturating_add(scans);
             }
             ChaosKind::HeartbeatDelay { by } => {
-                let total = self.heartbeat_delay.unwrap_or(SimDuration::ZERO) + by;
-                self.heartbeat_delay = Some(total);
+                *self
+                    .buggify
+                    .heartbeat_delay
+                    .get_or_insert(SimDuration::ZERO) += by;
             }
             ChaosKind::HeartbeatDuplicate => {
                 // An extra scan outside the cadence: detection must be
@@ -675,8 +635,7 @@ impl Simulation {
                 self.heartbeat_scan();
             }
             ChaosKind::RestoreStall { task, by } => {
-                let stall = self.restore_stall[task].unwrap_or(SimDuration::ZERO) + by;
-                self.restore_stall[task] = Some(stall);
+                *self.buggify.restore_stall.entry(task).or_default() += by;
             }
             ChaosKind::RestoreVoid { task } => {
                 // Losing the restore target mid-load is exactly a death
@@ -685,106 +644,59 @@ impl Simulation {
                 // stale scheduled completion will find the task no
                 // longer `Restoring` and void itself.
                 if self.tasks[task].status == Status::Restoring {
-                    let now = self.sched.now();
                     self.tasks[task].status = Status::Dead;
-                    self.open_outage(task, now);
+                    self.fail_task(task);
                 }
             }
         }
     }
 
-    /// Runs the simulation until virtual time `until` and returns the report.
-    pub fn run_until(&mut self, until: SimTime) -> RunReport {
-        while self.step_until(until).is_some() {}
-        self.report_at(until)
-    }
-
     /// The report of everything measured so far, ended at `until`.
     fn report_at(&self, until: SimTime) -> RunReport {
+        let primaries = &self.tasks[..self.graph.n_tasks()];
         RunReport {
-            // The backward-compatible one-failure-per-task view: each
-            // task's FIRST outage, in first-failure order (identical to
-            // the historical `recoveries` for single-failure runs).
-            recoveries: self
-                .outages
-                .iter()
-                .map(|o| {
-                    let first = &o.records[0];
-                    TaskRecovery {
-                        task: o.task,
-                        via_replica: first.via_replica,
-                        failed_at: first.failed_at,
-                        detected_at: first.detected_at,
-                        recovered_at: first.recovered_at,
-                    }
-                })
-                .collect(),
-            outages: self.outages.clone(),
+            outages: self.ledger.histories().to_vec(),
             sink: self.sink.clone(),
-            cpu: self.tasks[..self.graph.n_tasks()]
-                .iter()
-                .map(|t| t.cpu)
-                .collect(),
-            throughput: self.tasks[..self.graph.n_tasks()]
-                .iter()
-                .map(|t| t.throughput)
-                .collect(),
+            cpu: primaries.iter().map(|t| t.cpu).collect(),
+            throughput: primaries.iter().map(|t| t.throughput).collect(),
             events: self.events,
             tuples_moved: self.tuples_moved,
             ended_at: until,
         }
     }
 
-    /// Convenience: build, inject, run. A thin wrapper over
-    /// [`Simulation::drive`] with a [`StaticPolicy`] (parity-tested
-    /// byte-identical to the historical direct implementation).
+    /// Convenience: build, feed, run to `duration` with nobody at the
+    /// controls — [`Simulation::new`] + [`Simulation::drive`] with a
+    /// [`StaticPolicy`]. Anything a [`FaultFeed`] converts from is a
+    /// `feed`: a list of [`FailureSpec`]s, a `&FailureTrace`.
     pub fn run(
         query: &Query,
         placement: Placement,
         config: EngineConfig,
-        failures: Vec<FailureSpec>,
+        feed: impl Into<FaultFeed>,
         duration: SimDuration,
     ) -> RunReport {
         let mut sim = Simulation::new(query, placement, config);
-        sim.drive(
-            &FaultFeed::from_specs(failures),
-            &mut StaticPolicy,
-            SimTime::ZERO + duration,
-        )
-        .expect("failure specs must name nodes of this cluster")
-        .report
+        sim.drive(&feed.into(), &mut StaticPolicy, SimTime::ZERO + duration)
+            // ppa-lint: allow(D005, reason = "the build-and-run convenience hands back a bare RunReport; a caller whose feed may be malformed calls drive and gets the typed error")
+            .expect("the feed must name live nodes of this cluster, inside the run window")
+            .report
     }
 
-    /// Convenience: build, replay a failure trace, run. A thin wrapper
-    /// over [`Simulation::drive`] with a [`StaticPolicy`].
-    pub fn run_trace(
-        query: &Query,
-        placement: Placement,
-        config: EngineConfig,
-        trace: &FailureTrace,
-        duration: SimDuration,
-    ) -> RunReport {
-        let mut sim = Simulation::new(query, placement, config);
-        sim.drive(
-            &FaultFeed::from_trace(trace.clone()),
-            &mut StaticPolicy,
-            SimTime::ZERO + duration,
-        )
-        .expect("trace events must name nodes of this cluster")
-        .report
-    }
-
-    /// The control-plane run loop: resolves `feed` against the placement
-    /// into one ordered failure trace, injects it, and runs the event
-    /// loop until `until` with `policy` in the loop — its failure hook
-    /// fires right after every failure event, its epoch hook at every
-    /// `epoch_interval` boundary, and the returned [`ControlAction`]s are
-    /// applied immediately (migration/activation state shipping is
-    /// charged at the hook's virtual time).
+    /// The run loop, and the one way a failure gets in: resolves `feed`
+    /// against the placement into one ordered failure trace, schedules
+    /// it, and runs the event loop until `until` with `policy` in the
+    /// loop — its failure hook fires right after every failure event, its
+    /// epoch hook at every multiple of its `epoch_interval`, and the
+    /// returned [`ControlAction`]s are applied immediately
+    /// (migration/activation state shipping is charged at the hook's
+    /// virtual time). With a [`StaticPolicy`] (no hooks, no actions) the
+    /// policy sits outside the event stream altogether.
     ///
-    /// With a [`StaticPolicy`] (no hooks, no actions) the produced
-    /// [`RunReport`] is byte-identical to the legacy `run`/`run_trace`
-    /// paths — the policy sits outside the event stream until it acts.
+    /// A simulation may be driven again to a later `until`, with a new
+    /// feed (mid-run injection) or an empty one: consecutive calls
+    /// process the events, fire the epochs and count the metrics one call
+    /// to the last `until` would.
     pub fn drive(
         &mut self,
         feed: &FaultFeed,
@@ -792,18 +704,27 @@ impl Simulation {
         until: SimTime,
     ) -> Result<DriveReport, EngineError> {
         let trace = feed.resolve(&self.placement)?;
-        self.inject_trace(&trace)?;
+        for event in trace.events() {
+            self.inject(event.at, event.nodes.clone())?;
+        }
         let mut actions: Vec<ActionRecord> = Vec::new();
         let mut control_cpu = SimDuration::ZERO;
-        // A zero interval could never advance past `until`; treat it as
-        // "no epoch hook" rather than hanging the loop.
-        let epoch = policy.epoch_interval().filter(|e| !e.is_zero());
-        let mut next_epoch = epoch.map(|e| SimTime::ZERO + e);
+        // The next epoch boundary and the interval behind it. This call's
+        // first boundary is the first one not before the previous call's
+        // `until`: a boundary a call ends on exactly is left to the next
+        // call, which fires it after that instant's events, where one
+        // drive would. A zero interval could never advance past `until`;
+        // treat it as "no epoch hook" rather than hanging the loop.
+        let mut epoch = policy
+            .epoch_interval()
+            .filter(|interval| !interval.is_zero())
+            .map(|interval| {
+                let passed = self.driven_to.as_micros().div_ceil(interval.as_micros());
+                (SimTime::ZERO + interval * passed.max(1), interval)
+            });
         loop {
-            let deadline = match next_epoch {
-                Some(e) if e < until => e,
-                _ => until,
-            };
+            let boundary = epoch.filter(|&(e, _)| e < until);
+            let deadline = boundary.map_or(until, |(e, _)| e);
             while let Some(failure) = self.step_until(deadline) {
                 if failure {
                     let now = self.sched.now();
@@ -811,42 +732,29 @@ impl Simulation {
                     self.apply_actions(now, acts, &mut actions, &mut control_cpu);
                 }
             }
-            match next_epoch {
-                Some(e) if e < until => {
-                    let scores: Vec<(usize, f64)> = self
-                        .domain_health
-                        .as_ref()
-                        .map(|h| h.snapshot(e).into_iter().enumerate().collect())
-                        .unwrap_or_default();
-                    self.note(e, EngineEvent::EpochHealthSnapshot { scores });
-                    let acts = policy.on_epoch(&self.health_view(e));
-                    self.apply_actions(e, acts, &mut actions, &mut control_cpu);
-                    next_epoch = Some(e + epoch.expect("next_epoch implies an interval"));
-                }
-                _ => break,
-            }
+            let Some((e, interval)) = boundary else {
+                break;
+            };
+            let scores: Vec<(usize, f64)> = self
+                .domain_health
+                .as_ref()
+                .map(|h| h.snapshot(e).into_iter().enumerate().collect())
+                .unwrap_or_default();
+            self.note(e, EngineEvent::EpochHealthSnapshot { scores });
+            let acts = policy.on_epoch(&self.health_view(e));
+            self.apply_actions(e, acts, &mut actions, &mut control_cpu);
+            epoch = Some((e + interval, interval));
         }
-        // Flush throughput counters into the metrics registry as deltas,
-        // so a repeated drive over the same simulation never double-adds.
-        self.metrics
-            .add("engine.events.processed", self.events - self.events_metered);
-        self.events_metered = self.events;
-        self.metrics.add(
-            "engine.tuples.moved",
-            self.tuples_moved - self.tuples_metered,
-        );
-        self.tuples_metered = self.tuples_moved;
-        // Approximate-only: flush the tasks' skipped-backup tallies. Gated
-        // on the mode so exact runs never grow a zero-valued extra metric
+        self.driven_to = self.driven_to.max(until);
+        self.meter("engine.events.processed", self.events);
+        self.meter("engine.tuples.moved", self.tuples_moved);
+        // Approximate-only: the tasks' skipped-backup tallies. Gated on
+        // the mode so exact runs never grow a zero-valued extra metric
         // (their DriveReports must stay byte-identical to pre-approximate
         // builds).
-        if self.approx_bound.is_some() {
-            let skipped: u64 = self.tasks.iter().map(|t| t.divergence.skipped()).sum();
-            self.metrics.add(
-                "engine.approx.backups_skipped",
-                skipped - self.approx_skipped_metered,
-            );
-            self.approx_skipped_metered = skipped;
+        if let Backup::Divergence = self.backup {
+            let skipped = self.tasks.iter().map(|t| t.divergence.skipped()).sum();
+            self.meter("engine.approx.backups_skipped", skipped);
         }
         Ok(DriveReport {
             report: self.report_at(until),
@@ -855,6 +763,13 @@ impl Simulation {
             metrics: self.metrics.snapshot(),
             trace,
         })
+    }
+
+    /// Brings the monotone counter `name` up to `total`: the registry
+    /// already holds what earlier drives flushed, so a repeated drive
+    /// adds only the difference and nothing is counted twice.
+    fn meter(&mut self, name: &'static str, total: u64) {
+        self.metrics.add(name, total - self.metrics.counter(name));
     }
 
     /// The cluster's health as a policy sees it at `at`: the placement's
@@ -869,12 +784,9 @@ impl Simulation {
                 .as_ref()
                 .map(|h| h.snapshot(at))
                 .unwrap_or_default(),
-            self.lifecycle.clone(),
-            self.outage_of
-                .iter()
-                .map(|o| o.map_or(0, |i| self.outages[i].records.len()))
-                .collect(),
-            self.recovery_setbacks,
+            self.ledger.lifecycles().to_vec(),
+            self.ledger.outage_counts(),
+            self.ledger.setbacks(),
         )
     }
 
@@ -885,7 +797,7 @@ impl Simulation {
 
     /// The lifecycle state of every logical task, indexed by task.
     pub fn lifecycles(&self) -> &[Lifecycle] {
-        &self.lifecycle
+        self.ledger.lifecycles()
     }
 
     /// Attaches a trace sink: every subsequent lifecycle transition is
@@ -962,100 +874,25 @@ impl Simulation {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Outage bookkeeping: the replica lifecycle state machine
-    // ------------------------------------------------------------------
-
-    /// The current (most recent) outage record of task `t`.
-    fn current_outage(&self, t: usize) -> Option<&OutageRecord> {
-        self.outage_of[t].and_then(|i| self.outages[i].records.last())
+    /// Task `t`'s active incarnation just died: opens (or re-arms) its
+    /// outage in the ledger.
+    fn fail_task(&mut self, t: usize) {
+        let now = self.sched.now();
+        let opened = self.ledger.fail(t, now);
+        self.note(now, opened);
     }
 
-    fn current_outage_mut(&mut self, t: usize) -> Option<&mut OutageRecord> {
-        let i = self.outage_of[t]?;
-        self.outages[i].records.last_mut()
-    }
-
-    /// Opens (or re-arms) an outage for task `t`: a healthy or recovered
-    /// task gets a fresh record (`Failed` / `ReFailed`); a task dying
-    /// again mid-recovery keeps its open record but loses its detection —
-    /// the master must re-detect and restart the recovery path.
-    fn open_outage(&mut self, t: usize, now: SimTime) {
-        let idx = match self.outage_of[t] {
-            Some(i) => i,
-            None => {
-                let i = self.outages.len();
-                self.outages.push(TaskOutages {
-                    task: TaskIndex(t),
-                    records: Vec::new(),
-                });
-                self.outage_of[t] = Some(i);
-                i
-            }
-        };
-        let records = &mut self.outages[idx].records;
-        let (rearmed, refail) = match records.last_mut() {
-            Some(last) if last.open() => {
-                // Died again mid-recovery: the outage continues, but the
-                // recovery path (and any pending takeover) is void.
-                last.detected_at = SimTime::MAX;
-                last.via_replica = false;
-                (true, false)
-            }
-            _ => {
-                records.push(OutageRecord {
-                    via_replica: false,
-                    failed_at: now,
-                    detected_at: SimTime::MAX,
-                    recovered_at: None,
-                    fidelity_floor: None,
-                });
-                (false, records.len() > 1)
-            }
-        };
-        let n_records = records.len();
-        if rearmed || refail {
-            self.recovery_setbacks += 1;
-        }
-        self.lifecycle[t] = if n_records > 1 {
-            Lifecycle::ReFailed
-        } else {
-            Lifecycle::Failed
-        };
-        if rearmed {
-            self.note(now, EngineEvent::RecoverySetback { task: t });
-        } else {
-            // A fresh record: its first proxied output is still to come.
-            self.proxied[t] = false;
-            self.note(now, EngineEvent::OutageOpened { task: t, refail });
-        }
-    }
-
-    /// Marks task `t`'s current outage recovered at `at` (idempotent per
-    /// outage) and moves its lifecycle to `Recovered`. The single funnel
-    /// every recovery path closes through, so exactly one closing event
-    /// (`ReplicaActivated` or `RestoreDone`) is recorded per record.
-    fn mark_recovered(&mut self, t: usize, at: SimTime) {
-        let mut closed = None;
-        if let Some(rec) = self.current_outage_mut(t) {
-            if rec.recovered_at.is_none() {
-                rec.recovered_at = Some(at);
-                closed = Some((rec.via_replica, rec.failed_at));
-            }
-            self.lifecycle[t] = Lifecycle::Recovered;
-        }
-        if let Some((via_replica, failed_at)) = closed {
+    /// Closes task `t`'s current outage at `at` — by replica `takeover`,
+    /// else by restore. Every recovery path ends here; a second close of
+    /// the same record is a no-op.
+    fn mark_recovered(&mut self, t: usize, at: SimTime, takeover: bool) {
+        if let Some((since_failure, closed)) = self.ledger.close(t, at, takeover) {
             self.metrics.observe(
                 "engine.recovery.latency_us",
                 LATENCY_BUCKETS_US,
-                at.since(failed_at).as_micros(),
+                since_failure.as_micros(),
             );
-            let event = if via_replica {
-                EngineEvent::ReplicaActivated { task: t }
-            } else {
-                EngineEvent::RestoreDone { task: t }
-            };
-            self.note(at, event);
+            self.note(at, closed);
         }
     }
 
@@ -1155,7 +992,7 @@ impl Simulation {
             (0..n)
                 .filter(|&t| {
                     self.tasks[t].status == Status::Dead
-                        || self.current_outage(t).is_some_and(OutageRecord::open)
+                        || self.ledger.current(t).is_some_and(OutageRecord::open)
                 })
                 .map(TaskIndex),
         );
@@ -1346,7 +1183,7 @@ impl Simulation {
             )
         } else {
             (
-                self.fresh_udf[t].as_ref().map(|f| f()),
+                self.fresh_udf[t].as_ref().map(|fresh| fresh.snapshot()),
                 0,
                 vec![0; self.tasks[t].n_substreams()],
             )
@@ -1357,64 +1194,36 @@ impl Simulation {
         let finish = self.reserve_from(standby, work, at);
         *control_cpu += work;
 
-        let logical = TaskIndex(t);
-        let replica = TaskRt {
-            logical,
-            is_replica: true,
-            node: standby,
-            status: Status::Running,
-            udf,
-            source,
-            sub_from: self.tasks[t].sub_from.clone(),
-            staged: vec![BTreeMap::new(); self.tasks[t].n_substreams()],
-            closed: if is_source { Vec::new() } else { closed },
-            next_batch,
-            outputs_enabled: false,
-            out_targets: self.tasks[t].out_targets.clone(),
-            stream_spans: self.tasks[t].stream_spans.clone(),
-            out_buffer: vec![VecDeque::new(); self.tasks[t].out_targets.len()],
-            checkpoint: None,
-            pre_failure_progress: None,
-            pending_sink: VecDeque::new(),
-            cpu: CpuStats::default(),
-            throughput: crate::report::TaskThroughput::default(),
-            divergence: crate::approx::DivergenceModel::default(),
-        };
+        let mut replica = TaskRt::new(
+            TaskIndex(t),
+            true,
+            standby,
+            (udf, source),
+            self.tasks[t].sub_from.clone(),
+            self.tasks[t].out_targets.clone(),
+        );
+        replica.closed = closed;
+        replica.next_batch = next_batch;
         let slot = self.tasks.len();
         self.tasks.push(replica);
         self.replica_slot[t] = Some(slot);
 
         if is_source {
-            // Regenerate the backlog immediately (deterministic per
-            // batch id, muted into the output buffer — the takeover
-            // flush re-serves it), then join the cadence at the next
-            // batch boundary.
-            let current = self.current_batch();
-            for b in next_batch..current {
-                self.generate_source_batch(slot, b, true);
-            }
-            let b = current.max(next_batch);
+            // Regenerate the backlog immediately (muted into the output
+            // buffer — the takeover flush re-serves it), then join the
+            // cadence at the next batch boundary.
+            self.regenerate_source(slot);
+            let b = self.current_batch().max(next_batch);
             let due = SimTime::ZERO + self.config.batch_interval * (b + 1);
             self.sched.at(
                 due.max(self.sched.now()).max(at),
                 Event::SourceBatch { rt: slot, batch: b },
             );
         } else {
-            // Ask live upstreams to re-serve everything at or past the
-            // replica's cursor so it can catch up (downstream primaries
+            // Catch up from live upstreams (downstream primaries
             // deduplicate the copies they also receive).
             let at = finish + self.config.costs.network_latency;
-            let upstreams: Vec<TaskIndex> =
-                self.tasks[slot].sub_from.iter().map(|&(_, u)| u).collect();
-            for u in upstreams {
-                let sender = self.active_slot(u.0);
-                if matches!(
-                    self.tasks[sender].status,
-                    Status::Running | Status::CatchingUp
-                ) {
-                    self.resend_buffered(sender, logical, next_batch, at);
-                }
-            }
+            self.reserve_from_upstreams(slot, next_batch, at);
         }
 
         // Keep the replica-sync trims flowing.
@@ -1431,7 +1240,7 @@ impl Simulation {
         // replica's takeover. A not-yet-detected outage waits for the
         // heartbeat scan, whose start_recovery finds this replica running.
         if self.tasks[t].status == Status::Dead
-            && self.current_outage(t).is_some_and(OutageRecord::detected)
+            && self.ledger.current(t).is_some_and(OutageRecord::detected)
         {
             self.sched.at(finish, Event::TakeoverDone { logical: t });
         }
@@ -1494,7 +1303,7 @@ impl Simulation {
             graph: &self.graph,
             config: &self.config,
             replica_slot: &self.replica_slot,
-            storm_buffer_batches: self.storm_buffer_batches,
+            backup: self.backup,
             replay_cones: &self.replay_cones,
             sched: &mut self.sched,
             sink: &mut self.sink,
@@ -1530,12 +1339,12 @@ impl Simulation {
             Event::Checkpoint { rt } => self.on_checkpoint(rt),
             Event::ReplicaSync => self.on_replica_sync(),
             Event::HeartbeatScan => self.on_heartbeat(),
-            Event::Failure { idx } => self.on_failure(idx),
+            Event::Failure { nodes } => self.on_failure(nodes),
             Event::RestoreDone { rt } => self.on_restore_done(rt),
             Event::TakeoverDone { logical } => self.on_takeover_done(logical),
             Event::ProxyTick => self.on_proxy_tick(),
             Event::ApproxShip { rt } => self.on_approx_ship(rt),
-            Event::Chaos { idx } => self.on_chaos(idx),
+            Event::Chaos { kind } => self.on_chaos(kind),
         }
     }
 
@@ -1574,7 +1383,7 @@ impl Simulation {
     /// Closes slot `rt`'s outage if its handler completed the catch-up.
     fn close_catch_up(&mut self, rt: Rt, caught_up: Option<SimTime>) {
         if let Some(at) = caught_up {
-            self.mark_recovered(self.tasks[rt].logical.0, at);
+            self.mark_recovered(self.tasks[rt].logical.0, at, false);
         }
     }
 
@@ -1583,7 +1392,7 @@ impl Simulation {
     // ------------------------------------------------------------------
 
     fn on_checkpoint(&mut self, rt: Rt) {
-        if let Some(interval) = self.checkpoint_interval {
+        if let Backup::Interval(interval) = self.backup {
             self.sched.after(interval, Event::Checkpoint { rt });
         }
         if self.tasks[rt].status != Status::Running {
@@ -1627,9 +1436,10 @@ impl Simulation {
                 .checkpoint
                 .as_ref()
                 .map_or(0, |cp| cp.state_tuples);
-            let interval_batches = self
-                .checkpoint_interval
-                .map_or(1, |i| self.config.batches_in(i).max(1));
+            let interval_batches = match self.backup {
+                Backup::Interval(i) => self.config.batches_in(i).max(1),
+                _ => 1,
+            };
             // Mean per-batch inflow from the task's own throughput counter.
             let batches = self.tasks[rt].next_batch.max(1);
             let per_batch = self.tasks[rt].throughput.tuples_in / batches;
@@ -1658,8 +1468,7 @@ impl Simulation {
 
         // Upstream buffer trimming: everything this checkpoint covers can be
         // dropped from the buffers feeding this task (§V-B).
-        let upstreams: Vec<TaskIndex> = self.tasks[rt].sub_from.iter().map(|&(_, u)| u).collect();
-        for u in upstreams {
+        for u in self.upstreams_of(rt) {
             self.trim_buffers_for(u.0, logical, ack_batch);
             if let Some(slot) = self.replica_slot[u.0] {
                 self.trim_buffers_for(slot, logical, ack_batch);
@@ -1667,19 +1476,17 @@ impl Simulation {
         }
     }
 
+    /// The upstream logical task behind each input substream of slot `rt`.
+    fn upstreams_of(&self, rt: Rt) -> Vec<TaskIndex> {
+        self.tasks[rt].sub_from.iter().map(|&(_, u)| u).collect()
+    }
+
     /// Drops `target`-bound buffered batches below `ack_batch` on slot `rt`.
     fn trim_buffers_for(&mut self, rt: Rt, target: TaskIndex, ack_batch: u64) {
         let task = &mut self.tasks[rt];
         for (k, tgt) in task.out_targets.iter().enumerate() {
-            if tgt.to != target {
-                continue;
-            }
-            while let Some((b, _, _)) = task.out_buffer[k].front() {
-                if *b < ack_batch {
-                    task.out_buffer[k].pop_front();
-                } else {
-                    break;
-                }
+            if tgt.to == target {
+                trim_below(&mut task.out_buffer[k], ack_batch);
             }
         }
     }
@@ -1704,15 +1511,8 @@ impl Simulation {
             // The primary's sent progress lets the replica trim its muted
             // output buffer (§V-B "Active Replication").
             let ack = self.tasks[t].next_batch;
-            let task = &mut self.tasks[slot];
-            for q in &mut task.out_buffer {
-                while let Some((b, _, _)) = q.front() {
-                    if *b < ack {
-                        q.pop_front();
-                    } else {
-                        break;
-                    }
-                }
+            for q in &mut self.tasks[slot].out_buffer {
+                trim_below(q, ack);
             }
         }
     }
@@ -1721,16 +1521,11 @@ impl Simulation {
     // Failure, detection, recovery
     // ------------------------------------------------------------------
 
-    fn on_failure(&mut self, idx: usize) {
+    fn on_failure(&mut self, mut killed: Vec<NodeId>) {
         let now = self.sched.now();
         // Only nodes actually killed by *this* event enter the record —
         // nodes an earlier trace event already took down are not listed.
-        let killed: Vec<NodeId> = self.failures[idx]
-            .nodes
-            .clone()
-            .into_iter()
-            .filter(|&n| self.node_alive[n])
-            .collect();
+        killed.retain(|&n| self.node_alive[n]);
         if killed.is_empty() {
             return;
         }
@@ -1762,7 +1557,7 @@ impl Simulation {
                     // checkpoint-restored task dying again (fresh
                     // outage), or a death mid-restore (the open outage
                     // is re-armed for re-detection).
-                    self.open_outage(logical, now);
+                    self.fail_task(logical);
                 } else if self.replica_slot[logical] == Some(rt) {
                     if self.tasks[rt].outputs_enabled {
                         // An *activated* replica died: the logical task
@@ -1772,22 +1567,17 @@ impl Simulation {
                         // instead of the task silently counting as
                         // recovered forever.
                         self.tasks[logical].pre_failure_progress = Some(progress);
-                        self.open_outage(logical, now);
+                        self.fail_task(logical);
                     } else if self.tasks[logical].status == Status::Dead
-                        && self
-                            .current_outage(logical)
-                            .is_some_and(|rec| rec.open() && rec.detected())
+                        && self.ledger.awaiting_recovery(logical)
                     {
                         // A muted replica with a pending takeover died
                         // mid-recovery (the primary is still down and no
                         // restore is in flight): fall straight back to
                         // the passive path — the scheduled takeover will
                         // find the slot dead and do nothing.
-                        if let Some(rec) = self.current_outage_mut(logical) {
-                            rec.via_replica = false;
-                        }
-                        self.recovery_setbacks += 1;
-                        self.note(now, EngineEvent::RecoverySetback { task: logical });
+                        let setback = self.ledger.lose_takeover(logical);
+                        self.note(now, setback);
                         self.start_recovery(logical);
                     }
                 }
@@ -1818,14 +1608,14 @@ impl Simulation {
         // Buggify: a delayed master shifts this scan (and the cadence
         // behind it); a dropped scan keeps the cadence but skips the
         // scan body — detection of any open outage arrives late.
-        if let Some(by) = self.heartbeat_delay.take() {
+        if let Some(by) = self.buggify.heartbeat_delay.take() {
             self.sched.after(by, Event::HeartbeatScan);
             return;
         }
         self.sched
             .after(self.config.heartbeat_interval, Event::HeartbeatScan);
-        if self.heartbeat_drops > 0 {
-            self.heartbeat_drops -= 1;
+        if self.buggify.heartbeat_drops > 0 {
+            self.buggify.heartbeat_drops -= 1;
             return;
         }
         self.heartbeat_scan();
@@ -1842,571 +1632,16 @@ impl Simulation {
             }
             // Detect the task's *current* outage — a re-failed task (its
             // activated replica died) re-enters here with a fresh record.
-            let undetected = self
-                .current_outage(t)
-                .is_some_and(|rec| rec.open() && !rec.detected());
-            if !undetected {
-                continue; // never failed, already detected, or recovered
-            }
-            let mut failed_at = None;
-            if let Some(rec) = self.current_outage_mut(t) {
-                rec.detected_at = now;
-                failed_at = Some(rec.failed_at);
-            }
-            if let Some(failed) = failed_at {
-                self.metrics.observe(
-                    "engine.outage.detection_us",
-                    LATENCY_BUCKETS_US,
-                    now.since(failed).as_micros(),
-                );
-            }
-            self.note(now, EngineEvent::OutageDetected { task: t });
-            self.start_recovery(t);
-        }
-    }
-
-    fn start_recovery(&mut self, t: usize) {
-        match &self.config.mode {
-            FtMode::None => { /* stays dead */ }
-            // Approximate recovers through the same machinery: replica
-            // takeover when a live replica exists (lossless), else a
-            // restore of the last shipped snapshot on the standby —
-            // identical load cost; the completion path diverges in
-            // `on_restore_done` (no replay, lossy jump to the frontier).
-            FtMode::Ppa { .. } | FtMode::Approximate { .. } => {
-                // Replica takeover if a live replica exists.
-                if let Some(slot) = self.replica_slot[t] {
-                    if self.tasks[slot].status == Status::Running {
-                        let buffered = self.tasks[slot].buffered_tuples();
-                        let work = self.config.costs.resend_per_tuple * buffered as u64
-                            + self.config.costs.batch_overhead;
-                        let node = self.tasks[slot].node;
-                        let finish = self.reserve(node, work);
-                        if let Some(rec) = self.current_outage_mut(t) {
-                            rec.via_replica = true;
-                        }
-                        self.lifecycle[t] = Lifecycle::Replaying;
-                        self.sched.at(finish, Event::TakeoverDone { logical: t });
-                        return;
-                    }
-                }
-                // Checkpoint restore on the standby node.
-                if !self.config.passive_recovery {
-                    return; // held down for steady-state tentative sampling
-                }
-                let Some(standby) = self.recovery_node(t) else {
-                    return; // nowhere alive to restore — the outage stays open
-                };
-                let state = self.tasks[t]
-                    .checkpoint
-                    .as_ref()
-                    .map_or(0, |cp| cp.state_tuples);
-                let work = self.config.costs.state_load_per_tuple * state as u64
-                    + self.config.costs.batch_overhead;
-                self.tasks[t].status = Status::Restoring;
-                self.tasks[t].node = standby;
-                self.lifecycle[t] = Lifecycle::Replaying;
-                let finish = self.reserve(standby, work);
-                self.sched.at(finish, Event::RestoreDone { rt: t });
-                let now = self.sched.now();
-                self.note(
-                    now,
-                    EngineEvent::RestoreStarted {
-                        task: t,
-                        node: standby,
-                    },
-                );
-            }
-            FtMode::SourceReplay { .. } => {
-                if !self.config.passive_recovery {
-                    return;
-                }
-                let Some(standby) = self.recovery_node(t) else {
-                    return; // nowhere alive to restart — the outage stays open
-                };
-                self.tasks[t].status = Status::Restoring;
-                self.tasks[t].node = standby;
-                self.lifecycle[t] = Lifecycle::Replaying;
-                let work = self.config.costs.batch_overhead;
-                let finish = self.reserve(standby, work);
-                self.sched.at(finish, Event::RestoreDone { rt: t });
-                let now = self.sched.now();
-                self.note(
-                    now,
-                    EngineEvent::RestoreStarted {
-                        task: t,
-                        node: standby,
-                    },
-                );
-            }
-        }
-    }
-
-    /// The node a passive recovery restores task `t` onto: its configured
-    /// standby, or — when the standby is dead too (e.g. it hosted the
-    /// activated replica that just died) — the least-loaded *alive*
-    /// standby-range node, standing in for the master re-assigning the
-    /// task. `None` when every candidate is dead: the outage stays open
-    /// instead of the task "recovering" on a dead machine (which would
-    /// also make it unkillable for the rest of the run).
-    fn recovery_node(&self, t: usize) -> Option<NodeId> {
-        let standby = self.placement.standby[t];
-        if self.node_alive[standby] {
-            return Some(standby);
-        }
-        (self.placement.n_workers..self.placement.n_nodes())
-            .filter(|&n| self.node_alive[n])
-            .min_by_key(|&n| (self.node_busy[n], n))
-    }
-
-    fn on_restore_done(&mut self, rt: Rt) {
-        // Buggify: a stalled state load hangs the completion; the task
-        // stays `Restoring` (and its outage open) for the stall.
-        if self.tasks[rt].status == Status::Restoring {
-            let logical = self.tasks[rt].logical.0;
-            if let Some(by) = self.restore_stall[logical].take() {
-                self.sched.after(by, Event::RestoreDone { rt });
-                return;
-            }
-        }
-        // A restore whose target died again mid-load is void — the open
-        // outage was re-armed and the re-detection path owns the task now
-        // (resurrecting it here would run it on a dead node).
-        if self.tasks[rt].status != Status::Restoring {
-            let logical = self.tasks[rt].logical.0;
-            let now = self.sched.now();
-            self.note(now, EngineEvent::RestoreVoided { task: logical });
-            return;
-        }
-        match &self.config.mode {
-            FtMode::Ppa { .. } => self.restore_from_checkpoint(rt),
-            FtMode::Approximate { .. } => self.restore_approximate(rt),
-            FtMode::SourceReplay { .. } => self.restore_storm(rt),
-            FtMode::None => {}
-        }
-    }
-
-    fn restore_from_checkpoint(&mut self, rt: Rt) {
-        let now = self.sched.now();
-        let is_source = self.tasks[rt].source.is_some();
-        {
-            let task = &mut self.tasks[rt];
-            match task.checkpoint.clone_parts() {
-                Some((batch, udf, out_buffer, closed)) => {
-                    task.next_batch = batch;
-                    if let Some(u) = udf {
-                        task.udf = Some(u);
-                    }
-                    task.out_buffer = out_buffer;
-                    task.closed = closed;
-                }
-                None => {
-                    // Never checkpointed: restart from scratch.
-                    task.next_batch = 0;
-                    for q in &mut task.out_buffer {
-                        q.clear();
-                    }
-                    for c in &mut task.closed {
-                        *c = 0;
-                    }
-                    if let Some(f) = &self.fresh_udf[task.logical.0] {
-                        task.udf = Some(f());
-                    }
-                }
-            }
-            for s in &mut task.staged {
-                s.clear();
-            }
-            task.status = Status::CatchingUp;
-        }
-
-        if is_source {
-            // Regenerate every missed batch (deterministic per batch id),
-            // then the task is caught up.
-            let current = self.current_batch();
-            let from = self.tasks[rt].next_batch;
-            for b in from..current {
-                self.generate_source_batch(rt, b, true);
-            }
-            self.tasks[rt].status = Status::Running;
-            let logical = self.tasks[rt].logical;
-            let at = self.node_busy[self.tasks[rt].node].max(now);
-            self.mark_recovered(logical.0, at);
-            return;
-        }
-
-        // Re-serve downstream from the restored output buffer.
-        self.flush_out_buffer(rt, now + self.config.costs.network_latency);
-
-        // Ask live upstream incarnations to replay everything at or past our
-        // restore cursor; dead upstreams will re-serve on their own restore.
-        let logical = self.tasks[rt].logical;
-        let cursor = self.tasks[rt].next_batch;
-        let upstreams: Vec<TaskIndex> = self.tasks[rt].sub_from.iter().map(|&(_, u)| u).collect();
-        for u in upstreams {
-            let sender = self.active_slot(u.0);
-            if self.tasks[sender].status == Status::Running
-                || self.tasks[sender].status == Status::CatchingUp
-            {
-                self.resend_buffered(
-                    sender,
-                    logical,
-                    cursor,
-                    now + self.config.costs.network_latency,
-                );
-            }
-        }
-        self.try_process(rt);
-    }
-
-    /// Approximate mode's lossy restore: load the last shipped snapshot
-    /// (already billed when `RestoreDone` was scheduled), then jump
-    /// straight to the stream frontier *without* replaying the gap. The
-    /// batches between the snapshot and the frontier are forfeited; one
-    /// cumulative proxy per out-edge closes them downstream so healthy
-    /// consumers never stall waiting for output that will never come.
-    /// The forfeited fidelity is quantified into the outage record's
-    /// `fidelity_floor` and an `ApproxRecovery` event before the
-    /// `RestoreDone` that closes the outage.
-    fn restore_approximate(&mut self, rt: Rt) {
-        let now = self.sched.now();
-        let is_source = self.tasks[rt].source.is_some();
-        {
-            let task = &mut self.tasks[rt];
-            match task.checkpoint.clone_parts() {
-                Some((batch, udf, out_buffer, closed)) => {
-                    task.next_batch = batch;
-                    if let Some(u) = udf {
-                        task.udf = Some(u);
-                    }
-                    task.out_buffer = out_buffer;
-                    task.closed = closed;
-                }
-                None => {
-                    // Never shipped: restart from scratch (the whole
-                    // prefix is the forfeited gap).
-                    task.next_batch = 0;
-                    for q in &mut task.out_buffer {
-                        q.clear();
-                    }
-                    for c in &mut task.closed {
-                        *c = 0;
-                    }
-                    if let Some(f) = &self.fresh_udf[task.logical.0] {
-                        task.udf = Some(f());
-                    }
-                }
-            }
-            for s in &mut task.staged {
-                s.clear();
-            }
-            task.status = Status::CatchingUp;
-        }
-
-        if is_source {
-            // Sources are deterministic per batch id: regeneration *is*
-            // exact, so they recover precisely like the exact path and
-            // forfeit nothing.
-            let current = self.current_batch();
-            let from = self.tasks[rt].next_batch;
-            for b in from..current {
-                self.generate_source_batch(rt, b, true);
-            }
-            self.tasks[rt].status = Status::Running;
-            self.tasks[rt].divergence.reset();
-            let logical = self.tasks[rt].logical;
-            let at = self.node_busy[self.tasks[rt].node].max(now);
-            self.mark_recovered(logical.0, at);
-            return;
-        }
-
-        let logical = self.tasks[rt].logical;
-        let frontier = self.current_batch();
-        let snapshot_batch = self.tasks[rt].next_batch;
-        let skipped = frontier.saturating_sub(snapshot_batch);
-        {
-            let task = &mut self.tasks[rt];
-            task.next_batch = task.next_batch.max(frontier);
-            // The forfeited gap will never arrive from upstream either:
-            // close it so `ready` never waits on it.
-            for c in &mut task.closed {
-                *c = (*c).max(frontier);
-            }
-            task.status = Status::Running;
-        }
-        let divergence = self.tasks[rt].divergence.pending();
-        self.tasks[rt].divergence.reset();
-
-        // Re-serve downstream from the restored output buffer (batches the
-        // snapshot still covers; dedup makes this idempotent), and close
-        // the forfeited gap with one cumulative proxy per out-edge —
-        // `Msg::Proxy` at batch `frontier - 1` unblocks consumers through
-        // the frontier.
-        let deliver_at = now + self.config.costs.network_latency;
-        self.flush_out_buffer(rt, deliver_at);
-        if frontier > 0 {
-            let targets: Vec<(TaskIndex, usize)> = self.tasks[rt]
-                .out_targets
-                .iter()
-                .map(|tgt| (tgt.to, tgt.to_substream))
-                .collect();
-            for (to, substream) in targets {
-                self.sched.at(
-                    deliver_at,
-                    Event::Deliver {
-                        to: to.0,
-                        substream,
-                        batch: frontier - 1,
-                        msg: Msg::Proxy,
-                    },
-                );
-                if let Some(slot) = self.replica_slot[to.0] {
-                    self.sched.at(
-                        deliver_at,
-                        Event::Deliver {
-                            to: slot,
-                            substream,
-                            batch: frontier - 1,
-                            msg: Msg::Proxy,
-                        },
-                    );
-                }
-            }
-        }
-
-        // Live upstreams re-serve from the frontier on: the jump needs no
-        // older input, only what the resumed task will actually process.
-        let upstreams: Vec<TaskIndex> = self.tasks[rt].sub_from.iter().map(|&(_, u)| u).collect();
-        for u in upstreams {
-            let sender = self.active_slot(u.0);
-            if self.tasks[sender].status == Status::Running
-                || self.tasks[sender].status == Status::CatchingUp
-            {
-                self.resend_buffered(sender, logical, frontier, deliver_at);
-            }
-        }
-
-        // Quantify the loss: of the batch intervals the outage spans, the
-        // forfeited gap is the part whose exact output is gone for good.
-        // Conservative floor in permille — the realized fidelity can only
-        // be higher.
-        let failed_batch = self
-            .current_outage(logical.0)
-            .map_or(0, |rec| rec.failed_at.as_micros())
-            / self.config.batch_interval.as_micros();
-        let total = frontier.saturating_sub(failed_batch).max(1);
-        let forfeited = skipped.min(total);
-        let floor = (1000 * (total - forfeited) / total) as u16;
-        if let Some(rec) = self.current_outage_mut(logical.0) {
-            rec.fidelity_floor = Some(floor);
-        }
-        self.note(
-            now,
-            EngineEvent::ApproxRecovery {
-                task: logical.0,
-                divergence,
-                skipped_batches: skipped,
-                fidelity_floor: floor,
-            },
-        );
-        // `now` is the restore's own CPU-reserved completion instant, and
-        // the frontier jump is pure bookkeeping: progress dominates here,
-        // not after whatever other restores are queued on this standby.
-        self.mark_recovered(logical.0, now);
-        self.try_process(rt);
-    }
-
-    fn restore_storm(&mut self, rt: Rt) {
-        let now = self.sched.now();
-        let w = self.storm_buffer_batches.unwrap_or(1);
-        let logical = self.tasks[rt].logical;
-        let is_source = self.tasks[rt].source.is_some();
-        {
-            let task = &mut self.tasks[rt];
-            let pre = task.pre_failure_progress.unwrap_or(0);
-            task.next_batch = pre.saturating_sub(w);
-            for q in &mut task.out_buffer {
-                q.clear();
-            }
-            for s in &mut task.staged {
-                s.clear();
-            }
-            for c in &mut task.closed {
-                *c = task.next_batch;
-            }
-            if let Some(f) = &self.fresh_udf[logical.0] {
-                task.udf = Some(f());
-            }
-            task.status = Status::CatchingUp;
-        }
-        if is_source {
-            let current = self.current_batch();
-            let from = self.tasks[rt].next_batch;
-            for b in from..current {
-                self.generate_source_batch(rt, b, true);
-            }
-            self.tasks[rt].status = Status::Running;
-            let at = self.node_busy[self.tasks[rt].node].max(now);
-            self.mark_recovered(logical.0, at);
-            return;
-        }
-        // Sources replay their buffered window through the topology toward
-        // this task; hops forward with reprocessing charges.
-        let graph = &self.graph;
-        self.replay_cones
-            .entry(logical.0)
-            .or_insert_with(|| lane::upstream_cone(graph, logical));
-        let cursor = self.tasks[rt].next_batch;
-        let deliver_at = now + self.config.costs.network_latency;
-        let live_sources: Vec<Rt> = self.replay_cones[&logical.0]
-            .iter()
-            .map(|u| u.0)
-            .filter(|&s| {
-                self.tasks[s].source.is_some()
-                    && !matches!(self.tasks[s].status, Status::Dead | Status::Restoring)
-            })
-            .collect();
-        for s in live_sources {
-            self.resend_buffered_replay(s, logical, cursor, deliver_at);
-        }
-    }
-
-    /// Re-sends slot `rt`'s buffered batches `>= cursor` on the out targets
-    /// `keep` selects, to the primary and replica incarnation of each — the
-    /// buffered chunks themselves, not copies. `replay_for` flags a Storm
-    /// replay, which hops forward and is never tentative.
-    fn resend(
-        &mut self,
-        rt: Rt,
-        cursor: u64,
-        at: SimTime,
-        replay_for: Option<TaskIndex>,
-        keep: impl Fn(&lane::LaneCtx<'_>, TaskIndex) -> bool,
-    ) {
-        let (mut cx, task, _) = self.lane(rt);
-        for (k, tgt) in task.out_targets.iter().enumerate() {
-            if !keep(&cx, tgt.to) {
-                continue;
-            }
-            for (b, tuples, degraded) in task.out_buffer[k].iter().filter(|e| e.0 >= cursor) {
-                let degraded = *degraded && replay_for.is_none();
-                let (to, sub, tuples) = (tgt.to, tgt.to_substream, tuples.clone());
-                lane::deliver_to(&mut cx, to, sub, *b, tuples, degraded, replay_for, at);
-            }
-        }
-    }
-
-    /// Normal replay after a checkpoint restore: batches `>= cursor`
-    /// addressed to `target`.
-    fn resend_buffered(&mut self, rt: Rt, target: TaskIndex, cursor: u64, at: SimTime) {
-        self.resend(rt, cursor, at, None, |_, to| to == target);
-    }
-
-    /// Storm replay: batches `>= cursor` along every edge inside the cone
-    /// (or directly to the target).
-    fn resend_buffered_replay(&mut self, rt: Rt, target: TaskIndex, cursor: u64, at: SimTime) {
-        self.resend(rt, cursor, at, Some(target), |cx, to| {
-            to == target || cx.replay_cones[&target.0].binary_search(&to).is_ok()
-        });
-    }
-
-    /// Flushes a slot's entire output buffer downstream (dedup makes this
-    /// idempotent); used at replica takeover and checkpoint restore.
-    fn flush_out_buffer(&mut self, rt: Rt, at: SimTime) {
-        self.resend(rt, 0, at, None, |_, _| true);
-    }
-
-    fn on_takeover_done(&mut self, logical: usize) {
-        let Some(slot) = self.replica_slot[logical] else {
-            return;
-        };
-        if self.tasks[slot].status != Status::Running {
-            return; // replica died in the meantime
-        }
-        let now = self.sched.now();
-        self.tasks[slot].outputs_enabled = true;
-        self.flush_out_buffer(slot, now + self.config.costs.network_latency);
-        // Backfill sink records the muted replica produced after the
-        // primary stopped recording.
-        let cut = self.tasks[logical].pre_failure_progress.unwrap_or(0);
-        let pending = std::mem::take(&mut self.tasks[slot].pending_sink);
-        self.sink
-            .extend(pending.into_iter().filter(|s| s.batch >= cut));
-        if let Some(rec) = self.current_outage_mut(logical) {
-            rec.via_replica = true;
-        }
-        self.mark_recovered(logical, now);
-    }
-
-    // ------------------------------------------------------------------
-    // Tentative outputs (proxy punctuations)
-    // ------------------------------------------------------------------
-
-    fn on_proxy_tick(&mut self) {
-        self.sched
-            .after(self.config.batch_interval, Event::ProxyTick);
-        if !matches!(
-            self.config.mode,
-            FtMode::Ppa { .. } | FtMode::Approximate { .. }
-        ) {
-            return;
-        }
-        let frontier = self.current_batch().saturating_sub(1);
-        let at = self.sched.now() + self.config.costs.network_latency;
-        for t in 0..self.graph.n_tasks() {
-            // Proxy only failed, detected, not-yet-recovered tasks without a
-            // live activated replica.
-            if self.tasks[t].status == Status::Running {
-                continue;
-            }
-            if let Some(slot) = self.replica_slot[t] {
-                if self.tasks[slot].status == Status::Running {
-                    continue; // replica continues the stream
-                }
-            }
-            // Proxy the task's *current* outage: a re-failed task (its
-            // activated replica died) is proxied again once re-detected,
-            // exactly like a first failure.
-            let Some(rec) = self.current_outage(t) else {
+            let Some((since_failure, detected)) = self.ledger.detect(t, now) else {
                 continue;
             };
-            if !rec.detected() || !rec.open() {
-                continue;
-            }
-            let targets: Vec<(TaskIndex, usize)> = self.tasks[t]
-                .out_targets
-                .iter()
-                .map(|tgt| (tgt.to, tgt.to_substream))
-                .collect();
-            if !self.proxied[t] && !targets.is_empty() {
-                // The first proxy of this outage record: tentative
-                // (degraded) output starts flowing downstream.
-                self.proxied[t] = true;
-                let now = self.sched.now();
-                self.note(now, EngineEvent::TentativeResumed { task: t });
-            }
-            for (to, substream) in targets {
-                self.sched.at(
-                    at,
-                    Event::Deliver {
-                        to: to.0,
-                        substream,
-                        batch: frontier,
-                        msg: Msg::Proxy,
-                    },
-                );
-                if let Some(slot) = self.replica_slot[to.0] {
-                    self.sched.at(
-                        at,
-                        Event::Deliver {
-                            to: slot,
-                            substream,
-                            batch: frontier,
-                            msg: Msg::Proxy,
-                        },
-                    );
-                }
-            }
+            self.metrics.observe(
+                "engine.outage.detection_us",
+                LATENCY_BUCKETS_US,
+                since_failure.as_micros(),
+            );
+            self.note(now, detected);
+            self.start_recovery(t);
         }
     }
 
@@ -2424,41 +1659,6 @@ impl Simulation {
             }
         }
         logical
-    }
-}
-
-/// Helper on `Option<Checkpoint>` to clone its parts without fighting the
-/// borrow checker inside `restore_from_checkpoint`.
-trait CheckpointParts {
-    #[allow(clippy::type_complexity)]
-    fn clone_parts(&self)
-        -> Option<(u64, Option<Box<dyn Udf>>, Vec<VecDeque<Buffered>>, Vec<u64>)>;
-}
-
-impl CheckpointParts for Option<Checkpoint> {
-    fn clone_parts(
-        &self,
-    ) -> Option<(u64, Option<Box<dyn Udf>>, Vec<VecDeque<Buffered>>, Vec<u64>)> {
-        self.as_ref().map(|cp| {
-            (
-                cp.batch,
-                cp.udf.as_ref().map(|u| u.snapshot()),
-                cp.out_buffer.clone(),
-                cp.closed.clone(),
-            )
-        })
-    }
-}
-
-impl Clone for Checkpoint {
-    fn clone(&self) -> Self {
-        Checkpoint {
-            batch: self.batch,
-            udf: self.udf.as_ref().map(|u| u.snapshot()),
-            out_buffer: self.out_buffer.clone(),
-            closed: self.closed.clone(),
-            state_tuples: self.state_tuples,
-        }
     }
 }
 

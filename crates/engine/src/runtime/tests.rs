@@ -4,12 +4,14 @@
 
 use super::*;
 use crate::config::{CostModel, EngineConfig, FtMode};
+use crate::control::{ControlAction, DriveReport, HealthView};
 use crate::placement::Placement;
 use crate::query::{Query, QueryBuilder};
 use crate::tuple::Tuple;
 use crate::udf::{BatchCtx, CountingSource, InputBatch, Udf, WindowBuffer};
 use ppa_core::model::{OperatorSpec, Partitioning};
 use ppa_core::TaskSet;
+use ppa_faults::FailureTrace;
 use std::error::Error;
 
 type TestResult = Result<(), Box<dyn Error>>;
@@ -116,6 +118,27 @@ fn base_config(mode: FtMode) -> EngineConfig {
     }
 }
 
+/// Drives `sim` on to `secs` with nobody at the controls, feeding it
+/// `failures` first — a mid-run injection when `sim` has run before.
+fn drive_to(
+    sim: &mut Simulation,
+    secs: u64,
+    failures: Vec<FailureSpec>,
+) -> Result<RunReport, EngineError> {
+    let until = SimTime::from_secs(secs);
+    Ok(sim
+        .drive(&failures.into(), &mut StaticPolicy, until)?
+        .report)
+}
+
+/// One node killed at `secs`.
+fn kill(secs: u64, node: usize) -> FailureSpec {
+    FailureSpec {
+        at: SimTime::from_secs(secs),
+        nodes: vec![node],
+    }
+}
+
 /// Node hosting the primary of task `t` under one-task-per-node placement.
 fn node_of(t: usize) -> usize {
     t
@@ -193,8 +216,8 @@ fn checkpoint_recovery_restores_progress() -> TestResult {
         }],
         SimDuration::from_secs(60),
     );
-    assert_eq!(report.recoveries.len(), 1);
-    let r = &report.recoveries[0];
+    assert_eq!(report.recoveries().len(), 1);
+    let r = &report.recoveries()[0];
     assert_eq!(r.task, TaskIndex(2));
     assert!(!r.via_replica);
     // Detection on the next 5s heartbeat boundary after the failure.
@@ -242,11 +265,11 @@ fn tentative_outputs_flow_during_recovery() -> TestResult {
     }
     // The first tentative output arrives quickly after detection (≪ full
     // recovery — the conclusion's headline effect).
-    let detected = report.recoveries[0].detected_at;
+    let detected = report.recoveries()[0].detected_at;
     let first_tentative = report
         .first_tentative_after(detected)
         .ok_or("tentative output after detection")?;
-    let recovered = report.recoveries[0]
+    let recovered = report.recoveries()[0]
         .recovered_at
         .ok_or("recovered within the run")?;
     assert!(first_tentative < recovered);
@@ -290,7 +313,7 @@ fn replica_takeover_is_fast() -> TestResult {
         }],
         SimDuration::from_secs(40),
     );
-    let r = &report.recoveries[0];
+    let r = &report.recoveries()[0];
     assert!(r.via_replica);
     let active_latency = r.latency().ok_or("takeover completes")?;
     assert!(
@@ -334,8 +357,10 @@ fn active_beats_checkpoint_on_latency() -> TestResult {
         }],
         SimDuration::from_secs(60),
     );
-    let a = active.recoveries[0].latency().ok_or("active recovers")?;
-    let p = passive.recoveries[0].latency().ok_or("passive recovers")?;
+    let a = active.recoveries()[0].latency().ok_or("active recovers")?;
+    let p = passive.recoveries()[0]
+        .latency()
+        .ok_or("passive recovers")?;
     assert!(a < p, "active {a} must beat passive {p}");
     Ok(())
 }
@@ -354,7 +379,7 @@ fn longer_checkpoint_interval_slows_recovery() -> TestResult {
             }],
             SimDuration::from_secs(120),
         );
-        Ok(rep.recoveries[0].latency().ok_or("recovers")?)
+        Ok(rep.recoveries()[0].latency().ok_or("recovers")?)
     };
     let fast = lat(5)?;
     let slow = lat(30)?;
@@ -404,7 +429,7 @@ fn storm_source_replay_recovers() -> TestResult {
         }],
         SimDuration::from_secs(80),
     );
-    let r = &report.recoveries[0];
+    let r = &report.recoveries()[0];
     assert!(r.recovered_at.is_some(), "storm replay must complete");
     assert!(!r.via_replica);
     // After recovery the sink is whole again.
@@ -435,7 +460,7 @@ fn storm_replay_reaches_deep_tasks_through_hops() -> TestResult {
         }],
         SimDuration::from_secs(80),
     );
-    let r = &report.recoveries[0];
+    let r = &report.recoveries()[0];
     assert_eq!(r.task, TaskIndex(4));
     assert!(
         r.recovered_at.is_some(),
@@ -458,15 +483,15 @@ fn correlated_failure_recovers_all_tasks() -> TestResult {
         }],
         SimDuration::from_secs(120),
     );
-    assert_eq!(report.recoveries.len(), 3);
-    for r in &report.recoveries {
+    assert_eq!(report.recoveries().len(), 3);
+    for r in &report.recoveries() {
         assert!(r.recovered_at.is_some(), "task {:?} stuck", r.task);
     }
     // Downstream recovery is gated by upstream regeneration: the sink's
     // completion can be no earlier than its upstream mid's.
     let rec_of = |t: usize| -> Result<SimTime, Box<dyn Error>> {
         report
-            .recoveries
+            .recoveries()
             .iter()
             .find(|r| r.task == TaskIndex(t))
             .and_then(|r| r.recovered_at)
@@ -527,7 +552,12 @@ fn partial_plan_recovers_replicated_tasks_first() -> TestResult {
         }],
         SimDuration::from_secs(150),
     );
-    let by_task = |t: usize| report.recoveries.iter().find(|r| r.task == TaskIndex(t));
+    let by_task = |t: usize| {
+        report
+            .recoveries()
+            .into_iter()
+            .find(|r| r.task == TaskIndex(t))
+    };
     let (mid0, mid1, sink) = (
         by_task(2).ok_or("task 2 record")?,
         by_task(3).ok_or("task 3 record")?,
@@ -558,7 +588,7 @@ fn failed_source_recovers_by_regeneration() -> TestResult {
         }],
         SimDuration::from_secs(60),
     );
-    let r = &report.recoveries[0];
+    let r = &report.recoveries()[0];
     assert_eq!(r.task, TaskIndex(0));
     assert!(r.recovered_at.is_some());
     // Sink is whole again at the end.
@@ -619,9 +649,9 @@ fn delta_checkpoints_cut_checkpoint_cpu() -> TestResult {
 
 #[test]
 fn trace_replay_matches_spec_injection() -> TestResult {
-    // Replaying a FailureTrace through inject_trace must be observably
-    // identical to injecting the equivalent FailureSpecs by hand — the
-    // degenerate-trace refactor of the §VI-A experiments rests on this.
+    // Replaying a FailureTrace must be observably identical to feeding
+    // the equivalent FailureSpecs by hand — the degenerate-trace refactor
+    // of the §VI-A experiments rests on this.
     let digest = |rep: &RunReport| {
         (
             rep.events,
@@ -629,7 +659,7 @@ fn trace_replay_matches_spec_injection() -> TestResult {
                 .iter()
                 .map(|s| (s.batch, s.tuples.len(), s.tentative))
                 .collect::<Vec<_>>(),
-            rep.recoveries
+            rep.recoveries()
                 .iter()
                 .map(|r| (r.task, r.detected_at, r.recovered_at))
                 .collect::<Vec<_>>(),
@@ -659,7 +689,7 @@ fn trace_replay_matches_spec_injection() -> TestResult {
     let mut trace = FailureTrace::new();
     trace.push(SimTime::from_secs(20), vec![node_of(3)]);
     trace.push(SimTime::from_secs(14), vec![node_of(2)]);
-    let traced = Simulation::run_trace(
+    let traced = Simulation::run(
         &q,
         one_task_per_node(&q)?,
         base_config(mode()),
@@ -674,7 +704,7 @@ fn trace_replay_matches_spec_injection() -> TestResult {
 fn domain_injection_matches_expanded_kill_set() -> TestResult {
     // Killing a fault domain through the placement's node → domain mapping
     // must be observably identical to injecting the expanded node list by
-    // hand — `inject_domain` is sugar over the mapping, not a new path.
+    // hand — a domain entry is sugar over the mapping, not a new path.
     let digest = |rep: &RunReport| {
         (
             rep.events,
@@ -682,7 +712,7 @@ fn domain_injection_matches_expanded_kill_set() -> TestResult {
                 .iter()
                 .map(|s| (s.batch, s.tuples.len(), s.tentative))
                 .collect::<Vec<_>>(),
-            rep.recoveries
+            rep.recoveries()
                 .iter()
                 .map(|r| (r.task, r.detected_at, r.recovered_at))
                 .collect::<Vec<_>>(),
@@ -718,14 +748,14 @@ fn domain_injection_matches_expanded_kill_set() -> TestResult {
         .placement()
         .domain_of(node_of(2))
         .ok_or("node 2 is in a rack")?;
-    sim.inject_domain(SimTime::from_secs(14), rack)?;
-    let by_domain = sim.run_until(SimTime::ZERO + SimDuration::from_secs(60));
-    assert_eq!(digest(&expanded), digest(&by_domain));
+    let feed = FaultFeed::new().with_domain(SimTime::from_secs(14), rack);
+    let by_domain = sim.drive(&feed, &mut StaticPolicy, SimTime::from_secs(60))?;
+    assert_eq!(digest(&expanded), digest(&by_domain.report));
 
-    // Without a domain mapping the call surfaces the typed error.
+    // Without a domain mapping the drive surfaces the typed error.
     let mut bare = Simulation::new(&q, one_task_per_node(&q)?, base_config(mode()));
     assert!(matches!(
-        bare.inject_domain(SimTime::from_secs(14), rack),
+        bare.drive(&feed, &mut StaticPolicy, SimTime::from_secs(60)),
         Err(crate::error::EngineError::Placement(
             crate::placement::PlacementError::NoFaultDomains
         ))
@@ -745,7 +775,7 @@ fn one_chunk_from_emit_to_window_and_sink_record() -> TestResult {
     // No checkpoint fires inside the horizon, so no buffer is trimmed.
     let mode = FtMode::checkpoint(5, SimDuration::from_secs(1000));
     let mut sim = Simulation::new(&q, one_task_per_node(&q)?, base_config(mode));
-    let first = sim.run_until(SimTime::from_secs(8));
+    let first = drive_to(&mut sim, 8, vec![])?;
 
     // Hops source 0 -> mid 2 (one-to-one) and mid 2 -> sink 4 (two-way
     // Merge fan-in): every buffered batch the receiver's window still
@@ -769,7 +799,7 @@ fn one_chunk_from_emit_to_window_and_sink_record() -> TestResult {
 
     // The sink record is the UDF's output chunk itself: the simulation and
     // every report it has handed out hold the one allocation.
-    let second = sim.run_until(SimTime::from_secs(8));
+    let second = drive_to(&mut sim, 8, vec![])?;
     assert!(!first.sink.is_empty());
     assert_eq!(first.sink.len(), second.sink.len());
     for (i, record) in sim.sink.iter().enumerate() {
@@ -789,7 +819,7 @@ fn full_digest(rep: &RunReport) -> (u64, Vec<(u64, Chunk, bool)>, Vec<(TaskIndex
             .iter()
             .map(|s| (s.batch, s.tuples.clone(), s.tentative))
             .collect(),
-        rep.recoveries
+        rep.recoveries()
             .iter()
             .map(|r| (r.task, r.detected_at))
             .collect(),
@@ -803,26 +833,21 @@ fn drive_with_static_policy_matches_legacy_run() -> TestResult {
         at: SimTime::from_secs(14),
         nodes: vec![node_of(2), node_of(3)],
     }];
-    let legacy = {
-        // The historical `run` body: inject specs, run the plain loop.
-        let mut sim = Simulation::new(
-            &q,
-            one_task_per_node(&q)?,
-            base_config(FtMode::checkpoint(5, SimDuration::from_secs(5))),
-        );
-        for f in failures.clone() {
-            sim.inject(f)?;
-        }
-        sim.run_until(SimTime::ZERO + SimDuration::from_secs(60))
-    };
+    let legacy = Simulation::run(
+        &q,
+        one_task_per_node(&q)?,
+        base_config(FtMode::checkpoint(5, SimDuration::from_secs(5))),
+        failures.clone(),
+        SimDuration::from_secs(60),
+    );
     let mut sim = Simulation::new(
         &q,
         one_task_per_node(&q)?,
         base_config(FtMode::checkpoint(5, SimDuration::from_secs(5))),
     );
     let driven = sim.drive(
-        &FaultFeed::from_specs(failures),
-        &mut crate::control::StaticPolicy,
+        &FaultFeed::from(failures),
+        &mut StaticPolicy,
         SimTime::from_secs(60),
     )?;
     assert_eq!(full_digest(&legacy), full_digest(&driven.report));
@@ -832,49 +857,90 @@ fn drive_with_static_policy_matches_legacy_run() -> TestResult {
     Ok(())
 }
 
+/// Records the instant of every epoch hook (one per 5 s); never acts.
+#[derive(Default)]
+struct EpochLog(Vec<SimTime>);
+
+impl ControlPolicy for EpochLog {
+    fn name(&self) -> &'static str {
+        "epoch-log"
+    }
+
+    fn epoch_interval(&self) -> Option<SimDuration> {
+        Some(SimDuration::from_secs(5))
+    }
+
+    fn on_epoch(&mut self, view: &HealthView<'_>) -> Vec<ControlAction> {
+        self.0.push(view.now());
+        Vec::new()
+    }
+}
+
 /// One simulation resumed across three `drive` calls — failures fed on the
-/// first call only, an empty feed after — ends where a single `drive` to
-/// the same horizon ends, and each call's metrics snapshot counts every
-/// event and tuple so far exactly once (a repeated drive never
-/// double-adds).
+/// first call only, an empty feed after; one `until` exactly on an epoch
+/// boundary, one between two — ends where a single `drive` to the same
+/// horizon ends and records the same events on the way, each call's
+/// metrics snapshot counts every event and tuple so far exactly once (a
+/// repeated drive never double-adds), and an epoch policy is called at
+/// the same instants, each once.
 #[test]
 fn resumed_drives_equal_one_drive_and_meter_each_event_once() -> TestResult {
+    type Driven = (DriveReport, Vec<(SimTime, EngineEvent)>);
     let q = chain_query(100, 5)?;
-    let sim = || -> Result<Simulation, Box<dyn Error>> {
-        Ok(Simulation::new(
-            &q,
-            one_task_per_node(&q)?,
-            base_config(FtMode::checkpoint(5, SimDuration::from_secs(5))),
-        ))
+    let drive_in_steps =
+        |policy: &mut dyn ControlPolicy, stops: &[u64]| -> Result<Driven, Box<dyn Error>> {
+            let mut sim = Simulation::new(
+                &q,
+                one_task_per_node(&q)?,
+                base_config(FtMode::checkpoint(5, SimDuration::from_secs(5))),
+            );
+            sim.set_trace_sink(Box::new(ppa_obs::VecSink::new()));
+            let mut feed = FaultFeed::from(vec![FailureSpec {
+                at: SimTime::from_secs(14),
+                nodes: vec![node_of(2), node_of(3)],
+            }]);
+            let mut last = None;
+            for &until_secs in stops {
+                let driven = sim.drive(&feed, policy, SimTime::from_secs(until_secs))?;
+                assert!(driven.report.events > 0 && driven.report.tuples_moved > 0);
+                assert_eq!(
+                    driven.metrics.counter("engine.events.processed"),
+                    driven.report.events,
+                    "events metered once by {until_secs} s"
+                );
+                assert_eq!(
+                    driven.metrics.counter("engine.tuples.moved"),
+                    driven.report.tuples_moved,
+                    "tuples metered once by {until_secs} s"
+                );
+                feed = FaultFeed::new();
+                last = Some(driven);
+            }
+            let events = sim.take_trace_sink().ok_or("sink attached")?.take_events();
+            Ok((last.ok_or("at least one stop")?, events))
+        };
+    let assert_resumable = |whole: &mut dyn ControlPolicy,
+                            resumed: &mut dyn ControlPolicy|
+     -> Result<u64, Box<dyn Error>> {
+        let (whole, whole_events) = drive_in_steps(whole, &[60])?;
+        let (last, last_events) = drive_in_steps(resumed, &[10, 22, 60])?;
+        assert_eq!(full_digest(&last.report), full_digest(&whole.report));
+        assert_eq!(last.report.tuples_moved, whole.report.tuples_moved);
+        assert_eq!(last_events, whole_events);
+        assert!(ppa_obs::check_stream(&last_events).ok());
+        assert_eq!(
+            last.metrics.counter("engine.epochs"),
+            whole.metrics.counter("engine.epochs")
+        );
+        Ok(last.metrics.counter("engine.epochs"))
     };
-    let failures = FaultFeed::from_specs(vec![FailureSpec {
-        at: SimTime::from_secs(14),
-        nodes: vec![node_of(2), node_of(3)],
-    }]);
-    let policy = &mut crate::control::StaticPolicy;
-    let whole = sim()?.drive(&failures, policy, SimTime::from_secs(60))?;
+    assert_eq!(assert_resumable(&mut StaticPolicy, &mut StaticPolicy)?, 0);
 
-    let mut resumed = sim()?;
-    let nothing = FaultFeed::new();
-    let mut last = None;
-    for (until_secs, feed) in [(10, &failures), (20, &nothing), (60, &nothing)] {
-        let driven = resumed.drive(feed, policy, SimTime::from_secs(until_secs))?;
-        assert!(driven.report.events > 0 && driven.report.tuples_moved > 0);
-        assert_eq!(
-            driven.metrics.counter("engine.events.processed"),
-            driven.report.events,
-            "events metered once by {until_secs} s"
-        );
-        assert_eq!(
-            driven.metrics.counter("engine.tuples.moved"),
-            driven.report.tuples_moved,
-            "tuples metered once by {until_secs} s"
-        );
-        last = Some(driven.report);
-    }
-    let last = last.ok_or("three drives ran")?;
-    assert_eq!(full_digest(&last), full_digest(&whole.report));
-    assert_eq!(last.tuples_moved, whole.report.tuples_moved);
+    let (mut whole, mut resumed) = (EpochLog::default(), EpochLog::default());
+    assert_eq!(assert_resumable(&mut whole, &mut resumed)?, 11);
+    let every_5s: Vec<SimTime> = (1..12).map(|k| SimTime::from_secs(5 * k)).collect();
+    assert_eq!(whole.0, every_5s);
+    assert_eq!(resumed.0, every_5s, "no boundary fired twice or skipped");
     Ok(())
 }
 
@@ -912,11 +978,7 @@ fn drive_feed_unifies_domains_and_specs() -> TestResult {
             at: SimTime::from_secs(20),
             nodes: vec![4],
         });
-    let driven = sim.drive(
-        &feed,
-        &mut crate::control::StaticPolicy,
-        SimTime::from_secs(60),
-    )?;
+    let driven = sim.drive(&feed, &mut StaticPolicy, SimTime::from_secs(60))?;
     assert_eq!(full_digest(&expanded), full_digest(&driven.report));
     Ok(())
 }
@@ -925,35 +987,29 @@ fn drive_feed_unifies_domains_and_specs() -> TestResult {
 fn inject_rejects_malformed_specs_with_typed_errors() -> TestResult {
     let q = chain_query(50, 5)?;
     let mut sim = Simulation::new(&q, one_task_per_node(&q)?, base_config(FtMode::None));
+    let out_of_range = vec![FailureSpec {
+        at: SimTime::from_secs(5),
+        nodes: vec![0, 99],
+    }];
     assert_eq!(
-        sim.inject(FailureSpec {
-            at: SimTime::from_secs(5),
-            nodes: vec![0, 99],
-        })
-        .unwrap_err(),
-        crate::error::EngineError::NodeOutOfRange {
+        drive_to(&mut sim, 10, out_of_range).unwrap_err(),
+        EngineError::NodeOutOfRange {
             node: 99,
             n_nodes: 10
         }
     );
     // Advance time, then try to rewrite history.
-    let _ = sim.run_until(SimTime::from_secs(10));
+    drive_to(&mut sim, 10, vec![])?;
     assert_eq!(
-        sim.inject(FailureSpec {
-            at: SimTime::from_secs(5),
-            nodes: vec![0],
-        })
-        .unwrap_err(),
-        crate::error::EngineError::EventInPast {
+        drive_to(&mut sim, 20, vec![kill(5, 0)]).unwrap_err(),
+        EngineError::EventInPast {
             at: SimTime::from_secs(5),
             now: SimTime::from_secs(10),
         }
     );
-    // A valid late injection still works.
-    sim.inject(FailureSpec {
-        at: SimTime::from_secs(15),
-        nodes: vec![0],
-    })?;
+    // A valid late injection still works, and fires.
+    let report = drive_to(&mut sim, 20, vec![kill(15, 0)])?;
+    assert_eq!(report.outages_of(TaskIndex(0)).len(), 1);
     Ok(())
 }
 
@@ -989,7 +1045,7 @@ fn replan_reestablishes_replicas_lost_with_their_standbys() -> TestResult {
         c
     };
     let feed = || {
-        FaultFeed::from_specs(vec![FailureSpec {
+        FaultFeed::from(vec![FailureSpec {
             at: SimTime::from_secs(20),
             nodes: vec![2, 7],
         }])
@@ -997,9 +1053,9 @@ fn replan_reestablishes_replicas_lost_with_their_standbys() -> TestResult {
     let until = SimTime::from_secs(80);
 
     let mut static_sim = Simulation::new(&q, placed()?, config());
-    let static_run = static_sim.drive(&feed(), &mut crate::control::StaticPolicy, until)?;
+    let static_run = static_sim.drive(&feed(), &mut StaticPolicy, until)?;
     let rec_of = |rep: &RunReport, t: usize| {
-        rep.recoveries
+        rep.recoveries()
             .iter()
             .find(|r| r.task == TaskIndex(t))
             .cloned()
@@ -1072,12 +1128,12 @@ fn migration_evacuates_live_primaries_before_the_next_ring() -> TestResult {
     let until = SimTime::from_secs(60);
 
     let mut static_sim = Simulation::new(&q, placed()?, config());
-    let static_run = static_sim.drive(&feed(), &mut crate::control::StaticPolicy, until)?;
+    let static_run = static_sim.drive(&feed(), &mut StaticPolicy, until)?;
     // Static: the sink (task 4, node 4) dies in the second ring and the
     // run records its failure.
     assert!(static_run
         .report
-        .recoveries
+        .recoveries()
         .iter()
         .any(|r| r.task == TaskIndex(4)));
 
@@ -1087,11 +1143,11 @@ fn migration_evacuates_live_primaries_before_the_next_ring() -> TestResult {
     assert!(
         adaptive_run
             .report
-            .recoveries
+            .recoveries()
             .iter()
             .all(|r| r.task != TaskIndex(4)),
         "sink must have been evacuated before its rack died: {:?}",
-        adaptive_run.report.recoveries
+        adaptive_run.report.recoveries()
     );
     assert!(adaptive_run.tasks_migrated() >= 1);
     assert_ne!(adaptive_sim.placement().primary[4], 4, "sink moved");
@@ -1109,17 +1165,13 @@ fn source_generator_is_reclaimed_from_a_dead_replica_slot() -> TestResult {
     config.passive_recovery = false;
     let mut sim = Simulation::new(&q, one_task_per_node(&q)?, config);
     let mut cpu = SimDuration::ZERO;
-    let _ = sim.run_until(SimTime::from_secs(10));
+    drive_to(&mut sim, 10, vec![])?;
     assert!(
         sim.activate_replica(0, sim.sched.now(), &mut cpu),
         "first activation uses the spare generator"
     );
     // Kill the replica's standby node (node 5 under one-task-per-node).
-    sim.inject(FailureSpec {
-        at: SimTime::from_secs(12),
-        nodes: vec![5],
-    })?;
-    let _ = sim.run_until(SimTime::from_secs(20));
+    drive_to(&mut sim, 20, vec![kill(12, 5)])?;
     // Re-home the standby and re-activate: the generator must come back
     // out of the dead slot.
     sim.placement.standby[0] = 6;
@@ -1128,14 +1180,10 @@ fn source_generator_is_reclaimed_from_a_dead_replica_slot() -> TestResult {
         "re-activation reclaims the generator trapped in the dead slot"
     );
     // The re-established replica carries the task through a primary kill.
-    sim.inject(FailureSpec {
-        at: SimTime::from_secs(25),
-        nodes: vec![node_of(0)],
-    })?;
-    let report = sim.run_until(SimTime::from_secs(60));
+    let report = drive_to(&mut sim, 60, vec![kill(25, node_of(0))])?;
     let r = report
-        .recoveries
-        .iter()
+        .recoveries()
+        .into_iter()
         .find(|r| r.task == TaskIndex(0))
         .ok_or("source failure recorded")?;
     assert!(r.via_replica, "{r:?}");
@@ -1248,15 +1296,7 @@ fn replica_death_after_takeover_opens_second_outage() -> TestResult {
         }),
     );
     // Task 2's primary is on node 2; its replica on standby node 7.
-    sim.inject(FailureSpec {
-        at: SimTime::from_secs(14),
-        nodes: vec![node_of(2)],
-    })?;
-    sim.inject(FailureSpec {
-        at: SimTime::from_secs(31),
-        nodes: vec![7],
-    })?;
-    let report = sim.run_until(SimTime::from_secs(90));
+    let report = drive_to(&mut sim, 90, vec![kill(14, node_of(2)), kill(31, 7)])?;
 
     let outages = report.outages_of(TaskIndex(2));
     assert_eq!(outages.len(), 2, "two distinct outages: {outages:?}");
@@ -1289,10 +1329,10 @@ fn replica_death_after_takeover_opens_second_outage() -> TestResult {
         assert!(rec.failed_at <= rec.detected_at);
         assert!(rec.recovered_at.ok_or("outage recovered")? >= rec.detected_at);
     }
-    // The backward-compatible view exposes exactly the FIRST outage.
+    // The first-outage view exposes exactly the FIRST outage.
     let r = report
-        .recoveries
-        .iter()
+        .recoveries()
+        .into_iter()
         .find(|r| r.task == TaskIndex(2))
         .ok_or("task 2 recovery record")?;
     assert_eq!(r.detected_at, first.detected_at);
@@ -1362,7 +1402,7 @@ fn refailed_task_recovers_via_reestablished_replica() -> TestResult {
 
     // Static: the second outage stays open — honest, not papered over.
     let mut static_sim = Simulation::new(&q, placed()?, config());
-    let static_run = static_sim.drive(&feed(), &mut crate::control::StaticPolicy, until)?;
+    let static_run = static_sim.drive(&feed(), &mut StaticPolicy, until)?;
     let outages = static_run.report.outages_of(TaskIndex(2));
     assert_eq!(outages.len(), 2, "{outages:?}");
     assert!(outages[0].via_replica && !outages[0].open());
@@ -1401,43 +1441,28 @@ fn refailed_task_recovers_via_reestablished_replica() -> TestResult {
 
 #[test]
 fn inject_rejects_nodes_already_dead() -> TestResult {
-    // After an activated replica dies on node 7, injecting another
-    // failure naming node 7 used to short-circuit silently at fire time;
-    // it now surfaces the typed error at injection time.
+    // After an activated replica dies on node 7, feeding another failure
+    // naming node 7 used to short-circuit silently at fire time; it now
+    // surfaces the typed error at injection time.
     let q = chain_query(50, 5)?;
     let mut sim = Simulation::new(&q, one_task_per_node(&q)?, base_config(FtMode::active(5)));
-    sim.inject(FailureSpec {
-        at: SimTime::from_secs(10),
-        nodes: vec![node_of(2)],
-    })?;
-    sim.inject(FailureSpec {
-        at: SimTime::from_secs(20),
-        nodes: vec![7],
-    })?;
-    let _ = sim.run_until(SimTime::from_secs(30));
+    drive_to(&mut sim, 30, vec![kill(10, node_of(2)), kill(20, 7)])?;
     assert_eq!(
-        sim.inject(FailureSpec {
-            at: SimTime::from_secs(40),
-            nodes: vec![7],
-        })
-        .unwrap_err(),
-        crate::error::EngineError::NodeAlreadyDead { node: 7 }
+        drive_to(&mut sim, 60, vec![kill(40, 7)]).unwrap_err(),
+        EngineError::NodeAlreadyDead { node: 7 }
     );
     // A domain kill expanding to a dead node is rejected the same way.
     // (Node 2 died with the primary; its rack is half dead.)
+    let half_dead = vec![FailureSpec {
+        at: SimTime::from_secs(40),
+        nodes: vec![8, 2],
+    }];
     assert_eq!(
-        sim.inject(FailureSpec {
-            at: SimTime::from_secs(40),
-            nodes: vec![8, 2],
-        })
-        .unwrap_err(),
-        crate::error::EngineError::NodeAlreadyDead { node: 2 }
+        drive_to(&mut sim, 60, half_dead).unwrap_err(),
+        EngineError::NodeAlreadyDead { node: 2 }
     );
     // Alive nodes still inject fine.
-    sim.inject(FailureSpec {
-        at: SimTime::from_secs(40),
-        nodes: vec![8],
-    })?;
+    drive_to(&mut sim, 60, vec![kill(40, 8)])?;
     Ok(())
 }
 
@@ -1461,7 +1486,7 @@ fn dead_replica_falls_back_to_checkpoint_recovery() -> TestResult {
         }],
         SimDuration::from_secs(60),
     );
-    let r = &report.recoveries[0];
+    let r = &report.recoveries()[0];
     assert_eq!(r.task, TaskIndex(2));
     assert!(!r.via_replica, "replica died with its node");
     assert!(r.recovered_at.is_some(), "checkpoint fallback must recover");
@@ -1485,8 +1510,8 @@ fn approximate_ships_on_divergence_and_skips_within_bound() -> TestResult {
             base_config(FtMode::approximate(5, SimDuration::from_secs(5), bound)),
         );
         let driven = sim.drive(
-            &FaultFeed::from_specs(Vec::new()),
-            &mut crate::control::StaticPolicy,
+            &FaultFeed::from(Vec::new()),
+            &mut StaticPolicy,
             SimTime::from_secs(60),
         )?;
         Ok((
@@ -1530,7 +1555,7 @@ fn approximate_recovery_skips_replay_and_records_the_floor() -> TestResult {
         kill(),
         SimDuration::from_secs(60),
     );
-    let lat = |rep: &RunReport| rep.recoveries[0].latency().ok_or("must recover");
+    let lat = |rep: &RunReport| rep.recoveries()[0].latency().ok_or("must recover");
     assert!(
         lat(&approx)? < lat(&exact)?,
         "lossy restore must beat restore+replay: {} vs {}",
@@ -1551,7 +1576,7 @@ fn approximate_recovery_skips_replay_and_records_the_floor() -> TestResult {
     assert!(exact.outages[0].records[0].fidelity_floor.is_none());
     // Downstream is not stalled by the jump: the sink keeps producing
     // complete, non-tentative batches after the recovery.
-    let recovered_at = approx.recoveries[0].recovered_at.ok_or("recovered")?;
+    let recovered_at = approx.recoveries()[0].recovered_at.ok_or("recovered")?;
     let late: Vec<_> = approx
         .sink
         .iter()
@@ -1575,11 +1600,11 @@ fn approximate_recovery_emits_the_loss_before_closing() -> TestResult {
     );
     sim.set_trace_sink(Box::new(ppa_obs::VecSink::new()));
     let driven = sim.drive(
-        &FaultFeed::from_specs(vec![FailureSpec {
+        &FaultFeed::from(vec![FailureSpec {
             at: SimTime::from_secs(14),
             nodes: vec![node_of(2)],
         }]),
-        &mut crate::control::StaticPolicy,
+        &mut StaticPolicy,
         SimTime::from_secs(60),
     )?;
     let events = sim.take_trace_sink().ok_or("sink attached")?.take_events();

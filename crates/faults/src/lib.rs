@@ -17,8 +17,8 @@
 //!   covers the non-memoryless regimes cluster traces show);
 //! * [`FailureTrace`] ([`trace`]) — the normalized, ordered event sequence
 //!   those processes emit, with a canonical line-oriented text format
-//!   (save, diff, replay), consumed by the engine runtime's
-//!   `Simulation::inject_trace` and by the repro harness.
+//!   (save, diff, replay), consumed by the engine runtime (a
+//!   `FaultFeed` handed to `Simulation::drive`) and by the repro harness.
 //!
 //! This crate sits *below* `ppa-core` and `ppa-engine` in the dependency
 //! order (it only needs virtual time and the RNG shim), which lets the

@@ -3,7 +3,7 @@
 //!
 //! A [`FailureTrace`] is the common currency between the generative
 //! processes ([`crate::process`]), the engine runtime
-//! (`Simulation::inject_trace`) and the repro harness: scenarios can be
+//! (`FaultFeed` → `Simulation::drive`) and the repro harness: scenarios can be
 //! generated, saved to disk, diffed, and replayed byte-identically. The
 //! text format is line-oriented so `diff` on two traces is meaningful.
 

@@ -20,12 +20,9 @@ const SCAN_ROOTS: [&str; 4] = ["crates", "src", "tests", "examples"];
 /// * `target/` — build output.
 const EXCLUDE_PREFIXES: [&str; 3] = ["crates/shims/", "crates/lint/tests/fixtures/", "target/"];
 
-/// Whether a workspace-relative path is in scope for linting. Bench
-/// targets under `benches/` time wall-clock by design and are excluded.
+/// Whether a workspace-relative path is in scope for linting.
 pub fn in_scope(rel: &str) -> bool {
-    rel.ends_with(".rs")
-        && !EXCLUDE_PREFIXES.iter().any(|p| rel.starts_with(p))
-        && !rel.contains("/benches/")
+    rel.ends_with(".rs") && !EXCLUDE_PREFIXES.iter().any(|p| rel.starts_with(p))
 }
 
 /// Recursively collects lintable files under `root`, returning sorted
@@ -167,7 +164,6 @@ mod tests {
         assert!(in_scope("examples/quickstart.rs"));
         assert!(!in_scope("crates/shims/rand/src/lib.rs"));
         assert!(!in_scope("crates/lint/tests/fixtures/d001_pos.rs"));
-        assert!(!in_scope("crates/bench/benches/fig07_single_failure.rs"));
         assert!(!in_scope("crates/engine/src/notes.md"));
     }
 

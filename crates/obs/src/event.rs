@@ -1,7 +1,7 @@
 //! Typed engine events and the sink that receives them.
 //!
 //! Every variant is a lifecycle transition the engine's event loop goes
-//! through; the emitting sites live in `ppa-engine` (`runtime/mod.rs`,
+//! through; the emitting sites live in `ppa-engine` (`runtime/`,
 //! `control.rs`). Payloads are plain integers and static strings so a
 //! serialized event is a stable, deterministic function of the run.
 

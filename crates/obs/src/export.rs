@@ -10,10 +10,11 @@ use ppa_sim::SimTime;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Escapes a string for inclusion in a JSON string literal. Event
-/// payload strings are static identifiers today, but the writer stays
-/// honest about quoting anyway.
-fn escape_json(s: &str, out: &mut String) {
+/// Escapes a string for inclusion in a JSON string literal (the quotes
+/// are the caller's) — the workspace's one JSON escape. Event payload
+/// strings are static identifiers today, but the writer stays honest
+/// about quoting anyway.
+pub fn escape_json(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

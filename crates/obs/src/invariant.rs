@@ -77,9 +77,11 @@ struct TaskState {
 /// state machine. Event timestamps may run ahead of emission order
 /// (completions land at CPU horizons), so only per-record ordering —
 /// close and detection not before their open — is checked, never global
-/// monotonicity.
+/// monotonicity; epoch snapshots are the exception: each is stamped at
+/// its own boundary, and boundaries only move forward.
 pub fn check_stream(events: &[(SimTime, EngineEvent)]) -> StreamCheck {
     let mut tasks: BTreeMap<usize, TaskState> = BTreeMap::new();
+    let mut last_epoch: Option<SimTime> = None;
     let mut out = StreamCheck {
         events: events.len(),
         ..StreamCheck::default()
@@ -274,6 +276,14 @@ pub fn check_stream(events: &[(SimTime, EngineEvent)]) -> StreamCheck {
                 }
             }
             EngineEvent::EpochHealthSnapshot { scores } => {
+                if let Some(last) = last_epoch.replace(at).filter(|&last| at <= last) {
+                    out.violations.push(Violation::new(
+                        "epoch_not_after_previous",
+                        at,
+                        None,
+                        format!("epoch snapshot at {at} follows the one at {last}"),
+                    ));
+                }
                 if !scores.windows(2).all(|w| w[0].0 < w[1].0) {
                     out.violations.push(Violation::new(
                         "health_scores_unordered",
@@ -470,6 +480,26 @@ mod tests {
             "{rules:?}"
         );
         assert!(rules.contains(&"fidelity_floor_out_of_range"), "{rules:?}");
+    }
+
+    #[test]
+    fn epoch_snapshots_must_move_forward() {
+        // What a resumed drive used to emit: the second call re-fired the
+        // boundaries the first had already passed.
+        let epochs = |secs: &[u64]| -> Vec<(SimTime, EngineEvent)> {
+            let snapshot = EngineEvent::EpochHealthSnapshot { scores: vec![] };
+            secs.iter().map(|&at| (s(at), snapshot.clone())).collect()
+        };
+        assert!(check_stream(&epochs(&[5, 10, 15, 20, 25])).ok());
+        let check = check_stream(&epochs(&[5, 10, 5, 10, 15]));
+        let flagged: Vec<(&str, SimTime)> = check
+            .violations
+            .iter()
+            .map(|v| (v.invariant, v.at))
+            .collect();
+        assert_eq!(flagged, vec![("epoch_not_after_previous", s(5))]);
+        // A repeated instant is not a step forward either.
+        assert_eq!(check_stream(&epochs(&[5, 5])).violations.len(), 1);
     }
 
     #[test]

@@ -357,8 +357,8 @@ mod tests {
             }],
             SimDuration::from_secs(120),
         );
-        assert_eq!(report.recoveries.len(), 15, "all synthetic tasks failed");
-        for r in &report.recoveries {
+        assert_eq!(report.recoveries().len(), 15, "all synthetic tasks failed");
+        for r in &report.recoveries() {
             assert!(
                 r.recovered_at.is_some(),
                 "task {:?} never recovered",

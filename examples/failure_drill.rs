@@ -63,7 +63,7 @@ fn main() {
             SimDuration::from_secs(260),
         );
         let detected = report
-            .recoveries
+            .recoveries()
             .iter()
             .map(|r| r.detected_at)
             .min()
@@ -72,7 +72,7 @@ fn main() {
             .mean_recovery_latency()
             .map_or(f64::NAN, |d| d.as_secs_f64());
         let max = report
-            .recoveries
+            .recoveries()
             .iter()
             .filter_map(|r| r.latency())
             .map(|d| d.as_secs_f64())

@@ -61,7 +61,7 @@ fn main() {
 
     // 5. What happened?
     println!("simulated {} events", report.events);
-    for r in &report.recoveries {
+    for r in &report.recoveries() {
         println!(
             "task {} failed at {}, detected at {}, recovered {} after detection",
             r.task,

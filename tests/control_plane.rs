@@ -1,51 +1,22 @@
 //! Control-plane contract tests.
 //!
-//! 1. **Parity**: `Simulation::drive` with a `StaticPolicy` (which is what
-//!    the legacy `run`/`run_trace` wrappers call) must be byte-identical
-//!    to the historical direct paths — `inject` + `run_until` and
-//!    `inject_trace` + `run_until` — over the kill sets the fig07–fig12
-//!    experiments use. The digests include every sink tuple, so "equal"
-//!    means observably equal, not summary-equal.
+//! 1. **Outage accounting under repeat kills**: over random multi-wave
+//!    kill traces that re-kill nodes and aim at activated replicas, every
+//!    task's outage history stays consistent, the first-outage view is
+//!    exactly each history's first record, and the recorded event stream
+//!    agrees with the histories record by record.
 //! 2. **Health decay**: `DomainHealth`'s decayed score is monotonically
 //!    non-increasing between failures, over a deterministic grid of
 //!    half-lives, failure patterns and sample offsets (the offline
 //!    stand-in for a proptest strategy).
 
-use ppa::engine::{
-    DomainHealth, EngineConfig, FailureSpec, FaultFeed, FtMode, RunReport, Simulation, StaticPolicy,
-};
+use ppa::engine::{DomainHealth, EngineConfig, FailureSpec, FtMode, Simulation, StaticPolicy};
 use ppa::sim::{SimDuration, SimTime};
-use ppa::workloads::{fig6_scenario, q1_scenario, Fig6Config, Q1Config};
-use ppa_core::{Planner, StructureAwarePlanner, TaskSet};
-use ppa_faults::{CascadeProcess, DomainId, FailureProcess, FailureTrace};
+use ppa::workloads::{fig6_scenario, Fig6Config};
+use ppa_core::TaskSet;
+use ppa_faults::DomainId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Everything observable about a run, sink payloads included.
-fn digest(rep: &RunReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("events={}\n", rep.events));
-    for s in &rep.sink {
-        out.push_str(&format!(
-            "sink t{} b{} at{} tent{} {:?}\n",
-            s.task.0,
-            s.batch,
-            s.at.as_micros(),
-            s.tentative,
-            s.tuples
-        ));
-    }
-    for r in &rep.recoveries {
-        out.push_str(&format!(
-            "rec t{} replica{} det{} rec{:?}\n",
-            r.task.0,
-            r.via_replica,
-            r.detected_at.as_micros(),
-            r.recovered_at.map(|t| t.as_micros())
-        ));
-    }
-    out
-}
 
 fn quick_fig6() -> Fig6Config {
     Fig6Config {
@@ -53,158 +24,6 @@ fn quick_fig6() -> Fig6Config {
         window: SimDuration::from_secs(10),
         ..Fig6Config::default()
     }
-}
-
-/// One parity case: a scenario + mode + kill set, checked along both
-/// legacy paths (spec injection and trace replay) against `drive`.
-fn assert_parity(
-    scenario: &ppa::workloads::Scenario,
-    mode: impl Fn() -> FtMode,
-    kill_nodes: Vec<usize>,
-    label: &str,
-) {
-    let config = || EngineConfig {
-        mode: mode(),
-        ..EngineConfig::default()
-    };
-    let duration = SimDuration::from_secs(90);
-    let at = SimTime::from_secs(40);
-
-    // Legacy path 1: direct spec injection + the plain event loop.
-    let mut legacy = Simulation::new(&scenario.query, scenario.placement.clone(), config());
-    legacy
-        .inject(FailureSpec {
-            at,
-            nodes: kill_nodes.clone(),
-        })
-        .expect("kill set names cluster nodes");
-    let legacy_specs = legacy.run_until(SimTime::ZERO + duration);
-
-    // Legacy path 2: trace replay + the plain event loop.
-    let trace = FailureTrace::once(at, kill_nodes.clone());
-    let mut legacy = Simulation::new(&scenario.query, scenario.placement.clone(), config());
-    legacy.inject_trace(&trace).expect("trace is valid");
-    let legacy_trace = legacy.run_until(SimTime::ZERO + duration);
-
-    // The control-plane loop with the do-nothing policy.
-    let mut sim = Simulation::new(&scenario.query, scenario.placement.clone(), config());
-    let driven = sim
-        .drive(
-            &FaultFeed::from_specs(vec![FailureSpec {
-                at,
-                nodes: kill_nodes,
-            }]),
-            &mut StaticPolicy,
-            SimTime::ZERO + duration,
-        )
-        .expect("feed resolves");
-
-    assert_eq!(
-        digest(&legacy_specs),
-        digest(&driven.report),
-        "{label}: drive(StaticPolicy) diverged from inject + run_until"
-    );
-    assert_eq!(
-        digest(&legacy_trace),
-        digest(&driven.report),
-        "{label}: drive(StaticPolicy) diverged from inject_trace + run_until"
-    );
-    assert!(driven.actions.is_empty(), "{label}: static policy acted");
-}
-
-#[test]
-fn drive_matches_legacy_paths_on_fig07_single_failure() {
-    let s = fig6_scenario(&quick_fig6());
-    let node = s.worker_kill_set[0];
-    let n = s.graph().n_tasks();
-    assert_parity(
-        &s,
-        || FtMode::checkpoint(n, SimDuration::from_secs(5)),
-        vec![node],
-        "fig07",
-    );
-}
-
-#[test]
-fn drive_matches_legacy_paths_on_fig08_correlated_failure() {
-    let s = fig6_scenario(&quick_fig6());
-    let kill = s.worker_kill_set.clone();
-    let n = s.graph().n_tasks();
-    assert_parity(
-        &s,
-        || FtMode::checkpoint(n, SimDuration::from_secs(5)),
-        kill,
-        "fig08",
-    );
-}
-
-#[test]
-fn drive_matches_legacy_paths_on_fig10_ppa_plan() {
-    let s = fig6_scenario(&quick_fig6());
-    let kill = s.worker_kill_set.clone();
-    let n = s.graph().n_tasks();
-    let cx = ppa_core::PlanContext::new(s.query.topology()).expect("fig6 plans");
-    let plan: TaskSet = StructureAwarePlanner::default()
-        .plan(&cx, n / 2)
-        .expect("SA plan")
-        .tasks;
-    assert_parity(
-        &s,
-        || FtMode::ppa(plan.clone(), SimDuration::from_secs(5)),
-        kill,
-        "fig10",
-    );
-}
-
-#[test]
-fn drive_matches_legacy_paths_on_fig12_q1_workload() {
-    let cfg = Q1Config {
-        rate: 200,
-        ..Q1Config::default()
-    };
-    let s = q1_scenario(&cfg);
-    let kill = s.worker_kill_set.clone();
-    let n = s.graph().n_tasks();
-    assert_parity(
-        &s,
-        || FtMode::checkpoint(n, SimDuration::from_secs(5)),
-        kill,
-        "fig12",
-    );
-}
-
-#[test]
-fn drive_matches_run_trace_on_a_generated_cascade() {
-    // The public wrappers themselves (`run_trace` routes through drive)
-    // against the plain loop, over a multi-event generated trace.
-    let s = fig6_scenario(&quick_fig6());
-    let tree = s.worker_fault_domains(5);
-    let process = CascadeProcess {
-        level: 1,
-        spread: 0.9,
-        decay: 0.5,
-        hop_delay: SimDuration::from_secs(2),
-        fraction: 1.0,
-        origin: None,
-    };
-    let trace = process.generate_seeded(
-        &tree,
-        SimTime::from_secs(40),
-        SimDuration::from_secs(30),
-        11,
-    );
-    assert!(trace.len() > 1, "cascade produced a multi-event trace");
-    let n = s.graph().n_tasks();
-    let config = || EngineConfig {
-        mode: FtMode::checkpoint(n, SimDuration::from_secs(5)),
-        ..EngineConfig::default()
-    };
-    let duration = SimDuration::from_secs(90);
-    let mut legacy = Simulation::new(&s.query, s.placement.clone(), config());
-    legacy.inject_trace(&trace).expect("trace is valid");
-    let legacy = legacy.run_until(SimTime::ZERO + duration);
-    let wrapped = Simulation::run_trace(&s.query, s.placement.clone(), config(), &trace, duration);
-    assert_eq!(digest(&legacy), digest(&wrapped));
 }
 
 /// Random multi-wave kill trace over a scenario: waves re-kill nodes of
@@ -278,11 +97,11 @@ fn outage_histories_are_consistent_under_repeat_kills() {
 
             let label = format!("waves {waves} seed {seed} failures {failures:?}");
             assert_eq!(
-                report.recoveries.len(),
+                report.recoveries().len(),
                 report.outages.len(),
                 "one first-outage view per history: {label}"
             );
-            for (view, history) in report.recoveries.iter().zip(&report.outages) {
+            for (view, history) in report.recoveries().iter().zip(&report.outages) {
                 assert!(!history.records.is_empty(), "{label}");
                 // The view is exactly the first record.
                 assert_eq!(view.task, history.task, "{label}");
@@ -363,10 +182,14 @@ fn trace_events_agree_with_outage_histories() {
             let mut sim = Simulation::new(&s.query, s.placement.clone(), config);
             let buffer = Arc::new(Mutex::new(Vec::new()));
             sim.set_trace_sink(Box::new(SharedSink(Arc::clone(&buffer))));
-            for f in failures.clone() {
-                sim.inject(f).expect("kill sets name live cluster nodes");
-            }
-            let report = sim.run_until(SimTime::ZERO + SimDuration::from_secs(100));
+            let report = sim
+                .drive(
+                    &failures.clone().into(),
+                    &mut StaticPolicy,
+                    SimTime::from_secs(100),
+                )
+                .expect("kill sets name live cluster nodes")
+                .report;
             let events = buffer.lock().expect("sink buffer").clone();
             let label = format!("waves {waves} seed {seed} failures {failures:?}");
 

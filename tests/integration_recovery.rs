@@ -183,7 +183,7 @@ fn tentative_output_long_before_full_recovery() {
         scenario.worker_kill_set.clone(),
     );
     let detected = report
-        .recoveries
+        .recoveries()
         .iter()
         .map(|r| r.detected_at)
         .min()
@@ -208,7 +208,7 @@ fn detection_happens_on_heartbeat_boundaries() {
         FtMode::checkpoint(31, SimDuration::from_secs(5)),
         vec![scenario.worker_kill_set[0]],
     );
-    for r in &report.recoveries {
+    for r in &report.recoveries() {
         let at = r.detected_at.as_micros();
         assert_eq!(
             at % 5_000_000,
@@ -237,7 +237,7 @@ fn no_failure_means_no_recoveries_and_clean_sink() {
         vec![],
         SimDuration::from_secs(60),
     );
-    assert!(report.recoveries.is_empty());
+    assert!(report.recoveries().is_empty());
     assert!(report.sink.iter().all(|s| !s.tentative));
     assert!(!report.sink.is_empty());
 }
