@@ -31,18 +31,15 @@
 //! Reported: post-burst output fidelity per policy (vs a golden run of
 //! the same placement) and the control actions each cell took.
 
-use super::{drive_scenario_config, schedule, Strategy};
+use super::bed::{cascade, cell_label, Bed};
+use super::grid::{cross, Table};
+use super::{drive, Strategy};
 use crate::runner::RunCtx;
-use crate::{Figure, Series};
-use ppa_core::{Planner, StructureAwarePlanner, TaskSet};
-use ppa_engine::{Cluster, DomainHealthPolicy, DriveReport, FailureTrace, RoundRobin, Simulation};
-use ppa_faults::{CascadeProcess, FailureProcess, WeibullProcess};
+use crate::Figure;
+use ppa_engine::{FailureTrace, RoundRobin};
+use ppa_faults::{FailureProcess, WeibullProcess};
 use ppa_sim::{SimDuration, SimTime};
-use ppa_workloads::{batch_fidelity, Fig6Config, Scenario};
-
-/// Cluster shape shared by every cell (the `placement_sweep` cluster).
-const N_WORKERS: usize = 12;
-const N_STANDBY: usize = 12;
+use ppa_workloads::batch_fidelity;
 
 /// One failure-scenario cell of the sweep.
 #[derive(Debug, Clone, Copy)]
@@ -58,7 +55,7 @@ enum Cell {
 impl Cell {
     fn label(&self) -> String {
         match self {
-            Cell::Cascade { burst, corr } => format!("burst:{burst} corr:{corr}"),
+            Cell::Cascade { burst, corr } => cell_label(&(burst, corr)),
             Cell::Weibull { shape } => format!("weibull k:{shape}"),
         }
     }
@@ -70,70 +67,46 @@ impl Cell {
         }
     }
 
-    /// The cell's failure trace, drawn from the cluster's tree — policy-
+    /// The cell's failure trace, drawn from the bed's rack tree — policy-
     /// independent, so both policies replay identical node deaths.
-    fn trace(&self, cluster: &Cluster, fail_at: u64, base_seed: u64) -> FailureTrace {
-        let tree = cluster.domains.as_ref().expect("racked cluster has a tree");
-        let start = SimTime::from_secs(fail_at);
+    fn trace(&self, bed: &Bed) -> FailureTrace {
+        let start = SimTime::from_secs(bed.fail_at);
         let horizon = SimDuration::from_secs(60);
-        match self {
-            Cell::Cascade { corr, .. } => {
-                let process = CascadeProcess {
-                    level: 1,
-                    spread: *corr,
-                    decay: 0.5,
-                    hop_delay: SimDuration::from_secs(2),
-                    fraction: 1.0,
-                    // Pinned to the first rack — always worker
-                    // infrastructure under every burst size.
-                    origin: Some(0),
-                };
-                let seed = base_seed ^ 0xada9 ^ (((corr * 100.0) as u64) << 20);
-                process.generate_seeded(tree, start, horizon, seed)
+        match *self {
+            Cell::Cascade { corr, .. } => cascade(Some(0), corr, 1.0).generate_seeded(
+                bed.racks(),
+                start,
+                horizon,
+                bed.trace_seed(0xada9, corr),
+            ),
+            Cell::Weibull { shape } => WeibullProcess {
+                shape,
+                // ~64 node-minutes per failure over 24 nodes: a
+                // steady drip of several deaths in the window.
+                scale: SimDuration::from_secs(3840),
             }
-            Cell::Weibull { shape } => {
-                let process = WeibullProcess {
-                    shape: *shape,
-                    // ~64 node-minutes per failure over 24 nodes: a
-                    // steady drip of several deaths in the window.
-                    scale: SimDuration::from_secs(3840),
-                };
-                let seed = base_seed ^ 0xeb11 ^ (((shape * 100.0) as u64) << 20);
-                process.generate_seeded(tree, start, horizon, seed)
-            }
+            .generate_seeded(
+                bed.racks(),
+                start,
+                horizon,
+                bed.trace_seed(0xeb11, shape),
+            ),
         }
     }
 }
 
 fn cells(quick: bool) -> Vec<Cell> {
-    if quick {
-        vec![
-            Cell::Cascade {
-                burst: 4,
-                corr: 0.0,
-            },
-            Cell::Cascade {
-                burst: 4,
-                corr: 0.9,
-            },
-            Cell::Weibull { shape: 0.7 },
-        ]
+    let (bursts, corrs, shapes): (&[usize], &[f64], &[f64]) = if quick {
+        (&[4], &[0.0, 0.9], &[0.7])
     } else {
-        let mut out = Vec::new();
-        for burst in [2usize, 4, 8] {
-            for corr in [0.0, 0.5, 0.9] {
-                out.push(Cell::Cascade { burst, corr });
-            }
-        }
-        out.push(Cell::Weibull { shape: 0.7 });
-        out.push(Cell::Weibull { shape: 1.5 });
-        out
-    }
-}
-
-/// The policy roster as series labels.
-fn roster() -> Vec<&'static str> {
-    vec!["static", "domain-health"]
+        (&[2, 4, 8], &[0.0, 0.5, 0.9], &[0.7, 1.5])
+    };
+    let cascades = cross(bursts, corrs)
+        .into_iter()
+        .map(|(&burst, &corr)| Cell::Cascade { burst, corr });
+    cascades
+        .chain(shapes.iter().map(|&shape| Cell::Weibull { shape }))
+        .collect()
 }
 
 /// One cell × policy outcome.
@@ -146,80 +119,45 @@ struct Outcome {
 
 pub fn run(ctx: &RunCtx) -> Vec<Figure> {
     let quick = ctx.quick;
-    let (fail_at, duration) = schedule(quick);
-    let fidelity_window = 60u64;
-    let cfg = Fig6Config {
-        rate: if quick { 300 } else { 1000 },
-        window: SimDuration::from_secs(if quick { 10 } else { 30 }),
-        ..Fig6Config::default()
-    };
     let cells = cells(quick);
-    let roster = roster();
+    // The policy roster: (series label, domain-health attached?).
+    let roster = [("static", false), ("domain-health", true)];
 
-    // One leaf job per (cell, policy).
-    let mut jobs: Vec<(Cell, &'static str)> = Vec::new();
-    for &c in &cells {
-        for &p in &roster {
-            jobs.push((c, p));
-        }
-    }
-    let outcomes: Vec<Outcome> = ctx.map(jobs, |(cell, policy_name)| {
-        let cluster =
-            Cluster::racked(N_WORKERS, N_STANDBY, cell.rack_size()).expect("positive rack size");
-        let trace = cell.trace(&cluster, fail_at, cfg.seed);
-        let scenario: Scenario = ppa_workloads::fig6_scenario(&cfg)
-            .placed_with(&RoundRobin, &cluster)
-            .expect("fig6 fits the sweep cluster");
-        let n = scenario.graph().n_tasks();
+    let table = Table::run(ctx, &cells, &roster, |cell, &(policy, adaptive)| {
+        // Round-robin: the engine's historical domain-blind default —
+        // exactly the layout a control plane has to rescue.
+        let bed = Bed::racked(quick, cell.rack_size(), &RoundRobin);
+        let trace = cell.trace(&bed);
         // The initial plan hedges the placement's own rack mapping —
         // identical under both policies; only the control loop differs.
-        let cx = scenario
-            .placement
-            .plan_context(scenario.query.topology())
-            .expect("fig6 plans against its racked cluster");
-        let plan: TaskSet = StructureAwarePlanner::default()
-            .plan(&cx, n / 2)
-            .expect("SA plan")
-            .tasks;
         let strategy = Strategy::Ppa {
-            plan,
+            plan: bed.half_plan(),
             interval_secs: 5,
         };
-        let scenario = if policy_name == "domain-health" {
-            let budget = n / 2;
-            scenario.with_policy(move || Box::new(DomainHealthPolicy::new(Some(budget))))
+        let bed = if adaptive {
+            bed.with_domain_health()
         } else {
-            scenario
+            bed
         };
-
         // Steady-state tentative sampling: whatever the control plane
         // does not rescue stays down for the window.
-        let mut config = strategy.config(n, cfg.window, cfg.seed);
-        config.passive_recovery = false;
-
-        // Golden run: same placement, no failures, static policy.
-        let golden = Simulation::run(
-            &scenario.query,
-            scenario.placement.clone(),
-            config.clone(),
-            &FailureTrace::new(),
-            SimDuration::from_secs(duration),
-        );
-        let driven: DriveReport = drive_scenario_config(
+        let config = bed.held_down(&strategy);
+        let golden = bed.golden(config.clone());
+        let driven = drive(
             ctx,
-            &format!("{} policy:{policy_name}", cell.label()),
-            &scenario,
+            &format!("{} policy:{policy}", cell.label()),
+            &bed.scenario,
             &strategy,
             config,
             &trace,
-            duration,
+            bed.duration,
         );
         Outcome {
             fidelity: batch_fidelity(
                 &golden,
                 &driven.report,
-                fail_at,
-                fail_at + fidelity_window,
+                bed.fail_at,
+                bed.fail_at + 60,
                 // One heartbeat of slack, as in placement_sweep.
                 SimDuration::from_secs(5),
             ),
@@ -229,21 +167,17 @@ pub fn run(ctx: &RunCtx) -> Vec<Figure> {
         }
     });
 
-    let idx = |ci: usize, pi: usize| ci * roster.len() + pi;
-
     let mut fidelity = Figure::new(
         "adaptive_sweep",
         "Post-failure output fidelity per control policy",
         "failure scenario",
         "output fidelity vs golden run",
     );
-    for (pi, name) in roster.iter().enumerate() {
-        let mut series = Series::new(*name);
-        for (ci, cell) in cells.iter().enumerate() {
-            series.push(cell.label(), outcomes[idx(ci, pi)].fidelity);
-        }
-        fidelity.series.push(series);
-    }
+    fidelity.series = table.by_entry(
+        |(policy, _)| policy.to_string(),
+        Cell::label,
+        |o| o.fidelity,
+    );
     fidelity.note(
         "Fidelity = on-time per-batch sink volume over the 60 s after the first \
          failure, relative to a failure-free run of the same placement (5 s lateness \
@@ -260,18 +194,13 @@ pub fn run(ctx: &RunCtx) -> Vec<Figure> {
         "failure scenario",
         "count",
     );
-    let mut migrated = Series::new("tasks migrated");
-    let mut activated = Series::new("replicas established");
-    let mut killed = Series::new("nodes killed");
-    for (ci, cell) in cells.iter().enumerate() {
-        let o = &outcomes[idx(ci, 1)];
-        migrated.push(cell.label(), o.migrated as f64);
-        activated.push(cell.label(), o.activated as f64);
-        killed.push(cell.label(), o.killed as f64);
-    }
-    actions.series.push(migrated);
-    actions.series.push(activated);
-    actions.series.push(killed);
+    actions.series = vec![
+        table.column(1, "tasks migrated", Cell::label, |o| o.migrated as f64),
+        table.column(1, "replicas established", Cell::label, |o| {
+            o.activated as f64
+        }),
+        table.column(1, "nodes killed", Cell::label, |o| o.killed as f64),
+    ];
     actions.note(
         "Interventions behind the fidelity differences: primaries/standbys evacuated \
          off degraded racks and their neighbours, and replicas (re-)established by \

@@ -20,37 +20,21 @@
 //! skipped), showing the divergence-driven backup rate the planner cost
 //! model (`ppa_core::BackupCadence`) prices.
 
-use super::{completion_latency, drive_scenario_config, schedule, Strategy};
+use super::bed::{cascade, Bed};
+use super::grid::{cross, Table};
+use super::{completion_latency, drive, Strategy};
 use crate::runner::RunCtx;
-use crate::{Figure, Series};
-use ppa_engine::{Cluster, FailureTrace, RoundRobin, Simulation};
-use ppa_faults::{CascadeProcess, FailureProcess};
+use crate::Figure;
+use ppa_engine::RoundRobin;
+use ppa_faults::FailureProcess;
 use ppa_sim::{SimDuration, SimTime};
-use ppa_workloads::{floored_outage_windows, outage_fidelity, Fig6Config, Scenario};
+use ppa_workloads::{floored_outage_windows, outage_fidelity};
 
-/// Cluster shape shared by every cell (the `adaptive_sweep` cluster).
-const N_WORKERS: usize = 12;
-const N_STANDBY: usize = 12;
 const RACK_SIZE: usize = 4;
 /// Fidelity is attributed to this window after the failure onset — long
 /// enough to contain detection, recovery and the catch-up tail of every
 /// strategy in the roster.
 const OUTAGE_WINDOW_SECS: u64 = 45;
-
-/// One cell: (cascade spread, burst fraction of the origin rack).
-fn cells(quick: bool) -> Vec<(f64, f64)> {
-    if quick {
-        vec![(0.0, 1.0), (0.9, 1.0)]
-    } else {
-        let mut out = Vec::new();
-        for corr in [0.0, 0.5, 0.9] {
-            for burst in [0.5, 1.0] {
-                out.push((corr, burst));
-            }
-        }
-        out
-    }
-}
 
 /// The strategy roster: exact checkpointing against the approximate
 /// family across error bounds. All share the 5 s interval, so the only
@@ -70,37 +54,8 @@ fn roster(quick: bool) -> Vec<Strategy> {
     out
 }
 
-/// The cascade of a cell: one seeded wave pinned to the first worker
-/// rack. Strategy-independent, so every roster entry replays identical
-/// node deaths.
-fn cascade_trace(
-    cluster: &Cluster,
-    corr: f64,
-    burst: f64,
-    fail_at: u64,
-    base_seed: u64,
-) -> FailureTrace {
-    let tree = cluster.domains.as_ref().expect("racked cluster has a tree");
-    let process = CascadeProcess {
-        level: 1,
-        spread: corr,
-        decay: 0.5,
-        hop_delay: SimDuration::from_secs(2),
-        fraction: burst,
-        origin: Some(0),
-    };
-    let seed =
-        base_seed ^ 0xa99c ^ (((corr * 100.0) as u64) << 20) ^ (((burst * 100.0) as u64) << 8);
-    process.generate_seeded(
-        tree,
-        SimTime::from_secs(fail_at),
-        SimDuration::from_secs(20),
-        seed,
-    )
-}
-
-/// One strategy's outcome within a cell.
-struct StrategyOutcome {
+/// One cell × strategy outcome.
+struct Outcome {
     /// Recovery completion latency over the non-source tasks (seconds).
     latency: f64,
     /// Fidelity inside the outage window vs this strategy's own golden run.
@@ -112,82 +67,70 @@ struct StrategyOutcome {
     /// Approximate backups shipped / suppressed by the divergence model.
     shipped: u64,
     skipped: u64,
-}
-
-/// One cell's outcome: every roster entry over the identical kill set.
-struct Outcome {
-    by_strategy: Vec<StrategyOutcome>,
     killed: usize,
 }
 
 pub fn run(ctx: &RunCtx) -> Vec<Figure> {
     let quick = ctx.quick;
-    let (fail_at, duration) = schedule(quick);
-    let cfg = Fig6Config {
-        rate: if quick { 300 } else { 1000 },
-        window: SimDuration::from_secs(if quick { 10 } else { 30 }),
-        ..Fig6Config::default()
+    // Cascade spread × burst (fraction of the origin rack killed).
+    let (corrs, bursts): (&[f64], &[f64]) = if quick {
+        (&[0.0, 0.9], &[1.0])
+    } else {
+        (&[0.0, 0.5, 0.9], &[0.5, 1.0])
     };
-    let cells = cells(quick);
+    let cells = cross(corrs, bursts);
     let roster = roster(quick);
 
-    // One leaf job per cell: the whole roster shares the cluster, trace
-    // and scenario, and each strategy is scored against its own golden
-    // run (backup cadence charges CPU, so sink timing is per-strategy).
-    let outcomes: Vec<Outcome> = ctx.map(cells.clone(), |(corr, burst)| {
-        let cluster = Cluster::racked(N_WORKERS, N_STANDBY, RACK_SIZE).expect("positive rack size");
-        let trace = cascade_trace(&cluster, corr, burst, fail_at, cfg.seed);
-        let scenario: Scenario = ppa_workloads::fig6_scenario(&cfg)
-            .placed_with(&RoundRobin, &cluster)
-            .expect("fig6 fits the sweep cluster");
-        let graph = scenario.graph();
-        let n = graph.n_tasks();
-        let by_strategy = roster
-            .iter()
-            .map(|strategy| {
-                let config = strategy.config(n, cfg.window, cfg.seed);
-                let batch = config.batch_interval;
-                let golden = Simulation::run(
-                    &scenario.query,
-                    scenario.placement.clone(),
-                    strategy.config(n, cfg.window, cfg.seed),
-                    &FailureTrace::new(),
-                    SimDuration::from_secs(duration),
-                );
-                let driven = drive_scenario_config(
-                    ctx,
-                    &format!("corr:{corr} burst:{burst}"),
-                    &scenario,
-                    strategy,
-                    config,
-                    &trace,
-                    duration,
-                );
-                let fidelity = outage_fidelity(
-                    &golden,
-                    &driven.report,
-                    &[(fail_at, fail_at + OUTAGE_WINDOW_SECS)],
-                    SimDuration::from_secs(5), // one heartbeat of slack
-                )[0];
-                StrategyOutcome {
-                    latency: completion_latency(&driven.report, |t| !graph.is_source_task(t)),
-                    fidelity,
-                    floor: floored_outage_windows(&driven.report, batch, duration)
-                        .iter()
-                        .filter_map(|w| w.fidelity_floor)
-                        .min(),
-                    shipped: driven.metrics.counter("engine.approx.backups_shipped"),
-                    skipped: driven.metrics.counter("engine.approx.backups_skipped"),
-                }
-            })
-            .collect();
+    // Each strategy is scored against its own golden run (backup cadence
+    // charges CPU, so sink timing is per-strategy).
+    let table = Table::run(ctx, &cells, &roster, |&(&corr, &burst), strategy| {
+        let bed = Bed::racked(quick, RACK_SIZE, &RoundRobin);
+        // One seeded wave pinned to the first worker rack — strategy-
+        // independent, so every roster entry replays identical node deaths.
+        let trace = cascade(Some(0), corr, burst).generate_seeded(
+            bed.racks(),
+            SimTime::from_secs(bed.fail_at),
+            SimDuration::from_secs(20),
+            bed.trace_seed(0xa99c ^ (((burst * 100.0) as u64) << 8), corr),
+        );
+        let config = bed.config(strategy);
+        let batch = config.batch_interval;
+        let golden = bed.golden(config.clone());
+        let driven = drive(
+            ctx,
+            &format!("corr:{corr} burst:{burst}"),
+            &bed.scenario,
+            strategy,
+            config,
+            &trace,
+            bed.duration,
+        );
+        let graph = bed.scenario.graph();
         Outcome {
-            by_strategy,
+            latency: completion_latency(&driven.report, |t| !graph.is_source_task(t)),
+            fidelity: outage_fidelity(
+                &golden,
+                &driven.report,
+                &[(bed.fail_at, bed.fail_at + OUTAGE_WINDOW_SECS)],
+                SimDuration::from_secs(5), // one heartbeat of slack
+            )[0],
+            floor: floored_outage_windows(&driven.report, batch, bed.duration)
+                .iter()
+                .filter_map(|w| w.fidelity_floor)
+                .min(),
+            shipped: driven.metrics.counter("engine.approx.backups_shipped"),
+            skipped: driven.metrics.counter("engine.approx.backups_skipped"),
             killed: trace.killed_nodes().len(),
         }
     });
 
-    let cell_label = |&(corr, burst): &(f64, f64)| format!("corr:{corr} burst:{burst}");
+    let x = |&(corr, burst): &(&f64, &f64)| format!("corr:{corr} burst:{burst}");
+    // The roster's approximate entries — the floor and backup series
+    // exist only for them.
+    let approximate = roster
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| matches!(s, Strategy::Approximate { .. }));
 
     let mut latency = Figure::new(
         "approx_sweep",
@@ -195,17 +138,8 @@ pub fn run(ctx: &RunCtx) -> Vec<Figure> {
         "cascade spread x burst fraction",
         "completion latency (s)",
     );
-    for (si, strategy) in roster.iter().enumerate() {
-        let mut series = Series::new(strategy.label());
-        for (ci, cell) in cells.iter().enumerate() {
-            series.push(cell_label(cell), outcomes[ci].by_strategy[si].latency);
-        }
-        latency.series.push(series);
-    }
-    let mut killed = Series::new("nodes killed");
-    for (ci, cell) in cells.iter().enumerate() {
-        killed.push(cell_label(cell), outcomes[ci].killed as f64);
-    }
+    latency.series = table.by_entry(Strategy::label, x, |o| o.latency);
+    let killed = table.column(0, "nodes killed", x, |o| o.killed as f64);
     latency.series.push(killed);
     latency.note(
         "One seeded cascade per cell, pinned to the first worker rack; every \
@@ -224,25 +158,11 @@ pub fn run(ctx: &RunCtx) -> Vec<Figure> {
         "cascade spread x burst fraction",
         "output fidelity vs golden run",
     );
-    for (si, strategy) in roster.iter().enumerate() {
-        let mut series = Series::new(strategy.label());
-        for (ci, cell) in cells.iter().enumerate() {
-            series.push(cell_label(cell), outcomes[ci].by_strategy[si].fidelity);
-        }
-        fidelity.series.push(series);
-    }
-    for (si, strategy) in roster.iter().enumerate() {
-        if !matches!(strategy, Strategy::Approximate { .. }) {
-            continue;
-        }
-        let mut series = Series::new(format!("floor ({})", strategy.label()));
-        for (ci, cell) in cells.iter().enumerate() {
-            let floor = outcomes[ci].by_strategy[si]
-                .floor
-                .map_or(1.0, |f| f64::from(f) / 1000.0);
-            series.push(cell_label(cell), floor);
-        }
-        fidelity.series.push(series);
+    fidelity.series = table.by_entry(Strategy::label, x, |o| o.fidelity);
+    for (si, strategy) in approximate.clone() {
+        let label = format!("floor ({})", strategy.label());
+        let permille = |o: &Outcome| o.floor.map_or(1.0, |f| f64::from(f) / 1000.0);
+        fidelity.series.push(table.column(si, label, x, permille));
     }
     fidelity.note(
         "Measured fidelity is on-time per-batch sink volume inside the outage \
@@ -262,19 +182,12 @@ pub fn run(ctx: &RunCtx) -> Vec<Figure> {
         "cascade spread x burst fraction",
         "count over the run",
     );
-    for (si, strategy) in roster.iter().enumerate() {
-        if !matches!(strategy, Strategy::Approximate { .. }) {
-            continue;
-        }
-        let mut shipped = Series::new(format!("shipped ({})", strategy.label()));
-        let mut skipped = Series::new(format!("skipped ({})", strategy.label()));
-        for (ci, cell) in cells.iter().enumerate() {
-            let o = &outcomes[ci].by_strategy[si];
-            shipped.push(cell_label(cell), o.shipped as f64);
-            skipped.push(cell_label(cell), o.skipped as f64);
-        }
-        backups.series.push(shipped);
-        backups.series.push(skipped);
+    for (si, strategy) in approximate {
+        let label = strategy.label();
+        backups.series.extend([
+            table.column(si, format!("shipped ({label})"), x, |o| o.shipped as f64),
+            table.column(si, format!("skipped ({label})"), x, |o| o.skipped as f64),
+        ]);
     }
     backups.note(
         "A backup ships only when a task's accumulated divergence (tuples \

@@ -23,146 +23,74 @@
 //! compared on identical failures. Reported latency: detection → last
 //! failed task restored (the Fig. 8 completion metric).
 
-use super::{completion_latency, run_scenario, schedule, Strategy};
+use super::bed::{cascade, cell_label, Bed};
+use super::grid::{cross, Table};
+use super::{completion_latency, drive, half_plan, Strategy};
 use crate::runner::RunCtx;
-use crate::{Figure, Series};
-use ppa_core::{PlanContext, Planner, StructureAwarePlanner, TaskSet};
-use ppa_engine::FailureTrace;
-use ppa_faults::{CascadeProcess, FailureProcess};
+use crate::Figure;
+use ppa_core::PlanContext;
+use ppa_faults::FailureProcess;
 use ppa_sim::{SimDuration, SimTime};
-use ppa_workloads::{Fig6Config, Scenario};
 
-/// Rack sizes (the burst unit) of the sweep.
-fn burst_sizes(quick: bool) -> Vec<usize> {
-    if quick {
-        vec![1, 5]
-    } else {
-        vec![1, 5, 15]
+pub fn run(ctx: &RunCtx) -> Vec<Figure> {
+    let quick = ctx.quick;
+    // Rack sizes (the burst unit) × cascade spread probabilities (the
+    // correlation strength).
+    let bursts: &[usize] = if quick { &[1, 5] } else { &[1, 5, 15] };
+    let spreads: &[f64] = if quick { &[0.0, 0.9] } else { &[0.0, 0.5, 0.9] };
+    let cells = cross(bursts, spreads);
+    // The roster; `None` is PPA-half, whose plan depends on the cell's
+    // rack size and so is built per cell.
+    let mut roster = vec![
+        Some(Strategy::Checkpoint { interval_secs: 5 }),
+        None,
+        Some(Strategy::Active { sync_secs: 5 }),
+    ];
+    if !quick {
+        roster.push(Some(Strategy::Storm));
     }
-}
 
-/// Cascade spread probabilities (the correlation strength) of the sweep.
-fn spreads(quick: bool) -> Vec<f64> {
-    if quick {
-        vec![0.0, 0.9]
-    } else {
-        vec![0.0, 0.5, 0.9]
-    }
-}
-
-/// The sweep's strategy roster as series labels; [`build_strategy`] turns
-/// a label into the cell's concrete [`Strategy`] (the PPA plan depends on
-/// the cell's rack size, so strategies are built per cell, and every
-/// label listed here must have a `build_strategy` arm).
-fn roster(quick: bool) -> Vec<&'static str> {
-    if quick {
-        vec!["Checkpoint-5s", "PPA-half-5s", "Active-5s"]
-    } else {
-        vec!["Checkpoint-5s", "PPA-half-5s", "Active-5s", "Storm"]
-    }
-}
-
-fn build_strategy(name: &str, scenario: &Scenario, rack_size: usize) -> Strategy {
-    match name {
-        "Checkpoint-5s" => Strategy::Checkpoint { interval_secs: 5 },
-        "Active-5s" => Strategy::Active { sync_secs: 5 },
-        "Storm" => Strategy::Storm,
-        "PPA-half-5s" => {
+    // Each job yields (completion latency, nodes the trace killed).
+    let table = Table::run(ctx, &cells, &roster, |cell, fixed| {
+        let (&rack_size, &spread) = *cell;
+        let bed = Bed::dedicated(quick);
+        let tree = bed.scenario.worker_fault_domains(rack_size);
+        let trace = cascade(None, spread, 1.0).generate_seeded(
+            &tree,
+            SimTime::from_secs(bed.fail_at),
+            SimDuration::from_secs(60),
+            bed.trace_seed((rack_size as u64) << 8, spread),
+        );
+        let strategy = fixed.clone().unwrap_or_else(|| {
             // Plan against the cell's own rack failure model: the planner
             // hedges against any single rack of this burst size failing.
             // Cascades (p > 0) kill several racks, so high-correlation
             // cells test the plan outside its planned-for failure space.
-            let n = scenario.graph().n_tasks();
-            let tree = scenario.worker_fault_domains(rack_size);
             let cx = PlanContext::with_fault_domains(
-                scenario.query.topology(),
+                bed.scenario.query.topology(),
                 &tree,
-                &scenario.placement.primary,
+                &bed.scenario.placement.primary,
             )
             .expect("fig6 plans");
-            let plan: TaskSet = StructureAwarePlanner::default()
-                .plan(&cx, n / 2)
-                .expect("SA plan")
-                .tasks;
             Strategy::Ppa {
-                plan,
+                plan: half_plan(&cx),
                 interval_secs: 5,
             }
-        }
-        other => unreachable!("unknown sweep strategy {other}"),
-    }
-}
-
-/// The generated trace of one `(burst size, spread)` cell. Seeded purely
-/// from the cell coordinates, so every strategy replays the same failures
-/// and any `--jobs` count produces the same sweep.
-fn cell_trace(
-    scenario: &Scenario,
-    rack_size: usize,
-    spread: f64,
-    fail_at: u64,
-    base_seed: u64,
-) -> FailureTrace {
-    let tree = scenario.worker_fault_domains(rack_size);
-    let process = CascadeProcess {
-        level: 1,
-        spread,
-        decay: 0.5,
-        hop_delay: SimDuration::from_secs(2),
-        fraction: 1.0,
-        origin: None,
-    };
-    let seed = base_seed ^ ((rack_size as u64) << 8) ^ (((spread * 100.0) as u64) << 20);
-    process.generate_seeded(
-        &tree,
-        SimTime::from_secs(fail_at),
-        SimDuration::from_secs(60),
-        seed,
-    )
-}
-
-pub fn run(ctx: &RunCtx) -> Vec<Figure> {
-    let quick = ctx.quick;
-    let (fail_at, duration) = schedule(quick);
-    let cfg = Fig6Config {
-        rate: if quick { 300 } else { 1000 },
-        window: SimDuration::from_secs(if quick { 10 } else { 30 }),
-        ..Fig6Config::default()
-    };
-    let bursts = burst_sizes(quick);
-    let spreads = spreads(quick);
-    let roster = roster(quick);
-
-    // One leaf job per (burst, spread, strategy) cell.
-    let mut jobs: Vec<(usize, f64, &'static str)> = Vec::new();
-    for &b in &bursts {
-        for &p in &spreads {
-            for &s in &roster {
-                jobs.push((b, p, s));
-            }
-        }
-    }
-    // Each job yields (completion latency, nodes the trace killed).
-    let outcomes: Vec<(f64, usize)> = ctx.map(jobs, |(rack_size, spread, name)| {
-        let scenario = ppa_workloads::fig6_scenario(&cfg);
-        let trace = cell_trace(&scenario, rack_size, spread, fail_at, cfg.seed);
-        let strategy = build_strategy(name, &scenario, rack_size);
-        let report = run_scenario(
+        });
+        let report = drive(
             ctx,
-            &format!("burst:{rack_size} corr:{spread}"),
-            &scenario,
+            &cell_label(cell),
+            &bed.scenario,
             &strategy,
-            cfg.window,
+            bed.config(&strategy),
             &trace,
-            duration,
-            cfg.seed,
-        );
-        let graph = scenario.graph();
+            bed.duration,
+        )
+        .report;
+        let graph = bed.scenario.graph();
         let latency = completion_latency(&report, |t| !graph.is_source_task(t));
         (latency, trace.killed_nodes().len())
     });
-
-    let cell_label = |b: usize, p: f64| format!("burst:{b} corr:{p}");
 
     let mut fig = Figure::new(
         "corr_sweep",
@@ -170,16 +98,11 @@ pub fn run(ctx: &RunCtx) -> Vec<Figure> {
         "burst size × correlation",
         "recovery latency (s)",
     );
-    for (si, name) in roster.iter().enumerate() {
-        let mut series = Series::new(*name);
-        for (bi, &b) in bursts.iter().enumerate() {
-            for (pi, &p) in spreads.iter().enumerate() {
-                let idx = (bi * spreads.len() + pi) * roster.len() + si;
-                series.push(cell_label(b, p), outcomes[idx].0);
-            }
-        }
-        fig.series.push(series);
-    }
+    fig.series = table.by_entry(
+        |fixed| fixed.as_ref().map_or("PPA-half-5s".into(), Strategy::label),
+        cell_label,
+        |o| o.0,
+    );
     fig.note(
         "Beyond the paper: scenarios generated by the ppa-faults cascade process \
          (racks of `burst` nodes; spread probability `corr`, decay 0.5/ring, 2s/hop) \
@@ -193,14 +116,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Figure> {
         "burst size × correlation",
         "worker nodes killed (of 15)",
     );
-    let mut killed = Series::new("nodes killed");
-    for (bi, &b) in bursts.iter().enumerate() {
-        for (pi, &p) in spreads.iter().enumerate() {
-            let idx = (bi * spreads.len() + pi) * roster.len();
-            killed.push(cell_label(b, p), outcomes[idx].1 as f64);
-        }
-    }
-    scale.series.push(killed);
+    scale.series = vec![table.column(0, "nodes killed", cell_label, |o| o.1 as f64)];
     scale.note(
         "The kill set is identical for every strategy in a cell; correlation strength \
          multiplies the blast radius of a fixed-size burst.",

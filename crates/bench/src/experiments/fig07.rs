@@ -4,18 +4,19 @@
 //! for Storm), so — like the paper — we average over failures injected at
 //! different operators.
 
-use super::{fig6_grid, grid_label, kill_set_trace, run_scenario, schedule, Strategy};
+use super::grid::Table;
+use super::{drive, fig6_grid, grid_label, kill_set_trace, schedule, Strategy};
 use crate::runner::RunCtx;
-use crate::{Figure, Series};
+use crate::{latency_secs, Figure};
 
 /// Synthetic tasks whose hosting node is killed, one run each: the first
 /// task of O1, O2, O3 and the O4 sink (global task ids on the Fig. 6
 /// topology: sources are 0..16, O1 16..24, O2 24..28, O3 28..30, O4 30).
-fn locations(quick: bool) -> Vec<usize> {
+fn locations(quick: bool) -> &'static [usize] {
     if quick {
-        vec![16, 30]
+        &[16, 30]
     } else {
-        vec![16, 24, 28, 30]
+        &[16, 24, 28, 30]
     }
 }
 
@@ -31,33 +32,31 @@ pub fn run(ctx: &RunCtx) -> Vec<Figure> {
     ];
     let (fail_at, duration) = schedule(quick);
     let grid = fig6_grid(quick);
-    let locs = locations(quick);
 
-    // One leaf job per (strategy, grid point, failure location); each is an
-    // independent simulated run.
-    let mut jobs: Vec<(usize, usize, usize)> = Vec::new();
-    for si in 0..strategies.len() {
-        for ci in 0..grid.len() {
-            for &task in &locs {
-                jobs.push((si, ci, task));
-            }
-        }
-    }
-    let latencies: Vec<Option<f64>> = ctx.map(jobs, |(si, ci, task)| {
-        let cfg = &grid[ci];
+    // One cell per grid point: the mean over one run per failure location.
+    // A location that never recovers poisons its cell (NaN, rendered `—`)
+    // rather than silently dropping out of the mean.
+    let table = Table::run(ctx, &grid, &strategies, |cfg, strategy| {
         let scenario = ppa_workloads::fig6_scenario(cfg);
-        let node = scenario.placement.primary[task];
-        let report = run_scenario(
-            ctx,
-            &grid_label(cfg),
-            &scenario,
-            &strategies[si],
-            cfg.window,
-            &kill_set_trace(fail_at, vec![node]),
-            duration,
-            cfg.seed,
-        );
-        report.mean_recovery_latency().map(|l| l.as_secs_f64())
+        let n = scenario.graph().n_tasks();
+        let locs = locations(quick);
+        let total: f64 = locs
+            .iter()
+            .map(|&task| {
+                let node = scenario.placement.primary[task];
+                let driven = drive(
+                    ctx,
+                    &grid_label(cfg),
+                    &scenario,
+                    strategy,
+                    strategy.config(n, cfg.window, cfg.seed),
+                    &kill_set_trace(fail_at, vec![node]),
+                    duration,
+                );
+                latency_secs(driven.report.mean_recovery_latency())
+            })
+            .sum();
+        total / locs.len() as f64
     });
 
     let mut fig = Figure::new(
@@ -66,22 +65,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Figure> {
         "configuration",
         "recovery latency (s)",
     );
-    for (si, strategy) in strategies.iter().enumerate() {
-        let mut series = Series::new(strategy.label());
-        for (ci, cfg) in grid.iter().enumerate() {
-            let base = (si * grid.len() + ci) * locs.len();
-            let vals: Vec<f64> = (0..locs.len())
-                .filter_map(|k| latencies[base + k])
-                .collect();
-            let mean = if vals.is_empty() {
-                f64::NAN
-            } else {
-                vals.iter().sum::<f64>() / vals.len() as f64
-            };
-            series.push(grid_label(cfg), mean);
-        }
-        fig.series.push(series);
-    }
+    fig.series = table.by_entry(Strategy::label, grid_label, |&mean| mean);
     fig.note(
         "Expected shape (paper): Active ≪ Checkpoint, insensitive to window/rate; \
          Checkpoint grows with rate and checkpoint interval; Storm grows with window \

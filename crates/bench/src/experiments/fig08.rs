@@ -3,14 +3,12 @@
 //! survive (§VI-A). Reported latency: detection until the *last* failed
 //! task restored its pre-failure progress (synchronization-gated).
 
-use super::{
-    completion_latency, fig6_grid, grid_label, kill_set_trace, run_scenario, schedule, Strategy,
-};
+use super::grid::Table;
+use super::{completion_latency, drive, fig6_grid, grid_label, kill_set_trace, schedule, Strategy};
 use crate::runner::RunCtx;
-use crate::{Figure, Series};
+use crate::Figure;
 
 pub fn run(ctx: &RunCtx) -> Vec<Figure> {
-    let quick = ctx.quick;
     let strategies = [
         Strategy::Active { sync_secs: 5 },
         Strategy::Active { sync_secs: 30 },
@@ -19,31 +17,22 @@ pub fn run(ctx: &RunCtx) -> Vec<Figure> {
         Strategy::Checkpoint { interval_secs: 30 },
         Strategy::Storm,
     ];
-    let (fail_at, duration) = schedule(quick);
-    let grid = fig6_grid(quick);
+    let (fail_at, duration) = schedule(ctx.quick);
+    let grid = fig6_grid(ctx.quick);
 
-    // One leaf job per (strategy, grid point).
-    let mut jobs: Vec<(usize, usize)> = Vec::new();
-    for si in 0..strategies.len() {
-        for ci in 0..grid.len() {
-            jobs.push((si, ci));
-        }
-    }
-    let latencies: Vec<f64> = ctx.map(jobs, |(si, ci)| {
-        let cfg = &grid[ci];
+    let table = Table::run(ctx, &grid, &strategies, |cfg, strategy| {
         let scenario = ppa_workloads::fig6_scenario(cfg);
-        let report = run_scenario(
+        let graph = scenario.graph();
+        let driven = drive(
             ctx,
             &grid_label(cfg),
             &scenario,
-            &strategies[si],
-            cfg.window,
+            strategy,
+            strategy.config(graph.n_tasks(), cfg.window, cfg.seed),
             &kill_set_trace(fail_at, scenario.worker_kill_set.clone()),
             duration,
-            cfg.seed,
         );
-        let graph = scenario.graph();
-        completion_latency(&report, |t| !graph.is_source_task(t))
+        completion_latency(&driven.report, |t| !graph.is_source_task(t))
     });
 
     let mut fig = Figure::new(
@@ -52,13 +41,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Figure> {
         "configuration",
         "recovery latency (s)",
     );
-    for (si, strategy) in strategies.iter().enumerate() {
-        let mut series = Series::new(strategy.label());
-        for (ci, cfg) in grid.iter().enumerate() {
-            series.push(grid_label(cfg), latencies[si * grid.len() + ci]);
-        }
-        fig.series.push(series);
-    }
+    fig.series = table.by_entry(Strategy::label, grid_label, |&latency| latency);
     fig.note(
         "Expected shape (paper): same ordering as Fig. 7 but with larger gaps — \
          passive recovery pays neighbour synchronization, so checkpoint latencies \

@@ -2,49 +2,36 @@
 //! CPU to normal processing CPU per task, as a function of the checkpoint
 //! interval (1/5/15/30 s) and the input rate, window fixed at 30 s.
 
-use super::{run_fig6, Strategy};
+use super::grid::Table;
+use super::{drive, fig6_cfg, grid_label, Strategy};
 use crate::runner::RunCtx;
-use crate::{Figure, Series};
+use crate::Figure;
 use ppa_engine::FailureTrace;
-use ppa_sim::SimDuration;
-use ppa_workloads::Fig6Config;
 
 pub fn run(ctx: &RunCtx) -> Vec<Figure> {
     let quick = ctx.quick;
-    let intervals: Vec<u64> = vec![1, 5, 15, 30];
-    let rates: Vec<usize> = if quick {
-        vec![300, 600]
-    } else {
-        vec![1000, 2000]
-    };
+    let intervals: [u64; 4] = [1, 5, 15, 30];
+    let rates: &[usize] = if quick { &[300, 600] } else { &[1000, 2000] };
     let duration = if quick { 60 } else { 120 };
 
-    // One leaf job per (rate, interval): a failure-free run.
-    let mut jobs: Vec<(usize, u64)> = Vec::new();
-    for &rate in &rates {
-        for &interval in &intervals {
-            jobs.push((rate, interval));
-        }
-    }
-    let ratios: Vec<f64> = ctx.map(jobs, |(rate, interval)| {
-        let cfg = Fig6Config {
-            rate,
-            window: SimDuration::from_secs(30),
-            ..Fig6Config::default()
-        };
-        let report = run_fig6(
-            ctx,
-            &cfg,
-            &Strategy::Checkpoint {
-                interval_secs: interval,
-            },
-            &FailureTrace::new(),
-            duration,
-        );
-        // The paper's metric is per *processing* task; source tasks have
-        // no window state and would dilute the mean.
+    // One failure-free run per (interval, rate).
+    let table = Table::run(ctx, &intervals, rates, |&interval_secs, &rate| {
+        let cfg = fig6_cfg(rate, 30);
         let scenario = ppa_workloads::fig6_scenario(&cfg);
         let graph = scenario.graph();
+        let strategy = Strategy::Checkpoint { interval_secs };
+        let report = drive(
+            ctx,
+            &grid_label(&cfg),
+            &scenario,
+            &strategy,
+            strategy.config(graph.n_tasks(), cfg.window, cfg.seed),
+            &FailureTrace::new(),
+            duration,
+        )
+        .report;
+        // The paper's metric is per *processing* task; source tasks have
+        // no window state and would dilute the mean.
         let ratios: Vec<f64> = (0..graph.n_tasks())
             .filter(|&t| !graph.is_source_task(ppa_core::model::TaskIndex(t)))
             .map(|t| report.cpu[t].checkpoint_ratio())
@@ -63,13 +50,11 @@ pub fn run(ctx: &RunCtx) -> Vec<Figure> {
         "checkpoint interval (s)",
         "checkpoint CPU / processing CPU",
     );
-    for (ri, &rate) in rates.iter().enumerate() {
-        let mut series = Series::new(format!("{rate}_tuples/s"));
-        for (ii, &interval) in intervals.iter().enumerate() {
-            series.push(format!("{interval}"), ratios[ri * intervals.len() + ii]);
-        }
-        fig.series.push(series);
-    }
+    fig.series = table.by_entry(
+        |rate| format!("{rate}_tuples/s"),
+        u64::to_string,
+        |&ratio| ratio,
+    );
     fig.note(
         "Expected shape (paper): the ratio falls sharply with longer intervals \
          (1s checkpoints are prohibitively expensive) and rises with the input \

@@ -6,14 +6,15 @@
 //! metric that separates PPA-0.5 from PPA-0; Fig. 8 reports the
 //! synchronization-gated completion instead).
 
-use super::{kill_set_trace, run_fig6, schedule, Strategy};
+use super::grid::{cross, Table};
+use super::{drive, fig6_cfg, grid_label, half_plan, kill_set_trace, schedule, Strategy};
 use crate::runner::RunCtx;
-use crate::{latency_secs, Figure, Series};
-use ppa_core::{PlanContext, Planner, StructureAwarePlanner, TaskSet};
-use ppa_sim::SimDuration;
+use crate::{latency_secs, Figure};
+use ppa_core::{PlanContext, TaskSet};
 use ppa_workloads::Fig6Config;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The roster: the active-replication share of the plan.
+#[derive(Debug, Clone, Copy)]
 enum Share {
     Full,
     Half,
@@ -22,103 +23,84 @@ enum Share {
 
 pub fn run(ctx: &RunCtx) -> Vec<Figure> {
     let quick = ctx.quick;
-    let intervals: Vec<u64> = vec![5, 15, 30];
-    let rates: Vec<usize> = if quick { vec![300] } else { vec![1000, 2000] };
+    let intervals: [u64; 3] = [5, 15, 30];
+    let rates: &[usize] = if quick { &[300] } else { &[1000, 2000] };
     let (fail_at, duration) = schedule(quick);
 
-    let cfgs: Vec<Fig6Config> = rates
-        .iter()
-        .map(|&rate| Fig6Config {
-            rate,
-            window: SimDuration::from_secs(30),
-            ..Fig6Config::default()
-        })
-        .collect();
-
-    // Leaf phase 1 — PPA-0.5 plans: half the tasks, chosen by the
-    // structure-aware planner (MC-tree enumeration is real work).
-    let half_plans: Vec<TaskSet> = ctx.map((0..cfgs.len()).collect(), |ri| {
-        let scenario = ppa_workloads::fig6_scenario(&cfgs[ri]);
-        let n = scenario.graph().n_tasks();
+    // Leaf phase 1 — per rate, the workload and its PPA-0.5 plan (MC-tree
+    // enumeration is real work).
+    let workloads: Vec<(Fig6Config, TaskSet)> = ctx.map(rates.to_vec(), |rate| {
+        let cfg = fig6_cfg(rate, 30);
+        let scenario = ppa_workloads::fig6_scenario(&cfg);
         let cx = PlanContext::new(scenario.query.topology()).expect("fig6 plans");
-        StructureAwarePlanner::default()
-            .plan(&cx, n / 2)
-            .expect("SA plan")
-            .tasks
+        (cfg, half_plan(&cx))
     });
 
-    // Leaf phase 2 — one run per (rate, interval, share).
+    // Leaf phase 2 — one run per (rate, interval) × share, yielding (mean
+    // latency, mean latency of the plan's active subset).
+    let cells = cross(&workloads, &intervals);
+    // In declaration order, so `Share::Half as usize` is Half's roster entry.
     let shares = [Share::Full, Share::Half, Share::Zero];
-    let mut jobs: Vec<(usize, u64, Share)> = Vec::new();
-    for ri in 0..cfgs.len() {
-        for &interval in &intervals {
-            for &share in &shares {
-                jobs.push((ri, interval, share));
-            }
-        }
-    }
-    // Each job yields (mean latency, mean latency of the active subset —
-    // `Some` only for the Half share).
-    let outcomes: Vec<(f64, Option<f64>)> = ctx.map(jobs, |(ri, interval, share)| {
-        let cfg = &cfgs[ri];
+    let table = Table::run(ctx, &cells, &shares, |&((cfg, half), &interval), share| {
         let scenario = ppa_workloads::fig6_scenario(cfg);
         let graph = scenario.graph();
         let n = graph.n_tasks();
         let plan = match share {
             Share::Full => TaskSet::full(n),
-            Share::Half => half_plans[ri].clone(),
+            Share::Half => half.clone(),
             Share::Zero => TaskSet::empty(n),
         };
-        let report = run_fig6(
+        let strategy = Strategy::Ppa {
+            plan: plan.clone(),
+            interval_secs: interval,
+        };
+        let report = drive(
             ctx,
-            cfg,
-            &Strategy::Ppa {
-                plan: plan.clone(),
-                interval_secs: interval,
-            },
+            &grid_label(cfg),
+            &scenario,
+            &strategy,
+            strategy.config(n, cfg.window, cfg.seed),
             &kill_set_trace(fail_at, scenario.worker_kill_set.clone()),
             duration,
-        );
-        let mean = latency_secs(report.mean_latency_of(|t| !graph.is_source_task(t)));
-        let active = (share == Share::Half).then(|| {
-            latency_secs(report.mean_latency_of(|t| !graph.is_source_task(t) && plan.contains(t)))
-        });
-        (mean, active)
+        )
+        .report;
+        let mean = |active_only: bool| {
+            latency_secs(report.mean_latency_of(|t| {
+                !graph.is_source_task(t) && (!active_only || plan.contains(t))
+            }))
+        };
+        (mean(false), mean(true))
     });
 
-    let mut figures = Vec::new();
-    for (ri, &rate) in rates.iter().enumerate() {
-        let mut fig = Figure::new(
-            "fig10",
-            format!("Correlated-failure recovery with PPA (rate {rate} tp/s, window 30s)"),
-            "checkpoint interval (s)",
-            "recovery latency (s)",
-        );
-        let mut s_full = Series::new("PPA-1.0");
-        let mut s_half_active = Series::new("PPA-0.5-active");
-        let mut s_half = Series::new("PPA-0.5");
-        let mut s_zero = Series::new("PPA-0");
-        for (ii, &interval) in intervals.iter().enumerate() {
-            let x = format!("{interval}");
-            let base = (ri * intervals.len() + ii) * shares.len();
-            let (full, _) = outcomes[base];
-            let (half, half_active) = outcomes[base + 1];
-            let (zero, _) = outcomes[base + 2];
-            s_full.push(x.clone(), full);
-            s_half_active.push(
-                x.clone(),
-                half_active.expect("Half yields the active subset"),
+    let x = |&(_, interval): &(_, &u64)| interval.to_string();
+    let (full, half, zero) = (
+        Share::Full as usize,
+        Share::Half as usize,
+        Share::Zero as usize,
+    );
+    workloads
+        .iter()
+        .map(|(cfg, _)| {
+            let rate = cfg.rate;
+            let table = table.only(|(workload, _)| workload.0.rate == rate);
+            let mut fig = Figure::new(
+                "fig10",
+                format!("Correlated-failure recovery with PPA (rate {rate} tp/s, window 30s)"),
+                "checkpoint interval (s)",
+                "recovery latency (s)",
             );
-            s_half.push(x.clone(), half);
-            s_zero.push(x, zero);
-        }
-        fig.series = vec![s_full, s_half_active, s_half, s_zero];
-        fig.note(
-            "Expected shape (paper): PPA-1.0 < PPA-0.5 < PPA-0 overall; \
-             PPA-0.5-active tracks (and slightly beats) PPA-1.0 because only \
-             half as many replicas take over.",
-        );
-        figures.push(fig);
-    }
-    figures
+            fig.series = vec![
+                table.column(full, "PPA-1.0", x, |o| o.0),
+                table.column(half, "PPA-0.5-active", x, |o| o.1),
+                table.column(half, "PPA-0.5", x, |o| o.0),
+                table.column(zero, "PPA-0", x, |o| o.0),
+            ];
+            fig.note(
+                "Expected shape (paper): PPA-1.0 < PPA-0.5 < PPA-0 overall; \
+                 PPA-0.5-active tracks (and slightly beats) PPA-1.0 because only \
+                 half as many replicas take over.",
+            );
+            fig
+        })
+        .collect()
 }

@@ -8,13 +8,14 @@
 //! run is compared against a golden no-failure run over the batches between
 //! failure detection and the end of the measurement window.
 
-use super::{run_scenario, Strategy};
+use super::grid::{cross, Table};
+use super::{drive, held_down, Strategy};
 use crate::runner::RunCtx;
-use crate::{Figure, Series};
+use crate::Figure;
 use ppa_core::planner::Objective;
 use ppa_core::{PlanContext, Planner, StructureAwarePlanner, TaskSet};
-use ppa_engine::RunReport;
-use ppa_sim::SimDuration;
+use ppa_engine::{FailureSpec, FailureTrace, RunReport, Simulation};
+use ppa_sim::{SimDuration, SimTime};
 use ppa_workloads::{
     incident_accuracy, q1_scenario, q2_scenario, topk_accuracy, NavigationConfig, Q1Config,
     Scenario,
@@ -25,6 +26,19 @@ use ppa_workloads::{
 pub enum QueryKind {
     Q1,
     Q2,
+}
+
+impl QueryKind {
+    /// Both evaluation queries, in figure order.
+    pub(crate) const ALL: [QueryKind; 2] = [QueryKind::Q1, QueryKind::Q2];
+
+    /// The query's name in figure titles.
+    pub(crate) fn title(self) -> &'static str {
+        match self {
+            QueryKind::Q1 => "Q1 top-k",
+            QueryKind::Q2 => "Q2 incidents",
+        }
+    }
 }
 
 /// Shared harness for the Fig. 12/13 accuracy experiments.
@@ -77,20 +91,24 @@ impl AccuracyHarness {
         let to_batch = from_batch + if quick { 12 } else { 20 };
         let duration = to_batch + 5;
         let seed = 42;
-        let golden = run_scenario(
+        // A golden run has no failures; FtMode::None via an empty plan
+        // would still checkpoint, so use a plain no-failure run.
+        let strategy = Strategy::Checkpoint {
+            interval_secs: 10_000,
+        };
+        let golden = drive(
             ctx,
-            &format!("{kind:?}-golden"),
-            &scenario,
-            // A golden run has no failures; FtMode::None via an empty plan
-            // would still checkpoint, so use a plain no-failure run.
-            &Strategy::Checkpoint {
-                interval_secs: 10_000,
+            match kind {
+                QueryKind::Q1 => "Q1-golden",
+                QueryKind::Q2 => "Q2-golden",
             },
-            SimDuration::from_secs(30),
-            &ppa_engine::FailureTrace::new(),
+            &scenario,
+            &strategy,
+            strategy.config(scenario.graph().n_tasks(), SimDuration::from_secs(30), seed),
+            &FailureTrace::new(),
             duration,
-            seed,
-        );
+        )
+        .report;
         AccuracyHarness {
             kind,
             scenario,
@@ -118,25 +136,18 @@ impl AccuracyHarness {
     /// Measured tentative-output accuracy of `plan` under the worst-case
     /// correlated failure (every primary node dies).
     ///
-    /// Passive recovery is held back for the measurement so the window
-    /// samples the plan's *steady-state* tentative quality — exactly the
-    /// quantity Definition 2's OF models. (In the paper the same steadiness
-    /// comes for free: EC2-scale recoveries lasted tens of seconds, longer
-    /// than any query window. See README.md §Design notes.)
+    /// Passive recovery is [`held_down`] for the measurement so the window
+    /// samples the plan's *steady-state* tentative quality.
     pub fn measure(&self, plan: &TaskSet) -> f64 {
-        use ppa_engine::{EngineConfig, FailureSpec, FtMode, Simulation};
-        use ppa_sim::SimTime;
-
-        let config = EngineConfig {
-            mode: FtMode::ppa(plan.clone(), SimDuration::from_secs(10)),
-            seed: self.seed,
-            passive_recovery: false,
-            ..EngineConfig::default()
+        let strategy = Strategy::Ppa {
+            plan: plan.clone(),
+            interval_secs: 10,
         };
+        let n = self.scenario.graph().n_tasks();
         let report = Simulation::run(
             &self.scenario.query,
             self.scenario.placement.clone(),
-            config,
+            held_down(strategy.config(n, SimDuration::from_secs(30), self.seed)),
             vec![FailureSpec {
                 at: SimTime::from_secs(self.fail_at),
                 nodes: self.scenario.placement.all_primary_nodes(),
@@ -161,79 +172,73 @@ pub fn ratios(quick: bool) -> Vec<f64> {
     }
 }
 
-const KINDS: [(QueryKind, &str); 2] =
-    [(QueryKind::Q1, "Q1 top-k"), (QueryKind::Q2, "Q2 incidents")];
+/// Leaf phase 1 of Fig. 12/13 — one harness (golden run included) per
+/// query.
+pub(crate) fn harnesses(ctx: &RunCtx) -> Vec<AccuracyHarness> {
+    ctx.map(QueryKind::ALL.to_vec(), |kind| {
+        AccuracyHarness::new(ctx, kind, ctx.quick)
+    })
+}
+
+/// A (harness, ratio) cell's x tick.
+pub(crate) fn ratio_tick(&(_, ratio): &(&AccuracyHarness, &f64)) -> String {
+    format!("{ratio:.1}")
+}
 
 pub fn run(ctx: &RunCtx) -> Vec<Figure> {
-    let quick = ctx.quick;
+    let harnesses = harnesses(ctx);
 
-    // Leaf phase 1 — harnesses (each includes a golden run).
-    let harnesses: Vec<AccuracyHarness> = ctx.map(KINDS.to_vec(), |(kind, _)| {
-        AccuracyHarness::new(ctx, kind, quick)
-    });
-
-    // Leaf phase 2 — one job per (query, ratio, objective): plan, metric
+    // Leaf phase 2 — one job per (query, ratio) × objective: plan, metric
     // value, and the measured accuracy under the worst-case failure.
+    let rs = ratios(ctx.quick);
+    let cells = cross(&harnesses, &rs);
     let objectives = [Objective::OutputFidelity, Objective::InternalCompleteness];
-    let rs = ratios(quick);
-    let mut jobs: Vec<(usize, usize, usize)> = Vec::new();
-    for ki in 0..KINDS.len() {
-        for oi in 0..objectives.len() {
-            for ri in 0..rs.len() {
-                jobs.push((ki, oi, ri));
-            }
-        }
-    }
-    let outcomes: Vec<(f64, f64)> = ctx.map(jobs, |(ki, oi, ri)| {
-        let harness = &harnesses[ki];
-        let cx = harness.context(objectives[oi]);
-        let budget = harness.budget(rs[ri]);
-        let plan = StructureAwarePlanner::default()
-            .plan(&cx, budget)
-            .expect("SA plan")
-            .tasks;
-        let metric = match objectives[oi] {
-            Objective::OutputFidelity => cx.of_plan(&plan),
-            Objective::InternalCompleteness => cx.ic_plan(&plan),
-        };
-        (metric, harness.measure(&plan))
-    });
+    let table = Table::run(
+        ctx,
+        &cells,
+        &objectives,
+        |&(harness, &ratio), &objective| {
+            let cx = harness.context(objective);
+            let plan = StructureAwarePlanner::default()
+                .plan(&cx, harness.budget(ratio))
+                .expect("SA plan")
+                .tasks;
+            let metric = match objective {
+                Objective::OutputFidelity => cx.of_plan(&plan),
+                Objective::InternalCompleteness => cx.ic_plan(&plan),
+            };
+            (metric, harness.measure(&plan))
+        },
+    );
 
-    let mut figures = Vec::new();
-    for (ki, (kind, name)) in KINDS.iter().enumerate() {
-        let mut s_of = Series::new("OF");
-        let mut s_of_acc = Series::new("OF-SA-Accuracy");
-        let mut s_ic = Series::new("IC");
-        let mut s_ic_acc = Series::new("IC-SA-Accuracy");
-        for (ri, ratio) in rs.iter().enumerate() {
-            let x = format!("{ratio:.1}");
-            let (of, of_acc) = outcomes[(ki * objectives.len()) * rs.len() + ri];
-            let (ic, ic_acc) = outcomes[(ki * objectives.len() + 1) * rs.len() + ri];
-            s_of.push(x.clone(), of);
-            s_of_acc.push(x.clone(), of_acc);
-            s_ic.push(x.clone(), ic);
-            s_ic_acc.push(x, ic_acc);
-        }
-
-        let mut fig = Figure::new(
-            "fig12",
-            format!("Metric validation — {name}"),
-            "resource consumption",
-            "OF / IC / measured accuracy",
-        );
-        fig.series = vec![s_of, s_of_acc, s_ic, s_ic_acc];
-        fig.note(match kind {
-            QueryKind::Q1 => {
-                "Expected shape (paper): Q1 is join-free, so OF and IC both track the \
-                 measured top-k accuracy well."
-            }
-            QueryKind::Q2 => {
-                "Expected shape (paper): Q2 joins two streams; IC keeps rising with \
-                 resources while the accuracy of IC-optimized plans lags — IC ignores \
-                 input-stream correlation. OF tracks accuracy."
-            }
-        });
-        figures.push(fig);
-    }
-    figures
+    QueryKind::ALL
+        .iter()
+        .map(|&kind| {
+            let table = table.only(|(harness, _)| harness.kind == kind);
+            let mut fig = Figure::new(
+                "fig12",
+                format!("Metric validation — {}", kind.title()),
+                "resource consumption",
+                "OF / IC / measured accuracy",
+            );
+            fig.series = vec![
+                table.column(0, "OF", ratio_tick, |o| o.0),
+                table.column(0, "OF-SA-Accuracy", ratio_tick, |o| o.1),
+                table.column(1, "IC", ratio_tick, |o| o.0),
+                table.column(1, "IC-SA-Accuracy", ratio_tick, |o| o.1),
+            ];
+            fig.note(match kind {
+                QueryKind::Q1 => {
+                    "Expected shape (paper): Q1 is join-free, so OF and IC both track the \
+                     measured top-k accuracy well."
+                }
+                QueryKind::Q2 => {
+                    "Expected shape (paper): Q2 joins two streams; IC keeps rising with \
+                     resources while the accuracy of IC-optimized plans lags — IC ignores \
+                     input-stream correlation. OF tracks accuracy."
+                }
+            });
+            fig
+        })
+        .collect()
 }

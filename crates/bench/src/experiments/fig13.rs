@@ -2,84 +2,64 @@
 //! structure-aware planner (SA) and the greedy baseline — on Q1 and Q2, in
 //! both predicted OF and measured tentative-output accuracy.
 
-use super::fig12::{ratios, AccuracyHarness, QueryKind};
+use super::fig12::{harnesses, ratio_tick, ratios};
+use super::grid::{cross, Table};
 use crate::runner::RunCtx;
-use crate::{Figure, Series};
+use crate::Figure;
 use ppa_core::planner::Objective;
 use ppa_core::{DpPlanner, GreedyPlanner, Planner, StructureAwarePlanner};
 
-const PLANNERS: [&str; 3] = ["DP", "SA", "Greedy"];
-
-fn make_planner(label: &str) -> Box<dyn Planner> {
-    match label {
-        "DP" => Box::new(DpPlanner::default()),
-        "SA" => Box::new(StructureAwarePlanner::default()),
-        _ => Box::new(GreedyPlanner),
-    }
-}
+/// A roster entry: the planner's series prefix and its constructor.
+type Entry = (&'static str, fn() -> Box<dyn Planner>);
 
 pub fn run(ctx: &RunCtx) -> Vec<Figure> {
-    let quick = ctx.quick;
-    let kinds = [(QueryKind::Q1, "Q1 top-k"), (QueryKind::Q2, "Q2 incidents")];
+    let harnesses = harnesses(ctx);
 
-    // Leaf phase 1 — harnesses (each includes a golden run).
-    let harnesses: Vec<AccuracyHarness> = ctx.map(kinds.to_vec(), |(kind, _)| {
-        AccuracyHarness::new(ctx, kind, quick)
-    });
-
-    // Leaf phase 2 — one job per (query, planner, ratio): plan + measure.
-    let rs = ratios(quick);
-    let mut jobs: Vec<(usize, usize, usize)> = Vec::new();
-    for ki in 0..kinds.len() {
-        for pi in 0..PLANNERS.len() {
-            for ri in 0..rs.len() {
-                jobs.push((ki, pi, ri));
+    // Leaf phase 2 — one job per (query, ratio) × planner: plan + measure.
+    let rs = ratios(ctx.quick);
+    let cells = cross(&harnesses, &rs);
+    let planners: [Entry; 3] = [
+        ("DP", || Box::new(DpPlanner::default())),
+        ("SA", || Box::new(StructureAwarePlanner::default())),
+        ("Greedy", || Box::new(GreedyPlanner)),
+    ];
+    let table = Table::run(
+        ctx,
+        &cells,
+        &planners,
+        |&(harness, &ratio), (_, planner)| {
+            let cx = harness.context(Objective::OutputFidelity);
+            match planner().plan(&cx, harness.budget(ratio)) {
+                Ok(plan) => (cx.of_plan(&plan.tasks), harness.measure(&plan.tasks)),
+                // DP can explode on large topologies (the paper hits the same
+                // wall in §VI-C); report an absent point.
+                Err(_) => (f64::NAN, f64::NAN),
             }
-        }
-    }
-    let outcomes: Vec<(f64, f64)> = ctx.map(jobs, |(ki, pi, ri)| {
-        let harness = &harnesses[ki];
-        let cx = harness.context(Objective::OutputFidelity);
-        let budget = harness.budget(rs[ri]);
-        match make_planner(PLANNERS[pi]).plan(&cx, budget) {
-            Ok(plan) => (cx.of_plan(&plan.tasks), harness.measure(&plan.tasks)),
-            // DP can explode on large topologies (the paper hits the same
-            // wall in §VI-C); report an absent point.
-            Err(_) => (f64::NAN, f64::NAN),
-        }
-    });
+        },
+    );
 
-    let mut figures = Vec::new();
-    for (ki, (_, name)) in kinds.iter().enumerate() {
-        let mut of_series: Vec<Series> = Vec::new();
-        let mut acc_series: Vec<Series> = Vec::new();
-        for (pi, label) in PLANNERS.iter().enumerate() {
-            let mut s_of = Series::new(format!("{label}-OF"));
-            let mut s_acc = Series::new(format!("{label}-Accuracy"));
-            for (ri, ratio) in rs.iter().enumerate() {
-                let x = format!("{ratio:.1}");
-                let (of, acc) = outcomes[(ki * PLANNERS.len() + pi) * rs.len() + ri];
-                s_of.push(x.clone(), of);
-                s_acc.push(x, acc);
-            }
-            of_series.push(s_of);
-            acc_series.push(s_acc);
-        }
-
-        let mut fig = Figure::new(
-            "fig13",
-            format!("Planner comparison — {name}"),
-            "resource consumption",
-            "OF / measured accuracy",
-        );
-        fig.series = of_series;
-        fig.series.extend(acc_series);
-        fig.note(
-            "Expected shape (paper): SA tracks the optimal DP closely in both OF and \
-             accuracy; Greedy is clearly worse, especially at small budgets where its \
-             picks do not assemble complete MC-trees.",
-        );
-        figures.push(fig);
-    }
-    figures
+    harnesses
+        .iter()
+        .map(|harness| {
+            let table = table.only(|(h, _)| h.kind == harness.kind);
+            let mut fig = Figure::new(
+                "fig13",
+                format!("Planner comparison — {}", harness.kind.title()),
+                "resource consumption",
+                "OF / measured accuracy",
+            );
+            fig.series = table.by_entry(|(p, _)| format!("{p}-OF"), ratio_tick, |o| o.0);
+            fig.series.extend(table.by_entry(
+                |(p, _)| format!("{p}-Accuracy"),
+                ratio_tick,
+                |o| o.1,
+            ));
+            fig.note(
+                "Expected shape (paper): SA tracks the optimal DP closely in both OF and \
+                 accuracy; Greedy is clearly worse, especially at small budgets where its \
+                 picks do not assemble complete MC-trees.",
+            );
+            fig
+        })
+        .collect()
 }

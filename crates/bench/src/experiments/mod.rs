@@ -1,12 +1,32 @@
-//! One module per reproduced figure, plus shared scenario-driving helpers.
+//! One module per reproduced figure, all of one shape: **axes → cell
+//! closure → columns → notes**.
 //!
-//! Experiments receive a [`RunCtx`] and submit their independent scenario
-//! points — one simulated run, one topology's plans — as leaf jobs via
-//! [`RunCtx::map`]. Each point derives its randomness from its own seed,
-//! so results are identical for any worker count.
+//! * **Axes.** An experiment names its *cells* (the configurations on the
+//!   x-axis; [`grid::cross`] spells a two-axis product) and its *roster*
+//!   (the strategies, placements or policies compared — one series each).
+//! * **Cell closure.** [`grid::Table::run`] calls it once per (cell, roster
+//!   entry) as a leaf job on [`RunCtx::map`]. A closure builds its
+//!   scenario, pushes one simulated run through [`drive`] — the only
+//!   driver, which also logs the run for the JSON reporter and
+//!   `--trace-dir` — and returns the numbers it measured. Each job derives
+//!   its randomness from its own seed, so results are identical for any
+//!   worker count.
+//! * **Columns.** The table comes back addressed by cell and roster entry;
+//!   [`grid::Table::by_entry`] projects it to one series per roster entry,
+//!   [`grid::Table::column`] to one series per measured column.
+//! * **Notes.** What the paper's figure looks like, or what the sweep
+//!   shows beyond it.
+//!
+//! The five failure sweeps share one test bed ([`bed::Bed`]: the
+//! sweep-scale Fig. 6 scenario, optionally placed on the racked 12 + 12
+//! cluster, and the cascade they draw failures from); the steps any
+//! experiment may need ([`half_plan`], [`held_down`], [`completion_latency`])
+//! live here. `fig14`, `chaos_swarm` and
+//! `scale_sweep` are not grids of failure runs and submit their own jobs.
 
 pub mod adaptive_sweep;
 pub mod approx_sweep;
+pub mod bed;
 pub mod chaos_swarm;
 pub mod corr_sweep;
 pub mod fig07;
@@ -16,6 +36,7 @@ pub mod fig10;
 pub mod fig12;
 pub mod fig13;
 pub mod fig14;
+pub mod grid;
 pub mod placement_sweep;
 pub mod refail_sweep;
 pub mod scale_sweep;
@@ -23,9 +44,9 @@ pub mod tentative;
 
 use crate::runner::{RunCtx, RunLog, TraceLog};
 use crate::stopwatch::Stopwatch;
-use ppa_core::TaskSet;
+use ppa_core::{PlanContext, Planner, StructureAwarePlanner, TaskSet};
 use ppa_engine::{
-    EngineConfig, EngineEvent, FailureTrace, FtMode, RunReport, Simulation, TraceSink,
+    DriveReport, EngineConfig, EngineEvent, FailureTrace, FtMode, RunReport, Simulation, TraceSink,
 };
 use ppa_sim::{SimDuration, SimTime};
 use ppa_workloads::{Fig6Config, Scenario};
@@ -75,8 +96,7 @@ impl Strategy {
         }
     }
 
-    /// The engine configuration this strategy runs under (crate-wide so
-    /// experiments can drive golden runs outside [`run_scenario`]).
+    /// The engine configuration this strategy runs under.
     pub(crate) fn config(&self, n_tasks: usize, window: SimDuration, seed: u64) -> EngineConfig {
         let mut cfg = EngineConfig {
             seed,
@@ -124,56 +144,15 @@ pub fn kill_set_trace(fail_at_secs: u64, kill_nodes: Vec<usize>) -> FailureTrace
     FailureTrace::once(SimTime::from_secs(fail_at_secs), kill_nodes)
 }
 
-/// Runs the Fig. 6 scenario under a strategy, replaying `trace`, logging
-/// the run for the JSON reporter.
-pub fn run_fig6(
-    ctx: &RunCtx,
-    cfg: &Fig6Config,
-    strategy: &Strategy,
-    trace: &FailureTrace,
-    duration_secs: u64,
-) -> RunReport {
-    let scenario = ppa_workloads::fig6_scenario(cfg);
-    run_scenario(
-        ctx,
-        &grid_label(cfg),
-        &scenario,
-        strategy,
-        cfg.window,
-        trace,
-        duration_secs,
-        cfg.seed,
-    )
-}
-
-/// Runs any scenario under a strategy, replaying a failure trace, logging
-/// the run (labelled `label`) for the JSON reporter. The logged failure
-/// instant is the trace's first event; the logged kill set is the union of
-/// all its events' nodes.
-#[allow(clippy::too_many_arguments)]
-pub fn run_scenario(
-    ctx: &RunCtx,
-    label: &str,
-    scenario: &Scenario,
-    strategy: &Strategy,
-    window: SimDuration,
-    trace: &FailureTrace,
-    duration_secs: u64,
-    seed: u64,
-) -> RunReport {
-    let n_tasks = scenario.graph().n_tasks();
-    let config = strategy.config(n_tasks, window, seed);
-    run_scenario_config(ctx, label, scenario, strategy, config, trace, duration_secs)
-}
-
-/// [`run_scenario`] with an explicit engine configuration, for experiments
-/// that tweak knobs beyond what the strategy's derived configuration sets
-/// (e.g. the placement sweep holding passive recovery down for
-/// steady-state tentative sampling).
-///
-/// Runs go through the control-plane loop (`Simulation::drive`) with the
-/// scenario's policy — the static no-op unless one is attached.
-pub fn run_scenario_config(
+/// The one driver: runs `scenario` under `strategy` with the engine
+/// configuration `config` (usually `Strategy::config`, possibly with
+/// knobs turned — see [`held_down`]), replaying `trace` through the
+/// control-plane loop (`Simulation::drive`) with the scenario's policy —
+/// the static no-op unless one is attached. The run is logged (labelled
+/// `label`) for the JSON reporter, and its event stream for `--trace-dir`;
+/// the logged failure instant is the trace's first event, the logged kill
+/// set the union of all its events' nodes.
+pub fn drive(
     ctx: &RunCtx,
     label: &str,
     scenario: &Scenario,
@@ -181,23 +160,7 @@ pub fn run_scenario_config(
     config: EngineConfig,
     trace: &FailureTrace,
     duration_secs: u64,
-) -> RunReport {
-    drive_scenario_config(ctx, label, scenario, strategy, config, trace, duration_secs).report
-}
-
-/// [`run_scenario_config`] returning the full [`ppa_engine::DriveReport`]
-/// — control actions and control-plane CPU included — for experiments
-/// that measure the control plane itself.
-#[allow(clippy::too_many_arguments)]
-pub fn drive_scenario_config(
-    ctx: &RunCtx,
-    label: &str,
-    scenario: &Scenario,
-    strategy: &Strategy,
-    config: EngineConfig,
-    trace: &FailureTrace,
-    duration_secs: u64,
-) -> ppa_engine::DriveReport {
+) -> DriveReport {
     let mut sim = Simulation::new(&scenario.query, scenario.placement.clone(), config);
     let buffer = ctx.tracing().then(|| {
         let buffer = Arc::new(Mutex::new(Vec::new()));
@@ -237,6 +200,27 @@ pub fn drive_scenario_config(
     driven
 }
 
+/// `config` with passive recovery held down: replicas take over, everything
+/// else stays dead, so the run samples a plan's *steady-state* tentative
+/// quality — exactly the quantity Definition 2's OF models. (In the paper
+/// the same steadiness comes for free: EC2-scale recoveries lasted tens of
+/// seconds, longer than any query window. See README.md §Design notes.)
+pub fn held_down(config: EngineConfig) -> EngineConfig {
+    EngineConfig {
+        passive_recovery: false,
+        ..config
+    }
+}
+
+/// The evaluation's PPA-0.5 plan: half the tasks, chosen by the
+/// structure-aware planner against the failure sets `cx` hedges.
+pub fn half_plan(cx: &PlanContext) -> TaskSet {
+    StructureAwarePlanner::default()
+        .plan(cx, cx.n_tasks() / 2)
+        .expect("SA plan")
+        .tasks
+}
+
 /// A [`TraceSink`] buffering into shared storage, so the harness can keep
 /// reading the stream after the simulation consumed the boxed sink.
 struct SharedSink(Arc<Mutex<Vec<(SimTime, EngineEvent)>>>);
@@ -250,47 +234,46 @@ impl TraceSink for SharedSink {
     }
 }
 
-/// Mean recovery latency in seconds over the non-source tasks (the 15
-/// synthetic tasks whose nodes the §VI-A experiments kill).
-pub fn mean_synthetic_latency(report: &RunReport, scenario: &Scenario) -> f64 {
-    let graph = scenario.graph();
-    crate::latency_secs(report.mean_latency_of(|t| !graph.is_source_task(t)))
-}
-
 /// Completion latency of a correlated failure: detection → the *last*
 /// matching task restored its pre-failure progress. This is the quantity
 /// the paper's Fig. 8/10 bars measure — the whole failed set is only
-/// "recovered" when its slowest, synchronization-gated member is.
+/// "recovered" when its slowest, synchronization-gated member is. Agrees
+/// with [`RunReport::full_recovery_at`]: NaN when any matching task never
+/// recovered, or when none matched.
 pub fn completion_latency(
     report: &RunReport,
     mut include: impl FnMut(ppa_core::model::TaskIndex) -> bool,
 ) -> f64 {
-    report
+    let worst = report
         .recoveries()
         .iter()
         .filter(|r| include(r.task))
-        .map(|r| r.latency().map_or(f64::NAN, |d| d.as_secs_f64()))
-        .fold(f64::NAN, f64::max)
+        .map(|r| r.latency())
+        .collect::<Option<Vec<_>>>() // one open member poisons the set
+        .and_then(|all| all.into_iter().max());
+    crate::latency_secs(worst)
+}
+
+/// The Fig. 6 workload at one (rate, window) point, everything else default.
+pub fn fig6_cfg(rate: usize, window_secs: u64) -> Fig6Config {
+    Fig6Config {
+        rate,
+        window: SimDuration::from_secs(window_secs),
+        ..Fig6Config::default()
+    }
 }
 
 /// The (window, rate) grid of Fig. 7/8, scaled down in quick mode.
 pub fn fig6_grid(quick: bool) -> Vec<Fig6Config> {
-    let (windows, rates): (Vec<u64>, Vec<usize>) = if quick {
-        (vec![10], vec![300, 600])
+    let (windows, rates): (&[u64], &[usize]) = if quick {
+        (&[10], &[300, 600])
     } else {
-        (vec![10, 30], vec![1000, 2000])
+        (&[10, 30], &[1000, 2000])
     };
-    let mut out = Vec::new();
-    for &w in &windows {
-        for &r in &rates {
-            out.push(Fig6Config {
-                rate: r,
-                window: SimDuration::from_secs(w),
-                ..Fig6Config::default()
-            });
-        }
-    }
-    out
+    grid::cross(windows, rates)
+        .into_iter()
+        .map(|(&w, &r)| fig6_cfg(r, w))
+        .collect()
 }
 
 /// Grid point label matching the paper's x-axis ("win:10s, rate:1000tp/s").
@@ -315,6 +298,8 @@ pub fn schedule(quick: bool) -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppa_core::model::TaskIndex;
+    use ppa_engine::{OutageRecord, TaskOutages};
 
     #[test]
     fn ppa_label_distinguishes_intervals_and_shares() {
@@ -337,6 +322,58 @@ mod tests {
             c.label(),
             "active shares must be distinguishable"
         );
+    }
+
+    /// A report whose task `i` was detected at 45 s and recovered after
+    /// `latencies[i]` seconds (`None` = still open at run end).
+    fn report_with(latencies: &[Option<u64>]) -> RunReport {
+        let detected_at = SimTime::from_secs(45);
+        let outages = latencies
+            .iter()
+            .enumerate()
+            .map(|(task, latency)| TaskOutages {
+                task: TaskIndex(task),
+                records: vec![OutageRecord {
+                    via_replica: false,
+                    failed_at: SimTime::from_secs(40),
+                    detected_at,
+                    recovered_at: latency.map(|l| detected_at + SimDuration::from_secs(l)),
+                    fidelity_floor: None,
+                }],
+            });
+        RunReport {
+            outages: outages.collect(),
+            ..RunReport::default()
+        }
+    }
+
+    #[test]
+    fn completion_latency_agrees_with_full_recovery_at() {
+        let all = report_with(&[Some(2), Some(9), Some(4)]);
+        assert_eq!(completion_latency(&all, |_| true), 9.0);
+        assert_eq!(completion_latency(&all, |t| t.0 != 1), 4.0);
+        assert!(all.full_recovery_at().is_some());
+
+        // One open member: the set is not recovered, whatever the others did
+        // and wherever the open one sits in the fold.
+        for open in 0..3 {
+            let mut latencies = [Some(2), Some(9), Some(4)];
+            latencies[open] = None;
+            let report = report_with(&latencies);
+            assert!(
+                completion_latency(&report, |_| true).is_nan(),
+                "task {open} never recovered, yet the set reads as recovered"
+            );
+            assert!(report.full_recovery_at().is_none());
+            // ...unless the open member is not part of the set asked about.
+            assert!(completion_latency(&report, |t| t.0 != open).is_finite());
+        }
+
+        assert!(
+            completion_latency(&all, |_| false).is_nan(),
+            "none matching"
+        );
+        assert!(completion_latency(&RunReport::default(), |_| true).is_nan());
     }
 
     #[test]

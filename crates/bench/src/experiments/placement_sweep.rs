@@ -31,82 +31,16 @@
 //! placement, so placement-induced CPU contention cancels out) and the
 //! structural surviving-MC-tree fraction that explains it.
 
-use super::{run_scenario_config, schedule, Strategy};
+use super::bed::{cascade, cell_label, Bed, N_STANDBY, N_WORKERS};
+use super::grid::{cross, Table};
+use super::{drive, Strategy};
 use crate::runner::RunCtx;
-use crate::{Figure, Series};
-use ppa_core::{enumerate_mc_trees, McTreeLimits, Planner, StructureAwarePlanner, TaskSet};
-use ppa_engine::{
-    Cluster, DomainSpread, FailureTrace, Packed, Placement, PlacementStrategy, RoundRobin,
-    Simulation,
-};
-use ppa_faults::{CascadeProcess, FailureProcess};
+use crate::Figure;
+use ppa_core::{enumerate_mc_trees, McTreeLimits, TaskSet};
+use ppa_engine::{DomainSpread, Packed, Placement, PlacementStrategy, RoundRobin};
+use ppa_faults::FailureProcess;
 use ppa_sim::{SimDuration, SimTime};
-use ppa_workloads::{batch_fidelity, Fig6Config, Scenario};
-
-/// Cluster shape shared by every cell: the Fig. 6 query's 31 tasks on 12
-/// workers, with 12 standby nodes for checkpoints and replicas.
-const N_WORKERS: usize = 12;
-const N_STANDBY: usize = 12;
-
-/// Rack sizes (the burst unit) of the sweep. Racks are consecutive node
-/// ranges over workers *and* standbys, so cascades can take replicas down
-/// with their primaries — unless the placement separated them.
-fn burst_sizes(quick: bool) -> Vec<usize> {
-    if quick {
-        vec![4]
-    } else {
-        vec![2, 4, 8]
-    }
-}
-
-/// Cascade spread probabilities (the correlation strength) of the sweep.
-fn spreads(quick: bool) -> Vec<f64> {
-    if quick {
-        vec![0.0, 0.9]
-    } else {
-        vec![0.0, 0.5, 0.9]
-    }
-}
-
-/// The placement roster; [`build_placement`] maps a label to the strategy.
-fn roster() -> Vec<&'static str> {
-    vec!["RoundRobin", "Packed", "DomainSpread"]
-}
-
-fn build_placement(name: &str) -> Box<dyn PlacementStrategy> {
-    match name {
-        "RoundRobin" => Box::new(RoundRobin),
-        "Packed" => Box::new(Packed),
-        "DomainSpread" => Box::new(DomainSpread::racks()),
-        other => unreachable!("unknown placement strategy {other}"),
-    }
-}
-
-/// The generated trace of one `(burst, corr)` cell, drawn from the cell's
-/// cluster tree — placement-independent, so every strategy replays the
-/// same node deaths.
-fn cell_trace(cluster: &Cluster, spread: f64, fail_at: u64, base_seed: u64) -> FailureTrace {
-    let tree = cluster.domains.as_ref().expect("racked cluster has a tree");
-    let process = CascadeProcess {
-        level: 1,
-        spread,
-        decay: 0.5,
-        hop_delay: SimDuration::from_secs(2),
-        fraction: 1.0,
-        // Pin the origin to the first rack — always worker infrastructure,
-        // under every burst size — so cells compare placements against a
-        // strike on comparable hardware instead of a randomly chosen (and
-        // possibly consequence-free, all-standby) rack.
-        origin: Some(0),
-    };
-    let seed = base_seed ^ 0x9e37 ^ (((spread * 100.0) as u64) << 20);
-    process.generate_seeded(
-        tree,
-        SimTime::from_secs(fail_at),
-        SimDuration::from_secs(60),
-        seed,
-    )
-}
+use ppa_workloads::batch_fidelity;
 
 /// Fraction of the graph's MC-trees that remain fully serviceable after
 /// the trace's kill set: every task of the tree either kept its primary
@@ -132,7 +66,7 @@ fn surviving_tree_fraction(
     alive as f64 / trees.len().max(1) as f64
 }
 
-/// One cell × strategy outcome.
+/// One cell × placement outcome.
 struct Outcome {
     fidelity: f64,
     surviving: f64,
@@ -141,95 +75,65 @@ struct Outcome {
 
 pub fn run(ctx: &RunCtx) -> Vec<Figure> {
     let quick = ctx.quick;
-    let (fail_at, duration) = schedule(quick);
-    let fidelity_window = 60u64;
-    let cfg = Fig6Config {
-        rate: if quick { 300 } else { 1000 },
-        window: SimDuration::from_secs(if quick { 10 } else { 30 }),
-        ..Fig6Config::default()
-    };
-    let bursts = burst_sizes(quick);
-    let spreads = spreads(quick);
-    let roster = roster();
+    // Rack sizes (the burst unit) × cascade spread probabilities.
+    let bursts: &[usize] = if quick { &[4] } else { &[2, 4, 8] };
+    let spreads: &[f64] = if quick { &[0.0, 0.9] } else { &[0.0, 0.5, 0.9] };
+    let cells = cross(bursts, spreads);
+    let spread_racks = DomainSpread::racks();
+    let roster: [&(dyn PlacementStrategy + Sync); 3] = [&RoundRobin, &Packed, &spread_racks];
 
-    // One leaf job per (burst, spread, placement strategy) cell.
-    let mut jobs: Vec<(usize, f64, &'static str)> = Vec::new();
-    for &b in &bursts {
-        for &p in &spreads {
-            for &s in &roster {
-                jobs.push((b, p, s));
-            }
-        }
-    }
-    let outcomes: Vec<Outcome> = ctx.map(jobs, |(rack_size, spread, name)| {
-        let cluster = Cluster::racked(N_WORKERS, N_STANDBY, rack_size).expect("positive rack size");
-        let trace = cell_trace(&cluster, spread, fail_at, cfg.seed);
-        let placement = build_placement(name);
-        let scenario: Scenario = ppa_workloads::fig6_scenario(&cfg)
-            .placed_with(placement.as_ref(), &cluster)
-            .expect("fig6 fits the sweep cluster");
-        let n = scenario.graph().n_tasks();
-        // Plan against this placement's own node → fault-domain mapping:
-        // the planner hedges exactly the rack failures this placement can
-        // actually suffer.
-        let cx = scenario
-            .placement
-            .plan_context(scenario.query.topology())
-            .expect("fig6 plans against its racked cluster");
-        let plan: TaskSet = StructureAwarePlanner::default()
-            .plan(&cx, n / 2)
-            .expect("SA plan")
-            .tasks;
+    let table = Table::run(ctx, &cells, &roster, |cell, &placement| {
+        let (&rack_size, &spread) = *cell;
+        let bed = Bed::racked(quick, rack_size, placement);
+        // Drawn from the cluster tree — placement-independent. The origin
+        // is pinned to the first rack — always worker infrastructure,
+        // under every burst size — so cells compare placements against a
+        // strike on comparable hardware instead of a randomly chosen (and
+        // possibly consequence-free, all-standby) rack.
+        let trace = cascade(Some(0), spread, 1.0).generate_seeded(
+            bed.racks(),
+            SimTime::from_secs(bed.fail_at),
+            SimDuration::from_secs(60),
+            bed.trace_seed(0x9e37, spread),
+        );
+        let plan = bed.half_plan();
         let strategy = Strategy::Ppa {
             plan: plan.clone(),
             interval_secs: 5,
         };
-
-        // Steady-state tentative sampling (README.md §Design notes 5):
-        // replicas take over, everything else stays down for the window.
-        let mut config = strategy.config(n, cfg.window, cfg.seed);
-        config.passive_recovery = false;
-
-        // Golden run: same placement, no failures — the fidelity baseline
-        // (placement-induced CPU contention cancels out).
-        let golden = Simulation::run(
-            &scenario.query,
-            scenario.placement.clone(),
-            config.clone(),
-            &FailureTrace::new(),
-            SimDuration::from_secs(duration),
-        );
-        let report = run_scenario_config(
+        let config = bed.held_down(&strategy);
+        let golden = bed.golden(config.clone());
+        let report = drive(
             ctx,
-            &format!("burst:{rack_size} corr:{spread} place:{name}"),
-            &scenario,
+            &format!("{} place:{}", cell_label(cell), placement.name()),
+            &bed.scenario,
             &strategy,
             config,
             &trace,
-            duration,
-        );
+            bed.duration,
+        )
+        .report;
         Outcome {
             fidelity: batch_fidelity(
                 &golden,
                 &report,
-                fail_at,
-                fail_at + fidelity_window,
+                bed.fail_at,
+                bed.fail_at + 60,
                 // One heartbeat of slack: the shared detection gap is
                 // forgiven, recovery replay arriving later is not.
                 SimDuration::from_secs(5),
             ),
             surviving: surviving_tree_fraction(
-                &scenario.placement,
+                &bed.scenario.placement,
                 &plan,
-                &scenario.graph(),
+                &bed.scenario.graph(),
                 &trace.killed_nodes(),
             ),
             killed: trace.killed_nodes().len(),
         }
     });
 
-    let cell_label = |b: usize, p: f64| format!("burst:{b} corr:{p}");
-    let idx = |bi: usize, pi: usize, si: usize| (bi * spreads.len() + pi) * roster.len() + si;
+    let name = |p: &&(dyn PlacementStrategy + Sync)| p.name().to_string();
 
     let mut fidelity = Figure::new(
         "placement_sweep",
@@ -237,25 +141,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Figure> {
         "burst size × correlation",
         "output fidelity vs golden run",
     );
-    let mut surviving = Figure::new(
-        "placement_sweep_trees",
-        "Serviceable MC-trees after the burst per placement strategy",
-        "burst size × correlation",
-        "fraction of MC-trees serviceable",
-    );
-    for (si, name) in roster.iter().enumerate() {
-        let mut f_series = Series::new(*name);
-        let mut s_series = Series::new(*name);
-        for (bi, &b) in bursts.iter().enumerate() {
-            for (pi, &p) in spreads.iter().enumerate() {
-                let o = &outcomes[idx(bi, pi, si)];
-                f_series.push(cell_label(b, p), o.fidelity);
-                s_series.push(cell_label(b, p), o.surviving);
-            }
-        }
-        fidelity.series.push(f_series);
-        surviving.series.push(s_series);
-    }
+    fidelity.series = table.by_entry(name, cell_label, |o| o.fidelity);
     fidelity.note(
         "Fidelity = on-time per-batch sink volume over the 60 s after the burst, \
          relative to a failure-free run of the same placement (1.0 = nothing lost; \
@@ -266,6 +152,14 @@ pub fn run(ctx: &RunCtx) -> Vec<Figure> {
          DomainSpread's anti-affinity keeps tentative output flowing where Packed \
          loses whole operator layers.",
     );
+
+    let mut surviving = Figure::new(
+        "placement_sweep_trees",
+        "Serviceable MC-trees after the burst per placement strategy",
+        "burst size × correlation",
+        "fraction of MC-trees serviceable",
+    );
+    surviving.series = table.by_entry(name, cell_label, |o| o.surviving);
     surviving.note(
         "Structural view of the same cells: an MC-tree is serviceable when each of \
          its tasks kept its primary node or has a planned replica on a surviving \
@@ -279,13 +173,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Figure> {
         "burst size × correlation",
         format!("nodes killed (of {})", N_WORKERS + N_STANDBY),
     );
-    let mut killed = Series::new("nodes killed");
-    for (bi, &b) in bursts.iter().enumerate() {
-        for (pi, &p) in spreads.iter().enumerate() {
-            killed.push(cell_label(b, p), outcomes[idx(bi, pi, 0)].killed as f64);
-        }
-    }
-    scale.series.push(killed);
+    scale.series = vec![table.column(0, "nodes killed", cell_label, |o| o.killed as f64)];
     scale.note("The kill set is identical for every placement strategy in a cell.");
 
     vec![fidelity, surviving, scale]

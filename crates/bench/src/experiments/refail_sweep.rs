@@ -32,54 +32,39 @@
 //! the re-failure histories (second outages opened, second recoveries
 //! completed) behind the gap.
 
-use super::{drive_scenario_config, schedule, Strategy};
+use super::bed::{cascade, Bed, N_WORKERS};
+use super::grid::Table;
+use super::{drive, Strategy};
 use crate::runner::RunCtx;
-use crate::{Figure, Series};
-use ppa_core::{Planner, StructureAwarePlanner, TaskSet};
-use ppa_engine::{Cluster, DomainHealthPolicy, DriveReport, FailureTrace, RoundRobin, Simulation};
-use ppa_faults::{CascadeProcess, FailureProcess};
+use crate::Figure;
+use ppa_engine::{DriveReport, FailureTrace, RoundRobin};
+use ppa_faults::FailureProcess;
 use ppa_sim::{SimDuration, SimTime};
-use ppa_workloads::{outage_fidelity, outage_windows, Fig6Config, Scenario};
+use ppa_workloads::{outage_fidelity, outage_windows};
 
-/// Cluster shape shared by every cell (the `adaptive_sweep` cluster).
-const N_WORKERS: usize = 12;
-const N_STANDBY: usize = 12;
 const RACK_SIZE: usize = 4;
 /// Wave 2 lands this long after wave 1 — past detection and takeover, so
 /// the second wave kills *activated* replicas, not muted ones.
 const WAVE_GAP_SECS: u64 = 30;
-
-/// One cell: the spread probability shared by both cascade waves.
-fn cells(quick: bool) -> Vec<f64> {
-    if quick {
-        vec![0.0, 0.9]
-    } else {
-        vec![0.0, 0.5, 0.9]
-    }
-}
+/// The control policies compared inside every cell, static first.
+const POLICIES: [&str; 2] = ["static", "domain-health"];
 
 /// The two-wave trace of a cell: wave 1 from the first worker rack, wave
 /// 2 from the first standby rack (the rack `RoundRobin` aligns with the
 /// first worker rack's standbys). Policy-independent, so both series
 /// replay identical node deaths.
-fn two_wave_trace(cluster: &Cluster, corr: f64, fail_at: u64, base_seed: u64) -> FailureTrace {
-    let tree = cluster.domains.as_ref().expect("racked cluster has a tree");
-    let horizon = SimDuration::from_secs(20);
+fn two_wave_trace(bed: &Bed, corr: f64) -> FailureTrace {
     let wave = |origin: usize, start_secs: u64, salt: u64| {
-        let process = CascadeProcess {
-            level: 1,
-            spread: corr,
-            decay: 0.5,
-            hop_delay: SimDuration::from_secs(2),
-            fraction: 1.0,
-            origin: Some(origin),
-        };
-        let seed = base_seed ^ salt ^ (((corr * 100.0) as u64) << 20);
-        process.generate_seeded(tree, SimTime::from_secs(start_secs), horizon, seed)
+        cascade(Some(origin), corr, 1.0).generate_seeded(
+            bed.racks(),
+            SimTime::from_secs(start_secs),
+            SimDuration::from_secs(20),
+            bed.trace_seed(salt, corr),
+        )
     };
-    let mut trace = wave(0, fail_at, 0x2ef1);
+    let mut trace = wave(0, bed.fail_at, 0x2ef1);
     let standby_origin = N_WORKERS / RACK_SIZE; // first standby rack
-    for e in wave(standby_origin, fail_at + WAVE_GAP_SECS, 0x2ef2).events() {
+    for e in wave(standby_origin, bed.fail_at + WAVE_GAP_SECS, 0x2ef2).events() {
         trace.push(e.at, e.nodes.clone());
     }
     trace
@@ -99,90 +84,56 @@ struct PolicyOutcome {
 
 /// One cell's outcome: both policies over the identical kill set.
 struct Outcome {
-    by_policy: Vec<PolicyOutcome>,
+    by_policy: [PolicyOutcome; 2],
     killed: usize,
 }
 
 pub fn run(ctx: &RunCtx) -> Vec<Figure> {
     let quick = ctx.quick;
-    let (fail_at, duration) = schedule(quick);
-    let wave2 = fail_at + WAVE_GAP_SECS;
-    let cfg = Fig6Config {
-        rate: if quick { 300 } else { 1000 },
-        window: SimDuration::from_secs(if quick { 10 } else { 30 }),
-        ..Fig6Config::default()
-    };
-    let cells = cells(quick);
-    let roster = ["static", "domain-health"];
+    // One cell per spread probability, shared by both cascade waves.
+    let cells: &[f64] = if quick { &[0.0, 0.9] } else { &[0.0, 0.5, 0.9] };
 
-    // One leaf job per cell: both policies share the cluster, trace,
-    // plan and golden run, and the outage windows are derived once from
-    // the static run's own histories.
-    let outcomes: Vec<Outcome> = ctx.map(cells.clone(), |corr| {
-        let cluster = Cluster::racked(N_WORKERS, N_STANDBY, RACK_SIZE).expect("positive rack size");
-        let trace = two_wave_trace(&cluster, corr, fail_at, cfg.seed);
-        let scenario = || -> Scenario {
-            ppa_workloads::fig6_scenario(&cfg)
-                .placed_with(&RoundRobin, &cluster)
-                .expect("fig6 fits the sweep cluster")
-        };
-        let base = scenario();
-        let n = base.graph().n_tasks();
-        let cx = base
-            .placement
-            .plan_context(base.query.topology())
-            .expect("fig6 plans against its racked cluster");
-        let plan: TaskSet = StructureAwarePlanner::default()
-            .plan(&cx, n / 2)
-            .expect("SA plan")
-            .tasks;
+    // One leaf job per cell: both policies share the trace, plan and
+    // golden run, and the outage windows are derived once from the static
+    // run's own histories.
+    let table = Table::run(ctx, cells, &[()], |&corr, ()| {
+        let base = Bed::racked(quick, RACK_SIZE, &RoundRobin);
+        let trace = two_wave_trace(&base, corr);
         let strategy = Strategy::Ppa {
-            plan,
+            plan: base.half_plan(),
             interval_secs: 5,
         };
         // Steady-state tentative sampling: a re-failed task comes back
         // only through the control plane.
-        let config = || {
-            let mut c = strategy.config(n, cfg.window, cfg.seed);
-            c.passive_recovery = false;
-            c
-        };
-
-        let golden = Simulation::run(
-            &base.query,
-            base.placement.clone(),
-            config(),
-            &FailureTrace::new(),
-            SimDuration::from_secs(duration),
-        );
-        let drive = |s: &Scenario, policy_name: &str| -> DriveReport {
-            drive_scenario_config(
+        let config = || base.held_down(&strategy);
+        let golden = base.golden(config());
+        let run_on = |bed: &Bed, policy: &str| -> DriveReport {
+            drive(
                 ctx,
-                &format!("corr:{corr} policy:{policy_name}"),
-                s,
+                &format!("corr:{corr} policy:{policy}"),
+                &bed.scenario,
                 &strategy,
                 config(),
                 &trace,
-                duration,
+                bed.duration,
             )
         };
-        let static_run = drive(&base, roster[0]);
-        let budget = n / 2;
-        let adaptive =
-            scenario().with_policy(move || Box::new(DomainHealthPolicy::new(Some(budget))));
-        let adaptive_run = drive(&adaptive, roster[1]);
+        let static_run = run_on(&base, POLICIES[0]);
+        let adaptive = Bed::racked(quick, RACK_SIZE, &RoundRobin).with_domain_health();
+        let adaptive_run = run_on(&adaptive, POLICIES[1]);
 
         // Attribute fidelity to each wave's own outage window: the
         // boundaries come from the static run's outage histories (both
         // runs replay identical node deaths), split at the first onset
         // of the second wave.
+        let wave2 = base.fail_at + WAVE_GAP_SECS;
         let batch = config().batch_interval;
-        let w2_start = outage_windows(&static_run.report, batch, duration)
+        let w2_start = outage_windows(&static_run.report, batch, base.duration)
             .iter()
             .map(|&(from, _)| from)
             .find(|&b| b >= wave2)
             .unwrap_or(wave2);
-        let windows = [(fail_at, w2_start), (w2_start, w2_start + 45)];
+        let windows = [(base.fail_at, w2_start), (w2_start, w2_start + 45)];
         let outcome = |driven: &DriveReport| -> PolicyOutcome {
             let scores = outage_fidelity(
                 &golden,
@@ -212,12 +163,12 @@ pub fn run(ctx: &RunCtx) -> Vec<Figure> {
             }
         };
         Outcome {
-            by_policy: vec![outcome(&static_run), outcome(&adaptive_run)],
+            by_policy: [outcome(&static_run), outcome(&adaptive_run)],
             killed: trace.killed_nodes().len(),
         }
     });
 
-    let cell_label = |corr: &f64| format!("corr:{corr}");
+    let x = |corr: &f64| format!("corr:{corr}");
 
     let mut fidelity = Figure::new(
         "refail_sweep",
@@ -225,17 +176,13 @@ pub fn run(ctx: &RunCtx) -> Vec<Figure> {
         "cascade spread",
         "output fidelity vs golden run",
     );
-    for (pi, name) in roster.iter().enumerate() {
-        let mut series = Series::new(*name);
-        for (ci, corr) in cells.iter().enumerate() {
-            series.push(cell_label(corr), outcomes[ci].by_policy[pi].fidelity_w2);
-        }
-        fidelity.series.push(series);
+    for (pi, policy) in POLICIES.iter().enumerate() {
+        let w2 = table.column(0, *policy, x, |o| o.by_policy[pi].fidelity_w2);
+        fidelity.series.push(w2);
     }
-    let mut w1 = Series::new("static (first window)");
-    for (ci, corr) in cells.iter().enumerate() {
-        w1.push(cell_label(corr), outcomes[ci].by_policy[0].fidelity_w1);
-    }
+    let w1 = table.column(0, "static (first window)", x, |o| {
+        o.by_policy[0].fidelity_w1
+    });
     fidelity.series.push(w1);
     fidelity.note(
         "Two seeded cascade waves 30 s apart: wave 1 hits the first worker rack \
@@ -257,21 +204,17 @@ pub fn run(ctx: &RunCtx) -> Vec<Figure> {
         "cascade spread",
         "count",
     );
-    for (pi, name) in roster.iter().enumerate() {
-        let mut refails = Series::new(format!("second outages ({name})"));
-        let mut recovered = Series::new(format!("second recoveries ({name})"));
-        for (ci, corr) in cells.iter().enumerate() {
-            let o = &outcomes[ci].by_policy[pi];
-            refails.push(cell_label(corr), o.refails as f64);
-            recovered.push(cell_label(corr), o.second_recoveries as f64);
-        }
-        histories.series.push(refails);
-        histories.series.push(recovered);
+    for (pi, policy) in POLICIES.iter().enumerate() {
+        let refails = format!("second outages ({policy})");
+        let recovered = format!("second recoveries ({policy})");
+        histories.series.extend([
+            table.column(0, refails, x, |o| o.by_policy[pi].refails as f64),
+            table.column(0, recovered, x, |o| {
+                o.by_policy[pi].second_recoveries as f64
+            }),
+        ]);
     }
-    let mut killed = Series::new("nodes killed");
-    for (ci, corr) in cells.iter().enumerate() {
-        killed.push(cell_label(corr), outcomes[ci].killed as f64);
-    }
+    let killed = table.column(0, "nodes killed", x, |o| o.killed as f64);
     histories.series.push(killed);
     histories.note(
         "Second outages = tasks that re-failed at least once — an activated replica \

@@ -14,7 +14,7 @@
 //! stdout; it lands in the timed section of the `--json` report
 //! (BENCH_repro.json), where non-deterministic timings belong.
 
-use super::{drive_scenario_config, Strategy};
+use super::{drive, Strategy};
 use crate::runner::RunCtx;
 use crate::{Figure, Series};
 use ppa_core::model::{OperatorSpec, Partitioning, TaskGraph};
@@ -163,7 +163,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Figure> {
         let (scenario, strategy, config) = build(&spec);
         let n_tasks = scenario.graph().n_tasks();
         let tick = format!("{}w/{}t", spec.workers, n_tasks);
-        let driven = drive_scenario_config(
+        let driven = drive(
             ctx,
             &format!("workers:{} tasks:{}", spec.workers, n_tasks),
             &scenario,

@@ -6,66 +6,58 @@
 //! detection to (a) the first tentative sink output and (b) the completion
 //! of the last passive recovery.
 
-use super::{kill_set_trace, run_fig6, schedule, Strategy};
+use super::grid::Table;
+use super::{drive, fig6_cfg, grid_label, half_plan, kill_set_trace, schedule, Strategy};
 use crate::runner::RunCtx;
-use crate::{Figure, Series};
-use ppa_core::{PlanContext, Planner, StructureAwarePlanner, TaskSet};
-use ppa_sim::SimDuration;
-use ppa_workloads::Fig6Config;
+use crate::Figure;
+use ppa_core::PlanContext;
 
 pub fn run(ctx: &RunCtx) -> Vec<Figure> {
     let quick = ctx.quick;
-    let intervals: Vec<u64> = if quick { vec![15] } else { vec![5, 15, 30] };
+    let intervals: &[u64] = if quick { &[15] } else { &[5, 15, 30] };
     let rate = if quick { 300 } else { 1000 };
     let (fail_at, duration) = schedule(quick);
-    let cfg = Fig6Config {
-        rate,
-        window: SimDuration::from_secs(30),
-        ..Fig6Config::default()
-    };
+    let cfg = fig6_cfg(rate, 30);
 
     // Leaf phase 1 — the PPA-0.5 plan.
-    let plan: TaskSet = ctx
+    let plan = ctx
         .map(vec![()], |()| {
             let scenario = ppa_workloads::fig6_scenario(&cfg);
-            let n = scenario.graph().n_tasks();
-            let cx = PlanContext::new(scenario.query.topology()).expect("fig6 plans");
-            StructureAwarePlanner::default()
-                .plan(&cx, n / 2)
-                .expect("SA plan")
-                .tasks
+            half_plan(&PlanContext::new(scenario.query.topology()).expect("fig6 plans"))
         })
         .pop()
         .expect("one plan");
 
-    // Leaf phase 2 — one run per checkpoint interval.
-    let outcomes: Vec<(f64, f64)> = ctx.map(intervals.clone(), |interval| {
+    // Leaf phase 2 — one run per checkpoint interval, yielding (first
+    // tentative output, full recovery), both in seconds after detection.
+    let table = Table::run(ctx, intervals, &[()], |&interval_secs, ()| {
         let scenario = ppa_workloads::fig6_scenario(&cfg);
-        let report = run_fig6(
+        let strategy = Strategy::Ppa {
+            plan: plan.clone(),
+            interval_secs,
+        };
+        let report = drive(
             ctx,
-            &cfg,
-            &Strategy::Ppa {
-                plan: plan.clone(),
-                interval_secs: interval,
-            },
+            &grid_label(&cfg),
+            &scenario,
+            &strategy,
+            strategy.config(scenario.graph().n_tasks(), cfg.window, cfg.seed),
             &kill_set_trace(fail_at, scenario.worker_kill_set.clone()),
             duration,
-        );
+        )
+        .report;
         let detected = report
             .recoveries()
             .iter()
             .map(|r| r.detected_at)
             .min()
             .expect("failures were injected");
-        let first_tentative = report
-            .first_tentative_after(detected)
-            .map(|t| t.since(detected).as_secs_f64())
-            .unwrap_or(f64::NAN);
-        let full = report
-            .full_recovery_at()
-            .map(|t| t.since(detected).as_secs_f64())
-            .unwrap_or(f64::NAN);
-        (first_tentative, full)
+        let since_detection =
+            |t: Option<ppa_sim::SimTime>| t.map_or(f64::NAN, |t| t.since(detected).as_secs_f64());
+        (
+            since_detection(report.first_tentative_after(detected)),
+            since_detection(report.full_recovery_at()),
+        )
     });
 
     let mut fig = Figure::new(
@@ -74,17 +66,12 @@ pub fn run(ctx: &RunCtx) -> Vec<Figure> {
         "checkpoint interval (s)",
         "seconds after detection / speedup",
     );
-    let mut s_tentative = Series::new("first tentative output (s)");
-    let mut s_full = Series::new("full recovery (s)");
-    let mut s_speedup = Series::new("speedup (x)");
-    for (ii, &interval) in intervals.iter().enumerate() {
-        let (first_tentative, full) = outcomes[ii];
-        let x = format!("{interval}");
-        s_tentative.push(x.clone(), first_tentative);
-        s_full.push(x.clone(), full);
-        s_speedup.push(x, full / first_tentative.max(1e-9));
-    }
-    fig.series = vec![s_tentative, s_full, s_speedup];
+    let x = u64::to_string;
+    fig.series = vec![
+        table.column(0, "first tentative output (s)", x, |o| o.0),
+        table.column(0, "full recovery (s)", x, |o| o.1),
+        table.column(0, "speedup (x)", x, |o| o.1 / o.0.max(1e-9)),
+    ];
     fig.note(
         "Expected shape (paper's conclusion): tentative outputs begin roughly one \
          batch after detection, an order of magnitude before the last passive \

@@ -3,7 +3,9 @@
 //! rendered report and serialized figures/run logs may not depend on the
 //! worker count.
 
-use ppa_bench::{registry, render_markdown, run_experiments, RunOptions};
+use ppa_bench::runner::RunSummary;
+use ppa_bench::{registry, render_markdown, report, run_experiments, Figure, RunOptions};
+use std::sync::OnceLock;
 
 fn opts(jobs: usize) -> RunOptions {
     RunOptions {
@@ -13,9 +15,40 @@ fn opts(jobs: usize) -> RunOptions {
     }
 }
 
+/// The whole quick registry at `--jobs 4`, run once and shared by the
+/// shape test, the golden test, the claim tests and (as the parallel
+/// side) the determinism test.
+fn summary() -> &'static RunSummary {
+    static SUMMARY: OnceLock<RunSummary> = OnceLock::new();
+    SUMMARY.get_or_init(|| run_experiments(&opts(4)))
+}
+
+/// Figure `figure` of experiment `experiment` in the shared run.
+fn figure(experiment: &str, figure: &str) -> &'static Figure {
+    let result = summary()
+        .results
+        .iter()
+        .find(|r| r.id == experiment)
+        .unwrap_or_else(|| panic!("experiment {experiment} missing"));
+    result
+        .figures
+        .iter()
+        .find(|f| f.id == figure)
+        .unwrap_or_else(|| panic!("{experiment}: figure {figure} missing"))
+}
+
+/// The points of the series labelled `label`.
+fn points(fig: &'static Figure, label: &str) -> &'static [(String, f64)] {
+    &fig.series
+        .iter()
+        .find(|s| s.label == label)
+        .unwrap_or_else(|| panic!("{}: {label} series missing", fig.id))
+        .points
+}
+
 #[test]
 fn every_registry_entry_runs_quick_and_yields_figures() {
-    let summary = run_experiments(&opts(4));
+    let summary = summary();
     assert_eq!(
         summary.results.len(),
         registry().len(),
@@ -65,29 +98,70 @@ fn every_registry_entry_runs_quick_and_yields_figures() {
             "{id} logged no runs for the JSON reporter"
         );
     }
+}
 
-    // The placement sweep's headline claim: fault-domain anti-affinity
-    // strictly beats the packed adversarial baseline on post-burst output
-    // fidelity in at least one swept cell.
-    let sweep = summary
-        .results
-        .iter()
-        .find(|r| r.id == "placement_sweep")
-        .unwrap();
-    let fig = sweep
-        .figures
-        .iter()
-        .find(|f| f.id == "placement_sweep")
-        .expect("fidelity figure present");
-    let series = |label: &str| {
-        &fig.series
-            .iter()
-            .find(|s| s.label == label)
-            .unwrap_or_else(|| panic!("{label} series missing"))
-            .points
+/// "Same bytes out", checked by the repository: the quick registry's JSON
+/// report equals the committed `BENCH_repro.json` once the wall-clock
+/// lines are dropped from both. A behaviour change *is* its diff in that
+/// file; regenerate with `reproduce --quick --jobs 4 --json BENCH_repro.json`.
+#[test]
+fn quick_report_matches_the_committed_golden_outside_timing_lines() {
+    const TIMING_KEYS: [&str; 5] = [
+        "\"wall_s\"",
+        "\"events_per_sec\"",
+        "\"tuples_per_sec\"",
+        "\"total_wall_s\"",
+        "\"jobs\"",
+    ];
+    let untimed = |doc: &str| -> Vec<String> {
+        doc.lines()
+            .filter(|line| !TIMING_KEYS.iter().any(|key| line.contains(key)))
+            .map(str::to_string)
+            .collect()
     };
-    let packed = series("Packed");
-    let spread = series("DomainSpread");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_repro.json");
+    let golden = untimed(&std::fs::read_to_string(path).expect("BENCH_repro.json is committed"));
+    let actual = untimed(&report::to_json(summary()).to_pretty());
+
+    let Some(at) = (0..golden.len().max(actual.len())).find(|&i| golden.get(i) != actual.get(i))
+    else {
+        return;
+    };
+    // An experiment's own "id" sits at the experiments-array indent;
+    // figure ids are nested deeper.
+    let experiment = actual[..at.min(actual.len())]
+        .iter()
+        .rev()
+        .find_map(|line| line.strip_prefix("      \"id\": "))
+        .map(|id| id.trim_end_matches(','))
+        .unwrap_or("(document header)");
+    let context = |doc: &[String]| -> String {
+        let from = at.saturating_sub(3);
+        doc.iter()
+            .enumerate()
+            .skip(from)
+            .take(at - from + 3)
+            .map(|(i, line)| format!("{} {line}\n", if i == at { ">" } else { " " }))
+            .collect()
+    };
+    panic!(
+        "quick report diverges from BENCH_repro.json at untimed line {} inside experiment {experiment}\n\
+         --- golden\n{}--- this run\n{}\
+         (an intended change: reproduce --quick --jobs 4 --json BENCH_repro.json)",
+        at + 1,
+        context(&golden),
+        context(&actual),
+    );
+}
+
+/// The placement sweep's headline claim: fault-domain anti-affinity
+/// strictly beats the packed adversarial baseline on post-burst output
+/// fidelity in at least one swept cell.
+#[test]
+fn placement_sweep_domain_spread_beats_packed() {
+    let fig = figure("placement_sweep", "placement_sweep");
+    let packed = points(fig, "Packed");
+    let spread = points(fig, "DomainSpread");
     assert_eq!(packed.len(), spread.len());
     assert!(
         packed
@@ -97,29 +171,16 @@ fn every_registry_entry_runs_quick_and_yields_figures() {
         "DomainSpread never strictly dominated Packed on fidelity: \
          packed={packed:?} spread={spread:?}"
     );
+}
 
-    // The adaptive sweep's headline claim: the domain-health control
-    // policy strictly beats the static (no-control-plane) baseline on
-    // post-failure fidelity in at least one cell, and never does worse.
-    let sweep = summary
-        .results
-        .iter()
-        .find(|r| r.id == "adaptive_sweep")
-        .unwrap();
-    let fig = sweep
-        .figures
-        .iter()
-        .find(|f| f.id == "adaptive_sweep")
-        .expect("fidelity figure present");
-    let series = |label: &str| {
-        &fig.series
-            .iter()
-            .find(|s| s.label == label)
-            .unwrap_or_else(|| panic!("{label} series missing"))
-            .points
-    };
-    let static_series = series("static");
-    let adaptive = series("domain-health");
+/// The adaptive sweep's headline claim: the domain-health control policy
+/// strictly beats the static (no-control-plane) baseline on post-failure
+/// fidelity in at least one cell, and never does worse.
+#[test]
+fn adaptive_sweep_domain_health_dominates_static() {
+    let fig = figure("adaptive_sweep", "adaptive_sweep");
+    let static_series = points(fig, "static");
+    let adaptive = points(fig, "domain-health");
     assert_eq!(static_series.len(), adaptive.len());
     assert!(
         static_series
@@ -137,62 +198,42 @@ fn every_registry_entry_runs_quick_and_yields_figures() {
         "domain-health fell below static in a cell: \
          static={static_series:?} adaptive={adaptive:?}"
     );
+}
 
-    // The refail sweep's headline claim: killing activated replicas in a
-    // second cascade wave opens honest second outages (the pre-lifecycle
-    // runtime recorded none), only the control plane closes them, and
-    // that gap is visible in the second outage window's fidelity.
-    let sweep = summary
-        .results
-        .iter()
-        .find(|r| r.id == "refail_sweep")
-        .unwrap();
-    let histories = sweep
-        .figures
-        .iter()
-        .find(|f| f.id == "refail_sweep_outages")
-        .expect("outage-history figure present");
-    let series = |label: &str| {
-        &histories
-            .series
-            .iter()
-            .find(|s| s.label == label)
-            .unwrap_or_else(|| panic!("{label} series missing"))
-            .points
-    };
+/// The refail sweep's headline claim, first half: killing activated
+/// replicas in a second cascade wave opens honest second outages (the
+/// pre-lifecycle runtime recorded none), and only the control plane
+/// closes them.
+#[test]
+fn refail_sweep_second_outages_open_and_only_the_control_plane_closes_them() {
+    let histories = figure("refail_sweep", "refail_sweep_outages");
     assert!(
-        series("second outages (static)")
+        points(histories, "second outages (static)")
             .iter()
             .any(|(_, v)| *v > 0.0),
         "no second outages recorded under static: {histories:?}"
     );
     assert!(
-        series("second recoveries (static)")
+        points(histories, "second recoveries (static)")
             .iter()
             .all(|(_, v)| *v == 0.0),
         "static cannot close a second outage with passive recovery down: {histories:?}"
     );
     assert!(
-        series("second recoveries (domain-health)")
+        points(histories, "second recoveries (domain-health)")
             .iter()
             .any(|(_, v)| *v > 0.0),
         "domain-health must re-establish replicas for re-failed tasks: {histories:?}"
     );
-    let fidelity = sweep
-        .figures
-        .iter()
-        .find(|f| f.id == "refail_sweep")
-        .expect("fidelity figure present");
-    let series = |label: &str| {
-        &fidelity
-            .series
-            .iter()
-            .find(|s| s.label == label)
-            .unwrap_or_else(|| panic!("{label} series missing"))
-            .points
-    };
-    let static_w2 = series("static");
-    let adaptive_w2 = series("domain-health");
+}
+
+/// The refail sweep's headline claim, second half: that gap is visible in
+/// the second outage window's fidelity.
+#[test]
+fn refail_sweep_domain_health_dominates_inside_the_refailure_window() {
+    let fidelity = figure("refail_sweep", "refail_sweep");
+    let static_w2 = points(fidelity, "static");
+    let adaptive_w2 = points(fidelity, "domain-health");
     assert_eq!(static_w2.len(), adaptive_w2.len());
     assert!(
         static_w2
@@ -206,32 +247,17 @@ fn every_registry_entry_runs_quick_and_yields_figures() {
         "domain-health must dominate static inside the re-failure window: \
          static={static_w2:?} adaptive={adaptive_w2:?}"
     );
+}
 
-    // The approx sweep's headline claim: in at least one swept cell an
-    // approximate strategy strictly beats exact checkpointing on recovery
-    // completion latency, and that same cell carries a quantified
-    // fidelity cost — an engine-recorded floor strictly below 1.0.
-    let sweep = summary
-        .results
-        .iter()
-        .find(|r| r.id == "approx_sweep")
-        .unwrap();
-    let latency = sweep
-        .figures
-        .iter()
-        .find(|f| f.id == "approx_sweep")
-        .expect("latency figure present");
-    let fidelity = sweep
-        .figures
-        .iter()
-        .find(|f| f.id == "approx_sweep_fidelity")
-        .expect("fidelity figure present");
-    let checkpoint = &latency
-        .series
-        .iter()
-        .find(|s| s.label == "Checkpoint-5s")
-        .expect("Checkpoint-5s series missing")
-        .points;
+/// The approx sweep's headline claim: in at least one swept cell an
+/// approximate strategy strictly beats exact checkpointing on recovery
+/// completion latency, and that same cell carries a quantified fidelity
+/// cost — an engine-recorded floor strictly below 1.0.
+#[test]
+fn approx_sweep_trades_latency_for_a_recorded_fidelity_floor() {
+    let latency = figure("approx_sweep", "approx_sweep");
+    let fidelity = figure("approx_sweep", "approx_sweep_fidelity");
+    let checkpoint = points(latency, "Checkpoint-5s");
     let approx_labels: Vec<&str> = latency
         .series
         .iter()
@@ -240,18 +266,8 @@ fn every_registry_entry_runs_quick_and_yields_figures() {
         .collect();
     assert!(!approx_labels.is_empty(), "no approximate series swept");
     let won = approx_labels.iter().any(|label| {
-        let approx = &latency
-            .series
-            .iter()
-            .find(|s| s.label == *label)
-            .unwrap()
-            .points;
-        let floors = &fidelity
-            .series
-            .iter()
-            .find(|s| s.label == format!("floor ({label})"))
-            .unwrap_or_else(|| panic!("floor series missing for {label}"))
-            .points;
+        let approx = points(latency, label);
+        let floors = points(fidelity, &format!("floor ({label})"));
         assert_eq!(approx.len(), checkpoint.len());
         assert_eq!(floors.len(), checkpoint.len());
         checkpoint
@@ -319,25 +335,11 @@ fn filter_matching_nothing_exits_nonzero_listing_known_ids() {
 
 #[test]
 fn jobs_1_and_jobs_4_produce_identical_serialized_output() {
-    let only: Vec<String> = vec![
-        "fig07".into(),
-        "fig10".into(),
-        "fig12".into(),
-        "fig14".into(),
-        "corr_sweep".into(),
-        "placement_sweep".into(),
-        "adaptive_sweep".into(),
-        "refail_sweep".into(),
-        "approx_sweep".into(),
-    ];
-    let serial = run_experiments(&RunOptions {
-        only: only.clone(),
-        ..opts(1)
-    });
-    let parallel = run_experiments(&RunOptions { only, ..opts(4) });
+    let serial = run_experiments(&opts(1));
+    let parallel = summary();
 
     // The stdout report is byte-identical.
-    assert_eq!(render_markdown(&serial), render_markdown(&parallel));
+    assert_eq!(render_markdown(&serial), render_markdown(parallel));
 
     // So is every figure's and every run log's serialization (wall-clock
     // timings are deliberately outside the compared payload).
