@@ -5,10 +5,10 @@
 //! ```text
 //! reproduce [--quick] [--jobs N] [--seed S] [--swarm N] [--json PATH]
 //!           [--trace-dir DIR] [--list] [--filter SUBSTR]
-//!           [fig07 fig08 fig09 fig10 fig12 fig13 fig14 tentative corr_sweep
-//!            placement_sweep adaptive_sweep refail_sweep scale_sweep
-//!            chaos_swarm | all]
+//!           [EXPERIMENT.. | all]
 //! ```
+//!
+//! `--list` prints the experiment ids (the registry is the only list).
 //!
 //! Experiments run concurrently on a bounded worker pool (`--jobs`,
 //! default = available parallelism); stdout is byte-identical for any job

@@ -32,7 +32,7 @@ impl Planner for GreedyPlanner {
         }
         // Ascending by OF-under-failure: most damaging tasks first; the task
         // index tie-break keeps the planner deterministic.
-        scored.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+        scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
         let tasks = TaskSet::from_tasks(n, scored.iter().take(budget).map(|&(_, t)| TaskIndex(t)));
         Ok(cx.make_plan(tasks))

@@ -348,24 +348,22 @@ fn support_group(
                 .iter()
                 .any(|s| plan.contains(*s) || group.contains(*s))
         };
+        // Heaviest rate first; the lower task index wins a tie.
+        let by_rate = |a: &crate::model::TaskIndex, b: &crate::model::TaskIndex| {
+            cx.rates()
+                .output_rate(*a)
+                .total_cmp(&cx.rates().output_rate(*b))
+                .then(b.0.cmp(&a.0))
+        };
         let heaviest = |istream: &crate::model::InputStream| {
-            istream
-                .substreams
-                .iter()
-                .copied()
-                .max_by(|a, b| {
-                    cx.rates()
-                        .output_rate(*a)
-                        .partial_cmp(&cx.rates().output_rate(*b))
-                        .unwrap()
-                        .then(b.0.cmp(&a.0))
-                })
-                .expect("input streams are never empty")
+            istream.substreams.iter().copied().max_by(by_rate)
         };
         if correlated {
             for istream in inputs {
-                if !covered(istream, &group) {
-                    let pick = heaviest(istream);
+                if covered(istream, &group) {
+                    continue;
+                }
+                if let Some(pick) = heaviest(istream) {
                     group.insert(pick);
                     stack.push(pick);
                 }
@@ -373,19 +371,10 @@ fn support_group(
         } else if !inputs.iter().any(|is| covered(is, &group)) {
             // Union semantics: one covered stream suffices; take the
             // heaviest substream overall.
-            let pick = inputs
-                .iter()
-                .map(heaviest)
-                .max_by(|a, b| {
-                    cx.rates()
-                        .output_rate(*a)
-                        .partial_cmp(&cx.rates().output_rate(*b))
-                        .unwrap()
-                        .then(b.0.cmp(&a.0))
-                })
-                .expect("non-source task has inputs");
-            group.insert(pick);
-            stack.push(pick);
+            if let Some(pick) = inputs.iter().filter_map(heaviest).max_by(by_rate) {
+                group.insert(pick);
+                stack.push(pick);
+            }
         }
     }
     group

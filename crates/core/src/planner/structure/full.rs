@@ -32,7 +32,7 @@ pub fn operator_deltas(
                     (t, score_failed(&failed) - base)
                 })
                 .collect();
-            ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+            ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
             ranked
         })
         .collect()

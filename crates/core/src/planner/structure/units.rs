@@ -137,10 +137,12 @@ impl UnitGraph {
         let mut adj: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); units_ops.len()];
         for &e in &cut {
             let edge = topo.edge(EdgeId(e));
-            let (a, b) = (comp[edge.from.0].unwrap(), comp[edge.to.0].unwrap());
-            if a != b {
-                adj[a].insert(b);
-                adj[b].insert(a);
+            // Cut edges are internal, so both ends have a component.
+            if let (Some(a), Some(b)) = (comp[edge.from.0], comp[edge.to.0]) {
+                if a != b {
+                    adj[a].insert(b);
+                    adj[b].insert(a);
+                }
             }
         }
 
@@ -149,7 +151,7 @@ impl UnitGraph {
             .map(|unit_ops| {
                 let mut segments =
                     enumerate_unit_segments(graph, rates, &unit_ops, segment_cap, joins_as_union);
-                segments.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+                segments.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
                 segments.truncate(segment_cap);
                 Unit {
                     ops: unit_ops,

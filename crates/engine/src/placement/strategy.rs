@@ -282,7 +282,7 @@ impl PlacementStrategy for DomainSpread {
                     let (tree, op) = conflicts(t, domain_at(w), &primary, &domain_at);
                     (load[w] >= cap_workers, tree, op, load[w], w)
                 })
-                .expect("n_workers > 0 was validated");
+                .ok_or(PlacementError::NoWorkers)?;
             load[best] += 1;
             primary.push(best);
         }
@@ -307,7 +307,7 @@ impl PlacementStrategy for DomainSpread {
                     let (tree, op) = conflicts(t, dom, &standby, &domain_at);
                     (pair_conflict, load[s] >= cap_standby, tree, op, load[s], s)
                 })
-                .expect("n_standby > 0 was validated");
+                .ok_or(PlacementError::NoStandby)?;
             load[best] += 1;
             standby.push(best);
         }

@@ -29,6 +29,7 @@ impl Query {
     pub fn make_source(&self, op: OperatorId, task_local: usize) -> Box<dyn SourceGen> {
         let f = self.sources[op.0]
             .as_ref()
+            // ppa-lint: allow(D005, reason = "Simulation::new calls this only where is_source(op) holds, i.e. where QueryBuilder::add_source stored the factory")
             .unwrap_or_else(|| panic!("operator {op} has no source factory"));
         f(task_local)
     }
@@ -37,6 +38,7 @@ impl Query {
     pub fn make_udf(&self, op: OperatorId, task_local: usize) -> Box<dyn Udf> {
         let f = self.udfs[op.0]
             .as_ref()
+            // ppa-lint: allow(D005, reason = "Simulation::new calls this only where is_source(op) fails, and QueryBuilder gives every operator without a source factory a UDF factory (add_operator)")
             .unwrap_or_else(|| panic!("operator {op} has no UDF factory"));
         f(task_local)
     }

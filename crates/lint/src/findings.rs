@@ -1,12 +1,12 @@
-//! Finding and rule-identifier types shared by the rules, the baseline
-//! ratchet and the reporters.
+//! Finding and rule-identifier types shared by the rules, the pragma
+//! parser and the reporters.
 
 use std::fmt;
 
 /// Stable rule identifiers. The numeric namespace is `D` for
 /// *determinism & robustness*; ids are load-bearing: they appear in
-/// `lint-baseline.txt`, in `// ppa-lint: allow(...)` pragmas and in CI
-/// output, so they must never be renumbered.
+/// `// ppa-lint: allow(...)` pragmas and in CI output, so they must never
+/// be renumbered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
     /// Nondeterministic iteration: `HashMap`/`HashSet` in code whose
@@ -20,8 +20,8 @@ pub enum RuleId {
     D003,
     /// Ambient concurrency primitives inside the deterministic crates.
     D004,
-    /// `unwrap`/`expect`/`panic!` in the deterministic crates (the typed
-    /// `EngineError` policy).
+    /// `unwrap`/`expect`/`panic!` outside `#[cfg(test)]` items in the
+    /// deterministic crates (the typed `EngineError` policy).
     D005,
     /// `{:?}` Debug formatting flowing into report/stdout paths.
     D006,
@@ -48,7 +48,7 @@ impl RuleId {
         }
     }
 
-    /// Parses `"D001"`-style ids (as written in pragmas and baselines).
+    /// Parses `"D001"`-style ids (as written in pragmas).
     pub fn parse(s: &str) -> Option<RuleId> {
         RuleId::ALL.into_iter().find(|r| r.as_str() == s)
     }
@@ -64,8 +64,7 @@ impl fmt::Display for RuleId {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     pub rule: RuleId,
-    /// Workspace-relative path with forward slashes (stable across OSes —
-    /// it is compared against `lint-baseline.txt` entries).
+    /// Workspace-relative path with forward slashes (stable across OSes).
     pub file: String,
     /// 1-based line of the offending token.
     pub line: u32,
@@ -83,7 +82,7 @@ impl fmt::Display for Finding {
 }
 
 /// A diagnostic about the lint apparatus itself (malformed pragma, an
-/// unreadable file). Never baselined: any of these fails the run.
+/// unreadable file). Any of these fails the run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LintError {
     pub file: String,

@@ -11,14 +11,13 @@
 //! | D002 | Ambient wall-clock time (`SystemTime`/`Instant`) outside the stopwatch module |
 //! | D003 | Ambient randomness (entropy-seeded RNG construction) |
 //! | D004 | Ambient concurrency (`thread::spawn`, `static mut`, sync primitives) in the deterministic crates |
-//! | D005 | `unwrap`/`expect`/`panic!` in the deterministic crates |
+//! | D005 | `unwrap`/`expect`/`panic!` outside `#[cfg(test)]` items in the deterministic crates |
 //! | D006 | `{:?}` Debug formatting flowing into output paths |
 //!
 //! Built on a real tokenizer ([`lexer`]) — comments, strings and raw
 //! strings are handled, so `unwrap()` in a doc comment is not a finding.
-//! Legacy debt lives in a committed, ratcheted baseline ([`baseline`]);
-//! reviewed exceptions use scoped pragmas with mandatory reasons
-//! ([`pragma`]):
+//! Nothing is tolerated: a finding is fixed or carries a scoped pragma
+//! with a mandatory reason ([`pragma`]):
 //!
 //! ```text
 //! let seen: HashSet<u32> = ... // ppa-lint: allow(D001, reason = "membership-only dedup")
@@ -26,94 +25,61 @@
 //!
 //! Run `cargo run -p ppa-lint` from the workspace root; see `--help`.
 
-pub mod baseline;
 pub mod findings;
 pub mod lexer;
 pub mod pragma;
 pub mod rules;
 pub mod scan;
 
-pub use baseline::{Baseline, Breach};
 pub use findings::{Finding, LintError, RuleId};
-pub use scan::{analyze_source, analyze_workspace, run_gate, Analysis, GateResult};
+pub use scan::{analyze_source, analyze_workspace, Analysis};
 
 use std::fmt::Write as _;
 
-/// Renders a gate result as the machine-readable `--json` document
+/// Renders an analysis as the machine-readable `--json` document
 /// (dependency-free writer, stable key order).
-pub fn render_json(result: &GateResult) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"files\": {},", result.analysis.files);
-    let _ = writeln!(out, "  \"passed\": {},", result.passed());
-
-    out.push_str("  \"findings\": [\n");
-    for (i, f) in result.analysis.findings.iter().enumerate() {
-        let comma = if i + 1 < result.analysis.findings.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            out,
-            "    {{\"rule\": \"{}\", \"file\": {}, \"line\": {}, \"message\": {}}}{comma}",
+pub fn render_json(analysis: &Analysis) -> String {
+    let findings = json_array("findings", &analysis.findings, |f| {
+        format!(
+            "{{\"rule\": \"{}\", \"file\": {}, \"line\": {}, \"message\": {}}}",
             f.rule,
             json_str(&f.file),
             f.line,
             json_str(&f.message)
-        );
-    }
-    out.push_str("  ],\n");
-
-    out.push_str("  \"suppressed\": [\n");
-    for (i, (f, reason)) in result.analysis.suppressed.iter().enumerate() {
-        let comma = if i + 1 < result.analysis.suppressed.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            out,
-            "    {{\"rule\": \"{}\", \"file\": {}, \"line\": {}, \"reason\": {}}}{comma}",
+        )
+    });
+    let suppressed = json_array("suppressed", &analysis.suppressed, |(f, reason)| {
+        format!(
+            "{{\"rule\": \"{}\", \"file\": {}, \"line\": {}, \"reason\": {}}}",
             f.rule,
             json_str(&f.file),
             f.line,
             json_str(reason)
-        );
-    }
-    out.push_str("  ],\n");
-
-    out.push_str("  \"errors\": [\n");
-    for (i, e) in result.analysis.errors.iter().enumerate() {
-        let comma = if i + 1 < result.analysis.errors.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            out,
-            "    {{\"file\": {}, \"line\": {}, \"message\": {}}}{comma}",
+        )
+    });
+    let errors = json_array("errors", &analysis.errors, |e| {
+        format!(
+            "{{\"file\": {}, \"line\": {}, \"message\": {}}}",
             json_str(&e.file),
             e.line,
             json_str(&e.message)
-        );
-    }
-    out.push_str("  ],\n");
+        )
+    });
+    format!(
+        "{{\n  \"files\": {},\n  \"passed\": {},\n{findings},\n{suppressed},\n{errors}\n}}\n",
+        analysis.files,
+        analysis.passed()
+    )
+}
 
-    out.push_str("  \"breaches\": [\n");
-    for (i, b) in result.breaches.iter().enumerate() {
-        let comma = if i + 1 < result.breaches.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            out,
-            "    {{\"kind\": \"{}\", \"detail\": {}}}{comma}",
-            if b.is_new() { "new" } else { "stale" },
-            json_str(&b.to_string())
-        );
+/// Renders `"key": [ … ]`, one item per line.
+fn json_array<T>(key: &str, items: &[T], render: impl Fn(&T) -> String) -> String {
+    let mut out = format!("  \"{key}\": [\n");
+    for (i, item) in items.iter().enumerate() {
+        let comma = if i + 1 < items.len() { "," } else { "" };
+        let _ = writeln!(out, "    {}{comma}", render(item));
     }
-    out.push_str("  ]\n}\n");
+    out.push_str("  ]");
     out
 }
 
@@ -144,13 +110,11 @@ mod tests {
 
     #[test]
     fn json_report_is_well_formed_for_empty_and_nonempty_results() {
-        let empty = GateResult {
-            analysis: Analysis::default(),
-            breaches: Vec::new(),
-        };
-        let doc = render_json(&empty);
-        assert!(doc.contains("\"passed\": true"));
-        assert!(doc.ends_with("}\n"));
+        assert_eq!(
+            render_json(&Analysis::default()),
+            "{\n  \"files\": 0,\n  \"passed\": true,\n  \"findings\": [\n  ],\n  \
+             \"suppressed\": [\n  ],\n  \"errors\": [\n  ]\n}\n"
+        );
 
         let mut analysis = Analysis::default();
         scan::analyze_source(
@@ -158,12 +122,14 @@ mod tests {
             "let m: HashMap<u8, \"quote\\\"d\"> = x.unwrap();",
             &mut analysis,
         );
-        let breaches = Baseline::default().diff(&analysis.findings);
-        let result = GateResult { analysis, breaches };
-        let doc = render_json(&result);
+        let doc = render_json(&analysis);
         assert!(doc.contains("\"passed\": false"));
-        assert!(doc.contains("\"rule\": \"D001\""));
-        assert!(doc.contains("\"kind\": \"new\""));
+        assert!(doc.contains(
+            "  \"findings\": [\n    {\"rule\": \"D001\", \"file\": \"crates/engine/src/x.rs\", \
+             \"line\": 1, \"message\": "
+        ));
+        assert!(doc.contains("\"rule\": \"D005\""));
+        assert!(!doc.contains("breaches"));
     }
 
     #[test]

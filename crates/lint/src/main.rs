@@ -1,40 +1,30 @@
 //! The `ppa-lint` CLI.
 //!
 //! ```text
-//! cargo run -p ppa-lint                         # gate against lint-baseline.txt
+//! cargo run -p ppa-lint                         # fail on any finding or pragma error
 //! cargo run -p ppa-lint -- --json lint.json     # also write the JSON report
-//! cargo run -p ppa-lint -- --write-baseline     # lock in a shrunk baseline
-//! cargo run -p ppa-lint -- --no-baseline        # print every finding, ungated
 //! ```
 //!
-//! Exit codes: 0 gate passed; 1 new findings, stale baseline or malformed
-//! pragmas; 2 usage or I/O error.
+//! Exit codes: 0 clean; 1 findings or malformed/useless pragmas (each one
+//! printed); 2 usage or I/O error.
 
-use ppa_lint::{render_json, run_gate, Baseline};
+use ppa_lint::{analyze_workspace, render_json};
 use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: ppa-lint [--root DIR] [--baseline PATH] [--json PATH] \
-     [--write-baseline] [--no-baseline]";
+const USAGE: &str = "usage: ppa-lint [--root DIR] [--json PATH]";
 
 struct Opts {
     root: PathBuf,
-    baseline_path: PathBuf,
     json_path: Option<PathBuf>,
-    write_baseline: bool,
-    no_baseline: bool,
 }
 
 fn parse_args() -> Result<Opts, String> {
     let mut opts = Opts {
         root: PathBuf::from("."),
-        baseline_path: PathBuf::new(),
         json_path: None,
-        write_baseline: false,
-        no_baseline: false,
     };
-    let mut baseline_override: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -44,20 +34,12 @@ fn parse_args() -> Result<Opts, String> {
                         .ok_or_else(|| "--root needs a path".to_string())?,
                 );
             }
-            "--baseline" => {
-                baseline_override = Some(PathBuf::from(
-                    args.next()
-                        .ok_or_else(|| "--baseline needs a path".to_string())?,
-                ));
-            }
             "--json" => {
                 opts.json_path = Some(PathBuf::from(
                     args.next()
                         .ok_or_else(|| "--json needs a path".to_string())?,
                 ));
             }
-            "--write-baseline" => opts.write_baseline = true,
-            "--no-baseline" => opts.no_baseline = true,
             "--help" | "-h" => {
                 println!("{USAGE}\n\nrules:");
                 for rule in ppa_lint::rules::registry() {
@@ -68,7 +50,6 @@ fn parse_args() -> Result<Opts, String> {
             other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
         }
     }
-    opts.baseline_path = baseline_override.unwrap_or_else(|| opts.root.join("lint-baseline.txt"));
     Ok(opts)
 }
 
@@ -90,29 +71,8 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let baseline = if opts.no_baseline || opts.write_baseline {
-        Baseline::default()
-    } else {
-        match fs::read_to_string(&opts.baseline_path) {
-            Ok(text) => match Baseline::parse(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("ppa-lint: {}: {e}", opts.baseline_path.display());
-                    return ExitCode::from(2);
-                }
-            },
-            Err(e) => {
-                eprintln!(
-                    "ppa-lint: cannot read baseline {}: {e} (use --write-baseline to create it)",
-                    opts.baseline_path.display()
-                );
-                return ExitCode::from(2);
-            }
-        }
-    };
-
-    let result = match run_gate(&opts.root, &baseline) {
-        Ok(r) => r,
+    let analysis = match analyze_workspace(&opts.root) {
+        Ok(a) => a,
         Err(e) => {
             eprintln!("ppa-lint: {e}");
             return ExitCode::from(2);
@@ -120,96 +80,33 @@ fn main() -> ExitCode {
     };
 
     if let Some(path) = &opts.json_path {
-        if let Err(e) = fs::write(path, render_json(&result)) {
+        if let Err(e) = fs::write(path, render_json(&analysis)) {
             eprintln!("ppa-lint: cannot write {}: {e}", path.display());
             return ExitCode::from(2);
         }
     }
 
-    if opts.write_baseline {
-        let regenerated = Baseline::from_findings(&result.analysis.findings);
-        if let Err(e) = fs::write(&opts.baseline_path, regenerated.render()) {
-            eprintln!(
-                "ppa-lint: cannot write {}: {e}",
-                opts.baseline_path.display()
-            );
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "ppa-lint: wrote {} ({} findings across {} files baselined)",
-            opts.baseline_path.display(),
-            result.analysis.findings.len(),
-            regenerated.entries.len(),
-        );
-        // Pragma errors still fail a --write-baseline run: the baseline
-        // ratchets counts, it must never launder a malformed suppression.
-        for e in &result.analysis.errors {
-            eprintln!("{e}");
-        }
-        return if result.analysis.errors.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-
-    for e in &result.analysis.errors {
+    for e in &analysis.errors {
         eprintln!("{e}");
     }
-
-    if opts.no_baseline {
-        for f in &result.analysis.findings {
-            println!("{f}");
-        }
+    for f in &analysis.findings {
+        eprintln!("{f}");
+    }
+    if analysis.passed() {
         eprintln!(
-            "ppa-lint: {} finding(s) in {} file(s), {} suppressed (baseline not applied)",
-            result.analysis.findings.len(),
-            result.analysis.files,
-            result.analysis.suppressed.len(),
-        );
-        return if result.analysis.errors.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-
-    let new_breach = result.breaches.iter().any(|b| b.is_new());
-    for breach in &result.breaches {
-        eprintln!("{breach}");
-    }
-    if new_breach {
-        // Name the individual candidate sites for every breached
-        // (rule, file) pair so the offender is one click away.
-        for f in &result.analysis.findings {
-            if result
-                .breaches
-                .iter()
-                .any(|b| b.is_new() && breach_names(b, f))
-            {
-                eprintln!("  {f}");
-            }
-        }
-    }
-
-    if result.passed() {
-        eprintln!(
-            "ppa-lint: clean — {} file(s), {} baselined finding(s), {} suppressed",
-            result.analysis.files,
-            result.analysis.findings.len(),
-            result.analysis.suppressed.len(),
+            "ppa-lint: clean — {} file(s), {} suppressed",
+            analysis.files,
+            analysis.suppressed.len(),
         );
         ExitCode::SUCCESS
     } else {
+        eprintln!(
+            "ppa-lint: {} finding(s) and {} error(s) in {} file(s) — fix each finding or \
+             suppress it with `// ppa-lint: allow(RULE, reason = \"...\")`",
+            analysis.findings.len(),
+            analysis.errors.len(),
+            analysis.files,
+        );
         ExitCode::FAILURE
-    }
-}
-
-/// Whether a finding belongs to the (rule, file) pair of a breach.
-fn breach_names(b: &ppa_lint::Breach, f: &ppa_lint::Finding) -> bool {
-    match b {
-        ppa_lint::Breach::New { rule, file, .. } | ppa_lint::Breach::Stale { rule, file, .. } => {
-            *rule == f.rule && *file == f.file
-        }
     }
 }

@@ -4,8 +4,8 @@
 //! comment) or on **the line immediately below** (standalone comment
 //! above the offending statement). The `reason` is mandatory and must be
 //! non-empty: a suppression without a recorded justification is itself a
-//! hard error — the whole point of the ratchet is that every tolerated
-//! hazard is either baselined (legacy) or explained (reviewed).
+//! hard error — the gate tolerates no finding, so every remaining hazard
+//! must be explained.
 
 use crate::findings::{Finding, LintError, RuleId};
 use crate::lexer::{Tok, TokKind};

@@ -3,9 +3,10 @@
 //! errors in the engine, seeded randomness everywhere).
 //!
 //! Rules are scoped by path. The *deterministic crates* — `core`, `sim`,
-//! `faults`, `engine`, `workloads` — carry the reproduction's correctness
-//! guarantee; the `bench` harness owns wall-clock timing (stderr only)
-//! and real threads (its worker pool), so some rules exempt it.
+//! `faults`, `engine`, `obs`, `workloads`, `chaos` — carry the
+//! reproduction's correctness guarantee; the `bench` harness owns
+//! wall-clock timing (stderr only) and real threads (its worker pool), so
+//! some rules exempt it.
 
 use crate::findings::{Finding, RuleId};
 use crate::lexer::{Tok, TokKind};
@@ -65,8 +66,8 @@ pub fn registry() -> Vec<Rule> {
         },
         Rule {
             id: RuleId::D005,
-            summary: "unwrap/expect/panic! in the deterministic crates — use typed errors \
-                      (EngineError/CoreError/PlacementError) or Result-returning tests",
+            summary: "unwrap/expect/panic! outside #[cfg(test)] items in the deterministic \
+                      crates — use typed errors (EngineError/CoreError/PlacementError)",
             check: d005_panic_paths,
         },
         Rule {
@@ -245,19 +246,19 @@ fn d004_ambient_concurrency(cx: &FileCx) -> Vec<Finding> {
     out
 }
 
-/// D005 — `.unwrap()`, `.expect(...)` and `panic!(...)` in the
-/// deterministic crates. Engine code returns typed errors
-/// (`EngineError`, `PlacementError`, `CoreError`); tests prefer
-/// `Result`-returning functions with `?`. Legacy sites live in the
-/// baseline and only ratchet down.
+/// D005 — `.unwrap()`, `.expect(...)` and `panic!(...)` in the library
+/// code of the deterministic crates, which returns typed errors
+/// (`EngineError`, `PlacementError`, `CoreError`). Items gated by
+/// `#[cfg(test)]` are skipped: a test's `unwrap` is an assertion.
 fn d005_panic_paths(cx: &FileCx) -> Vec<Finding> {
     if !in_deterministic_crate(cx.path) {
         return Vec::new();
     }
     let sig = cx.sig();
+    let in_test = cfg_test_items(&sig);
     let mut out = Vec::new();
     for (i, t) in sig.iter().enumerate() {
-        if t.kind != TokKind::Ident {
+        if t.kind != TokKind::Ident || in_test[i] {
             continue;
         }
         let hit = match t.text.as_str() {
@@ -278,8 +279,7 @@ fn d005_panic_paths(cx: &FileCx) -> Vec<Finding> {
                 cx,
                 t.line,
                 format!(
-                    "`{}` is a panic path; return a typed error (or a Result-returning test \
-                     with `?`)",
+                    "`{}` is a panic path; return a typed error",
                     match t.text.as_str() {
                         "unwrap" => ".unwrap()",
                         "expect" => ".expect(...)",
@@ -290,6 +290,44 @@ fn d005_panic_paths(cx: &FileCx) -> Vec<Finding> {
         }
     }
     out
+}
+
+/// Marks the significant tokens of every `#[cfg(test)]` item: from the
+/// attribute through the item's matching `}`, or through its `;` when it
+/// has no body (`mod tests;` therefore covers only itself).
+fn cfg_test_items(sig: &[&Tok]) -> Vec<bool> {
+    const ATTR: [&str; 7] = ["#", "[", "cfg", "(", "test", ")", "]"];
+    let mut mask = vec![false; sig.len()];
+    let mut i = 0;
+    while i < sig.len() {
+        let is_attr = ATTR.iter().enumerate().all(|(k, p)| {
+            sig.get(i + k)
+                .is_some_and(|t| matches!(t.kind, TokKind::Ident | TokKind::Punct) && t.text == *p)
+        });
+        if !is_attr {
+            i += 1;
+            continue;
+        }
+        let mut depth = 0usize;
+        let mut end = sig.len();
+        for (j, t) in sig.iter().enumerate().skip(i + ATTR.len()) {
+            if t.kind != TokKind::Punct {
+                continue;
+            }
+            match t.text.as_str() {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" => depth = depth.saturating_sub(1),
+                _ => {}
+            }
+            if depth == 0 && (t.text == "}" || t.text == ";") {
+                end = j + 1;
+                break;
+            }
+        }
+        mask[i..end].fill(true);
+        i = end;
+    }
+    mask
 }
 
 /// Macros whose first format argument feeds stdout or a written report.

@@ -1,7 +1,6 @@
 //! Workspace walking and per-file analysis: collect the lintable `.rs`
 //! files, tokenize, run the rules, apply pragma suppressions.
 
-use crate::baseline::{Baseline, Breach};
 use crate::findings::{Finding, LintError};
 use crate::lexer::lex;
 use crate::pragma::parse_pragmas;
@@ -80,6 +79,13 @@ pub struct Analysis {
     pub files: usize,
 }
 
+impl Analysis {
+    /// The gate: no active finding and no hard error.
+    pub fn passed(&self) -> bool {
+        self.findings.is_empty() && self.errors.is_empty()
+    }
+}
+
 /// Analyzes one file's source. `rel` is the workspace-relative path the
 /// rules scope on.
 pub fn analyze_source(rel: &str, src: &str, analysis: &mut Analysis) {
@@ -131,26 +137,6 @@ pub fn analyze_workspace(root: &Path) -> Result<Analysis, String> {
         .findings
         .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(analysis)
-}
-
-/// The complete gate: analysis + baseline comparison. Passing means no
-/// hard errors and no baseline breaches of either kind.
-pub struct GateResult {
-    pub analysis: Analysis,
-    pub breaches: Vec<Breach>,
-}
-
-impl GateResult {
-    pub fn passed(&self) -> bool {
-        self.breaches.is_empty() && self.analysis.errors.is_empty()
-    }
-}
-
-/// Runs the gate against `root` with the given baseline.
-pub fn run_gate(root: &Path, baseline: &Baseline) -> Result<GateResult, String> {
-    let analysis = analyze_workspace(root)?;
-    let breaches = baseline.diff(&analysis.findings);
-    Ok(GateResult { analysis, breaches })
 }
 
 #[cfg(test)]

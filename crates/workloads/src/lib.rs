@@ -28,7 +28,7 @@ pub use navigation::{q2_scenario, NavigationConfig};
 pub use synthetic::{fig6_scenario, Fig6Config};
 pub use worldcup::{q1_scenario, Q1Config};
 
-use ppa_core::model::TaskGraph;
+use ppa_core::model::{Partitioning, TaskGraph};
 use ppa_engine::{Cluster, ControlPolicy, Placement, PlacementError, PlacementStrategy, Query};
 
 /// Factory producing a fresh control policy per run. Policies are
@@ -140,9 +140,21 @@ pub(crate) fn dedicated_placement(graph: &TaskGraph) -> (Placement, Vec<usize>) 
     let standby: Vec<usize> = (0..n).map(|t| n_workers + t % n_standby).collect();
     (
         Placement::explicit(primary, standby, n_workers, n_standby)
+            // ppa-lint: allow(D005, reason = "the loops above put every primary below n_workers (at least the one source node) and every standby in n_workers..n_workers + n_standby (n_standby >= 1), which is all Placement::explicit checks")
             .expect("dedicated placement is structurally valid"),
         worker_nodes,
     )
+}
+
+/// The link between two levels of an aggregation tree whose downstream
+/// parallelism divides the upstream one: `OneToOne` when they are equal,
+/// `Merge` otherwise — arity-valid either way.
+pub(crate) fn merge_link(upstream: usize, downstream: usize) -> Partitioning {
+    if upstream == downstream {
+        Partitioning::OneToOne
+    } else {
+        Partitioning::Merge
+    }
 }
 
 /// Strategy label of the paper's hand-built source-isolating layout.

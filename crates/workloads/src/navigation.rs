@@ -18,7 +18,7 @@
 //! incident generator mirrors the same mapping so the join sees both sides.
 
 use crate::zipf::{uniform_hash, Zipf};
-use crate::{dedicated_placement, Scenario};
+use crate::{dedicated_placement, merge_link, Scenario};
 use ppa_core::model::{OperatorSpec, Partitioning};
 use ppa_engine::{BatchCtx, InputBatch, Query, QueryBuilder, SourceGen, Tuple, Udf, Value};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -431,6 +431,11 @@ impl Udf for JamAggregate {
 
 /// Builds the Q2 query.
 pub fn q2_query(cfg: &NavigationConfig) -> Query {
+    // ppa-lint: allow(D005, reason = "try_q2_query's divisibility asserts make every merge_link it connects arity-valid and fix the rest of the shape; only a NavigationConfig with a zero per-task location rate or segment count fails build, and every NavigationConfig in the workspace is a hand-written literal with positive ones")
+    try_q2_query(cfg).expect("q2 topology is valid")
+}
+
+fn try_q2_query(cfg: &NavigationConfig) -> Result<Query, ppa_core::CoreError> {
     assert!(cfg.loc_src_tasks.is_multiple_of(cfg.o1_tasks));
     assert!(cfg.o1_tasks.is_multiple_of(cfg.o3_tasks));
     let map = SegmentMap {
@@ -497,16 +502,12 @@ pub fn q2_query(cfg: &NavigationConfig) -> Query {
     let o4 = q.add_operator(OperatorSpec::map("O4-aggregate", 1, 1.0), |_| {
         Box::new(JamAggregate)
     });
-    q.connect(loc, o1, Partitioning::Merge).unwrap();
-    if cfg.o1_tasks == cfg.o3_tasks {
-        q.connect(o1, o3, Partitioning::OneToOne).unwrap();
-    } else {
-        q.connect(o1, o3, Partitioning::Merge).unwrap();
-    }
-    q.connect(inc, o2, Partitioning::OneToOne).unwrap();
-    q.connect(o2, o3, Partitioning::OneToOne).unwrap();
-    q.connect(o3, o4, Partitioning::Merge).unwrap();
-    q.build().expect("q2 topology is valid")
+    q.connect(loc, o1, merge_link(cfg.loc_src_tasks, cfg.o1_tasks))?;
+    q.connect(o1, o3, merge_link(cfg.o1_tasks, cfg.o3_tasks))?;
+    q.connect(inc, o2, Partitioning::OneToOne)?;
+    q.connect(o2, o3, Partitioning::OneToOne)?;
+    q.connect(o3, o4, merge_link(cfg.o3_tasks, 1))?;
+    q.build()
 }
 
 /// Q2 scenario with the paper's placement style.

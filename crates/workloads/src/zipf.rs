@@ -148,7 +148,6 @@ mod tests {
     /// The binary search over the CDF that the guide table replaced.
     fn reference_sample_u(z: &Zipf, u: f64) -> usize {
         let u = u.clamp(0.0, 1.0 - f64::EPSILON);
-        // ppa-lint: allow(D005, reason = "the replaced search, verbatim, is the reference; the test draws no NaN")
         match z.cdf.binary_search_by(|c| c.partial_cmp(&u).unwrap()) {
             Ok(i) => (i + 1).min(z.cdf.len() - 1),
             Err(i) => i,
