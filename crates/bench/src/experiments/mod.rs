@@ -21,8 +21,8 @@
 //! sweep-scale Fig. 6 scenario, optionally placed on the racked 12 + 12
 //! cluster, and the cascade they draw failures from); the steps any
 //! experiment may need ([`half_plan`], [`held_down`], [`completion_latency`])
-//! live here. `fig14`, `chaos_swarm` and
-//! `scale_sweep` are not grids of failure runs and submit their own jobs.
+//! live here. `fig14` and `chaos_swarm` are not grids of failure runs and
+//! submit their own jobs.
 
 pub mod adaptive_sweep;
 pub mod approx_sweep;
@@ -39,7 +39,6 @@ pub mod fig14;
 pub mod grid;
 pub mod placement_sweep;
 pub mod refail_sweep;
-pub mod scale_sweep;
 pub mod tentative;
 
 use crate::runner::{RunCtx, RunLog, TraceLog};

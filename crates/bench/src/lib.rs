@@ -144,13 +144,6 @@ pub fn registry() -> Vec<Experiment> {
             run: experiments::refail_sweep::run,
         },
         Experiment {
-            id: "scale_sweep",
-            description:
-                "Event-loop throughput at scale, by cluster size: deterministic outputs",
-            section: "beyond §VI",
-            run: experiments::scale_sweep::run,
-        },
-        Experiment {
             id: "approx_sweep",
             description:
                 "Divergence-bounded approximate recovery vs exact checkpointing: latency for fidelity",

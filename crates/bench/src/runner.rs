@@ -590,7 +590,6 @@ mod tests {
                 "placement_sweep",
                 "adaptive_sweep",
                 "refail_sweep",
-                "scale_sweep",
                 "approx_sweep"
             ],
             "registry order preserved"

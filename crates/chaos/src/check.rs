@@ -22,9 +22,9 @@
 //!   slack); anything else is a lost outage.
 
 use crate::feed::ResolvedChaos;
-use ppa_engine::{EngineEvent, FailureTrace, MetricsSnapshot, RunReport};
+use ppa_engine::{EngineEvent, MetricsSnapshot, RunReport, HEARTBEAT_INTERVAL};
 use ppa_obs::{check_stream, Violation};
-use ppa_sim::{SimDuration, SimTime};
+use ppa_sim::SimTime;
 use std::collections::BTreeMap;
 
 /// Everything the checker cross-references for one run.
@@ -34,7 +34,6 @@ pub struct CheckInput<'a> {
     pub metrics: &'a MetricsSnapshot,
     pub resolved: &'a ResolvedChaos,
     pub horizon: SimTime,
-    pub heartbeat: SimDuration,
 }
 
 fn violation(
@@ -326,8 +325,8 @@ fn check_sink_exactly_once(input: &CheckInput<'_>, out: &mut Vec<Violation>) {
 /// chaos schedule legitimately injected.
 fn check_closed_or_explained(input: &CheckInput<'_>, out: &mut Vec<Violation>) {
     let by_task = fold_task_events(input.events);
-    let slack = input.resolved.schedule.detection_slack(input.heartbeat);
-    let allowance = input.heartbeat + input.heartbeat + slack;
+    let slack = input.resolved.schedule.detection_slack();
+    let allowance = HEARTBEAT_INTERVAL + HEARTBEAT_INTERVAL + slack;
     for outages in &input.report.outages {
         let task = outages.task.0;
         let Some(last) = outages.records.last() else {
@@ -410,16 +409,11 @@ fn check_fidelity_floor(input: &CheckInput<'_>, out: &mut Vec<Violation>) {
     }
 }
 
-/// Convenience used by tests and the shrinker's predicate: whether the
-/// kill trace + schedule pair still violates when replayed.
-pub fn trace_of(resolved: &ResolvedChaos) -> &FailureTrace {
-    &resolved.trace
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schedule::ChaosSchedule;
+    use ppa_engine::FailureTrace;
 
     fn empty_input<'a>(
         report: &'a RunReport,
@@ -433,7 +427,6 @@ mod tests {
             metrics,
             resolved,
             horizon: SimTime::from_secs(60),
-            heartbeat: SimDuration::from_secs(5),
         }
     }
 

@@ -110,11 +110,6 @@ impl ChaosFeed {
         }
     }
 
-    /// Wraps an already-built base feed.
-    pub fn from_faults(faults: FaultFeed, config: ChaosConfig) -> Self {
-        ChaosFeed { faults, config }
-    }
-
     /// Adds one explicit kill event to the base feed.
     pub fn with_spec(mut self, spec: FailureSpec) -> Self {
         self.faults = self.faults.with_spec(spec);

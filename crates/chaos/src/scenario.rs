@@ -227,7 +227,6 @@ pub struct BuiltScenario {
     pub config: EngineConfig,
     pub feed: ChaosFeed,
     pub horizon: SimTime,
-    pub heartbeat: SimDuration,
 }
 
 /// Materializes a parameterization: builds the query, places it on the
@@ -344,14 +343,12 @@ pub fn build(params: &ScenarioParams) -> Result<BuiltScenario, ScenarioError> {
         feed = feed.with_process(process, start, span, params.seed ^ 0xFA17);
     }
 
-    let heartbeat = config.heartbeat_interval;
     Ok(BuiltScenario {
         query,
         placement,
         config,
         feed,
         horizon: SimTime::from_secs(params.horizon_secs),
-        heartbeat,
     })
 }
 

@@ -6,7 +6,7 @@
 //! [`ChaosSchedule`] (`ppa-chaos/1`): replaying both against the same
 //! scenario reproduces a failing swarm run byte-identically.
 
-use ppa_engine::{ChaosKind, ChaosSpec};
+use ppa_engine::{ChaosKind, ChaosSpec, HEARTBEAT_INTERVAL};
 use ppa_sim::{SimDuration, SimTime};
 use std::fmt;
 
@@ -92,15 +92,15 @@ impl ChaosSchedule {
     }
 
     /// Total detection slack this schedule can introduce: the sum of every
-    /// dropped scan's heartbeat interval and every heartbeat delay — the
-    /// allowance the invariant checker grants late detections.
-    pub fn detection_slack(&self, heartbeat_interval: SimDuration) -> SimDuration {
+    /// dropped scan's [`HEARTBEAT_INTERVAL`] and every heartbeat delay —
+    /// the allowance the invariant checker grants late detections.
+    pub fn detection_slack(&self) -> SimDuration {
         let mut slack = SimDuration::ZERO;
         for e in &self.events {
             match &e.kind {
                 ChaosKind::HeartbeatDrop { scans } => {
                     for _ in 0..*scans {
-                        slack += heartbeat_interval;
+                        slack += HEARTBEAT_INTERVAL;
                     }
                 }
                 ChaosKind::HeartbeatDelay { by } => slack += *by,
@@ -340,9 +340,8 @@ mod tests {
     #[test]
     fn slack_sums_heartbeat_and_restore_chaos() {
         let s = sample();
-        let hb = SimDuration::from_secs(5);
         // Two dropped scans (2 × 5 s) + one 3 s delay.
-        assert_eq!(s.detection_slack(hb), SimDuration::from_secs(13));
+        assert_eq!(s.detection_slack(), SimDuration::from_secs(13));
         assert_eq!(s.restore_slack(), SimDuration::from_millis(2500));
     }
 }

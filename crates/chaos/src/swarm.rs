@@ -145,7 +145,6 @@ fn check_artifacts(
         metrics: &arts.metrics,
         resolved,
         horizon: built.horizon,
-        heartbeat: built.heartbeat,
     })
 }
 

@@ -59,7 +59,6 @@ pub struct PlanContext {
     graph: TaskGraph,
     rates: RateModel,
     objective: Objective,
-    mc_limits: McTreeLimits,
     mc_trees: OnceLock<Result<Vec<TaskSet>>>,
     /// Candidate correlated-failure sets (typically derived from a fault
     /// domain hierarchy via [`PlanContext::with_fault_domains`]). `None`
@@ -84,7 +83,6 @@ impl PlanContext {
             graph,
             rates,
             objective: Objective::OutputFidelity,
-            mc_limits: McTreeLimits::default(),
             mc_trees: OnceLock::new(),
             failure_sets: None,
             none_failed: OnceLock::new(),
@@ -152,12 +150,6 @@ impl PlanContext {
         self
     }
 
-    /// Overrides the MC-tree enumeration guard.
-    pub fn with_mc_limits(mut self, limits: McTreeLimits) -> Self {
-        self.mc_limits = limits;
-        self
-    }
-
     pub fn graph(&self) -> &TaskGraph {
         &self.graph
     }
@@ -217,15 +209,15 @@ impl PlanContext {
         self.fidelity().ic_plan(plan)
     }
 
-    /// The topology's MC-trees (cached; `Err` if enumeration explodes).
-    /// Under the IC objective joins are treated as unions, matching what
-    /// that metric believes a complete tree is.
+    /// The topology's MC-trees (cached; `Err` if enumeration explodes past
+    /// the default [`McTreeLimits`]). Under the IC objective joins are
+    /// treated as unions, matching what that metric believes a complete
+    /// tree is.
     pub fn mc_trees(&self) -> Result<&[TaskSet]> {
         let joins_as_union = self.objective == Objective::InternalCompleteness;
-        match self
-            .mc_trees
-            .get_or_init(|| enumerate_mc_trees_with(&self.graph, self.mc_limits, joins_as_union))
-        {
+        match self.mc_trees.get_or_init(|| {
+            enumerate_mc_trees_with(&self.graph, McTreeLimits::default(), joins_as_union)
+        }) {
             Ok(trees) => Ok(trees.as_slice()),
             Err(e) => Err(e.clone()),
         }

@@ -108,11 +108,6 @@ pub struct CostModel {
     pub source_per_tuple: SimDuration,
     /// CPU per state tuple serialized into a checkpoint.
     pub checkpoint_per_state_tuple: SimDuration,
-    /// Delta checkpoints (Hwang et al., ICDE'07, the paper's ref. 14):
-    /// serialize
-    /// only the state added since the previous checkpoint instead of the
-    /// whole window. Restores still load the full state.
-    pub delta_checkpoints: bool,
     /// Fixed CPU per checkpoint.
     pub checkpoint_base: SimDuration,
     /// CPU per state tuple loaded when restoring a checkpoint.
@@ -132,7 +127,6 @@ impl Default for CostModel {
             batch_overhead: SimDuration::from_millis(30),
             source_per_tuple: SimDuration::from_micros(5),
             checkpoint_per_state_tuple: SimDuration::from_micros(1),
-            delta_checkpoints: false,
             checkpoint_base: SimDuration::from_millis(2),
             state_load_per_tuple: SimDuration::from_micros(4),
             resend_per_tuple: SimDuration::from_micros(8),
@@ -142,20 +136,23 @@ impl Default for CostModel {
     }
 }
 
+/// Heartbeat scan interval of the master (the paper uses 5 s).
+pub const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_secs(5);
+
+/// Half-life of the control plane's per-fault-domain failure scores: a
+/// domain's decayed failure count halves every such interval (the signal
+/// `HealthView` exposes to `ControlPolicy` hooks).
+pub(crate) const HEALTH_HALF_LIFE: SimDuration = SimDuration::from_secs(30);
+
 /// Full engine configuration for one simulated run.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Batch interval of the batch-processing approach (§V-B).
     pub batch_interval: SimDuration,
-    /// Heartbeat scan interval of the master (the paper uses 5 s).
-    pub heartbeat_interval: SimDuration,
     /// Output-buffer sync period between a primary and its active replica.
     pub replica_sync_interval: SimDuration,
     /// Fault-tolerance mode.
     pub mode: FtMode,
-    /// Whether the master generates proxy punctuations for failed tasks so
-    /// downstream produces tentative outputs (§V-B "Tentative Outputs").
-    pub tentative_outputs: bool,
     /// Whether failed tasks without a live replica are passively recovered.
     /// Disabling this holds non-replicated tasks down for the rest of the
     /// run — used by the accuracy experiments to sample the *steady-state*
@@ -165,10 +162,6 @@ pub struct EngineConfig {
     pub passive_recovery: bool,
     /// Seed for all workload randomness.
     pub seed: u64,
-    /// Half-life of the control plane's per-fault-domain failure scores:
-    /// a domain's decayed failure count halves every such interval (the
-    /// signal `HealthView` exposes to `ControlPolicy` hooks).
-    pub health_half_life: SimDuration,
     /// Cluster cost model.
     pub costs: CostModel,
 }
@@ -177,13 +170,10 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             batch_interval: SimDuration::from_secs(1),
-            heartbeat_interval: SimDuration::from_secs(5),
             replica_sync_interval: SimDuration::from_secs(5),
             mode: FtMode::None,
-            tentative_outputs: true,
             passive_recovery: true,
             seed: 42,
-            health_half_life: SimDuration::from_secs(30),
             costs: CostModel::default(),
         }
     }
@@ -191,11 +181,35 @@ impl Default for EngineConfig {
 
 impl EngineConfig {
     /// Batches per duration, rounding down (used to convert window lengths
-    /// and buffer lengths into batch counts).
+    /// and buffer lengths into batch counts); 0 under a zero batch
+    /// interval, which `Simulation::drive` rejects.
     pub fn batches_in(&self, d: SimDuration) -> u64 {
-        let b = self.batch_interval.as_micros();
-        assert!(b > 0, "batch interval must be positive");
-        d.as_micros() / b
+        d.as_micros()
+            .checked_div(self.batch_interval.as_micros())
+            .unwrap_or(0)
+    }
+
+    /// The first interval of this configuration that is zero, by field
+    /// name. Each one paces an event that re-arms itself one interval
+    /// later; at zero it re-arms at the same instant and the run never
+    /// advances.
+    pub(crate) fn zero_interval(&self) -> Option<&'static str> {
+        let checkpoint_interval = match &self.mode {
+            FtMode::Ppa {
+                checkpoint_interval,
+                ..
+            } => *checkpoint_interval,
+            _ => None,
+        };
+        if self.batch_interval.is_zero() {
+            Some("batch_interval")
+        } else if self.replica_sync_interval.is_zero() {
+            Some("replica_sync_interval")
+        } else if checkpoint_interval.is_some_and(SimDuration::is_zero) {
+            Some("checkpoint_interval")
+        } else {
+            None
+        }
     }
 }
 

@@ -31,6 +31,10 @@ pub enum EngineError {
     /// A feed entry (domain kill, generative process) needs the
     /// placement's fault-domain mapping, or the mapping rejected it.
     Placement(PlacementError),
+    /// The named configuration interval (`batch_interval`,
+    /// `replica_sync_interval` or the mode's `checkpoint_interval`) is
+    /// zero: the event it paces would re-arm at the same instant forever.
+    ZeroInterval { field: &'static str },
 }
 
 impl fmt::Display for EngineError {
@@ -53,6 +57,10 @@ impl fmt::Display for EngineError {
                 "event at {at} is past the run horizon {horizon} and would never fire"
             ),
             EngineError::Placement(e) => write!(f, "{e}"),
+            EngineError::ZeroInterval { field } => write!(
+                f,
+                "{field} is zero: the event it paces would re-arm at the same instant forever"
+            ),
         }
     }
 }
@@ -101,5 +109,9 @@ mod tests {
         assert!(e.to_string().contains("horizon 90.000s"), "{e}");
         let e = EngineError::from(PlacementError::NoFaultDomains);
         assert!(e.to_string().contains("fault-domain"), "{e}");
+        let e = EngineError::ZeroInterval {
+            field: "batch_interval",
+        };
+        assert!(e.to_string().starts_with("batch_interval is zero"), "{e}");
     }
 }

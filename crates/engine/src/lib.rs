@@ -21,9 +21,10 @@
 //! * **Tentative outputs** — once the master detects failures it proxies the
 //!   batch-over punctuations of failed (non-replicated) tasks so downstream
 //!   keeps producing degraded output; proxying stops at recovery.
-//! * **Failure detection** — heartbeat scans at a fixed interval (5 s in the
-//!   paper); recovery latency is measured from detection to the instant the
-//!   task's progress vector dominates its pre-failure progress (§VI).
+//! * **Failure detection** — heartbeat scans every [`HEARTBEAT_INTERVAL`]
+//!   (5 s, as in the paper); recovery latency is measured from detection
+//!   to the instant the task's progress vector dominates its pre-failure
+//!   progress (§VI).
 //! * **Control plane** — every kind of fault injection (explicit specs,
 //!   domain kills, replayable traces, live generative processes) unifies
 //!   behind a [`FaultFeed`], and [`Simulation::drive`] runs the event loop
@@ -47,7 +48,7 @@ pub mod udf;
 
 pub use approx::DivergenceModel;
 pub use chaos::{ChaosError, ChaosKind, ChaosSpec};
-pub use config::{CostModel, EngineConfig, FtMode};
+pub use config::{CostModel, EngineConfig, FtMode, HEARTBEAT_INTERVAL};
 pub use control::{
     ActionOutcome, ActionRecord, ControlAction, ControlPolicy, DomainHealth, DomainHealthPolicy,
     DriveReport, HealthView, StaticPolicy,
@@ -63,9 +64,7 @@ pub use placement::{
     PlacementError, PlacementStrategy, RoundRobin, TaskMove,
 };
 pub use query::{Query, QueryBuilder};
-pub use report::{
-    Lifecycle, OutageRecord, RunReport, SinkBatch, TaskOutages, TaskRecovery, TaskThroughput,
-};
+pub use report::{Lifecycle, OutageRecord, RunReport, SinkBatch, TaskOutages, TaskRecovery};
 pub use runtime::{FailureSpec, Simulation};
 // Re-exported so engine users can build replayable failure scenarios
 // without naming the faults crate explicitly.

@@ -66,12 +66,6 @@ impl Cluster {
         })
     }
 
-    /// Attaches (or replaces) the fault-domain hierarchy.
-    pub fn with_domains(mut self, domains: FaultDomainTree) -> Self {
-        self.domains = Some(domains);
-        self
-    }
-
     fn validate(&self) -> Result<(), PlacementError> {
         if self.n_workers == 0 {
             return Err(PlacementError::NoWorkers);

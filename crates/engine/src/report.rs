@@ -126,31 +126,6 @@ pub struct SinkBatch {
     pub tuples: Chunk,
 }
 
-/// Per-task throughput accounting, the raw material for §V-C's dynamic plan
-/// adaptation: observed rates feed re-planning.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TaskThroughput {
-    /// Tuples consumed across all input substreams (source tasks: 0).
-    pub tuples_in: u64,
-    /// Tuples emitted downstream (or collected, for sinks).
-    pub tuples_out: u64,
-}
-
-impl TaskThroughput {
-    /// Mean output rate in tuples/s over a run of `secs` seconds.
-    ///
-    /// A degenerate horizon — zero, negative, or NaN `secs` — yields 0.0
-    /// rather than an infinity or NaN that would poison every downstream
-    /// mean (`secs <= 0.0` alone would let NaN straight through, since
-    /// every comparison against NaN is false).
-    pub fn out_rate(&self, secs: f64) -> f64 {
-        if secs.is_nan() || secs <= 0.0 {
-            return 0.0;
-        }
-        self.tuples_out as f64 / secs
-    }
-}
-
 /// Per-task CPU accounting.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CpuStats {
@@ -182,8 +157,6 @@ pub struct RunReport {
     pub sink: Vec<SinkBatch>,
     /// Per-task CPU statistics (indexed by task).
     pub cpu: Vec<CpuStats>,
-    /// Per-task throughput (indexed by task; primary incarnations only).
-    pub throughput: Vec<TaskThroughput>,
     /// Number of events the simulation processed.
     pub events: u64,
     /// Tuples scheduled for delivery (replica copies included) — the
@@ -274,49 +247,11 @@ impl RunReport {
     pub fn sink_batches(&self, b: u64) -> impl Iterator<Item = &SinkBatch> {
         self.sink.iter().filter(move |s| s.batch == b)
     }
-
-    /// Aggregate checkpoint-CPU ratio across tasks that did any processing.
-    pub fn mean_checkpoint_ratio(&self) -> f64 {
-        let ratios: Vec<f64> = self
-            .cpu
-            .iter()
-            .filter(|c| c.processing.as_micros() > 0 && c.checkpoint.as_micros() > 0)
-            .map(CpuStats::checkpoint_ratio)
-            .collect();
-        if ratios.is_empty() {
-            return 0.0;
-        }
-        ratios.iter().sum::<f64>() / ratios.len() as f64
-    }
-}
-
-impl RunReport {
-    /// Observed mean output rates (tuples/s) per task — plug these into
-    /// `ppa_core::model::TaskWeights::Explicit` per operator to re-plan with
-    /// live rates (§V-C).
-    pub fn observed_out_rates(&self) -> Vec<f64> {
-        let secs = self.ended_at.as_secs_f64();
-        self.throughput.iter().map(|t| t.out_rate(secs)).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn throughput_rates() {
-        let t = TaskThroughput {
-            tuples_in: 500,
-            tuples_out: 1_000,
-        };
-        assert!((t.out_rate(10.0) - 100.0).abs() < 1e-9);
-        assert_eq!(t.out_rate(0.0), 0.0);
-        // Degenerate horizons never produce inf/NaN rates.
-        assert_eq!(t.out_rate(-5.0), 0.0);
-        assert_eq!(t.out_rate(f64::NAN), 0.0);
-        assert_eq!(t.out_rate(f64::NEG_INFINITY), 0.0);
-    }
 
     #[test]
     fn latency_math() {

@@ -96,9 +96,6 @@ pub(super) fn generate(
     let work = cost * tuples.len() as u64;
     let finish = reserve(busy, cx.sched.now(), work);
     task.cpu.processing += work;
-    if !regen {
-        task.throughput.tuples_out += tuples.len() as u64;
-    }
     task.next_batch = task.next_batch.max(batch + 1);
     emit(cx, task, batch, tuples.into(), false, finish);
     trim_storm_buffer(cx, task);
@@ -375,9 +372,6 @@ fn process_batch(
     let work = cx.config.costs.batch_overhead + per_tuple * total_in as u64;
     let finish = reserve(busy, cx.sched.now(), work);
     task.cpu.processing += work;
-    if !catching_up {
-        task.throughput.tuples_in += total_in as u64;
-    }
 
     // Run the UDF.
     let mut out = Vec::new();
@@ -409,9 +403,6 @@ fn process_batch(
         task.next_batch = b + 1;
     }
     let out = Chunk::from(out);
-    if !catching_up {
-        task.throughput.tuples_out += out.len() as u64;
-    }
 
     // Recovery completion check: progress vector dominated. Handed back
     // (not applied here) because the outage books are the simulation's.

@@ -41,7 +41,7 @@
 
 use self::ledger::OutageLedger;
 use crate::chaos::{ChaosError, ChaosKind, ChaosSpec};
-use crate::config::{EngineConfig, FtMode};
+use crate::config::{EngineConfig, FtMode, HEALTH_HALF_LIFE, HEARTBEAT_INTERVAL};
 use crate::control::{
     ActionOutcome, ActionRecord, ControlAction, ControlPolicy, DomainHealth, DriveReport,
     HealthView, StaticPolicy,
@@ -162,7 +162,6 @@ struct TaskRt {
     /// record has no hole between the primary's death and the takeover.
     pending_sink: VecDeque<SinkBatch>,
     cpu: CpuStats,
-    throughput: crate::report::TaskThroughput,
     /// Approximate mode: drift since the last shipped backup (idle — all
     /// zeros — under every other mode).
     divergence: crate::approx::DivergenceModel,
@@ -213,7 +212,6 @@ impl TaskRt {
             pre_failure_progress: None,
             pending_sink: VecDeque::new(),
             cpu: CpuStats::default(),
-            throughput: crate::report::TaskThroughput::default(),
             divergence: crate::approx::DivergenceModel::default(),
         }
     }
@@ -496,7 +494,7 @@ impl Simulation {
             replay_cones: BTreeMap::new(),
             domain_health: placement
                 .fault_domains()
-                .map(|tree| DomainHealth::new(tree.n_domains(), config.health_half_life)),
+                .map(|tree| DomainHealth::new(tree.n_domains(), HEALTH_HALF_LIFE)),
             active_plan: plan.cloned().unwrap_or_else(|| TaskSet::empty(n)),
             replica_sync_running: false,
             trace_sink: None,
@@ -525,15 +523,10 @@ impl Simulation {
                 }
             }
         }
-        // Heartbeat scans.
-        self.sched.at(
-            SimTime::ZERO + self.config.heartbeat_interval,
-            Event::HeartbeatScan,
-        );
-        // Proxy ticks (only meaningful in PPA with tentative outputs).
-        if self.config.tentative_outputs {
-            self.sched.at(SimTime::ZERO + b, Event::ProxyTick);
-        }
+        // Heartbeat scans and proxy ticks.
+        self.sched
+            .at(SimTime::ZERO + HEARTBEAT_INTERVAL, Event::HeartbeatScan);
+        self.sched.at(SimTime::ZERO + b, Event::ProxyTick);
         // Checkpoints, staggered per task so correlated recovery sees
         // asynchronous checkpoint ages (§V-B's synchronization effect).
         if let Backup::Interval(interval) = self.backup {
@@ -658,7 +651,6 @@ impl Simulation {
             outages: self.ledger.histories().to_vec(),
             sink: self.sink.clone(),
             cpu: primaries.iter().map(|t| t.cpu).collect(),
-            throughput: primaries.iter().map(|t| t.throughput).collect(),
             events: self.events,
             tuples_moved: self.tuples_moved,
             ended_at: until,
@@ -678,8 +670,8 @@ impl Simulation {
     ) -> RunReport {
         let mut sim = Simulation::new(query, placement, config);
         sim.drive(&feed.into(), &mut StaticPolicy, SimTime::ZERO + duration)
-            // ppa-lint: allow(D005, reason = "the build-and-run convenience hands back a bare RunReport; a caller whose feed may be malformed calls drive and gets the typed error")
-            .expect("the feed must name live nodes of this cluster, inside the run window")
+            // ppa-lint: allow(D005, reason = "the build-and-run convenience hands back a bare RunReport; a caller whose feed or config may be malformed calls drive and gets the typed error")
+            .expect("the feed must name live nodes of this cluster, inside the run window, and no interval may be zero")
             .report
     }
 
@@ -697,12 +689,18 @@ impl Simulation {
     /// feed (mid-run injection) or an empty one: consecutive calls
     /// process the events, fire the epochs and count the metrics one call
     /// to the last `until` would.
+    ///
+    /// A configuration with a zero interval is rejected with
+    /// [`EngineError::ZeroInterval`] before any event runs.
     pub fn drive(
         &mut self,
         feed: &FaultFeed,
         policy: &mut dyn ControlPolicy,
         until: SimTime,
     ) -> Result<DriveReport, EngineError> {
+        if let Some(field) = self.config.zero_interval() {
+            return Err(EngineError::ZeroInterval { field });
+        }
         let trace = feed.resolve(&self.placement)?;
         for event in trace.events() {
             self.inject(event.at, event.nodes.clone())?;
@@ -1426,30 +1424,9 @@ impl Simulation {
     /// interval checkpoints and divergence-triggered approximate ships
     /// (same CPU charge, same snapshot contents, same upstream trims).
     fn ship_state_backup(&mut self, rt: Rt) {
-        let state_tuples = self.tasks[rt].udf.as_ref().map_or(0, |u| u.state_tuples());
-        // Delta checkpoints serialize only what changed since the last
-        // snapshot; a sliding window turns over ~interval×rate tuples, so
-        // the billable size is the state growth plus churn, capped by the
-        // full state.
-        let billable = if self.config.costs.delta_checkpoints {
-            let prev = self.tasks[rt]
-                .checkpoint
-                .as_ref()
-                .map_or(0, |cp| cp.state_tuples);
-            let interval_batches = match self.backup {
-                Backup::Interval(i) => self.config.batches_in(i).max(1),
-                _ => 1,
-            };
-            // Mean per-batch inflow from the task's own throughput counter.
-            let batches = self.tasks[rt].next_batch.max(1);
-            let per_batch = self.tasks[rt].throughput.tuples_in / batches;
-            let churn = (per_batch * interval_batches) as usize;
-            state_tuples.min(state_tuples.saturating_sub(prev) + churn)
-        } else {
-            state_tuples
-        };
+        let state_tuples = self.tasks[rt].state_tuples();
         let work = self.config.costs.checkpoint_base
-            + self.config.costs.checkpoint_per_state_tuple * billable as u64;
+            + self.config.costs.checkpoint_per_state_tuple * state_tuples as u64;
         let node = self.tasks[rt].node;
         let _finish = self.reserve(node, work);
         self.tasks[rt].cpu.checkpoint += work;
@@ -1612,8 +1589,7 @@ impl Simulation {
             self.sched.after(by, Event::HeartbeatScan);
             return;
         }
-        self.sched
-            .after(self.config.heartbeat_interval, Event::HeartbeatScan);
+        self.sched.after(HEARTBEAT_INTERVAL, Event::HeartbeatScan);
         if self.buggify.heartbeat_drops > 0 {
             self.buggify.heartbeat_drops -= 1;
             return;

@@ -278,28 +278,6 @@ fn tentative_outputs_flow_during_recovery() -> TestResult {
 }
 
 #[test]
-fn no_tentative_outputs_when_disabled() -> TestResult {
-    let q = chain_query(100, 10)?;
-    let mut config = base_config(FtMode::checkpoint(5, SimDuration::from_secs(15)));
-    config.tentative_outputs = false;
-    let report = Simulation::run(
-        &q,
-        one_task_per_node(&q)?,
-        config,
-        vec![FailureSpec {
-            at: SimTime::from_secs(21),
-            nodes: vec![node_of(2)],
-        }],
-        SimDuration::from_secs(80),
-    );
-    assert!(report.sink.iter().all(|s| !s.tentative));
-    // The sink simply stalls until the mid recovers, then catches up with
-    // complete batches.
-    assert!(report.sink.iter().all(|s| s.tuples.len() == 200));
-    Ok(())
-}
-
-#[test]
 fn replica_takeover_is_fast() -> TestResult {
     let q = chain_query(100, 10)?;
     let n = 5;
@@ -623,31 +601,6 @@ fn cost_model_sanity_under_load() -> TestResult {
 }
 
 #[test]
-fn delta_checkpoints_cut_checkpoint_cpu() -> TestResult {
-    let ratio = |delta: bool| -> Result<f64, Box<dyn Error>> {
-        let q = chain_query(400, 30)?; // long window: big full-state snapshots
-        let mut config = base_config(FtMode::checkpoint(5, SimDuration::from_secs(1)));
-        config.costs.delta_checkpoints = delta;
-        let rep = Simulation::run(
-            &q,
-            one_task_per_node(&q)?,
-            config,
-            vec![],
-            SimDuration::from_secs(60),
-        );
-        Ok(rep.cpu[2].checkpoint_ratio())
-    };
-    let full = ratio(false)?;
-    let delta = ratio(true)?;
-    assert!(
-        delta < full * 0.5,
-        "delta checkpoints must slash the 1s-interval cost: {delta} vs {full}"
-    );
-    assert!(delta > 0.0);
-    Ok(())
-}
-
-#[test]
 fn trace_replay_matches_spec_injection() -> TestResult {
     // Replaying a FailureTrace must be observably identical to feeding
     // the equivalent FailureSpecs by hand — the degenerate-trace refactor
@@ -760,6 +713,41 @@ fn domain_injection_matches_expanded_kill_set() -> TestResult {
             crate::placement::PlacementError::NoFaultDomains
         ))
     ));
+    Ok(())
+}
+
+/// A zero interval would re-arm its event at the same instant forever
+/// (checkpoints, replica syncs) or generate source batches without end
+/// (the batch interval): the simulation builds, and `drive` names the
+/// field before it processes a single event.
+#[test]
+fn a_zero_interval_is_a_typed_error_not_a_hang() -> TestResult {
+    let q = chain_query(100, 5)?;
+    let zero_checkpoints = base_config(FtMode::checkpoint(5, SimDuration::ZERO));
+    let zero_sync = EngineConfig {
+        replica_sync_interval: SimDuration::ZERO,
+        ..base_config(FtMode::active(5))
+    };
+    // Storm's replay buffer is converted to batches inside `new`.
+    let zero_batches = EngineConfig {
+        batch_interval: SimDuration::ZERO,
+        ..base_config(FtMode::SourceReplay {
+            buffer: SimDuration::from_secs(10),
+        })
+    };
+    for (config, field) in [
+        (zero_checkpoints, "checkpoint_interval"),
+        (zero_sync, "replica_sync_interval"),
+        (zero_batches, "batch_interval"),
+    ] {
+        let mut sim = Simulation::new(&q, one_task_per_node(&q)?, config);
+        let failures = vec![kill(3, node_of(2))];
+        assert!(matches!(
+            drive_to(&mut sim, 5, failures),
+            Err(EngineError::ZeroInterval { field: f }) if f == field
+        ));
+        assert_eq!(sim.events, 0, "{field}: no event may run");
+    }
     Ok(())
 }
 

@@ -9,7 +9,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Directory roots (relative to the workspace root) that are linted.
-const SCAN_ROOTS: [&str; 4] = ["crates", "src", "tests", "examples"];
+const SCAN_ROOTS: [&str; 3] = ["crates", "src", "tests"];
 
 /// Path prefixes excluded from the scan:
 /// * `crates/shims/` — vendored stand-ins for external crates (the `rand`
@@ -147,7 +147,6 @@ mod tests {
     fn scope_excludes_shims_fixtures_and_benches() {
         assert!(in_scope("crates/engine/src/feed.rs"));
         assert!(in_scope("tests/control_plane.rs"));
-        assert!(in_scope("examples/quickstart.rs"));
         assert!(!in_scope("crates/shims/rand/src/lib.rs"));
         assert!(!in_scope("crates/lint/tests/fixtures/d001_pos.rs"));
         assert!(!in_scope("crates/engine/src/notes.md"));

@@ -104,7 +104,6 @@ fn experiments_registry_is_complete() {
             "placement_sweep",
             "adaptive_sweep",
             "refail_sweep",
-            "scale_sweep",
             "approx_sweep",
             "chaos_swarm"
         ]
