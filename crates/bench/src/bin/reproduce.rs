@@ -130,18 +130,26 @@ fn main() -> ExitCode {
         }
         return ExitCode::from(2);
     }
+    // Made before any experiment runs, so an unwritable directory costs
+    // nothing and reports like an unwritable `--json` path.
+    if let Some(dir) = &opts.trace_dir {
+        if let Err(err) = std::fs::create_dir_all(dir) {
+            eprintln!("error: creating trace directory {}: {err}", dir.display());
+            return ExitCode::FAILURE;
+        }
+    }
 
     let summary = run_experiments(&opts);
     print!("{}", render_markdown(&summary));
 
     eprintln!(
-        "== {} experiment(s) in {:.1?} on {} worker(s)",
+        "== {} experiment(s) in {:.3}s on {} worker(s)",
         summary.results.len(),
-        summary.total_wall,
+        summary.total_wall.as_secs_f64(),
         summary.jobs
     );
     for result in &summary.results {
-        eprintln!("   {:10} {:.1?}", result.id, result.wall);
+        eprintln!("   {:10} {:.3}s", result.id, result.wall.as_secs_f64());
     }
 
     if let Some(path) = json_path {

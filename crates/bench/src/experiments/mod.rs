@@ -44,12 +44,9 @@ pub mod tentative;
 use crate::runner::{RunCtx, RunLog, TraceLog};
 use crate::stopwatch::Stopwatch;
 use ppa_core::{PlanContext, Planner, StructureAwarePlanner, TaskSet};
-use ppa_engine::{
-    DriveReport, EngineConfig, EngineEvent, FailureTrace, FtMode, RunReport, Simulation, TraceSink,
-};
+use ppa_engine::{DriveReport, EngineConfig, FailureTrace, FtMode, RunReport, Simulation, VecSink};
 use ppa_sim::{SimDuration, SimTime};
 use ppa_workloads::{Fig6Config, Scenario};
-use std::sync::{Arc, Mutex};
 
 /// A fault-tolerance strategy of the §VI-A experiments.
 #[derive(Debug, Clone)]
@@ -161,11 +158,9 @@ pub fn drive(
     duration_secs: u64,
 ) -> DriveReport {
     let mut sim = Simulation::new(&scenario.query, scenario.placement.clone(), config);
-    let buffer = ctx.tracing().then(|| {
-        let buffer = Arc::new(Mutex::new(Vec::new()));
-        sim.set_trace_sink(Box::new(SharedSink(Arc::clone(&buffer))));
-        buffer
-    });
+    if ctx.tracing() {
+        sim.set_trace_sink(Box::new(VecSink::new()));
+    }
     let mut policy = scenario.make_policy();
     let watch = Stopwatch::start();
     let driven = sim
@@ -186,14 +181,13 @@ pub fn drive(
     );
     log.wall_s = wall.as_secs_f64();
     ctx.log_run(log);
-    if let Some(buffer) = buffer {
-        let events = std::mem::take(&mut *buffer.lock().expect("trace buffer poisoned"));
+    if let Some(mut sink) = sim.take_trace_sink() {
         ctx.log_trace(TraceLog {
             scenario: label.to_string(),
             strategy: strategy.label(),
             fail_at_s: fail_at_secs,
             kill_nodes: trace.killed_nodes(),
-            events,
+            events: sink.take_events(),
         });
     }
     driven
@@ -218,19 +212,6 @@ pub fn half_plan(cx: &PlanContext) -> TaskSet {
         .plan(cx, cx.n_tasks() / 2)
         .expect("SA plan")
         .tasks
-}
-
-/// A [`TraceSink`] buffering into shared storage, so the harness can keep
-/// reading the stream after the simulation consumed the boxed sink.
-struct SharedSink(Arc<Mutex<Vec<(SimTime, EngineEvent)>>>);
-
-impl TraceSink for SharedSink {
-    fn record(&mut self, at: SimTime, event: &EngineEvent) {
-        self.0
-            .lock()
-            .expect("trace buffer poisoned")
-            .push((at, event.clone()));
-    }
 }
 
 /// Completion latency of a correlated failure: detection → the *last*

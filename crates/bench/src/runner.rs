@@ -493,7 +493,7 @@ pub fn run_experiments(opts: &RunOptions) -> RunSummary {
                         .expect("trace directory must be writable");
                     let wall = start.elapsed();
                     if progress {
-                        eprintln!("<< {} done in {:.1?}", e.id, wall);
+                        eprintln!("<< {} done in {:.3}s", e.id, wall.as_secs_f64());
                         if traced > 0 {
                             eprintln!("   {} traced {traced} runs", e.id);
                         }

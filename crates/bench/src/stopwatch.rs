@@ -1,15 +1,17 @@
 //! The workspace's one wall-clock reader.
 
+#![expect(clippy::disallowed_types, reason = "the one sanctioned wall clock")]
+
 use std::time::{Duration, Instant};
 
 /// A started wall-clock timer.
 ///
-/// This module is the only place the workspace reads the host clock: the
-/// determinism lint (rule D002) confines `Instant`/`SystemTime` to this
-/// file, so everything that needs wall time — the experiment runner's
-/// progress reporting, the timed JSON section, the copy gate — goes
-/// through [`Stopwatch`]. Simulated time (`ppa_sim`) stays the only clock
-/// anywhere results are computed.
+/// This module is the only place the workspace reads the host clock:
+/// clippy's `disallowed_types` (see `clippy.toml`) bans `Instant` and
+/// `SystemTime` everywhere else, so everything that needs wall time — the
+/// experiment runner's progress reporting, the timed JSON section, the
+/// copy gate — goes through [`Stopwatch`]. Simulated time (`ppa_sim`)
+/// stays the only clock anywhere results are computed.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
     start: Instant,
@@ -17,7 +19,6 @@ pub struct Stopwatch {
 
 impl Stopwatch {
     /// Starts a timer now.
-    #[allow(clippy::new_without_default)]
     pub fn start() -> Self {
         Stopwatch {
             start: Instant::now(),

@@ -350,6 +350,36 @@ fn filter_matching_nothing_exits_nonzero_listing_known_ids() {
 }
 
 #[test]
+fn unwritable_trace_dir_exits_1_before_any_experiment_runs() {
+    // A directory under a regular file can never be created.
+    let file = std::env::temp_dir().join(format!("ppa-trace-dir-{}", std::process::id()));
+    std::fs::write(&file, b"").expect("write the blocking file");
+    let dir = file.join("traces");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(["--quick", "--jobs", "1", "--trace-dir"])
+        .arg(&dir)
+        .arg("fig07")
+        .output()
+        .expect("spawn reproduce");
+    std::fs::remove_file(&file).expect("remove the blocking file");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains(&format!(
+            "error: creating trace directory {}",
+            dir.display()
+        )),
+        "stderr names the directory: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "no panic: {stderr}");
+    assert!(
+        !stderr.contains(">> running"),
+        "no experiment ran: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "no report on stdout");
+}
+
+#[test]
 fn jobs_1_and_jobs_4_produce_identical_serialized_output() {
     let serial = run_experiments(&opts(1));
     let parallel = summary();

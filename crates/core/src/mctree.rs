@@ -20,7 +20,10 @@ use crate::error::{CoreError, Result};
 #[cfg(test)]
 use crate::model::TaskIndex;
 use crate::model::{InputSemantics, TaskGraph, TaskSet};
-// ppa-lint: allow(D001, reason = "membership-only dedup below; iteration order never escapes")
+#[expect(
+    clippy::disallowed_types,
+    reason = "membership-only dedup below; iteration order never escapes"
+)]
 use std::collections::HashSet;
 
 /// Guard rails for the exponential enumeration.
@@ -181,7 +184,10 @@ pub fn min_tree_size(graph: &TaskGraph) -> usize {
 }
 
 fn dedup(sets: Vec<TaskSet>) -> Vec<TaskSet> {
-    // ppa-lint: allow(D001, reason = "membership-only dedup; output preserves input order")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "membership-only dedup; output preserves input order"
+    )]
     let mut seen: HashSet<TaskSet> = HashSet::with_capacity(sets.len());
     let mut out = Vec::with_capacity(sets.len());
     for s in sets {

@@ -29,7 +29,7 @@ const EPS: f64 = 1e-9;
 ///   global gain stays zero).
 ///
 /// Returns `true` if at least one group was applied.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "Algorithm 5's inputs")]
 pub fn plan_structured(
     graph: &TaskGraph,
     units: &UnitGraph,

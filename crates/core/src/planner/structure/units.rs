@@ -16,7 +16,11 @@
 use crate::model::{EdgeId, InputSemantics, OperatorId, Partitioning, TaskGraph, TaskSet};
 // Membership-only sets below keep HashSet for O(1) probes; everything
 // whose iteration order reaches a UnitGraph is a BTreeSet.
-use std::collections::{BTreeSet, HashSet}; // ppa-lint: allow(D001, reason = "HashSet uses below are membership-only or explicitly allowed")
+#[expect(
+    clippy::disallowed_types,
+    reason = "HashSet uses below are membership-only or explicitly allowed"
+)]
+use std::collections::{BTreeSet, HashSet};
 
 /// One unit of a structured sub-topology.
 #[derive(Debug, Clone)]
@@ -62,7 +66,10 @@ impl UnitGraph {
         joins_as_union: bool,
     ) -> UnitGraph {
         let topo = graph.topology();
-        // ppa-lint: allow(D001, reason = "membership probes only; never iterated")
+        #[expect(
+            clippy::disallowed_types,
+            reason = "membership probes only; never iterated"
+        )]
         let member: HashSet<usize> = ops.iter().map(|o| o.0).collect();
 
         // Internal edges of the sub-topology.
@@ -183,13 +190,19 @@ pub fn enumerate_unit_segments(
     joins_as_union: bool,
 ) -> Vec<(TaskSet, f64)> {
     let topo = graph.topology();
-    // ppa-lint: allow(D001, reason = "membership probes only; never iterated")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "membership probes only; never iterated"
+    )]
     let member: HashSet<usize> = ops.iter().map(|o| o.0).collect();
     let n = graph.n_tasks();
     let mut memo: Vec<Vec<TaskSet>> = vec![Vec::new(); n];
 
     // Operators with no downstream inside the unit are the unit sinks.
-    // ppa-lint: allow(D001, reason = "membership probes only; never iterated")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "membership probes only; never iterated"
+    )]
     let unit_sinks: HashSet<usize> = ops
         .iter()
         .filter(|&&o| {
@@ -278,7 +291,10 @@ pub fn enumerate_unit_segments(
 }
 
 fn dedup(sets: Vec<TaskSet>) -> Vec<TaskSet> {
-    // ppa-lint: allow(D001, reason = "membership-only dedup; output preserves input order")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "membership-only dedup; output preserves input order"
+    )]
     let mut seen = HashSet::with_capacity(sets.len());
     let mut out = Vec::with_capacity(sets.len());
     for s in sets {

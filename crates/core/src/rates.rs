@@ -79,11 +79,14 @@ impl RateModel {
                     rates.push(r);
                     // Accumulate into the downstream task's input stream for
                     // this operator edge.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "inputs and outputs are two views of the same edge list, built together by TaskGraph::new; a target without the matching input is a bug there, not an input error"
+                    )]
                     let si = graph
                         .inputs(d)
                         .iter()
                         .position(|is| is.edge == ostream.edge)
-                        // ppa-lint: allow(D005, reason = "inputs and outputs are two views of the same edge list, built together by TaskGraph::new; a target without the matching input is a bug there, not an input error")
                         .expect("downstream input stream must exist for edge");
                     input_acc[d.0][si] += r;
                 }

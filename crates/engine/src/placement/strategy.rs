@@ -284,7 +284,7 @@ impl PlacementStrategy for DomainSpread {
         let mut standby: Vec<NodeId> = Vec::with_capacity(n);
         let standby_range = cluster.n_workers..cluster.n_workers + cluster.n_standby;
         // `primary` is fully built here; `standby` grows as `t` advances.
-        #[allow(clippy::needless_range_loop)]
+        #[expect(clippy::needless_range_loop, reason = "`standby` grows with `t`")]
         for t in 0..n {
             let primary_dom = domain_at(primary[t]);
             // Pair anti-affinity is only enforceable if some standby node

@@ -13,11 +13,20 @@ pub type SourceFactory = Box<dyn Fn(usize) -> Box<dyn SourceGen> + Send + Sync>;
 /// Factory producing a task's UDF, given the task-local index.
 pub type UdfFactory = Box<dyn Fn(usize) -> Box<dyn Udf> + Send + Sync>;
 
+/// An operator's factory: a source generates its batches, every other
+/// operator runs a UDF.
+enum Factory {
+    Source(SourceFactory),
+    Udf(UdfFactory),
+}
+
+/// One incarnation of a task: its UDF, or its generator if it is a source.
+pub(crate) type Incarnation = (Option<Box<dyn Udf>>, Option<Box<dyn SourceGen>>);
+
 /// An executable query: topology + per-operator factories.
 pub struct Query {
     topology: Topology,
-    sources: Vec<Option<SourceFactory>>,
-    udfs: Vec<Option<UdfFactory>>,
+    factories: Vec<Factory>,
 }
 
 impl Query {
@@ -25,26 +34,12 @@ impl Query {
         &self.topology
     }
 
-    /// Instantiates the source generator for a source task.
-    pub fn make_source(&self, op: OperatorId, task_local: usize) -> Box<dyn SourceGen> {
-        let f = self.sources[op.0]
-            .as_ref()
-            // ppa-lint: allow(D005, reason = "Simulation::new calls this only where is_source(op) holds, i.e. where QueryBuilder::add_source stored the factory")
-            .unwrap_or_else(|| panic!("operator {op} has no source factory"));
-        f(task_local)
-    }
-
-    /// Instantiates the UDF for a non-source task.
-    pub fn make_udf(&self, op: OperatorId, task_local: usize) -> Box<dyn Udf> {
-        let f = self.udfs[op.0]
-            .as_ref()
-            // ppa-lint: allow(D005, reason = "Simulation::new calls this only where is_source(op) fails, and QueryBuilder gives every operator without a source factory a UDF factory (add_operator)")
-            .unwrap_or_else(|| panic!("operator {op} has no UDF factory"));
-        f(task_local)
-    }
-
-    pub fn is_source(&self, op: OperatorId) -> bool {
-        self.sources[op.0].is_some()
+    /// Instantiates task `task_local` of operator `op`.
+    pub(crate) fn instantiate(&self, op: OperatorId, task_local: usize) -> Incarnation {
+        match &self.factories[op.0] {
+            Factory::Source(f) => (None, Some(f(task_local))),
+            Factory::Udf(f) => (Some(f(task_local)), None),
+        }
     }
 }
 
@@ -52,8 +47,7 @@ impl Query {
 #[derive(Default)]
 pub struct QueryBuilder {
     topology: TopologyBuilder,
-    sources: Vec<Option<SourceFactory>>,
-    udfs: Vec<Option<UdfFactory>>,
+    factories: Vec<Factory>,
 }
 
 impl QueryBuilder {
@@ -68,8 +62,7 @@ impl QueryBuilder {
         factory: impl Fn(usize) -> Box<dyn SourceGen> + Send + Sync + 'static,
     ) -> OperatorId {
         let id = self.topology.add_operator(spec);
-        self.sources.push(Some(Box::new(factory)));
-        self.udfs.push(None);
+        self.factories.push(Factory::Source(Box::new(factory)));
         id
     }
 
@@ -80,8 +73,7 @@ impl QueryBuilder {
         factory: impl Fn(usize) -> Box<dyn Udf> + Send + Sync + 'static,
     ) -> OperatorId {
         let id = self.topology.add_operator(spec);
-        self.sources.push(None);
-        self.udfs.push(Some(Box::new(factory)));
+        self.factories.push(Factory::Udf(Box::new(factory)));
         id
     }
 
@@ -100,9 +92,8 @@ impl QueryBuilder {
     pub fn build(self) -> Result<Query> {
         let topology = self.topology.build()?;
         // Factories must agree with the graph's source classification.
-        for (i, op) in topology.operators().iter().enumerate() {
-            let has_source_factory = self.sources[i].is_some();
-            if op.is_source() != has_source_factory {
+        for (i, (op, factory)) in topology.operators().iter().zip(&self.factories).enumerate() {
+            if op.is_source() != matches!(factory, Factory::Source(_)) {
                 return Err(CoreError::SourceRate {
                     operator: i,
                     is_source: op.is_source(),
@@ -111,8 +102,7 @@ impl QueryBuilder {
         }
         Ok(Query {
             topology,
-            sources: self.sources,
-            udfs: self.udfs,
+            factories: self.factories,
         })
     }
 }
@@ -143,25 +133,22 @@ mod tests {
     fn builds_and_instantiates() {
         let q = tiny_query();
         assert_eq!(q.topology().n_operators(), 2);
-        assert!(q.is_source(OperatorId(0)));
-        assert!(!q.is_source(OperatorId(1)));
-        let mut src = q.make_source(OperatorId(0), 0);
-        assert_eq!(src.batch(0).len(), 100);
-        let _udf = q.make_udf(OperatorId(1), 0);
+        let (udf, src) = q.instantiate(OperatorId(0), 0);
+        assert!(udf.is_none());
+        assert_eq!(src.expect("a source").batch(0).len(), 100);
+        let (udf, src) = q.instantiate(OperatorId(1), 0);
+        assert!(udf.is_some() && src.is_none());
     }
 
     #[test]
     fn source_factories_differ_per_task() {
         let q = tiny_query();
-        let mut a = q.make_source(OperatorId(0), 0);
-        let mut b = q.make_source(OperatorId(0), 1);
-        assert_ne!(a.batch(0), b.batch(0), "different seeds per task");
-    }
-
-    #[test]
-    #[should_panic(expected = "no source factory")]
-    fn make_source_on_non_source_panics() {
-        let q = tiny_query();
-        let _ = q.make_source(OperatorId(1), 0);
+        let batch = |task| {
+            q.instantiate(OperatorId(0), task)
+                .1
+                .expect("a source")
+                .batch(0)
+        };
+        assert_ne!(batch(0), batch(1), "different seeds per task");
     }
 }

@@ -151,7 +151,7 @@ fn emit(
 
 /// Schedules a Data delivery to the primary slot and replica slot (if
 /// any) of a logical task.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "the fields of one Deliver event")]
 pub(super) fn deliver_to(
     cx: &mut LaneCtx<'_>,
     to: TaskIndex,

@@ -34,10 +34,10 @@
 //!   three restore families composed from them, replica takeover, proxy
 //!   punctuations.
 
-// The runtime's internal bookkeeping uses nested generic types whose shape
-// is the documentation (batch id -> (payload, tentative), per-slot); naming
-// each would add indirection without clarity.
-#![allow(clippy::type_complexity)]
+#![expect(
+    clippy::type_complexity,
+    reason = "the runtime's internal bookkeeping uses nested generic types whose shape is the documentation (batch id -> (payload, tentative), per-slot); naming each would add indirection without clarity"
+)]
 
 use self::ledger::OutageLedger;
 use crate::chaos::{ChaosError, ChaosKind, ChaosSpec};
@@ -49,7 +49,7 @@ use crate::control::{
 use crate::error::EngineError;
 use crate::feed::FaultFeed;
 use crate::placement::{move_counts, plan_evacuation, MoveRole, NodeId, Placement};
-use crate::query::Query;
+use crate::query::{Incarnation, Query};
 use crate::report::{CpuStats, Lifecycle, OutageRecord, RunReport, SinkBatch};
 use crate::tuple::Chunk;
 use crate::udf::{SourceGen, Udf};
@@ -189,7 +189,7 @@ impl TaskRt {
         logical: TaskIndex,
         is_replica: bool,
         node: NodeId,
-        (udf, source): (Option<Box<dyn Udf>>, Option<Box<dyn SourceGen>>),
+        (udf, source): Incarnation,
         sub_from: Vec<(usize, TaskIndex)>,
         out_targets: Vec<OutTarget>,
     ) -> TaskRt {
@@ -394,12 +394,15 @@ fn wiring(graph: &TaskGraph) -> (Vec<Vec<(usize, TaskIndex)>>, Vec<Vec<OutTarget
             let mut outs = Vec::new();
             for (stream, ostream) in graph.outputs(TaskIndex(t)).iter().enumerate() {
                 for &d in &ostream.targets {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "inputs and outputs are two views of the same edge list, built together by TaskGraph::new; a target without the matching input is a bug there, not an input error"
+                    )]
                     let to_substream = sub_from[d.0]
                         .iter()
                         .position(|&(s, u)| {
                             u == TaskIndex(t) && graph.inputs(d)[s].edge == ostream.edge
                         })
-                        // ppa-lint: allow(D005, reason = "inputs and outputs are two views of the same edge list, built together by TaskGraph::new; a target without the matching input is a bug there, not an input error")
                         .expect("substream layout mismatch");
                     outs.push(OutTarget {
                         stream,
@@ -442,14 +445,9 @@ impl Simulation {
         };
 
         // The operator state or generator of one incarnation of task `t`.
-        let instantiate = |t: usize| -> (Option<Box<dyn Udf>>, Option<Box<dyn SourceGen>>) {
+        let instantiate = |t: usize| {
             let logical = TaskIndex(t);
-            let (op, local) = (graph.operator_of(logical), graph.local_index(logical));
-            if query.is_source(op) {
-                (None, Some(query.make_source(op, local)))
-            } else {
-                (Some(query.make_udf(op, local)), None)
-            }
+            query.instantiate(graph.operator_of(logical), graph.local_index(logical))
         };
         let mk_task = |t: usize, is_replica: bool, node: NodeId| {
             TaskRt::new(
@@ -661,6 +659,10 @@ impl Simulation {
     /// controls — [`Simulation::new`] + [`Simulation::drive`] with a
     /// [`StaticPolicy`]. Anything a [`FaultFeed`] converts from is a
     /// `feed`: a list of [`FailureSpec`]s, a `&FailureTrace`.
+    #[expect(
+        clippy::expect_used,
+        reason = "the build-and-run convenience hands back a bare RunReport; a caller whose feed or config may be malformed calls drive and gets the typed error"
+    )]
     pub fn run(
         query: &Query,
         placement: Placement,
@@ -670,7 +672,6 @@ impl Simulation {
     ) -> RunReport {
         let mut sim = Simulation::new(query, placement, config);
         sim.drive(&feed.into(), &mut StaticPolicy, SimTime::ZERO + duration)
-            // ppa-lint: allow(D005, reason = "the build-and-run convenience hands back a bare RunReport; a caller whose feed or config may be malformed calls drive and gets the typed error")
             .expect("the feed must name live nodes of this cluster, inside the run window, and no interval may be zero")
             .report
     }

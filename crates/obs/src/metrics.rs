@@ -3,8 +3,8 @@
 //!
 //! Everything is `BTreeMap`-ordered, so a snapshot serializes in one
 //! stable name order regardless of registration order — the same
-//! guarantee the workspace's D001 lint rule enforces for every other
-//! iteration that escapes into reports.
+//! guarantee the workspace's ban on `HashMap`/`HashSet` (clippy.toml)
+//! enforces for every other iteration that escapes into reports.
 
 use std::collections::BTreeMap;
 

@@ -76,7 +76,10 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let Reverse(key) = self.heap.pop()?;
-        // ppa-lint: allow(D005, reason = "a heap key is pushed only with its slot filled and popped once; an empty slot is a bug in this file, not an input error")
+        #[expect(
+            clippy::expect_used,
+            reason = "a heap key is pushed only with its slot filled and popped once; an empty slot is a bug in this file, not an input error"
+        )]
         let (at, event) = self.slots[key.slot].take().expect("slot must be filled");
         self.free.push(key.slot);
         debug_assert_eq!(at, key.at);
@@ -168,7 +171,7 @@ impl<E> Scheduler<E> {
     ///
     /// Deliberately named like `Iterator::next`; the scheduler is not an
     /// iterator because callers interleave `schedule` with draining.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(clippy::should_implement_trait, reason = "see above: not an iterator")]
     pub fn next(&mut self) -> Option<(SimTime, E)> {
         let (at, event) = self.queue.pop()?;
         debug_assert!(at >= self.now);

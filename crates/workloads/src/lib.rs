@@ -138,12 +138,13 @@ pub(crate) fn dedicated_placement(graph: &TaskGraph) -> (Placement, Vec<usize>) 
     let n_workers = next_worker;
     let n_standby = n.max(1);
     let standby: Vec<usize> = (0..n).map(|t| n_workers + t % n_standby).collect();
-    (
-        Placement::explicit(primary, standby, n_workers, n_standby)
-            // ppa-lint: allow(D005, reason = "the loops above put every primary below n_workers (at least the one source node) and every standby in n_workers..n_workers + n_standby (n_standby >= 1), which is all Placement::explicit checks")
-            .expect("dedicated placement is structurally valid"),
-        worker_nodes,
-    )
+    #[expect(
+        clippy::expect_used,
+        reason = "the loops above put every primary below n_workers (at least the one source node) and every standby in n_workers..n_workers + n_standby (n_standby >= 1), which is all Placement::explicit checks"
+    )]
+    let placement = Placement::explicit(primary, standby, n_workers, n_standby)
+        .expect("dedicated placement is structurally valid");
+    (placement, worker_nodes)
 }
 
 /// The link between two levels of an aggregation tree whose downstream

@@ -431,7 +431,10 @@ impl Udf for JamAggregate {
 
 /// Builds the Q2 query.
 pub fn q2_query(cfg: &NavigationConfig) -> Query {
-    // ppa-lint: allow(D005, reason = "try_q2_query's divisibility asserts make every merge_link it connects arity-valid and fix the rest of the shape; only a NavigationConfig with a zero per-task location rate or segment count fails build, and every NavigationConfig in the workspace is a hand-written literal with positive ones")
+    #[expect(
+        clippy::expect_used,
+        reason = "try_q2_query's divisibility asserts make every merge_link it connects arity-valid and fix the rest of the shape; only a NavigationConfig with a zero per-task location rate or segment count fails build, and every NavigationConfig in the workspace is a hand-written literal with positive ones"
+    )]
     try_q2_query(cfg).expect("q2 topology is valid")
 }
 

@@ -101,7 +101,10 @@ impl SourceGen for UniformSource {
 
 /// Builds the Fig. 6 query.
 pub fn fig6_query(cfg: &Fig6Config) -> Query {
-    // ppa-lint: allow(D005, reason = "the Fig. 6 shape is fixed in this file; an invalid topology is a bug here, not an input error")
+    #[expect(
+        clippy::expect_used,
+        reason = "the Fig. 6 shape is fixed in this file; an invalid topology is a bug here, not an input error"
+    )]
     try_fig6_query(cfg).expect("fig6 topology is valid")
 }
 

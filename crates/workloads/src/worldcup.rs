@@ -173,7 +173,10 @@ impl Udf for TopK {
 
 /// Builds the Q1 query.
 pub fn q1_query(cfg: &Q1Config) -> Query {
-    // ppa-lint: allow(D005, reason = "try_q1_query's divisibility assert makes every merge_link it connects arity-valid and fixes the rest of the shape; only a Q1Config with a zero rate or object count fails build, and every Q1Config in the workspace is a hand-written literal with positive ones")
+    #[expect(
+        clippy::expect_used,
+        reason = "try_q1_query's divisibility assert makes every merge_link it connects arity-valid and fixes the rest of the shape; only a Q1Config with a zero rate or object count fails build, and every Q1Config in the workspace is a hand-written literal with positive ones"
+    )]
     try_q1_query(cfg).expect("q1 topology is valid")
 }
 

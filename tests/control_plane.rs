@@ -156,18 +156,7 @@ fn trace_events_agree_with_outage_histories() {
     // matching OutageDetected at detected_at, and exactly one closing
     // event whose variant (ReplicaActivated / RestoreDone) matches
     // via_replica.
-    use ppa::engine::{EngineEvent, TraceSink};
-    use std::sync::{Arc, Mutex};
-
-    struct SharedSink(Arc<Mutex<Vec<(SimTime, EngineEvent)>>>);
-    impl TraceSink for SharedSink {
-        fn record(&mut self, at: SimTime, event: &EngineEvent) {
-            self.0
-                .lock()
-                .expect("sink buffer")
-                .push((at, event.clone()));
-        }
-    }
+    use ppa::engine::{EngineEvent, VecSink};
 
     let mut total_refails = 0usize;
     for waves in [1usize, 3] {
@@ -180,8 +169,7 @@ fn trace_events_agree_with_outage_histories() {
                 ..EngineConfig::default()
             };
             let mut sim = Simulation::new(&s.query, s.placement.clone(), config);
-            let buffer = Arc::new(Mutex::new(Vec::new()));
-            sim.set_trace_sink(Box::new(SharedSink(Arc::clone(&buffer))));
+            sim.set_trace_sink(Box::new(VecSink::new()));
             let report = sim
                 .drive(
                     &failures.clone().into(),
@@ -190,7 +178,10 @@ fn trace_events_agree_with_outage_histories() {
                 )
                 .expect("kill sets name live cluster nodes")
                 .report;
-            let events = buffer.lock().expect("sink buffer").clone();
+            let events = sim
+                .take_trace_sink()
+                .map(|mut s| s.take_events())
+                .unwrap_or_default();
             let label = format!("waves {waves} seed {seed} failures {failures:?}");
 
             for history in &report.outages {
