@@ -11,8 +11,9 @@
 //!   ordered, and only the last record may be open;
 //! * **events ↔ trace** — `FailureInjected` waves replay the resolved
 //!   kill trace exactly;
-//! * **events ↔ metrics** — every lifecycle counter equals its event
-//!   count, and throughput counters reconcile with the report;
+//! * **events ↔ metrics** — the run's counters equal its stream folded
+//!   through `MetricsRegistry::record`, plus one `engine.chaos.fired`
+//!   per scheduled injection;
 //! * **exactly-once sinks** — a non-tentative sink batch id is emitted
 //!   once, unless its sink task went through a state restore (a restore
 //!   rewinds the batch cursor, legitimately re-emitting);
@@ -22,10 +23,10 @@
 //!   slack); anything else is a lost outage.
 
 use crate::feed::ResolvedChaos;
-use ppa_engine::{EngineEvent, MetricsSnapshot, RunReport, HEARTBEAT_INTERVAL};
+use ppa_engine::{EngineEvent, MetricsRegistry, MetricsSnapshot, RunReport, HEARTBEAT_INTERVAL};
 use ppa_obs::{check_stream, Violation};
 use ppa_sim::SimTime;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Everything the checker cross-references for one run.
 pub struct CheckInput<'a> {
@@ -54,11 +55,12 @@ fn violation(
 /// violations found (empty = the run holds its invariants).
 pub fn check_run(input: &CheckInput<'_>) -> Vec<Violation> {
     let mut out = check_stream(input.events).violations;
-    check_report_agreement(input, &mut out);
+    let by_task = fold_task_events(input.events);
+    check_report_agreement(input, &by_task, &mut out);
     check_trace_agreement(input, &mut out);
     check_metrics_agreement(input, &mut out);
-    check_sink_exactly_once(input, &mut out);
-    check_closed_or_explained(input, &mut out);
+    check_sink_exactly_once(input, &by_task, &mut out);
+    check_closed_or_explained(input, &by_task, &mut out);
     check_fidelity_floor(input, &mut out);
     out
 }
@@ -100,8 +102,11 @@ fn fold_task_events(events: &[(SimTime, EngineEvent)]) -> BTreeMap<usize, TaskEv
 }
 
 /// events ↔ report: outage histories and the stream must agree.
-fn check_report_agreement(input: &CheckInput<'_>, out: &mut Vec<Violation>) {
-    let by_task = fold_task_events(input.events);
+fn check_report_agreement(
+    input: &CheckInput<'_>,
+    by_task: &BTreeMap<usize, TaskEvents>,
+    out: &mut Vec<Violation>,
+) {
     let end = input.report.ended_at;
 
     for outages in &input.report.outages {
@@ -178,7 +183,7 @@ fn check_report_agreement(input: &CheckInput<'_>, out: &mut Vec<Violation>) {
 
     // The converse direction: a task with outage events must own a
     // report history.
-    for (&task, folded) in &by_task {
+    for (&task, folded) in by_task {
         if folded.opened > 0 && !input.report.outages.iter().any(|o| o.task.0 == task) {
             out.push(violation(
                 "report_history_missing",
@@ -225,61 +230,27 @@ fn check_trace_agreement(input: &CheckInput<'_>, out: &mut Vec<Violation>) {
     }
 }
 
-/// events ↔ metrics: lifecycle counters must equal their event counts,
-/// and throughput counters must reconcile with the report.
+/// events ↔ metrics: the run's counters must be exactly its stream folded
+/// through [`MetricsRegistry::record`] plus one `engine.chaos.fired` per
+/// scheduled injection, over every counter either side names — so a
+/// counter no event witnesses is a mismatch too. The one exemption is
+/// `engine.approx.backups_skipped`, which no event explains.
 fn check_metrics_agreement(input: &CheckInput<'_>, out: &mut Vec<Violation>) {
-    let mut counts: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut nodes_killed = 0u64;
-    let mut refails = 0u64;
+    let mut folded = MetricsRegistry::new();
     for (_, event) in input.events {
-        match event {
-            EngineEvent::FailureInjected { nodes } => {
-                *counts.entry("engine.failures.waves").or_default() += 1;
-                nodes_killed += nodes.len() as u64;
-            }
-            EngineEvent::OutageOpened { refail, .. } => {
-                *counts.entry("engine.outages.opened").or_default() += 1;
-                if *refail {
-                    refails += 1;
-                }
-            }
-            EngineEvent::OutageDetected { .. } => {
-                *counts.entry("engine.outages.detected").or_default() += 1;
-            }
-            EngineEvent::RestoreStarted { .. } => {
-                *counts.entry("engine.restores.started").or_default() += 1;
-            }
-            EngineEvent::RestoreDone { .. } => {
-                *counts.entry("engine.recoveries.via_restore").or_default() += 1;
-            }
-            EngineEvent::RestoreVoided { .. } => {
-                *counts.entry("engine.restores.voided").or_default() += 1;
-            }
-            EngineEvent::ReplicaActivated { .. } => {
-                *counts.entry("engine.recoveries.via_replica").or_default() += 1;
-            }
-            EngineEvent::TentativeResumed { .. } => {
-                *counts.entry("engine.tentative.resumed").or_default() += 1;
-            }
-            EngineEvent::ApproxBackupShipped { .. } => {
-                *counts.entry("engine.approx.backups_shipped").or_default() += 1;
-            }
-            EngineEvent::ApproxRecovery { divergence, .. } => {
-                *counts
-                    .entry("engine.approx.divergence_at_recovery")
-                    .or_default() += divergence;
-            }
-            _ => {}
-        }
+        folded.record(event);
     }
-    counts.insert("engine.failures.nodes_killed", nodes_killed);
-    counts.insert("engine.outages.refails", refails);
-    counts.insert("engine.chaos.fired", input.resolved.schedule.len() as u64);
-    counts.insert("engine.events.processed", input.report.events);
-    counts.insert("engine.tuples.moved", input.report.tuples_moved);
-
-    for (name, expected) in counts {
-        let actual = input.metrics.counter(name);
+    folded.add("engine.chaos.fired", input.resolved.schedule.len() as u64);
+    let witnessed = folded.snapshot();
+    let names: BTreeSet<&str> = witnessed
+        .counters
+        .iter()
+        .chain(&input.metrics.counters)
+        .map(|&(name, _)| name)
+        .filter(|&name| name != "engine.approx.backups_skipped")
+        .collect();
+    for name in names {
+        let (actual, expected) = (input.metrics.counter(name), witnessed.counter(name));
         if actual != expected {
             out.push(violation(
                 "metrics_counter_mismatch",
@@ -295,8 +266,11 @@ fn check_metrics_agreement(input: &CheckInput<'_>, out: &mut Vec<Violation>) {
 /// may repeat only if that sink task went through a state restore (the
 /// restore rewinds its batch cursor; downstream re-emission is the
 /// documented at-least-once window of checkpoint recovery).
-fn check_sink_exactly_once(input: &CheckInput<'_>, out: &mut Vec<Violation>) {
-    let by_task = fold_task_events(input.events);
+fn check_sink_exactly_once(
+    input: &CheckInput<'_>,
+    by_task: &BTreeMap<usize, TaskEvents>,
+    out: &mut Vec<Violation>,
+) {
     let mut seen: BTreeMap<(usize, u64), usize> = BTreeMap::new();
     for batch in &input.report.sink {
         if batch.tentative {
@@ -323,8 +297,11 @@ fn check_sink_exactly_once(input: &CheckInput<'_>, out: &mut Vec<Violation>) {
 /// within the detection allowance measured from the last (re)arming of
 /// its detection clock: two heartbeat scans plus whatever slack the
 /// chaos schedule legitimately injected.
-fn check_closed_or_explained(input: &CheckInput<'_>, out: &mut Vec<Violation>) {
-    let by_task = fold_task_events(input.events);
+fn check_closed_or_explained(
+    input: &CheckInput<'_>,
+    by_task: &BTreeMap<usize, TaskEvents>,
+    out: &mut Vec<Violation>,
+) {
     let slack = input.resolved.schedule.detection_slack();
     let allowance = HEARTBEAT_INTERVAL + HEARTBEAT_INTERVAL + slack;
     for outages in &input.report.outages {
@@ -352,30 +329,22 @@ fn check_closed_or_explained(input: &CheckInput<'_>, out: &mut Vec<Violation>) {
 }
 
 /// Fidelity-floor accounting: the stream's `ApproxRecovery` events and
-/// the report's `fidelity_floor` records must tell the same story — a
-/// floor is in permille (≤ 1000), every recorded floor has exactly one
-/// matching lossy-recovery event for its task (same values, same order),
-/// and a lossy recovery never leaves the report floorless. This is the
-/// invariant that catches a voided/stalled restore double-counting an
-/// approximate recovery into one outage record.
+/// the report's `fidelity_floor` records must tell the same story — every
+/// recorded floor has exactly one matching lossy-recovery event for its
+/// task (same values, same order), and a lossy recovery never leaves the
+/// report floorless. This is the invariant that catches a voided/stalled
+/// restore double-counting an approximate recovery into one outage
+/// record. (A floor above 1000 permille is `check_stream`'s to report.)
 fn check_fidelity_floor(input: &CheckInput<'_>, out: &mut Vec<Violation>) {
     let end = input.report.ended_at;
     let mut event_floors: BTreeMap<usize, Vec<u16>> = BTreeMap::new();
-    for (at, event) in input.events {
+    for (_, event) in input.events {
         if let EngineEvent::ApproxRecovery {
             task,
             fidelity_floor,
             ..
         } = event
         {
-            if *fidelity_floor > 1000 {
-                out.push(violation(
-                    "fidelity_floor_out_of_range",
-                    *at,
-                    Some(*task),
-                    format!("ApproxRecovery floor {fidelity_floor}‰ exceeds 1000"),
-                ));
-            }
             event_floors.entry(*task).or_default().push(*fidelity_floor);
         }
     }
@@ -413,7 +382,9 @@ fn check_fidelity_floor(input: &CheckInput<'_>, out: &mut Vec<Violation>) {
 mod tests {
     use super::*;
     use crate::schedule::ChaosSchedule;
-    use ppa_engine::FailureTrace;
+    use ppa_engine::{FailureTrace, OutageRecord, TaskOutages};
+
+    type Events = Vec<(SimTime, EngineEvent)>;
 
     fn empty_input<'a>(
         report: &'a RunReport,
@@ -430,16 +401,69 @@ mod tests {
         }
     }
 
-    #[test]
-    fn an_empty_run_checks_clean() {
-        let report = RunReport::default();
-        let events: Vec<(SimTime, EngineEvent)> = Vec::new();
-        let metrics = MetricsSnapshot::default();
-        let resolved = ResolvedChaos {
+    /// A resolved scenario with no kills and no chaos.
+    fn no_chaos() -> ResolvedChaos {
+        ResolvedChaos {
             trace: FailureTrace::new(),
             schedule: ChaosSchedule::new(),
             suppressed_kills: 0,
-        };
+        }
+    }
+
+    /// `events` counted the way the engine counts them.
+    fn counted(events: &Events) -> MetricsSnapshot {
+        let mut m = MetricsRegistry::new();
+        for (_, event) in events {
+            m.record(event);
+        }
+        m.snapshot()
+    }
+
+    /// Task 3's one outage — failed at 20 s, detected at 25 s, closed at
+    /// 26 s by a lossy restore leaving `floor` ‰ — as a report and the
+    /// stream that witnesses it.
+    fn lossy_outage(floor: u16) -> (RunReport, Events) {
+        let s = SimTime::from_secs;
+        let mut report = RunReport::default();
+        report.outages.push(TaskOutages {
+            task: ppa_core::model::TaskIndex(3),
+            records: vec![OutageRecord {
+                via_replica: false,
+                failed_at: s(20),
+                detected_at: s(25),
+                recovered_at: Some(s(26)),
+                fidelity_floor: Some(floor),
+            }],
+        });
+        let events = vec![
+            (
+                s(20),
+                EngineEvent::OutageOpened {
+                    task: 3,
+                    refail: false,
+                },
+            ),
+            (s(25), EngineEvent::OutageDetected { task: 3 }),
+            (
+                s(26),
+                EngineEvent::ApproxRecovery {
+                    task: 3,
+                    divergence: 42,
+                    skipped_batches: 4,
+                    fidelity_floor: floor,
+                },
+            ),
+            (s(26), EngineEvent::RestoreDone { task: 3 }),
+        ];
+        (report, events)
+    }
+
+    #[test]
+    fn an_empty_run_checks_clean() {
+        let report = RunReport::default();
+        let events: Events = Vec::new();
+        let metrics = MetricsSnapshot::default();
+        let resolved = no_chaos();
         let input = empty_input(&report, &events, &metrics, &resolved);
         assert!(check_run(&input).is_empty());
     }
@@ -451,18 +475,8 @@ mod tests {
             SimTime::from_secs(10),
             EngineEvent::FailureInjected { nodes: vec![1] },
         )];
-        let metrics = MetricsSnapshot {
-            counters: vec![
-                ("engine.failures.nodes_killed", 1),
-                ("engine.failures.waves", 1),
-            ],
-            ..MetricsSnapshot::default()
-        };
-        let resolved = ResolvedChaos {
-            trace: FailureTrace::new(), // resolved trace says: no kills
-            schedule: ChaosSchedule::new(),
-            suppressed_kills: 0,
-        };
+        let metrics = counted(&events);
+        let resolved = no_chaos(); // the resolved trace says: no kills
         let input = empty_input(&report, &events, &metrics, &resolved);
         let rules: Vec<&str> = check_run(&input).iter().map(|v| v.invariant).collect();
         assert!(rules.contains(&"trace_replay_mismatch"), "{rules:?}");
@@ -470,84 +484,24 @@ mod tests {
 
     #[test]
     fn floor_without_a_recovery_event_is_a_mismatch() {
-        use ppa_engine::{OutageRecord, TaskOutages};
-        let mut report = RunReport::default();
-        report.outages.push(TaskOutages {
-            task: ppa_core::model::TaskIndex(3),
-            records: vec![OutageRecord {
-                via_replica: false,
-                failed_at: SimTime::from_secs(20),
-                detected_at: SimTime::from_secs(25),
-                recovered_at: Some(SimTime::from_secs(26)),
-                fidelity_floor: Some(700),
-            }],
-        });
-        // One opened/closed pair so the lifecycle checks stay quiet; the
-        // floor on the record has no ApproxRecovery witness.
-        let events = vec![
-            (
-                SimTime::from_secs(20),
-                EngineEvent::OutageOpened {
-                    task: 3,
-                    refail: false,
-                },
-            ),
-            (
-                SimTime::from_secs(25),
-                EngineEvent::OutageDetected { task: 3 },
-            ),
-            (SimTime::from_secs(26), EngineEvent::RestoreDone { task: 3 }),
-        ];
-        let metrics = MetricsSnapshot {
-            counters: vec![
-                ("engine.outages.opened", 1),
-                ("engine.outages.detected", 1),
-                ("engine.recoveries.via_restore", 1),
-            ],
-            ..MetricsSnapshot::default()
-        };
-        let resolved = ResolvedChaos {
-            trace: FailureTrace::new(),
-            schedule: ChaosSchedule::new(),
-            suppressed_kills: 0,
-        };
+        let resolved = no_chaos();
+        let (report, events) = lossy_outage(700);
+        let metrics = counted(&events);
+        let input = empty_input(&report, &events, &metrics, &resolved);
+        assert!(
+            check_run(&input).is_empty(),
+            "the witnessed floor reconciles"
+        );
+
+        // Without the ApproxRecovery witness, the floor on the record is
+        // unexplained.
+        let mut events = events;
+        events.remove(2);
+        let metrics = counted(&events);
         let input = empty_input(&report, &events, &metrics, &resolved);
         let check = check_run(&input);
         assert!(
             check
-                .iter()
-                .any(|v| v.invariant == "fidelity_floor_mismatch"),
-            "{check:?}"
-        );
-
-        // Adding the witnessing event (and its divergence counter)
-        // reconciles the two layers.
-        let mut events = events;
-        events.insert(
-            2,
-            (
-                SimTime::from_secs(26),
-                EngineEvent::ApproxRecovery {
-                    task: 3,
-                    divergence: 42,
-                    skipped_batches: 4,
-                    fidelity_floor: 700,
-                },
-            ),
-        );
-        let metrics = MetricsSnapshot {
-            counters: vec![
-                ("engine.outages.opened", 1),
-                ("engine.outages.detected", 1),
-                ("engine.recoveries.via_restore", 1),
-                ("engine.approx.divergence_at_recovery", 42),
-            ],
-            ..MetricsSnapshot::default()
-        };
-        let input = empty_input(&report, &events, &metrics, &resolved);
-        let check = check_run(&input);
-        assert!(
-            !check
                 .iter()
                 .any(|v| v.invariant == "fidelity_floor_mismatch"),
             "{check:?}"
@@ -555,30 +509,39 @@ mod tests {
     }
 
     #[test]
+    fn an_out_of_range_floor_is_one_violation() {
+        let (report, events) = lossy_outage(1500);
+        let metrics = counted(&events);
+        let resolved = no_chaos();
+        let input = empty_input(&report, &events, &metrics, &resolved);
+        let rules: Vec<&str> = check_run(&input).iter().map(|v| v.invariant).collect();
+        assert_eq!(rules, vec!["fidelity_floor_out_of_range"]);
+    }
+
+    #[test]
     fn counter_drift_is_flagged() {
         let report = RunReport::default();
-        let events = vec![(
-            SimTime::from_secs(10),
-            EngineEvent::OutageDetected { task: 0 },
-        )];
-        // Stream says one detection; registry says two.
+        let resolved = no_chaos();
+        // The stream says one detection, then none; the registry says two.
         let metrics = MetricsSnapshot {
             counters: vec![("engine.outages.detected", 2)],
-            ..MetricsSnapshot::default()
         };
-        let resolved = ResolvedChaos {
-            trace: FailureTrace::new(),
-            schedule: ChaosSchedule::new(),
-            suppressed_kills: 0,
-        };
-        let input = empty_input(&report, &events, &metrics, &resolved);
-        let check = check_run(&input);
-        assert!(
-            check
-                .iter()
-                .any(|v| v.invariant == "metrics_counter_mismatch"
-                    && v.detail.contains("engine.outages.detected")),
-            "{check:?}"
-        );
+        for events in [
+            vec![(
+                SimTime::from_secs(10),
+                EngineEvent::OutageDetected { task: 0 },
+            )],
+            Vec::new(),
+        ] {
+            let input = empty_input(&report, &events, &metrics, &resolved);
+            let check = check_run(&input);
+            assert!(
+                check
+                    .iter()
+                    .any(|v| v.invariant == "metrics_counter_mismatch"
+                        && v.detail.contains("engine.outages.detected")),
+                "{check:?}"
+            );
+        }
     }
 }

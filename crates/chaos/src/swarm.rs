@@ -184,28 +184,20 @@ pub fn run_seed(root_seed: u64, index: usize) -> Result<SeedOutcome, SwarmError>
         })
     };
 
-    let mut outcome = SeedOutcome {
+    let count = |name| arts.metrics.counter(name) as usize;
+    Ok(SeedOutcome {
         index,
         seed: params.seed,
         label: params.label(),
         events: arts.events.len(),
-        outages_opened: 0,
-        outages_closed: 0,
+        outages_opened: count("engine.outages.opened"),
+        outages_closed: count("engine.recoveries.via_restore")
+            + count("engine.recoveries.via_replica"),
         chaos_fired: resolved.schedule.len(),
         suppressed_kills: resolved.suppressed_kills,
         violations,
         repro,
-    };
-    for (_, e) in &arts.events {
-        match e {
-            EngineEvent::OutageOpened { .. } => outcome.outages_opened += 1,
-            EngineEvent::RestoreDone { .. } | EngineEvent::ReplicaActivated { .. } => {
-                outcome.outages_closed += 1
-            }
-            _ => {}
-        }
-    }
-    Ok(outcome)
+    })
 }
 
 /// A whole swarm's outcomes, in index order.

@@ -79,8 +79,10 @@ pub struct DriveReport {
     /// CPU charged for control-plane state shipping (migrations and
     /// replica activations), over and above the report's per-task stats.
     pub control_cpu: SimDuration,
-    /// Name-ordered snapshot of the run's observability metrics
-    /// (counters, gauges, fixed-bucket histograms).
+    /// Name-ordered snapshot of the run's counters: its event stream
+    /// folded through [`ppa_obs::MetricsRegistry::record`], plus
+    /// `engine.chaos.fired` and (approximate mode)
+    /// `engine.approx.backups_skipped`.
     pub metrics: ppa_obs::MetricsSnapshot,
     /// The failure trace the feed resolved to (replayable).
     pub trace: FailureTrace,

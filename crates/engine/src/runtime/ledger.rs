@@ -10,11 +10,7 @@
 use crate::report::{Lifecycle, OutageRecord, TaskOutages};
 use ppa_core::model::TaskIndex;
 use ppa_obs::EngineEvent;
-use ppa_sim::{SimDuration, SimTime};
-
-/// A transition that ends a phase of an outage: how long after the
-/// failure it happened (the latency histograms' input) and its event.
-pub(super) type Timed = (SimDuration, EngineEvent);
+use ppa_sim::SimTime;
 
 pub(super) struct OutageLedger {
     /// Per-task outage histories in first-failure order — the report's
@@ -138,15 +134,12 @@ impl OutageLedger {
     /// The heartbeat scan found task `t` down at `now`. `None` unless its
     /// current record is open and undetected (never failed, already
     /// detected, or recovered), which makes a repeated scan a no-op.
-    pub fn detect(&mut self, t: usize, now: SimTime) -> Option<Timed> {
+    pub fn detect(&mut self, t: usize, now: SimTime) -> Option<EngineEvent> {
         let rec = self
             .current_mut(t)
             .filter(|rec| rec.open() && !rec.detected())?;
         rec.detected_at = now;
-        Some((
-            now.since(rec.failed_at),
-            EngineEvent::OutageDetected { task: t },
-        ))
+        Some(EngineEvent::OutageDetected { task: t })
     }
 
     /// A live replica's takeover of task `t` is scheduled.
@@ -205,21 +198,20 @@ impl OutageLedger {
     /// The single funnel every recovery path closes through: idempotent
     /// per record, so exactly one closing event (`ReplicaActivated` or
     /// `RestoreDone`) exists per record.
-    pub fn close(&mut self, t: usize, at: SimTime, takeover: bool) -> Option<Timed> {
+    pub fn close(&mut self, t: usize, at: SimTime, takeover: bool) -> Option<EngineEvent> {
         let rec = self.current_mut(t)?;
         rec.via_replica |= takeover;
         if !rec.open() {
             return None;
         }
         rec.recovered_at = Some(at);
-        let since_failure = at.since(rec.failed_at);
         let event = if rec.via_replica {
             EngineEvent::ReplicaActivated { task: t }
         } else {
             EngineEvent::RestoreDone { task: t }
         };
         self.lifecycle[t] = Lifecycle::Recovered;
-        Some((since_failure, event))
+        Some(event)
     }
 }
 
@@ -245,10 +237,7 @@ mod tests {
         );
         assert_eq!(
             ledger.detect(1, s(15)),
-            Some((
-                SimDuration::from_secs(5),
-                EngineEvent::OutageDetected { task: 1 }
-            ))
+            Some(EngineEvent::OutageDetected { task: 1 })
         );
         ledger
     }
@@ -264,10 +253,7 @@ mod tests {
         assert_eq!(ledger.lifecycles()[1], Lifecycle::Replaying);
         assert_eq!(
             ledger.close(1, s(18), false),
-            Some((
-                SimDuration::from_secs(8),
-                EngineEvent::RestoreDone { task: 1 }
-            ))
+            Some(EngineEvent::RestoreDone { task: 1 })
         );
         assert_eq!(ledger.close(1, s(19), false), None);
         let rec = ledger.current(1).ok_or("one record")?;
@@ -313,10 +299,7 @@ mod tests {
         assert_eq!(ledger.first_proxy(1), None, "once per record");
         assert_eq!(
             ledger.close(1, s(16), true),
-            Some((
-                SimDuration::from_secs(6),
-                EngineEvent::ReplicaActivated { task: 1 }
-            ))
+            Some(EngineEvent::ReplicaActivated { task: 1 })
         );
         assert_eq!(
             ledger.fail(1, s(30)),
@@ -330,8 +313,13 @@ mod tests {
         assert_eq!(ledger.histories()[0].records.len(), 2);
         assert!(ledger.histories()[0].records[0].via_replica);
         assert_eq!(
-            ledger.detect(1, s(35)).map(|d| d.0.as_micros()),
-            Some(5_000_000)
+            ledger.detect(1, s(35)),
+            Some(EngineEvent::OutageDetected { task: 1 })
+        );
+        assert_eq!(
+            ledger.current(1).map(|r| (r.failed_at, r.detected_at)),
+            Some((s(30), s(35))),
+            "the second record is detected from its own failure"
         );
         assert_eq!(
             ledger.first_proxy(1),

@@ -55,7 +55,6 @@ use crate::tuple::Chunk;
 use crate::udf::{SourceGen, Udf};
 use ppa_core::model::{TaskGraph, TaskIndex};
 use ppa_core::{AdaptivePlanner, StructureAwarePlanner, TaskSet};
-use ppa_obs::metrics::LATENCY_BUCKETS_US;
 use ppa_obs::{EngineEvent, MetricsRegistry, TraceSink};
 use ppa_sim::{Scheduler, SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -745,12 +744,10 @@ impl Simulation {
             epoch = Some((e + interval, interval));
         }
         self.driven_to = self.driven_to.max(until);
-        self.meter("engine.events.processed", self.events);
-        self.meter("engine.tuples.moved", self.tuples_moved);
-        // Approximate-only: the tasks' skipped-backup tallies. Gated on
-        // the mode so exact runs never grow a zero-valued extra metric
-        // (their DriveReports must stay byte-identical to pre-approximate
-        // builds).
+        // Approximate-only: the tasks' skipped-backup tallies, the one
+        // counter no event explains. Gated on the mode so exact runs never
+        // grow a zero-valued extra metric (their drive reports must stay
+        // byte-identical to pre-approximate builds).
         if let Backup::Divergence = self.backup {
             let skipped = self.tasks.iter().map(|t| t.divergence.skipped()).sum();
             self.meter("engine.approx.backups_skipped", skipped);
@@ -775,7 +772,7 @@ impl Simulation {
     /// fault-domain tree, every domain's time-decayed failure score, and
     /// every task's lifecycle state + outage count — so policies observe
     /// re-failures as first-class events, not just node deaths.
-    pub fn health_view(&self, at: SimTime) -> HealthView<'_> {
+    fn health_view(&self, at: SimTime) -> HealthView<'_> {
         HealthView::new(
             at,
             self.placement.fault_domains(),
@@ -787,11 +784,6 @@ impl Simulation {
             self.ledger.outage_counts(),
             self.ledger.setbacks(),
         )
-    }
-
-    /// The currently adopted active-replication plan.
-    pub fn active_plan(&self) -> &TaskSet {
-        &self.active_plan
     }
 
     /// The lifecycle state of every logical task, indexed by task.
@@ -812,62 +804,12 @@ impl Simulation {
         self.trace_sink.take()
     }
 
-    /// A name-ordered snapshot of the run's metrics so far.
-    pub fn metrics_snapshot(&self) -> ppa_obs::MetricsSnapshot {
-        self.metrics.snapshot()
-    }
-
     /// Records one lifecycle transition: always into the metrics
     /// registry, and into the trace sink when one is attached. `at` is
     /// the transition's *semantic* instant — a recovery completes at a
     /// CPU horizon that can run ahead of the event-loop clock.
     fn note(&mut self, at: SimTime, event: EngineEvent) {
-        match &event {
-            EngineEvent::FailureInjected { nodes } => {
-                self.metrics.inc("engine.failures.waves");
-                self.metrics
-                    .add("engine.failures.nodes_killed", nodes.len() as u64);
-            }
-            EngineEvent::OutageOpened { refail, .. } => {
-                self.metrics.inc("engine.outages.opened");
-                if *refail {
-                    self.metrics.inc("engine.outages.refails");
-                    self.metrics.inc("engine.recovery.setbacks");
-                }
-            }
-            EngineEvent::RecoverySetback { .. } => {
-                self.metrics.inc("engine.recovery.setbacks");
-            }
-            EngineEvent::OutageDetected { .. } => self.metrics.inc("engine.outages.detected"),
-            EngineEvent::RestoreStarted { .. } => self.metrics.inc("engine.restores.started"),
-            EngineEvent::RestoreDone { .. } => self.metrics.inc("engine.recoveries.via_restore"),
-            EngineEvent::RestoreVoided { .. } => self.metrics.inc("engine.restores.voided"),
-            EngineEvent::ReplicaActivated { .. } => {
-                self.metrics.inc("engine.recoveries.via_replica");
-            }
-            EngineEvent::TentativeResumed { .. } => self.metrics.inc("engine.tentative.resumed"),
-            EngineEvent::ApproxBackupShipped { .. } => {
-                self.metrics.inc("engine.approx.backups_shipped");
-            }
-            EngineEvent::ApproxRecovery { divergence, .. } => {
-                self.metrics
-                    .add("engine.approx.divergence_at_recovery", *divergence);
-            }
-            EngineEvent::ReplanAdopted { plan_size, .. } => {
-                self.metrics.inc("engine.control.replans");
-                self.metrics
-                    .set_gauge("engine.plan.active_replicas", *plan_size as f64);
-            }
-            EngineEvent::MigrationScheduled { .. } => self.metrics.inc("engine.control.migrations"),
-            EngineEvent::ControlNoEffect { .. } => self.metrics.inc("engine.control.no_effect"),
-            EngineEvent::EpochHealthSnapshot { scores } => {
-                self.metrics.inc("engine.epochs");
-                for &(_, score) in scores {
-                    self.metrics
-                        .max_gauge("engine.health.max_domain_score", score);
-                }
-            }
-        }
+        self.metrics.record(&event);
         if let Some(sink) = self.trace_sink.as_mut() {
             sink.record(at, &event);
         }
@@ -885,12 +827,7 @@ impl Simulation {
     /// else by restore. Every recovery path ends here; a second close of
     /// the same record is a no-op.
     fn mark_recovered(&mut self, t: usize, at: SimTime, takeover: bool) {
-        if let Some((since_failure, closed)) = self.ledger.close(t, at, takeover) {
-            self.metrics.observe(
-                "engine.recovery.latency_us",
-                LATENCY_BUCKETS_US,
-                since_failure.as_micros(),
-            );
+        if let Some(closed) = self.ledger.close(t, at, takeover) {
             self.note(at, closed);
         }
     }
@@ -1609,14 +1546,9 @@ impl Simulation {
             }
             // Detect the task's *current* outage — a re-failed task (its
             // activated replica died) re-enters here with a fresh record.
-            let Some((since_failure, detected)) = self.ledger.detect(t, now) else {
+            let Some(detected) = self.ledger.detect(t, now) else {
                 continue;
             };
-            self.metrics.observe(
-                "engine.outage.detection_us",
-                LATENCY_BUCKETS_US,
-                since_failure.as_micros(),
-            );
             self.note(now, detected);
             self.start_recovery(t);
         }

@@ -37,14 +37,9 @@ impl Violation {
     }
 }
 
-/// The checker's verdict over one stream, with the lifecycle counts it
-/// established on the way (useful for swarm summaries).
+/// The checker's verdict over one stream.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StreamCheck {
-    pub events: usize,
-    pub outages_opened: usize,
-    pub outages_closed: usize,
-    pub setbacks: usize,
     pub violations: Vec<Violation>,
 }
 
@@ -82,10 +77,7 @@ struct TaskState {
 pub fn check_stream(events: &[(SimTime, EngineEvent)]) -> StreamCheck {
     let mut tasks: BTreeMap<usize, TaskState> = BTreeMap::new();
     let mut last_epoch: Option<SimTime> = None;
-    let mut out = StreamCheck {
-        events: events.len(),
-        ..StreamCheck::default()
-    };
+    let mut out = StreamCheck::default();
 
     for &(at, ref event) in events {
         match event {
@@ -127,7 +119,6 @@ pub fn check_stream(events: &[(SimTime, EngineEvent)]) -> StreamCheck {
                 st.tentative = false;
                 st.approx = false;
                 st.opened_at = at;
-                out.outages_opened += 1;
             }
             EngineEvent::RecoverySetback { task } => {
                 let st = tasks.entry(*task).or_default();
@@ -139,7 +130,6 @@ pub fn check_stream(events: &[(SimTime, EngineEvent)]) -> StreamCheck {
                         "RecoverySetback with no open outage record".to_string(),
                     ));
                 }
-                out.setbacks += 1;
             }
             EngineEvent::OutageDetected { task } => {
                 let st = tasks.entry(*task).or_default();
@@ -259,7 +249,6 @@ pub fn check_stream(events: &[(SimTime, EngineEvent)]) -> StreamCheck {
                     }
                 }
                 st.open = false;
-                out.outages_closed += 1;
             }
             EngineEvent::RestoreVoided { task } => {
                 // A stale completion may trail an already-closed record;
@@ -340,9 +329,6 @@ mod tests {
     fn healthy_lifecycle_passes() {
         let check = check_stream(&healthy_stream());
         assert!(check.ok(), "{:?}", check.violations);
-        assert_eq!(check.outages_opened, 2);
-        assert_eq!(check.outages_closed, 2);
-        assert_eq!(check.events, 9);
     }
 
     #[test]
@@ -364,7 +350,6 @@ mod tests {
         ];
         let check = check_stream(&events);
         assert!(check.ok(), "{:?}", check.violations);
-        assert_eq!(check.setbacks, 1);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! receives typed, sim-timestamped [`EngineEvent`]s at every lifecycle
 //! transition (failure injection, outage open/detect, replica takeover,
 //! checkpoint restore, tentative resumption, control-plane actions,
-//! epoch health snapshots), and a [`MetricsRegistry`] aggregates the same
-//! transitions into monotone counters, gauges and fixed-bucket histograms
-//! keyed by static names.
+//! epoch health snapshots), and a [`MetricsRegistry`] counts the same
+//! transitions into monotone counters keyed by static names.
+//! [`MetricsRegistry::record`] is the one map from an event to the
+//! counters it moves.
 //!
 //! Everything rides **simulated time only** — no wall clocks — so a
 //! recorded trace is a deterministic function of the run: byte-identical
@@ -32,5 +33,5 @@ pub mod timeline;
 pub use event::{EngineEvent, TraceSink, VecSink};
 pub use export::{to_chrome_trace, to_jsonl};
 pub use invariant::{check_stream, StreamCheck, Violation};
-pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use timeline::{render_timeline, TimelineConfig};

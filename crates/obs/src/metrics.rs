@@ -1,60 +1,21 @@
-//! A deterministic metrics registry: monotone counters, gauges and
-//! fixed-bucket histograms keyed by `&'static str` names.
+//! A deterministic metrics registry: monotone counters keyed by
+//! `&'static str` names, and [`MetricsRegistry::record`], the one map
+//! from an [`EngineEvent`] to the counters it moves. The engine counts
+//! its run through `record`, and the chaos checker folds a recorded
+//! stream through the same `record` to check those counts.
 //!
 //! Everything is `BTreeMap`-ordered, so a snapshot serializes in one
 //! stable name order regardless of registration order — the same
 //! guarantee the workspace's ban on `HashMap`/`HashSet` (clippy.toml)
 //! enforces for every other iteration that escapes into reports.
 
+use crate::event::EngineEvent;
 use std::collections::BTreeMap;
-
-/// Fixed bucket upper bounds (microseconds) for latency-shaped
-/// histograms: 1 s, 2 s, 5 s, 10 s, 20 s, 50 s, plus the implicit
-/// overflow bucket.
-pub const LATENCY_BUCKETS_US: &[u64] = &[
-    1_000_000, 2_000_000, 5_000_000, 10_000_000, 20_000_000, 50_000_000,
-];
-
-/// One histogram: cumulative-style fixed buckets plus count and sum.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Histogram {
-    /// Upper bounds, strictly increasing; values above the last bound
-    /// land in the overflow bucket.
-    bounds: &'static [u64],
-    /// One count per bound, plus the trailing overflow bucket.
-    counts: Vec<u64>,
-    total: u64,
-    sum: u64,
-}
-
-impl Histogram {
-    fn new(bounds: &'static [u64]) -> Self {
-        Histogram {
-            bounds,
-            counts: vec![0; bounds.len() + 1],
-            total: 0,
-            sum: 0,
-        }
-    }
-
-    fn observe(&mut self, value: u64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx] += 1;
-        self.total += 1;
-        self.sum += value;
-    }
-}
 
 /// The live registry a run updates in place.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
-    histograms: BTreeMap<&'static str, Histogram>,
 }
 
 impl MetricsRegistry {
@@ -72,27 +33,36 @@ impl MetricsRegistry {
         *self.counters.entry(name).or_insert(0) += n;
     }
 
-    /// Sets a gauge to `value` (last write wins).
-    pub fn set_gauge(&mut self, name: &'static str, value: f64) {
-        self.gauges.insert(name, value);
-    }
-
-    /// Raises a gauge to `value` if it exceeds the current reading.
-    pub fn max_gauge(&mut self, name: &'static str, value: f64) {
-        let g = self.gauges.entry(name).or_insert(value);
-        if value > *g {
-            *g = value;
+    /// Counts one lifecycle transition into the counters it moves.
+    pub fn record(&mut self, event: &EngineEvent) {
+        match event {
+            EngineEvent::FailureInjected { nodes } => {
+                self.inc("engine.failures.waves");
+                self.add("engine.failures.nodes_killed", nodes.len() as u64);
+            }
+            EngineEvent::OutageOpened { refail, .. } => {
+                self.inc("engine.outages.opened");
+                if *refail {
+                    self.inc("engine.outages.refails");
+                    self.inc("engine.recovery.setbacks");
+                }
+            }
+            EngineEvent::RecoverySetback { .. } => self.inc("engine.recovery.setbacks"),
+            EngineEvent::OutageDetected { .. } => self.inc("engine.outages.detected"),
+            EngineEvent::RestoreStarted { .. } => self.inc("engine.restores.started"),
+            EngineEvent::RestoreDone { .. } => self.inc("engine.recoveries.via_restore"),
+            EngineEvent::RestoreVoided { .. } => self.inc("engine.restores.voided"),
+            EngineEvent::ReplicaActivated { .. } => self.inc("engine.recoveries.via_replica"),
+            EngineEvent::TentativeResumed { .. } => self.inc("engine.tentative.resumed"),
+            EngineEvent::ApproxBackupShipped { .. } => self.inc("engine.approx.backups_shipped"),
+            EngineEvent::ApproxRecovery { divergence, .. } => {
+                self.add("engine.approx.divergence_at_recovery", *divergence);
+            }
+            EngineEvent::ReplanAdopted { .. } => self.inc("engine.control.replans"),
+            EngineEvent::MigrationScheduled { .. } => self.inc("engine.control.migrations"),
+            EngineEvent::ControlNoEffect { .. } => self.inc("engine.control.no_effect"),
+            EngineEvent::EpochHealthSnapshot { .. } => self.inc("engine.epochs"),
         }
-    }
-
-    /// Records one observation into the named fixed-bucket histogram.
-    /// The bounds are fixed at first observation; later observations
-    /// reuse them (static names pair with static bucket layouts).
-    pub fn observe(&mut self, name: &'static str, bounds: &'static [u64], value: u64) {
-        self.histograms
-            .entry(name)
-            .or_insert_with(|| Histogram::new(bounds))
-            .observe(value);
     }
 
     /// A counter's current value (0 if never touched).
@@ -100,47 +70,18 @@ impl MetricsRegistry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// An immutable, name-ordered copy of everything measured so far.
+    /// An immutable, name-ordered copy of every counter so far.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             counters: self.counters.iter().map(|(&k, &v)| (k, v)).collect(),
-            gauges: self.gauges.iter().map(|(&k, &v)| (k, v)).collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(&k, h)| {
-                    (
-                        k,
-                        HistogramSnapshot {
-                            bounds: h.bounds,
-                            counts: h.counts.clone(),
-                            total: h.total,
-                            sum: h.sum,
-                        },
-                    )
-                })
-                .collect(),
         }
     }
 }
 
-/// An immutable histogram reading.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    /// Upper bounds; the final count is the overflow bucket.
-    pub bounds: &'static [u64],
-    /// One count per bound plus the trailing overflow bucket.
-    pub counts: Vec<u64>,
-    pub total: u64,
-    pub sum: u64,
-}
-
 /// A point-in-time reading of a [`MetricsRegistry`], in name order.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     pub counters: Vec<(&'static str, u64)>,
-    pub gauges: Vec<(&'static str, f64)>,
-    pub histograms: Vec<(&'static str, HistogramSnapshot)>,
 }
 
 impl MetricsSnapshot {
@@ -150,22 +91,6 @@ impl MetricsSnapshot {
             .iter()
             .find(|(k, _)| *k == name)
             .map_or(0, |&(_, v)| v)
-    }
-
-    /// A gauge's value in this snapshot, if present.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|&(_, v)| v)
-    }
-
-    /// A histogram reading in this snapshot, if present.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|(_, h)| h)
     }
 }
 
@@ -188,31 +113,116 @@ mod tests {
     }
 
     #[test]
-    fn gauges_set_and_max() {
-        let mut m = MetricsRegistry::new();
-        m.set_gauge("g", 3.0);
-        m.set_gauge("g", 1.0);
-        assert_eq!(m.snapshot().gauge("g"), Some(1.0));
-        m.max_gauge("h", 2.0);
-        m.max_gauge("h", 1.0);
-        m.max_gauge("h", 5.0);
-        assert_eq!(m.snapshot().gauge("h"), Some(5.0));
-        assert_eq!(m.snapshot().gauge("missing"), None);
-    }
-
-    #[test]
-    fn histogram_buckets_values_with_overflow() -> Result<(), Box<dyn std::error::Error>> {
-        let mut m = MetricsRegistry::new();
-        for v in [500_000, 1_000_000, 3_000_000, 99_000_000] {
-            m.observe("lat", LATENCY_BUCKETS_US, v);
+    fn record_moves_the_counters_of_each_event_kind() {
+        let moved = |event: EngineEvent| {
+            let mut m = MetricsRegistry::new();
+            m.record(&event);
+            m.snapshot().counters
+        };
+        let cases = [
+            (
+                EngineEvent::FailureInjected { nodes: vec![3, 4] },
+                vec![
+                    ("engine.failures.nodes_killed", 2),
+                    ("engine.failures.waves", 1),
+                ],
+            ),
+            (
+                EngineEvent::OutageOpened {
+                    task: 0,
+                    refail: false,
+                },
+                vec![("engine.outages.opened", 1)],
+            ),
+            (
+                EngineEvent::OutageOpened {
+                    task: 0,
+                    refail: true,
+                },
+                vec![
+                    ("engine.outages.opened", 1),
+                    ("engine.outages.refails", 1),
+                    ("engine.recovery.setbacks", 1),
+                ],
+            ),
+            (
+                EngineEvent::RecoverySetback { task: 0 },
+                vec![("engine.recovery.setbacks", 1)],
+            ),
+            (
+                EngineEvent::OutageDetected { task: 0 },
+                vec![("engine.outages.detected", 1)],
+            ),
+            (
+                EngineEvent::RestoreStarted { task: 0, node: 7 },
+                vec![("engine.restores.started", 1)],
+            ),
+            (
+                EngineEvent::RestoreDone { task: 0 },
+                vec![("engine.recoveries.via_restore", 1)],
+            ),
+            (
+                EngineEvent::RestoreVoided { task: 0 },
+                vec![("engine.restores.voided", 1)],
+            ),
+            (
+                EngineEvent::ReplicaActivated { task: 0 },
+                vec![("engine.recoveries.via_replica", 1)],
+            ),
+            (
+                EngineEvent::TentativeResumed { task: 0 },
+                vec![("engine.tentative.resumed", 1)],
+            ),
+            (
+                EngineEvent::ApproxBackupShipped {
+                    task: 0,
+                    divergence: 9,
+                },
+                vec![("engine.approx.backups_shipped", 1)],
+            ),
+            (
+                EngineEvent::ApproxRecovery {
+                    task: 0,
+                    divergence: 42,
+                    skipped_batches: 4,
+                    fidelity_floor: 700,
+                },
+                vec![("engine.approx.divergence_at_recovery", 42)],
+            ),
+            (
+                EngineEvent::ReplanAdopted {
+                    activated: 2,
+                    deactivated: 1,
+                    plan_size: 5,
+                },
+                vec![("engine.control.replans", 1)],
+            ),
+            (
+                EngineEvent::MigrationScheduled {
+                    planned_primaries: 1,
+                    planned_standbys: 1,
+                    moved_primaries: 1,
+                    moved_standbys: 0,
+                },
+                vec![("engine.control.migrations", 1)],
+            ),
+            (
+                EngineEvent::ControlNoEffect {
+                    action: "replan",
+                    reason: "no_change",
+                },
+                vec![("engine.control.no_effect", 1)],
+            ),
+            (
+                EngineEvent::EpochHealthSnapshot {
+                    scores: vec![(0, 0.5)],
+                },
+                vec![("engine.epochs", 1)],
+            ),
+        ];
+        for (event, counters) in cases {
+            let kind = event.kind();
+            assert_eq!(moved(event), counters, "{kind}");
         }
-        let snap = m.snapshot();
-        let h = snap.histogram("lat").ok_or("histogram recorded")?;
-        // <=1s: two (500ms and exactly 1s), <=5s: one, overflow: one.
-        assert_eq!(h.counts, vec![2, 0, 1, 0, 0, 0, 1]);
-        assert_eq!(h.total, 4);
-        assert_eq!(h.sum, 103_500_000);
-        assert!(snap.histogram("missing").is_none());
-        Ok(())
     }
 }
