@@ -12,6 +12,16 @@ use std::sync::Arc;
 pub type Key = u64;
 
 /// Value payloads used by the evaluation workloads.
+///
+/// A `Value` is 16 bytes (a tag plus one 8-byte word), so a [`Tuple`] is 24.
+/// Every chunk, output buffer, UDF window, checkpoint and sink record holds
+/// tuples by value, which makes this size the memory a run faults in,
+/// copies and drops. Two variants are shaped to keep it; see their docs.
+///
+/// The tuple is not `Copy`: `Counts` owns a refcount, so every buffer of
+/// tuples still walks its elements when dropped. Moving digests out of the
+/// tuple would remove that walk, but `benchmark/` matches `Value::Counts`
+/// (ROADMAP item 10).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Pure presence (e.g. an access-log hit).
@@ -20,11 +30,17 @@ pub enum Value {
     Int(i64),
     /// A measurement (e.g. vehicle speed).
     Float(f64),
-    /// Two related integers (e.g. user id + speed).
-    Pair(i64, i64),
-    /// A small aggregate: (key, count) pairs, e.g. a top-k digest.
-    Counts(Arc<[(u64, i64)]>),
+    /// Two related integers (e.g. user id + speed). 32-bit so that both fit
+    /// the one word beside the tag: Q2, the only producer, builds user ids
+    /// below 100 000 and speeds below 55.
+    Pair(i32, i32),
+    /// A small aggregate: (key, count) pairs, e.g. a top-k digest. Behind a
+    /// thin pointer (`Arc<Vec<_>>`, one word) rather than a fat `Arc<[_]>`
+    /// (pointer and length, two words) so that it too fits beside the tag.
+    Counts(Arc<Vec<(u64, i64)>>),
 }
+
+const _: () = assert!(size_of::<Tuple>() == 24 && size_of::<Value>() == 16);
 
 impl Value {
     /// Integer payload, if this is an `Int`.
@@ -44,7 +60,7 @@ impl Value {
     }
 
     /// Pair payload, if this is a `Pair`.
-    pub fn as_pair(&self) -> Option<(i64, i64)> {
+    pub fn as_pair(&self) -> Option<(i32, i32)> {
         match self {
             Value::Pair(a, b) => Some((*a, *b)),
             _ => None,

@@ -262,7 +262,7 @@ mod tests {
 
     fn digest(keys: &[u64]) -> Vec<Tuple> {
         let counts: Vec<(u64, i64)> = keys.iter().map(|&k| (k, 1)).collect();
-        vec![Tuple::new(0, Value::Counts(Arc::from(counts)))]
+        vec![Tuple::new(0, Value::Counts(Arc::new(counts)))]
     }
 
     #[test]

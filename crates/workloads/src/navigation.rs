@@ -162,15 +162,14 @@ impl SourceGen for LocationSource {
                 }
                 continue;
             }
+            // `uniform_hash` is in [0, 1), so the user id is below 100 000
+            // and the speed below 55: both convert to `i32` exactly.
             let user =
-                (uniform_hash(self.seed ^ 0xA11CE, self.task as u64, batch, i) * 100_000.0) as i64;
+                (uniform_hash(self.seed ^ 0xA11CE, self.task as u64, batch, i) * 100_000.0) as i32;
             let noise = uniform_hash(self.seed ^ 0x5EED, seg as u64, batch, i) * 10.0;
-            let speed = if slow.contains(&seg) {
-                8.0 + noise
-            } else {
-                45.0 + noise
-            };
-            out.push(Tuple::new(seg as u64, Value::Pair(user, speed as i64)));
+            let base = if slow.contains(&seg) { 8.0 } else { 45.0 };
+            let speed = (base + noise) as i32;
+            out.push(Tuple::new(seg as u64, Value::Pair(user, speed)));
             emitted += 1;
         }
         out
@@ -199,10 +198,10 @@ impl SourceGen for IncidentSource {
             // the report volume to keep tuple counts reasonable.
             let users = (self.zipf.pmf(seg) * self.n_users as f64).ceil() as usize;
             let reports = users.clamp(1, 200);
-            for r in 0..reports {
-                let _ = r;
-                out.push(Tuple::new(seg as u64, Value::Int(id as i64)));
-            }
+            out.extend(std::iter::repeat_n(
+                Tuple::new(seg as u64, Value::Int(id as i64)),
+                reports,
+            ));
         }
         out
     }

@@ -159,7 +159,7 @@ impl Udf for TopK {
         let mut ranked: Vec<(u64, i64)> = total.into_iter().collect();
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         ranked.truncate(self.k);
-        out.push(Tuple::new(0, Value::Counts(Arc::from(ranked))));
+        out.push(Tuple::new(0, Value::Counts(Arc::new(ranked))));
     }
 
     fn snapshot(&self) -> Box<dyn Udf> {
