@@ -123,7 +123,7 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Err(err) = ppa_bench::runner::select(&opts.only, opts.filter.as_deref()) {
+    if let Err(err) = ppa_bench::select(&opts.only, opts.filter.as_deref()) {
         eprintln!("{err}; known ids:");
         for e in registry() {
             eprintln!("  {:10} {}", e.id, e.description);

@@ -117,7 +117,7 @@ struct Outcome {
     killed: usize,
 }
 
-pub fn run(ctx: &RunCtx) -> Vec<Figure> {
+pub(crate) fn run(ctx: &RunCtx) -> Vec<Figure> {
     let quick = ctx.quick;
     let cells = cells(quick);
     // The policy roster: (series label, domain-health attached?).

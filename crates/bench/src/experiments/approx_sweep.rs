@@ -70,7 +70,7 @@ struct Outcome {
     killed: usize,
 }
 
-pub fn run(ctx: &RunCtx) -> Vec<Figure> {
+pub(crate) fn run(ctx: &RunCtx) -> Vec<Figure> {
     let quick = ctx.quick;
     // Cascade spread × burst (fraction of the origin rack killed).
     let (corrs, bursts): (&[f64], &[f64]) = if quick {

@@ -17,13 +17,13 @@ use ppa_workloads::{Fig6Config, Scenario};
 /// standby nodes for checkpoints and replicas. Racks are consecutive node
 /// ranges over workers *and* standbys, so cascades can take replicas down
 /// with their primaries — unless the placement separated them.
-pub const N_WORKERS: usize = 12;
-pub const N_STANDBY: usize = 12;
+pub(super) const N_WORKERS: usize = 12;
+pub(super) const N_STANDBY: usize = 12;
 
 /// The sweeps' failure process: a burst of `fraction` of the origin rack
 /// (`None` = a randomly drawn one) cascading to sibling racks with
 /// probability `spread`, decaying by 0.5 per ring, 2 s per hop.
-pub fn cascade(origin: Option<usize>, spread: f64, fraction: f64) -> impl FailureProcess {
+pub(super) fn cascade(origin: Option<usize>, spread: f64, fraction: f64) -> impl FailureProcess {
     CascadeProcess {
         level: 1,
         spread,
@@ -35,22 +35,22 @@ pub fn cascade(origin: Option<usize>, spread: f64, fraction: f64) -> impl Failur
 }
 
 /// The x tick (and run label) of a (burst size, spread) cascade cell.
-pub fn cell_label(&(burst, corr): &(&usize, &f64)) -> String {
+pub(super) fn cell_label(&(burst, corr): &(&usize, &f64)) -> String {
     format!("burst:{burst} corr:{corr}")
 }
 
 /// One cell's test bed. Cheap to build, so every leaf job builds its own.
-pub struct Bed {
-    pub cfg: Fig6Config,
+pub(super) struct Bed {
+    pub(crate) cfg: Fig6Config,
     /// Failure onset and run length, seconds (see [`schedule`]).
-    pub fail_at: u64,
-    pub duration: u64,
-    pub scenario: Scenario,
+    pub(crate) fail_at: u64,
+    pub(crate) duration: u64,
+    pub(crate) scenario: Scenario,
 }
 
 impl Bed {
     /// The paper's dedicated layout (one worker node per synthetic task).
-    pub fn dedicated(quick: bool) -> Self {
+    pub(super) fn dedicated(quick: bool) -> Self {
         let cfg = if quick {
             fig6_cfg(300, 10)
         } else {
@@ -67,7 +67,7 @@ impl Bed {
 
     /// Placed by `placement` onto the 12 + 12 cluster in racks of
     /// `rack_size`.
-    pub fn racked(quick: bool, rack_size: usize, placement: &dyn PlacementStrategy) -> Self {
+    pub(super) fn racked(quick: bool, rack_size: usize, placement: &dyn PlacementStrategy) -> Self {
         let cluster = Cluster::racked(N_WORKERS, N_STANDBY, rack_size).expect("positive rack size");
         let mut bed = Bed::dedicated(quick);
         bed.scenario = bed
@@ -80,20 +80,20 @@ impl Bed {
     /// A cell's trace seed: the workload's seed, the sweep's `salt` and the
     /// cell's correlation coordinate — nothing else, so every roster entry
     /// replays the same failures and any `--jobs` count the same sweep.
-    pub fn trace_seed(&self, salt: u64, spread: f64) -> u64 {
+    pub(super) fn trace_seed(&self, salt: u64, spread: f64) -> u64 {
         self.cfg.seed ^ salt ^ (((spread * 100.0) as u64) << 20)
     }
 
     /// The racked cluster's fault-domain tree — what a cell draws its
     /// trace from, so every roster entry replays the same node deaths.
-    pub fn racks(&self) -> &FaultDomainTree {
+    pub(super) fn racks(&self) -> &FaultDomainTree {
         let tree = self.scenario.placement.fault_domains();
         tree.expect("racked cluster has a tree")
     }
 
     /// The [`half_plan`] hedging this placement's own node → rack mapping:
     /// exactly the rack failures the placement can actually suffer.
-    pub fn half_plan(&self) -> TaskSet {
+    pub(super) fn half_plan(&self) -> TaskSet {
         let cx = self
             .scenario
             .placement
@@ -105,7 +105,7 @@ impl Bed {
     /// Attaches the domain-health control policy (evacuate a degraded
     /// rack's neighbours, re-plan replication within the `n/2` budget);
     /// without it a bed runs the static no-op policy.
-    pub fn with_domain_health(mut self) -> Self {
+    pub(super) fn with_domain_health(mut self) -> Self {
         let budget = self.scenario.graph().n_tasks() / 2;
         self.scenario = self
             .scenario
@@ -114,13 +114,13 @@ impl Bed {
     }
 
     /// `strategy`'s engine configuration on this bed.
-    pub fn config(&self, strategy: &Strategy) -> EngineConfig {
+    pub(super) fn config(&self, strategy: &Strategy) -> EngineConfig {
         let n = self.scenario.graph().n_tasks();
         strategy.config(n, self.cfg.window, self.cfg.seed)
     }
 
     /// [`Bed::config`], [`held_down`] for steady-state tentative sampling.
-    pub fn held_down(&self, strategy: &Strategy) -> EngineConfig {
+    pub(super) fn held_down(&self, strategy: &Strategy) -> EngineConfig {
         held_down(self.config(strategy))
     }
 
@@ -128,7 +128,7 @@ impl Bed {
     /// same placement, same configuration, so placement- and
     /// strategy-induced CPU contention cancels out. Not logged — it is a
     /// yardstick, not a result.
-    pub fn golden(&self, config: EngineConfig) -> RunReport {
+    pub(super) fn golden(&self, config: EngineConfig) -> RunReport {
         Simulation::run(
             &self.scenario.query,
             self.scenario.placement.clone(),

@@ -16,7 +16,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Default root seed (`--seed` overrides): a nod to the paper's venue.
-pub const DEFAULT_ROOT_SEED: u64 = 0x1CDE_2016;
+pub(crate) const DEFAULT_ROOT_SEED: u64 = 0x1CDE_2016;
 /// Scenarios at CI scale…
 const QUICK_SEEDS: usize = 200;
 /// …and at paper scale (the acceptance bar: ≥ 1000 clean seeds).
@@ -57,7 +57,7 @@ fn write_repro(dir: &Path, outcome: &SeedOutcome) -> io::Result<PathBuf> {
     Ok(seed_dir)
 }
 
-pub fn run(ctx: &RunCtx) -> Vec<Figure> {
+pub(crate) fn run(ctx: &RunCtx) -> Vec<Figure> {
     let root_seed = ctx.seed.unwrap_or(DEFAULT_ROOT_SEED);
     let n = ctx
         .swarm

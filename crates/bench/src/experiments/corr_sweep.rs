@@ -32,7 +32,7 @@ use ppa_core::PlanContext;
 use ppa_faults::FailureProcess;
 use ppa_sim::{SimDuration, SimTime};
 
-pub fn run(ctx: &RunCtx) -> Vec<Figure> {
+pub(crate) fn run(ctx: &RunCtx) -> Vec<Figure> {
     let quick = ctx.quick;
     // Rack sizes (the burst unit) × cascade spread probabilities (the
     // correlation strength).

@@ -20,7 +20,7 @@ fn locations(quick: bool) -> &'static [usize] {
     }
 }
 
-pub fn run(ctx: &RunCtx) -> Vec<Figure> {
+pub(crate) fn run(ctx: &RunCtx) -> Vec<Figure> {
     let quick = ctx.quick;
     let strategies = [
         Strategy::Active { sync_secs: 5 },

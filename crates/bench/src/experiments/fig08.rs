@@ -8,7 +8,7 @@ use super::{completion_latency, drive, fig6_grid, grid_label, kill_set_trace, sc
 use crate::runner::RunCtx;
 use crate::Figure;
 
-pub fn run(ctx: &RunCtx) -> Vec<Figure> {
+pub(crate) fn run(ctx: &RunCtx) -> Vec<Figure> {
     let strategies = [
         Strategy::Active { sync_secs: 5 },
         Strategy::Active { sync_secs: 30 },

@@ -8,7 +8,7 @@ use crate::runner::RunCtx;
 use crate::Figure;
 use ppa_engine::FailureTrace;
 
-pub fn run(ctx: &RunCtx) -> Vec<Figure> {
+pub(crate) fn run(ctx: &RunCtx) -> Vec<Figure> {
     let quick = ctx.quick;
     let intervals: [u64; 4] = [1, 5, 15, 30];
     let rates: &[usize] = if quick { &[300, 600] } else { &[1000, 2000] };
@@ -33,7 +33,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Figure> {
         // The paper's metric is per *processing* task; source tasks have
         // no window state and would dilute the mean.
         let ratios: Vec<f64> = (0..graph.n_tasks())
-            .filter(|&t| !graph.is_source_task(ppa_core::model::TaskIndex(t)))
+            .filter(|&t| !graph.is_source_task(ppa_core::TaskIndex(t)))
             .map(|t| report.cpu[t].checkpoint_ratio())
             .filter(|r| *r > 0.0)
             .collect();

@@ -21,7 +21,7 @@ enum Share {
     Zero,
 }
 
-pub fn run(ctx: &RunCtx) -> Vec<Figure> {
+pub(crate) fn run(ctx: &RunCtx) -> Vec<Figure> {
     let quick = ctx.quick;
     let intervals: [u64; 3] = [5, 15, 30];
     let rates: &[usize] = if quick { &[300] } else { &[1000, 2000] };

@@ -12,7 +12,7 @@ use super::grid::{cross, Table};
 use super::{drive, held_down, Strategy};
 use crate::runner::RunCtx;
 use crate::Figure;
-use ppa_core::planner::Objective;
+use ppa_core::Objective;
 use ppa_core::{PlanContext, Planner, StructureAwarePlanner, TaskSet};
 use ppa_engine::{FailureSpec, FailureTrace, RunReport, Simulation};
 use ppa_sim::{SimDuration, SimTime};
@@ -43,7 +43,7 @@ impl QueryKind {
 
 /// Shared harness for the Fig. 12/13 accuracy experiments.
 pub struct AccuracyHarness {
-    pub kind: QueryKind,
+    pub(crate) kind: QueryKind,
     pub scenario: Scenario,
     golden: RunReport,
     fail_at: u64,
@@ -136,7 +136,7 @@ impl AccuracyHarness {
     /// Measured tentative-output accuracy of `plan` under the worst-case
     /// correlated failure (every primary node dies).
     ///
-    /// Passive recovery is [`held_down`] for the measurement so the window
+    /// Passive recovery is `held_down` for the measurement so the window
     /// samples the plan's *steady-state* tentative quality.
     pub fn measure(&self, plan: &TaskSet) -> f64 {
         let strategy = Strategy::Ppa {
@@ -164,7 +164,7 @@ impl AccuracyHarness {
 }
 
 /// Resource-consumption ratios of the paper's x-axis.
-pub fn ratios(quick: bool) -> Vec<f64> {
+pub(crate) fn ratios(quick: bool) -> Vec<f64> {
     if quick {
         vec![0.3, 0.6]
     } else {
@@ -185,7 +185,7 @@ pub(crate) fn ratio_tick(&(_, ratio): &(&AccuracyHarness, &f64)) -> String {
     format!("{ratio:.1}")
 }
 
-pub fn run(ctx: &RunCtx) -> Vec<Figure> {
+pub(crate) fn run(ctx: &RunCtx) -> Vec<Figure> {
     let harnesses = harnesses(ctx);
 
     // Leaf phase 2 — one job per (query, ratio) × objective: plan, metric

@@ -6,13 +6,13 @@ use super::fig12::{harnesses, ratio_tick, ratios};
 use super::grid::{cross, Table};
 use crate::runner::RunCtx;
 use crate::Figure;
-use ppa_core::planner::Objective;
+use ppa_core::Objective;
 use ppa_core::{DpPlanner, GreedyPlanner, Planner, StructureAwarePlanner};
 
 /// A roster entry: the planner's series prefix and its constructor.
 type Entry = (&'static str, fn() -> Box<dyn Planner>);
 
-pub fn run(ctx: &RunCtx) -> Vec<Figure> {
+pub(crate) fn run(ctx: &RunCtx) -> Vec<Figure> {
     let harnesses = harnesses(ctx);
 
     // Leaf phase 2 — one job per (query, ratio) × planner: plan + measure.

@@ -82,7 +82,7 @@ fn base_spec() -> RandomTopologySpec {
     }
 }
 
-pub fn run(ctx: &RunCtx) -> Vec<Figure> {
+pub(crate) fn run(ctx: &RunCtx) -> Vec<Figure> {
     let quick = ctx.quick;
     let n = if quick { 12 } else { 100 };
     let ratios = ratios(quick);

@@ -8,14 +8,14 @@ use crate::Series;
 
 /// Every pairing of `a` × `b`, `a`-major — how a two-axis experiment
 /// spells its cells.
-pub fn cross<'a, A, B>(a: &'a [A], b: &'a [B]) -> Vec<(&'a A, &'a B)> {
+pub(super) fn cross<'a, A, B>(a: &'a [A], b: &'a [B]) -> Vec<(&'a A, &'a B)> {
     a.iter()
         .flat_map(|x| b.iter().map(move |y| (x, y)))
         .collect()
 }
 
 /// One result per (cell, roster entry), addressed by both.
-pub struct Table<'a, C, R, T> {
+pub(super) struct Table<'a, C, R, T> {
     cells: Vec<&'a C>,
     roster: &'a [R],
     /// Cell-major: `values[cell * roster.len() + entry]`.
@@ -27,7 +27,7 @@ impl<'a, C: Sync, R: Sync, T: Send> Table<'a, C, R, T> {
     /// pool. Each job owns its seed, so the table is identical for any
     /// worker count. An experiment whose leaf job is a whole cell passes
     /// `&[()]` as the roster.
-    pub fn run(
+    pub(super) fn run(
         ctx: &RunCtx,
         cells: &'a [C],
         roster: &'a [R],
@@ -43,14 +43,14 @@ impl<'a, C: Sync, R: Sync, T: Send> Table<'a, C, R, T> {
 
 impl<'a, C, R, T> Table<'a, C, R, T> {
     /// The result of roster entry `entry` in cell `cell`.
-    pub fn get(&self, cell: usize, entry: usize) -> &T {
+    pub(super) fn get(&self, cell: usize, entry: usize) -> &T {
         assert!(entry < self.roster.len(), "no roster entry {entry}");
         &self.values[cell * self.roster.len() + entry]
     }
 
     /// The rows whose cell passes `keep` — one figure's share of a table
     /// that ran several figures' cells as one batch of jobs.
-    pub fn only(&self, keep: impl Fn(&C) -> bool) -> Table<'a, C, R, &T> {
+    pub(super) fn only(&self, keep: impl Fn(&C) -> bool) -> Table<'a, C, R, &T> {
         let rows = self.values.chunks(self.roster.len().max(1));
         let (cells, rows): (Vec<&C>, Vec<&[T]>) = self
             .cells
@@ -67,7 +67,7 @@ impl<'a, C, R, T> Table<'a, C, R, T> {
 
     /// One series per column: roster entry `entry` read across the cells,
     /// `x` labelling the cell and `y` picking the value.
-    pub fn column(
+    pub(super) fn column(
         &self,
         entry: usize,
         label: impl Into<String>,
@@ -82,7 +82,7 @@ impl<'a, C, R, T> Table<'a, C, R, T> {
     }
 
     /// One series per roster entry, in roster order.
-    pub fn by_entry(
+    pub(super) fn by_entry(
         &self,
         label: impl Fn(&R) -> String,
         x: impl Fn(&C) -> String,

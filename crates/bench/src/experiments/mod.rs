@@ -2,44 +2,44 @@
 //! closure → columns → notes**.
 //!
 //! * **Axes.** An experiment names its *cells* (the configurations on the
-//!   x-axis; [`grid::cross`] spells a two-axis product) and its *roster*
+//!   x-axis; `grid::cross` spells a two-axis product) and its *roster*
 //!   (the strategies, placements or policies compared — one series each).
-//! * **Cell closure.** [`grid::Table::run`] calls it once per (cell, roster
+//! * **Cell closure.** `grid::Table::run` calls it once per (cell, roster
 //!   entry) as a leaf job on [`RunCtx::map`]. A closure builds its
-//!   scenario, pushes one simulated run through [`drive`] — the only
+//!   scenario, pushes one simulated run through `drive` — the only
 //!   driver, which also logs the run for the JSON reporter and
 //!   `--trace-dir` — and returns the numbers it measured. Each job derives
 //!   its randomness from its own seed, so results are identical for any
 //!   worker count.
 //! * **Columns.** The table comes back addressed by cell and roster entry;
-//!   [`grid::Table::by_entry`] projects it to one series per roster entry,
-//!   [`grid::Table::column`] to one series per measured column.
+//!   `grid::Table::by_entry` projects it to one series per roster entry,
+//!   `grid::Table::column` to one series per measured column.
 //! * **Notes.** What the paper's figure looks like, or what the sweep
 //!   shows beyond it.
 //!
-//! The five failure sweeps share one test bed ([`bed::Bed`]: the
+//! The five failure sweeps share one test bed (`bed::Bed`: the
 //! sweep-scale Fig. 6 scenario, optionally placed on the racked 12 + 12
 //! cluster, and the cascade they draw failures from); the steps any
-//! experiment may need ([`half_plan`], [`held_down`], [`completion_latency`])
+//! experiment may need (`half_plan`, `held_down`, `completion_latency`)
 //! live here. `fig14` and `chaos_swarm` are not grids of failure runs and
 //! submit their own jobs.
 
-pub mod adaptive_sweep;
-pub mod approx_sweep;
-pub mod bed;
+pub(crate) mod adaptive_sweep;
+pub(crate) mod approx_sweep;
+mod bed;
 pub mod chaos_swarm;
-pub mod corr_sweep;
-pub mod fig07;
-pub mod fig08;
-pub mod fig09;
-pub mod fig10;
-pub mod fig12;
-pub mod fig13;
-pub mod fig14;
-pub mod grid;
-pub mod placement_sweep;
-pub mod refail_sweep;
-pub mod tentative;
+pub(crate) mod corr_sweep;
+pub(crate) mod fig07;
+pub(crate) mod fig08;
+pub(crate) mod fig09;
+pub(crate) mod fig10;
+pub(crate) mod fig12;
+pub(crate) mod fig13;
+pub(crate) mod fig14;
+mod grid;
+pub(crate) mod placement_sweep;
+pub(crate) mod refail_sweep;
+pub(crate) mod tentative;
 
 use crate::runner::{RunCtx, RunLog, TraceLog};
 use crate::stopwatch::Stopwatch;
@@ -50,7 +50,7 @@ use ppa_workloads::{Fig6Config, Scenario};
 
 /// A fault-tolerance strategy of the §VI-A experiments.
 #[derive(Debug, Clone)]
-pub enum Strategy {
+pub(crate) enum Strategy {
     /// Pure active replication with the given output-sync period.
     Active { sync_secs: u64 },
     /// Pure passive checkpointing at the given interval.
@@ -74,7 +74,7 @@ impl Strategy {
     /// the same strategy appears in the label — PPA includes the active-task
     /// count and checkpoint interval so multi-interval series stay
     /// distinguishable in tables.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match self {
             Strategy::Active { sync_secs } => format!("Active-{sync_secs}s"),
             Strategy::Checkpoint { interval_secs } => format!("Checkpoint-{interval_secs}s"),
@@ -136,7 +136,7 @@ impl Strategy {
 /// The degenerate trace of the §VI-A experiments: every hand-picked kill
 /// set is one simultaneous failure event at `fail_at_secs` (an empty kill
 /// set is the empty trace — a failure-free run).
-pub fn kill_set_trace(fail_at_secs: u64, kill_nodes: Vec<usize>) -> FailureTrace {
+pub(crate) fn kill_set_trace(fail_at_secs: u64, kill_nodes: Vec<usize>) -> FailureTrace {
     FailureTrace::once(SimTime::from_secs(fail_at_secs), kill_nodes)
 }
 
@@ -148,7 +148,7 @@ pub fn kill_set_trace(fail_at_secs: u64, kill_nodes: Vec<usize>) -> FailureTrace
 /// `label`) for the JSON reporter, and its event stream for `--trace-dir`;
 /// the logged failure instant is the trace's first event, the logged kill
 /// set the union of all its events' nodes.
-pub fn drive(
+pub(crate) fn drive(
     ctx: &RunCtx,
     label: &str,
     scenario: &Scenario,
@@ -198,7 +198,7 @@ pub fn drive(
 /// quality — exactly the quantity Definition 2's OF models. (In the paper
 /// the same steadiness comes for free: EC2-scale recoveries lasted tens of
 /// seconds, longer than any query window. See README.md §Design notes.)
-pub fn held_down(config: EngineConfig) -> EngineConfig {
+pub(crate) fn held_down(config: EngineConfig) -> EngineConfig {
     EngineConfig {
         passive_recovery: false,
         ..config
@@ -207,7 +207,7 @@ pub fn held_down(config: EngineConfig) -> EngineConfig {
 
 /// The evaluation's PPA-0.5 plan: half the tasks, chosen by the
 /// structure-aware planner against the failure sets `cx` hedges.
-pub fn half_plan(cx: &PlanContext) -> TaskSet {
+pub(crate) fn half_plan(cx: &PlanContext) -> TaskSet {
     StructureAwarePlanner::default()
         .plan(cx, cx.n_tasks() / 2)
         .expect("SA plan")
@@ -220,9 +220,9 @@ pub fn half_plan(cx: &PlanContext) -> TaskSet {
 /// "recovered" when its slowest, synchronization-gated member is. Agrees
 /// with [`RunReport::full_recovery_at`]: NaN when any matching task never
 /// recovered, or when none matched.
-pub fn completion_latency(
+pub(crate) fn completion_latency(
     report: &RunReport,
-    mut include: impl FnMut(ppa_core::model::TaskIndex) -> bool,
+    mut include: impl FnMut(ppa_core::TaskIndex) -> bool,
 ) -> f64 {
     let worst = report
         .recoveries()
@@ -235,7 +235,7 @@ pub fn completion_latency(
 }
 
 /// The Fig. 6 workload at one (rate, window) point, everything else default.
-pub fn fig6_cfg(rate: usize, window_secs: u64) -> Fig6Config {
+pub(crate) fn fig6_cfg(rate: usize, window_secs: u64) -> Fig6Config {
     Fig6Config {
         rate,
         window: SimDuration::from_secs(window_secs),
@@ -244,7 +244,7 @@ pub fn fig6_cfg(rate: usize, window_secs: u64) -> Fig6Config {
 }
 
 /// The (window, rate) grid of Fig. 7/8, scaled down in quick mode.
-pub fn fig6_grid(quick: bool) -> Vec<Fig6Config> {
+pub(crate) fn fig6_grid(quick: bool) -> Vec<Fig6Config> {
     let (windows, rates): (&[u64], &[usize]) = if quick {
         (&[10], &[300, 600])
     } else {
@@ -257,7 +257,7 @@ pub fn fig6_grid(quick: bool) -> Vec<Fig6Config> {
 }
 
 /// Grid point label matching the paper's x-axis ("win:10s, rate:1000tp/s").
-pub fn grid_label(cfg: &Fig6Config) -> String {
+pub(crate) fn grid_label(cfg: &Fig6Config) -> String {
     format!(
         "win:{}s rate:{}tp/s",
         cfg.window.as_micros() / 1_000_000,
@@ -267,7 +267,7 @@ pub fn grid_label(cfg: &Fig6Config) -> String {
 
 /// Failure/measurement schedule: the failure fires only after the window is
 /// full and every checkpoint interval has produced at least one checkpoint.
-pub fn schedule(quick: bool) -> (u64, u64) {
+pub(crate) fn schedule(quick: bool) -> (u64, u64) {
     if quick {
         (40, 130) // fail at 40s, run 130s
     } else {
@@ -278,7 +278,7 @@ pub fn schedule(quick: bool) -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppa_core::model::TaskIndex;
+    use ppa_core::TaskIndex;
     use ppa_engine::{OutageRecord, TaskOutages};
 
     #[test]

@@ -50,7 +50,7 @@ use ppa_workloads::batch_fidelity;
 fn surviving_tree_fraction(
     placement: &Placement,
     plan: &TaskSet,
-    graph: &ppa_core::model::TaskGraph,
+    graph: &ppa_core::TaskGraph,
     killed: &[usize],
 ) -> f64 {
     let trees = enumerate_mc_trees(graph, McTreeLimits::default()).expect("fig6 enumerates");
@@ -73,7 +73,7 @@ struct Outcome {
     killed: usize,
 }
 
-pub fn run(ctx: &RunCtx) -> Vec<Figure> {
+pub(crate) fn run(ctx: &RunCtx) -> Vec<Figure> {
     let quick = ctx.quick;
     // Rack sizes (the burst unit) × cascade spread probabilities.
     let bursts: &[usize] = if quick { &[4] } else { &[2, 4, 8] };

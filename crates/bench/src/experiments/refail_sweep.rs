@@ -88,7 +88,7 @@ struct Outcome {
     killed: usize,
 }
 
-pub fn run(ctx: &RunCtx) -> Vec<Figure> {
+pub(crate) fn run(ctx: &RunCtx) -> Vec<Figure> {
     let quick = ctx.quick;
     // One cell per spread probability, shared by both cascade waves.
     let cells: &[f64] = if quick { &[0.0, 0.9] } else { &[0.0, 0.5, 0.9] };

@@ -12,7 +12,7 @@ use crate::runner::RunCtx;
 use crate::Figure;
 use ppa_core::PlanContext;
 
-pub fn run(ctx: &RunCtx) -> Vec<Figure> {
+pub(crate) fn run(ctx: &RunCtx) -> Vec<Figure> {
     let quick = ctx.quick;
     let intervals: &[u64] = if quick { &[15] } else { &[5, 15, 30] };
     let rate = if quick { 300 } else { 1000 };

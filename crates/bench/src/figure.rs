@@ -12,14 +12,14 @@ pub struct Series {
 }
 
 impl Series {
-    pub fn new(label: impl Into<String>) -> Self {
+    pub(crate) fn new(label: impl Into<String>) -> Self {
         Series {
             label: label.into(),
             points: Vec::new(),
         }
     }
 
-    pub fn push(&mut self, x: impl Into<String>, y: f64) {
+    pub(crate) fn push(&mut self, x: impl Into<String>, y: f64) {
         self.points.push((x.into(), y));
     }
 }
@@ -29,16 +29,16 @@ impl Series {
 pub struct Figure {
     /// Identifier, e.g. "fig08".
     pub id: String,
-    pub title: String,
-    pub x_label: String,
-    pub y_label: String,
+    pub(crate) title: String,
+    pub(crate) x_label: String,
+    pub(crate) y_label: String,
     pub series: Vec<Series>,
     /// Free-form notes (calibration caveats, paper comparison).
-    pub notes: Vec<String>,
+    pub(crate) notes: Vec<String>,
 }
 
 impl Figure {
-    pub fn new(
+    pub(crate) fn new(
         id: impl Into<String>,
         title: impl Into<String>,
         x_label: impl Into<String>,
@@ -54,7 +54,7 @@ impl Figure {
         }
     }
 
-    pub fn note(&mut self, s: impl Into<String>) {
+    pub(crate) fn note(&mut self, s: impl Into<String>) {
         self.notes.push(s.into());
     }
 

@@ -24,12 +24,12 @@ pub enum Json {
 }
 
 impl Json {
-    pub fn str(s: impl Into<String>) -> Json {
+    pub(crate) fn str(s: impl Into<String>) -> Json {
         Json::Str(s.into())
     }
 
     /// `Some(x)` → number (or null if non-finite); `None` → null.
-    pub fn opt_num(v: Option<f64>) -> Json {
+    pub(crate) fn opt_num(v: Option<f64>) -> Json {
         match v {
             Some(x) if x.is_finite() => Json::Num(x),
             _ => Json::Null,
@@ -37,7 +37,7 @@ impl Json {
     }
 
     /// Convenience: an object from key/value pairs.
-    pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
+    pub(crate) fn obj(pairs: Vec<(&str, Json)>) -> Json {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
@@ -113,7 +113,7 @@ fn newline_indent(out: &mut String, depth: usize) {
 
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    ppa_obs::export::escape_json(s, out);
+    ppa_obs::escape_json(s, out);
     out.push('"');
 }
 

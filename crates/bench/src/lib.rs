@@ -18,32 +18,32 @@
 //! * [`registry`] — the [`Experiment`] table, in paper order.
 //! * [`runner`] — runs experiments concurrently; every simulated run and
 //!   planned topology is a *leaf job* on one global bounded worker pool
-//!   ([`pool::Gate`], `--jobs` permits), and results are collected in
+//!   (`pool::Gate`, `--jobs` permits), and results are collected in
 //!   registry order so output is byte-identical for any job count.
 //! * [`report`] — the `--json` reporter: figures, per-run recovery
 //!   latencies and wall-clock timings, serialized with the dependency-free
-//!   [`json`] writer.
+//!   `json` writer.
 
 pub mod experiments;
-pub mod figure;
-pub mod json;
-pub mod pool;
+mod figure;
+mod json;
+mod pool;
 pub mod report;
 pub mod runner;
-pub mod stopwatch;
+mod stopwatch;
 
+pub use experiments::fig12::{AccuracyHarness, QueryKind};
 pub use figure::{Figure, Series};
-pub use runner::{
-    render_markdown, run_experiments, ExperimentResult, RecoveryRecord, RunCtx, RunLog, RunOptions,
-    RunSummary,
-};
+pub use json::Json;
+pub use runner::{render_markdown, run_experiments, select, RunCtx, RunOptions, RunSummary};
+pub use stopwatch::Stopwatch;
 
 use ppa_sim::SimDuration;
 
 /// Converts an optional recovery latency into seconds for reporting. An
 /// unrecovered run yields NaN — the "absent" sentinel that renders as `—`
 /// in markdown tables and `null` in JSON (never as the string `NaN`).
-pub fn latency_secs(d: Option<SimDuration>) -> f64 {
+pub(crate) fn latency_secs(d: Option<SimDuration>) -> f64 {
     d.map_or(f64::NAN, |d| d.as_secs_f64())
 }
 
@@ -62,7 +62,7 @@ pub struct Experiment {
 }
 
 /// An experiment entry point.
-pub type Runner = fn(&RunCtx) -> Vec<Figure>;
+pub(crate) type Runner = fn(&RunCtx) -> Vec<Figure>;
 
 /// All experiments in paper order. The runner executes and prints them in
 /// exactly this order regardless of `--jobs`.

@@ -30,7 +30,7 @@ impl Drop for Permit<'_> {
 }
 
 /// Counting semaphore bounding concurrently running leaf jobs.
-pub struct Gate {
+pub(crate) struct Gate {
     capacity: usize,
     available: Mutex<usize>,
     cv: Condvar,
@@ -38,18 +38,13 @@ pub struct Gate {
 
 impl Gate {
     /// A gate admitting `permits` concurrent leaves (minimum 1).
-    pub fn new(permits: usize) -> Self {
+    pub(crate) fn new(permits: usize) -> Self {
         let capacity = permits.max(1);
         Gate {
             capacity,
             available: Mutex::new(capacity),
             cv: Condvar::new(),
         }
-    }
-
-    /// The configured permit count.
-    pub fn permits(&self) -> usize {
-        self.capacity
     }
 
     fn acquire(&self) {
@@ -78,7 +73,7 @@ impl Gate {
     /// results in input order.
     ///
     /// `f` must not call `map` again (leaves never nest — see module docs).
-    pub fn map<T, U, F>(&self, items: Vec<T>, f: F) -> Vec<U>
+    pub(crate) fn map<T, U, F>(&self, items: Vec<T>, f: F) -> Vec<U>
     where
         T: Send,
         U: Send,

@@ -7,7 +7,7 @@ use crate::json::Json;
 use crate::runner::RunSummary;
 
 /// Schema identifier; bump when the document shape changes.
-pub const SCHEMA: &str = "ppa-bench/1";
+pub(crate) const SCHEMA: &str = "ppa-bench/1";
 
 /// Builds the full JSON document for a finished run.
 pub fn to_json(summary: &RunSummary) -> Json {

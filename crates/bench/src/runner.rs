@@ -1,7 +1,7 @@
 //! The parallel experiment runner.
 //!
 //! Experiments run concurrently, one orchestration thread each; all their
-//! heavy work funnels through a single bounded [`Gate`] shared by every
+//! heavy work funnels through a single bounded `Gate` shared by every
 //! experiment, so `--jobs N` bounds the *whole process*, not each
 //! experiment. Results are collected and rendered in registry order, and
 //! every leaf job owns its seed, so stdout is byte-identical for any job
@@ -49,7 +49,7 @@ pub struct RunOptions {
 
 impl RunOptions {
     /// The effective worker count: `jobs`, or available parallelism when 0.
-    pub fn effective_jobs(&self) -> usize {
+    pub(crate) fn effective_jobs(&self) -> usize {
         if self.jobs > 0 {
             self.jobs
         } else {
@@ -60,13 +60,13 @@ impl RunOptions {
 
 /// Recovery of one task inside one logged run.
 #[derive(Debug, Clone)]
-pub struct RecoveryRecord {
-    pub task: usize,
-    pub via_replica: bool,
+pub(crate) struct RecoveryRecord {
+    pub(crate) task: usize,
+    pub(crate) via_replica: bool,
     /// Detection instant, seconds of virtual time.
-    pub detected_s: f64,
+    pub(crate) detected_s: f64,
     /// Detection → progress restored; `None` if the run ended first.
-    pub latency_s: Option<f64>,
+    pub(crate) latency_s: Option<f64>,
 }
 
 /// One simulated run's recovery outcome, logged for the JSON reporter.
@@ -76,14 +76,14 @@ pub struct RunLog {
     pub scenario: String,
     /// Strategy label, e.g. `"Checkpoint-15s"` or `"PPA-16t-15s"`.
     pub strategy: String,
-    pub fail_at_s: u64,
-    pub kill_nodes: Vec<usize>,
-    pub recoveries: Vec<RecoveryRecord>,
+    pub(crate) fail_at_s: u64,
+    pub(crate) kill_nodes: Vec<usize>,
+    pub(crate) recoveries: Vec<RecoveryRecord>,
     /// Events the simulation processed (a determinism fingerprint).
-    pub events: u64,
+    pub(crate) events: u64,
     /// Tuples the engine scheduled for delivery, replica copies included
     /// (deterministic, so part of the compared payload).
-    pub tuples_moved: u64,
+    pub(crate) tuples_moved: u64,
     /// Outage records across all tasks (first failures + re-failures).
     pub outages: usize,
     /// Outage records beyond each task's first (re-failures).
@@ -91,7 +91,7 @@ pub struct RunLog {
     /// Outage records that closed (progress restored) before run end.
     pub outages_recovered: usize,
     /// Wall-clock seconds this run took (measured by the sanctioned
-    /// [`Stopwatch`]); reported by [`RunLog::to_json_timed`] only — never
+    /// [`Stopwatch`]); reported by `RunLog::to_json_timed` only — never
     /// in the determinism-compared payload.
     pub wall_s: f64,
 }
@@ -189,7 +189,7 @@ impl RunLog {
     /// throughput rates. Only the JSON report uses this — the `--jobs`
     /// determinism tests compare `to_json`, which deliberately excludes
     /// everything wall-clock-derived.
-    pub fn to_json_timed(&self) -> Json {
+    pub(crate) fn to_json_timed(&self) -> Json {
         match self.to_json() {
             Json::Obj(mut fields) => {
                 fields.push(("wall_s".to_string(), Json::Num(self.wall_s)));
@@ -215,12 +215,12 @@ impl RunLog {
 /// One driven run's recorded engine-event stream, keyed like its
 /// [`RunLog`] so trace files sort into the same scheduling-independent
 /// order as the logs.
-pub struct TraceLog {
-    pub scenario: String,
-    pub strategy: String,
-    pub fail_at_s: u64,
-    pub kill_nodes: Vec<usize>,
-    pub events: Vec<(SimTime, EngineEvent)>,
+pub(crate) struct TraceLog {
+    pub(crate) scenario: String,
+    pub(crate) strategy: String,
+    pub(crate) fail_at_s: u64,
+    pub(crate) kill_nodes: Vec<usize>,
+    pub(crate) events: Vec<(SimTime, EngineEvent)>,
 }
 
 impl TraceLog {
@@ -238,12 +238,12 @@ impl TraceLog {
 /// gate, and the run log / trace collectors.
 pub struct RunCtx {
     /// CI scale instead of paper scale.
-    pub quick: bool,
+    pub(crate) quick: bool,
     /// Root-seed override for seeded experiments (see
     /// [`RunOptions::seed`]).
-    pub seed: Option<u64>,
+    pub(crate) seed: Option<u64>,
     /// Chaos-swarm scenario-count override (see [`RunOptions::swarm`]).
-    pub swarm: Option<usize>,
+    pub(crate) swarm: Option<usize>,
     gate: Arc<Gate>,
     logs: Mutex<Vec<RunLog>>,
     /// Where this experiment's trace files land; `None` = tracing off.
@@ -252,7 +252,7 @@ pub struct RunCtx {
 }
 
 impl RunCtx {
-    pub fn new(quick: bool, gate: Arc<Gate>) -> Self {
+    pub(crate) fn new(quick: bool, gate: Arc<Gate>) -> Self {
         RunCtx {
             quick,
             seed: None,
@@ -266,7 +266,7 @@ impl RunCtx {
 
     /// Sets the root-seed and scenario-count overrides for seeded
     /// experiments.
-    pub fn with_swarm(mut self, seed: Option<u64>, swarm: Option<usize>) -> Self {
+    pub(crate) fn with_swarm(mut self, seed: Option<u64>, swarm: Option<usize>) -> Self {
         self.seed = seed;
         self.swarm = swarm;
         self
@@ -280,19 +280,19 @@ impl RunCtx {
 
     /// Turns trace recording on: driven runs buffer their engine-event
     /// streams and [`RunCtx::write_traces`] renders them under `dir`.
-    pub fn with_trace_dir(mut self, dir: Option<PathBuf>) -> Self {
+    pub(crate) fn with_trace_dir(mut self, dir: Option<PathBuf>) -> Self {
         self.trace_dir = dir;
         self
     }
 
     /// Whether driven runs should record their engine-event streams.
-    pub fn tracing(&self) -> bool {
+    pub(crate) fn tracing(&self) -> bool {
         self.trace_dir.is_some()
     }
 
     /// Runs `f` over `items` as leaf jobs on the shared bounded pool;
     /// results come back in input order. Leaf closures must not call `map`
-    /// again (see [`crate::pool`]).
+    /// again (see `crate::pool`).
     pub fn map<T, U, F>(&self, items: Vec<T>, f: F) -> Vec<U>
     where
         T: Send,
@@ -303,20 +303,20 @@ impl RunCtx {
     }
 
     /// Records a run for the JSON reporter.
-    pub fn log_run(&self, log: RunLog) {
+    pub(crate) fn log_run(&self, log: RunLog) {
         self.logs.lock().expect("log collector poisoned").push(log);
     }
 
     /// Drains the collected run logs, sorted into a scheduling-independent
     /// order.
-    pub fn take_logs(&self) -> Vec<RunLog> {
+    pub(crate) fn take_logs(&self) -> Vec<RunLog> {
         let mut logs = std::mem::take(&mut *self.logs.lock().expect("log collector poisoned"));
         logs.sort_by_key(|l| l.sort_key());
         logs
     }
 
     /// Records a driven run's engine-event stream (no-op unless tracing).
-    pub fn log_trace(&self, trace: TraceLog) {
+    pub(crate) fn log_trace(&self, trace: TraceLog) {
         if self.tracing() {
             self.traces
                 .lock()
@@ -331,7 +331,7 @@ impl RunCtx {
     /// the same key as the run logs first, and filenames derive only
     /// from run labels, so the directory contents are byte-identical for
     /// any worker count. Returns the number of runs written.
-    pub fn write_traces(&self) -> std::io::Result<usize> {
+    pub(crate) fn write_traces(&self) -> std::io::Result<usize> {
         let Some(dir) = &self.trace_dir else {
             return Ok(0);
         };
@@ -380,8 +380,8 @@ fn sanitize_filename(label: &str) -> String {
 /// One experiment's outcome.
 pub struct ExperimentResult {
     pub id: &'static str,
-    pub description: &'static str,
-    pub section: &'static str,
+    pub(crate) description: &'static str,
+    pub(crate) section: &'static str,
     pub figures: Vec<Figure>,
     /// Per-run recovery logs (recovery experiments only; accuracy/planning
     /// experiments log nothing).
@@ -393,7 +393,7 @@ pub struct ExperimentResult {
 
 /// A whole harness invocation's outcome.
 pub struct RunSummary {
-    pub quick: bool,
+    pub(crate) quick: bool,
     pub jobs: usize,
     pub results: Vec<ExperimentResult>,
     pub total_wall: Duration,

@@ -9,10 +9,10 @@
 //! one-core container. It only measures release builds (debug codegen has
 //! no bearing on the claim) and skips loudly elsewhere.
 
-use ppa_bench::stopwatch::Stopwatch;
+use ppa_bench::Stopwatch;
 use ppa_engine::{BatchCtx, Chunk, InputBatch, Tuple, Udf, Value};
 use ppa_sim::SimTime;
-use ppa_workloads::synthetic::SyntheticOp;
+use ppa_workloads::SyntheticOp;
 use std::hint::black_box;
 
 const REPS: usize = 9;

@@ -3,7 +3,7 @@
 //! rendered report and serialized figures/run logs may not depend on the
 //! worker count.
 
-use ppa_bench::runner::RunSummary;
+use ppa_bench::RunSummary;
 use ppa_bench::{registry, render_markdown, report, run_experiments, Figure, RunOptions};
 use std::sync::OnceLock;
 

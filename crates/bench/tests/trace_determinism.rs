@@ -15,7 +15,7 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn run_refail_sweep(jobs: usize, dir: &Path) -> ppa_bench::runner::RunSummary {
+fn run_refail_sweep(jobs: usize, dir: &Path) -> ppa_bench::RunSummary {
     let summary = run_experiments(&RunOptions {
         quick: true,
         jobs,

@@ -29,12 +29,12 @@ use ppa_sim::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Everything the checker cross-references for one run.
-pub struct CheckInput<'a> {
-    pub report: &'a RunReport,
-    pub events: &'a [(SimTime, EngineEvent)],
-    pub metrics: &'a MetricsSnapshot,
-    pub resolved: &'a ResolvedChaos,
-    pub horizon: SimTime,
+pub(crate) struct CheckInput<'a> {
+    pub(crate) report: &'a RunReport,
+    pub(crate) events: &'a [(SimTime, EngineEvent)],
+    pub(crate) metrics: &'a MetricsSnapshot,
+    pub(crate) resolved: &'a ResolvedChaos,
+    pub(crate) horizon: SimTime,
 }
 
 fn violation(
@@ -53,7 +53,7 @@ fn violation(
 
 /// Runs the stream checker plus every cross-layer check; returns all
 /// violations found (empty = the run holds its invariants).
-pub fn check_run(input: &CheckInput<'_>) -> Vec<Violation> {
+pub(crate) fn check_run(input: &CheckInput<'_>) -> Vec<Violation> {
     let mut out = check_stream(input.events).violations;
     let by_task = fold_task_events(input.events);
     check_report_agreement(input, &by_task, &mut out);
@@ -426,7 +426,7 @@ mod tests {
         let s = SimTime::from_secs;
         let mut report = RunReport::default();
         report.outages.push(TaskOutages {
-            task: ppa_core::model::TaskIndex(3),
+            task: ppa_core::TaskIndex(3),
             records: vec![OutageRecord {
                 via_replica: false,
                 failed_at: s(20),

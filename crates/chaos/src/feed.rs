@@ -45,7 +45,7 @@ pub struct ChaosConfig {
     /// after a base failure wave.
     pub rekills: usize,
     /// Ceiling on the fraction of cluster nodes the resolved trace may
-    /// leave dead ([`can_kill`]'s budget rule).
+    /// leave dead (`can_kill`'s budget rule).
     pub max_dead_frac: f64,
 }
 
@@ -69,7 +69,7 @@ pub struct ResolvedChaos {
     /// The buggify schedule.
     pub schedule: ChaosSchedule,
     /// Kill candidates the [`can_kill`] guard suppressed.
-    pub suppressed_kills: usize,
+    pub(crate) suppressed_kills: usize,
 }
 
 /// Whether killing `node` on top of `dead` keeps the run recoverable:
@@ -77,7 +77,7 @@ pub struct ResolvedChaos {
 /// its primary and its standby (the last copy of its exactly-once
 /// state). Nodes never revive in the simulation, so a conservative
 /// running dead set is exact.
-pub fn can_kill(
+pub(crate) fn can_kill(
     node: usize,
     dead: &BTreeSet<usize>,
     placement: &Placement,
@@ -103,7 +103,7 @@ pub struct ChaosFeed {
 
 impl ChaosFeed {
     /// A chaos feed with no base failures yet.
-    pub fn new(config: ChaosConfig) -> Self {
+    pub(crate) fn new(config: ChaosConfig) -> Self {
         ChaosFeed {
             faults: FaultFeed::new(),
             config,
@@ -116,14 +116,8 @@ impl ChaosFeed {
         self
     }
 
-    /// Adds a replayable trace to the base feed.
-    pub fn with_trace(mut self, trace: FailureTrace) -> Self {
-        self.faults = self.faults.with_trace(trace);
-        self
-    }
-
     /// Adds a live generative failure process to the base feed.
-    pub fn with_process(
+    pub(crate) fn with_process(
         mut self,
         process: Box<dyn FailureProcess>,
         start: SimTime,
@@ -134,10 +128,6 @@ impl ChaosFeed {
         self
     }
 
-    pub fn config(&self) -> &ChaosConfig {
-        &self.config
-    }
-
     /// Resolves the composed scenario against a placement and a run
     /// horizon:
     ///
@@ -146,7 +136,7 @@ impl ChaosFeed {
     ///    [`EngineError::EventPastHorizon`] — a kill that can never fire
     ///    is a scenario bug, not dead weight to carry silently;
     /// 3. seeded re-kills are drawn, anchored after base waves;
-    /// 4. every kill candidate walks the [`can_kill`] guard in time
+    /// 4. every kill candidate walks the `can_kill` guard in time
     ///    order (suppressions counted, already-dead nodes dropped);
     /// 5. the buggify schedule is drawn over `[1s, horizon)`.
     pub fn resolve(
@@ -247,7 +237,7 @@ impl ChaosFeed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppa_core::model::{OperatorSpec, Partitioning, TaskGraph, TopologyBuilder};
+    use ppa_core::{OperatorSpec, Partitioning, TaskGraph, TopologyBuilder};
     use ppa_faults::{DomainBurstProcess, FaultDomainTree};
     use std::error::Error;
 

@@ -9,22 +9,22 @@
 //!
 //! The crate's layers:
 //!
-//! * [`schedule`] — [`ChaosSchedule`]: normalized buggify schedules with
+//! * `schedule` — [`ChaosSchedule`]: normalized buggify schedules with
 //!   a canonical `ppa-chaos/1` text form (the chaos twin of
 //!   `ppa-faults/1` kill traces);
-//! * [`feed`] — [`ChaosFeed`]: a `FaultFeed` composed with the seeded
-//!   adversary, guarded by [`can_kill`] so no scenario ever kills the
+//! * `feed` — [`ChaosFeed`]: a `FaultFeed` composed with the seeded
+//!   adversary, guarded by `can_kill` so no scenario ever kills the
 //!   last copy of a task's exactly-once state or exceeds the dead-node
 //!   budget;
 //! * [`scenario`] — `(root_seed, index)` → topology × placement ×
 //!   ft-mode × failure process × chaos config, all drawn from one RNG
 //!   stream;
-//! * [`check`] — cross-layer invariant checking (stream lifecycle ∧
+//! * `check` — cross-layer invariant checking (stream lifecycle ∧
 //!   report histories ∧ metrics counters ∧ sink exactly-once ∧
 //!   closed-or-explained outages);
-//! * [`mod@shrink`] — greedy delta debugging of failing
+//! * `shrink` — greedy delta debugging of failing
 //!   `(trace, schedule)` pairs;
-//! * [`swarm`] — the runner: pure per-seed execution
+//! * `swarm` — the runner: pure per-seed execution
 //!   ([`run_seed`]), sequential reference ([`run_swarm`]), stable
 //!   reports, and shrunk repro artifacts on failure.
 //!
@@ -32,18 +32,14 @@
 //! byte-identical across `--jobs` and repeated runs — the property the
 //! swarm's own determinism tests pin.
 
-pub mod check;
-pub mod feed;
+mod check;
+mod feed;
 pub mod scenario;
-pub mod schedule;
-pub mod shrink;
-pub mod swarm;
+mod schedule;
+mod shrink;
+mod swarm;
 
-pub use check::{check_run, CheckInput};
-pub use feed::{can_kill, ChaosConfig, ChaosFeed, ResolvedChaos};
-pub use scenario::{
-    build, BuiltScenario, ModeTag, ProcessTag, ScenarioError, ScenarioParams, StrategyTag,
-};
+pub use feed::{ChaosConfig, ChaosFeed, ResolvedChaos};
+pub use scenario::{build, ModeTag, ProcessTag, ScenarioParams, StrategyTag};
 pub use schedule::{ChaosSchedule, ScheduleParseError};
-pub use shrink::{shrink, Shrunk};
 pub use swarm::{run_seed, run_swarm, Repro, SeedOutcome, SwarmError, SwarmReport};

@@ -8,16 +8,16 @@
 //! the scenario they came from.
 
 use crate::feed::{ChaosConfig, ChaosFeed};
-use ppa_core::model::{OperatorSpec, Partitioning};
+use ppa_core::{OperatorSpec, Partitioning};
 use ppa_core::{Planner, StructureAwarePlanner};
-use ppa_engine::udf::CountingSource;
+use ppa_engine::CountingSource;
 use ppa_engine::{
     Cluster, DomainSpread, EngineConfig, FtMode, Packed, Placement, PlacementStrategy, Query,
     QueryBuilder, RoundRobin,
 };
 use ppa_faults::{CascadeProcess, DomainBurstProcess, FailureProcess, IndependentProcess};
 use ppa_sim::{SimDuration, SimTime};
-use ppa_workloads::synthetic::SyntheticOp;
+use ppa_workloads::SyntheticOp;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -200,12 +200,12 @@ impl ScenarioParams {
     }
 
     /// Total logical tasks of the scenario's query.
-    pub fn n_tasks(&self) -> usize {
+    pub(crate) fn n_tasks(&self) -> usize {
         self.sources + self.mids + 1
     }
 
     /// A compact, stable one-line description for swarm reports.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         format!(
             "src={}x{} mid={} {} {} {} bug={} rekill={}",
             self.sources,
@@ -275,7 +275,7 @@ pub fn build(params: &ScenarioParams) -> Result<BuiltScenario, ScenarioError> {
     let query = q.build().map_err(|e| err(&e))?;
 
     // Placement on a racked cluster (standbys mirror the workers).
-    let graph = ppa_core::model::TaskGraph::new(query.topology().clone());
+    let graph = ppa_core::TaskGraph::new(query.topology().clone());
     let cluster =
         Cluster::racked(params.workers, params.workers, params.rack_size).map_err(|e| err(&e))?;
     let placement = match params.strategy {

@@ -53,15 +53,15 @@ fn sort_key(spec: &ChaosSpec) -> (SimTime, u8, u64, u64) {
 
 impl ChaosSchedule {
     /// Format tag written as the first line of every serialized schedule.
-    pub const FORMAT: &'static str = "ppa-chaos/1";
+    pub(crate) const FORMAT: &'static str = "ppa-chaos/1";
 
     /// An empty schedule (no chaos).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ChaosSchedule::default()
     }
 
     /// Builds a normalized schedule from arbitrary events.
-    pub fn from_events(events: impl IntoIterator<Item = ChaosSpec>) -> Self {
+    pub(crate) fn from_events(events: impl IntoIterator<Item = ChaosSpec>) -> Self {
         let mut schedule = ChaosSchedule::new();
         for e in events {
             schedule.push(e);
@@ -72,7 +72,7 @@ impl ChaosSchedule {
     /// Adds an event, keeping the schedule normalized (sorted by
     /// `(time, kind, arguments)`; duplicates are kept — firing the same
     /// buggify twice is a valid, meaningful schedule).
-    pub fn push(&mut self, spec: ChaosSpec) {
+    pub(crate) fn push(&mut self, spec: ChaosSpec) {
         let key = sort_key(&spec);
         let pos = self.events.partition_point(|e| sort_key(e) <= key);
         self.events.insert(pos, spec);
@@ -83,7 +83,7 @@ impl ChaosSchedule {
         &self.events
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.events.len()
     }
 
@@ -94,7 +94,7 @@ impl ChaosSchedule {
     /// Total detection slack this schedule can introduce: the sum of every
     /// dropped scan's [`HEARTBEAT_INTERVAL`] and every heartbeat delay —
     /// the allowance the invariant checker grants late detections.
-    pub fn detection_slack(&self) -> SimDuration {
+    pub(crate) fn detection_slack(&self) -> SimDuration {
         let mut slack = SimDuration::ZERO;
         for e in &self.events {
             match &e.kind {
@@ -110,22 +110,10 @@ impl ChaosSchedule {
         slack
     }
 
-    /// Total stall this schedule can add to restore completions — the
-    /// allowance granted to slow recoveries.
-    pub fn restore_slack(&self) -> SimDuration {
-        let mut slack = SimDuration::ZERO;
-        for e in &self.events {
-            if let ChaosKind::RestoreStall { by, .. } = &e.kind {
-                slack += *by;
-            }
-        }
-        slack
-    }
-
     /// Serializes the schedule: a header line, then one
     /// `<at_µs> <kind> [args...]` line per event. Canonical — equal
     /// schedules serialize byte-identically.
-    pub fn to_text(&self) -> String {
+    pub(crate) fn to_text(&self) -> String {
         let mut out = String::from(Self::FORMAT);
         out.push('\n');
         for e in &self.events {
@@ -158,7 +146,7 @@ impl ChaosSchedule {
         out
     }
 
-    /// Parses a schedule serialized by [`ChaosSchedule::to_text`]. Blank
+    /// Parses a schedule serialized by `ChaosSchedule::to_text`. Blank
     /// lines and `#` comments are ignored; events need not be pre-sorted.
     pub fn from_text(text: &str) -> Result<Self, ScheduleParseError> {
         let mut schedule = ChaosSchedule::new();
@@ -342,6 +330,5 @@ mod tests {
         let s = sample();
         // Two dropped scans (2 × 5 s) + one 3 s delay.
         assert_eq!(s.detection_slack(), SimDuration::from_secs(13));
-        assert_eq!(s.restore_slack(), SimDuration::from_millis(2500));
     }
 }

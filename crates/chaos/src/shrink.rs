@@ -24,11 +24,11 @@ const MAX_ATTEMPTS: usize = 256;
 
 /// A shrunk failing scenario and how much work finding it took.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Shrunk {
-    pub trace: FailureTrace,
-    pub schedule: ChaosSchedule,
+pub(crate) struct Shrunk {
+    pub(crate) trace: FailureTrace,
+    pub(crate) schedule: ChaosSchedule,
     /// Predicate evaluations spent.
-    pub attempts: usize,
+    pub(crate) attempts: usize,
 }
 
 fn without_trace_event(trace: &FailureTrace, drop: usize) -> FailureTrace {
@@ -73,7 +73,11 @@ fn without_schedule_event(schedule: &ChaosSchedule, drop: usize) -> ChaosSchedul
 /// Greedily shrinks a failing pair. `still_fails` must return `true` for
 /// the input pair (the caller established the failure); the result is
 /// the smallest pair the moves above reach that still fails.
-pub fn shrink<F>(trace: &FailureTrace, schedule: &ChaosSchedule, mut still_fails: F) -> Shrunk
+pub(crate) fn shrink<F>(
+    trace: &FailureTrace,
+    schedule: &ChaosSchedule,
+    mut still_fails: F,
+) -> Shrunk
 where
     F: FnMut(&FailureTrace, &ChaosSchedule) -> bool,
 {

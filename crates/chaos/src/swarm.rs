@@ -71,16 +71,16 @@ pub struct Repro {
     /// JSONL event trace of the shrunk failing run.
     pub events_jsonl: String,
     /// Predicate evaluations the shrink spent.
-    pub shrink_attempts: usize,
+    pub(crate) shrink_attempts: usize,
 }
 
 /// One seed's verdict.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeedOutcome {
-    pub index: usize,
+    pub(crate) index: usize,
     /// The derived per-scenario seed.
     pub seed: u64,
-    pub label: String,
+    pub(crate) label: String,
     pub events: usize,
     pub outages_opened: usize,
     pub outages_closed: usize,

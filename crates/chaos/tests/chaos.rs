@@ -3,7 +3,10 @@
 //! fault path, horizons reject out-of-range events with typed errors,
 //! and a small swarm runs clean and repeats itself exactly.
 
-use ppa_chaos::{build, run_swarm, ChaosConfig, ModeTag, ProcessTag, ScenarioParams, StrategyTag};
+use ppa_chaos::{
+    build, run_swarm, ChaosConfig, ChaosSchedule, ModeTag, ProcessTag, ScenarioParams,
+    ScheduleParseError, StrategyTag,
+};
 use ppa_engine::{
     ChaosError, ChaosKind, ChaosSpec, EngineError, EngineEvent, FailureSpec, FailureTrace,
     FaultFeed, RunReport, Simulation, StaticPolicy, VecSink,
@@ -82,6 +85,26 @@ fn heartbeat_drop_delays_detection_by_a_scan() -> TestResult {
         d1 >= d0 + SimDuration::from_secs(5),
         "dropping one scan must push detection a heartbeat interval out \
          (baseline {d0}, dropped {d1})"
+    );
+    Ok(())
+}
+
+/// The seed → repro workflow: a shrunk `schedule.txt` (`ppa-chaos/1`)
+/// replays through `ChaosSchedule::from_text` + `inject_chaos` to the run
+/// its events give when injected directly; a malformed file is a typed
+/// error.
+#[test]
+fn a_schedule_replays_from_its_text_form() -> TestResult {
+    let schedule = ChaosSchedule::from_text("ppa-chaos/1\n28000000 heartbeat_drop 1\n")?;
+    let (_, replayed) = run_with_chaos(schedule.events())?;
+    let (_, direct) = run_with_chaos(&[ChaosSpec {
+        at: SimTime::from_secs(28),
+        kind: ChaosKind::HeartbeatDrop { scans: 1 },
+    }])?;
+    assert_eq!(replayed, direct);
+    assert_eq!(
+        ChaosSchedule::from_text("28000000 heartbeat_drop 1\n"),
+        Err(ScheduleParseError::MissingHeader)
     );
     Ok(())
 }

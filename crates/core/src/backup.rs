@@ -52,36 +52,6 @@ impl BackupCadence {
             }
         }
     }
-
-    /// Worst-case age of the last shipped backup at an arbitrary failure
-    /// instant: a full inter-backup gap. Infinite when the cadence never
-    /// ships (zero-drift divergence, non-positive interval) — such a
-    /// failure forfeits everything since the start of the run.
-    pub fn worst_case_staleness_secs(&self) -> f64 {
-        let rate = self.backups_per_sec();
-        if rate > 0.0 {
-            1.0 / rate
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    /// Worst-case state drift forfeited by a lossy recovery, in tuples:
-    /// the bound itself for divergence shipping (the accumulator ships
-    /// *at* the crossing), `staleness × drift` for a timer.
-    pub fn worst_case_drift_loss(&self, drift_rate_per_sec: f64) -> f64 {
-        match *self {
-            BackupCadence::Divergence { error_bound, .. } => error_bound.max(1) as f64,
-            BackupCadence::Interval { .. } => {
-                let s = self.worst_case_staleness_secs();
-                if s.is_finite() {
-                    s * drift_rate_per_sec
-                } else {
-                    f64::INFINITY
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -92,9 +62,6 @@ mod tests {
     fn interval_cadence_is_rate_independent() {
         let c = BackupCadence::Interval { interval_secs: 5.0 };
         assert!((c.backups_per_sec() - 0.2).abs() < 1e-12);
-        assert!((c.worst_case_staleness_secs() - 5.0).abs() < 1e-12);
-        // The forfeit scales with how hot the task is.
-        assert!((c.worst_case_drift_loss(100.0) - 500.0).abs() < 1e-9);
     }
 
     #[test]
@@ -107,11 +74,6 @@ mod tests {
         assert!((c(1_000.0).backups_per_sec() - 2.0).abs() < 1e-12);
         assert!((c(100.0).backups_per_sec() - 0.2).abs() < 1e-12);
         assert_eq!(c(0.0).backups_per_sec(), 0.0);
-        assert!(c(0.0).worst_case_staleness_secs().is_infinite());
-        // The forfeit is the bound, independent of rate: that is the point
-        // of divergence-driven shipping.
-        assert_eq!(c(1_000.0).worst_case_drift_loss(1_000.0), 500.0);
-        assert_eq!(c(100.0).worst_case_drift_loss(100.0), 500.0);
     }
 
     #[test]
@@ -134,7 +96,6 @@ mod tests {
             drift_rate_per_sec: 100.0,
         };
         assert!((c.backups_per_sec() - 100.0).abs() < 1e-9);
-        assert_eq!(c.worst_case_drift_loss(100.0), 1.0);
         let z = BackupCadence::Interval { interval_secs: 0.0 };
         assert_eq!(z.backups_per_sec(), 0.0);
     }

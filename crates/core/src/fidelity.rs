@@ -19,8 +19,6 @@
 //! independent-input — precisely the "fundamental difference" the paper
 //! calls out: IC ignores the correlation of a task's input streams.
 
-#[cfg(test)]
-use crate::model::TaskIndex;
 use crate::model::{InputSemantics, TaskGraph, TaskSet};
 use crate::rates::RateModel;
 
@@ -35,22 +33,8 @@ pub struct FidelityModel<'g> {
 }
 
 impl<'g> FidelityModel<'g> {
-    pub fn new(graph: &'g TaskGraph, rates: &'g RateModel) -> Self {
+    pub(crate) fn new(graph: &'g TaskGraph, rates: &'g RateModel) -> Self {
         FidelityModel { graph, rates }
-    }
-
-    pub fn graph(&self) -> &'g TaskGraph {
-        self.graph
-    }
-
-    pub fn rates(&self) -> &'g RateModel {
-        self.rates
-    }
-
-    /// Per-task output information loss `ILout` under the given failures
-    /// (Eq. 1–3), indexed by global task index.
-    pub fn output_loss(&self, failed: &TaskSet) -> Vec<f64> {
-        self.propagate(failed, false)
     }
 
     /// Output Fidelity (Eq. 4) of the topology when `failed` tasks are down.
@@ -62,7 +46,7 @@ impl<'g> FidelityModel<'g> {
     /// OF of a replication plan under the paper's worst-case correlated
     /// failure: every task *not* in the plan fails (§IV: "there is at least
     /// one failed task in every MC-tree").
-    pub fn of_plan(&self, plan: &TaskSet) -> f64 {
+    pub(crate) fn of_plan(&self, plan: &TaskSet) -> f64 {
         self.output_fidelity(&plan.complement())
     }
 
@@ -74,7 +58,7 @@ impl<'g> FidelityModel<'g> {
     }
 
     /// IC of a replication plan under the worst-case correlated failure.
-    pub fn ic_plan(&self, plan: &TaskSet) -> f64 {
+    pub(crate) fn ic_plan(&self, plan: &TaskSet) -> f64 {
         self.internal_completeness(&plan.complement())
     }
 
@@ -157,7 +141,9 @@ impl<'g> FidelityModel<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{OperatorId, OperatorSpec, Partitioning, TaskWeights, TopologyBuilder};
+    use crate::model::{
+        OperatorId, OperatorSpec, Partitioning, TaskIndex, TaskWeights, TopologyBuilder,
+    };
 
     /// The exact Fig. 2 example: O1 {t11:1, t12:2 tuples/s} and
     /// O2 {t21:3, t22:2} feed the single join task t31; t22 fails.
@@ -186,10 +172,10 @@ mod tests {
     fn fig2_correlated_loss_matches_paper() {
         let (g, r) = fig2(true);
         let m = FidelityModel::new(&g, &r);
-        let t22 = g.task_index(OperatorId(1), 1);
+        let t22 = g.op_tasks(OperatorId(1)).nth(1).unwrap();
         let failed = TaskSet::from_tasks(g.n_tasks(), [t22]);
-        let loss = m.output_loss(&failed);
-        let t31 = g.task_index(OperatorId(2), 0);
+        let loss = m.propagate(&failed, false);
+        let t31 = g.op_tasks(OperatorId(2)).next().unwrap();
         assert!(
             (loss[t31.0] - 0.4).abs() < 1e-12,
             "ILout31 = 2/5, got {}",
@@ -202,10 +188,10 @@ mod tests {
     fn fig2_independent_loss_matches_paper() {
         let (g, r) = fig2(false);
         let m = FidelityModel::new(&g, &r);
-        let t22 = g.task_index(OperatorId(1), 1);
+        let t22 = g.op_tasks(OperatorId(1)).nth(1).unwrap();
         let failed = TaskSet::from_tasks(g.n_tasks(), [t22]);
-        let loss = m.output_loss(&failed);
-        let t31 = g.task_index(OperatorId(2), 0);
+        let loss = m.propagate(&failed, false);
+        let t31 = g.op_tasks(OperatorId(2)).next().unwrap();
         assert!(
             (loss[t31.0] - 0.25).abs() < 1e-12,
             "ILout31 = 1/4, got {}",
@@ -226,7 +212,7 @@ mod tests {
     fn ic_overestimates_fidelity_on_joins() {
         let (g, r) = fig2(true);
         let m = FidelityModel::new(&g, &r);
-        let t22 = g.task_index(OperatorId(1), 1);
+        let t22 = g.op_tasks(OperatorId(1)).nth(1).unwrap();
         let failed = TaskSet::from_tasks(g.n_tasks(), [t22]);
         // IC ignores the correlation and reports the independent value.
         assert!(m.internal_completeness(&failed) > m.output_fidelity(&failed));
@@ -260,7 +246,7 @@ mod tests {
         let g = TaskGraph::new(b.build().unwrap());
         let r = RateModel::compute(&g);
         let fm = FidelityModel::new(&g, &r);
-        let failed = TaskSet::from_tasks(g.n_tasks(), [g.task_index(OperatorId(1), 0)]);
+        let failed = TaskSet::from_tasks(g.n_tasks(), [g.op_tasks(OperatorId(1)).next().unwrap()]);
         assert!((fm.output_fidelity(&failed) - 0.5).abs() < 1e-12);
     }
 
@@ -283,8 +269,8 @@ mod tests {
         let failed = TaskSet::from_tasks(
             g.n_tasks(),
             [
-                g.task_index(OperatorId(1), 0),
-                g.task_index(OperatorId(1), 1),
+                g.op_tasks(OperatorId(1)).next().unwrap(),
+                g.op_tasks(OperatorId(1)).nth(1).unwrap(),
             ],
         );
         assert_eq!(m.output_fidelity(&failed), 0.0);

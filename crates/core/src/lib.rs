@@ -14,8 +14,9 @@
 //! ## Quick tour
 //!
 //! ```
-//! use ppa_core::model::{OperatorSpec, Partitioning, TopologyBuilder};
-//! use ppa_core::planner::{PlanContext, Planner, StructureAwarePlanner};
+//! use ppa_core::{
+//!     OperatorSpec, Partitioning, PlanContext, Planner, StructureAwarePlanner, TopologyBuilder,
+//! };
 //!
 //! // A 3-operator aggregation pipeline: 4 sources -> 2 aggregators -> 1 sink.
 //! let mut b = TopologyBuilder::new();
@@ -36,26 +37,25 @@
 //! assert!((0.0..=1.0).contains(&of));
 //! ```
 
-pub mod backup;
-pub mod error;
-pub mod fidelity;
-pub mod mctree;
+mod backup;
+mod error;
+mod fidelity;
+mod mctree;
 pub mod model;
-pub mod planner;
-pub mod random;
-pub mod rates;
+mod planner;
+mod random;
+mod rates;
 
 pub use backup::BackupCadence;
 pub use error::{CoreError, Result};
 pub use fidelity::FidelityModel;
-pub use mctree::{enumerate_mc_trees, enumerate_mc_trees_with, McTreeLimits};
+pub use mctree::{enumerate_mc_trees, McTreeLimits};
 pub use model::{
-    InputSemantics, OperatorId, OperatorSpec, Partitioning, TaskIndex, TaskSet, TaskWeights,
-    Topology, TopologyBuilder,
+    Edge, EdgeId, InputStream, OperatorId, OperatorSpec, OutputStream, Partitioning, TaskGraph,
+    TaskIndex, TaskSet, Topology, TopologyBuilder,
 };
 pub use planner::{
-    adapt_plan, AdaptivePlanner, BruteForcePlanner, DpPlanner, GreedyPlanner, Plan, PlanAdaptation,
+    AdaptivePlanner, BruteForcePlanner, DpPlanner, GreedyPlanner, Objective, Plan, PlanAdaptation,
     PlanContext, Planner, StructureAwarePlanner,
 };
 pub use random::{RandomTopologySpec, Skew, TopologyStyle};
-pub use rates::RateModel;

@@ -17,8 +17,6 @@
 //! structure-aware planner, exactly as the paper does for Fig. 14.
 
 use crate::error::{CoreError, Result};
-#[cfg(test)]
-use crate::model::TaskIndex;
 use crate::model::{InputSemantics, TaskGraph, TaskSet};
 #[expect(
     clippy::disallowed_types,
@@ -52,7 +50,7 @@ pub fn enumerate_mc_trees(graph: &TaskGraph, limits: McTreeLimits) -> Result<Vec
 /// needs only one input stream through a join. This is what a planner
 /// optimizing the IC baseline metric believes the world looks like — the
 /// Fig. 12 experiment uses it to show how IC-optimized plans strand joins.
-pub fn enumerate_mc_trees_with(
+pub(crate) fn enumerate_mc_trees_with(
     graph: &TaskGraph,
     limits: McTreeLimits,
     joins_as_union: bool,
@@ -136,7 +134,7 @@ pub fn enumerate_mc_trees_with(
 /// minimum), so joins take the `max` over their input branches rather than
 /// the sum — branches may share upstream tasks (diamonds), in which case the
 /// sum would overshoot and wrongly reject feasible budgets.
-pub fn min_tree_size(graph: &TaskGraph) -> usize {
+pub(crate) fn min_tree_size(graph: &TaskGraph) -> usize {
     let n = graph.n_tasks();
     let mut best: Vec<usize> = vec![usize::MAX; n];
     for &t in graph.topo_tasks() {
@@ -201,7 +199,7 @@ fn dedup(sets: Vec<TaskSet>) -> Vec<TaskSet> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{OperatorSpec, Partitioning, TopologyBuilder};
+    use crate::model::{OperatorSpec, Partitioning, TaskIndex, TopologyBuilder};
     use std::error::Error;
 
     type TestResult = Result<(), Box<dyn Error>>;

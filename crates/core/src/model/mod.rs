@@ -9,7 +9,8 @@ mod taskset;
 mod topology;
 
 pub use ids::{EdgeId, OperatorId, TaskIndex};
-pub use operator::{InputSemantics, OperatorSpec, TaskWeights};
+pub use operator::OperatorSpec;
+pub(crate) use operator::{InputSemantics, TaskWeights};
 pub use partitioning::Partitioning;
 pub use taskgraph::{InputStream, OutputStream, TaskGraph};
 pub use taskset::TaskSet;

@@ -10,7 +10,7 @@
 /// * `Independent` — the effective input is the union of the input streams;
 ///   losses average rate-weighted across streams (Eq. 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum InputSemantics {
+pub(crate) enum InputSemantics {
     Independent,
     Correlated,
 }
@@ -18,24 +18,20 @@ pub enum InputSemantics {
 /// How an operator's key space (and therefore workload) is distributed among
 /// its parallel tasks. This is the skew knob of the Fig. 14(a) experiment.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TaskWeights {
+pub(crate) enum TaskWeights {
     /// All tasks receive an equal share.
     Uniform,
-    /// Task `i` (0-based) receives a share proportional to `1 / (i+1)^s`.
-    Zipf { s: f64 },
-    /// Explicit relative weights, one per task (must be positive).
+    /// Explicit relative weights, one per task (must be positive); a Zipf
+    /// skew is its `1 / (i+1)^s` instance (see `Skew::weights`).
     Explicit(Vec<f64>),
 }
 
 impl TaskWeights {
     /// Normalized weight vector of length `parallelism` (sums to 1).
-    pub fn shares(&self, parallelism: usize) -> Vec<f64> {
+    pub(crate) fn shares(&self, parallelism: usize) -> Vec<f64> {
         assert!(parallelism > 0, "operator must have at least one task");
         let raw: Vec<f64> = match self {
             TaskWeights::Uniform => vec![1.0; parallelism],
-            TaskWeights::Zipf { s } => (0..parallelism)
-                .map(|i| 1.0 / ((i + 1) as f64).powf(*s))
-                .collect(),
             TaskWeights::Explicit(w) => w.clone(),
         };
         let sum: f64 = raw.iter().sum();
@@ -43,12 +39,11 @@ impl TaskWeights {
     }
 
     /// Whether an explicit weight vector is valid for the given parallelism.
-    pub fn validate(&self, parallelism: usize) -> bool {
+    pub(crate) fn validate(&self, parallelism: usize) -> bool {
         match self {
             TaskWeights::Explicit(w) => {
                 w.len() == parallelism && w.iter().all(|x| x.is_finite() && *x > 0.0)
             }
-            TaskWeights::Zipf { s } => s.is_finite() && *s >= 0.0,
             TaskWeights::Uniform => true,
         }
     }
@@ -61,11 +56,11 @@ impl TaskWeights {
 #[derive(Debug, Clone, PartialEq)]
 pub struct OperatorSpec {
     /// Human-readable name used in reports and errors.
-    pub name: String,
+    pub(crate) name: String,
     /// Number of parallel tasks.
     pub parallelism: usize,
     /// Union vs join input semantics.
-    pub semantics: InputSemantics,
+    pub(crate) semantics: InputSemantics,
     /// Output rate per unit of (effective) input rate.
     pub selectivity: f64,
     /// Per-task output rate for source operators (`None` for non-sources).
@@ -73,7 +68,7 @@ pub struct OperatorSpec {
     /// `weights` so skewed workloads skew their sources too.
     pub source_rate: Option<f64>,
     /// Relative workload of the operator's tasks.
-    pub weights: TaskWeights,
+    pub(crate) weights: TaskWeights,
 }
 
 impl OperatorSpec {
@@ -114,13 +109,13 @@ impl OperatorSpec {
     }
 
     /// Builder-style override of the task weights.
-    pub fn with_weights(mut self, weights: TaskWeights) -> Self {
+    pub(crate) fn with_weights(mut self, weights: TaskWeights) -> Self {
         self.weights = weights;
         self
     }
 
     /// Builder-style override of the input semantics.
-    pub fn with_semantics(mut self, semantics: InputSemantics) -> Self {
+    pub(crate) fn with_semantics(mut self, semantics: InputSemantics) -> Self {
         self.semantics = semantics;
         self
     }
@@ -134,6 +129,7 @@ impl OperatorSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::random::Skew;
 
     #[test]
     fn uniform_shares_sum_to_one() {
@@ -143,7 +139,7 @@ mod tests {
 
     #[test]
     fn zipf_shares_are_decreasing_and_normalized() {
-        let s = TaskWeights::Zipf { s: 1.0 }.shares(4);
+        let s = Skew::Zipf { s: 1.0 }.weights(4).shares(4);
         assert!((s.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         for w in s.windows(2) {
             assert!(w[0] > w[1]);
@@ -152,7 +148,7 @@ mod tests {
 
     #[test]
     fn zipf_zero_is_uniform() {
-        let s = TaskWeights::Zipf { s: 0.0 }.shares(3);
+        let s = Skew::Zipf { s: 0.0 }.weights(3).shares(3);
         for w in &s {
             assert!((w - 1.0 / 3.0).abs() < 1e-12);
         }

@@ -22,7 +22,7 @@ pub enum Partitioning {
 
 impl Partitioning {
     /// Human-readable name (used in errors and reports).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Partitioning::OneToOne => "one-to-one",
             Partitioning::Split => "split",
@@ -33,7 +33,7 @@ impl Partitioning {
 
     /// Whether this scheme is legal between operators of the given
     /// parallelism, per the arity constraints of §II-A.
-    pub fn is_compatible(self, upstream: usize, downstream: usize) -> bool {
+    pub(crate) fn is_compatible(self, upstream: usize, downstream: usize) -> bool {
         if upstream == 0 || downstream == 0 {
             return false;
         }
@@ -47,7 +47,7 @@ impl Partitioning {
 
     /// The downstream task indices (local to the downstream operator) that
     /// upstream task `u` (local index) sends substreams to.
-    pub fn targets_of(self, u: usize, upstream: usize, downstream: usize) -> Vec<usize> {
+    pub(crate) fn targets_of(self, u: usize, upstream: usize, downstream: usize) -> Vec<usize> {
         debug_assert!(self.is_compatible(upstream, downstream));
         debug_assert!(u < upstream);
         match self {
@@ -66,7 +66,7 @@ impl Partitioning {
 
     /// The upstream task indices (local to the upstream operator) whose
     /// substreams reach downstream task `d` (local index).
-    pub fn sources_of(self, d: usize, upstream: usize, downstream: usize) -> Vec<usize> {
+    pub(crate) fn sources_of(self, d: usize, upstream: usize, downstream: usize) -> Vec<usize> {
         debug_assert!(self.is_compatible(upstream, downstream));
         debug_assert!(d < downstream);
         match self {
@@ -80,15 +80,6 @@ impl Partitioning {
                 (d * fanin..(d + 1) * fanin).collect()
             }
             Partitioning::Full => (0..upstream).collect(),
-        }
-    }
-
-    /// Number of downstream tasks each upstream task feeds.
-    pub fn fanout(self, upstream: usize, downstream: usize) -> usize {
-        match self {
-            Partitioning::OneToOne | Partitioning::Merge => 1,
-            Partitioning::Split => downstream / upstream,
-            Partitioning::Full => downstream,
         }
     }
 }
@@ -140,7 +131,6 @@ mod tests {
     fn full_is_complete_bipartite() {
         assert_eq!(Full.targets_of(0, 2, 3), vec![0, 1, 2]);
         assert_eq!(Full.sources_of(1, 2, 3), vec![0, 1]);
-        assert_eq!(Full.fanout(2, 3), 3);
     }
 
     #[test]

@@ -13,7 +13,7 @@ pub struct InputStream {
     /// Operator-level edge this stream comes from.
     pub edge: EdgeId,
     /// The upstream operator.
-    pub from_op: OperatorId,
+    pub(crate) from_op: OperatorId,
     /// The upstream tasks whose substreams feed this task.
     pub substreams: Vec<TaskIndex>,
 }
@@ -24,7 +24,7 @@ pub struct OutputStream {
     /// Operator-level edge this stream goes out on.
     pub edge: EdgeId,
     /// The downstream operator.
-    pub to_op: OperatorId,
+    pub(crate) to_op: OperatorId,
     /// The downstream tasks receiving a substream from this task.
     pub targets: Vec<TaskIndex>,
 }
@@ -126,12 +126,6 @@ impl TaskGraph {
         self.n_tasks
     }
 
-    /// Global index of local task `i` of operator `op`.
-    pub fn task_index(&self, op: OperatorId, i: usize) -> TaskIndex {
-        debug_assert!(i < self.topology.operator(op).parallelism);
-        TaskIndex(self.offsets[op.0] + i)
-    }
-
     /// Owning operator of a task.
     pub fn operator_of(&self, t: TaskIndex) -> OperatorId {
         self.task_op[t.0]
@@ -143,7 +137,7 @@ impl TaskGraph {
     }
 
     /// Global indices of all tasks of an operator, as a range.
-    pub fn op_tasks(&self, op: OperatorId) -> impl Iterator<Item = TaskIndex> + Clone {
+    pub(crate) fn op_tasks(&self, op: OperatorId) -> impl Iterator<Item = TaskIndex> + Clone {
         let off = self.offsets[op.0];
         let n = self.topology.operator(op).parallelism;
         (off..off + n).map(TaskIndex)
@@ -170,7 +164,7 @@ impl TaskGraph {
     }
 
     /// All tasks of all sink operators.
-    pub fn sink_tasks(&self) -> Vec<TaskIndex> {
+    pub(crate) fn sink_tasks(&self) -> Vec<TaskIndex> {
         self.topology
             .sinks()
             .into_iter()
@@ -188,7 +182,7 @@ impl TaskGraph {
     }
 
     /// Tasks in topological order (upstream before downstream).
-    pub fn topo_tasks(&self) -> &[TaskIndex] {
+    pub(crate) fn topo_tasks(&self) -> &[TaskIndex] {
         &self.topo_tasks
     }
 
@@ -201,7 +195,7 @@ impl TaskGraph {
     }
 
     /// All downstream tasks fed by `t` across all of its output streams.
-    pub fn downstream_tasks(&self, t: TaskIndex) -> Vec<TaskIndex> {
+    pub(crate) fn downstream_tasks(&self, t: TaskIndex) -> Vec<TaskIndex> {
         self.outputs[t.0]
             .iter()
             .flat_map(|s| s.targets.iter().copied())
@@ -234,14 +228,14 @@ mod tests {
             let t = TaskIndex(t);
             let op = g.operator_of(t);
             let local = g.local_index(t);
-            assert_eq!(g.task_index(op, local), t);
+            assert_eq!(g.op_tasks(op).nth(local).unwrap(), t);
         }
     }
 
     #[test]
     fn input_streams_group_by_upstream_operator() {
         let g = fig2();
-        let t31 = g.task_index(OperatorId(2), 0);
+        let t31 = g.op_tasks(OperatorId(2)).next().unwrap();
         let ins = g.inputs(t31);
         assert_eq!(ins.len(), 2, "one input stream per upstream operator");
         assert_eq!(ins[0].from_op, OperatorId(0));
@@ -253,10 +247,13 @@ mod tests {
     #[test]
     fn output_streams_reach_targets() {
         let g = fig2();
-        let t11 = g.task_index(OperatorId(0), 0);
+        let t11 = g.op_tasks(OperatorId(0)).next().unwrap();
         let outs = g.outputs(t11);
         assert_eq!(outs.len(), 1);
-        assert_eq!(outs[0].targets, vec![g.task_index(OperatorId(2), 0)]);
+        assert_eq!(
+            outs[0].targets,
+            vec![g.op_tasks(OperatorId(2)).next().unwrap()]
+        );
     }
 
     #[test]
@@ -264,7 +261,7 @@ mod tests {
         let g = fig2();
         assert!(g.is_source_task(TaskIndex(0)));
         assert!(!g.is_sink_task(TaskIndex(0)));
-        let sink = g.task_index(OperatorId(2), 0);
+        let sink = g.op_tasks(OperatorId(2)).next().unwrap();
         assert!(g.is_sink_task(sink));
         assert_eq!(g.sink_tasks(), vec![sink]);
         assert_eq!(g.source_tasks().len(), 4);
@@ -287,25 +284,25 @@ mod tests {
         let m = b.add_operator(OperatorSpec::map("m", 4, 1.0));
         b.connect(s, m, Partitioning::Split).unwrap();
         let g = TaskGraph::new(b.build().unwrap());
-        let s0 = g.task_index(OperatorId(0), 0);
+        let s0 = g.op_tasks(OperatorId(0)).next().unwrap();
         assert_eq!(
             g.outputs(s0)[0].targets,
             vec![
-                g.task_index(OperatorId(1), 0),
-                g.task_index(OperatorId(1), 1)
+                g.op_tasks(OperatorId(1)).next().unwrap(),
+                g.op_tasks(OperatorId(1)).nth(1).unwrap()
             ]
         );
-        let m3 = g.task_index(OperatorId(1), 3);
+        let m3 = g.op_tasks(OperatorId(1)).nth(3).unwrap();
         assert_eq!(
             g.inputs(m3)[0].substreams,
-            vec![g.task_index(OperatorId(0), 1)]
+            vec![g.op_tasks(OperatorId(0)).nth(1).unwrap()]
         );
     }
 
     #[test]
     fn upstream_downstream_helpers() {
         let g = fig2();
-        let t31 = g.task_index(OperatorId(2), 0);
+        let t31 = g.op_tasks(OperatorId(2)).next().unwrap();
         assert_eq!(g.upstream_tasks(t31).len(), 4);
         assert_eq!(g.downstream_tasks(TaskIndex(0)), vec![t31]);
     }

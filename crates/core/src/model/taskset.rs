@@ -41,10 +41,6 @@ impl TaskSet {
         s
     }
 
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     pub fn insert(&mut self, t: TaskIndex) {
         debug_assert!(
             t.0 < self.capacity,
@@ -73,7 +69,7 @@ impl TaskSet {
     }
 
     /// `self ∪ other`, in place.
-    pub fn union_with(&mut self, other: &TaskSet) {
+    pub(crate) fn union_with(&mut self, other: &TaskSet) {
         debug_assert_eq!(self.capacity, other.capacity);
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a |= b;
@@ -81,14 +77,14 @@ impl TaskSet {
     }
 
     /// `self ∪ other`, new set.
-    pub fn union(&self, other: &TaskSet) -> TaskSet {
+    pub(crate) fn union(&self, other: &TaskSet) -> TaskSet {
         let mut s = self.clone();
         s.union_with(other);
         s
     }
 
     /// `self ∩ other`, new set.
-    pub fn intersection(&self, other: &TaskSet) -> TaskSet {
+    pub(crate) fn intersection(&self, other: &TaskSet) -> TaskSet {
         debug_assert_eq!(self.capacity, other.capacity);
         TaskSet {
             words: self
@@ -102,7 +98,7 @@ impl TaskSet {
     }
 
     /// `self \ other`, new set.
-    pub fn difference(&self, other: &TaskSet) -> TaskSet {
+    pub(crate) fn difference(&self, other: &TaskSet) -> TaskSet {
         debug_assert_eq!(self.capacity, other.capacity);
         TaskSet {
             words: self
@@ -116,7 +112,7 @@ impl TaskSet {
     }
 
     /// Complement within the capacity (tasks *not* in the set).
-    pub fn complement(&self) -> TaskSet {
+    pub(crate) fn complement(&self) -> TaskSet {
         let mut words: Vec<u64> = self.words.iter().map(|w| !w).collect();
         // Mask out bits beyond capacity.
         let excess = self.words.len() * 64 - self.capacity;
@@ -132,7 +128,7 @@ impl TaskSet {
     }
 
     /// Whether every task of `self` is in `other`.
-    pub fn is_subset_of(&self, other: &TaskSet) -> bool {
+    pub(crate) fn is_subset_of(&self, other: &TaskSet) -> bool {
         debug_assert_eq!(self.capacity, other.capacity);
         self.words
             .iter()
@@ -143,19 +139,13 @@ impl TaskSet {
     /// Number of tasks in `self` that are *not* in `other` (`|self \ other|`).
     /// This is `nonrep_tasks` of Algorithm 1 when `self` is an MC-tree and
     /// `other` a candidate plan.
-    pub fn count_difference(&self, other: &TaskSet) -> usize {
+    pub(crate) fn count_difference(&self, other: &TaskSet) -> usize {
         debug_assert_eq!(self.capacity, other.capacity);
         self.words
             .iter()
             .zip(&other.words)
             .map(|(a, b)| (a & !b).count_ones() as usize)
             .sum()
-    }
-
-    /// Whether the two sets share at least one task.
-    pub fn intersects(&self, other: &TaskSet) -> bool {
-        debug_assert_eq!(self.capacity, other.capacity);
-        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
     }
 
     /// Iterator over the member task indices in ascending order.
@@ -221,8 +211,6 @@ mod tests {
         assert_eq!(a.intersection(&b), set(10, &[3]));
         assert_eq!(a.difference(&b), set(10, &[1, 2]));
         assert_eq!(a.count_difference(&b), 2);
-        assert!(a.intersects(&b));
-        assert!(!a.intersects(&set(10, &[5])));
     }
 
     #[test]

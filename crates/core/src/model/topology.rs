@@ -45,31 +45,31 @@ impl Topology {
         &self.edges
     }
 
-    pub fn edge(&self, id: EdgeId) -> Edge {
+    pub(crate) fn edge(&self, id: EdgeId) -> Edge {
         self.edges[id.0]
     }
 
     /// Ids of the edges feeding `op`, in insertion order. Each incoming edge
     /// corresponds to one *input stream* of the operator's tasks.
-    pub fn input_edges(&self, op: OperatorId) -> &[EdgeId] {
+    pub(crate) fn input_edges(&self, op: OperatorId) -> &[EdgeId] {
         &self.inputs[op.0]
     }
 
     /// Ids of the edges leaving `op`, in insertion order.
-    pub fn output_edges(&self, op: OperatorId) -> &[EdgeId] {
+    pub(crate) fn output_edges(&self, op: OperatorId) -> &[EdgeId] {
         &self.outputs[op.0]
     }
 
-    pub fn is_source(&self, op: OperatorId) -> bool {
+    pub(crate) fn is_source(&self, op: OperatorId) -> bool {
         self.inputs[op.0].is_empty()
     }
 
-    pub fn is_sink(&self, op: OperatorId) -> bool {
+    pub(crate) fn is_sink(&self, op: OperatorId) -> bool {
         self.outputs[op.0].is_empty()
     }
 
     /// Source operators (no input edges).
-    pub fn sources(&self) -> Vec<OperatorId> {
+    pub(crate) fn sources(&self) -> Vec<OperatorId> {
         (0..self.operators.len())
             .map(OperatorId)
             .filter(|&o| self.is_source(o))
@@ -85,29 +85,13 @@ impl Topology {
     }
 
     /// Operators in topological order, sources first.
-    pub fn topo_order(&self) -> &[OperatorId] {
+    pub(crate) fn topo_order(&self) -> &[OperatorId] {
         &self.topo_order
     }
 
     /// Total number of tasks across all operators.
     pub fn n_tasks(&self) -> usize {
         self.operators.iter().map(|o| o.parallelism).sum()
-    }
-
-    /// Upstream neighbour operators of `op`.
-    pub fn upstream(&self, op: OperatorId) -> Vec<OperatorId> {
-        self.inputs[op.0]
-            .iter()
-            .map(|&e| self.edges[e.0].from)
-            .collect()
-    }
-
-    /// Downstream neighbour operators of `op`.
-    pub fn downstream(&self, op: OperatorId) -> Vec<OperatorId> {
-        self.outputs[op.0]
-            .iter()
-            .map(|&e| self.edges[e.0].to)
-            .collect()
     }
 }
 
@@ -288,14 +272,12 @@ mod tests {
             t.operator(OperatorId(3)).semantics,
             InputSemantics::Correlated
         );
-        assert_eq!(
-            t.upstream(OperatorId(3)),
-            vec![OperatorId(1), OperatorId(2)]
-        );
-        assert_eq!(
-            t.downstream(OperatorId(0)),
-            vec![OperatorId(1), OperatorId(2)]
-        );
+        let from = |e: &EdgeId| t.edge(*e).from;
+        let to = |e: &EdgeId| t.edge(*e).to;
+        let upstream: Vec<_> = t.input_edges(OperatorId(3)).iter().map(from).collect();
+        assert_eq!(upstream, vec![OperatorId(1), OperatorId(2)]);
+        let downstream: Vec<_> = t.output_edges(OperatorId(0)).iter().map(to).collect();
+        assert_eq!(downstream, vec![OperatorId(1), OperatorId(2)]);
     }
 
     #[test]

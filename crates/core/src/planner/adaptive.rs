@@ -22,33 +22,28 @@ pub struct PlanAdaptation {
     /// The plan after adaptation.
     pub plan: Plan,
     /// Tasks gaining an active replica (need checkpoint ship + catch-up).
-    pub activate: TaskSet,
+    pub(crate) activate: TaskSet,
     /// Tasks losing their active replica (resources released).
     pub deactivate: TaskSet,
     /// OF (or IC) of the old plan under the *new* rates.
-    pub old_value: f64,
+    pub(crate) old_value: f64,
 }
 
 impl PlanAdaptation {
     /// Number of replicas that must be newly created.
-    pub fn activation_cost(&self) -> usize {
+    pub(crate) fn activation_cost(&self) -> usize {
         self.activate.len()
     }
 
     /// Objective improvement bought by the migration.
-    pub fn gain(&self) -> f64 {
+    pub(crate) fn gain(&self) -> f64 {
         self.plan.value - self.old_value
-    }
-
-    /// Whether the adaptation changes anything at all.
-    pub fn is_noop(&self) -> bool {
-        self.activate.is_empty() && self.deactivate.is_empty()
     }
 }
 
 /// Re-plans under `cx` (built from freshly observed rates) and diffs against
 /// `old_plan`.
-pub fn adapt_plan(
+pub(crate) fn adapt_plan(
     cx: &PlanContext,
     planner: &dyn Planner,
     old_plan: &TaskSet,
@@ -69,12 +64,12 @@ pub fn adapt_plan(
 /// objective by at least `min_gain` *and* the improvement per newly created
 /// replica is at least `min_gain_per_activation`.
 pub struct AdaptivePlanner<P> {
-    pub inner: P,
+    pub(crate) inner: P,
     /// Minimum absolute objective improvement to migrate at all.
-    pub min_gain: f64,
+    pub(crate) min_gain: f64,
     /// Minimum improvement per activated replica (each activation costs a
     /// checkpoint ship and a catch-up phase).
-    pub min_gain_per_activation: f64,
+    pub(crate) min_gain_per_activation: f64,
 }
 
 impl<P: Planner> AdaptivePlanner<P> {
@@ -168,7 +163,7 @@ mod tests {
         let old = planner.plan(&cx, 3).unwrap().tasks;
         let adaptive = AdaptivePlanner::new(planner);
         let step = adaptive.step(&cx, &old, 3).unwrap();
-        assert!(step.is_noop(), "same rates, same plan: {step:?}");
+        assert!(step.activate.is_empty(), "same rates, same plan: {step:?}");
         assert_eq!(step.plan.tasks, old);
     }
 
@@ -186,7 +181,7 @@ mod tests {
             min_gain_per_activation: 0.01,
         };
         let step = adaptive.step(&cx_new, &old, 3).unwrap();
-        assert!(step.is_noop(), "marginal shift must not migrate");
+        assert_eq!(step.plan.tasks, old, "marginal shift must not migrate");
     }
 
     #[test]
@@ -197,7 +192,7 @@ mod tests {
         let cx_new = PlanContext::new(&topo(vec![1.0, 1.0, 1.0, 20.0])).unwrap();
         let adaptive = AdaptivePlanner::new(StructureAwarePlanner::default());
         let step = adaptive.step(&cx_new, &old, 3).unwrap();
-        assert!(!step.is_noop());
+        assert_ne!(step.plan.tasks, old);
         assert!(step.plan.tasks.contains(TaskIndex(3)));
     }
 

@@ -24,7 +24,7 @@ use std::collections::BTreeSet;
 #[derive(Debug, Clone, Copy)]
 pub struct DpPlanner {
     /// Maximum number of simultaneously tracked candidate plans.
-    pub max_candidates: usize,
+    pub(crate) max_candidates: usize,
 }
 
 impl Default for DpPlanner {

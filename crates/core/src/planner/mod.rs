@@ -9,12 +9,12 @@
 //! * [`BruteForcePlanner`] — exhaustive search over MC-tree subsets, used as
 //!   the optimality oracle in tests.
 
-pub mod adaptive;
+mod adaptive;
 mod dp;
 mod greedy;
-pub mod structure;
+mod structure;
 
-pub use adaptive::{adapt_plan, AdaptivePlanner, PlanAdaptation};
+pub use adaptive::{AdaptivePlanner, PlanAdaptation};
 pub use dp::DpPlanner;
 pub use greedy::GreedyPlanner;
 pub use structure::StructureAwarePlanner;
@@ -77,7 +77,7 @@ impl PlanContext {
     }
 
     /// Builds a context from an already expanded task graph.
-    pub fn from_graph(graph: TaskGraph) -> Self {
+    pub(crate) fn from_graph(graph: TaskGraph) -> Self {
         let rates = RateModel::compute(&graph);
         PlanContext {
             graph,
@@ -95,7 +95,7 @@ impl PlanContext {
     /// tree contributes the set of tasks whose hosting node it contains.
     /// `node_of_task[t]` is task `t`'s primary node.
     ///
-    /// Planners that score candidates through [`PlanContext::score_plan`]
+    /// Planners that score candidates through `PlanContext::score_plan`
     /// (greedy, structure-aware, brute force) then optimize the worst case
     /// over *plausible* domain failures, so replication budget is not
     /// wasted hedging against failures the cluster topology cannot
@@ -154,11 +154,11 @@ impl PlanContext {
         &self.graph
     }
 
-    pub fn rates(&self) -> &RateModel {
+    pub(crate) fn rates(&self) -> &RateModel {
         &self.rates
     }
 
-    pub fn objective(&self) -> Objective {
+    pub(crate) fn objective(&self) -> Objective {
         self.objective
     }
 
@@ -172,7 +172,7 @@ impl PlanContext {
     }
 
     /// Objective value when `failed` tasks are down.
-    pub fn score_failed(&self, failed: &TaskSet) -> f64 {
+    pub(crate) fn score_failed(&self, failed: &TaskSet) -> f64 {
         match self.objective {
             Objective::OutputFidelity => self.fidelity().output_fidelity(failed),
             Objective::InternalCompleteness => self.fidelity().internal_completeness(failed),
@@ -185,7 +185,7 @@ impl PlanContext {
     /// down. With domain-derived sets ([`PlanContext::with_fault_domains`])
     /// it is the minimum over the candidate sets, each masked by the plan
     /// (replicated tasks survive their domain's failure).
-    pub fn score_plan(&self, plan: &TaskSet) -> f64 {
+    pub(crate) fn score_plan(&self, plan: &TaskSet) -> f64 {
         match &self.failure_sets {
             None => self.score_failed(&plan.complement()),
             Some(sets) => {
@@ -224,7 +224,7 @@ impl PlanContext {
     }
 
     /// Wraps a task set into a [`Plan`] with its objective value.
-    pub fn make_plan(&self, tasks: TaskSet) -> Plan {
+    pub(crate) fn make_plan(&self, tasks: TaskSet) -> Plan {
         let value = self.score_plan(&tasks);
         Plan { tasks, value }
     }
@@ -244,7 +244,7 @@ pub trait Planner {
 #[derive(Debug, Clone, Copy)]
 pub struct BruteForcePlanner {
     /// Refuses instances with more MC-trees than this (default 20).
-    pub max_trees: usize,
+    pub(crate) max_trees: usize,
 }
 
 impl Default for BruteForcePlanner {

@@ -29,9 +29,9 @@ use crate::planner::{Plan, PlanContext, Planner};
 #[derive(Debug, Clone, Copy)]
 pub struct StructureAwarePlanner {
     /// Per-unit segment enumeration cap (heuristic truncation).
-    pub segment_cap: usize,
+    pub(crate) segment_cap: usize,
     /// How many top segments per unit are evaluated as candidate seeds.
-    pub eval_cap: usize,
+    pub(crate) eval_cap: usize,
 }
 
 impl Default for StructureAwarePlanner {

@@ -14,7 +14,7 @@ use crate::model::{OperatorId, TaskGraph, TaskIndex, TaskSet};
 ///
 /// `δ_ij = score(fail all of O_i except t_ij) − score(fail all of O_i)`,
 /// evaluated on the global graph with every other operator healthy.
-pub fn operator_deltas(
+pub(crate) fn operator_deltas(
     graph: &TaskGraph,
     ops: &[OperatorId],
     score_failed: &dyn Fn(&TaskSet) -> f64,
@@ -49,7 +49,7 @@ pub fn operator_deltas(
 /// Returns `true` if anything was added. Mirroring the paper's lines 4–9:
 /// if the plan holds nothing of this sub-topology yet and the budget cannot
 /// seat one task per operator, nothing is added (no complete MC-tree fits).
-pub fn plan_full(
+pub(crate) fn plan_full(
     graph: &TaskGraph,
     ops: &[OperatorId],
     plan: &mut TaskSet,

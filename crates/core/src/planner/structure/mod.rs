@@ -9,9 +9,6 @@ mod structured;
 mod units;
 
 pub use aware::StructureAwarePlanner;
-pub use full::{operator_deltas, plan_full};
-pub use structured::plan_structured;
-pub use units::{enumerate_unit_segments, UnitGraph};
 
 use crate::model::{OperatorId, Partitioning, Topology};
 
@@ -22,17 +19,17 @@ use crate::model::{OperatorId, Partitioning, Topology};
 ///   output operators may partition with `Full`, toward the next
 ///   sub-topology).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubKind {
+pub(super) enum SubKind {
     Structured,
     Full,
 }
 
 /// One sub-topology produced by [`decompose`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SubTopology {
-    pub kind: SubKind,
+pub(super) struct SubTopology {
+    pub(crate) kind: SubKind,
     /// Member operators, ascending by id.
-    pub ops: Vec<OperatorId>,
+    pub(crate) ops: Vec<OperatorId>,
 }
 
 /// Splits a topology into full/structured sub-topologies with multiple
@@ -44,7 +41,7 @@ pub struct SubTopology {
 /// incompatible upstream operators become new start points. Every operator
 /// is claimed by exactly one sub-topology. Sub-topologies are returned in
 /// discovery order (sink-side first).
-pub fn decompose(topology: &Topology) -> Vec<SubTopology> {
+pub(super) fn decompose(topology: &Topology) -> Vec<SubTopology> {
     let n = topology.n_operators();
     let mut claimed = vec![false; n];
     let mut start_points: Vec<OperatorId> = topology.sinks();

@@ -30,7 +30,7 @@ const EPS: f64 = 1e-9;
 ///
 /// Returns `true` if at least one group was applied.
 #[expect(clippy::too_many_arguments, reason = "Algorithm 5's inputs")]
-pub fn plan_structured(
+pub(crate) fn plan_structured(
     graph: &TaskGraph,
     units: &UnitGraph,
     plan: &mut TaskSet,
@@ -241,7 +241,7 @@ mod tests {
         b.connect(m, o, Partitioning::Split).unwrap();
         let cx = PlanContext::new(&b.build().unwrap()).unwrap();
         let ops = vec![OperatorId(0), OperatorId(1), OperatorId(2)];
-        let ug = UnitGraph::build(cx.graph(), cx.rates(), &ops, 128);
+        let ug = UnitGraph::build_with(cx.graph(), cx.rates(), &ops, 128, false);
         (cx, ug)
     }
 

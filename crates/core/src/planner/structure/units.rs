@@ -24,41 +24,27 @@ use std::collections::{BTreeSet, HashSet};
 
 /// One unit of a structured sub-topology.
 #[derive(Debug, Clone)]
-pub struct Unit {
-    /// Member operators, ascending.
-    pub ops: Vec<OperatorId>,
+pub(crate) struct Unit {
     /// Segments (unit-local MC-trees) as task sets, with their weight
     /// (sum of λout over the segment's unit-sink tasks) used for ranking.
-    pub segments: Vec<(TaskSet, f64)>,
+    pub(crate) segments: Vec<(TaskSet, f64)>,
 }
 
-/// Units of one structured sub-topology plus their adjacency (units joined
-/// by a cut edge are neighbours).
+/// The units of one structured sub-topology.
 #[derive(Debug, Clone)]
-pub struct UnitGraph {
-    pub units: Vec<Unit>,
-    /// `adj[i]` = neighbouring unit indices of unit `i`.
-    pub adj: Vec<Vec<usize>>,
+pub(crate) struct UnitGraph {
+    pub(crate) units: Vec<Unit>,
 }
 
 impl UnitGraph {
-    /// Builds the unit graph of the sub-topology consisting of `ops`.
+    /// Builds the unit graph of the sub-topology consisting of `ops`,
+    /// optionally treating joins as unions (see
+    /// [`crate::mctree::enumerate_mc_trees_with`]).
     ///
     /// `segment_cap` truncates the per-unit segment enumeration (segments
     /// are kept in descending weight order, so truncation keeps the most
     /// valuable ones).
-    pub fn build(
-        graph: &TaskGraph,
-        rates: &crate::rates::RateModel,
-        ops: &[OperatorId],
-        segment_cap: usize,
-    ) -> UnitGraph {
-        Self::build_with(graph, rates, ops, segment_cap, false)
-    }
-
-    /// Like [`UnitGraph::build`], optionally treating joins as unions (see
-    /// [`crate::mctree::enumerate_mc_trees_with`]).
-    pub fn build_with(
+    pub(crate) fn build_with(
         graph: &TaskGraph,
         rates: &crate::rates::RateModel,
         ops: &[OperatorId],
@@ -81,9 +67,7 @@ impl UnitGraph {
             })
             .collect();
 
-        // Cut edges per the two boundary rules. A BTreeSet: the loop below
-        // iterates it while building the unit adjacency that escapes into
-        // the returned UnitGraph.
+        // Cut edges per the two boundary rules.
         let cut: BTreeSet<usize> = internal
             .iter()
             .filter(|&&e| {
@@ -140,19 +124,6 @@ impl UnitGraph {
             units_ops.push(members);
         }
 
-        // Adjacency from cut edges.
-        let mut adj: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); units_ops.len()];
-        for &e in &cut {
-            let edge = topo.edge(EdgeId(e));
-            // Cut edges are internal, so both ends have a component.
-            if let (Some(a), Some(b)) = (comp[edge.from.0], comp[edge.to.0]) {
-                if a != b {
-                    adj[a].insert(b);
-                    adj[b].insert(a);
-                }
-            }
-        }
-
         let units = units_ops
             .into_iter()
             .map(|unit_ops| {
@@ -160,18 +131,11 @@ impl UnitGraph {
                     enumerate_unit_segments(graph, rates, &unit_ops, segment_cap, joins_as_union);
                 segments.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
                 segments.truncate(segment_cap);
-                Unit {
-                    ops: unit_ops,
-                    segments,
-                }
+                Unit { segments }
             })
             .collect();
 
-        UnitGraph {
-            units,
-            // BTreeSet iteration is already ascending — no sort needed.
-            adj: adj.into_iter().map(|s| s.into_iter().collect()).collect(),
-        }
+        UnitGraph { units }
     }
 }
 
@@ -182,7 +146,7 @@ impl UnitGraph {
 /// operators with no downstream inside the unit. The enumeration mirrors
 /// [`crate::mctree::enumerate_mc_trees`] but is truncated (never erroring)
 /// at `cap` partial trees per task, since segments feed a heuristic.
-pub fn enumerate_unit_segments(
+pub(crate) fn enumerate_unit_segments(
     graph: &TaskGraph,
     rates: &crate::rates::RateModel,
     ops: &[OperatorId],
@@ -308,7 +272,7 @@ fn dedup(sets: Vec<TaskSet>) -> Vec<TaskSet> {
 /// Whether any task edge connects a task of `a` with a task of `b` (in
 /// either direction). Used by Algorithm 3's BFS to chain segments of
 /// neighbouring units into complete MC-trees.
-pub fn sets_connected(graph: &TaskGraph, a: &TaskSet, b: &TaskSet) -> bool {
+pub(super) fn sets_connected(graph: &TaskGraph, a: &TaskSet, b: &TaskSet) -> bool {
     for t in a.iter() {
         if graph.downstream_tasks(t).iter().any(|&d| b.contains(d))
             || graph.upstream_tasks(t).iter().any(|&u| b.contains(u))
@@ -340,17 +304,25 @@ mod tests {
         (g, r, ops)
     }
 
+    /// The operators a unit's segments cover, ascending.
+    fn ops_of(g: &TaskGraph, unit: &Unit) -> Vec<OperatorId> {
+        let ops: BTreeSet<OperatorId> = unit
+            .segments
+            .iter()
+            .flat_map(|(seg, _)| seg.iter())
+            .map(|t| g.operator_of(t))
+            .collect();
+        ops.into_iter().collect()
+    }
+
     #[test]
     fn fig3a_merge_before_split_is_cut() {
         let (g, r, ops) = fig3a();
-        let ug = UnitGraph::build(&g, &r, &ops, 128);
+        let ug = UnitGraph::build_with(&g, &r, &ops, 128, false);
         assert_eq!(ug.units.len(), 2, "boundary between O1 and O2");
         // One unit is {O1} alone, the other {O2, O3}.
-        let sizes: Vec<usize> = ug.units.iter().map(|u| u.ops.len()).collect();
+        let sizes: Vec<usize> = ug.units.iter().map(|u| ops_of(&g, u).len()).collect();
         assert!(sizes.contains(&1) && sizes.contains(&2));
-        // The two units are neighbours.
-        assert_eq!(ug.adj[0], vec![1]);
-        assert_eq!(ug.adj[1], vec![0]);
     }
 
     #[test]
@@ -364,15 +336,21 @@ mod tests {
         b.connect(o2, o3, Partitioning::OneToOne).unwrap();
         let g = TaskGraph::new(b.build().unwrap());
         let r = RateModel::compute(&g);
-        let ug = UnitGraph::build(&g, &r, &[OperatorId(0), OperatorId(1), OperatorId(2)], 128);
+        let ug = UnitGraph::build_with(
+            &g,
+            &r,
+            &[OperatorId(0), OperatorId(1), OperatorId(2)],
+            128,
+            false,
+        );
         assert_eq!(
             ug.units.len(),
             2,
             "boundary on the merge edge into the join"
         );
         // O1 is alone; O2 and O3 stay together via the one-to-one edge.
-        let lone = ug.units.iter().find(|u| u.ops.len() == 1).unwrap();
-        assert_eq!(lone.ops, vec![OperatorId(0)]);
+        let lone = ug.units.iter().find(|u| ops_of(&g, u).len() == 1).unwrap();
+        assert_eq!(ops_of(&g, lone), vec![OperatorId(0)]);
     }
 
     #[test]
@@ -385,7 +363,13 @@ mod tests {
         b.connect(m, k, Partitioning::Merge).unwrap();
         let g = TaskGraph::new(b.build().unwrap());
         let r = RateModel::compute(&g);
-        let ug = UnitGraph::build(&g, &r, &[OperatorId(0), OperatorId(1), OperatorId(2)], 128);
+        let ug = UnitGraph::build_with(
+            &g,
+            &r,
+            &[OperatorId(0), OperatorId(1), OperatorId(2)],
+            128,
+            false,
+        );
         assert_eq!(ug.units.len(), 1);
         assert_eq!(ug.units[0].segments.len(), 4, "one segment per source path");
     }
@@ -393,8 +377,8 @@ mod tests {
     #[test]
     fn segments_of_source_only_unit_are_single_tasks() {
         let (g, r, ops) = fig3a();
-        let ug = UnitGraph::build(&g, &r, &ops, 128);
-        let source_unit = ug.units.iter().find(|u| u.ops.len() == 1).unwrap();
+        let ug = UnitGraph::build_with(&g, &r, &ops, 128, false);
+        let source_unit = ug.units.iter().find(|u| ops_of(&g, u).len() == 1).unwrap();
         assert_eq!(source_unit.segments.len(), 4);
         for (seg, w) in &source_unit.segments {
             assert_eq!(seg.len(), 1);
@@ -405,7 +389,7 @@ mod tests {
     #[test]
     fn segments_are_ranked_by_weight() {
         let (g, r, ops) = fig3a();
-        let ug = UnitGraph::build(&g, &r, &ops, 128);
+        let ug = UnitGraph::build_with(&g, &r, &ops, 128, false);
         for unit in &ug.units {
             for pair in unit.segments.windows(2) {
                 assert!(

@@ -29,10 +29,16 @@ pub enum Skew {
 }
 
 impl Skew {
-    fn weights(self) -> TaskWeights {
+    /// The weights of an operator with `parallelism` tasks: under Zipf,
+    /// task `i` (0-based) gets a share proportional to `1 / (i+1)^s`.
+    pub(crate) fn weights(self, parallelism: usize) -> TaskWeights {
         match self {
             Skew::Uniform => TaskWeights::Uniform,
-            Skew::Zipf { s } => TaskWeights::Zipf { s },
+            Skew::Zipf { s } => TaskWeights::Explicit(
+                (0..parallelism)
+                    .map(|i| 1.0 / ((i + 1) as f64).powf(s))
+                    .collect(),
+            ),
         }
     }
 }
@@ -281,16 +287,14 @@ impl RandomTopologySpec {
 
         // Build the topology.
         let mut b = TopologyBuilder::new();
-        let weights = self.skew.weights();
         for i in 0..n_ops {
             let para = parallelism[i].max(1);
+            let weights = self.skew.weights(para);
             let spec = if !has_input[i] {
-                OperatorSpec::source(format!("O{i}"), para, self.source_rate)
-                    .with_weights(weights.clone())
+                OperatorSpec::source(format!("O{i}"), para, self.source_rate).with_weights(weights)
             } else {
                 let sel = rng.gen_range(self.selectivity.0..=self.selectivity.1);
-                let mut s =
-                    OperatorSpec::map(format!("O{i}"), para, sel).with_weights(weights.clone());
+                let mut s = OperatorSpec::map(format!("O{i}"), para, sel).with_weights(weights);
                 if is_join[i] {
                     s = s.with_semantics(InputSemantics::Correlated);
                 }
@@ -377,7 +381,8 @@ mod tests {
         };
         let t = spec.generate(&mut StdRng::seed_from_u64(5));
         for op in t.operators() {
-            assert_eq!(op.weights, TaskWeights::Zipf { s: 0.1 });
+            assert_eq!(op.weights, Skew::Zipf { s: 0.1 }.weights(op.parallelism));
+            assert_ne!(op.weights, TaskWeights::Uniform);
         }
     }
 

@@ -20,7 +20,7 @@ use crate::model::{TaskGraph, TaskIndex};
 
 /// Steady-state rates for every task and substream of a [`TaskGraph`].
 #[derive(Debug, Clone)]
-pub struct RateModel {
+pub(crate) struct RateModel {
     /// λout per task.
     task_out: Vec<f64>,
     /// `substream[t][s][k]`: rate of the substream from task `t` on its
@@ -30,7 +30,7 @@ pub struct RateModel {
 
 impl RateModel {
     /// Computes rates for the whole graph in topological order.
-    pub fn compute(graph: &TaskGraph) -> Self {
+    pub(crate) fn compute(graph: &TaskGraph) -> Self {
         let n = graph.n_tasks();
         let topo = graph.topology();
         let mut task_out = vec![0.0; n];
@@ -102,34 +102,24 @@ impl RateModel {
     }
 
     /// λout of a task.
-    pub fn output_rate(&self, t: TaskIndex) -> f64 {
+    pub(crate) fn output_rate(&self, t: TaskIndex) -> f64 {
         self.task_out[t.0]
-    }
-
-    /// Rate of the substream from `t` on its `stream`-th output stream to
-    /// that stream's `target`-th task.
-    pub fn substream_rate(&self, t: TaskIndex, stream: usize, target: usize) -> f64 {
-        self.substream[t.0][stream][target]
     }
 
     /// Rate of the substream from upstream task `from` into downstream task
     /// `to` along the operator edge `edge` (0 if not connected).
-    pub fn substream_rate_between(&self, graph: &TaskGraph, from: TaskIndex, to: TaskIndex) -> f64 {
+    pub(crate) fn substream_rate_between(
+        &self,
+        graph: &TaskGraph,
+        from: TaskIndex,
+        to: TaskIndex,
+    ) -> f64 {
         for (si, ostream) in graph.outputs(from).iter().enumerate() {
             if let Some(k) = ostream.targets.iter().position(|&d| d == to) {
                 return self.substream[from.0][si][k];
             }
         }
         0.0
-    }
-
-    /// Total input rate of task `t`'s `stream`-th input stream.
-    pub fn input_stream_rate(&self, graph: &TaskGraph, t: TaskIndex, stream: usize) -> f64 {
-        graph.inputs(t)[stream]
-            .substreams
-            .iter()
-            .map(|&s| self.substream_rate_between(graph, s, t))
-            .sum()
     }
 }
 
@@ -173,7 +163,9 @@ mod tests {
         let r = RateModel::compute(&g);
         for t in 0..2 {
             let t = TaskIndex(t);
-            let sum: f64 = (0..3).map(|k| r.substream_rate(t, 0, k)).sum();
+            let sum: f64 = (2..5)
+                .map(|d| r.substream_rate_between(&g, t, TaskIndex(d)))
+                .sum();
             assert!((sum - r.output_rate(t)).abs() < 1e-9);
         }
     }
@@ -189,8 +181,8 @@ mod tests {
         let g = TaskGraph::new(b.build().unwrap());
         let r = RateModel::compute(&g);
         let t0 = TaskIndex(0);
-        assert!((r.substream_rate(t0, 0, 0) - 75.0).abs() < 1e-9);
-        assert!((r.substream_rate(t0, 0, 1) - 25.0).abs() < 1e-9);
+        assert!((r.substream_rate_between(&g, t0, TaskIndex(1)) - 75.0).abs() < 1e-9);
+        assert!((r.substream_rate_between(&g, t0, TaskIndex(2)) - 25.0).abs() < 1e-9);
         // Downstream output rates reflect the skew.
         assert!((r.output_rate(TaskIndex(1)) - 75.0).abs() < 1e-9);
         assert!((r.output_rate(TaskIndex(2)) - 25.0).abs() < 1e-9);
@@ -208,14 +200,6 @@ mod tests {
         let r = RateModel::compute(&g);
         assert!((r.output_rate(TaskIndex(0)) - 1.0).abs() < 1e-9);
         assert!((r.output_rate(TaskIndex(1)) - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn input_stream_rate_aggregates_substreams() {
-        let g = chain();
-        let r = RateModel::compute(&g);
-        // m0 receives sources 0 and 1 at 100 each.
-        assert!((r.input_stream_rate(&g, TaskIndex(4), 0) - 200.0).abs() < 1e-9);
     }
 
     #[test]

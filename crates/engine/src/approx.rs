@@ -59,12 +59,12 @@ impl DivergenceModel {
     /// Whether a staged ship is in flight. A ship event arriving while
     /// disarmed is stale (the task died or restored in between) and must
     /// not fire.
-    pub fn is_armed(&self) -> bool {
+    pub(crate) fn is_armed(&self) -> bool {
         self.armed
     }
 
     /// Bound-check points that decided not to ship.
-    pub fn skipped(&self) -> u64 {
+    pub(crate) fn skipped(&self) -> u64 {
         self.skipped
     }
 
@@ -80,7 +80,7 @@ impl DivergenceModel {
     /// The task restored from its last shipped snapshot (lossy recovery)
     /// or died before a staged ship fired: live state equals the snapshot
     /// again, so the drift restarts from zero.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.drift = 0;
         self.armed = false;
     }

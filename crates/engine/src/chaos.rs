@@ -56,7 +56,7 @@ impl ChaosKind {
     }
 
     /// The logical task the injection targets, when it targets one.
-    pub fn task(&self) -> Option<usize> {
+    pub(crate) fn task(&self) -> Option<usize> {
         match self {
             ChaosKind::RestoreStall { task, .. } | ChaosKind::RestoreVoid { task } => Some(*task),
             _ => None,

@@ -36,9 +36,6 @@ pub enum FtMode {
     /// snapshot *without* replaying the gap — faster, at a quantified
     /// fidelity cost recorded per outage (see [`crate::DivergenceModel`]).
     Approximate {
-        /// Tasks additionally covered by active replicas (usually empty —
-        /// the pure approximate family has none).
-        plan: TaskSet,
         /// Tolerated state drift, in input tuples absorbed since the last
         /// shipped backup. Must be ≥ 1: a bound of 0 *is* the exact
         /// checkpoint protocol, which [`FtMode::approximate`] normalizes
@@ -82,10 +79,7 @@ impl FtMode {
         if error_bound == 0 {
             FtMode::checkpoint(n_tasks, interval)
         } else {
-            FtMode::Approximate {
-                plan: TaskSet::empty(n_tasks),
-                error_bound,
-            }
+            FtMode::Approximate { error_bound }
         }
     }
 }
@@ -183,7 +177,7 @@ impl EngineConfig {
     /// Batches per duration, rounding down (used to convert window lengths
     /// and buffer lengths into batch counts); 0 under a zero batch
     /// interval, which `Simulation::drive` rejects.
-    pub fn batches_in(&self, d: SimDuration) -> u64 {
+    pub(crate) fn batches_in(&self, d: SimDuration) -> u64 {
         d.as_micros()
             .checked_div(self.batch_interval.as_micros())
             .unwrap_or(0)
@@ -259,11 +253,9 @@ mod tests {
         };
         assert!(plan.is_empty());
         assert_eq!(checkpoint_interval, Some(interval));
-        let FtMode::Approximate { plan, error_bound } = FtMode::approximate(5, interval, 200)
-        else {
+        let FtMode::Approximate { error_bound } = FtMode::approximate(5, interval, 200) else {
             return Err("a positive bound must select the approximate family".into());
         };
-        assert!(plan.is_empty());
         assert_eq!(error_bound, 200);
         Ok(())
     }

@@ -23,9 +23,8 @@
 //! [`DomainHealthPolicy`] (migrate away from degraded domains and their
 //! cascade-threatened neighbours, then re-plan).
 
-use crate::report::{Lifecycle, RunReport};
-use ppa_core::model::TaskIndex;
-use ppa_faults::{DomainId, FailureTrace, FaultDomainTree};
+use crate::report::RunReport;
+use ppa_faults::{DomainId, FaultDomainTree};
 use ppa_sim::{SimDuration, SimTime};
 use std::collections::BTreeSet;
 
@@ -63,14 +62,13 @@ pub enum ActionOutcome {
 /// One applied control action, timestamped in virtual time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ActionRecord {
-    pub at: SimTime,
-    pub outcome: ActionOutcome,
+    pub(crate) at: SimTime,
+    pub(crate) outcome: ActionOutcome,
 }
 
 /// Everything a [`crate::Simulation::drive`] run produces: the ordinary
 /// run report, the control actions taken, the CPU the control plane
-/// charged for state shipping, the run's metrics, and the failure trace
-/// the feed resolved to.
+/// charged for state shipping, and the run's metrics.
 #[derive(Debug, Clone)]
 pub struct DriveReport {
     pub report: RunReport,
@@ -84,8 +82,6 @@ pub struct DriveReport {
     /// `engine.chaos.fired` and (approximate mode)
     /// `engine.approx.backups_skipped`.
     pub metrics: ppa_obs::MetricsSnapshot,
-    /// The failure trace the feed resolved to (replayable).
-    pub trace: FailureTrace,
 }
 
 impl DriveReport {
@@ -162,29 +158,23 @@ impl DomainHealth {
     }
 
     /// All scores decayed to `at`, indexed by [`DomainId`].
-    pub fn snapshot(&self, at: SimTime) -> Vec<f64> {
+    pub(crate) fn snapshot(&self, at: SimTime) -> Vec<f64> {
         (0..self.scores.len())
             .map(|d| self.score_at(DomainId(d), at))
             .collect()
     }
 }
 
-/// A policy's window into the running cluster: the virtual time of the
-/// hook, the placement's fault-domain tree (when attached), every
-/// domain's time-decayed failure score, and every task's lifecycle state
-/// and outage count — re-failures are first-class observations, not
-/// something a policy has to reconstruct from node deaths.
+/// A policy's window into the running cluster: the placement's
+/// fault-domain tree (when attached), every domain's time-decayed failure
+/// score, and the recovery-setback count — re-failures are first-class
+/// observations, not something a policy has to reconstruct from node
+/// deaths.
 pub struct HealthView<'a> {
-    now: SimTime,
     tree: Option<&'a FaultDomainTree>,
     /// Decayed score per domain, indexed by [`DomainId`]; empty when the
     /// placement carries no fault-domain mapping.
     scores: Vec<f64>,
-    /// Lifecycle state per logical task.
-    lifecycles: Vec<Lifecycle>,
-    /// Outage-history length per logical task (0 = never failed; ≥ 2 =
-    /// the task has re-failed at least once).
-    outage_counts: Vec<usize>,
     /// Monotone recovery-setback count (see
     /// [`HealthView::recovery_setbacks`]).
     setbacks: usize,
@@ -192,58 +182,20 @@ pub struct HealthView<'a> {
 
 impl<'a> HealthView<'a> {
     pub(crate) fn new(
-        now: SimTime,
         tree: Option<&'a FaultDomainTree>,
         scores: Vec<f64>,
-        lifecycles: Vec<Lifecycle>,
-        outage_counts: Vec<usize>,
         setbacks: usize,
     ) -> Self {
         HealthView {
-            now,
             tree,
             scores,
-            lifecycles,
-            outage_counts,
             setbacks,
         }
     }
 
-    /// Virtual time the hook fired at.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// The placement's fault-domain tree, when attached.
-    pub fn tree(&self) -> Option<&'a FaultDomainTree> {
-        self.tree
-    }
-
     /// The decayed failure score of a domain (0 when unknown).
-    pub fn score(&self, domain: DomainId) -> f64 {
+    pub(crate) fn score(&self, domain: DomainId) -> f64 {
         self.scores.get(domain.0).copied().unwrap_or(0.0)
-    }
-
-    /// The lifecycle state of a task (`Healthy` when unknown).
-    pub fn lifecycle(&self, task: TaskIndex) -> Lifecycle {
-        self.lifecycles
-            .get(task.0)
-            .copied()
-            .unwrap_or(Lifecycle::Healthy)
-    }
-
-    /// How many outages a task has gone through (0 = never failed).
-    pub fn outage_count(&self, task: TaskIndex) -> usize {
-        self.outage_counts.get(task.0).copied().unwrap_or(0)
-    }
-
-    /// Total re-failures across all tasks — every outage beyond a task's
-    /// first.
-    pub fn total_refails(&self) -> usize {
-        self.outage_counts
-            .iter()
-            .map(|&c| c.saturating_sub(1))
-            .sum()
     }
 
     /// Monotone count of recovery setbacks: re-failures, deaths that
@@ -252,24 +204,13 @@ impl<'a> HealthView<'a> {
     /// death. Comparing against the value last acted on is how a policy
     /// detects that *something went backwards* since its last hook, even
     /// inside domains it already evacuated.
-    pub fn recovery_setbacks(&self) -> usize {
+    pub(crate) fn recovery_setbacks(&self) -> usize {
         self.setbacks
-    }
-
-    /// Tasks that failed again after recovering and are still down or
-    /// replaying — the honest re-failure set a policy should rescue.
-    pub fn refailed_tasks(&self) -> Vec<TaskIndex> {
-        self.outage_counts
-            .iter()
-            .enumerate()
-            .filter(|&(t, &c)| c >= 2 && self.lifecycle(TaskIndex(t)) != Lifecycle::Recovered)
-            .map(|(t, _)| TaskIndex(t))
-            .collect()
     }
 
     /// Proper domains whose decayed score is at least `threshold`, in
     /// creation order.
-    pub fn degraded(&self, threshold: f64) -> Vec<DomainId> {
+    pub(crate) fn degraded(&self, threshold: f64) -> Vec<DomainId> {
         let Some(tree) = self.tree else {
             return Vec::new();
         };
@@ -282,7 +223,7 @@ impl<'a> HealthView<'a> {
     /// Siblings of `domain` within creation-order index distance `radius`
     /// — the "next cascade rings" a policy may want to evacuate
     /// preemptively (cascades spread to adjacent siblings first).
-    pub fn ring_siblings(&self, domain: DomainId, radius: usize) -> Vec<DomainId> {
+    pub(crate) fn ring_siblings(&self, domain: DomainId, radius: usize) -> Vec<DomainId> {
         let Some(tree) = self.tree else {
             return Vec::new();
         };
@@ -362,14 +303,14 @@ impl ControlPolicy for StaticPolicy {
 #[derive(Debug, Clone)]
 pub struct DomainHealthPolicy {
     /// Decayed score at which a domain counts as degraded.
-    pub threshold: f64,
+    pub(crate) threshold: f64,
     /// How many rings of siblings to evacuate along with a degraded
     /// domain (0 = only the degraded domain itself).
-    pub migrate_radius: usize,
+    pub(crate) migrate_radius: usize,
     /// Replica budget for the follow-up re-plan; `None` migrates only.
-    pub replan_budget: Option<usize>,
+    pub(crate) replan_budget: Option<usize>,
     /// Epoch cadence of the health check (failures also trigger it).
-    pub epoch: SimDuration,
+    pub(crate) epoch: SimDuration,
     /// Domains already acted on (a domain is evacuated once).
     acted: BTreeSet<DomainId>,
     /// Recovery setbacks already acted on — fresh ones (an activated
@@ -496,14 +437,7 @@ mod tests {
         for _ in 0..3 {
             h.record(racks[1], SimTime::from_secs(50));
         }
-        let view = HealthView::new(
-            SimTime::from_secs(50),
-            Some(&tree),
-            h.snapshot(SimTime::from_secs(50)),
-            Vec::new(),
-            Vec::new(),
-            0,
-        );
+        let view = HealthView::new(Some(&tree), h.snapshot(SimTime::from_secs(50)), 0);
         assert_eq!(view.degraded(1.0), vec![racks[1]]);
         assert_eq!(view.score(racks[1]), 3.0);
         assert_eq!(
@@ -512,7 +446,6 @@ mod tests {
             "ring 1 = both adjacent racks"
         );
         assert_eq!(view.ring_siblings(racks[0], 1), vec![racks[1]]);
-        assert_eq!(view.now(), SimTime::from_secs(50));
     }
 
     #[test]
@@ -522,14 +455,7 @@ mod tests {
         let mut h = DomainHealth::new(tree.n_domains(), SimDuration::from_secs(30));
         h.record(racks[0], SimTime::from_secs(40));
         let mut policy = DomainHealthPolicy::new(Some(4));
-        let view = HealthView::new(
-            SimTime::from_secs(40),
-            Some(&tree),
-            h.snapshot(SimTime::from_secs(40)),
-            Vec::new(),
-            Vec::new(),
-            0,
-        );
+        let view = HealthView::new(Some(&tree), h.snapshot(SimTime::from_secs(40)), 0);
         let actions = policy.on_failure(&view);
         assert_eq!(actions.len(), 2, "migrate + replan");
         assert_eq!(
@@ -545,35 +471,6 @@ mod tests {
     }
 
     #[test]
-    fn health_view_exposes_lifecycles_and_refails() {
-        let view = HealthView::new(
-            SimTime::from_secs(10),
-            None,
-            Vec::new(),
-            vec![
-                Lifecycle::Healthy,
-                Lifecycle::Recovered,
-                Lifecycle::ReFailed,
-                Lifecycle::Replaying,
-            ],
-            vec![0, 2, 3, 1],
-            3,
-        );
-        assert_eq!(view.lifecycle(TaskIndex(0)), Lifecycle::Healthy);
-        assert_eq!(view.lifecycle(TaskIndex(2)), Lifecycle::ReFailed);
-        // Out-of-range tasks read as healthy, never-failed.
-        assert_eq!(view.lifecycle(TaskIndex(99)), Lifecycle::Healthy);
-        assert_eq!(view.outage_count(TaskIndex(99)), 0);
-        assert_eq!(view.outage_count(TaskIndex(1)), 2);
-        // 1 + 2 + 0 outages beyond the respective firsts.
-        assert_eq!(view.total_refails(), 3);
-        assert_eq!(view.recovery_setbacks(), 3);
-        // Task 1 re-failed but already recovered again; task 2 is down in
-        // its third outage; task 3 never re-failed.
-        assert_eq!(view.refailed_tasks(), vec![TaskIndex(2)]);
-    }
-
-    #[test]
     fn fresh_refailure_forces_another_round_in_acted_domains() {
         let tree = FaultDomainTree::racks(&(0..12).collect::<Vec<_>>(), 3);
         let racks = tree.domains_at_level(1);
@@ -581,27 +478,18 @@ mod tests {
         h.record(racks[0], SimTime::from_secs(40));
         let mut policy = DomainHealthPolicy::new(Some(4));
         policy.migrate_radius = 0;
-        let view_at = |at: u64, counts: Vec<usize>, setbacks: usize, h: &DomainHealth| {
-            HealthView::new(
-                SimTime::from_secs(at),
-                Some(&tree),
-                h.snapshot(SimTime::from_secs(at)),
-                Vec::new(),
-                counts,
-                setbacks,
-            )
+        let view_at = |at: u64, setbacks: usize, h: &DomainHealth| {
+            HealthView::new(Some(&tree), h.snapshot(SimTime::from_secs(at)), setbacks)
         };
         // First failure: the degraded rack is acted on once.
-        let acts = policy.on_failure(&view_at(40, vec![1, 0, 0], 0, &h));
+        let acts = policy.on_failure(&view_at(40, 0, &h));
         assert_eq!(acts.len(), 2, "migrate + replan: {acts:?}");
-        assert!(policy
-            .on_epoch(&view_at(41, vec![1, 0, 0], 0, &h))
-            .is_empty());
+        assert!(policy.on_epoch(&view_at(41, 0, &h)).is_empty());
         // A re-failure (task 0's second outage — one recovery setback)
         // lands in the same, already-acted rack: the policy must go again
         // — evacuate the currently degraded domains and re-plan.
         h.record(racks[0], SimTime::from_secs(60));
-        let acts = policy.on_failure(&view_at(60, vec![2, 0, 0], 1, &h));
+        let acts = policy.on_failure(&view_at(60, 1, &h));
         assert_eq!(
             acts,
             vec![
@@ -613,9 +501,7 @@ mod tests {
             "a fresh re-failure re-arms the acted domains"
         );
         // The same setback does not trigger twice.
-        assert!(policy
-            .on_epoch(&view_at(61, vec![2, 0, 0], 1, &h))
-            .is_empty());
+        assert!(policy.on_epoch(&view_at(61, 1, &h)).is_empty());
         // A hook seeing BOTH fresh damage (rack 1) and another setback in
         // the already-acted rack 0 must cover both: the fresh domain's
         // neighbourhood AND every degraded acted domain. A mid-recovery
@@ -623,7 +509,7 @@ mod tests {
         // the setback counter moves — and must still trigger.
         h.record(racks[0], SimTime::from_secs(70));
         h.record(racks[1], SimTime::from_secs(70));
-        let acts = policy.on_failure(&view_at(70, vec![2, 0, 0], 2, &h));
+        let acts = policy.on_failure(&view_at(70, 2, &h));
         assert_eq!(
             acts[0],
             ControlAction::MigrateTasks {
@@ -636,7 +522,7 @@ mod tests {
     #[test]
     fn static_policy_never_acts() {
         let mut p = StaticPolicy;
-        let view = HealthView::new(SimTime::ZERO, None, Vec::new(), Vec::new(), Vec::new(), 0);
+        let view = HealthView::new(None, Vec::new(), 0);
         assert!(p.on_epoch(&view).is_empty());
         assert!(p.on_failure(&view).is_empty());
         assert!(p.epoch_interval().is_none());

@@ -28,7 +28,7 @@ pub enum EngineError {
     /// fire; silently accepting it hides a mis-built schedule, so the
     /// injection is rejected up front instead.
     EventPastHorizon { at: SimTime, horizon: SimTime },
-    /// A feed entry (domain kill, generative process) needs the
+    /// A feed entry (a generative process) needs the
     /// placement's fault-domain mapping, or the mapping rejected it.
     Placement(PlacementError),
     /// The named configuration interval (`batch_interval`,

@@ -69,7 +69,7 @@ pub fn checkpoint_recovery(
 
 /// Like [`checkpoint_recovery`], but with the exact checkpoint age at the
 /// failure instant instead of the expected `interval / 2`.
-pub fn checkpoint_recovery_with_age(
+pub(crate) fn checkpoint_recovery_with_age(
     costs: &CostModel,
     profile: &TaskProfile,
     checkpoint_age: SimDuration,

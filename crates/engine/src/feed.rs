@@ -1,27 +1,23 @@
 //! `FaultFeed`: the one ordered event source every kind of fault injection
 //! funnels through, and the only way a failure reaches a run.
 //!
-//! A feed accepts four shapes — explicit [`FailureSpec`] kill sets,
-//! whole-fault-domain kills, replayable [`FailureTrace`]s and live
-//! generative [`FailureProcess`]es — resolves them against the run's
-//! [`Placement`] (domain events expand through the placement's node →
-//! domain mapping, processes generate against its fault-domain tree) and
-//! validates every event's nodes centrally, yielding the one normalized
-//! [`FailureTrace`] that [`crate::Simulation::drive`] schedules.
+//! A feed accepts three shapes — explicit [`FailureSpec`] kill sets,
+//! replayable [`FailureTrace`]s and live generative [`FailureProcess`]es —
+//! resolves them against the run's [`Placement`] (processes generate
+//! against its fault-domain tree) and validates every event's nodes
+//! centrally, yielding the one normalized [`FailureTrace`] that
+//! [`crate::Simulation::drive`] schedules.
 
 use crate::error::EngineError;
 use crate::placement::Placement;
 use crate::runtime::FailureSpec;
-use ppa_faults::{DomainId, FailureProcess, FailureTrace};
+use ppa_faults::{FailureProcess, FailureTrace};
 use ppa_sim::{SimDuration, SimTime};
 
 /// One source of failure events, pre-resolution.
 enum FeedEntry {
     /// An explicit node kill set at an instant.
     Spec(FailureSpec),
-    /// A whole fault domain dies at `at`; expanded through the placement's
-    /// node → domain mapping at resolution time.
-    Domain { at: SimTime, domain: DomainId },
     /// A replayable, already-rendered trace.
     Trace(FailureTrace),
     /// A live generative process, rendered against the placement's
@@ -34,9 +30,9 @@ enum FeedEntry {
     },
 }
 
-/// An ordered, heterogeneous failure scenario: explicit specs, domain
-/// kills, replayable traces and generative processes, resolved against a
-/// [`Placement`] into one normalized [`FailureTrace`].
+/// An ordered, heterogeneous failure scenario: explicit specs, replayable
+/// traces and generative processes, resolved against a [`Placement`] into
+/// one normalized [`FailureTrace`].
 #[derive(Default)]
 pub struct FaultFeed {
     entries: Vec<FeedEntry>,
@@ -60,22 +56,13 @@ impl FaultFeed {
     }
 
     /// Adds a list of explicit kill events.
-    pub fn with_specs(mut self, specs: Vec<FailureSpec>) -> Self {
+    pub(crate) fn with_specs(mut self, specs: Vec<FailureSpec>) -> Self {
         self.entries.extend(specs.into_iter().map(FeedEntry::Spec));
         self
     }
 
-    /// Adds a whole-domain kill at `at`. The kill set is expanded through
-    /// the placement's node → domain mapping when the feed is resolved, so
-    /// callers name the blast radius (a rack, a zone) instead of
-    /// pre-expanding node lists.
-    pub fn with_domain(mut self, at: SimTime, domain: DomainId) -> Self {
-        self.entries.push(FeedEntry::Domain { at, domain });
-        self
-    }
-
     /// Adds every event of a replayable trace.
-    pub fn with_trace(mut self, trace: FailureTrace) -> Self {
+    pub(crate) fn with_trace(mut self, trace: FailureTrace) -> Self {
         self.entries.push(FeedEntry::Trace(trace));
         self
     }
@@ -100,17 +87,7 @@ impl FaultFeed {
         self
     }
 
-    /// Number of entries (not resolved events).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Resolves the feed against a placement into one normalized trace:
-    /// domain events expand through the placement's node → domain mapping,
     /// processes generate against its fault-domain tree, and every
     /// resulting event's nodes are validated against the cluster size.
     pub fn resolve(&self, placement: &Placement) -> Result<FailureTrace, EngineError> {
@@ -118,10 +95,6 @@ impl FaultFeed {
         for entry in &self.entries {
             match entry {
                 FeedEntry::Spec(spec) => trace.push(spec.at, spec.nodes.clone()),
-                FeedEntry::Domain { at, domain } => {
-                    let nodes = placement.nodes_in_domain(*domain)?;
-                    trace.push(*at, nodes);
-                }
                 FeedEntry::Trace(t) => {
                     for e in t.events() {
                         trace.push(e.at, e.nodes.clone());
@@ -171,7 +144,7 @@ impl From<&FailureTrace> for FaultFeed {
 mod tests {
     use super::*;
     use crate::placement::PlacementError;
-    use ppa_core::model::{OperatorSpec, Partitioning, TaskGraph, TopologyBuilder};
+    use ppa_core::{OperatorSpec, Partitioning, TaskGraph, TopologyBuilder};
     use ppa_faults::{DomainBurstProcess, FaultDomainTree};
     use std::error::Error;
 
@@ -193,19 +166,21 @@ mod tests {
     #[test]
     fn mixed_sources_merge_into_one_normalized_trace() -> TestResult {
         let p = placement()?;
-        let rack0 = p.domain_of(0).ok_or("node 0 has no fault domain")?;
         let feed = FaultFeed::new()
             .with_spec(FailureSpec {
                 at: SimTime::from_secs(50),
                 nodes: vec![3],
             })
-            .with_domain(SimTime::from_secs(10), rack0)
+            .with_spec(FailureSpec {
+                at: SimTime::from_secs(10),
+                nodes: vec![1, 0, 1],
+            })
             .with_trace(FailureTrace::once(SimTime::from_secs(30), vec![2]));
         let trace = feed.resolve(&p)?;
         assert_eq!(trace.len(), 3);
         // Sorted by time regardless of insertion order.
         assert_eq!(trace.events()[0].at, SimTime::from_secs(10));
-        assert_eq!(trace.events()[0].nodes, vec![0, 1], "rack 0 expanded");
+        assert_eq!(trace.events()[0].nodes, vec![0, 1], "nodes normalized");
         assert_eq!(trace.killed_nodes(), vec![0, 1, 2, 3]);
         Ok(())
     }
@@ -256,10 +231,7 @@ mod tests {
 
     #[test]
     fn empty_feed_resolves_to_the_empty_trace() -> TestResult {
-        let feed = FaultFeed::new();
-        assert!(feed.is_empty());
-        assert_eq!(feed.len(), 0);
-        assert!(feed.resolve(&placement()?)?.is_empty());
+        assert!(FaultFeed::new().resolve(&placement()?)?.is_empty());
         Ok(())
     }
 }

@@ -26,25 +26,25 @@
 //!   to the instant the task's progress vector dominates its pre-failure
 //!   progress (§VI).
 //! * **Control plane** — every kind of fault injection (explicit specs,
-//!   domain kills, replayable traces, live generative processes) unifies
+//!   replayable traces, live generative processes) unifies
 //!   behind a [`FaultFeed`], and [`Simulation::drive`] runs the event loop
 //!   with a [`ControlPolicy`] in it: hooks observe live per-fault-domain
 //!   health ([`HealthView`]) and respond with typed re-plan / migrate
 //!   actions (§V-C's adaptation, closed over the placement subsystem).
 
-pub mod approx;
-pub mod chaos;
-pub mod config;
-pub mod control;
-pub mod error;
-pub mod estimate;
-pub mod feed;
-pub mod placement;
-pub mod query;
-pub mod report;
-pub mod runtime;
-pub mod tuple;
-pub mod udf;
+mod approx;
+mod chaos;
+mod config;
+mod control;
+mod error;
+mod estimate;
+mod feed;
+mod placement;
+mod query;
+mod report;
+mod runtime;
+mod tuple;
+mod udf;
 
 pub use approx::DivergenceModel;
 pub use chaos::{ChaosError, ChaosKind, ChaosSpec};
@@ -60,17 +60,17 @@ pub use estimate::{
 };
 pub use feed::FaultFeed;
 pub use placement::{
-    move_counts, plan_evacuation, Cluster, DomainSpread, MoveRole, Packed, Placement,
-    PlacementError, PlacementStrategy, RoundRobin, TaskMove,
+    plan_evacuation, Cluster, DomainSpread, Packed, Placement, PlacementError, PlacementStrategy,
+    RoundRobin, TaskMove,
 };
 pub use query::{Query, QueryBuilder};
-pub use report::{Lifecycle, OutageRecord, RunReport, SinkBatch, TaskOutages, TaskRecovery};
+pub use report::{CpuStats, OutageRecord, RunReport, SinkBatch, TaskOutages, TaskRecovery};
 pub use runtime::{FailureSpec, Simulation};
 // Re-exported so engine users can build replayable failure scenarios
 // without naming the faults crate explicitly.
-pub use ppa_faults::{DomainId, FailureEvent, FailureTrace, FaultDomainTree};
+pub use ppa_faults::FailureTrace;
 // Re-exported so harnesses can attach sinks and read metrics without
 // naming the obs crate explicitly.
 pub use ppa_obs::{EngineEvent, MetricsRegistry, MetricsSnapshot, TraceSink, VecSink};
-pub use tuple::{Chunk, Key, Tuple, Value};
-pub use udf::{BatchCtx, InputBatch, SourceGen, Udf};
+pub use tuple::{Chunk, Tuple, Value};
+pub use udf::{BatchCtx, CountingSource, InputBatch, MapUdf, SourceGen, Udf, WindowBuffer};

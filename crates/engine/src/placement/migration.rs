@@ -8,13 +8,13 @@
 //! charging state-ship CPU to the recovery model).
 
 use super::{NodeId, Placement, PlacementError};
-use ppa_core::model::TaskIndex;
+use ppa_core::TaskIndex;
 use ppa_faults::DomainId;
 use std::collections::BTreeSet;
 
 /// Which incarnation of a task a move relocates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MoveRole {
+pub(crate) enum MoveRole {
     /// The running primary (only planned off *live* nodes — a dead
     /// primary is the recovery path's business, not migration's).
     Primary,
@@ -27,10 +27,10 @@ pub enum MoveRole {
 /// One planned relocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskMove {
-    pub task: TaskIndex,
-    pub role: MoveRole,
-    pub from: NodeId,
-    pub to: NodeId,
+    pub(crate) task: TaskIndex,
+    pub(crate) role: MoveRole,
+    pub(crate) from: NodeId,
+    pub(crate) to: NodeId,
 }
 
 /// Plans the evacuation of every primary and standby hosted under
@@ -110,7 +110,7 @@ pub fn plan_evacuation(
 
 /// `(primaries, standbys)` planned in `moves` — the shape the
 /// observability layer records for a scheduled migration.
-pub fn move_counts(moves: &[TaskMove]) -> (usize, usize) {
+pub(crate) fn move_counts(moves: &[TaskMove]) -> (usize, usize) {
     let primaries = moves.iter().filter(|m| m.role == MoveRole::Primary).count();
     (primaries, moves.len() - primaries)
 }
@@ -118,7 +118,7 @@ pub fn move_counts(moves: &[TaskMove]) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppa_core::model::{OperatorSpec, Partitioning, TaskGraph, TopologyBuilder};
+    use ppa_core::{OperatorSpec, Partitioning, TaskGraph, TopologyBuilder};
     use ppa_faults::FaultDomainTree;
     use std::error::Error;
 

@@ -23,15 +23,16 @@ mod migration;
 mod strategy;
 
 pub use error::PlacementError;
-pub use migration::{move_counts, plan_evacuation, MoveRole, TaskMove};
+pub(crate) use migration::{move_counts, MoveRole};
+pub use migration::{plan_evacuation, TaskMove};
 pub use strategy::{Cluster, DomainSpread, Packed, PlacementStrategy, RoundRobin};
 
-use ppa_core::model::{TaskGraph, TaskIndex};
 use ppa_core::PlanContext;
+use ppa_core::{TaskGraph, TaskIndex};
 use ppa_faults::{DomainId, FaultDomainTree};
 
 /// Identifier of a simulated cluster node.
-pub type NodeId = usize;
+pub(crate) type NodeId = usize;
 
 /// Placement of a task graph onto a cluster.
 ///
@@ -148,16 +149,6 @@ impl Placement {
         self.domains.as_ref()?.domain_of(node)
     }
 
-    /// The nodes a failure of `domain` kills — exactly what
-    /// [`crate::FaultFeed::resolve`] expands a domain entry into.
-    pub fn nodes_in_domain(&self, domain: DomainId) -> Result<Vec<NodeId>, PlacementError> {
-        let tree = self
-            .domains
-            .as_ref()
-            .ok_or(PlacementError::NoFaultDomains)?;
-        Ok(tree.nodes_under(domain))
-    }
-
     /// A planning context whose correlated-failure sets are derived from
     /// this placement's *actual* node → fault-domain mapping (the primaries
     /// hosted under each proper domain form one candidate failure set),
@@ -166,7 +157,7 @@ impl Placement {
     /// planner-side validation surfaces as [`PlacementError::Planner`].
     pub fn plan_context(
         &self,
-        topology: &ppa_core::model::Topology,
+        topology: &ppa_core::Topology,
     ) -> Result<PlanContext, PlacementError> {
         let tree = self
             .domains
@@ -182,15 +173,6 @@ impl Placement {
     /// Total number of nodes (workers + standby).
     pub fn n_nodes(&self) -> usize {
         self.n_workers + self.n_standby
-    }
-
-    /// Tasks hosted on `node` as primaries.
-    pub fn tasks_on(&self, node: NodeId) -> Vec<TaskIndex> {
-        self.primary
-            .iter()
-            .enumerate()
-            .filter_map(|(t, &n)| (n == node).then_some(TaskIndex(t)))
-            .collect()
     }
 
     /// All worker nodes hosting at least one of the given tasks.
@@ -214,7 +196,7 @@ impl Placement {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppa_core::model::{OperatorSpec, Partitioning, TopologyBuilder};
+    use ppa_core::{OperatorSpec, Partitioning, TopologyBuilder};
 
     fn graph() -> TaskGraph {
         let mut b = TopologyBuilder::new();
@@ -231,18 +213,6 @@ mod tests {
         assert_eq!(p.primary, vec![0, 1, 2, 0, 1, 2]);
         assert_eq!(p.standby, vec![3, 4, 3, 4, 3, 4]);
         assert_eq!(p.n_nodes(), 5);
-    }
-
-    #[test]
-    fn tasks_on_node() {
-        let g = graph();
-        let p = Placement::round_robin(&g, 3, 2).unwrap();
-        assert_eq!(p.tasks_on(0), vec![TaskIndex(0), TaskIndex(3)]);
-        assert_eq!(
-            p.tasks_on(4),
-            Vec::<TaskIndex>::new(),
-            "standby hosts no primaries"
-        );
     }
 
     #[test]
@@ -308,13 +278,9 @@ mod tests {
         let d0 = p.domain_of(0).unwrap();
         assert_eq!(p.domain_of(1), Some(d0), "nodes 0,1 share a rack");
         assert_ne!(p.domain_of(2), Some(d0));
-        assert_eq!(p.nodes_in_domain(d0).unwrap(), vec![0, 1]);
-        // A placement without domains reports the typed error.
+        // A placement without domains maps no node.
         let bare = Placement::round_robin(&g, 3, 2).unwrap();
-        assert_eq!(
-            bare.nodes_in_domain(d0).unwrap_err(),
-            PlacementError::NoFaultDomains
-        );
+        assert_eq!(bare.domain_of(0), None);
     }
 
     #[test]

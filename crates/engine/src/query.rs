@@ -2,16 +2,16 @@
 //! factories that instantiate per-task runtime logic.
 
 use crate::udf::{SourceGen, Udf};
-use ppa_core::model::{OperatorId, OperatorSpec, Partitioning, Topology, TopologyBuilder};
 use ppa_core::{CoreError, Result};
+use ppa_core::{OperatorId, OperatorSpec, Partitioning, Topology, TopologyBuilder};
 
 /// Factory producing a task's source generator, given the task-local index.
 ///
 /// `Send + Sync` so a built [`Query`] can be shared across the experiment
 /// harness's worker threads.
-pub type SourceFactory = Box<dyn Fn(usize) -> Box<dyn SourceGen> + Send + Sync>;
+pub(crate) type SourceFactory = Box<dyn Fn(usize) -> Box<dyn SourceGen> + Send + Sync>;
 /// Factory producing a task's UDF, given the task-local index.
-pub type UdfFactory = Box<dyn Fn(usize) -> Box<dyn Udf> + Send + Sync>;
+pub(crate) type UdfFactory = Box<dyn Fn(usize) -> Box<dyn Udf> + Send + Sync>;
 
 /// An operator's factory: a source generates its batches, every other
 /// operator runs a UDF.

@@ -1,7 +1,7 @@
 //! Run reports: everything the experiment harness extracts from a run.
 
 use crate::tuple::Chunk;
-use ppa_core::model::TaskIndex;
+use ppa_core::TaskIndex;
 use ppa_sim::{SimDuration, SimTime};
 
 /// Where a task sits in its failure/recovery lifecycle.
@@ -14,7 +14,7 @@ use ppa_sim::{SimDuration, SimTime};
 /// moves it to `Replaying`; restoring its pre-failure progress moves it to
 /// `Recovered`, from which it can fail again.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Lifecycle {
+pub(crate) enum Lifecycle {
     /// Never failed.
     Healthy,
     /// In its first outage, no recovery path running yet.
@@ -81,11 +81,6 @@ impl TaskOutages {
     pub fn refail_count(&self) -> usize {
         self.records.len().saturating_sub(1)
     }
-
-    /// The most recent outage.
-    pub fn current(&self) -> Option<&OutageRecord> {
-        self.records.last()
-    }
 }
 
 /// Recovery record of one failed task — the *first-outage* view derived
@@ -130,9 +125,9 @@ pub struct SinkBatch {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CpuStats {
     /// CPU spent in normal batch processing (including source generation).
-    pub processing: SimDuration,
+    pub(crate) processing: SimDuration,
     /// CPU spent creating checkpoints.
-    pub checkpoint: SimDuration,
+    pub(crate) checkpoint: SimDuration,
 }
 
 impl CpuStats {
@@ -335,7 +330,7 @@ mod tests {
             Some(SimDuration::from_secs(10))
         );
         assert_eq!(rep.outages[0].refail_count(), 1);
-        assert!(rep.outages[0].current().ok_or("two records")?.open());
+        assert!(rep.outages[0].records.last().ok_or("two records")?.open());
         // The MAX sentinel reads as "not yet detected".
         let undetected = OutageRecord {
             via_replica: false,

@@ -17,25 +17,25 @@ use crate::config::{EngineConfig, FtMode};
 use crate::report::SinkBatch;
 use crate::tuple::{route, Chunk, Tuple};
 use crate::udf::{BatchCtx, InputBatch};
-use ppa_core::model::{TaskGraph, TaskIndex};
+use ppa_core::{TaskGraph, TaskIndex};
 use ppa_sim::{Scheduler, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// The simulation state a data-plane handler works against, besides the
 /// task and CPU horizon it is handed (built by `Simulation::lane`).
 pub(super) struct LaneCtx<'a> {
-    pub graph: &'a TaskGraph,
-    pub config: &'a EngineConfig,
-    pub replica_slot: &'a [Option<Rt>],
-    pub backup: Backup,
+    pub(crate) graph: &'a TaskGraph,
+    pub(crate) config: &'a EngineConfig,
+    pub(crate) replica_slot: &'a [Option<Rt>],
+    pub(crate) backup: Backup,
     /// Storm-mode replay cones per recovering target (see
     /// [`upstream_cone`]); filled before the target's first replay send.
-    pub replay_cones: &'a BTreeMap<usize, Vec<TaskIndex>>,
-    pub sched: &'a mut Scheduler<Event>,
+    pub(crate) replay_cones: &'a BTreeMap<usize, Vec<TaskIndex>>,
+    pub(crate) sched: &'a mut Scheduler<Event>,
     /// Sink records produced by active sink incarnations.
-    pub sink: &'a mut Vec<SinkBatch>,
+    pub(crate) sink: &'a mut Vec<SinkBatch>,
     /// Tuples scheduled for delivery (including replica copies).
-    pub tuples_moved: &'a mut u64,
+    pub(crate) tuples_moved: &'a mut u64,
 }
 
 /// Reserves `work` on a node CPU horizon; returns the finish instant.
@@ -421,7 +421,7 @@ fn process_batch(
     // bound arms a backup ship at this batch's CPU finish; replicas and
     // catch-up replay never ship (a replica's primary owns the drift,
     // and catch-up reprocesses tuples already counted).
-    if let FtMode::Approximate { error_bound, .. } = cx.config.mode {
+    if let FtMode::Approximate { error_bound } = cx.config.mode {
         if !task.is_replica && !catching_up && task.divergence.absorb(total_in as u64, error_bound)
         {
             cx.sched

@@ -8,7 +8,7 @@
 //! instants only: no slots, nodes or scheduler.
 
 use crate::report::{Lifecycle, OutageRecord, TaskOutages};
-use ppa_core::model::TaskIndex;
+use ppa_core::TaskIndex;
 use ppa_obs::EngineEvent;
 use ppa_sim::SimTime;
 
@@ -34,7 +34,7 @@ pub(super) struct OutageLedger {
 }
 
 impl OutageLedger {
-    pub fn new(n_tasks: usize) -> Self {
+    pub(super) fn new(n_tasks: usize) -> Self {
         OutageLedger {
             outages: Vec::new(),
             outage_of: vec![None; n_tasks],
@@ -44,34 +44,22 @@ impl OutageLedger {
         }
     }
 
-    pub fn histories(&self) -> &[TaskOutages] {
+    pub(super) fn histories(&self) -> &[TaskOutages] {
         &self.outages
     }
 
-    pub fn lifecycles(&self) -> &[Lifecycle] {
-        &self.lifecycle
-    }
-
-    pub fn setbacks(&self) -> usize {
+    pub(super) fn setbacks(&self) -> usize {
         self.setbacks
     }
 
-    /// Outage-history length per logical task (0 = never failed).
-    pub fn outage_counts(&self) -> Vec<usize> {
-        self.outage_of
-            .iter()
-            .map(|o| o.map_or(0, |i| self.outages[i].records.len()))
-            .collect()
-    }
-
     /// The current (most recent) outage record of task `t`.
-    pub fn current(&self, t: usize) -> Option<&OutageRecord> {
+    pub(super) fn current(&self, t: usize) -> Option<&OutageRecord> {
         self.outage_of[t].and_then(|i| self.outages[i].records.last())
     }
 
     /// Whether task `t` is in an open outage the master has detected —
     /// down, and known to be.
-    pub fn awaiting_recovery(&self, t: usize) -> bool {
+    pub(super) fn awaiting_recovery(&self, t: usize) -> bool {
         self.current(t)
             .is_some_and(|rec| rec.open() && rec.detected())
     }
@@ -86,7 +74,7 @@ impl OutageLedger {
     /// task dying again mid-recovery keeps its open record but loses its
     /// detection and any pending takeover (`RecoverySetback`) — the master
     /// must re-detect and restart the recovery path.
-    pub fn fail(&mut self, t: usize, now: SimTime) -> EngineEvent {
+    pub(super) fn fail(&mut self, t: usize, now: SimTime) -> EngineEvent {
         let idx = match self.outage_of[t] {
             Some(i) => i,
             None => {
@@ -134,7 +122,7 @@ impl OutageLedger {
     /// The heartbeat scan found task `t` down at `now`. `None` unless its
     /// current record is open and undetected (never failed, already
     /// detected, or recovered), which makes a repeated scan a no-op.
-    pub fn detect(&mut self, t: usize, now: SimTime) -> Option<EngineEvent> {
+    pub(super) fn detect(&mut self, t: usize, now: SimTime) -> Option<EngineEvent> {
         let rec = self
             .current_mut(t)
             .filter(|rec| rec.open() && !rec.detected())?;
@@ -143,7 +131,7 @@ impl OutageLedger {
     }
 
     /// A live replica's takeover of task `t` is scheduled.
-    pub fn begin_takeover(&mut self, t: usize) {
+    pub(super) fn begin_takeover(&mut self, t: usize) {
         if let Some(rec) = self.current_mut(t) {
             rec.via_replica = true;
         }
@@ -151,14 +139,14 @@ impl OutageLedger {
     }
 
     /// A passive restore of task `t` onto `node` is scheduled.
-    pub fn begin_restore(&mut self, t: usize, node: usize) -> EngineEvent {
+    pub(super) fn begin_restore(&mut self, t: usize, node: usize) -> EngineEvent {
         self.lifecycle[t] = Lifecycle::Replaying;
         EngineEvent::RestoreStarted { task: t, node }
     }
 
     /// The muted replica whose takeover of task `t` was pending died: the
     /// record falls back to the passive path, one setback counted.
-    pub fn lose_takeover(&mut self, t: usize) -> EngineEvent {
+    pub(super) fn lose_takeover(&mut self, t: usize) -> EngineEvent {
         if let Some(rec) = self.current_mut(t) {
             rec.via_replica = false;
         }
@@ -168,7 +156,7 @@ impl OutageLedger {
 
     /// Task `t`'s output is being proxied: `TentativeResumed` on the
     /// first proxy of the current record, `None` after.
-    pub fn first_proxy(&mut self, t: usize) -> Option<EngineEvent> {
+    pub(super) fn first_proxy(&mut self, t: usize) -> Option<EngineEvent> {
         let first = !std::mem::replace(&mut self.proxied[t], true);
         first.then_some(EngineEvent::TentativeResumed { task: t })
     }
@@ -176,7 +164,7 @@ impl OutageLedger {
     /// A lossy restore of task `t` forfeited `skipped_batches` of replay
     /// and `divergence` of un-shipped drift, leaving at least
     /// `fidelity_floor` permille of the outage window exact.
-    pub fn forfeit(
+    pub(super) fn forfeit(
         &mut self,
         t: usize,
         divergence: u64,
@@ -198,7 +186,7 @@ impl OutageLedger {
     /// The single funnel every recovery path closes through: idempotent
     /// per record, so exactly one closing event (`ReplicaActivated` or
     /// `RestoreDone`) exists per record.
-    pub fn close(&mut self, t: usize, at: SimTime, takeover: bool) -> Option<EngineEvent> {
+    pub(super) fn close(&mut self, t: usize, at: SimTime, takeover: bool) -> Option<EngineEvent> {
         let rec = self.current_mut(t)?;
         rec.via_replica |= takeover;
         if !rec.open() {
@@ -250,7 +238,7 @@ mod tests {
             ledger.begin_restore(1, 7),
             EngineEvent::RestoreStarted { task: 1, node: 7 }
         );
-        assert_eq!(ledger.lifecycles()[1], Lifecycle::Replaying);
+        assert_eq!(ledger.lifecycle[1], Lifecycle::Replaying);
         assert_eq!(
             ledger.close(1, s(18), false),
             Some(EngineEvent::RestoreDone { task: 1 })
@@ -258,11 +246,12 @@ mod tests {
         assert_eq!(ledger.close(1, s(19), false), None);
         let rec = ledger.current(1).ok_or("one record")?;
         assert_eq!(rec.recovered_at, Some(s(18)));
-        assert_eq!(ledger.lifecycles()[1], Lifecycle::Recovered);
-        assert_eq!(ledger.outage_counts(), vec![0, 1, 0]);
+        assert_eq!(ledger.lifecycle[1], Lifecycle::Recovered);
+        assert_eq!(ledger.histories().len(), 1, "task 1's history only");
+        assert_eq!(ledger.histories()[0].records.len(), 1);
         // A task that never failed has nothing to close.
         assert_eq!(ledger.close(0, s(19), false), None);
-        assert_eq!(ledger.lifecycles()[0], Lifecycle::Healthy);
+        assert_eq!(ledger.lifecycle[0], Lifecycle::Healthy);
         Ok(())
     }
 
@@ -285,7 +274,7 @@ mod tests {
         );
         assert_eq!(ledger.histories()[0].records.len(), 1);
         assert_eq!(ledger.setbacks(), 1);
-        assert_eq!(ledger.lifecycles()[1], Lifecycle::Failed);
+        assert_eq!(ledger.lifecycle[1], Lifecycle::Failed);
         Ok(())
     }
 
@@ -308,7 +297,7 @@ mod tests {
                 refail: true
             }
         );
-        assert_eq!(ledger.lifecycles()[1], Lifecycle::ReFailed);
+        assert_eq!(ledger.lifecycle[1], Lifecycle::ReFailed);
         assert_eq!(ledger.setbacks(), 1);
         assert_eq!(ledger.histories()[0].records.len(), 2);
         assert!(ledger.histories()[0].records[0].via_replica);

@@ -50,11 +50,11 @@ use crate::error::EngineError;
 use crate::feed::FaultFeed;
 use crate::placement::{move_counts, plan_evacuation, MoveRole, NodeId, Placement};
 use crate::query::{Incarnation, Query};
-use crate::report::{CpuStats, Lifecycle, OutageRecord, RunReport, SinkBatch};
+use crate::report::{CpuStats, OutageRecord, RunReport, SinkBatch};
 use crate::tuple::Chunk;
 use crate::udf::{SourceGen, Udf};
-use ppa_core::model::{TaskGraph, TaskIndex};
 use ppa_core::{AdaptivePlanner, StructureAwarePlanner, TaskSet};
+use ppa_core::{TaskGraph, TaskIndex};
 use ppa_obs::{EngineEvent, MetricsRegistry, TraceSink};
 use ppa_sim::{Scheduler, SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -440,7 +440,7 @@ impl Simulation {
                 Some(plan),
                 checkpoint_interval.map_or(Backup::None, Backup::Interval),
             ),
-            FtMode::Approximate { plan, .. } => (Some(plan), Backup::Divergence),
+            FtMode::Approximate { .. } => (None, Backup::Divergence),
         };
 
         // The operator state or generator of one incarnation of task `t`.
@@ -757,7 +757,6 @@ impl Simulation {
             actions,
             control_cpu,
             metrics: self.metrics.snapshot(),
-            trace,
         })
     }
 
@@ -770,25 +769,17 @@ impl Simulation {
 
     /// The cluster's health as a policy sees it at `at`: the placement's
     /// fault-domain tree, every domain's time-decayed failure score, and
-    /// every task's lifecycle state + outage count — so policies observe
-    /// re-failures as first-class events, not just node deaths.
+    /// the recovery-setback count — so policies observe re-failures as
+    /// first-class events, not just node deaths.
     fn health_view(&self, at: SimTime) -> HealthView<'_> {
         HealthView::new(
-            at,
             self.placement.fault_domains(),
             self.domain_health
                 .as_ref()
                 .map(|h| h.snapshot(at))
                 .unwrap_or_default(),
-            self.ledger.lifecycles().to_vec(),
-            self.ledger.outage_counts(),
             self.ledger.setbacks(),
         )
-    }
-
-    /// The lifecycle state of every logical task, indexed by task.
-    pub fn lifecycles(&self) -> &[Lifecycle] {
-        self.ledger.lifecycles()
     }
 
     /// Attaches a trace sink: every subsequent lifecycle transition is
@@ -830,18 +821,6 @@ impl Simulation {
         if let Some(closed) = self.ledger.close(t, at, takeover) {
             self.note(at, closed);
         }
-    }
-
-    /// The task graph the simulation runs.
-    pub fn graph(&self) -> &TaskGraph {
-        &self.graph
-    }
-
-    /// The placement the cluster currently runs under — control-plane
-    /// migrations rewrite it, so mid-`drive` this reflects where tasks
-    /// actually are (including the node → fault-domain mapping).
-    pub fn placement(&self) -> &Placement {
-        &self.placement
     }
 
     // ------------------------------------------------------------------

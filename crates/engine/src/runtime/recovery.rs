@@ -16,7 +16,7 @@
 use super::{lane, Backup, Checkpoint, Event, Msg, Rt, Simulation, Status};
 use crate::config::FtMode;
 use crate::placement::NodeId;
-use ppa_core::model::TaskIndex;
+use ppa_core::TaskIndex;
 use ppa_obs::EngineEvent;
 use ppa_sim::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};

@@ -9,7 +9,7 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 /// Tuple key. The engine partitions substreams by `Key` hash.
-pub type Key = u64;
+pub(crate) type Key = u64;
 
 /// Value payloads used by the evaluation workloads.
 ///
@@ -47,14 +47,6 @@ impl Value {
     pub fn as_int(&self) -> Option<i64> {
         match self {
             Value::Int(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Float payload, if this is a `Float`.
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            Value::Float(v) => Some(*v),
             _ => None,
         }
     }
@@ -111,19 +103,6 @@ impl Tuple {
 #[derive(Clone, PartialEq, Default)]
 pub struct Chunk(Arc<Vec<Tuple>>);
 
-impl Chunk {
-    /// Whether `a` and `b` are the same allocation (not merely equal).
-    pub fn ptr_eq(a: &Chunk, b: &Chunk) -> bool {
-        Arc::ptr_eq(&a.0, &b.0)
-    }
-
-    /// How many clones of this chunk are alive, this one included.
-    #[cfg(test)]
-    pub(crate) fn holders(&self) -> usize {
-        Arc::strong_count(&self.0)
-    }
-}
-
 impl From<Vec<Tuple>> for Chunk {
     fn from(tuples: Vec<Tuple>) -> Self {
         Chunk(Arc::new(tuples))
@@ -158,7 +137,7 @@ impl fmt::Debug for Chunk {
 /// SplitMix64: fast, well mixed, and stable across platforms — partitioning
 /// must agree between a primary and its replica and across runs.
 #[inline]
-pub fn hash_key(key: Key) -> u64 {
+pub(crate) fn hash_key(key: Key) -> u64 {
     let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -167,7 +146,7 @@ pub fn hash_key(key: Key) -> u64 {
 
 /// Index of the target that `key` routes to among `n` targets.
 #[inline]
-pub fn route(key: Key, n: usize) -> usize {
+pub(crate) fn route(key: Key, n: usize) -> usize {
     debug_assert!(n > 0);
     (hash_key(key) % n as u64) as usize
 }
@@ -176,13 +155,23 @@ pub fn route(key: Key, n: usize) -> usize {
 mod tests {
     use super::*;
 
+    impl Chunk {
+        /// Whether `a` and `b` are the same allocation (not merely equal).
+        pub(crate) fn ptr_eq(a: &Chunk, b: &Chunk) -> bool {
+            Arc::ptr_eq(&a.0, &b.0)
+        }
+
+        /// How many clones of this chunk are alive, this one included.
+        pub(crate) fn holders(&self) -> usize {
+            Arc::strong_count(&self.0)
+        }
+    }
+
     #[test]
     fn accessors() {
         assert_eq!(Tuple::new(1, Value::Int(5)).value.as_int(), Some(5));
         assert_eq!(Tuple::key_only(2).value, Value::Empty);
-        assert_eq!(Value::Float(1.5).as_float(), Some(1.5));
         assert_eq!(Value::Pair(3, 4).as_pair(), Some((3, 4)));
-        assert_eq!(Value::Int(1).as_float(), None);
         let c = Value::Counts(vec![(1, 2)].into());
         assert_eq!(c.as_counts(), Some(&[(1, 2)][..]));
     }

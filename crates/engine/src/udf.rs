@@ -59,12 +59,8 @@ impl<'a> InputBatch<'a> {
     }
 
     /// Number of tuples in the batch.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.chunks.iter().map(|c| c.len()).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.chunks.iter().all(|c| c.is_empty())
     }
 
     /// The batch's tuples in round-robin order (see the type docs): the
@@ -404,7 +400,6 @@ mod tests {
             let expected = reference_interleave(&chunks);
             let len = expected.len();
             assert_eq!(batch.len(), len, "seed {seed}");
-            assert_eq!(batch.is_empty(), expected.is_empty(), "seed {seed}");
             let got: Vec<Tuple> = batch.iter().cloned().collect();
             assert_eq!(got, expected, "seed {seed}");
             // The copy primitive against the formulation it replaced, and

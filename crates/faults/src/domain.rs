@@ -36,29 +36,24 @@ struct Domain {
 /// A rooted containment hierarchy of fault domains with engine nodes
 /// assigned to its leaves.
 ///
-/// Construct with [`FaultDomainTree::regular`] (uniform fan-out per level)
-/// or [`FaultDomainTree::racks`] (the common single-level case), or grow an
-/// arbitrary shape with [`FaultDomainTree::new`] + [`FaultDomainTree::add_domain`]
-/// + [`FaultDomainTree::assign`].
+/// Construct with [`FaultDomainTree::racks`] (the common single-level
+/// case), or grow an arbitrary shape with [`FaultDomainTree::new`] +
+/// [`FaultDomainTree::add_domain`] + [`FaultDomainTree::assign`].
 #[derive(Debug, Clone)]
 pub struct FaultDomainTree {
-    /// Human-readable name of each level, `level_names[0]` naming the root
-    /// (conventionally `"cluster"`). Levels deeper than the named ones
-    /// render as `"level<k>"`.
-    level_names: Vec<String>,
     domains: Vec<Domain>,
+}
+
+impl Default for FaultDomainTree {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl FaultDomainTree {
     /// An empty tree holding only the root domain.
-    pub fn new(level_names: &[&str]) -> Self {
-        let names = if level_names.is_empty() {
-            &["cluster"][..]
-        } else {
-            level_names
-        };
+    pub fn new() -> Self {
         FaultDomainTree {
-            level_names: names.iter().map(|s| s.to_string()).collect(),
             domains: vec![Domain {
                 level: 0,
                 parent: None,
@@ -100,40 +95,13 @@ impl FaultDomainTree {
         self.domains[domain.0].nodes.push(node);
     }
 
-    /// A regular tree: `fanouts[k]` children under every level-`k` domain,
-    /// with `nodes` dealt round-robin across the resulting leaves. Level
-    /// `k + 1` is named `level_names[k + 1]` when provided.
-    ///
-    /// `regular(&["cluster", "rack"], &[4], nodes)` is 4 racks sharing the
-    /// nodes; `regular(&["cluster", "zone", "rack"], &[2, 3], nodes)` is
-    /// 2 power zones × 3 racks.
-    pub fn regular(level_names: &[&str], fanouts: &[usize], nodes: &[NodeId]) -> Self {
-        assert!(fanouts.iter().all(|&f| f > 0), "fanouts must be positive");
-        let mut tree = FaultDomainTree::new(level_names);
-        let mut frontier = vec![tree.root()];
-        for &fanout in fanouts {
-            let mut next = Vec::with_capacity(frontier.len() * fanout);
-            for &parent in &frontier {
-                for _ in 0..fanout {
-                    next.push(tree.add_domain(parent));
-                }
-            }
-            frontier = next;
-        }
-        for (i, &node) in nodes.iter().enumerate() {
-            let leaf = frontier[i % frontier.len()];
-            tree.assign(leaf, node);
-        }
-        tree
-    }
-
     /// The common single-level case: `nodes` split into consecutive racks
     /// of `rack_size` (the last rack may be smaller). Consecutive grouping
     /// — not round-robin — so a rack burst kills a *contiguous* slice of
     /// the node range, matching how real placements co-locate neighbours.
     pub fn racks(nodes: &[NodeId], rack_size: usize) -> Self {
         assert!(rack_size > 0, "rack size must be positive");
-        let mut tree = FaultDomainTree::new(&["cluster", "rack"]);
+        let mut tree = FaultDomainTree::new();
         for chunk in nodes.chunks(rack_size) {
             let rack = tree.add_domain(tree.root());
             for &node in chunk {
@@ -146,24 +114,6 @@ impl FaultDomainTree {
     /// Number of domains, including the root.
     pub fn n_domains(&self) -> usize {
         self.domains.len()
-    }
-
-    /// Depth of the deepest domain (root alone = 0).
-    pub fn depth(&self) -> usize {
-        self.domains.iter().map(|d| d.level).max().unwrap_or(0)
-    }
-
-    /// The name of a level (`"level<k>"` beyond the named prefix).
-    pub fn level_name(&self, level: usize) -> String {
-        self.level_names
-            .get(level)
-            .cloned()
-            .unwrap_or_else(|| format!("level{level}"))
-    }
-
-    /// The level of a domain.
-    pub fn level_of(&self, domain: DomainId) -> usize {
-        self.domains[domain.0].level
     }
 
     /// The parent of a domain (`None` for the root).
@@ -188,20 +138,6 @@ impl FaultDomainTree {
     /// The children of a domain, in creation order.
     pub fn children_of(&self, domain: DomainId) -> Vec<DomainId> {
         self.domains[domain.0].children.clone()
-    }
-
-    /// The siblings of a domain (same parent, excluding itself), in
-    /// creation order.
-    pub fn siblings_of(&self, domain: DomainId) -> Vec<DomainId> {
-        match self.domains[domain.0].parent {
-            None => Vec::new(),
-            Some(p) => self.domains[p.0]
-                .children
-                .iter()
-                .copied()
-                .filter(|&c| c != domain)
-                .collect(),
-        }
     }
 
     /// All nodes hosted under a domain (its whole subtree), sorted.
@@ -245,22 +181,36 @@ mod tests {
 
     type TestResult = Result<(), Box<dyn Error>>;
 
+    /// A regular tree: 2 zones x 2 racks, nodes 0..8 dealt two per rack
+    /// in order.
+    fn zoned() -> FaultDomainTree {
+        let mut t = FaultDomainTree::new();
+        let mut node = 0;
+        for _ in 0..2 {
+            let zone = t.add_domain(t.root());
+            for _ in 0..2 {
+                let rack = t.add_domain(zone);
+                for _ in 0..2 {
+                    t.assign(rack, node);
+                    node += 1;
+                }
+            }
+        }
+        t
+    }
+
     #[test]
     fn regular_tree_shape_and_assignment() {
-        let nodes: Vec<NodeId> = (0..12).collect();
-        let t = FaultDomainTree::regular(&["cluster", "zone", "rack"], &[2, 3], &nodes);
-        assert_eq!(t.n_domains(), 1 + 2 + 6);
-        assert_eq!(t.depth(), 2);
+        let t = zoned();
+        assert_eq!(t.n_domains(), 1 + 2 + 4);
         assert_eq!(t.domains_at_level(1).len(), 2);
-        assert_eq!(t.domains_at_level(2).len(), 6);
-        assert_eq!(t.all_nodes(), nodes);
-        // Round-robin: leaf k hosts nodes k, k+6.
+        assert_eq!(t.domains_at_level(2).len(), 4);
+        assert_eq!(t.all_nodes(), (0..8).collect::<Vec<_>>());
         let racks = t.domains_at_level(2);
-        assert_eq!(t.nodes_under(racks[0]), vec![0, 6]);
-        assert_eq!(t.nodes_under(racks[5]), vec![5, 11]);
-        // A zone hosts its three racks' nodes.
+        assert_eq!(t.nodes_under(racks[3]), vec![6, 7]);
+        // A zone hosts its two racks' nodes.
         let zones = t.domains_at_level(1);
-        assert_eq!(t.nodes_under(zones[0]), vec![0, 1, 2, 6, 7, 8]);
+        assert_eq!(t.nodes_under(zones[0]), vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -279,31 +229,23 @@ mod tests {
 
     #[test]
     fn domain_lookup_and_siblings() -> TestResult {
-        let nodes: Vec<NodeId> = (0..8).collect();
-        let t = FaultDomainTree::regular(&["cluster", "zone", "rack"], &[2, 2], &nodes);
+        let t = zoned();
         let rack = t.domain_of(0).ok_or("node 0 lives in a rack")?;
-        assert_eq!(t.level_of(rack), 2);
-        assert_eq!(t.siblings_of(rack).len(), 1, "one sibling rack in the zone");
+        assert_eq!(t.domains_at_level(2)[0], rack);
         let zone = t.domain_of_at_level(0, 1).ok_or("node 0 lives in a zone")?;
-        assert_eq!(t.level_of(zone), 1);
-        assert!(t.nodes_under(zone).contains(&0));
-        assert!(t.siblings_of(t.root()).is_empty());
+        assert_eq!(t.parent_of(rack), Some(zone));
+        let siblings = t.children_of(zone);
+        assert_eq!(siblings.len(), 2, "rack 0 and its one sibling");
+        assert!(siblings.contains(&rack));
+        assert_eq!(t.parent_of(t.root()), None);
         assert_eq!(t.domain_of(99), None);
         Ok(())
     }
 
     #[test]
-    fn level_names_fall_back() {
-        let t = FaultDomainTree::racks(&[0, 1], 1);
-        assert_eq!(t.level_name(0), "cluster");
-        assert_eq!(t.level_name(1), "rack");
-        assert_eq!(t.level_name(7), "level7");
-    }
-
-    #[test]
     #[should_panic]
     fn double_assignment_panics() {
-        let mut t = FaultDomainTree::new(&["cluster"]);
+        let mut t = FaultDomainTree::new();
         let d = t.add_domain(t.root());
         t.assign(d, 3);
         t.assign(d, 3);

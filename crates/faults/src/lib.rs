@@ -5,17 +5,17 @@
 //! power domain die together. This crate makes that premise a first-class,
 //! reusable model instead of a hand-picked kill list per experiment:
 //!
-//! * [`FaultDomainTree`] ([`domain`]) — the cluster's physical containment
+//! * [`FaultDomainTree`] — the cluster's physical containment
 //!   hierarchy (node → rack → switch → power zone, arbitrary depth), with
 //!   deterministic assignment of engine nodes to domains;
-//! * [`FailureProcess`] ([`process`]) — generative failure processes over
+//! * [`FailureProcess`] — generative failure processes over
 //!   the hierarchy: independent Poisson-style baseline
 //!   ([`IndependentProcess`]), domain bursts ([`DomainBurstProcess`]) and
 //!   decaying cascades ([`CascadeProcess`]), all driven by the in-tree
 //!   seeded RNG so a `(process, cluster, seed)` triple always yields the
 //!   same scenario (a Weibull/bathtub per-node hazard, [`WeibullProcess`],
 //!   covers the non-memoryless regimes cluster traces show);
-//! * [`FailureTrace`] ([`trace`]) — the normalized, ordered event sequence
+//! * [`FailureTrace`] — the normalized, ordered event sequence
 //!   those processes emit, with a canonical line-oriented text format
 //!   (save, diff, replay), consumed by the engine runtime (a
 //!   `FaultFeed` handed to `Simulation::drive`) and by the repro harness.
@@ -26,9 +26,9 @@
 //! [`FaultDomainTree`] and lets the engine replay [`FailureTrace`]s
 //! without a dependency cycle.
 
-pub mod domain;
-pub mod process;
-pub mod trace;
+mod domain;
+mod process;
+mod trace;
 
 pub use domain::{DomainId, FaultDomainTree, NodeId};
 pub use process::{

@@ -518,11 +518,12 @@ mod tests {
     #[test]
     fn cascade_never_crosses_the_zone_boundary() {
         // 2 zones × 4 racks, 16 nodes round-robin across the 8 racks.
-        let c = FaultDomainTree::regular(
-            &["cluster", "zone", "rack"],
-            &[2, 4],
-            &(0..16).collect::<Vec<_>>(),
-        );
+        let mut c = FaultDomainTree::new();
+        let zones = [c.add_domain(c.root()), c.add_domain(c.root())];
+        let racks: Vec<_> = (0..8).map(|r| c.add_domain(zones[r / 4])).collect();
+        for node in 0..16 {
+            c.assign(racks[node % 8], node);
+        }
         let p = CascadeProcess {
             level: 2,
             spread: 1.0,

@@ -57,7 +57,7 @@ impl std::error::Error for TraceParseError {}
 
 impl FailureTrace {
     /// Format tag written as the first line of every serialized trace.
-    pub const FORMAT: &'static str = "ppa-faults/1";
+    pub(crate) const FORMAT: &'static str = "ppa-faults/1";
 
     /// An empty trace (no failures).
     pub fn new() -> Self {
@@ -69,15 +69,6 @@ impl FailureTrace {
     pub fn once(at: SimTime, nodes: Vec<NodeId>) -> Self {
         let mut trace = FailureTrace::new();
         trace.push(at, nodes);
-        trace
-    }
-
-    /// Builds a normalized trace from arbitrary events.
-    pub fn from_events(events: impl IntoIterator<Item = FailureEvent>) -> Self {
-        let mut trace = FailureTrace::new();
-        for e in events {
-            trace.push(e.at, e.nodes);
-        }
         trace
     }
 

@@ -82,7 +82,7 @@ pub enum EngineEvent {
 
 impl EngineEvent {
     /// Stable snake_case kind tag used by every exporter.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             EngineEvent::FailureInjected { .. } => "failure_injected",
             EngineEvent::OutageOpened { .. } => "outage_opened",
@@ -153,7 +153,7 @@ pub trait TraceSink: Send {
 /// order. The exporters consume its `events`.
 #[derive(Debug, Default)]
 pub struct VecSink {
-    pub events: Vec<(SimTime, EngineEvent)>,
+    pub(crate) events: Vec<(SimTime, EngineEvent)>,
 }
 
 impl VecSink {

@@ -17,21 +17,21 @@
 //!
 //! Three exporters turn a recorded event stream into artifacts:
 //!
-//! * [`export::to_jsonl`] — the canonical one-event-per-line JSON trace;
-//! * [`export::to_chrome_trace`] — Chrome `trace_event` JSON, openable in
+//! * [`to_jsonl`] — the canonical one-event-per-line JSON trace;
+//! * [`to_chrome_trace`] — Chrome `trace_event` JSON, openable in
 //!   `chrome://tracing` or [Perfetto](https://ui.perfetto.dev) (outages
 //!   render as per-task duration spans, everything else as instants);
-//! * [`timeline::render_timeline`] — a plain-text per-task outage/recovery
+//! * [`render_timeline`] — a plain-text per-task outage/recovery
 //!   timeline aligned with the injected failure waves.
 
-pub mod event;
-pub mod export;
-pub mod invariant;
-pub mod metrics;
-pub mod timeline;
+mod event;
+mod export;
+mod invariant;
+mod metrics;
+mod timeline;
 
 pub use event::{EngineEvent, TraceSink, VecSink};
-pub use export::{to_chrome_trace, to_jsonl};
+pub use export::{escape_json, to_chrome_trace, to_jsonl};
 pub use invariant::{check_stream, StreamCheck, Violation};
 pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use timeline::{render_timeline, TimelineConfig};

@@ -13,11 +13,11 @@ use std::fmt::Write as _;
 #[derive(Debug, Clone)]
 pub struct TimelineConfig {
     /// Heading printed above the chart (blank to omit the line).
-    pub title: String,
+    pub(crate) title: String,
     /// Number of columns in the plot area.
-    pub width: usize,
+    pub(crate) width: usize,
     /// Axis horizon; defaults to the last recorded instant.
-    pub until: Option<SimTime>,
+    pub(crate) until: Option<SimTime>,
 }
 
 impl Default for TimelineConfig {

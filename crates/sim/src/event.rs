@@ -9,7 +9,7 @@ use std::collections::BinaryHeap;
 /// deterministic replay. Payloads live in a slot pool so `E` needs no
 /// ordering traits and pops avoid moving large events through the heap.
 #[derive(Debug)]
-pub struct EventQueue<E> {
+pub(crate) struct EventQueue<E> {
     heap: BinaryHeap<Reverse<EntryKey>>,
     // Events stored aside so `E` needs no ordering traits.
     slots: Vec<Option<(SimTime, E)>>,
@@ -36,14 +36,14 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// A queue pre-sized for about `capacity` simultaneously pending
     /// events, so steady-state simulations never grow the heap or the
     /// slot pool mid-run.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(capacity),
             slots: Vec::with_capacity(capacity),
@@ -53,7 +53,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules `event` at absolute time `at`.
-    pub fn schedule(&mut self, at: SimTime, event: E) {
+    pub(crate) fn schedule(&mut self, at: SimTime, event: E) {
         let slot = match self.free.pop() {
             Some(s) => {
                 self.slots[s] = Some((at, event));
@@ -74,7 +74,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
         let Reverse(key) = self.heap.pop()?;
         #[expect(
             clippy::expect_used,
@@ -93,16 +93,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|Reverse(k)| k.at)
-    }
-
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -146,11 +138,6 @@ impl<E> Scheduler<E> {
         self.now
     }
 
-    /// Time of the earliest pending event, without firing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
     /// Schedules an event at an absolute instant (must not be in the past).
     pub fn at(&mut self, at: SimTime, event: E) {
         debug_assert!(
@@ -185,14 +172,6 @@ impl<E> Scheduler<E> {
             Some(t) if t <= deadline => self.next(),
             _ => None,
         }
-    }
-
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
     }
 }
 
@@ -249,7 +228,6 @@ mod tests {
         let (t2, e2) = s.next().ok_or("second event")?;
         assert_eq!((t2, e2), (SimTime::from_secs(5), "later"));
         assert!(s.next().is_none());
-        assert!(s.is_idle());
         Ok(())
     }
 

@@ -11,8 +11,8 @@
 //!   (a monotone sequence number breaks ties);
 //! * all randomness comes from seeded RNGs owned by the caller.
 
-pub mod event;
-pub mod time;
+mod event;
+mod time;
 
-pub use event::{EventQueue, Scheduler};
+pub use event::Scheduler;
 pub use time::{SimDuration, SimTime};

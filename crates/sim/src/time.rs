@@ -20,17 +20,8 @@ impl SimTime {
         SimTime(us)
     }
 
-    pub const fn from_millis(ms: u64) -> Self {
-        SimTime(ms * 1_000)
-    }
-
     pub const fn from_secs(s: u64) -> Self {
         SimTime(s * 1_000_000)
-    }
-
-    pub fn from_secs_f64(s: f64) -> Self {
-        debug_assert!(s >= 0.0 && s.is_finite());
-        SimTime((s * 1e6).round() as u64)
     }
 
     pub const fn as_micros(self) -> u64 {
@@ -44,13 +35,6 @@ impl SimTime {
     /// Duration since an earlier instant (saturating at zero).
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// The next multiple of `period` at or after this instant.
-    /// `SimTime::from_secs(7).round_up(SimDuration::from_secs(5))` is t=10s.
-    pub fn round_up(self, period: SimDuration) -> SimTime {
-        assert!(period.0 > 0, "period must be positive");
-        SimTime(self.0.div_ceil(period.0) * period.0)
     }
 }
 
@@ -166,9 +150,9 @@ mod tests {
     #[test]
     fn construction_round_trips() {
         assert_eq!(SimTime::from_secs(3).as_micros(), 3_000_000);
-        assert_eq!(SimTime::from_millis(5).as_micros(), 5_000);
+        assert_eq!(SimTime::from_micros(5_000).as_micros(), 5_000);
         assert_eq!(SimDuration::from_secs_f64(0.5).as_micros(), 500_000);
-        assert!((SimTime::from_secs_f64(1.25).as_secs_f64() - 1.25).abs() < 1e-9);
+        assert!((SimTime::from_micros(1_250_000).as_secs_f64() - 1.25).abs() < 1e-9);
     }
 
     #[test]
@@ -183,14 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn round_up_to_period() {
-        let p = SimDuration::from_secs(5);
-        assert_eq!(SimTime::from_secs(7).round_up(p), SimTime::from_secs(10));
-        assert_eq!(SimTime::from_secs(10).round_up(p), SimTime::from_secs(10));
-        assert_eq!(SimTime::ZERO.round_up(p), SimTime::ZERO);
-    }
-
-    #[test]
     fn mul_f64_scales() {
         assert_eq!(
             SimDuration::from_secs(10).mul_f64(0.25),
@@ -200,6 +176,6 @@ mod tests {
 
     #[test]
     fn display_formats_seconds() {
-        assert_eq!(SimTime::from_millis(1500).to_string(), "1.500s");
+        assert_eq!(SimTime::from_micros(1_500_000).to_string(), "1.500s");
     }
 }

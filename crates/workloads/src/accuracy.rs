@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Generic set-overlap accuracy between two runs' sink outputs, with a
 /// per-batch extractor mapping sink tuples to comparable items.
-pub fn sink_set_accuracy<T: Ord + Clone>(
+pub(crate) fn sink_set_accuracy<T: Ord + Clone>(
     golden: &RunReport,
     tentative: &RunReport,
     from_batch: u64,
@@ -172,9 +172,9 @@ pub fn outage_windows(
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OutageWindow {
     /// First batch id the window covers (the onset batch).
-    pub from: u64,
+    pub(crate) from: u64,
     /// One past the last batch id (the next onset, or the horizon).
-    pub to: u64,
+    pub(crate) to: u64,
     /// Permille fidelity floor of the lossy recoveries that opened this
     /// window, minimized across records sharing the onset.
     pub fidelity_floor: Option<u16>,
@@ -241,7 +241,7 @@ pub fn incident_accuracy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppa_core::model::TaskIndex;
+    use ppa_core::TaskIndex;
     use ppa_engine::{SinkBatch, Tuple, Value};
     use ppa_sim::SimTime;
     use std::sync::Arc;

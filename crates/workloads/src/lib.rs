@@ -4,38 +4,38 @@
 //!   experiments (§VI-A): 16 source tasks on 4 nodes feeding 4 synthetic
 //!   sliding-window operators (8/4/2/1 tasks) on 15 nodes, with 15 standby
 //!   nodes.
-//! * [`worldcup`] — Q1 (§VI-B): a hierarchical top-100 aggregation over a
+//! * `worldcup` — Q1 (§VI-B): a hierarchical top-100 aggregation over a
 //!   WorldCup'98-style access log. The original trace is not redistributable,
 //!   so a Zipf-popularity synthetic log generator stands in (see README.md
 //!   §4 — only the (server, object) shape matters to the query).
-//! * [`navigation`] — Q2 (§VI-B): traffic-incident detection over a
+//! * `navigation` — Q2 (§VI-B): traffic-incident detection over a
 //!   community-based navigation feed: a user-location stream joined with a
 //!   user-reported incident stream (both synthetic, as in the paper).
-//! * [`accuracy`] — the paper's query-accuracy functions
+//! * `accuracy` — the paper's query-accuracy functions
 //!   (`|ST ∩ SA| / |SA|`) comparing tentative runs against golden runs.
 
-pub mod accuracy;
-pub mod navigation;
+mod accuracy;
+mod navigation;
 pub mod synthetic;
-pub mod worldcup;
-pub mod zipf;
+mod worldcup;
+mod zipf;
 
 pub use accuracy::{
     batch_fidelity, floored_outage_windows, incident_accuracy, outage_fidelity, outage_windows,
-    sink_set_accuracy, topk_accuracy, OutageWindow,
+    topk_accuracy, OutageWindow,
 };
-pub use navigation::{q2_scenario, NavigationConfig};
-pub use synthetic::{fig6_scenario, Fig6Config};
-pub use worldcup::{q1_scenario, Q1Config};
+pub use navigation::{q2_query, q2_scenario, NavigationConfig};
+pub use synthetic::{fig6_query, fig6_scenario, Fig6Config, SyntheticOp};
+pub use worldcup::{q1_query, q1_scenario, Q1Config};
 
-use ppa_core::model::{Partitioning, TaskGraph};
+use ppa_core::{Partitioning, TaskGraph};
 use ppa_engine::{Cluster, ControlPolicy, Placement, PlacementError, PlacementStrategy, Query};
 
 /// Factory producing a fresh control policy per run. Policies are
 /// stateful (`&mut` hooks), so a scenario carries a factory rather than
 /// an instance — each simulated run drives its own copy, which keeps
 /// parallel harness runs independent and deterministic.
-pub type PolicyFactory = Box<dyn Fn() -> Box<dyn ControlPolicy> + Send + Sync>;
+pub(crate) type PolicyFactory = Box<dyn Fn() -> Box<dyn ControlPolicy> + Send + Sync>;
 
 /// A ready-to-run workload: query + placement + the worker nodes whose
 /// simultaneous death is the paper's correlated failure.
@@ -47,12 +47,12 @@ pub struct Scenario {
     pub worker_kill_set: Vec<usize>,
     /// Name of the placement strategy that produced `placement`
     /// (`"Dedicated"` for the paper's hand-built layout).
-    pub placement_strategy: String,
+    pub(crate) placement_strategy: String,
     /// Optional control policy driving online adaptation when the
     /// scenario runs through `Simulation::drive`. `None` means the
     /// static (never-acting) policy — byte-identical to the legacy run
     /// paths.
-    pub policy: Option<PolicyFactory>,
+    pub(crate) policy: Option<PolicyFactory>,
 }
 
 impl Scenario {
@@ -89,7 +89,7 @@ impl Scenario {
         let placement = strategy.place(&graph, cluster)?;
         self.worker_kill_set = placement.nodes_of(
             (0..graph.n_tasks())
-                .map(ppa_core::model::TaskIndex)
+                .map(ppa_core::TaskIndex)
                 .filter(|&t| !graph.is_source_task(t)),
         );
         self.placement = placement;
@@ -126,7 +126,7 @@ pub(crate) fn dedicated_placement(graph: &TaskGraph) -> (Placement, Vec<usize>) 
     let n_source_nodes = n_source_tasks.div_ceil(4).max(1);
     let mut next_worker = n_source_nodes;
     for (t, slot) in primary.iter_mut().enumerate() {
-        if graph.is_source_task(ppa_core::model::TaskIndex(t)) {
+        if graph.is_source_task(ppa_core::TaskIndex(t)) {
             *slot = next_source_slot / 4;
             next_source_slot += 1;
         } else {
@@ -205,9 +205,10 @@ mod tests {
         for &node in &s.worker_kill_set {
             assert!(
                 s.placement
-                    .tasks_on(node)
+                    .primary
                     .iter()
-                    .any(|&t| !g.is_source_task(t)),
+                    .enumerate()
+                    .any(|(t, &n)| n == node && !g.is_source_task(ppa_core::TaskIndex(t))),
                 "kill-set node {node} hosts no non-source primary"
             );
         }
@@ -225,7 +226,7 @@ mod tests {
         // 15 synthetic tasks on their own nodes 4..19.
         let mut seen = std::collections::BTreeSet::new();
         for t in 0..g.n_tasks() {
-            if !g.is_source_task(ppa_core::model::TaskIndex(t)) {
+            if !g.is_source_task(ppa_core::TaskIndex(t)) {
                 assert!(s.placement.primary[t] >= 4);
                 assert!(
                     seen.insert(s.placement.primary[t]),

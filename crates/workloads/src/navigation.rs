@@ -19,7 +19,7 @@
 
 use crate::zipf::{uniform_hash, Zipf};
 use crate::{dedicated_placement, merge_link, Scenario};
-use ppa_core::model::{OperatorSpec, Partitioning};
+use ppa_core::{OperatorSpec, Partitioning};
 use ppa_engine::{BatchCtx, InputBatch, Query, QueryBuilder, SourceGen, Tuple, Udf, Value};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -75,7 +75,7 @@ impl Default for NavigationConfig {
 /// the accuracy oracle): incident `k` starts at batch
 /// `k · incident_every_batches` on a Zipf-weighted segment.
 #[derive(Debug, Clone)]
-pub struct IncidentSchedule {
+pub(crate) struct IncidentSchedule {
     zipf: Zipf,
     every: u64,
     duration: u64,
@@ -83,7 +83,7 @@ pub struct IncidentSchedule {
 }
 
 impl IncidentSchedule {
-    pub fn new(cfg: &NavigationConfig) -> Self {
+    pub(crate) fn new(cfg: &NavigationConfig) -> Self {
         IncidentSchedule {
             zipf: Zipf::new(cfg.n_segments, cfg.zipf_s),
             every: cfg.incident_every_batches,
@@ -93,12 +93,12 @@ impl IncidentSchedule {
     }
 
     /// Segment of incident `k`.
-    pub fn segment_of(&self, k: u64) -> usize {
+    pub(crate) fn segment_of(&self, k: u64) -> usize {
         self.zipf.sample_u(uniform_hash(self.seed, k, 0, 0))
     }
 
     /// Incidents `(id, segment)` starting exactly at `batch`.
-    pub fn starting_at(&self, batch: u64) -> Vec<(u64, usize)> {
+    pub(crate) fn starting_at(&self, batch: u64) -> Vec<(u64, usize)> {
         if !batch.is_multiple_of(self.every) {
             return Vec::new();
         }
@@ -107,7 +107,7 @@ impl IncidentSchedule {
     }
 
     /// Incidents `(id, segment)` active during `batch`.
-    pub fn active_at(&self, batch: u64) -> Vec<(u64, usize)> {
+    pub(crate) fn active_at(&self, batch: u64) -> Vec<(u64, usize)> {
         let first = batch.saturating_sub(self.duration.saturating_sub(1)) / self.every;
         let last = batch / self.every;
         (first..=last)
@@ -116,13 +116,6 @@ impl IncidentSchedule {
                 start <= batch && batch < start + self.duration
             })
             .map(|k| (k, self.segment_of(k)))
-            .collect()
-    }
-
-    /// All incident ids that start within `[from, to)` batches.
-    pub fn ids_in(&self, from: u64, to: u64) -> Vec<u64> {
-        (from.div_ceil(self.every)..=to.saturating_sub(1) / self.every)
-            .filter(|k| (from..to).contains(&(k * self.every)))
             .collect()
     }
 }
@@ -515,7 +508,7 @@ fn try_q2_query(cfg: &NavigationConfig) -> Result<Query, ppa_core::CoreError> {
 /// Q2 scenario with the paper's placement style.
 pub fn q2_scenario(cfg: &NavigationConfig) -> Scenario {
     let query = q2_query(cfg);
-    let graph = ppa_core::model::TaskGraph::new(query.topology().clone());
+    let graph = ppa_core::TaskGraph::new(query.topology().clone());
     let (placement, worker_kill_set) = dedicated_placement(&graph);
     Scenario {
         query,
@@ -527,7 +520,7 @@ pub fn q2_scenario(cfg: &NavigationConfig) -> Scenario {
 }
 
 /// Extracts the detected jam set `(segment, incident)` from sink tuples.
-pub fn jam_set(tuples: &[Tuple]) -> Vec<(u64, i64)> {
+pub(crate) fn jam_set(tuples: &[Tuple]) -> Vec<(u64, i64)> {
     tuples
         .iter()
         .filter_map(|t| t.value.as_int().map(|id| (t.key, id)))
@@ -568,7 +561,6 @@ mod tests {
             s.starting_at(5).is_empty(),
             "incidents start on even batches only"
         );
-        assert_eq!(s.ids_in(0, 10), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! 30 s) over its raw input and has selectivity 0.5.
 
 use crate::{dedicated_placement, Scenario};
-use ppa_core::model::{OperatorSpec, Partitioning};
-use ppa_engine::udf::WindowBuffer;
+use ppa_core::{OperatorSpec, Partitioning};
+use ppa_engine::WindowBuffer;
 use ppa_engine::{BatchCtx, InputBatch, Query, QueryBuilder, SourceGen, Tuple, Udf};
 use ppa_sim::SimDuration;
 
@@ -147,7 +147,7 @@ fn try_fig6_query(cfg: &Fig6Config) -> Result<Query, ppa_core::CoreError> {
 /// on 4 nodes, 15 synthetic tasks on 15 nodes, 15 standbys).
 pub fn fig6_scenario(cfg: &Fig6Config) -> Scenario {
     let query = fig6_query(cfg);
-    let graph = ppa_core::model::TaskGraph::new(query.topology().clone());
+    let graph = ppa_core::TaskGraph::new(query.topology().clone());
     let (placement, worker_kill_set) = dedicated_placement(&graph);
     Scenario {
         query,

@@ -13,7 +13,7 @@
 
 use crate::zipf::{uniform_hash, Zipf};
 use crate::{dedicated_placement, merge_link, Scenario};
-use ppa_core::model::OperatorSpec;
+use ppa_core::OperatorSpec;
 use ppa_engine::{BatchCtx, InputBatch, Query, QueryBuilder, SourceGen, Tuple, Udf, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -223,7 +223,7 @@ fn try_q1_query(cfg: &Q1Config) -> Result<Query, ppa_core::CoreError> {
 /// Q1 scenario with the paper's placement style.
 pub fn q1_scenario(cfg: &Q1Config) -> Scenario {
     let query = q1_query(cfg);
-    let graph = ppa_core::model::TaskGraph::new(query.topology().clone());
+    let graph = ppa_core::TaskGraph::new(query.topology().clone());
     let (placement, worker_kill_set) = dedicated_placement(&graph);
     Scenario {
         query,
@@ -235,7 +235,7 @@ pub fn q1_scenario(cfg: &Q1Config) -> Scenario {
 }
 
 /// Extracts the top-k set from a Q1 sink batch (the digest tuple).
-pub fn topk_set(tuples: &[Tuple]) -> Vec<u64> {
+pub(crate) fn topk_set(tuples: &[Tuple]) -> Vec<u64> {
     tuples
         .iter()
         .filter_map(|t| t.value.as_counts())

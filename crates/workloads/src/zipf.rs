@@ -4,7 +4,7 @@
 /// Zipf distribution over `{0, 1, …, n-1}` with exponent `s`: item `i` has
 /// probability proportional to `1/(i+1)^s`.
 #[derive(Debug, Clone)]
-pub struct Zipf {
+pub(crate) struct Zipf {
     cdf: Vec<f64>,
     /// `guide[b]` is the first item whose CDF entry lies in [`bucket`] `b`
     /// or a later one, for the `n` buckets of `[0, 1)` and the bucket of
@@ -19,7 +19,7 @@ fn bucket(u: f64, n: usize) -> usize {
 }
 
 impl Zipf {
-    pub fn new(n: usize, s: f64) -> Self {
+    pub(crate) fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "Zipf needs at least one item");
         assert!(s >= 0.0 && s.is_finite());
         let mut cdf = Vec::with_capacity(n);
@@ -45,18 +45,10 @@ impl Zipf {
         Zipf { cdf, guide }
     }
 
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
     /// Maps a uniform sample `u ∈ [0,1)` to an item: the first whose CDF
     /// entry exceeds `u`. A `u` outside the range is clamped into it, and a
     /// NaN maps to item 0.
-    pub fn sample_u(&self, u: f64) -> usize {
+    pub(crate) fn sample_u(&self, u: f64) -> usize {
         let u = u.clamp(0.0, 1.0 - f64::EPSILON);
         // A NaN lands in bucket 0 and is below no entry; otherwise the last
         // entry, 1.0 > u, ends the scan. About one step on average, as
@@ -69,7 +61,7 @@ impl Zipf {
     }
 
     /// Probability of item `i`.
-    pub fn pmf(&self, i: usize) -> f64 {
+    pub(crate) fn pmf(&self, i: usize) -> f64 {
         if i == 0 {
             self.cdf[0]
         } else {
@@ -82,7 +74,7 @@ impl Zipf {
 /// uniform f64 in `[0, 1)`. All workload generators derive their randomness
 /// this way so a batch's content is a pure function of its coordinates
 /// (required by [`ppa_engine::SourceGen`]'s determinism contract).
-pub fn uniform_hash(seed: u64, a: u64, b: u64, c: u64) -> f64 {
+pub(crate) fn uniform_hash(seed: u64, a: u64, b: u64, c: u64) -> f64 {
     let mut z = seed
         ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15)
         ^ b.wrapping_mul(0xC2B2_AE3D_27D4_EB4F)

@@ -26,8 +26,8 @@
 //! checkpoint fault tolerance, kill a node, and watch it recover:
 //!
 //! ```
-//! use ppa::core::model::{OperatorSpec, Partitioning, TaskGraph, TaskIndex};
-//! use ppa::engine::udf::{CountingSource, MapUdf};
+//! use ppa::core::{OperatorSpec, Partitioning, TaskGraph, TaskIndex};
+//! use ppa::engine::{CountingSource, MapUdf};
 //! use ppa::engine::{EngineConfig, FailureSpec, FtMode, Placement, QueryBuilder, Simulation, Tuple};
 //! use ppa::sim::{SimDuration, SimTime};
 //!

@@ -48,8 +48,9 @@ fn multi_wave_failures(s: &ppa::workloads::Scenario, waves: usize, seed: u64) ->
             nodes.push(failures[w - 1].nodes[0]);
             // And aim at the standby hosting the activated replica of a
             // first-wave victim.
-            if let Some(&victim) = s.placement.tasks_on(failures[0].nodes[0]).first() {
-                nodes.push(s.placement.standby[victim.0]);
+            let first = failures[0].nodes[0];
+            if let Some(victim) = s.placement.primary.iter().position(|&n| n == first) {
+                nodes.push(s.placement.standby[victim]);
             }
         }
         nodes.sort_unstable();

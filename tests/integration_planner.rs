@@ -1,12 +1,12 @@
 //! Cross-crate integration tests: planners on the actual evaluation
 //! topologies (Fig. 6, Q1, Q2).
 
-use ppa::core::planner::Objective;
+use ppa::core::Objective;
 use ppa::core::{DpPlanner, GreedyPlanner, PlanContext, Planner, StructureAwarePlanner, TaskSet};
 use ppa::sim::SimDuration;
-use ppa::workloads::navigation::{q2_query, NavigationConfig};
-use ppa::workloads::synthetic::{fig6_query, Fig6Config};
-use ppa::workloads::worldcup::{q1_query, Q1Config};
+use ppa::workloads::{fig6_query, Fig6Config};
+use ppa::workloads::{q1_query, Q1Config};
+use ppa::workloads::{q2_query, NavigationConfig};
 
 fn fig6_cx() -> PlanContext {
     let q = fig6_query(&Fig6Config {

@@ -2,10 +2,10 @@
 //! increasing measured tentative accuracy on Q1 and Q2, and the OF metric
 //! must predict it better than IC does on the join query.
 
-use ppa::core::planner::Objective;
+use ppa::core::Objective;
 use ppa::core::{Planner, StructureAwarePlanner, TaskSet};
-use ppa_bench::experiments::fig12::{AccuracyHarness, QueryKind};
 use ppa_bench::RunCtx;
+use ppa_bench::{AccuracyHarness, QueryKind};
 
 #[test]
 fn q1_accuracy_tracks_of_and_grows_with_budget() {
@@ -110,9 +110,18 @@ fn experiments_registry_is_complete() {
     );
 }
 
+/// The registered `fig09` experiment's figures at quick scale.
+fn fig09_quick() -> Vec<ppa_bench::Figure> {
+    let fig09 = ppa_bench::registry()
+        .into_iter()
+        .find(|e| e.id == "fig09")
+        .unwrap();
+    (fig09.run)(&RunCtx::serial(true))
+}
+
 #[test]
 fn fig9_experiment_shape_holds_at_quick_scale() {
-    let figs = ppa_bench::experiments::fig09::run(&RunCtx::serial(true));
+    let figs = fig09_quick();
     let fig = &figs[0];
     for series in &fig.series {
         // Ratio falls monotonically with the checkpoint interval.
@@ -131,7 +140,7 @@ fn fig9_experiment_shape_holds_at_quick_scale() {
 
 #[test]
 fn figure_markdown_is_renderable() {
-    for fig in ppa_bench::experiments::fig09::run(&RunCtx::serial(true)) {
+    for fig in fig09_quick() {
         let md = fig.to_markdown();
         assert!(md.contains("### fig09"));
         assert!(md.lines().count() > 5);

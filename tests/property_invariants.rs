@@ -7,7 +7,7 @@
 //! specifications × derived seeds — the same knobs the proptest strategy
 //! sampled, enumerated exhaustively.
 
-use ppa::core::model::TaskIndex;
+use ppa::core::TaskIndex;
 use ppa::core::{
     GreedyPlanner, PlanContext, Planner, RandomTopologySpec, Skew, StructureAwarePlanner, TaskSet,
     TopologyStyle,
