@@ -1,0 +1,119 @@
+//! The retained-memory gate: how much heap the engine keeps live while it
+//! recovers from the paper's correlated failure. Fig. 6 under Active and
+//! under Storm, with the 15 worker nodes killed at 70 s, each driven to
+//! 160 s; each run's peak live heap over the heap live at its start must
+//! stay under a ceiling.
+//!
+//! Output buffers keep only what nobody can rebuild: a source buffers weak
+//! handles and regenerates a batch on re-serve, and a dead incarnation's
+//! buffers go with its node. Buffers that keep every tuple, a dead
+//! incarnation's too, peak Active at about 117 MiB; regenerating without a
+//! weak handle rebuilds the same replay window once per recovering task
+//! under Storm, about 59 MiB.
+//!
+//! The count is of bytes requested from the allocator, so it is
+//! deterministic and indifferent to the host: the gate executes on a
+//! one-core container, where a resident-set figure could not. This file
+//! holds one test, so nothing else shares the counter.
+
+use ppa_engine::{EngineConfig, FailureTrace, FtMode, Simulation};
+use ppa_sim::{SimDuration, SimTime};
+use ppa_workloads::{fig6_scenario, Fig6Config};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+// Relaxed: statistics that publish no other data, read by the thread that
+// does the allocating.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grow(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+struct LiveCounting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counters touch no allocator state.
+unsafe impl GlobalAlloc for LiveCounting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        grow(layout.size());
+        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller passes a block `alloc` returned for `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        grow(layout.size());
+        // SAFETY: the caller upholds `alloc_zeroed`'s contract for `layout`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // Counted as the new block allocated before the old one is freed,
+        // which is the most a moving realloc holds at once.
+        grow(new_size);
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller passes a block `alloc` returned for `layout`
+        // and a non-zero `new_size` that does not overflow.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: LiveCounting = LiveCounting;
+
+const MIB: f64 = 1024.0 * 1024.0;
+
+#[test]
+fn fig6_recovery_keeps_only_what_nobody_can_rebuild() {
+    let cfg = Fig6Config {
+        seed: 1,
+        ..Fig6Config::default()
+    };
+    let scenario = fig6_scenario(&cfg);
+    let n = scenario.graph().n_tasks();
+    let kill = FailureTrace::once(SimTime::from_secs(70), scenario.worker_kill_set.clone());
+    // Ceilings about 10 % above what the runs peak at.
+    let runs = [
+        ("Active", FtMode::active(n), 73.0),
+        (
+            "Storm",
+            FtMode::SourceReplay {
+                buffer: cfg.window + SimDuration::from_secs(5),
+            },
+            35.0,
+        ),
+    ];
+    for (name, mode, ceiling_mib) in runs {
+        let config = EngineConfig {
+            mode,
+            seed: 1,
+            ..EngineConfig::default()
+        };
+        let placement = scenario.placement.clone();
+        let start = LIVE.load(Ordering::Relaxed);
+        PEAK.store(start, Ordering::Relaxed);
+        let report = Simulation::run(
+            &scenario.query,
+            placement,
+            config,
+            &kill,
+            SimDuration::from_secs(160),
+        );
+        let peak_mib = (PEAK.load(Ordering::Relaxed) - start) as f64 / MIB;
+        assert!(!report.sink.is_empty(), "{name}: the run produced output");
+        drop(report);
+        println!("{name}: peak live heap {peak_mib:.1} MiB (ceiling {ceiling_mib} MiB)");
+        assert!(
+            peak_mib <= ceiling_mib,
+            "{name}: peak live heap {peak_mib:.1} MiB over the {ceiling_mib} MiB ceiling"
+        );
+    }
+}

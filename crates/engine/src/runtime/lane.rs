@@ -12,7 +12,7 @@
 //! Broken internal invariants degrade to `debug_assert!` + a safe early
 //! return instead of unwinding mid-run.
 
-use super::{trim_below, Backup, Event, Msg, Rt, Status, TaskRt};
+use super::{trim_below, Backup, Event, Held, Msg, Rt, Status, TaskRt};
 use crate::config::{EngineConfig, FtMode};
 use crate::report::SinkBatch;
 use crate::tuple::{route, Chunk, Tuple};
@@ -103,6 +103,7 @@ pub(super) fn generate(
 
 /// Partitions `whole` across the task's out targets, buffers the parts and
 /// (if outputs are enabled) schedules deliveries at `finish + latency`.
+/// A source buffers weak handles (see [`Held::Source`]).
 ///
 /// The route table (`TaskRt::stream_spans`) is precomputed at task
 /// construction; single-target streams forward the whole batch as the one
@@ -118,7 +119,12 @@ fn emit(
 ) {
     let deliver_at = finish + cx.config.costs.network_latency;
     let mut send = |task: &mut TaskRt, k: usize, part: Chunk| {
-        task.out_buffer[k].push_back((batch, part.clone(), degraded));
+        let held = if task.source.is_some() {
+            Held::Source(part.downgrade(), tuple_count(&part))
+        } else {
+            Held::Tuples(part.clone())
+        };
+        task.out_buffer[k].push_back((batch, held, degraded));
         if task.outputs_enabled {
             let (to, to_substream) = (task.out_targets[k].to, task.out_targets[k].to_substream);
             deliver_to(
@@ -138,15 +144,60 @@ fn emit(
         if len == 1 {
             send(task, start, whole.clone());
         } else {
-            let mut bins: Vec<Vec<Tuple>> = vec![Vec::new(); len];
-            for t in &whole {
-                bins[route(t.key, len)].push(t.clone());
-            }
-            for (j, bin) in bins.into_iter().enumerate() {
+            for (j, bin) in bins(&whole, len).into_iter().enumerate() {
                 send(task, start + j, bin.into());
             }
         }
     }
+}
+
+/// `whole` binned by key across a multi-target stream's `n` targets.
+fn bins(whole: &[Tuple], n: usize) -> Vec<Vec<Tuple>> {
+    let mut bins: Vec<Vec<Tuple>> = vec![Vec::new(); n];
+    for t in whole {
+        bins[route(t.key, n)].push(t.clone());
+    }
+    bins
+}
+
+/// A source chunk's length as [`Held::Source`] stores it (a batch is far
+/// below 2^32 tuples; the count only prices a takeover's re-send).
+fn tuple_count(chunk: &Chunk) -> u32 {
+    u32::try_from(chunk.len()).unwrap_or(u32::MAX)
+}
+
+/// The chunk entry `i` of out-target `k`'s buffer re-serves: a held
+/// chunk, the source chunk its weak handle still reaches, or else the
+/// batch regenerated and routed exactly as [`emit`] routed it. The entry
+/// then points at the regenerated chunk, so a second re-serve shares it
+/// while the first one's delivery or window still holds it.
+pub(super) fn held_chunk(task: &mut TaskRt, k: usize, i: usize) -> Chunk {
+    let (batch, held, _) = &task.out_buffer[k][i];
+    let batch = *batch;
+    match held {
+        Held::Tuples(chunk) => return chunk.clone(),
+        Held::Source(weak, _) => {
+            if let Some(chunk) = weak.upgrade() {
+                return chunk;
+            }
+        }
+    }
+    let span = task
+        .stream_spans
+        .iter()
+        .find(|&&(start, len)| (start..start + len).contains(&k));
+    let (Some(source), Some(&(start, len))) = (task.source.as_mut(), span) else {
+        debug_assert!(false, "a source entry in a slot without its generator");
+        return Chunk::default();
+    };
+    let whole = source.batch(batch);
+    let part = if len == 1 {
+        Chunk::from(whole)
+    } else {
+        Chunk::from(bins(&whole, len).swap_remove(k - start))
+    };
+    task.out_buffer[k][i].1 = Held::Source(part.downgrade(), tuple_count(&part));
+    part
 }
 
 /// Schedules a Data delivery to the primary slot and replica slot (if
@@ -262,17 +313,19 @@ fn forward_replay(
         );
         return;
     };
-    for (k, tgt) in task.out_targets.iter().enumerate() {
-        if tgt.to != target && cone.binary_search(&tgt.to).is_err() {
+    for k in 0..task.out_targets.len() {
+        let (to, to_substream) = (task.out_targets[k].to, task.out_targets[k].to_substream);
+        if to != target && cone.binary_search(&to).is_err() {
             continue;
         }
-        if let Some((b, tuples, _)) = task.out_buffer[k].iter().find(|(b, _, _)| *b == batch) {
+        if let Some(i) = task.out_buffer[k].iter().position(|(b, _, _)| *b == batch) {
+            let tuples = held_chunk(task, k, i);
             deliver_to(
                 cx,
-                tgt.to,
-                tgt.to_substream,
-                *b,
-                tuples.clone(),
+                to,
+                to_substream,
+                batch,
+                tuples,
                 false,
                 Some(target),
                 deliver_at,

@@ -18,7 +18,11 @@
 //!   idempotent;
 //! * upstream output buffers are trimmed by downstream checkpoints (and by
 //!   primary→replica sync for replicas); checkpoints include the output
-//!   buffer, so a restored task can re-serve its downstream immediately.
+//!   buffer, so a restored task can re-serve its downstream immediately;
+//! * a buffer keeps only what nobody can rebuild: a source buffers weak
+//!   handles to the chunks it emitted and regenerates a batch on re-serve
+//!   once no window, delivery or checkpoint holds it, and a dead
+//!   incarnation's buffers go with its node.
 //!
 //! Module map:
 //! * this file — the cluster state, the one way in ([`FaultFeed`] →
@@ -51,7 +55,7 @@ use crate::feed::FaultFeed;
 use crate::placement::{move_counts, plan_evacuation, MoveRole, NodeId, Placement};
 use crate::query::{Incarnation, Query};
 use crate::report::{CpuStats, OutageRecord, RunReport, SinkBatch};
-use crate::tuple::Chunk;
+use crate::tuple::{Chunk, WeakChunk};
 use crate::udf::{SourceGen, Udf};
 use ppa_core::{AdaptivePlanner, StructureAwarePlanner, TaskSet};
 use ppa_core::{TaskGraph, TaskIndex};
@@ -95,8 +99,34 @@ struct OutTarget {
     to_substream: usize,
 }
 
-/// Output buffered for one downstream substream.
-type Buffered = (u64, Chunk, bool);
+/// What an output buffer holds of one batch for one downstream substream.
+/// Every reader of its tuples goes through `lane::held_chunk`.
+#[derive(Clone)]
+enum Held {
+    /// A non-source task's output: only this buffer can re-serve it.
+    Tuples(Chunk),
+    /// A source's output and its length in tuples. The generator rebuilds
+    /// the batch from its id, so the buffer keeps a handle that reaches
+    /// the chunk only while a window, delivery or checkpoint still holds
+    /// it. Lives only in a slot that owns its generator.
+    Source(WeakChunk, u32),
+}
+
+impl Held {
+    /// Tuples held, whether or not they are still in memory.
+    fn len(&self) -> usize {
+        match self {
+            Held::Tuples(chunk) => chunk.len(),
+            Held::Source(_, len) => *len as usize,
+        }
+    }
+}
+
+/// Output buffered for one downstream substream: (batch, held, degraded).
+type Buffered = (u64, Held, bool);
+
+// A source entry's length rides in the enum's padding beside its tag.
+const _: () = assert!(size_of::<Buffered>() == 32);
 
 /// Drops the buffered batches below `ack` off the front of `queue`.
 fn trim_below(queue: &mut VecDeque<Buffered>, ack: u64) {
@@ -229,11 +259,22 @@ impl TaskRt {
         (0..self.n_substreams()).all(|s| self.staged[s].contains_key(&b) || self.closed[s] > b)
     }
 
+    /// Drops what the incarnation holds in memory — staged input, output
+    /// buffers, stashed sink records — when it dies or is torn down. No
+    /// reader touches a dead slot's memory, every restore rewinds it, and
+    /// a slot that loses its generator keeps no source entry it could not
+    /// rebuild.
+    fn forget(&mut self) {
+        self.staged.iter_mut().for_each(BTreeMap::clear);
+        self.out_buffer.iter_mut().for_each(VecDeque::clear);
+        self.pending_sink.clear();
+    }
+
     fn buffered_tuples(&self) -> usize {
         self.out_buffer
             .iter()
             .flat_map(|q| q.iter())
-            .map(|(_, t, _)| t.len())
+            .map(|(_, held, _)| held.len())
             .sum()
     }
 }
@@ -1178,13 +1219,7 @@ impl Simulation {
         }
         let task = &mut self.tasks[slot];
         task.status = Status::Dead;
-        for s in &mut task.staged {
-            s.clear();
-        }
-        for q in &mut task.out_buffer {
-            q.clear();
-        }
-        task.pending_sink.clear();
+        task.forget();
         if let Some(source) = task.source.take() {
             self.spare_sources[t] = Some(source);
         }
@@ -1440,9 +1475,7 @@ impl Simulation {
                     let task = &mut self.tasks[rt];
                     task.status = Status::Dead;
                     task.pre_failure_progress = Some(task.next_batch);
-                    for s in &mut task.staged {
-                        s.clear();
-                    }
+                    task.forget();
                     task.next_batch
                 };
                 let logical = self.tasks[rt].logical.0;

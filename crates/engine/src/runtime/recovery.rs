@@ -198,7 +198,8 @@ impl Simulation {
 
     /// Re-sends slot `rt`'s buffered batches `>= cursor` on the out targets
     /// `keep` selects, to the primary and replica incarnation of each — the
-    /// buffered chunks themselves, not copies. `replay_for` flags a Storm
+    /// buffered chunks themselves, not copies, or a source's regenerated
+    /// batches (see [`lane::held_chunk`]). `replay_for` flags a Storm
     /// replay, which hops forward and is never tentative.
     fn resend(
         &mut self,
@@ -209,14 +210,19 @@ impl Simulation {
         keep: impl Fn(&lane::LaneCtx<'_>, TaskIndex) -> bool,
     ) {
         let (mut cx, task, _) = self.lane(rt);
-        for (k, tgt) in task.out_targets.iter().enumerate() {
-            if !keep(&cx, tgt.to) {
+        for k in 0..task.out_targets.len() {
+            let (to, sub) = (task.out_targets[k].to, task.out_targets[k].to_substream);
+            if !keep(&cx, to) {
                 continue;
             }
-            for (b, tuples, degraded) in task.out_buffer[k].iter().filter(|e| e.0 >= cursor) {
-                let degraded = *degraded && replay_for.is_none();
-                let (to, sub, tuples) = (tgt.to, tgt.to_substream, tuples.clone());
-                lane::deliver_to(&mut cx, to, sub, *b, tuples, degraded, replay_for, at);
+            for i in 0..task.out_buffer[k].len() {
+                let (b, _, degraded) = task.out_buffer[k][i];
+                if b < cursor {
+                    continue;
+                }
+                let degraded = degraded && replay_for.is_none();
+                let tuples = lane::held_chunk(task, k, i);
+                lane::deliver_to(&mut cx, to, sub, b, tuples, degraded, replay_for, at);
             }
         }
     }

@@ -690,9 +690,10 @@ fn a_zero_interval_is_a_typed_error_not_a_hang() -> TestResult {
 
 /// The zero-copy contract of the tuple plane, checked on allocations
 /// rather than on a clock (so it executes on any core count): the chunk a
-/// task emits is the one its output buffer keeps, the one delivered, and
-/// the one a downstream window retains; a sink record is shared, never
-/// copied, by the reports that carry it.
+/// task emits is the one delivered and the one a downstream window
+/// retains; a non-source's output buffer keeps that chunk too, while a
+/// source's buffer reaches it only for as long as the window does; a sink
+/// record is shared, never copied, by the reports that carry it.
 #[test]
 fn one_chunk_from_emit_to_window_and_sink_record() -> TestResult {
     let window = 3u64;
@@ -702,19 +703,44 @@ fn one_chunk_from_emit_to_window_and_sink_record() -> TestResult {
     let mut sim = Simulation::new(&q, one_task_per_node(&q)?, base_config(mode));
     let first = drive_to(&mut sim, 8, vec![])?;
 
-    // Hops source 0 -> mid 2 (one-to-one) and mid 2 -> sink 4 (two-way
-    // Merge fan-in): every buffered batch the receiver's window still
-    // covers has exactly two holders — the sender's buffer and that
-    // window — and every batch the window slid past is back to one.
-    for (sender, receiver, fan_in) in [(0usize, 2usize, 1usize), (2, 4, 2)] {
-        let done = sim.tasks[receiver].next_batch;
-        assert!(done > window + 1, "the window slid at least once");
-        let buffered = &sim.tasks[sender].out_buffer[0];
-        for (b, chunk, _) in buffered.iter().filter(|(b, _, _)| *b < done) {
-            let expected = if *b + window >= done { 2 } else { 1 };
-            assert_eq!(chunk.holders(), expected, "{sender}->{receiver} batch {b}");
-            assert_eq!(chunk.len(), 100);
+    // Hop source 0 -> mid 2 (one-to-one): while the mid's window covers a
+    // batch, the source's entry upgrades to the window's chunk — its only
+    // other holder — and a re-serve hands out that very chunk; once the
+    // window slid past, the tuples are freed and the entry reaches nothing.
+    let done = sim.tasks[2].next_batch;
+    assert!(done > window + 1, "the window slid at least once");
+    for i in 0..sim.tasks[0].out_buffer[0].len() {
+        let (b, upgraded) = match &sim.tasks[0].out_buffer[0][i] {
+            (b, Held::Source(weak, 100), _) => (*b, weak.upgrade()),
+            _ => return Err("a source buffers a handle to each 100-tuple batch".into()),
+        };
+        if b >= done {
+            continue; // still in flight
         }
+        if b + window >= done {
+            let chunk = upgraded.ok_or(format!("batch {b}: the window holds it"))?;
+            assert_eq!(chunk.holders(), 2, "batch {b}: the window and this upgrade");
+            let reserved = lane::held_chunk(&mut sim.tasks[0], 0, i);
+            assert!(Chunk::ptr_eq(&chunk, &reserved), "batch {b}");
+        } else {
+            assert!(upgraded.is_none(), "batch {b}: the window slid past");
+        }
+    }
+
+    // Hop mid 2 -> sink 4 (two-way Merge fan-in): every buffered batch the
+    // receiver's window still covers has exactly two holders — the sender's
+    // buffer and that window — and every batch the window slid past is back
+    // to one.
+    let done = sim.tasks[4].next_batch;
+    for (b, held, _) in sim.tasks[2].out_buffer[0].iter().filter(|e| e.0 < done) {
+        let Held::Tuples(chunk) = held else {
+            return Err("a non-source buffers its tuples".into());
+        };
+        let expected = if *b + window >= done { 2 } else { 1 };
+        assert_eq!(chunk.holders(), expected, "2->4 batch {b}");
+        assert_eq!(chunk.len(), 100);
+    }
+    for (receiver, fan_in) in [(2usize, 1usize), (4, 2)] {
         assert_eq!(
             sim.tasks[receiver].state_tuples(),
             window as usize * 100 * fan_in,
@@ -731,6 +757,141 @@ fn one_chunk_from_emit_to_window_and_sink_record() -> TestResult {
         assert!(Chunk::ptr_eq(&record.tuples, &first.sink[i].tuples));
         assert!(Chunk::ptr_eq(&record.tuples, &second.sink[i].tuples));
         assert_eq!(record.tuples.holders(), 3);
+    }
+    Ok(())
+}
+
+/// source(1) -> mid(2, split: each tuple routed by key hash) -> sink(1,
+/// merge): one multi-target source stream.
+fn split_query(per_batch: usize, window_batches: u64) -> Result<Query, Box<dyn Error>> {
+    let mut q = QueryBuilder::new();
+    let s = q.add_source(
+        OperatorSpec::source("src", 1, per_batch as f64),
+        move |_| {
+            Box::new(CountingSource {
+                per_batch,
+                seed: 3000,
+                key_space: 1 << 20,
+            })
+        },
+    );
+    let m = q.add_operator(OperatorSpec::map("mid", 2, 1.0), move |_| {
+        Box::new(WindowedPass::new(window_batches))
+    });
+    let k = q.add_operator(OperatorSpec::map("sink", 1, 1.0), move |_| {
+        Box::new(WindowedPass::new(window_batches))
+    });
+    q.connect(s, m, Partitioning::Split)?;
+    q.connect(m, k, Partitioning::Merge)?;
+    Ok(q.build()?)
+}
+
+/// The tuples a slot buffered for out target `k`, by batch (a non-source's
+/// buffer, which keeps them).
+fn buffered_chunks(task: &TaskRt, k: usize) -> BTreeMap<u64, Chunk> {
+    task.out_buffer[k]
+        .iter()
+        .filter_map(|(b, held, _)| match held {
+            Held::Tuples(chunk) => Some((*b, chunk.clone())),
+            Held::Source(..) => None,
+        })
+        .collect()
+}
+
+/// A source rebuilds a re-served batch from its id: once the downstream
+/// windows dropped a hash-partitioned batch, a re-serve regenerates it and
+/// routes each part exactly as `emit` binned it, and a downstream restore
+/// that replays those regenerated parts rebuilds the failure-free output.
+#[test]
+fn a_regenerated_split_batch_is_binned_as_emit_binned_it() -> TestResult {
+    let window = 3u64;
+    let q = split_query(100, window)?;
+    // No checkpoint fires: the killed mid restarts from scratch, so its
+    // upstream re-serves every batch from 0.
+    let mode = || base_config(FtMode::checkpoint(4, SimDuration::from_secs(1000)));
+    let mut golden = Simulation::new(&q, one_task_per_node(&q)?, mode());
+    drive_to(&mut golden, 30, vec![])?;
+    // Each mid passes its input through, so its own buffer holds what emit
+    // binned for it (mids are tasks 1 and 2, fed by out targets 0 and 1).
+    for k in 0..2 {
+        let binned = buffered_chunks(&golden.tasks[1 + k], 0);
+        let windowed_from = golden.tasks[1 + k].next_batch - window;
+        let mut regenerated = 0;
+        for i in 0..golden.tasks[0].out_buffer[k].len() {
+            let b = golden.tasks[0].out_buffer[k][i].0;
+            if b >= windowed_from {
+                continue;
+            }
+            let reserved = lane::held_chunk(&mut golden.tasks[0], k, i);
+            assert_eq!(Some(&reserved), binned.get(&b), "target {k} batch {b}");
+            regenerated += 1;
+        }
+        assert!(regenerated > 20, "target {k}: {regenerated} batches");
+    }
+
+    // Mid 1 dies at 15 s, when its window holds only batches 12..=14 of
+    // the source's output: its restore replays from regenerated parts.
+    let mut sim = Simulation::new(&q, one_task_per_node(&q)?, mode());
+    let report = drive_to(&mut sim, 30, vec![kill(15, node_of(1))])?;
+    assert!(report
+        .outages
+        .iter()
+        .flat_map(|o| &o.records)
+        .all(|r| !r.open()));
+    assert_eq!(report.recoveries().len(), 1);
+    let restored = buffered_chunks(&sim.tasks[1], 0);
+    let expected = buffered_chunks(&golden.tasks[1], 0);
+    assert!(restored.len() > 25);
+    for (b, tuples) in &restored {
+        assert_eq!(Some(tuples), expected.get(b), "batch {b}");
+    }
+    Ok(())
+}
+
+/// A regenerated batch is rebuilt once per life: the second re-serve of
+/// it shares the first's allocation for as long as anyone holds that, and
+/// the buffer itself does not keep it alive.
+#[test]
+fn a_second_reserve_shares_the_first_regeneration() -> TestResult {
+    let q = split_query(100, 3)?;
+    let config = base_config(FtMode::checkpoint(4, SimDuration::from_secs(1000)));
+    let mut sim = Simulation::new(&q, one_task_per_node(&q)?, config);
+    drive_to(&mut sim, 10, vec![])?;
+    let weak = |sim: &Simulation| match &sim.tasks[0].out_buffer[1][0] {
+        (0, Held::Source(weak, _), _) => Ok(weak.upgrade()),
+        _ => Err("the source buffers batch 0 as a handle"),
+    };
+    assert!(weak(&sim)?.is_none(), "the windows slid past batch 0");
+    let first = lane::held_chunk(&mut sim.tasks[0], 1, 0);
+    let second = lane::held_chunk(&mut sim.tasks[0], 1, 0);
+    assert!(Chunk::ptr_eq(&first, &second));
+    assert_eq!(first.holders(), 2, "the two re-serves; not the buffer");
+    drop((first, second));
+    assert!(weak(&sim)?.is_none());
+    Ok(())
+}
+
+/// A dead incarnation's memory goes with its node: killing the node of a
+/// primary with buffered output and of a muted sink replica with stashed
+/// records empties both slots' buffers and the stash.
+#[test]
+fn a_killed_slot_keeps_no_buffers() -> TestResult {
+    let q = chain_query(100, 3)?;
+    let mut sim = Simulation::new(&q, one_task_per_node(&q)?, base_config(FtMode::active(5)));
+    drive_to(&mut sim, 10, vec![])?;
+    let (mid, sink_replica) = (2, sim.replica_slot[4].ok_or("the sink is replicated")?);
+    let standby = sim.tasks[sink_replica].node;
+    assert!(!sim.tasks[mid].out_buffer[0].is_empty());
+    assert!(!sim.tasks[sink_replica].pending_sink.is_empty());
+    let failure = FailureSpec {
+        at: SimTime::from_secs(11),
+        nodes: vec![node_of(mid), standby],
+    };
+    drive_to(&mut sim, 11, vec![failure])?;
+    for rt in [mid, sink_replica] {
+        assert_eq!(sim.tasks[rt].status, Status::Dead);
+        assert!(sim.tasks[rt].out_buffer.iter().all(VecDeque::is_empty));
+        assert!(sim.tasks[rt].pending_sink.is_empty());
     }
     Ok(())
 }

@@ -6,7 +6,7 @@
 
 use std::fmt;
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Tuple key. The engine partitions substreams by `Key` hash.
 pub(crate) type Key = u64;
@@ -91,10 +91,13 @@ impl Tuple {
 
 /// A batch of tuples in flight: immutable and refcounted.
 ///
-/// One `Chunk` is what an upstream task emits, buffers until the downstream
-/// checkpoint acknowledges it (§V-B), delivers to a primary and its replica,
-/// hands to the UDF and records at a sink — every hand-off is a refcount
-/// bump, never a copy. A chunk is therefore **never mutated** after it is
+/// One `Chunk` is what an upstream task emits, delivers to a primary and
+/// its replica, hands to the UDF and records at a sink — every hand-off is
+/// a refcount bump, never a copy. A non-source task also buffers it until
+/// the downstream checkpoint acknowledges it (§V-B); a source buffers only
+/// a weak handle, because its generator can rebuild the batch from the
+/// batch id, so its output lives exactly as long as a window, delivery or
+/// checkpoint holds it. A chunk is therefore **never mutated** after it is
 /// built: whoever holds a clone (a UDF's window, an output buffer, a
 /// checkpoint, a report) sees the same tuples for as long as it keeps it.
 ///
@@ -102,6 +105,28 @@ impl Tuple {
 /// is built from.
 #[derive(Clone, PartialEq, Default)]
 pub struct Chunk(Arc<Vec<Tuple>>);
+
+impl Chunk {
+    /// A handle that reaches this chunk's tuples while anyone else still
+    /// holds them, without keeping them alive itself.
+    pub(crate) fn downgrade(&self) -> WeakChunk {
+        WeakChunk(Arc::downgrade(&self.0))
+    }
+}
+
+/// A [`Chunk`] that does not keep its tuples alive (see
+/// [`Chunk::downgrade`]). Once the last holder drops the chunk, the handle
+/// keeps only the refcounted `Vec` header allocated: the tuples live in
+/// the `Vec`'s own buffer, which is freed then.
+#[derive(Clone)]
+pub(crate) struct WeakChunk(Weak<Vec<Tuple>>);
+
+impl WeakChunk {
+    /// The chunk, if some holder still keeps it alive.
+    pub(crate) fn upgrade(&self) -> Option<Chunk> {
+        self.0.upgrade().map(Chunk)
+    }
+}
 
 impl From<Vec<Tuple>> for Chunk {
     fn from(tuples: Vec<Tuple>) -> Self {
@@ -194,6 +219,17 @@ mod tests {
         assert_eq!(format!("{chunk:?}"), format!("{tuples:?}"));
         assert_eq!(format!("{chunk:#?}"), format!("{tuples:#?}"));
         assert_eq!(format!("{:?}", Chunk::default()), "[]");
+    }
+
+    #[test]
+    fn a_weak_chunk_reaches_the_tuples_only_while_a_holder_lives() {
+        let chunk = Chunk::from(vec![Tuple::key_only(1)]);
+        let weak = chunk.downgrade();
+        let upgraded = weak.upgrade().expect("the chunk is alive");
+        assert!(Chunk::ptr_eq(&chunk, &upgraded));
+        assert_eq!(chunk.holders(), 2, "the handle itself holds nothing");
+        drop((chunk, upgraded));
+        assert!(weak.upgrade().is_none());
     }
 
     #[test]

@@ -165,10 +165,14 @@ pub trait Udf: Send {
 
 /// A source-task generator.
 ///
-/// Generation must be a deterministic function of the batch id (derive any
-/// randomness from `(seed, task, batch)`), which makes source recovery and
-/// Storm-style source replay trivially consistent: regenerating a batch
-/// yields the identical tuples.
+/// Generation must be a pure function of the batch id: derive any
+/// randomness from `(seed, task, batch)`, and let no call depend on which
+/// batches were asked for before. The engine relies on it for more than
+/// source recovery and Storm-style source replay: a source's output buffer
+/// keeps no tuples, only weak handles, and a re-serve whose chunk nobody
+/// holds any more asks the generator for the batch again — out of order,
+/// and possibly more than once. Regenerating a batch must yield the
+/// identical tuples.
 pub trait SourceGen: Send {
     /// The tuples this source task emits for batch `batch`.
     fn batch(&mut self, batch: u64) -> Vec<Tuple>;

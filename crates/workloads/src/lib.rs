@@ -161,9 +161,41 @@ pub(crate) fn merge_link(upstream: usize, downstream: usize) -> Partitioning {
 /// Strategy label of the paper's hand-built source-isolating layout.
 pub(crate) const DEDICATED: &str = "Dedicated";
 
+/// Checks the contract a source's re-serve rests on: `SourceGen::batch`
+/// is a pure function of the batch id. Every batch a fresh generator
+/// yields comes back equal from one generator asked for it twice, out of
+/// order, after other batches.
+#[cfg(test)]
+fn assert_pure_source(name: &str, fresh: impl Fn() -> Box<dyn ppa_engine::SourceGen>) {
+    const BATCHES: u64 = 64;
+    let expected: Vec<Vec<ppa_engine::Tuple>> = (0..BATCHES).map(|b| fresh().batch(b)).collect();
+    assert!(
+        expected.iter().any(|tuples| !tuples.is_empty()),
+        "{name} emits tuples"
+    );
+    let mut reused = fresh();
+    for round in 0..2 {
+        // 37 is coprime to 64: every batch once per round, out of order.
+        for b in (0..BATCHES).map(|i| (i * 37 + round * 11) % BATCHES) {
+            assert_eq!(reused.batch(b), expected[b as usize], "{name} batch {b}");
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_engine_counting_source_is_pure() {
+        assert_pure_source("CountingSource", || {
+            Box::new(ppa_engine::CountingSource {
+                per_batch: 100,
+                seed: 7,
+                key_space: 50,
+            })
+        });
+    }
 
     #[test]
     fn worker_fault_domains_cover_exactly_the_kill_set() {

@@ -546,6 +546,36 @@ mod tests {
     }
 
     #[test]
+    fn the_location_and_incident_sources_are_pure() {
+        let cfg = small();
+        let zipf = Zipf::new(cfg.n_segments, cfg.zipf_s);
+        let schedule = IncidentSchedule::new(&cfg);
+        crate::assert_pure_source("LocationSource", || {
+            Box::new(LocationSource {
+                task: 1,
+                n_tasks: cfg.loc_src_tasks,
+                per_batch: cfg.location_rate / cfg.loc_src_tasks,
+                zipf: zipf.clone(),
+                schedule: schedule.clone(),
+                seed: cfg.seed,
+            })
+        });
+        crate::assert_pure_source("IncidentSource", || {
+            Box::new(IncidentSource {
+                task: 1,
+                cfg_map: SegmentMap {
+                    loc_src_tasks: cfg.loc_src_tasks,
+                    o1_tasks: cfg.o1_tasks,
+                    o3_tasks: cfg.o3_tasks,
+                },
+                schedule: schedule.clone(),
+                n_users: cfg.n_users,
+                zipf: zipf.clone(),
+            })
+        });
+    }
+
+    #[test]
     fn schedule_is_consistent() {
         let cfg = small();
         let s = IncidentSchedule::new(&cfg);

@@ -178,6 +178,16 @@ mod tests {
     }
 
     #[test]
+    fn the_uniform_source_is_pure() {
+        crate::assert_pure_source("UniformSource", || {
+            Box::new(UniformSource {
+                per_batch: 100,
+                seed: 42,
+            })
+        });
+    }
+
+    #[test]
     fn fig6_topology_shape() {
         let q = fig6_query(&Fig6Config::default());
         let t = q.topology();

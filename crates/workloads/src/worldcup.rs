@@ -263,6 +263,21 @@ mod tests {
     }
 
     #[test]
+    fn the_access_log_source_is_pure() {
+        let cfg = small();
+        let objects_per_task = cfg.n_objects / cfg.src_tasks;
+        crate::assert_pure_source("AccessLogSource", || {
+            Box::new(AccessLogSource {
+                task: 1,
+                rate: cfg.rate,
+                zipf: Zipf::new(objects_per_task, cfg.zipf_s),
+                objects_per_task: objects_per_task as u64,
+                seed: cfg.seed,
+            })
+        });
+    }
+
+    #[test]
     fn q1_shape() {
         let q = q1_query(&Q1Config::default());
         let t = q.topology();
