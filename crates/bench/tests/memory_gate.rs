@@ -6,10 +6,15 @@
 //!
 //! Output buffers keep only what nobody can rebuild: a source buffers weak
 //! handles and regenerates a batch on re-serve, and a dead incarnation's
-//! buffers go with its node. Buffers that keep every tuple, a dead
-//! incarnation's too, peak Active at about 117 MiB; regenerating without a
-//! weak handle rebuilds the same replay window once per recovering task
-//! under Storm, about 59 MiB.
+//! buffers go with its node. Each synthetic operator keeps every 2nd tuple
+//! of two equal input chunks, which is its first chunk, and forwards that
+//! chunk instead of copying it, so one source chunk is the output of every
+//! operator down to the sink. The runs peak at about 34.7 MiB (Active) and
+//! 20.0 MiB (Storm). Copying the forwarded chunk peaks them at about 66.6
+//! and 31.8 MiB; buffers that keep every tuple, a dead incarnation's too,
+//! peak Active at about 117 MiB; regenerating without a weak handle
+//! rebuilds the same replay window once per recovering task under Storm,
+//! about 59 MiB.
 //!
 //! The count is of bytes requested from the allocator, so it is
 //! deterministic and indifferent to the host: the gate executes on a
@@ -82,13 +87,13 @@ fn fig6_recovery_keeps_only_what_nobody_can_rebuild() {
     let kill = FailureTrace::once(SimTime::from_secs(70), scenario.worker_kill_set.clone());
     // Ceilings about 10 % above what the runs peak at.
     let runs = [
-        ("Active", FtMode::active(n), 73.0),
+        ("Active", FtMode::active(n), 38.0),
         (
             "Storm",
             FtMode::SourceReplay {
                 buffer: cfg.window + SimDuration::from_secs(5),
             },
-            35.0,
+            22.0,
         ),
     ];
     for (name, mode, ceiling_mib) in runs {

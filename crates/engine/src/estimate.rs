@@ -143,8 +143,7 @@ mod tests {
     use crate::config::{EngineConfig, FtMode};
     use crate::placement::Placement;
     use crate::runtime::{FailureSpec, Simulation};
-    use crate::tuple::Tuple;
-    use crate::udf::{BatchCtx, CountingSource, InputBatch, Udf, WindowBuffer};
+    use crate::udf::{BatchCtx, CountingSource, InputBatch, Output, Udf, WindowBuffer};
     use ppa_core::model::{OperatorSpec, Partitioning};
     use ppa_sim::SimTime;
 
@@ -157,7 +156,7 @@ mod tests {
     }
 
     impl Udf for Windowed {
-        fn on_batch(&mut self, ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Vec<Tuple>) {
+        fn on_batch(&mut self, ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Output) {
             for i in inputs {
                 out.extend(i.iter().cloned());
             }

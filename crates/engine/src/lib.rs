@@ -73,4 +73,4 @@ pub use ppa_faults::FailureTrace;
 // naming the obs crate explicitly.
 pub use ppa_obs::{EngineEvent, MetricsRegistry, MetricsSnapshot, TraceSink, VecSink};
 pub use tuple::{Chunk, Tuple, Value};
-pub use udf::{BatchCtx, CountingSource, InputBatch, MapUdf, SourceGen, Udf, WindowBuffer};
+pub use udf::{BatchCtx, CountingSource, InputBatch, MapUdf, Output, SourceGen, Udf, WindowBuffer};

@@ -16,7 +16,7 @@ use super::{trim_below, Backup, Event, Held, Msg, Rt, Status, TaskRt};
 use crate::config::{EngineConfig, FtMode};
 use crate::report::SinkBatch;
 use crate::tuple::{route, Chunk, Tuple};
-use crate::udf::{BatchCtx, InputBatch};
+use crate::udf::{BatchCtx, InputBatch, Output};
 use ppa_core::{TaskGraph, TaskIndex};
 use ppa_sim::{Scheduler, SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -427,7 +427,7 @@ fn process_batch(
     task.cpu.processing += work;
 
     // Run the UDF.
-    let mut out = Vec::new();
+    let mut out = Output::new();
     {
         let op = cx.graph.operator_of(task.logical);
         let ctx = BatchCtx {
@@ -455,7 +455,7 @@ fn process_batch(
         }
         task.next_batch = b + 1;
     }
-    let out = Chunk::from(out);
+    let out = out.into_chunk();
 
     // Recovery completion check: progress vector dominated. Handed back
     // (not applied here) because the outage books are the simulation's.

@@ -8,7 +8,7 @@ use crate::control::{ControlAction, DriveReport, HealthView};
 use crate::placement::Placement;
 use crate::query::{Query, QueryBuilder};
 use crate::tuple::Tuple;
-use crate::udf::{BatchCtx, CountingSource, InputBatch, Udf, WindowBuffer};
+use crate::udf::{BatchCtx, CountingSource, InputBatch, Output, Udf, WindowBuffer};
 use ppa_core::TaskSet;
 use ppa_core::{OperatorSpec, Partitioning};
 use ppa_faults::FailureTrace;
@@ -34,7 +34,7 @@ impl WindowedPass {
 }
 
 impl Udf for WindowedPass {
-    fn on_batch(&mut self, ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Vec<Tuple>) {
+    fn on_batch(&mut self, ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Output) {
         for i in inputs {
             out.extend(i.iter().cloned());
         }
@@ -893,6 +893,126 @@ fn a_killed_slot_keeps_no_buffers() -> TestResult {
         assert!(sim.tasks[rt].out_buffer.iter().all(VecDeque::is_empty));
         assert!(sim.tasks[rt].pending_sink.is_empty());
     }
+    Ok(())
+}
+
+/// Fig. 6's operator in small: every 2nd tuple across the inputs, with
+/// the raw input windowed as state.
+#[derive(Clone)]
+struct KeepHalf {
+    window_batches: u64,
+    buf: WindowBuffer,
+}
+
+impl Udf for KeepHalf {
+    fn on_batch(&mut self, ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Output) {
+        inputs
+            .iter()
+            .fold(0, |first, i| i.copy_every(first, 2, out));
+        let chunks = inputs.iter().flat_map(|i| i.chunks()).cloned();
+        self.buf.push(ctx.batch, chunks, self.window_batches);
+    }
+
+    fn snapshot(&self) -> Box<dyn Udf> {
+        Box::new(self.clone())
+    }
+
+    fn state_tuples(&self) -> usize {
+        self.buf.len_tuples()
+    }
+}
+
+/// source(4) -> mid(2, merge) -> sink(1, merge): Fig. 6's 2->1 merges,
+/// each operator keeping every 2nd tuple.
+fn halving_merge_query(per_batch: usize) -> Result<Query, Box<dyn Error>> {
+    let mut q = QueryBuilder::new();
+    let s = q.add_source(
+        OperatorSpec::source("src", 4, per_batch as f64),
+        move |task| Box::new(counting(per_batch, task)),
+    );
+    let keep_half = |_| -> Box<dyn Udf> {
+        Box::new(KeepHalf {
+            window_batches: 3,
+            buf: WindowBuffer::new(),
+        })
+    };
+    let m = q.add_operator(OperatorSpec::map("mid", 2, 0.5), keep_half);
+    let k = q.add_operator(OperatorSpec::map("sink", 1, 0.5), keep_half);
+    q.connect(s, m, Partitioning::Merge)?;
+    q.connect(m, k, Partitioning::Merge)?;
+    Ok(q.build()?)
+}
+
+fn counting(per_batch: usize, task: usize) -> CountingSource {
+    CountingSource {
+        per_batch,
+        seed: 4000 + task as u64,
+        key_space: 1 << 20,
+    }
+}
+
+/// A merge that keeps every 2nd tuple of two equal chunks keeps the first
+/// one whole, so it forwards it: from source to sink no tuple is copied,
+/// and the sink record is the source's chunk. A batch whose second
+/// substream a proxy closed (an empty chunk) is copied instead and keeps
+/// every 2nd tuple of the first.
+#[test]
+fn a_halving_merge_forwards_its_first_chunk_from_source_to_sink() -> TestResult {
+    let q = halving_merge_query(100)?;
+    // No checkpoint fires inside the horizon, so no buffer is trimmed.
+    let mode = FtMode::checkpoint(7, SimDuration::from_secs(1000));
+    let mut sim = Simulation::new(&q, one_task_per_node(&q)?, base_config(mode));
+    // Source 1 feeds mid 4's second substream: while it is down, the
+    // master proxies its punctuations.
+    let report = drive_to(&mut sim, 20, vec![kill(3, node_of(1))])?;
+    let source_chunk = |sim: &Simulation, b: u64| {
+        sim.tasks[0].out_buffer[0]
+            .iter()
+            .find(|e| e.0 == b)
+            .and_then(|(_, held, _)| match held {
+                Held::Source(weak, _) => weak.upgrade(),
+                Held::Tuples(_) => None,
+            })
+    };
+    let (mut forwarded, mut copied) = (0, 0);
+    for (b, held, degraded) in &sim.tasks[4].out_buffer[0] {
+        let Held::Tuples(chunk) = held else {
+            return Err("a non-source buffers its tuples".into());
+        };
+        let generated = counting(100, 0).batch(*b);
+        if *degraded {
+            let kept: Vec<Tuple> = generated.iter().step_by(2).cloned().collect();
+            assert_eq!(chunk[..], kept, "batch {b}: copied, every 2nd tuple");
+            copied += 1;
+        } else {
+            let source = source_chunk(&sim, *b).ok_or("the mid's buffer holds it")?;
+            assert!(Chunk::ptr_eq(chunk, &source), "batch {b}: forwarded");
+            assert_eq!(chunk[..], generated, "batch {b}");
+            forwarded += 1;
+        }
+    }
+    assert!(
+        forwarded > 0 && copied > 0,
+        "{forwarded} forwarded, {copied} copied"
+    );
+    let (mut shared, mut tentative) = (0, 0);
+    for record in &report.sink {
+        if record.tentative {
+            tentative += 1;
+            continue;
+        }
+        let source = source_chunk(&sim, record.batch).ok_or("the sink record holds it")?;
+        assert!(
+            Chunk::ptr_eq(&record.tuples, &source),
+            "batch {}",
+            record.batch
+        );
+        shared += 1;
+    }
+    assert!(
+        shared > 0 && tentative > 0,
+        "{shared} shared, {tentative} tentative"
+    );
     Ok(())
 }
 

@@ -93,11 +93,12 @@ impl Tuple {
 ///
 /// One `Chunk` is what an upstream task emits, delivers to a primary and
 /// its replica, hands to the UDF and records at a sink — every hand-off is
-/// a refcount bump, never a copy. A non-source task also buffers it until
-/// the downstream checkpoint acknowledges it (§V-B); a source buffers only
-/// a weak handle, because its generator can rebuild the batch from the
-/// batch id, so its output lives exactly as long as a window, delivery or
-/// checkpoint holds it. A chunk is therefore **never mutated** after it is
+/// a refcount bump, never a copy. A UDF whose output is exactly one of its
+/// input chunks emits that same chunk (see [`Output`](crate::Output)). A
+/// non-source task also buffers it until the downstream checkpoint
+/// acknowledges it (§V-B); a source buffers only a weak handle, because
+/// its generator can rebuild the batch from the batch id, so its output
+/// lives exactly as long as a window, delivery or checkpoint holds it. A chunk is therefore **never mutated** after it is
 /// built: whoever holds a clone (a UDF's window, an output buffer, a
 /// checkpoint, a report) sees the same tuples for as long as it keeps it.
 ///

@@ -72,8 +72,8 @@ impl<'a> InputBatch<'a> {
         (0..rows).flat_map(move |i| chunks.iter().filter_map(move |c| c.get(i)))
     }
 
-    /// Appends to `out` a clone of every `step`-th tuple of the batch's
-    /// round-robin order, starting at position `first` — the tuples
+    /// Appends to `out` every `step`-th tuple of the batch's round-robin
+    /// order, starting at position `first` — the tuples
     /// `iter().skip(first).step_by(step)` yields, in that order — and
     /// returns the carry-over offset: how far past this batch's end the
     /// next selected position lies (saturating). Passing it as the next
@@ -86,23 +86,36 @@ impl<'a> InputBatch<'a> {
     /// once and written in place, where collecting from
     /// [`iter`](InputBatch::iter) builds each clone on the stack first.
     ///
+    /// When the selection is exactly one input chunk and `out` is empty,
+    /// nothing is copied: `out` forwards that chunk (see [`Output`]). That
+    /// holds when no chunk is empty, every chunk has the same length,
+    /// `step` is the number of chunks and `first < step` — Fig. 6's
+    /// fan-in-2 merge at selectivity 0.5 keeps its first input chunk.
+    ///
     /// # Panics
     /// If `step` is 0.
-    pub fn copy_every(&self, first: usize, step: usize, out: &mut Vec<Tuple>) -> usize {
+    pub fn copy_every(&self, first: usize, step: usize, out: &mut Output) -> usize {
         assert!(step > 0, "copy_every needs a positive step");
         let len = self.len();
         if first >= len {
             return first - len;
         }
+        let chunks = self.chunks;
         // Round-robin skips exhausted chunks, so empty ones never count.
-        if self.chunks.iter().any(|c| c.is_empty()) {
-            let live: Vec<&[Tuple]> = (self.chunks.iter())
+        if chunks.iter().any(|c| c.is_empty()) {
+            let live: Vec<&[Tuple]> = (chunks.iter())
                 .filter(|c| !c.is_empty())
                 .map(|c| &**c)
                 .collect();
-            self.copy_strided(&live, first..len, step, out);
+            self.copy_strided(&live, first..len, step, out.owned());
+        } else if step == chunks.len()
+            && first < step
+            && out.is_empty()
+            && chunks.iter().all(|c| c.len() == chunks[0].len())
+        {
+            out.forwarded = Some(chunks[first].clone());
         } else {
-            self.copy_strided(self.chunks, first..len, step, out);
+            self.copy_strided(chunks, first..len, step, out.owned());
         }
         let taken = (len - first).div_ceil(step);
         first.saturating_add(taken.saturating_mul(step)) - len
@@ -115,8 +128,7 @@ impl<'a> InputBatch<'a> {
     /// exact-size iterators, so `Vec::extend` reserves once and clones each
     /// tuple straight into its slot: position `p` is tuple `p / width` of
     /// chunk `p % width`, and a step that is a multiple of the width never
-    /// leaves its chunk — the fan-in-2, selectivity-0.5 case of Fig. 6 is a
-    /// plain slice copy. Ragged chunks take [`iter`](InputBatch::iter)
+    /// leaves its chunk. Ragged chunks take [`iter`](InputBatch::iter)
     /// after an explicit reserve.
     fn copy_strided<C: Deref<Target = [Tuple]>>(
         &self,
@@ -154,13 +166,76 @@ pub trait Udf: Send {
     /// round-robin order, copy them out with
     /// [`InputBatch::copy_every`], and retain input chunks by cloning them
     /// if the operator keeps raw input as state — never by mutating them.
-    fn on_batch(&mut self, ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Vec<Tuple>);
+    /// Build new tuples with [`Output::push`] or `extend`. `out` starts
+    /// empty; a `copy_every` that selects one whole input chunk into it
+    /// shares that chunk instead of copying it, and whatever is appended
+    /// after that lands behind the shared tuples.
+    fn on_batch(&mut self, ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Output);
 
     /// Snapshots the full operator state (for checkpoints and replicas).
     fn snapshot(&self) -> Box<dyn Udf>;
 
     /// Approximate state size in tuples, used to cost checkpoints/restores.
     fn state_tuples(&self) -> usize;
+}
+
+/// What a UDF emits for one batch: tuples it built, or one of its input
+/// chunks forwarded whole.
+///
+/// It reads like the `Vec<Tuple>` it replaces: it dereferences to
+/// `[Tuple]`, and [`push`](Output::push) and `extend` append. Only
+/// [`InputBatch::copy_every`] forwards, when its selection is exactly one
+/// input chunk and the output is still empty; the engine then emits that
+/// chunk itself, so the hop copies no tuple and holds no second copy.
+/// Appending to a forwarded output first copies the forwarded tuples in
+/// (copy on write), so the appended tuples land behind them as they would
+/// in a `Vec`; the input chunk itself is never mutated.
+#[derive(Debug, Default)]
+pub struct Output {
+    /// An input chunk that is the whole output, shared; `owned` is empty
+    /// while it is set.
+    forwarded: Option<Chunk>,
+    owned: Vec<Tuple>,
+}
+
+impl Output {
+    /// An empty output.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends one tuple.
+    pub fn push(&mut self, tuple: Tuple) {
+        self.owned().push(tuple);
+    }
+
+    /// The owned tuples, with a forwarded chunk copied in first.
+    fn owned(&mut self) -> &mut Vec<Tuple> {
+        if let Some(chunk) = self.forwarded.take() {
+            self.owned.extend_from_slice(&chunk);
+        }
+        &mut self.owned
+    }
+
+    /// The output as the chunk the engine emits: the forwarded chunk
+    /// itself, or the owned tuples moved into a new one.
+    pub(crate) fn into_chunk(self) -> Chunk {
+        self.forwarded.unwrap_or_else(|| self.owned.into())
+    }
+}
+
+impl Extend<Tuple> for Output {
+    fn extend<I: IntoIterator<Item = Tuple>>(&mut self, tuples: I) {
+        self.owned().extend(tuples);
+    }
+}
+
+impl Deref for Output {
+    type Target = [Tuple];
+
+    fn deref(&self) -> &[Tuple] {
+        self.forwarded.as_deref().unwrap_or(&self.owned)
+    }
 }
 
 /// A source-task generator.
@@ -190,7 +265,7 @@ impl<F: Fn(&Tuple) -> Option<Tuple> + Clone + Send + 'static> MapUdf<F> {
 }
 
 impl<F: Fn(&Tuple) -> Option<Tuple> + Clone + Send + 'static> Udf for MapUdf<F> {
-    fn on_batch(&mut self, _ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Vec<Tuple>) {
+    fn on_batch(&mut self, _ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Output) {
         for input in inputs {
             for t in input.iter() {
                 if let Some(o) = (self.f)(t) {
@@ -283,7 +358,7 @@ mod tests {
                 .then(|| Tuple::new(t.key, Value::Int(1)))
         });
         let tuples: Vec<Tuple> = (0..6).map(Tuple::key_only).collect();
-        let mut out = Vec::new();
+        let mut out = Output::new();
         let ctx = BatchCtx {
             batch: 0,
             now: SimTime::ZERO,
@@ -393,10 +468,20 @@ mod tests {
 
     const STEPS: [usize; 5] = [1, 2, 3, 7, usize::MAX];
 
-    #[test]
-    fn input_batch_iter_is_the_round_robin_interleave() {
+    /// An output that holds `held`, built by appending.
+    fn output_holding(held: &[Tuple]) -> Output {
+        let mut out = Output::new();
+        out.extend(held.iter().cloned());
+        out
+    }
+
+    /// `iter` against the reference interleave, and `copy_every` against
+    /// `iter().skip(first).step_by(step)` appended behind `held`, the
+    /// tuples the output already holds.
+    fn assert_round_robin(held: &[Tuple]) {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
+        let n = held.len();
         for seed in 0..70u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let chunks = chunk_set(&mut rng, seed, 0);
@@ -415,10 +500,10 @@ mod tests {
                         batch.iter().skip(first).step_by(step).cloned().collect();
                     let next = first as u128 + (reference.len() as u128) * (step as u128);
                     let carry = usize::try_from(next).unwrap_or(usize::MAX) - len;
-                    let mut out = vec![Tuple::key_only(u64::MAX)];
+                    let mut out = output_holding(held);
                     assert_eq!(batch.copy_every(first, step, &mut out), carry, "{what}");
-                    assert_eq!(out[0], Tuple::key_only(u64::MAX), "{what}: appends");
-                    assert_eq!(out[1..], reference, "{what}");
+                    assert_eq!(out[..n], *held, "{what}: appends");
+                    assert_eq!(out[n..], reference, "{what}");
                 }
             }
         }
@@ -440,14 +525,17 @@ mod tests {
                 .map(|(s, chunks)| InputBatch::new(s, chunks))
                 .collect();
             for step in STEPS {
-                let reference: Vec<Tuple> = (inputs.iter())
-                    .flat_map(|i| i.iter())
-                    .step_by(step)
-                    .cloned()
+                let reference: Vec<Tuple> = (held.iter().cloned())
+                    .chain(
+                        (inputs.iter())
+                            .flat_map(|i| i.iter())
+                            .step_by(step)
+                            .cloned(),
+                    )
                     .collect();
-                let mut out = Vec::new();
+                let mut out = output_holding(held);
                 (inputs.iter()).fold(0, |first, i| i.copy_every(first, step, &mut out));
-                assert_eq!(out, reference, "seed {seed}, step {step}");
+                assert_eq!(out[..], reference, "seed {seed}, step {step}");
             }
         }
         // The carried offset outlives a stream it skips entirely.
@@ -459,11 +547,96 @@ mod tests {
         let inputs: Vec<InputBatch<'_>> = (streams.iter().enumerate())
             .map(|(s, chunks)| InputBatch::new(s, chunks))
             .collect();
-        let mut out = Vec::new();
+        let mut out = output_holding(held);
         assert_eq!(inputs[0].copy_every(0, 7, &mut out), 4);
         assert_eq!(inputs[1].copy_every(4, 7, &mut out), 2);
         assert_eq!(inputs[2].copy_every(2, 7, &mut out), 5);
-        assert_eq!(out, [Tuple::key_only(0), Tuple::key_only(2)]);
+        assert_eq!(out[..n], *held);
+        assert_eq!(out[n..], [Tuple::key_only(0), Tuple::key_only(2)]);
+    }
+
+    #[test]
+    fn input_batch_iter_is_the_round_robin_interleave() {
+        assert_round_robin(&[]);
+        // Forwarding needs an empty output: tuples already there are never
+        // dropped.
+        assert_round_robin(&[Tuple::key_only(u64::MAX), Tuple::key_only(u64::MAX - 1)]);
+    }
+
+    /// One chunk per entry of `lens`, keyed by chunk and position.
+    fn chunks_of(lens: &[usize]) -> Vec<Chunk> {
+        (lens.iter().enumerate())
+            .map(|(c, &len)| {
+                let keys = (0..len as u64).map(|i| Tuple::key_only(c as u64 * 1000 + i));
+                keys.collect::<Vec<_>>().into()
+            })
+            .collect()
+    }
+
+    /// What `copy_every(first, step)` puts into an output holding `held`,
+    /// and the input chunk it forwards, if any.
+    fn copy_into(
+        chunks: &[Chunk],
+        first: usize,
+        step: usize,
+        held: &[Tuple],
+    ) -> (Vec<Tuple>, Option<usize>) {
+        let mut out = output_holding(held);
+        let batch = InputBatch::new(0, chunks);
+        let reference: Vec<Tuple> = (held.iter().cloned())
+            .chain(batch.iter().skip(first).step_by(step).cloned())
+            .collect();
+        batch.copy_every(first, step, &mut out);
+        assert_eq!(out[..], reference, "forwarding or not, the same tuples");
+        let chunk = out.into_chunk();
+        let forwarded = chunks.iter().position(|c| Chunk::ptr_eq(c, &chunk));
+        (chunk.to_vec(), forwarded)
+    }
+
+    #[test]
+    fn copy_every_forwards_exactly_one_whole_chunk_into_an_empty_output() {
+        // All four conditions hold: the selection is chunk `first`.
+        let two = chunks_of(&[4, 4]);
+        assert_eq!(copy_into(&two, 0, 2, &[]), (two[0].to_vec(), Some(0)));
+        assert_eq!(copy_into(&two, 1, 2, &[]), (two[1].to_vec(), Some(1)));
+        let three = chunks_of(&[3, 3, 3]);
+        assert_eq!(copy_into(&three, 2, 3, &[]).1, Some(2));
+        assert_eq!(copy_into(&chunks_of(&[5]), 0, 1, &[]).1, Some(0));
+        // One counter-case per condition, each otherwise the forwarding
+        // case. The output already holds a tuple:
+        let held = [Tuple::key_only(u64::MAX)];
+        assert_eq!(copy_into(&two, 0, 2, &held).1, None);
+        // a proxy-closed substream lent an empty chunk (without it, the
+        // two live chunks would forward):
+        assert_eq!(copy_into(&chunks_of(&[4, 0, 4]), 0, 2, &[]).1, None);
+        // the chunks' lengths differ (the selection is still all of the
+        // first chunk's tuples):
+        let ragged = chunks_of(&[4, 3]);
+        assert_eq!(copy_into(&ragged, 0, 2, &[]), (ragged[0].to_vec(), None));
+        // the step is not the number of chunks:
+        assert_eq!(copy_into(&two, 0, 4, &[]).1, None);
+        assert_eq!(copy_into(&chunks_of(&[5]), 0, 2, &[]).1, None);
+        // the first position is past the first row:
+        assert_eq!(copy_into(&two, 2, 2, &[]).1, None);
+    }
+
+    #[test]
+    fn appending_to_a_forwarded_output_lands_behind_the_forwarded_tuples() {
+        let chunks = chunks_of(&[3, 3]);
+        let batch = InputBatch::new(0, &chunks);
+        let extra = [Tuple::key_only(7), Tuple::key_only(8)];
+        let mut pushed = Output::new();
+        batch.copy_every(0, 2, &mut pushed);
+        assert_eq!(pushed.as_ptr(), chunks[0].as_ptr(), "forwarded");
+        pushed.push(extra[0].clone());
+        let mut extended = Output::new();
+        batch.copy_every(0, 2, &mut extended);
+        extended.extend(extra.iter().cloned());
+        let behind = |n: usize| [&chunks[0][..], &extra[..n]].concat();
+        assert_eq!(pushed[..], behind(1));
+        assert_eq!(extended[..], behind(2));
+        assert_eq!(chunks, chunks_of(&[3, 3]), "the input chunk is not mutated");
+        assert!(!Chunk::ptr_eq(&extended.into_chunk(), &chunks[0]));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use crate::zipf::{uniform_hash, Zipf};
 use crate::{dedicated_placement, merge_link, Scenario};
 use ppa_core::{OperatorSpec, Partitioning};
-use ppa_engine::{BatchCtx, InputBatch, Query, QueryBuilder, SourceGen, Tuple, Udf, Value};
+use ppa_engine::{BatchCtx, InputBatch, Output, Query, QueryBuilder, SourceGen, Tuple, Udf, Value};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Q2 parameters.
@@ -227,7 +227,7 @@ impl SegmentMap {
 struct AvgSpeed;
 
 impl Udf for AvgSpeed {
-    fn on_batch(&mut self, _ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Vec<Tuple>) {
+    fn on_batch(&mut self, _ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Output) {
         let mut acc: BTreeMap<u64, (f64, usize)> = BTreeMap::new();
         for input in inputs {
             for t in input.iter() {
@@ -269,7 +269,7 @@ impl DedupIncidents {
 }
 
 impl Udf for DedupIncidents {
-    fn on_batch(&mut self, _ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Vec<Tuple>) {
+    fn on_batch(&mut self, _ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Output) {
         let mut batch_new: BTreeMap<i64, u64> = BTreeMap::new();
         for input in inputs {
             for t in input.iter() {
@@ -339,7 +339,7 @@ impl JamJoin {
 }
 
 impl Udf for JamJoin {
-    fn on_batch(&mut self, ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Vec<Tuple>) {
+    fn on_batch(&mut self, ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Output) {
         // Stream 0: speeds from O1; stream 1: incidents from O2.
         let mut batch_speeds: BTreeMap<u64, f64> = BTreeMap::new();
         for input in inputs {
@@ -406,7 +406,7 @@ impl Udf for JamJoin {
 struct JamAggregate;
 
 impl Udf for JamAggregate {
-    fn on_batch(&mut self, _ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Vec<Tuple>) {
+    fn on_batch(&mut self, _ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Output) {
         for input in inputs {
             input.copy_every(0, 1, out);
         }
@@ -669,7 +669,7 @@ mod tests {
             task_local: 0,
             parallelism: 1,
         };
-        let mut out = Vec::new();
+        let mut out = Output::new();
         // Incident without slow speed: no jam.
         let inc = [Chunk::from(vec![Tuple::new(7, Value::Int(1))])];
         let fast = [Chunk::from(vec![Tuple::new(7, Value::Float(50.0))])];
@@ -703,7 +703,7 @@ mod tests {
             parallelism: 1,
         };
         let reports = [Chunk::from(vec![Tuple::new(3, Value::Int(9)); 50])];
-        let mut out = Vec::new();
+        let mut out = Output::new();
         udf.on_batch(&ctx, &[InputBatch::new(0, &reports)], &mut out);
         assert_eq!(
             out.len(),

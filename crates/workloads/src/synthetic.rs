@@ -7,7 +7,7 @@
 use crate::{dedicated_placement, Scenario};
 use ppa_core::{OperatorSpec, Partitioning};
 use ppa_engine::WindowBuffer;
-use ppa_engine::{BatchCtx, InputBatch, Query, QueryBuilder, SourceGen, Tuple, Udf};
+use ppa_engine::{BatchCtx, InputBatch, Output, Query, QueryBuilder, SourceGen, Tuple, Udf};
 use ppa_sim::SimDuration;
 
 /// Parameters of the Fig. 6 scenario.
@@ -64,7 +64,7 @@ impl SyntheticOp {
 }
 
 impl Udf for SyntheticOp {
-    fn on_batch(&mut self, ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Vec<Tuple>) {
+    fn on_batch(&mut self, ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Output) {
         inputs.iter().fold(0, |first, input| {
             input.copy_every(first, self.keep_every, out)
         });
@@ -200,7 +200,7 @@ mod tests {
     #[test]
     fn synthetic_op_halves_its_input() {
         let mut op = SyntheticOp::new(10, 0.5);
-        let mut out = Vec::new();
+        let mut out = Output::new();
         op.on_batch(&ctx(0), &[InputBatch::new(0, &[keys(0..100)])], &mut out);
         assert_eq!(out.len(), 50);
         assert_eq!(op.state_tuples(), 100);
@@ -210,7 +210,7 @@ mod tests {
     fn synthetic_state_tracks_window_and_rate() {
         let mut op = SyntheticOp::new(3, 0.5);
         for b in 0..10u64 {
-            let mut out = Vec::new();
+            let mut out = Output::new();
             op.on_batch(&ctx(b), &[InputBatch::new(0, &[keys(0..200)])], &mut out);
         }
         assert_eq!(op.state_tuples(), 600, "window(3) × rate(200)");
@@ -312,10 +312,14 @@ mod tests {
                     .enumerate()
                     .map(|(s, chunks)| InputBatch::new(s, chunks))
                     .collect();
-                let (mut out, mut expected) = (Vec::new(), Vec::new());
+                let (mut out, mut expected) = (Output::new(), Vec::new());
                 op.on_batch(&ctx(b), &inputs, &mut out);
                 legacy.on_batch(b, &inputs, &mut expected);
-                assert_eq!(out, expected, "selectivity {selectivity}, batch {b}");
+                assert_eq!(
+                    out[..],
+                    expected[..],
+                    "selectivity {selectivity}, batch {b}"
+                );
                 assert_eq!(
                     op.state_tuples(),
                     legacy.state_tuples(),

@@ -14,7 +14,7 @@
 use crate::zipf::{uniform_hash, Zipf};
 use crate::{dedicated_placement, merge_link, Scenario};
 use ppa_core::OperatorSpec;
-use ppa_engine::{BatchCtx, InputBatch, Query, QueryBuilder, SourceGen, Tuple, Udf, Value};
+use ppa_engine::{BatchCtx, InputBatch, Output, Query, QueryBuilder, SourceGen, Tuple, Udf, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -92,7 +92,7 @@ impl SourceGen for AccessLogSource {
 struct CountCombine;
 
 impl Udf for CountCombine {
-    fn on_batch(&mut self, _ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Vec<Tuple>) {
+    fn on_batch(&mut self, _ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Output) {
         let mut counts: BTreeMap<u64, i64> = BTreeMap::new();
         for input in inputs {
             for t in input.iter() {
@@ -135,7 +135,7 @@ impl TopK {
 }
 
 impl Udf for TopK {
-    fn on_batch(&mut self, ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Vec<Tuple>) {
+    fn on_batch(&mut self, ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Output) {
         let mut counts: BTreeMap<u64, i64> = BTreeMap::new();
         for input in inputs {
             for t in input.iter() {
@@ -336,19 +336,19 @@ mod tests {
             parallelism: 1,
         };
         let batch = |key: u64, n: i64| vec![Tuple::new(key, Value::Int(n))];
-        let mut out = Vec::new();
+        let mut out = Output::new();
         udf.on_batch(
             &ctx(0),
             &[InputBatch::new(0, &[batch(1, 10).into()])],
             &mut out,
         );
-        out.clear();
+        out = Output::new();
         udf.on_batch(
             &ctx(1),
             &[InputBatch::new(0, &[batch(2, 5).into()])],
             &mut out,
         );
-        out.clear();
+        out = Output::new();
         // Batch 2 evicts batch 0: object 1's count disappears.
         udf.on_batch(
             &ctx(2),
@@ -374,7 +374,7 @@ mod tests {
             Tuple::new(8, Value::Int(1)),
         ])];
         let b = [Chunk::from(vec![Tuple::new(7, Value::Int(2))])];
-        let mut out = Vec::new();
+        let mut out = Output::new();
         udf.on_batch(
             &ctx,
             &[InputBatch::new(0, &a), InputBatch::new(0, &b)],
