@@ -17,8 +17,7 @@
 //! completion latency, output fidelity inside the outage window against
 //! that strategy's own failure-free golden run, the engine-recorded
 //! fidelity floor, and the approximate backup cadence (shipped vs
-//! skipped), showing the divergence-driven backup rate the planner cost
-//! model (`ppa_core::BackupCadence`) prices.
+//! skipped), i.e. the backup rate each error bound actually buys.
 
 use super::bed::{cascade, Bed};
 use super::grid::{cross, Table};
@@ -178,7 +177,7 @@ pub(crate) fn run(ctx: &RunCtx) -> Vec<Figure> {
 
     let mut backups = Figure::new(
         "approx_sweep_backups",
-        "Divergence-driven backup cadence (the planner's BackupCadence in vivo)",
+        "Divergence-driven backup cadence (backups shipped and skipped per error bound)",
         "cascade spread x burst fraction",
         "count over the run",
     );
@@ -192,11 +191,9 @@ pub(crate) fn run(ctx: &RunCtx) -> Vec<Figure> {
     backups.note(
         "A backup ships only when a task's accumulated divergence (tuples \
          absorbed since the last ship) exceeds the error bound; in-bound \
-         intervals are skipped. Widening the bound trades backups for drift — \
-         the rate the planner cost model prices as \
-         BackupCadence::Divergence { error_bound, drift_rate } — so larger \
-         bounds ship fewer backups and record lower fidelity floors at \
-         recovery.",
+         intervals are skipped. Widening the bound trades backups for drift, \
+         so larger bounds ship fewer backups and record lower fidelity floors \
+         at recovery.",
     );
 
     vec![latency, fidelity, backups]

@@ -85,7 +85,7 @@ impl Figure {
                 .collect::<Vec<_>>()
                 .join(" | ")
         ));
-        out.push_str(&format!("|{}|\n", "---|".repeat(self.series.len() + 1)));
+        out.push_str(&format!("|{}\n", "---|".repeat(self.series.len() + 1)));
         for tick in &ticks {
             let mut row = format!("| {tick} ");
             for s in &self.series {
@@ -167,6 +167,10 @@ mod tests {
         let md = f.to_markdown();
         assert!(md.contains("### figX — Test"));
         assert!(md.contains("| x | A | B |"));
+        assert!(
+            md.contains("\n|---|---|---|\n"),
+            "one delimiter cell per column:\n{md}"
+        );
         assert!(md.contains("| p1 | 1.000 | 3.000 |"));
         assert!(
             md.contains("| p2 | 2.500 | — |"),

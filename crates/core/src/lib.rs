@@ -37,7 +37,6 @@
 //! assert!((0.0..=1.0).contains(&of));
 //! ```
 
-mod backup;
 mod error;
 mod fidelity;
 mod mctree;
@@ -46,7 +45,6 @@ mod planner;
 mod random;
 mod rates;
 
-pub use backup::BackupCadence;
 pub use error::{CoreError, Result};
 pub use fidelity::FidelityModel;
 pub use mctree::{enumerate_mc_trees, McTreeLimits};

@@ -37,7 +37,6 @@ mod chaos;
 mod config;
 mod control;
 mod error;
-mod estimate;
 mod feed;
 mod placement;
 mod query;
@@ -54,10 +53,6 @@ pub use control::{
     DriveReport, HealthView, StaticPolicy,
 };
 pub use error::EngineError;
-pub use estimate::{
-    active_takeover, approximate_recovery, checkpoint_recovery, max_recoverable_rate, storm_replay,
-    TaskProfile,
-};
 pub use feed::FaultFeed;
 pub use placement::{
     plan_evacuation, Cluster, DomainSpread, Packed, Placement, PlacementError, PlacementStrategy,
