@@ -16,11 +16,20 @@
 //! rebuilds the same replay window once per recovering task under Storm,
 //! about 59 MiB.
 //!
-//! The count is of bytes requested from the allocator, so it is
-//! deterministic and indifferent to the host: the gate executes on a
-//! one-core container, where a resident-set figure could not. This file
-//! holds one test, so nothing else shares the counter.
+//! The same counting allocator also counts allocation calls, and bounds
+//! the planner's unit of work: scoring one plan (`PlanContext::of_plan`
+//! on Fig. 6's topology) makes at most 2 allocations, the complemented
+//! task set and the per-task loss vector, because the rates the loss
+//! propagation reads are laid out receiver-side once per context.
+//! Allocating each task's per-stream losses and rates per call, and the
+//! list of sink tasks, made 34.
+//!
+//! The counts are of bytes and calls requested from the allocator, so
+//! they are deterministic and indifferent to the host: the gate executes
+//! on a one-core container, where a resident-set figure could not. This
+//! file holds one test, so nothing else shares the counters.
 
+use ppa_core::{PlanContext, TaskSet};
 use ppa_engine::{EngineConfig, FailureTrace, FtMode, Simulation};
 use ppa_sim::{SimDuration, SimTime};
 use ppa_workloads::{fig6_scenario, Fig6Config};
@@ -31,8 +40,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 // does the allocating.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+/// Calls to `alloc`, `alloc_zeroed` and `realloc`.
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 fn grow(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
     let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
     PEAK.fetch_max(live, Ordering::Relaxed);
 }
@@ -84,6 +96,18 @@ fn fig6_recovery_keeps_only_what_nobody_can_rebuild() {
     };
     let scenario = fig6_scenario(&cfg);
     let n = scenario.graph().n_tasks();
+
+    let cx = PlanContext::new(scenario.query.topology()).expect("Fig. 6 is a valid topology");
+    let plan = TaskSet::full(n);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let of = cx.of_plan(&plan);
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(of, 1.0, "the full plan loses nothing");
+    println!("of_plan: {allocs} allocation(s) (ceiling 2)");
+    assert!(
+        allocs <= 2,
+        "scoring one plan made {allocs} allocations, over the ceiling of 2"
+    );
     let kill = FailureTrace::once(SimTime::from_secs(70), scenario.worker_kill_set.clone());
     // Ceilings about 10 % above what the runs peak at.
     let runs = [

@@ -20,12 +20,14 @@
 //! calls out: IC ignores the correlation of a task's input streams.
 
 use crate::model::{InputSemantics, TaskGraph, TaskSet};
-use crate::rates::RateModel;
+use crate::rates::{RateModel, StreamRates};
 
 /// Output-loss propagation and OF/IC evaluation over one task graph.
 ///
 /// The model borrows the graph and rates; it is cheap to construct and to
-/// copy around, and evaluation is `O(tasks + substreams)` per call.
+/// copy around. Evaluation is `O(tasks + substreams)` per call: one pass
+/// over the tasks in topological order that reads the receiver-side rate
+/// table of `RateModel`, with one allocation, the per-task loss vector.
 #[derive(Debug, Clone, Copy)]
 pub struct FidelityModel<'g> {
     graph: &'g TaskGraph,
@@ -65,12 +67,10 @@ impl<'g> FidelityModel<'g> {
     /// Eq. 4 aggregation over sink-operator tasks given per-task losses.
     fn sink_fidelity(&self, loss: &[f64]) -> f64 {
         let mut weighted = 0.0;
-        let mut total = 0.0;
-        for t in self.graph.sink_tasks() {
-            let rate = self.rates.output_rate(t);
+        for &(t, rate) in self.rates.sinks() {
             weighted += rate * loss[t.0];
-            total += rate;
         }
+        let total = self.rates.sink_total();
         if total <= 0.0 {
             // A topology with no output rate conveys no information at all.
             return 0.0;
@@ -82,57 +82,48 @@ impl<'g> FidelityModel<'g> {
     ///
     /// `all_independent` switches Eq. 2 off (the IC baseline).
     fn propagate(&self, failed: &TaskSet, all_independent: bool) -> Vec<f64> {
-        let n = self.graph.n_tasks();
-        let mut loss = vec![0.0; n];
+        let mut loss = vec![0.0; self.graph.n_tasks()];
         for &t in self.graph.topo_tasks() {
             if failed.contains(t) {
                 loss[t.0] = 1.0;
                 continue;
             }
-            let inputs = self.graph.inputs(t);
+            let inputs = self.rates.input_streams(t);
             if inputs.is_empty() {
-                loss[t.0] = 0.0; // healthy source
-                continue;
+                continue; // healthy source: no loss
             }
             let op = self.graph.topology().operator(self.graph.operator_of(t));
             let correlated =
                 !all_independent && op.semantics == InputSemantics::Correlated && inputs.len() > 1;
 
-            // Eq. 1 per input stream.
-            let mut stream_loss = Vec::with_capacity(inputs.len());
-            let mut stream_rate = Vec::with_capacity(inputs.len());
-            for istream in inputs {
+            // Eq. 1 for one input stream.
+            let stream_loss = |stream: &StreamRates| {
                 let mut weighted = 0.0;
-                let mut total = 0.0;
-                for &s in &istream.substreams {
-                    let lambda = self.rates.substream_rate_between(self.graph, s, t);
+                for &(s, lambda) in &stream.substreams {
                     weighted += lambda * loss[s.0];
-                    total += lambda;
                 }
                 // A stream with no rate carries no information: treat as
                 // fully lost so a join over it cannot pretend to be healthy.
-                let il = if total > 0.0 { weighted / total } else { 1.0 };
-                stream_loss.push(il);
-                stream_rate.push(total);
-            }
-
-            loss[t.0] = if correlated {
-                // Eq. 2.
-                1.0 - stream_loss.iter().map(|il| 1.0 - il).product::<f64>()
-            } else {
-                // Eq. 3.
-                let total: f64 = stream_rate.iter().sum();
-                if total > 0.0 {
-                    stream_loss
-                        .iter()
-                        .zip(&stream_rate)
-                        .map(|(il, r)| il * r)
-                        .sum::<f64>()
-                        / total
+                if stream.total > 0.0 {
+                    weighted / stream.total
                 } else {
                     1.0
                 }
             };
+
+            let out = if correlated {
+                // Eq. 2.
+                1.0 - inputs.iter().map(|s| 1.0 - stream_loss(s)).product::<f64>()
+            } else {
+                // Eq. 3.
+                let total = self.rates.input_total(t);
+                if total > 0.0 {
+                    inputs.iter().map(|s| stream_loss(s) * s.total).sum::<f64>() / total
+                } else {
+                    1.0
+                }
+            };
+            loss[t.0] = out;
         }
         loss
     }
@@ -293,5 +284,150 @@ mod tests {
             );
             prev = next;
         }
+    }
+
+    /// The propagation as Eq. 1–3 read before the rate table went
+    /// receiver-side: per-call stream vectors, per-call sums and a linear
+    /// λ lookup on the sender. The kernel must match it bit for bit.
+    fn reference_propagate(
+        g: &TaskGraph,
+        r: &RateModel,
+        failed: &TaskSet,
+        all_independent: bool,
+    ) -> Vec<f64> {
+        let n = g.n_tasks();
+        let mut loss = vec![0.0; n];
+        for &t in g.topo_tasks() {
+            if failed.contains(t) {
+                loss[t.0] = 1.0;
+                continue;
+            }
+            let inputs = g.inputs(t);
+            if inputs.is_empty() {
+                loss[t.0] = 0.0; // healthy source
+                continue;
+            }
+            let op = g.topology().operator(g.operator_of(t));
+            let correlated =
+                !all_independent && op.semantics == InputSemantics::Correlated && inputs.len() > 1;
+
+            // Eq. 1 per input stream.
+            let mut stream_loss = Vec::with_capacity(inputs.len());
+            let mut stream_rate = Vec::with_capacity(inputs.len());
+            for istream in inputs {
+                let mut weighted = 0.0;
+                let mut total = 0.0;
+                for &s in &istream.substreams {
+                    let lambda = sender_lambda(g, r, s, t);
+                    weighted += lambda * loss[s.0];
+                    total += lambda;
+                }
+                let il = if total > 0.0 { weighted / total } else { 1.0 };
+                stream_loss.push(il);
+                stream_rate.push(total);
+            }
+
+            loss[t.0] = if correlated {
+                // Eq. 2.
+                1.0 - stream_loss.iter().map(|il| 1.0 - il).product::<f64>()
+            } else {
+                // Eq. 3.
+                let total: f64 = stream_rate.iter().sum();
+                if total > 0.0 {
+                    stream_loss
+                        .iter()
+                        .zip(&stream_rate)
+                        .map(|(il, r)| il * r)
+                        .sum::<f64>()
+                        / total
+                } else {
+                    1.0
+                }
+            };
+        }
+        loss
+    }
+
+    /// Eq. 4 over `TaskGraph::sink_tasks`, summed per call.
+    fn reference_sink_fidelity(g: &TaskGraph, r: &RateModel, loss: &[f64]) -> f64 {
+        let mut weighted = 0.0;
+        let mut total = 0.0;
+        for t in g.sink_tasks() {
+            let rate = r.output_rate(t);
+            weighted += rate * loss[t.0];
+            total += rate;
+        }
+        if total <= 0.0 {
+            return 0.0;
+        }
+        1.0 - weighted / total
+    }
+
+    /// λ of `from → to` as the sender splits its output: the first output
+    /// stream of `from` that reaches `to`, its share of `from`'s λout.
+    fn sender_lambda(g: &TaskGraph, r: &RateModel, from: TaskIndex, to: TaskIndex) -> f64 {
+        for ostream in g.outputs(from) {
+            if ostream.targets.contains(&to) {
+                let op = g.topology().operator(ostream.to_op);
+                let shares = op.weights.shares(op.parallelism);
+                let weight_sum: f64 = ostream
+                    .targets
+                    .iter()
+                    .map(|&d| shares[g.local_index(d)])
+                    .sum();
+                let w = shares[g.local_index(to)];
+                return if weight_sum > 0.0 {
+                    r.output_rate(from) * w / weight_sum
+                } else {
+                    0.0
+                };
+            }
+        }
+        0.0
+    }
+
+    #[test]
+    fn kernel_matches_the_reference_bit_for_bit() {
+        use crate::random::{RandomTopologySpec, Skew, TopologyStyle};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let spec = RandomTopologySpec {
+            join_fraction: 0.5,
+            skew: Skew::Zipf { s: 0.1 },
+            style: TopologyStyle::Full,
+            ..RandomTopologySpec::default()
+        };
+        let mut rng = StdRng::seed_from_u64(39);
+        let mut joins = 0;
+        for _ in 0..40 {
+            let g = TaskGraph::new(spec.generate(&mut rng));
+            let r = RateModel::compute(&g);
+            let m = FidelityModel::new(&g, &r);
+            let n = g.n_tasks();
+            joins += (0..n)
+                .filter(|&t| {
+                    let t = TaskIndex(t);
+                    let op = g.topology().operator(g.operator_of(t));
+                    op.semantics == InputSemantics::Correlated && g.inputs(t).len() > 1
+                })
+                .count();
+            for _ in 0..25 {
+                let p: f64 = rng.gen_range(0.0..0.6);
+                let failed =
+                    TaskSet::from_tasks(n, (0..n).filter(|_| rng.gen_bool(p)).map(TaskIndex));
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                for (all_independent, score) in [
+                    (false, m.output_fidelity(&failed)),
+                    (true, m.internal_completeness(&failed)),
+                ] {
+                    let want = reference_propagate(&g, &r, &failed, all_independent);
+                    assert_eq!(bits(&m.propagate(&failed, all_independent)), bits(&want));
+                    let want = reference_sink_fidelity(&g, &r, &want);
+                    assert_eq!(score.to_bits(), want.to_bits());
+                }
+            }
+        }
+        assert!(joins > 0, "the corpus exercises Eq. 2");
     }
 }

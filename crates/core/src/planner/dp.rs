@@ -54,31 +54,30 @@ impl Planner for DpPlanner {
         let mut sc: BTreeSet<TaskSet> = BTreeSet::new();
         sc.insert(TaskSet::empty(n));
         let mut retired: Vec<TaskSet> = Vec::new();
+        // Each tree's non-replicated task count against the candidate at
+        // hand, reused across candidates.
+        let mut nonrep: Vec<usize> = Vec::with_capacity(trees.len());
 
         for usage in 1..=budget {
-            let mut additions: Vec<TaskSet> = Vec::new();
+            // A set: different candidates expanded by different trees often
+            // reach the same union.
+            let mut additions: BTreeSet<TaskSet> = BTreeSet::new();
             let mut removals: Vec<TaskSet> = Vec::new();
 
             for cp in &sc {
                 let dif = usage - cp.len();
-                // Largest non-replicated task count among trees not yet
-                // fully contained in the plan.
-                let mut max_nonrep = None;
-                for tree in trees {
-                    let nonrep = tree.count_difference(cp);
-                    if nonrep > 0 {
-                        max_nonrep = Some(max_nonrep.map_or(nonrep, |m: usize| m.max(nonrep)));
-                    }
-                }
-                match max_nonrep {
-                    // All trees covered: nothing left to add.
-                    None => removals.push(cp.clone()),
-                    Some(u) if dif > u => removals.push(cp.clone()),
-                    Some(_) => {
-                        for tree in trees {
-                            if tree.count_difference(cp) == dif {
-                                additions.push(cp.union(tree));
-                            }
+                nonrep.clear();
+                nonrep.extend(trees.iter().map(|tree| tree.count_difference(cp)));
+                // `dif` is at least 1 and only grows, so a plan whose `dif`
+                // exceeds every tree's count (all 0 once every tree is in
+                // the plan) can never be expanded again: it retires.
+                let max_nonrep = nonrep.iter().copied().max().unwrap_or(0);
+                if dif > max_nonrep {
+                    removals.push(cp.clone());
+                } else {
+                    for (tree, &count) in trees.iter().zip(&nonrep) {
+                        if count == dif {
+                            additions.insert(cp.union(tree));
                         }
                     }
                 }
@@ -88,13 +87,13 @@ impl Planner for DpPlanner {
                 sc.remove(&cp);
                 retired.push(cp);
             }
-            for plan in additions {
-                sc.insert(plan);
-                if sc.len() > self.max_candidates {
-                    return Err(CoreError::DpExplosion {
-                        limit: self.max_candidates,
-                    });
-                }
+            // Every addition has `usage` tasks and every survivor fewer, so
+            // none is already in `sc`.
+            sc.append(&mut additions);
+            if sc.len() > self.max_candidates {
+                return Err(CoreError::DpExplosion {
+                    limit: self.max_candidates,
+                });
             }
         }
 

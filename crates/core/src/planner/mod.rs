@@ -146,7 +146,9 @@ impl PlanContext {
     /// Switches the metric the planners optimize.
     pub fn with_objective(mut self, objective: Objective) -> Self {
         self.objective = objective;
-        self.none_failed = OnceLock::new(); // the cached baseline is per-objective
+        // The cached baseline and MC-trees are per-objective.
+        self.none_failed = OnceLock::new();
+        self.mc_trees = OnceLock::new();
         self
     }
 
@@ -427,5 +429,32 @@ mod tests {
         let plan = TaskSet::from_tasks(5, [crate::model::TaskIndex(0), crate::model::TaskIndex(4)]);
         assert_eq!(cx_of.score_plan(&plan), 0.0, "join starves without s2");
         assert!(cx_ic.score_plan(&plan) > 0.0, "IC ignores the correlation");
+    }
+
+    #[test]
+    fn objective_switch_drops_the_cached_mc_trees() {
+        // Two 2-task sources joined into a 1-task join: an OF tree needs a
+        // task of each source, an IC tree (joins as unions) only one.
+        let mut b = TopologyBuilder::new();
+        let s1 = b.add_operator(OperatorSpec::source("s1", 2, 10.0));
+        let s2 = b.add_operator(OperatorSpec::source("s2", 2, 10.0));
+        let j = b.add_operator(OperatorSpec::join("j", 1, 1.0));
+        b.connect(s1, j, Partitioning::Merge).unwrap();
+        b.connect(s2, j, Partitioning::Merge).unwrap();
+        let t = b.build().unwrap();
+
+        let cx = PlanContext::new(&t).unwrap();
+        let of_sizes: Vec<usize> = cx.mc_trees().unwrap().iter().map(TaskSet::len).collect();
+        assert_eq!(of_sizes, [3; 4]);
+        let switched = cx.with_objective(Objective::InternalCompleteness);
+        let fresh = PlanContext::new(&t)
+            .unwrap()
+            .with_objective(Objective::InternalCompleteness);
+        assert_eq!(switched.mc_trees().unwrap(), fresh.mc_trees().unwrap());
+        assert!(switched
+            .mc_trees()
+            .unwrap()
+            .iter()
+            .all(|tree| tree.len() == 2));
     }
 }
