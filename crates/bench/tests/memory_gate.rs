@@ -24,12 +24,19 @@
 //! Allocating each task's per-stream losses and rates per call, and the
 //! list of sink tasks, made 34.
 //!
+//! It also bounds the exact DP: `DpPlanner::plan` on Fig. 6 at budget 25
+//! (ratio 0.8; 473 856 unions fold into 61 255 candidates) makes about
+//! 122 900 allocations, ceiling 135 000. All but about 400 are the two
+//! per scored candidate: the candidates live as rows of bit words in a
+//! few flat buffers. Holding them as one heap `TaskSet` per union in a
+//! `BTreeSet`, cloned on retirement, made 666 632.
+//!
 //! The counts are of bytes and calls requested from the allocator, so
 //! they are deterministic and indifferent to the host: the gate executes
 //! on a one-core container, where a resident-set figure could not. This
 //! file holds one test, so nothing else shares the counters.
 
-use ppa_core::{PlanContext, TaskSet};
+use ppa_core::{DpPlanner, PlanContext, Planner, TaskSet};
 use ppa_engine::{EngineConfig, FailureTrace, FtMode, Simulation};
 use ppa_sim::{SimDuration, SimTime};
 use ppa_workloads::{fig6_scenario, Fig6Config};
@@ -87,6 +94,9 @@ unsafe impl GlobalAlloc for LiveCounting {
 static ALLOCATOR: LiveCounting = LiveCounting;
 
 const MIB: f64 = 1024.0 * 1024.0;
+/// About 10 % above the 122 921 allocations `DpPlanner::plan` makes on
+/// Fig. 6 at budget 25.
+const DP_ALLOCS: usize = 135_000;
 
 #[test]
 fn fig6_recovery_keeps_only_what_nobody_can_rebuild() {
@@ -107,6 +117,27 @@ fn fig6_recovery_keeps_only_what_nobody_can_rebuild() {
     assert!(
         allocs <= 2,
         "scoring one plan made {allocs} allocations, over the ceiling of 2"
+    );
+    // Enumerated before counting: the DP's own allocations are what the
+    // ceiling bounds, not the context's cached MC-trees.
+    cx.mc_trees()
+        .expect("Fig. 6 enumerates its MC-trees within limits");
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let start = LIVE.load(Ordering::Relaxed);
+    PEAK.store(start, Ordering::Relaxed);
+    let dp = DpPlanner::default()
+        .plan(&cx, 25)
+        .expect("DP plans Fig. 6 within its candidate cap");
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let peak_mib = (PEAK.load(Ordering::Relaxed) - start) as f64 / MIB;
+    assert!(dp.resources() <= 25);
+    println!(
+        "DP at budget 25: {allocs} allocation(s) (ceiling {DP_ALLOCS}), \
+         peak live heap {peak_mib:.2} MiB"
+    );
+    assert!(
+        allocs <= DP_ALLOCS,
+        "DP at budget 25 made {allocs} allocations, over the ceiling of {DP_ALLOCS}"
     );
     let kill = FailureTrace::once(SimTime::from_secs(70), scenario.worker_kill_set.clone());
     // Ceilings about 10 % above what the runs peak at.

@@ -68,6 +68,18 @@ impl TaskSet {
         self.words.iter().all(|&w| w == 0)
     }
 
+    /// The bit words, `capacity.div_ceil(64)` of them: task `t` is bit
+    /// `t % 64` of word `t / 64`. At equal capacity, slice order on the
+    /// words is the set's `Ord`.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// The bit words, writable; callers leave bits past the capacity clear.
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
     /// `self ∪ other`, in place.
     pub(crate) fn union_with(&mut self, other: &TaskSet) {
         debug_assert_eq!(self.capacity, other.capacity);
@@ -136,18 +148,6 @@ impl TaskSet {
             .all(|(a, b)| a & !b == 0)
     }
 
-    /// Number of tasks in `self` that are *not* in `other` (`|self \ other|`).
-    /// This is `nonrep_tasks` of Algorithm 1 when `self` is an MC-tree and
-    /// `other` a candidate plan.
-    pub(crate) fn count_difference(&self, other: &TaskSet) -> usize {
-        debug_assert_eq!(self.capacity, other.capacity);
-        self.words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| (a & !b).count_ones() as usize)
-            .sum()
-    }
-
     /// Iterator over the member task indices in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = TaskIndex> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
@@ -210,7 +210,6 @@ mod tests {
         assert_eq!(a.union(&b), set(10, &[1, 2, 3, 4]));
         assert_eq!(a.intersection(&b), set(10, &[3]));
         assert_eq!(a.difference(&b), set(10, &[1, 2]));
-        assert_eq!(a.count_difference(&b), 2);
     }
 
     #[test]

@@ -9,14 +9,29 @@
 //! final arg-max, which (together with the tie-break on fewer resources)
 //! realizes Theorem 1.
 //!
+//! A candidate's non-replicated counts never change, so they are counted
+//! once, when the DP reaches the candidate's own size: they fix every
+//! union it will be expanded into (a tree counting `d` makes one of
+//! `|CP| + d` tasks) and the usage at which it retires. The planner thus
+//! visits the sizes in order and, per size, sorts and deduplicates the
+//! unions written for it (many candidate × tree pairs reach the same
+//! union), scans each distinct one once and writes its unions into the
+//! buckets of larger sizes. Every task set is a row of `n.div_ceil(64)`
+//! bit words in a flat buffer: the MC-trees, each size's unions and each
+//! usage's retirements. Slice order on rows is `TaskSet`'s order, so the
+//! arg-max ([`Plan::offer`]) visits candidates exactly as a sorted
+//! working set would: the ones still live after the last usage in sorted
+//! order, then the retired ones by usage of retirement, each usage's in
+//! sorted order. It scores them through one reused [`TaskSet`].
+//!
 //! The working set is worst-case exponential in the number of MC-trees
 //! (`O(2^T)`, §IV-A), so the planner carries an explicit candidate cap and
-//! reports [`CoreError::DpExplosion`] beyond it.
+//! reports [`CoreError::DpExplosion`] when more live candidates than that
+//! remain after a usage.
 
 use super::{Plan, PlanContext, Planner};
 use crate::error::{CoreError, Result};
 use crate::model::TaskSet;
-use std::collections::BTreeSet;
 
 /// Exact planner (Algorithm 1). Use only on topologies whose MC-tree count
 /// is modest; otherwise it returns an explosion error and the caller should
@@ -47,32 +62,146 @@ impl Planner for DpPlanner {
             return Ok(cx.make_plan(TaskSet::empty(n)));
         }
 
-        // SC: live candidate plans; retired: plans with no expansions left.
-        // A BTreeSet so candidate iteration order is fixed by construction
-        // (the arg-max below is additionally total-order tie-broken, but
-        // the planner should not need that second line of defence).
+        let w = n.div_ceil(64);
+        let trees: Vec<u64> = trees.iter().flat_map(TaskSet::words).copied().collect();
+        // `created[s]`: the unions of `s` tasks, starting from the empty
+        // plan; `retiring[u]`: the candidates that retire at usage `u`;
+        // `kept`: those still live after usage `budget`.
+        let mut created: Vec<Vec<u64>> = vec![Vec::new(); budget + 1];
+        created[0] = vec![0; w];
+        let mut retiring: Vec<Vec<u64>> = vec![Vec::new(); budget + 1];
+        let mut kept: Vec<u64> = Vec::new();
+        let mut spare: Vec<u64> = Vec::new();
+        let mut live = 0;
+
+        for size in 0..=budget {
+            let mut level = std::mem::take(&mut created[size]);
+            sort_dedup(&mut level, w, &mut spare);
+            // The working set after usage `size`: every candidate created
+            // so far, less the retired ones (all of fewer tasks, so all
+            // already scanned).
+            live = live + level.len() / w - retiring[size].len() / w;
+            if live > self.max_candidates {
+                return Err(CoreError::DpExplosion {
+                    limit: self.max_candidates,
+                });
+            }
+            for cp in level.chunks_exact(w) {
+                let mut max_nonrep = 0;
+                for tree in trees.chunks_exact(w) {
+                    let nonrep = count_difference(tree, cp);
+                    max_nonrep = max_nonrep.max(nonrep);
+                    if nonrep > 0 && size + nonrep <= budget {
+                        created[size + nonrep].extend(tree.iter().zip(cp).map(|(t, c)| t | c));
+                    }
+                }
+                // At usage `u` the candidate is expanded by the trees
+                // counting `u − size`; once that exceeds every count (all
+                // 0 once every tree is in the plan) it retires.
+                let retires = size + max_nonrep + 1;
+                if retires <= budget {
+                    retiring[retires].extend_from_slice(cp);
+                } else {
+                    kept.extend_from_slice(cp);
+                }
+            }
+        }
+        sort_dedup(&mut kept, w, &mut spare);
+        for rows in &mut retiring {
+            sort_dedup(rows, w, &mut spare);
+        }
+
+        let mut best = cx.make_plan(TaskSet::empty(n));
+        let mut row = TaskSet::empty(n);
+        let retired = retiring.iter().flat_map(|rows| rows.chunks_exact(w));
+        for cp in kept.chunks_exact(w).chain(retired) {
+            row.words_mut().copy_from_slice(cp);
+            best.offer(&row, cx.score_plan(&row));
+        }
+        Ok(best)
+    }
+}
+
+/// `|tree \ cp|`: the tree's tasks the candidate does not replicate.
+fn count_difference(tree: &[u64], cp: &[u64]) -> usize {
+    tree.iter()
+        .zip(cp)
+        .map(|(t, c)| (t & !c).count_ones() as usize)
+        .sum()
+}
+
+/// Sorts rows of `w` words into ascending slice order and drops
+/// duplicates: a least-significant-digit radix sort, one byte at a time
+/// from the last word's low byte to the first word's high byte, skipping
+/// a byte every row shares. `spare` is scratch room.
+fn sort_dedup(rows: &mut Vec<u64>, w: usize, spare: &mut Vec<u64>) {
+    let n = rows.len() / w;
+    spare.resize(rows.len(), 0);
+    for word in (0..w).rev() {
+        let mut counts = [[0usize; 256]; 8];
+        for row in rows.chunks_exact(w) {
+            for (byte, count) in counts.iter_mut().enumerate() {
+                count[(row[word] >> (8 * byte)) as usize & 0xff] += 1;
+            }
+        }
+        for (byte, count) in counts.iter_mut().enumerate() {
+            if count.contains(&n) {
+                continue;
+            }
+            // Counts become each byte value's first destination.
+            let mut at = 0;
+            for c in count.iter_mut() {
+                (*c, at) = (at, at + *c * w);
+            }
+            for row in rows.chunks_exact(w) {
+                let to = &mut count[(row[word] >> (8 * byte)) as usize & 0xff];
+                spare[*to..*to + w].copy_from_slice(row);
+                *to += w;
+            }
+            std::mem::swap(rows, spare);
+        }
+    }
+    let mut distinct = 0;
+    for i in 0..n {
+        if distinct == 0 || rows[(distinct - 1) * w..distinct * w] != rows[i * w..(i + 1) * w] {
+            rows.copy_within(i * w..(i + 1) * w, distinct * w);
+            distinct += 1;
+        }
+    }
+    rows.truncate(distinct * w);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::model::{OperatorSpec, Partitioning, TaskWeights, Topology, TopologyBuilder};
+    use crate::planner::BruteForcePlanner;
+    use crate::random::RandomTopologySpec;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
+
+    /// Algorithm 1 as the planner ran it over `BTreeSet<TaskSet>`
+    /// candidates, uncapped: the reference the flat-row planner must match
+    /// plan for plan and bit for bit. Also returns the most live
+    /// candidates any usage left.
+    fn reference_plan(cx: &PlanContext, budget: usize) -> (Plan, usize) {
+        let trees = cx.mc_trees().unwrap();
+        let n = cx.n_tasks();
+        if trees.is_empty() || budget == 0 {
+            return (cx.make_plan(TaskSet::empty(n)), 0);
+        }
         let mut sc: BTreeSet<TaskSet> = BTreeSet::new();
         sc.insert(TaskSet::empty(n));
         let mut retired: Vec<TaskSet> = Vec::new();
-        // Each tree's non-replicated task count against the candidate at
-        // hand, reused across candidates.
-        let mut nonrep: Vec<usize> = Vec::with_capacity(trees.len());
-
+        let mut peak = 0;
         for usage in 1..=budget {
-            // A set: different candidates expanded by different trees often
-            // reach the same union.
             let mut additions: BTreeSet<TaskSet> = BTreeSet::new();
             let mut removals: Vec<TaskSet> = Vec::new();
-
             for cp in &sc {
                 let dif = usage - cp.len();
-                nonrep.clear();
-                nonrep.extend(trees.iter().map(|tree| tree.count_difference(cp)));
-                // `dif` is at least 1 and only grows, so a plan whose `dif`
-                // exceeds every tree's count (all 0 once every tree is in
-                // the plan) can never be expanded again: it retires.
-                let max_nonrep = nonrep.iter().copied().max().unwrap_or(0);
-                if dif > max_nonrep {
+                let nonrep: Vec<usize> = trees.iter().map(|t| t.difference(cp).len()).collect();
+                if dif > nonrep.iter().copied().max().unwrap_or(0) {
                     removals.push(cp.clone());
                 } else {
                     for (tree, &count) in trees.iter().zip(&nonrep) {
@@ -82,25 +211,13 @@ impl Planner for DpPlanner {
                     }
                 }
             }
-
             for cp in removals {
                 sc.remove(&cp);
                 retired.push(cp);
             }
-            // Every addition has `usage` tasks and every survivor fewer, so
-            // none is already in `sc`.
             sc.append(&mut additions);
-            if sc.len() > self.max_candidates {
-                return Err(CoreError::DpExplosion {
-                    limit: self.max_candidates,
-                });
-            }
+            peak = peak.max(sc.len());
         }
-
-        // Arg-max over live and retired candidates; prefer fewer resources on
-        // ties (Theorem 1), then the lexicographically smallest set, so the
-        // winner never depends on candidate iteration order and identical
-        // runs always return the same (equally optimal) plan.
         let mut best = TaskSet::empty(n);
         let mut best_score = cx.score_plan(&best);
         for cp in sc.iter().chain(retired.iter()) {
@@ -111,25 +228,46 @@ impl Planner for DpPlanner {
                 || (tied && cp.len() == best.len() && *cp < best)
             {
                 best = cp.clone();
-                // Keep the running *maximum* on tie wins — adopting the
-                // tied (possibly epsilon-lower) score would let the tie
-                // threshold drift downward and re-introduce iteration-order
-                // dependence across near-tie chains.
                 best_score = best_score.max(score);
             }
         }
-        Ok(Plan {
+        let plan = Plan {
             tasks: best,
             value: best_score,
-        })
+        };
+        (plan, peak)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::model::{OperatorSpec, Partitioning, TaskWeights, Topology, TopologyBuilder};
-    use crate::planner::BruteForcePlanner;
+    /// The planner and [`reference_plan`] agree on `cx` at `budget`: the
+    /// same tasks, the same value bits, and the same live candidates, so
+    /// the planner plans under a cap of the reference's peak and explodes
+    /// under one less.
+    fn assert_matches_reference(cx: &PlanContext, budget: usize, what: &str) {
+        let (want, peak) = reference_plan(cx, budget);
+        let capped = |limit| {
+            DpPlanner {
+                max_candidates: limit,
+            }
+            .plan(cx, budget)
+        };
+        let got = capped(peak.max(1)).unwrap();
+        assert_eq!(got.tasks, want.tasks, "{what}, budget {budget}: tasks");
+        assert_eq!(
+            got.value.to_bits(),
+            want.value.to_bits(),
+            "{what}, budget {budget}: value {} vs {}",
+            got.value,
+            want.value
+        );
+        if peak > 0 {
+            assert_eq!(
+                capped(peak - 1).err(),
+                Some(CoreError::DpExplosion { limit: peak - 1 }),
+                "{what}, budget {budget}: more than {} live candidates",
+                peak - 1
+            );
+        }
+    }
 
     fn merge_tree(weights: Option<Vec<f64>>) -> Topology {
         let mut b = TopologyBuilder::new();
@@ -173,6 +311,7 @@ mod tests {
                 dp.value,
                 bf.value
             );
+            assert_eq!(dp.tasks, bf.tasks, "budget {budget}");
             assert!(dp.resources() <= budget);
         }
     }
@@ -201,6 +340,34 @@ mod tests {
                 dp.value,
                 bf.value
             );
+            assert_eq!(dp.tasks, bf.tasks, "budget {budget}");
+        }
+    }
+
+    #[test]
+    fn dp_and_brute_force_return_the_same_plan_on_random_topologies() {
+        // Equally optimal plans of one size are common here: draws 25, 27
+        // and 36 have them, and brute force returned another one than the
+        // DP until both took the same arg-max rule.
+        let spec = RandomTopologySpec {
+            parallelism: (1, 3),
+            ..RandomTopologySpec::default()
+        };
+        let mut rng = StdRng::seed_from_u64(5);
+        for draw in 0..40 {
+            let cx = PlanContext::new(&spec.generate(&mut rng)).unwrap();
+            if cx.mc_trees().map_or(true, |trees| trees.len() > 12) {
+                continue;
+            }
+            for budget in 0..=cx.n_tasks() {
+                let dp = DpPlanner::default().plan(&cx, budget).unwrap();
+                let bf = BruteForcePlanner::default().plan(&cx, budget).unwrap();
+                assert_eq!(dp.tasks, bf.tasks, "draw {draw}, budget {budget}");
+                assert!(
+                    (dp.value - bf.value).abs() < 1e-9,
+                    "draw {draw}, budget {budget}"
+                );
+            }
         }
     }
 
@@ -251,5 +418,61 @@ mod tests {
         let plan5 = DpPlanner::default().plan(&cx, 5).unwrap();
         assert_eq!(plan5.resources(), 4, "no wasted fifth task");
         assert!((plan5.value - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn flat_rows_match_the_btreeset_reference_on_random_topologies() {
+        let specs = [
+            RandomTopologySpec {
+                parallelism: (1, 4),
+                ..RandomTopologySpec::default()
+            },
+            RandomTopologySpec {
+                parallelism: (1, 4),
+                join_fraction: 0.5,
+                ..RandomTopologySpec::default()
+            },
+        ];
+        let mut planned = 0;
+        for (i, spec) in specs.iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(40 + i as u64);
+            for draw in 0..24 {
+                let cx = PlanContext::new(&spec.generate(&mut rng)).unwrap();
+                // Keep to topologies the planner enumerates within limits
+                // and the reference plans quickly in a debug build.
+                if cx.mc_trees().map_or(true, |trees| trees.len() > 14) {
+                    continue;
+                }
+                for ratio in [0.2, 0.4, 0.6, 0.8] {
+                    let budget = (cx.n_tasks() as f64 * ratio).round() as usize;
+                    assert_matches_reference(&cx, budget, &format!("spec {i}, draw {draw}"));
+                    planned += 1;
+                }
+            }
+        }
+        assert!(planned >= 40, "only {planned} plans compared");
+    }
+
+    #[test]
+    fn flat_rows_match_the_btreeset_reference_two_words_wide() {
+        // 66 sources → 3 mids → 1 sink: 70 tasks, so every row spans two
+        // words. The trees through sources 64 and 65 have an empty first
+        // word, so rows that differ only in the second word are sorted and
+        // merged too.
+        let mut rng = StdRng::seed_from_u64(7);
+        let weights: Vec<f64> = (0..66).map(|_| rng.gen_range(0.5..2.0)).collect();
+        let mut b = TopologyBuilder::new();
+        let s = b.add_operator(
+            OperatorSpec::source("s", 66, 100.0).with_weights(TaskWeights::Explicit(weights)),
+        );
+        let m = b.add_operator(OperatorSpec::map("m", 3, 1.0));
+        let k = b.add_operator(OperatorSpec::map("k", 1, 1.0));
+        b.connect(s, m, Partitioning::Merge).unwrap();
+        b.connect(m, k, Partitioning::Merge).unwrap();
+        let cx = PlanContext::new(&b.build().unwrap()).unwrap();
+        assert_eq!(cx.n_tasks().div_ceil(64), 2);
+        for budget in 0..=6 {
+            assert_matches_reference(&cx, budget, "70 tasks");
+        }
     }
 }

@@ -51,6 +51,28 @@ impl Plan {
     pub fn resources(&self) -> usize {
         self.tasks.len()
     }
+
+    /// The arg-max rule of the exact planners ([`DpPlanner`] and
+    /// [`BruteForcePlanner`]): `candidate`, scoring `score`, replaces the
+    /// plan if it scores higher, or ties (within 1e-12) and uses fewer
+    /// tasks (Theorem 1), or ties with as many tasks and is the smaller
+    /// set. Exact ties thus go the same way in whatever order candidates
+    /// are offered, so the two planners agree on which equally optimal
+    /// plan they return.
+    pub(crate) fn offer(&mut self, candidate: &TaskSet, score: f64) {
+        let tied = score > self.value - 1e-12;
+        if score > self.value + 1e-12
+            || (tied && candidate.len() < self.tasks.len())
+            || (tied && candidate.len() == self.tasks.len() && *candidate < self.tasks)
+        {
+            self.tasks.words_mut().copy_from_slice(candidate.words());
+            // Keep the running *maximum* on tie wins — adopting the tied
+            // (possibly epsilon-lower) score would let the tie threshold
+            // drift downward and re-introduce order dependence across
+            // near-tie chains.
+            self.value = self.value.max(score);
+        }
+    }
 }
 
 /// Everything a planner needs: the task graph, rates, the metric to
@@ -96,12 +118,13 @@ impl PlanContext {
     /// `node_of_task[t]` is task `t`'s primary node.
     ///
     /// Planners that score candidates through `PlanContext::score_plan`
-    /// (greedy, structure-aware, brute force) then optimize the worst case
-    /// over *plausible* domain failures, so replication budget is not
-    /// wasted hedging against failures the cluster topology cannot
-    /// produce. The DP planner keeps optimizing Definition 2 internally
-    /// (its recurrence is defined on the all-down case) but its reported
-    /// plan value uses the domain-aware score.
+    /// (structure-aware, DP, brute force) then optimize the worst case over
+    /// *plausible* domain failures, so replication budget is not wasted
+    /// hedging against failures the cluster topology cannot produce. DP
+    /// and brute force still draw their candidates from Definition 2's
+    /// MC-tree unions, but pick among them by this domain-aware score.
+    /// Greedy ranks tasks by single-task failures; only its reported plan
+    /// value is domain-aware.
     pub fn with_fault_domains(
         topology: &Topology,
         domains: &ppa_faults::FaultDomainTree,
@@ -268,8 +291,7 @@ impl Planner for BruteForcePlanner {
             });
         }
         let n = cx.n_tasks();
-        let mut best = TaskSet::empty(n);
-        let mut best_score = cx.score_plan(&best);
+        let mut best = cx.make_plan(TaskSet::empty(n));
         for mask in 0u64..(1u64 << trees.len()) {
             let mut union = TaskSet::empty(n);
             for (i, tree) in trees.iter().enumerate() {
@@ -277,21 +299,11 @@ impl Planner for BruteForcePlanner {
                     union.union_with(tree);
                 }
             }
-            if union.len() > budget {
-                continue;
-            }
-            let score = cx.score_plan(&union);
-            if score > best_score + 1e-12
-                || (score > best_score - 1e-12 && union.len() < best.len())
-            {
-                best = union;
-                best_score = score;
+            if union.len() <= budget {
+                best.offer(&union, cx.score_plan(&union));
             }
         }
-        Ok(Plan {
-            tasks: best,
-            value: best_score,
-        })
+        Ok(best)
     }
 }
 
