@@ -3,9 +3,8 @@
 //! (`FtMode::Approximate`) ships a state backup only when a task's
 //! accumulated divergence exceeds its error bound, and on failure
 //! restores from the last shipped snapshot *without* replaying the
-//! forfeited batches — recovery latency drops to restore cost alone,
-//! paid for in output fidelity the engine itself quantifies as a
-//! per-outage `fidelity_floor`.
+//! skipped batches — recovery latency drops to restore cost alone,
+//! paid for in output fidelity.
 //!
 //! Every cell builds the `adaptive_sweep` cluster (12 workers + 12
 //! standbys, racks of 4), places the Fig. 6 query round-robin, and
@@ -15,9 +14,9 @@
 //! exact `Checkpoint-5s` against `Approx-5s-e{bound}` for each bound —
 //! over identical node deaths. Per cell and strategy: recovery
 //! completion latency, output fidelity inside the outage window against
-//! that strategy's own failure-free golden run, the engine-recorded
-//! fidelity floor, and the approximate backup cadence (shipped vs
-//! skipped), i.e. the backup rate each error bound actually buys.
+//! that strategy's own failure-free golden run, and the approximate
+//! backup cadence (shipped vs skipped), i.e. the backup rate each error
+//! bound actually buys.
 
 use super::bed::{cascade, Bed};
 use super::grid::{cross, Table};
@@ -27,7 +26,7 @@ use crate::Figure;
 use ppa_engine::RoundRobin;
 use ppa_faults::FailureProcess;
 use ppa_sim::{SimDuration, SimTime};
-use ppa_workloads::{floored_outage_windows, outage_fidelity};
+use ppa_workloads::outage_fidelity;
 
 const RACK_SIZE: usize = 4;
 /// Fidelity is attributed to this window after the failure onset — long
@@ -59,10 +58,6 @@ struct Outcome {
     latency: f64,
     /// Fidelity inside the outage window vs this strategy's own golden run.
     fidelity: f64,
-    /// Worst engine-recorded fidelity floor across the run's outage
-    /// windows (`None` when no lossy recovery happened — exact modes, or
-    /// an approximate recovery that forfeited nothing).
-    floor: Option<u16>,
     /// Approximate backups shipped / suppressed by the divergence model.
     shipped: u64,
     skipped: u64,
@@ -93,7 +88,6 @@ pub(crate) fn run(ctx: &RunCtx) -> Vec<Figure> {
             bed.trace_seed(0xa99c ^ (((burst * 100.0) as u64) << 8), corr),
         );
         let config = bed.config(strategy);
-        let batch = config.batch_interval;
         let golden = bed.golden(config.clone());
         let driven = drive(
             ctx,
@@ -113,10 +107,6 @@ pub(crate) fn run(ctx: &RunCtx) -> Vec<Figure> {
                 &[(bed.fail_at, bed.fail_at + OUTAGE_WINDOW_SECS)],
                 SimDuration::from_secs(5), // one heartbeat of slack
             )[0],
-            floor: floored_outage_windows(&driven.report, batch, bed.duration)
-                .iter()
-                .filter_map(|w| w.fidelity_floor)
-                .min(),
             shipped: driven.metrics.counter("engine.approx.backups_shipped"),
             skipped: driven.metrics.counter("engine.approx.backups_skipped"),
             killed: trace.killed_nodes().len(),
@@ -124,8 +114,8 @@ pub(crate) fn run(ctx: &RunCtx) -> Vec<Figure> {
     });
 
     let x = |&(corr, burst): &(&f64, &f64)| format!("corr:{corr} burst:{burst}");
-    // The roster's approximate entries — the floor and backup series
-    // exist only for them.
+    // The roster's approximate entries — the backup series exist only
+    // for them.
     let approximate = roster
         .iter()
         .enumerate()
@@ -153,26 +143,15 @@ pub(crate) fn run(ctx: &RunCtx) -> Vec<Figure> {
 
     let mut fidelity = Figure::new(
         "approx_sweep_fidelity",
-        "Fidelity cost of lossy recovery (measured, and the engine's recorded floor)",
+        "Fidelity cost of lossy recovery (measured against each strategy's golden run)",
         "cascade spread x burst fraction",
         "output fidelity vs golden run",
     );
     fidelity.series = table.by_entry(Strategy::label, x, |o| o.fidelity);
-    for (si, strategy) in approximate.clone() {
-        let label = format!("floor ({})", strategy.label());
-        let permille = |o: &Outcome| o.floor.map_or(1.0, |f| f64::from(f) / 1000.0);
-        fidelity.series.push(table.column(si, label, x, permille));
-    }
     fidelity.note(
         "Measured fidelity is on-time per-batch sink volume inside the outage \
          window [fail, fail+45s) against the strategy's own failure-free golden \
-         run (5 s lateness budget). The floor series is the engine's own \
-         per-outage fidelity_floor — the worst-case share of the outage's \
-         batches an approximate recovery retained after forfeiting the \
-         divergence-skipped replay (permille, worst outage of the run; 1.0 when \
-         nothing was forfeited). Measured fidelity sits at or above the floor: \
-         the floor is what recovery gave up, the measurement adds what \
-         downstream tentative output preserved anyway.",
+         run (5 s lateness budget).",
     );
 
     let mut backups = Figure::new(
@@ -191,9 +170,8 @@ pub(crate) fn run(ctx: &RunCtx) -> Vec<Figure> {
     backups.note(
         "A backup ships only when a task's accumulated divergence (tuples \
          absorbed since the last ship) exceeds the error bound; in-bound \
-         intervals are skipped. Widening the bound trades backups for drift, \
-         so larger bounds ship fewer backups and record lower fidelity floors \
-         at recovery.",
+         intervals are skipped. Widening the bound trades backups for drift: \
+         larger bounds ship fewer backups and skip more.",
     );
 
     vec![latency, fidelity, backups]

@@ -318,7 +318,6 @@ mod tests {
                     failed_at: SimTime::from_secs(40),
                     detected_at,
                     recovered_at: latency.map(|l| detected_at + SimDuration::from_secs(l)),
-                    fidelity_floor: None,
                 }],
             });
         RunReport {

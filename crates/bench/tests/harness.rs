@@ -267,13 +267,15 @@ fn refail_sweep_domain_health_dominates_inside_the_refailure_window() {
 
 /// The approx sweep's headline claim: in at least one swept cell an
 /// approximate strategy strictly beats exact checkpointing on recovery
-/// completion latency, and that same cell carries a quantified fidelity
-/// cost — an engine-recorded floor strictly below 1.0.
+/// completion latency, and pays for it in that same cell with strictly
+/// lower measured fidelity against its golden run.
 #[test]
-fn approx_sweep_trades_latency_for_a_recorded_fidelity_floor() {
+fn approx_sweep_trades_latency_for_measured_fidelity() {
     let latency = figure("approx_sweep", "approx_sweep");
     let fidelity = figure("approx_sweep", "approx_sweep_fidelity");
     let checkpoint = points(latency, "Checkpoint-5s");
+    let checkpoint_fidelity = points(fidelity, "Checkpoint-5s");
+    assert_eq!(checkpoint_fidelity.len(), checkpoint.len());
     let approx_labels: Vec<&str> = latency
         .series
         .iter()
@@ -283,19 +285,21 @@ fn approx_sweep_trades_latency_for_a_recorded_fidelity_floor() {
     assert!(!approx_labels.is_empty(), "no approximate series swept");
     let won = approx_labels.iter().any(|label| {
         let approx = points(latency, label);
-        let floors = points(fidelity, &format!("floor ({label})"));
+        let approx_fidelity = points(fidelity, label);
         assert_eq!(approx.len(), checkpoint.len());
-        assert_eq!(floors.len(), checkpoint.len());
+        assert_eq!(approx_fidelity.len(), checkpoint.len());
         checkpoint
             .iter()
             .zip(approx)
-            .zip(floors)
-            .any(|(((_, cp), (_, ap)), (_, floor))| ap + 1e-9 < *cp && *floor < 1.0 - 1e-9)
+            .zip(checkpoint_fidelity.iter().zip(approx_fidelity))
+            .any(|(((_, cp), (_, ap)), ((_, cp_fid), (_, ap_fid)))| {
+                ap + 1e-9 < *cp && ap_fid + 1e-9 < *cp_fid
+            })
     });
     assert!(
         won,
         "no cell where an approximate strategy beat Checkpoint-5s on completion \
-         latency at a recorded fidelity cost: {latency:?} {fidelity:?}"
+         latency at a measured fidelity cost: {latency:?} {fidelity:?}"
     );
 }
 

@@ -61,7 +61,6 @@ pub(crate) fn check_run(input: &CheckInput<'_>) -> Vec<Violation> {
     check_metrics_agreement(input, &mut out);
     check_sink_exactly_once(input, &by_task, &mut out);
     check_closed_or_explained(input, &by_task, &mut out);
-    check_fidelity_floor(input, &mut out);
     out
 }
 
@@ -328,61 +327,11 @@ fn check_closed_or_explained(
     }
 }
 
-/// Fidelity-floor accounting: the stream's `ApproxRecovery` events and
-/// the report's `fidelity_floor` records must tell the same story — every
-/// recorded floor has exactly one matching lossy-recovery event for its
-/// task (same values, same order), and a lossy recovery never leaves the
-/// report floorless. This is the invariant that catches a voided/stalled
-/// restore double-counting an approximate recovery into one outage
-/// record. (A floor above 1000 permille is `check_stream`'s to report.)
-fn check_fidelity_floor(input: &CheckInput<'_>, out: &mut Vec<Violation>) {
-    let end = input.report.ended_at;
-    let mut event_floors: BTreeMap<usize, Vec<u16>> = BTreeMap::new();
-    for (_, event) in input.events {
-        if let EngineEvent::ApproxRecovery {
-            task,
-            fidelity_floor,
-            ..
-        } = event
-        {
-            event_floors.entry(*task).or_default().push(*fidelity_floor);
-        }
-    }
-    for outages in &input.report.outages {
-        let task = outages.task.0;
-        let recorded: Vec<u16> = outages
-            .records
-            .iter()
-            .filter_map(|r| r.fidelity_floor)
-            .collect();
-        let witnessed = event_floors.remove(&task).unwrap_or_default();
-        if recorded != witnessed {
-            out.push(violation(
-                "fidelity_floor_mismatch",
-                end,
-                Some(task),
-                format!("report floors {recorded:?} but ApproxRecovery events say {witnessed:?}"),
-            ));
-        }
-    }
-    for (task, witnessed) in event_floors {
-        out.push(violation(
-            "fidelity_floor_mismatch",
-            end,
-            Some(task),
-            format!(
-                "{} ApproxRecovery events but no outage history",
-                witnessed.len()
-            ),
-        ));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schedule::ChaosSchedule;
-    use ppa_engine::{FailureTrace, OutageRecord, TaskOutages};
+    use ppa_engine::FailureTrace;
 
     type Events = Vec<(SimTime, EngineEvent)>;
 
@@ -419,45 +368,6 @@ mod tests {
         m.snapshot()
     }
 
-    /// Task 3's one outage — failed at 20 s, detected at 25 s, closed at
-    /// 26 s by a lossy restore leaving `floor` ‰ — as a report and the
-    /// stream that witnesses it.
-    fn lossy_outage(floor: u16) -> (RunReport, Events) {
-        let s = SimTime::from_secs;
-        let mut report = RunReport::default();
-        report.outages.push(TaskOutages {
-            task: ppa_core::TaskIndex(3),
-            records: vec![OutageRecord {
-                via_replica: false,
-                failed_at: s(20),
-                detected_at: s(25),
-                recovered_at: Some(s(26)),
-                fidelity_floor: Some(floor),
-            }],
-        });
-        let events = vec![
-            (
-                s(20),
-                EngineEvent::OutageOpened {
-                    task: 3,
-                    refail: false,
-                },
-            ),
-            (s(25), EngineEvent::OutageDetected { task: 3 }),
-            (
-                s(26),
-                EngineEvent::ApproxRecovery {
-                    task: 3,
-                    divergence: 42,
-                    skipped_batches: 4,
-                    fidelity_floor: floor,
-                },
-            ),
-            (s(26), EngineEvent::RestoreDone { task: 3 }),
-        ];
-        (report, events)
-    }
-
     #[test]
     fn an_empty_run_checks_clean() {
         let report = RunReport::default();
@@ -480,42 +390,6 @@ mod tests {
         let input = empty_input(&report, &events, &metrics, &resolved);
         let rules: Vec<&str> = check_run(&input).iter().map(|v| v.invariant).collect();
         assert!(rules.contains(&"trace_replay_mismatch"), "{rules:?}");
-    }
-
-    #[test]
-    fn floor_without_a_recovery_event_is_a_mismatch() {
-        let resolved = no_chaos();
-        let (report, events) = lossy_outage(700);
-        let metrics = counted(&events);
-        let input = empty_input(&report, &events, &metrics, &resolved);
-        assert!(
-            check_run(&input).is_empty(),
-            "the witnessed floor reconciles"
-        );
-
-        // Without the ApproxRecovery witness, the floor on the record is
-        // unexplained.
-        let mut events = events;
-        events.remove(2);
-        let metrics = counted(&events);
-        let input = empty_input(&report, &events, &metrics, &resolved);
-        let check = check_run(&input);
-        assert!(
-            check
-                .iter()
-                .any(|v| v.invariant == "fidelity_floor_mismatch"),
-            "{check:?}"
-        );
-    }
-
-    #[test]
-    fn an_out_of_range_floor_is_one_violation() {
-        let (report, events) = lossy_outage(1500);
-        let metrics = counted(&events);
-        let resolved = no_chaos();
-        let input = empty_input(&report, &events, &metrics, &resolved);
-        let rules: Vec<&str> = check_run(&input).iter().map(|v| v.invariant).collect();
-        assert_eq!(rules, vec!["fidelity_floor_out_of_range"]);
     }
 
     #[test]

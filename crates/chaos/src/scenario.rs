@@ -163,8 +163,7 @@ impl ScenarioParams {
             3 => ModeTag::Storm,
             // Bounds spanning "ships every couple of batches" (the rate
             // floor is 40 tuples/batch) to "ships rarely" — the lossy
-            // recovery and floor bookkeeping get exercised across the
-            // whole cadence range.
+            // recovery gets exercised across the whole cadence range.
             _ => ModeTag::Approx {
                 error_bound: rng.gen_range(100..=4_000u64),
             },

@@ -193,8 +193,8 @@ fn restore_void_causes_a_setback_then_recovery() -> TestResult {
 fn voided_approximate_restore_rearms_without_double_counting_the_floor() -> TestResult {
     // A stalled restore of an approximate-mode task is voided mid-load:
     // the outage re-arms (setback), the voided completion must NOT run
-    // the lossy jump (no ApproxRecovery, no floor), and the re-armed
-    // restore closes the outage with exactly one floor on the record.
+    // the lossy jump (no ApproxRecovery), and the re-armed restore
+    // closes the outage with exactly one ApproxRecovery.
     let mut p = params();
     p.mode = ModeTag::Approx { error_bound: 100 };
     let built = build(&p)?;
@@ -231,15 +231,14 @@ fn voided_approximate_restore_rearms_without_double_counting_the_floor() -> Test
         .filter(|(_, e)| matches!(e, EngineEvent::RestoreVoided { task } if *task == mid))
         .count();
     assert!(voided >= 1, "the stalled completion must observe the void");
-    let lossy: Vec<(u64, u16)> = events
+    let lossy: Vec<(u64, u64)> = events
         .iter()
         .filter_map(|(_, e)| match e {
             EngineEvent::ApproxRecovery {
                 task,
                 divergence,
-                fidelity_floor,
-                ..
-            } if *task == mid => Some((*divergence, *fidelity_floor)),
+                skipped_batches,
+            } if *task == mid => Some((*divergence, *skipped_batches)),
             _ => None,
         })
         .collect();
@@ -248,22 +247,13 @@ fn voided_approximate_restore_rearms_without_double_counting_the_floor() -> Test
         1,
         "exactly one lossy recovery despite the voided restore: {lossy:?}"
     );
+    assert!(lossy[0].1 > 0, "the stalled outage skips replay: {lossy:?}");
     let outage = driven
         .report
         .outages
         .iter()
         .find(|o| o.task.0 == mid)
         .ok_or("mid task has no outage record")?;
-    let floors: Vec<u16> = outage
-        .records
-        .iter()
-        .filter_map(|r| r.fidelity_floor)
-        .collect();
-    assert_eq!(
-        floors,
-        vec![lossy[0].1],
-        "the record carries the single lossy recovery's floor, once"
-    );
     assert!(
         outage
             .records

@@ -8,8 +8,8 @@
 //! reaches the configured `error_bound`. Recovery is lossy: the task
 //! restores the last shipped snapshot and jumps to the current frontier
 //! without replaying the gap, forfeiting at most one bound's worth of
-//! state drift plus the un-replayed batches, which the engine records as
-//! the outage's fidelity floor.
+//! state drift plus the un-replayed batches; the engine notes both in
+//! the recovery's `ApproxRecovery` event.
 //!
 //! Drift is measured in *input tuples absorbed* since the last shipped
 //! backup: every tuple folded into operator state moves the live state

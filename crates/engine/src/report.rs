@@ -43,12 +43,6 @@ pub struct OutageRecord {
     /// When the task's progress vector dominated its pre-failure progress
     /// (`None` if the run ended first).
     pub recovered_at: Option<SimTime>,
-    /// Lossy (approximate) recoveries only: the guaranteed share of the
-    /// outage window *not* forfeited by skipping replay, in permille
-    /// (1000 = nothing forfeited). A conservative floor on the window's
-    /// sink fidelity — tentative outputs typically deliver more. `None`
-    /// for every exact recovery.
-    pub fidelity_floor: Option<u16>,
 }
 
 impl OutageRecord {
@@ -268,7 +262,6 @@ mod tests {
             failed_at: SimTime::from_secs(10),
             detected_at: SimTime::from_secs(15),
             recovered_at,
-            fidelity_floor: None,
         };
         let mk = |task, rec| TaskOutages {
             task: TaskIndex(task),
@@ -313,7 +306,6 @@ mod tests {
             failed_at: SimTime::from_secs(failed),
             detected_at: SimTime::from_secs(det),
             recovered_at: recv.map(SimTime::from_secs),
-            fidelity_floor: None,
         };
         let mut rep = RunReport::default();
         rep.outages.push(TaskOutages {
@@ -337,7 +329,6 @@ mod tests {
             failed_at: SimTime::from_secs(1),
             detected_at: SimTime::MAX,
             recovered_at: None,
-            fidelity_floor: None,
         };
         assert!(!undetected.detected());
         Ok(())

@@ -98,7 +98,6 @@ impl OutageLedger {
                     failed_at: now,
                     detected_at: SimTime::MAX,
                     recovered_at: None,
-                    fidelity_floor: None,
                 });
                 false
             }
@@ -159,27 +158,6 @@ impl OutageLedger {
     pub(super) fn first_proxy(&mut self, t: usize) -> Option<EngineEvent> {
         let first = !std::mem::replace(&mut self.proxied[t], true);
         first.then_some(EngineEvent::TentativeResumed { task: t })
-    }
-
-    /// A lossy restore of task `t` forfeited `skipped_batches` of replay
-    /// and `divergence` of un-shipped drift, leaving at least
-    /// `fidelity_floor` permille of the outage window exact.
-    pub(super) fn forfeit(
-        &mut self,
-        t: usize,
-        divergence: u64,
-        skipped_batches: u64,
-        fidelity_floor: u16,
-    ) -> EngineEvent {
-        if let Some(rec) = self.current_mut(t) {
-            rec.fidelity_floor = Some(fidelity_floor);
-        }
-        EngineEvent::ApproxRecovery {
-            task: t,
-            divergence,
-            skipped_batches,
-            fidelity_floor,
-        }
     }
 
     /// Task `t` is back at `at` — by replica `takeover`, else by restore.

@@ -257,10 +257,9 @@ impl Simulation {
     /// stream frontier *without* replaying the gap. The batches between
     /// the snapshot and the frontier are forfeited; one cumulative proxy
     /// per out-edge closes them downstream so healthy consumers never
-    /// stall waiting for output that will never come. The forfeited
-    /// fidelity is quantified into the outage record's `fidelity_floor`
-    /// and an `ApproxRecovery` event before the `RestoreDone` that closes
-    /// the outage.
+    /// stall waiting for output that will never come. The loss is noted
+    /// as an `ApproxRecovery` event — the drift forfeited and the batches
+    /// skipped — before the `RestoreDone` that closes the outage.
     fn restore_approximate(&mut self, rt: Rt) {
         let snapshot = self.tasks[rt].checkpoint.clone();
         self.rewind(rt, snapshot, 0);
@@ -294,19 +293,14 @@ impl Simulation {
         }
         self.reserve_from_upstreams(rt, frontier, at);
 
-        // Quantify the loss: of the batch intervals the outage spans, the
-        // forfeited gap is the part whose exact output is gone for good.
-        // Conservative floor in permille — the realized fidelity can only
-        // be higher.
-        let failed_batch = self
-            .ledger
-            .current(logical)
-            .map_or(0, |rec| rec.failed_at.as_micros())
-            / self.config.batch_interval.as_micros();
-        let total = frontier.saturating_sub(failed_batch).max(1);
-        let floor = (1000 * (total - skipped.min(total)) / total) as u16;
-        let loss = self.ledger.forfeit(logical, divergence, skipped, floor);
-        self.note(now, loss);
+        self.note(
+            now,
+            EngineEvent::ApproxRecovery {
+                task: logical,
+                divergence,
+                skipped_batches: skipped,
+            },
+        );
         // `now` is the restore's own CPU-reserved completion instant, and
         // the frontier jump is pure bookkeeping: progress dominates here,
         // not after whatever other restores are queued on this standby.

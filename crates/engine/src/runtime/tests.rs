@@ -1775,7 +1775,7 @@ fn approximate_ships_on_divergence_and_skips_within_bound() -> TestResult {
 }
 
 #[test]
-fn approximate_recovery_skips_replay_and_records_the_floor() -> TestResult {
+fn approximate_recovery_skips_replay_and_keeps_the_sink_flowing() -> TestResult {
     let q = chain_query(100, 10)?;
     let kill = || {
         vec![FailureSpec {
@@ -1804,18 +1804,6 @@ fn approximate_recovery_skips_replay_and_records_the_floor() -> TestResult {
         lat(&approx)?,
         lat(&exact)?
     );
-    // The forfeited fidelity is quantified on the outage record — and only
-    // on the lossy family's records.
-    let rec = &approx.outages[0].records[0];
-    let floor = rec
-        .fidelity_floor
-        .ok_or("lossy recovery must record a floor")?;
-    assert!(floor <= 1000);
-    assert!(
-        floor < 1000,
-        "a 16s gap against a 5s-stale snapshot forfeits batches"
-    );
-    assert!(exact.outages[0].records[0].fidelity_floor.is_none());
     // Downstream is not stalled by the jump: the sink keeps producing
     // complete, non-tentative batches after the recovery.
     let recovered_at = approx.recoveries()[0].recovered_at.ok_or("recovered")?;
@@ -1856,18 +1844,21 @@ fn approximate_recovery_emits_the_loss_before_closing() -> TestResult {
         .ok_or("task 2 must ship at least one backup before dying")?;
     let loss = pos(&|e| matches!(e, ppa_obs::EngineEvent::ApproxRecovery { task: 2, .. }))
         .ok_or("lossy recovery must be quantified")?;
+    let lossy = events
+        .iter()
+        .filter(|(_, e)| matches!(e, ppa_obs::EngineEvent::ApproxRecovery { .. }))
+        .count();
+    assert_eq!(lossy, 1, "one outage, one lossy recovery");
     let done = pos(&|e| matches!(e, ppa_obs::EngineEvent::RestoreDone { task: 2 }))
         .ok_or("outage must close via RestoreDone")?;
     assert!(ship < loss && loss < done, "{ship} {loss} {done}");
     if let ppa_obs::EngineEvent::ApproxRecovery {
         divergence,
         skipped_batches,
-        fidelity_floor,
         ..
     } = &events[loss].1
     {
         assert!(*skipped_batches > 0, "the replay gap is what gets skipped");
-        assert!(*fidelity_floor < 1000);
         // The drift forfeited at recovery stayed within one bound: the
         // crossing batch armed a ship that the failure then voided, so at
         // most bound-1 + one batch of drift is ever pending.

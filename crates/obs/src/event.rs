@@ -45,14 +45,12 @@ pub enum EngineEvent {
     ApproxBackupShipped { task: usize, divergence: u64 },
     /// Approximate mode: a lossy recovery completed — the task restored
     /// its last shipped snapshot and jumped `skipped_batches` batches to
-    /// the frontier without replay, forfeiting `divergence` drift units;
-    /// `fidelity_floor` is the outage's guaranteed fidelity in permille.
+    /// the frontier without replay, forfeiting `divergence` drift units.
     /// Always followed by the `restore_done` that closes the outage.
     ApproxRecovery {
         task: usize,
         divergence: u64,
         skipped_batches: u64,
-        fidelity_floor: u16,
     },
     /// The control plane adopted a re-plan: replicas established and torn
     /// down, and the adopted plan's size.

@@ -66,11 +66,10 @@ fn write_payload(event: &EngineEvent, out: &mut String) {
             task,
             divergence,
             skipped_batches,
-            fidelity_floor,
         } => {
             let _ = write!(
                 out,
-                ",\"task\":{task},\"divergence\":{divergence},\"skipped_batches\":{skipped_batches},\"fidelity_floor\":{fidelity_floor}"
+                ",\"task\":{task},\"divergence\":{divergence},\"skipped_batches\":{skipped_batches}"
             );
         }
         EngineEvent::ReplanAdopted {

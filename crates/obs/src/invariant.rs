@@ -184,11 +184,7 @@ pub fn check_stream(events: &[(SimTime, EngineEvent)]) -> StreamCheck {
                 }
                 st.tentative = true;
             }
-            EngineEvent::ApproxRecovery {
-                task,
-                fidelity_floor,
-                ..
-            } => {
+            EngineEvent::ApproxRecovery { task, .. } => {
                 let st = tasks.entry(*task).or_default();
                 if !st.open || st.detections == 0 {
                     out.violations.push(Violation::new(
@@ -206,14 +202,6 @@ pub fn check_stream(events: &[(SimTime, EngineEvent)]) -> StreamCheck {
                         "a second ApproxRecovery within one outage record \
                          (forfeited fidelity double-counted)"
                             .to_string(),
-                    ));
-                }
-                if *fidelity_floor > 1000 {
-                    out.violations.push(Violation::new(
-                        "fidelity_floor_out_of_range",
-                        at,
-                        Some(*task),
-                        format!("fidelity_floor {fidelity_floor} exceeds 1000 permille"),
                     ));
                 }
                 st.approx = true;
@@ -420,7 +408,6 @@ mod tests {
                     task: 1,
                     divergence: 120,
                     skipped_batches: 6,
-                    fidelity_floor: 0,
                 },
             ),
             (s(46), EngineEvent::RestoreDone { task: 1 }),
@@ -437,7 +424,6 @@ mod tests {
                     task: 1,
                     divergence: 120,
                     skipped_batches: 6,
-                    fidelity_floor: 0,
                 },
             ),
         );
@@ -445,14 +431,13 @@ mod tests {
         assert_eq!(check.violations.len(), 1);
         assert_eq!(check.violations[0].invariant, "approx_recovery_twice");
 
-        // Undetected and out-of-range floors are flagged.
+        // A lossy recovery with no detected open outage is flagged.
         let bad = vec![(
             s(46),
             EngineEvent::ApproxRecovery {
                 task: 2,
                 divergence: 1,
                 skipped_batches: 0,
-                fidelity_floor: 1500,
             },
         )];
         let rules: Vec<&str> = check_stream(&bad)
@@ -460,11 +445,7 @@ mod tests {
             .iter()
             .map(|v| v.invariant)
             .collect();
-        assert!(
-            rules.contains(&"approx_recovery_before_detection"),
-            "{rules:?}"
-        );
-        assert!(rules.contains(&"fidelity_floor_out_of_range"), "{rules:?}");
+        assert_eq!(rules, vec!["approx_recovery_before_detection"]);
     }
 
     #[test]

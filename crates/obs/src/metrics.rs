@@ -185,7 +185,6 @@ mod tests {
                     task: 0,
                     divergence: 42,
                     skipped_batches: 4,
-                    fidelity_floor: 700,
                 },
                 vec![("engine.approx.divergence_at_recovery", 42)],
             ),

@@ -162,54 +162,6 @@ pub fn outage_windows(
         .collect()
 }
 
-/// An outage window annotated with the lossy-recovery fidelity floor the
-/// engine recorded for it: the minimum `fidelity_floor` across the
-/// outage records whose onset opened this window (`None` when every one
-/// of them recovered exactly). Produced by [`floored_outage_windows`];
-/// the floor is the engine's *guarantee*, the measured
-/// [`outage_fidelity`] is the *realization* — chaos checking asserts
-/// realization ≥ guarantee.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OutageWindow {
-    /// First batch id the window covers (the onset batch).
-    pub(crate) from: u64,
-    /// One past the last batch id (the next onset, or the horizon).
-    pub(crate) to: u64,
-    /// Permille fidelity floor of the lossy recoveries that opened this
-    /// window, minimized across records sharing the onset.
-    pub fidelity_floor: Option<u16>,
-}
-
-/// [`outage_windows`] with each window carrying the fidelity floor of
-/// the outage records whose onset opened it (approximate recoveries
-/// record one; exact recoveries leave `None`). Windows and bounds are
-/// identical to [`outage_windows`] — this is an annotation, not a
-/// different split.
-pub fn floored_outage_windows(
-    run: &RunReport,
-    batch_interval: ppa_sim::SimDuration,
-    horizon: u64,
-) -> Vec<OutageWindow> {
-    let per_batch = batch_interval.as_micros().max(1);
-    outage_windows(run, batch_interval, horizon)
-        .into_iter()
-        .map(|(from, to)| {
-            let fidelity_floor = run
-                .outages
-                .iter()
-                .flat_map(|o| o.records.iter())
-                .filter(|rec| rec.failed_at.as_micros() / per_batch == from)
-                .filter_map(|rec| rec.fidelity_floor)
-                .min();
-            OutageWindow {
-                from,
-                to,
-                fidelity_floor,
-            }
-        })
-        .collect()
-}
-
 /// [`batch_fidelity`] over each window of `windows` — one score per
 /// outage window, so late output is attributed to the outage it belongs
 /// to instead of diluting its neighbours.
@@ -409,7 +361,6 @@ mod tests {
             failed_at: SimTime::from_secs(failed),
             detected_at: SimTime::from_secs(failed + 5),
             recovered_at: None,
-            fidelity_floor: None,
         };
         let mut run = RunReport::default();
         run.outages.push(TaskOutages {
@@ -426,37 +377,6 @@ mod tests {
         assert_eq!(outage_windows(&run, b, 60), vec![(40, 60)]);
         // No outages, no windows.
         assert!(outage_windows(&RunReport::default(), b, 100).is_empty());
-    }
-
-    #[test]
-    fn floored_windows_annotate_without_resplitting() {
-        use ppa_engine::{OutageRecord, TaskOutages};
-        let rec = |failed: u64, floor: Option<u16>| OutageRecord {
-            via_replica: false,
-            failed_at: SimTime::from_secs(failed),
-            detected_at: SimTime::from_secs(failed + 5),
-            recovered_at: None,
-            fidelity_floor: floor,
-        };
-        let mut run = RunReport::default();
-        run.outages.push(TaskOutages {
-            task: TaskIndex(1),
-            records: vec![rec(40, Some(700)), rec(70, None)],
-        });
-        // Same onset, lossier recovery: the window keeps the minimum.
-        run.outages.push(TaskOutages {
-            task: TaskIndex(2),
-            records: vec![rec(40, Some(400))],
-        });
-        let b = ppa_sim::SimDuration::from_secs(1);
-        let floored = floored_outage_windows(&run, b, 100);
-        assert_eq!(
-            floored.iter().map(|w| (w.from, w.to)).collect::<Vec<_>>(),
-            outage_windows(&run, b, 100),
-            "annotation must not change the split"
-        );
-        assert_eq!(floored[0].fidelity_floor, Some(400));
-        assert_eq!(floored[1].fidelity_floor, None, "exact recovery: no floor");
     }
 
     #[test]

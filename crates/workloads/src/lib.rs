@@ -21,8 +21,7 @@ mod worldcup;
 mod zipf;
 
 pub use accuracy::{
-    batch_fidelity, floored_outage_windows, incident_accuracy, outage_fidelity, outage_windows,
-    topk_accuracy, OutageWindow,
+    batch_fidelity, incident_accuracy, outage_fidelity, outage_windows, topk_accuracy,
 };
 pub use navigation::{q2_query, q2_scenario, NavigationConfig};
 pub use synthetic::{fig6_query, fig6_scenario, Fig6Config, SyntheticOp};
