@@ -24,19 +24,22 @@
 //! Allocating each task's per-stream losses and rates per call, and the
 //! list of sink tasks, made 34.
 //!
-//! It also bounds the exact DP: `DpPlanner::plan` on Fig. 6 at budget 25
-//! (ratio 0.8; 473 856 unions fold into 61 255 candidates) makes about
-//! 122 900 allocations, ceiling 135 000. All but about 400 are the two
-//! per scored candidate: the candidates live as rows of bit words in a
-//! few flat buffers. Holding them as one heap `TaskSet` per union in a
-//! `BTreeSet`, cloned on retirement, made 666 632.
+//! It also bounds whole planner calls on Fig. 6 at budget 25 (ratio 0.8).
+//! `DpPlanner::plan` (473 856 unions fold into 61 255 candidates) makes
+//! 418 allocations, ceiling 460: the candidates live as rows of bit words
+//! in a few flat buffers, and one `Scorer` per call scores them all into
+//! the same failed-word and loss buffers. Holding the candidates as one
+//! heap `TaskSet` per union in a `BTreeSet`, cloned on retirement, made
+//! 666 632; a fresh complement and loss vector per score made 122 921.
+//! `StructureAwarePlanner::plan` makes 2 445 (ceiling 2 700; 3 615 with
+//! per-score buffers) and `GreedyPlanner::plan` 11 (ceiling 12; 36).
 //!
 //! The counts are of bytes and calls requested from the allocator, so
 //! they are deterministic and indifferent to the host: the gate executes
 //! on a one-core container, where a resident-set figure could not. This
 //! file holds one test, so nothing else shares the counters.
 
-use ppa_core::{DpPlanner, PlanContext, Planner, TaskSet};
+use ppa_core::{DpPlanner, GreedyPlanner, PlanContext, Planner, StructureAwarePlanner, TaskSet};
 use ppa_engine::{EngineConfig, FailureTrace, FtMode, Simulation};
 use ppa_sim::{SimDuration, SimTime};
 use ppa_workloads::{fig6_scenario, Fig6Config};
@@ -94,9 +97,12 @@ unsafe impl GlobalAlloc for LiveCounting {
 static ALLOCATOR: LiveCounting = LiveCounting;
 
 const MIB: f64 = 1024.0 * 1024.0;
-/// About 10 % above the 122 921 allocations `DpPlanner::plan` makes on
-/// Fig. 6 at budget 25.
-const DP_ALLOCS: usize = 135_000;
+/// About 10 % above the allocations each planner makes on Fig. 6 at
+/// budget 25: 418 (`DpPlanner`), 2 445 (`StructureAwarePlanner`) and 11
+/// (`GreedyPlanner`).
+const DP_ALLOCS: usize = 460;
+const SA_ALLOCS: usize = 2_700;
+const GREEDY_ALLOCS: usize = 12;
 
 #[test]
 fn fig6_recovery_keeps_only_what_nobody_can_rebuild() {
@@ -139,6 +145,24 @@ fn fig6_recovery_keeps_only_what_nobody_can_rebuild() {
         allocs <= DP_ALLOCS,
         "DP at budget 25 made {allocs} allocations, over the ceiling of {DP_ALLOCS}"
     );
+    let heuristics: [(&dyn Planner, usize); 2] = [
+        (&StructureAwarePlanner::default(), SA_ALLOCS),
+        (&GreedyPlanner, GREEDY_ALLOCS),
+    ];
+    for (planner, ceiling) in heuristics {
+        let name = planner.name();
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let plan = planner
+            .plan(&cx, 25)
+            .expect("SA and Greedy plan every topology");
+        let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+        assert!(plan.resources() <= 25);
+        println!("{name} at budget 25: {allocs} allocation(s) (ceiling {ceiling})");
+        assert!(
+            allocs <= ceiling,
+            "{name} at budget 25 made {allocs} allocations, over the ceiling of {ceiling}"
+        );
+    }
     let kill = FailureTrace::once(SimTime::from_secs(70), scenario.worker_kill_set.clone());
     // Ceilings about 10 % above what the runs peak at.
     let runs = [

@@ -19,19 +19,99 @@
 //! independent-input — precisely the "fundamental difference" the paper
 //! calls out: IC ignores the correlation of a task's input streams.
 
-use crate::model::{InputSemantics, TaskGraph, TaskSet};
+use crate::model::{InputSemantics, TaskGraph, TaskIndex, TaskSet};
 use crate::rates::{RateModel, StreamRates};
 
 /// Output-loss propagation and OF/IC evaluation over one task graph.
 ///
 /// The model borrows the graph and rates; it is cheap to construct and to
-/// copy around. Evaluation is `O(tasks + substreams)` per call: one pass
-/// over the tasks in topological order that reads the receiver-side rate
-/// table of `RateModel`, with one allocation, the per-task loss vector.
+/// copy around. Eq. 1–3 live in one place, the per-task step of the
+/// propagation pass, which walks the tasks in topological order and reads
+/// the receiver-side rate table of `RateModel`; Eq. 4 is the sink sum. A
+/// one-off evaluation (`output_fidelity`, `of_plan`, …) is a full pass,
+/// `O(tasks + substreams)`, into a fresh loss vector.
+///
+/// A planner scores many failure sets that differ in a few tasks, so it
+/// runs a *delta pass* instead: it keeps the previous call's failed words
+/// and losses (an anchor), looks the tasks whose failed bit flipped up in
+/// the context's downstream-closure rows (one row of bit words per task,
+/// built once per planning context), and recomputes only those tasks'
+/// downstream closure. A task outside that closure has its own failed bit
+/// and every upstream loss unchanged, and a task's loss is a pure function
+/// of those, so its stored value is exactly what a full pass would
+/// compute, bit for bit. The sink sum is always recomputed in full, in its
+/// original order.
 #[derive(Debug, Clone, Copy)]
 pub struct FidelityModel<'g> {
     graph: &'g TaskGraph,
     rates: &'g RateModel,
+}
+
+/// What a delta pass starts from: the failed words and the per-task losses
+/// of the previous pass, the objective they were computed under, and the
+/// dirty-mask scratch. Its contents only decide how much a pass
+/// recomputes, never what it returns.
+#[derive(Debug, Clone)]
+pub(crate) struct LossAnchor {
+    failed: Vec<u64>,
+    loss: Vec<f64>,
+    /// Topological positions to recompute, one bit each.
+    dirty: Vec<u64>,
+    /// `all_independent` of `loss`; `None` before the first pass.
+    independent: Option<bool>,
+}
+
+impl LossAnchor {
+    pub(crate) fn new(n_tasks: usize) -> Self {
+        let words = n_tasks.div_ceil(64);
+        LossAnchor {
+            failed: vec![0; words],
+            loss: vec![0.0; n_tasks],
+            dirty: vec![0; words],
+            independent: None,
+        }
+    }
+
+    /// Whether a pass has run: only then can the next one be a delta.
+    pub(crate) fn primed(&self) -> bool {
+        self.independent.is_some()
+    }
+}
+
+/// Each task's downstream closure, itself included: one row of
+/// `n.div_ceil(64)` bit words per task, whose bit `p` is the task at
+/// topological position `p`, so a mask of rows is walked in topological
+/// order by its set bits.
+#[derive(Debug)]
+pub(crate) struct DownstreamClosure {
+    words: usize,
+    rows: Vec<u64>,
+}
+
+impl DownstreamClosure {
+    pub(crate) fn new(graph: &TaskGraph) -> Self {
+        let n = graph.n_tasks();
+        let words = n.div_ceil(64);
+        let topo = graph.topo_tasks();
+        let mut rows = vec![0u64; n * words];
+        // Reverse topological order: every downstream row is complete
+        // before an upstream one reads it.
+        for (p, &t) in topo.iter().enumerate().rev() {
+            rows[t.0 * words + p / 64] |= 1 << (p % 64);
+            for stream in graph.outputs(t) {
+                for &d in &stream.targets {
+                    for i in 0..words {
+                        rows[t.0 * words + i] |= rows[d.0 * words + i];
+                    }
+                }
+            }
+        }
+        DownstreamClosure { words, rows }
+    }
+
+    fn row(&self, t: usize) -> &[u64] {
+        &self.rows[t * self.words..(t + 1) * self.words]
+    }
 }
 
 impl<'g> FidelityModel<'g> {
@@ -41,8 +121,7 @@ impl<'g> FidelityModel<'g> {
 
     /// Output Fidelity (Eq. 4) of the topology when `failed` tasks are down.
     pub fn output_fidelity(&self, failed: &TaskSet) -> f64 {
-        let loss = self.propagate(failed, false);
-        self.sink_fidelity(&loss)
+        self.full_pass(failed.words(), false)
     }
 
     /// OF of a replication plan under the paper's worst-case correlated
@@ -55,13 +134,60 @@ impl<'g> FidelityModel<'g> {
     /// Internal Completeness of the topology when `failed` tasks are down:
     /// same propagation but joins treated as independent-input.
     pub fn internal_completeness(&self, failed: &TaskSet) -> f64 {
-        let loss = self.propagate(failed, true);
-        self.sink_fidelity(&loss)
+        self.full_pass(failed.words(), true)
     }
 
     /// IC of a replication plan under the worst-case correlated failure.
     pub(crate) fn ic_plan(&self, plan: &TaskSet) -> f64 {
         self.internal_completeness(&plan.complement())
+    }
+
+    /// OF (or IC, with `all_independent`) when the tasks of the `failed`
+    /// bit words are down, recomputing from `anchor`: with `closure` and an
+    /// anchor primed under the same objective, only the downstream closure
+    /// of the tasks whose failed bit differs from the anchor's; otherwise
+    /// every task. The anchor then holds this call's words and losses.
+    pub(crate) fn score_delta(
+        &self,
+        failed: &[u64],
+        all_independent: bool,
+        closure: Option<&DownstreamClosure>,
+        anchor: &mut LossAnchor,
+    ) -> f64 {
+        let LossAnchor {
+            failed: previous,
+            loss,
+            dirty,
+            independent,
+        } = anchor;
+        let dirty = match closure {
+            Some(closure) if *independent == Some(all_independent) => {
+                dirty.fill(0);
+                for (i, (&now, &was)) in failed.iter().zip(previous.iter()).enumerate() {
+                    let mut flipped = now ^ was;
+                    while flipped != 0 {
+                        let t = i * 64 + flipped.trailing_zeros() as usize;
+                        flipped &= flipped - 1;
+                        for (d, &c) in dirty.iter_mut().zip(closure.row(t)) {
+                            *d |= c;
+                        }
+                    }
+                }
+                Some(&dirty[..])
+            }
+            _ => None,
+        };
+        self.propagate(failed, all_independent, dirty, loss);
+        previous.copy_from_slice(failed);
+        *independent = Some(all_independent);
+        self.sink_fidelity(loss)
+    }
+
+    /// A full pass into a fresh loss vector.
+    fn full_pass(&self, failed: &[u64], all_independent: bool) -> f64 {
+        let mut loss = vec![0.0; self.graph.n_tasks()];
+        self.propagate(failed, all_independent, None, &mut loss);
+        self.sink_fidelity(&loss)
     }
 
     /// Eq. 4 aggregation over sink-operator tasks given per-task losses.
@@ -78,54 +204,79 @@ impl<'g> FidelityModel<'g> {
         1.0 - weighted / total
     }
 
-    /// Propagates `ILout` for every task in topological order.
+    /// Writes `ILout` into `loss` for the tasks at the topological
+    /// positions set in `dirty` (every task when `None`), in topological
+    /// order; the other entries must already hold their values.
     ///
-    /// `all_independent` switches Eq. 2 off (the IC baseline).
-    fn propagate(&self, failed: &TaskSet, all_independent: bool) -> Vec<f64> {
-        let mut loss = vec![0.0; self.graph.n_tasks()];
-        for &t in self.graph.topo_tasks() {
-            if failed.contains(t) {
-                loss[t.0] = 1.0;
-                continue;
+    /// `failed` holds one bit per task; `all_independent` switches Eq. 2
+    /// off (the IC baseline).
+    fn propagate(
+        &self,
+        failed: &[u64],
+        all_independent: bool,
+        dirty: Option<&[u64]>,
+        loss: &mut [f64],
+    ) {
+        let topo = self.graph.topo_tasks();
+        match dirty {
+            None => {
+                for &t in topo {
+                    loss[t.0] = self.task_loss(t, failed, all_independent, loss);
+                }
             }
-            let inputs = self.rates.input_streams(t);
-            if inputs.is_empty() {
-                continue; // healthy source: no loss
+            Some(dirty) => {
+                for (i, &word) in dirty.iter().enumerate() {
+                    let mut word = word;
+                    while word != 0 {
+                        let t = topo[i * 64 + word.trailing_zeros() as usize];
+                        word &= word - 1;
+                        loss[t.0] = self.task_loss(t, failed, all_independent, loss);
+                    }
+                }
             }
-            let op = self.graph.topology().operator(self.graph.operator_of(t));
-            let correlated =
-                !all_independent && op.semantics == InputSemantics::Correlated && inputs.len() > 1;
-
-            // Eq. 1 for one input stream.
-            let stream_loss = |stream: &StreamRates| {
-                let mut weighted = 0.0;
-                for &(s, lambda) in &stream.substreams {
-                    weighted += lambda * loss[s.0];
-                }
-                // A stream with no rate carries no information: treat as
-                // fully lost so a join over it cannot pretend to be healthy.
-                if stream.total > 0.0 {
-                    weighted / stream.total
-                } else {
-                    1.0
-                }
-            };
-
-            let out = if correlated {
-                // Eq. 2.
-                1.0 - inputs.iter().map(|s| 1.0 - stream_loss(s)).product::<f64>()
-            } else {
-                // Eq. 3.
-                let total = self.rates.input_total(t);
-                if total > 0.0 {
-                    inputs.iter().map(|s| stream_loss(s) * s.total).sum::<f64>() / total
-                } else {
-                    1.0
-                }
-            };
-            loss[t.0] = out;
         }
-        loss
+    }
+
+    /// Eq. 1–3: the output loss of task `t` from its upstream tasks' losses.
+    fn task_loss(&self, t: TaskIndex, failed: &[u64], all_independent: bool, loss: &[f64]) -> f64 {
+        if failed[t.0 / 64] & (1 << (t.0 % 64)) != 0 {
+            return 1.0;
+        }
+        let inputs = self.rates.input_streams(t);
+        if inputs.is_empty() {
+            return 0.0; // healthy source: no loss
+        }
+        let op = self.graph.topology().operator(self.graph.operator_of(t));
+        let correlated =
+            !all_independent && op.semantics == InputSemantics::Correlated && inputs.len() > 1;
+
+        // Eq. 1 for one input stream.
+        let stream_loss = |stream: &StreamRates| {
+            let mut weighted = 0.0;
+            for &(s, lambda) in &stream.substreams {
+                weighted += lambda * loss[s.0];
+            }
+            // A stream with no rate carries no information: treat as
+            // fully lost so a join over it cannot pretend to be healthy.
+            if stream.total > 0.0 {
+                weighted / stream.total
+            } else {
+                1.0
+            }
+        };
+
+        if correlated {
+            // Eq. 2.
+            1.0 - inputs.iter().map(|s| 1.0 - stream_loss(s)).product::<f64>()
+        } else {
+            // Eq. 3.
+            let total = self.rates.input_total(t);
+            if total > 0.0 {
+                inputs.iter().map(|s| stream_loss(s) * s.total).sum::<f64>() / total
+            } else {
+                1.0
+            }
+        }
     }
 }
 
@@ -135,6 +286,14 @@ mod tests {
     use crate::model::{
         OperatorId, OperatorSpec, Partitioning, TaskIndex, TaskWeights, TopologyBuilder,
     };
+
+    /// Every task's `ILout` from a full pass. The vector starts as NaN, so
+    /// a task the pass does not write (a healthy source too) shows.
+    fn losses(m: &FidelityModel<'_>, failed: &TaskSet, all_independent: bool) -> Vec<f64> {
+        let mut loss = vec![f64::NAN; m.graph.n_tasks()];
+        m.propagate(failed.words(), all_independent, None, &mut loss);
+        loss
+    }
 
     /// The exact Fig. 2 example: O1 {t11:1, t12:2 tuples/s} and
     /// O2 {t21:3, t22:2} feed the single join task t31; t22 fails.
@@ -165,7 +324,7 @@ mod tests {
         let m = FidelityModel::new(&g, &r);
         let t22 = g.op_tasks(OperatorId(1)).nth(1).unwrap();
         let failed = TaskSet::from_tasks(g.n_tasks(), [t22]);
-        let loss = m.propagate(&failed, false);
+        let loss = losses(&m, &failed, false);
         let t31 = g.op_tasks(OperatorId(2)).next().unwrap();
         assert!(
             (loss[t31.0] - 0.4).abs() < 1e-12,
@@ -181,7 +340,7 @@ mod tests {
         let m = FidelityModel::new(&g, &r);
         let t22 = g.op_tasks(OperatorId(1)).nth(1).unwrap();
         let failed = TaskSet::from_tasks(g.n_tasks(), [t22]);
-        let loss = m.propagate(&failed, false);
+        let loss = losses(&m, &failed, false);
         let t31 = g.op_tasks(OperatorId(2)).next().unwrap();
         assert!(
             (loss[t31.0] - 0.25).abs() < 1e-12,
@@ -422,7 +581,7 @@ mod tests {
                     (true, m.internal_completeness(&failed)),
                 ] {
                     let want = reference_propagate(&g, &r, &failed, all_independent);
-                    assert_eq!(bits(&m.propagate(&failed, all_independent)), bits(&want));
+                    assert_eq!(bits(&losses(&m, &failed, all_independent)), bits(&want));
                     let want = reference_sink_fidelity(&g, &r, &want);
                     assert_eq!(score.to_bits(), want.to_bits());
                 }

@@ -22,14 +22,15 @@
 //! arg-max ([`Plan::offer`]) visits candidates exactly as a sorted
 //! working set would: the ones still live after the last usage in sorted
 //! order, then the retired ones by usage of retirement, each usage's in
-//! sorted order. It scores them through one reused [`TaskSet`].
+//! sorted order. It scores them through one reused [`TaskSet`] and one
+//! [`Scorer`].
 //!
 //! The working set is worst-case exponential in the number of MC-trees
 //! (`O(2^T)`, §IV-A), so the planner carries an explicit candidate cap and
 //! reports [`CoreError::DpExplosion`] when more live candidates than that
 //! remain after a usage.
 
-use super::{Plan, PlanContext, Planner};
+use super::{Plan, PlanContext, Planner, Scorer};
 use crate::error::{CoreError, Result};
 use crate::model::TaskSet;
 
@@ -111,12 +112,15 @@ impl Planner for DpPlanner {
             sort_dedup(rows, w, &mut spare);
         }
 
-        let mut best = cx.make_plan(TaskSet::empty(n));
+        // Consecutive rows in this order share most of their tasks, so
+        // each score recomputes only what its row changed.
+        let mut scorer = Scorer::new(cx);
+        let mut best = scorer.make_plan(TaskSet::empty(n));
         let mut row = TaskSet::empty(n);
         let retired = retiring.iter().flat_map(|rows| rows.chunks_exact(w));
         for cp in kept.chunks_exact(w).chain(retired) {
             row.words_mut().copy_from_slice(cp);
-            best.offer(&row, cx.score_plan(&row));
+            best.offer(&row, scorer.score_plan(&row));
         }
         Ok(best)
     }

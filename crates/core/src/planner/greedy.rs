@@ -7,7 +7,7 @@
 //! MC-trees, so the realized OF is far below the structure-aware planner's —
 //! the effect measured in Fig. 13 and 14.
 
-use super::{Plan, PlanContext, Planner};
+use super::{Plan, PlanContext, Planner, Scorer};
 use crate::error::Result;
 use crate::model::{TaskIndex, TaskSet};
 
@@ -24,10 +24,11 @@ impl Planner for GreedyPlanner {
         let n = cx.n_tasks();
         // Score each task by the damage its lone failure causes.
         let mut scored: Vec<(f64, usize)> = Vec::with_capacity(n);
+        let mut scorer = Scorer::new(cx);
         let mut failed = TaskSet::empty(n);
         for t in 0..n {
             failed.insert(TaskIndex(t));
-            scored.push((cx.score_failed(&failed), t));
+            scored.push((scorer.score_failed(&failed), t));
             failed.remove(TaskIndex(t));
         }
         // Ascending by OF-under-failure: most damaging tasks first; the task
@@ -35,7 +36,7 @@ impl Planner for GreedyPlanner {
         scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
         let tasks = TaskSet::from_tasks(n, scored.iter().take(budget).map(|&(_, t)| TaskIndex(t)));
-        Ok(cx.make_plan(tasks))
+        Ok(scorer.make_plan(tasks))
     }
 }
 

@@ -20,7 +20,7 @@ pub use greedy::GreedyPlanner;
 pub use structure::StructureAwarePlanner;
 
 use crate::error::Result;
-use crate::fidelity::FidelityModel;
+use crate::fidelity::{DownstreamClosure, FidelityModel, LossAnchor};
 use crate::mctree::{enumerate_mc_trees_with, McTreeLimits};
 use crate::model::{TaskGraph, TaskSet, Topology};
 use crate::rates::RateModel;
@@ -90,7 +90,16 @@ pub struct PlanContext {
     /// identity of the domain-aware [`PlanContext::score_plan`], which
     /// planners call per candidate (reset when the objective switches).
     none_failed: OnceLock<f64>,
+    /// Each task's downstream closure, built on a [`Scorer`]'s first delta
+    /// pass: a context nobody plans on never pays for it.
+    closure: OnceLock<DownstreamClosure>,
 }
+
+// Contexts are shared by reference across the harness's worker threads.
+const _: fn() = || {
+    fn assert_sync<T: Sync>() {}
+    assert_sync::<PlanContext>();
+};
 
 impl PlanContext {
     /// Builds a context (task graph + rates) for a topology, optimizing OF.
@@ -108,6 +117,7 @@ impl PlanContext {
             mc_trees: OnceLock::new(),
             failure_sets: None,
             none_failed: OnceLock::new(),
+            closure: OnceLock::new(),
         }
     }
 
@@ -209,19 +219,11 @@ impl PlanContext {
     /// Without failure sets this is Definition 2: all non-replicated tasks
     /// down. With domain-derived sets ([`PlanContext::with_fault_domains`])
     /// it is the minimum over the candidate sets, each masked by the plan
-    /// (replicated tasks survive their domain's failure).
+    /// (replicated tasks survive their domain's failure). A planner scoring
+    /// many plans does it through one [`Scorer`], which keeps one anchor
+    /// per set, so each set is recomputed from its own previous trial.
     pub(crate) fn score_plan(&self, plan: &TaskSet) -> f64 {
-        match &self.failure_sets {
-            None => self.score_failed(&plan.complement()),
-            Some(sets) => {
-                let none_failed = *self
-                    .none_failed
-                    .get_or_init(|| self.score_failed(&TaskSet::empty(self.n_tasks())));
-                sets.iter()
-                    .map(|d| self.score_failed(&d.difference(plan)))
-                    .fold(none_failed, f64::min)
-            }
-        }
+        Scorer::new(self).score_plan(plan)
     }
 
     /// Output fidelity of a plan, regardless of the planning objective.
@@ -250,9 +252,106 @@ impl PlanContext {
 
     /// Wraps a task set into a [`Plan`] with its objective value.
     pub(crate) fn make_plan(&self, tasks: TaskSet) -> Plan {
+        Scorer::new(self).make_plan(tasks)
+    }
+}
+
+/// The scoring state of one planner call: [`PlanContext::score_plan`] and
+/// [`PlanContext::score_failed`] as delta passes
+/// ([`FidelityModel::score_delta`]), each from the previous call of its
+/// kind. Failed words are written straight into one scratch buffer. The
+/// values are those of the one-off methods, bit for bit, whatever was
+/// scored before; the call order only decides how many tasks a pass
+/// recomputes.
+pub(crate) struct Scorer<'c> {
+    cx: &'c PlanContext,
+    /// The failed words of the pass being scored.
+    failed: Vec<u64>,
+    /// `score_plan`'s anchors: one per failure set, or the one of
+    /// Definition 2's complement.
+    plan_anchors: Vec<LossAnchor>,
+    /// The anchor of every other failure pattern (`score_failed`,
+    /// `score_cone`).
+    failed_anchor: LossAnchor,
+}
+
+impl<'c> Scorer<'c> {
+    pub(crate) fn new(cx: &'c PlanContext) -> Self {
+        let n = cx.n_tasks();
+        let sets = cx.failure_sets.as_ref().map_or(1, Vec::len);
+        Scorer {
+            cx,
+            failed: vec![0; n.div_ceil(64)],
+            plan_anchors: (0..sets).map(|_| LossAnchor::new(n)).collect(),
+            failed_anchor: LossAnchor::new(n),
+        }
+    }
+
+    pub(crate) fn cx(&self) -> &'c PlanContext {
+        self.cx
+    }
+
+    /// [`PlanContext::score_plan`].
+    pub(crate) fn score_plan(&mut self, plan: &TaskSet) -> f64 {
+        let cx = self.cx;
+        let plan = plan.words();
+        match &cx.failure_sets {
+            None => {
+                for (f, &p) in self.failed.iter_mut().zip(plan) {
+                    *f = !p;
+                }
+                // Bits past the capacity stay clear.
+                let excess = self.failed.len() * 64 - cx.n_tasks();
+                if let Some(last) = self.failed.last_mut() {
+                    *last &= u64::MAX >> excess;
+                }
+                pass(cx, &self.failed, &mut self.plan_anchors[0])
+            }
+            Some(sets) => {
+                let mut worst = *cx
+                    .none_failed
+                    .get_or_init(|| cx.score_failed(&TaskSet::empty(cx.n_tasks())));
+                for (set, anchor) in sets.iter().zip(&mut self.plan_anchors) {
+                    for ((f, &d), &p) in self.failed.iter_mut().zip(set.words()).zip(plan) {
+                        *f = d & !p;
+                    }
+                    worst = f64::min(worst, pass(cx, &self.failed, anchor));
+                }
+                worst
+            }
+        }
+    }
+
+    /// [`PlanContext::score_failed`].
+    pub(crate) fn score_failed(&mut self, failed: &TaskSet) -> f64 {
+        self.failed.copy_from_slice(failed.words());
+        pass(self.cx, &self.failed, &mut self.failed_anchor)
+    }
+
+    /// The objective when the tasks of `cone` outside `plan` are down:
+    /// `score_failed(&cone.difference(plan))`.
+    pub(crate) fn score_cone(&mut self, cone: &TaskSet, plan: &TaskSet) -> f64 {
+        for ((f, &c), &p) in self.failed.iter_mut().zip(cone.words()).zip(plan.words()) {
+            *f = c & !p;
+        }
+        pass(self.cx, &self.failed, &mut self.failed_anchor)
+    }
+
+    /// Wraps a task set into a [`Plan`] with its objective value.
+    pub(crate) fn make_plan(&mut self, tasks: TaskSet) -> Plan {
         let value = self.score_plan(&tasks);
         Plan { tasks, value }
     }
+}
+
+/// One delta pass of `cx`'s objective from `anchor`.
+fn pass(cx: &PlanContext, failed: &[u64], anchor: &mut LossAnchor) -> f64 {
+    let closure = anchor
+        .primed()
+        .then(|| cx.closure.get_or_init(|| DownstreamClosure::new(&cx.graph)));
+    let all_independent = cx.objective == Objective::InternalCompleteness;
+    cx.fidelity()
+        .score_delta(failed, all_independent, closure, anchor)
 }
 
 /// A replication planner for Definition 2.
@@ -291,7 +390,8 @@ impl Planner for BruteForcePlanner {
             });
         }
         let n = cx.n_tasks();
-        let mut best = cx.make_plan(TaskSet::empty(n));
+        let mut scorer = Scorer::new(cx);
+        let mut best = scorer.make_plan(TaskSet::empty(n));
         for mask in 0u64..(1u64 << trees.len()) {
             let mut union = TaskSet::empty(n);
             for (i, tree) in trees.iter().enumerate() {
@@ -300,7 +400,7 @@ impl Planner for BruteForcePlanner {
                 }
             }
             if union.len() <= budget {
-                best.offer(&union, cx.score_plan(&union));
+                best.offer(&union, scorer.score_plan(&union));
             }
         }
         Ok(best)
@@ -310,7 +410,10 @@ impl Planner for BruteForcePlanner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{OperatorSpec, Partitioning, TopologyBuilder};
+    use crate::model::{OperatorSpec, Partitioning, TaskIndex, TopologyBuilder};
+    use crate::random::{RandomTopologySpec, Skew, TopologyStyle};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn small() -> Topology {
         let mut b = TopologyBuilder::new();
@@ -468,5 +571,196 @@ mod tests {
             .unwrap()
             .iter()
             .all(|tree| tree.len() == 2));
+    }
+
+    /// The Fig. 6, Q1 and Q2 shapes with the workloads crate's default
+    /// parallelism and partitioning (rates and selectivities are not
+    /// theirs), then random topologies of the four `plan_corpus` specs.
+    fn delta_corpus() -> Vec<Topology> {
+        let chain = |widths: &[usize]| {
+            let mut b = TopologyBuilder::new();
+            let mut up = b.add_operator(OperatorSpec::source("src", widths[0], 100.0));
+            for &w in &widths[1..] {
+                let op = b.add_operator(OperatorSpec::map("op", w, 0.7));
+                b.connect(up, op, Partitioning::Merge).unwrap();
+                up = op;
+            }
+            b.build().unwrap()
+        };
+        let q2 = {
+            let mut b = TopologyBuilder::new();
+            let loc = b.add_operator(OperatorSpec::source("loc", 8, 500.0));
+            let inc = b.add_operator(OperatorSpec::source("inc", 4, 30.0));
+            let o1 = b.add_operator(OperatorSpec::map("o1", 4, 0.25));
+            let o2 = b.add_operator(OperatorSpec::map("o2", 4, 0.2));
+            let o3 = b.add_operator(OperatorSpec::join("o3", 4, 0.5));
+            let o4 = b.add_operator(OperatorSpec::map("o4", 1, 1.0));
+            b.connect(loc, o1, Partitioning::Merge).unwrap();
+            b.connect(o1, o3, Partitioning::OneToOne).unwrap();
+            b.connect(inc, o2, Partitioning::OneToOne).unwrap();
+            b.connect(o2, o3, Partitioning::OneToOne).unwrap();
+            b.connect(o3, o4, Partitioning::Merge).unwrap();
+            b.build().unwrap()
+        };
+        let mut corpus = vec![chain(&[16, 8, 4, 2, 1]), chain(&[16, 8, 4, 1]), q2];
+        let base = RandomTopologySpec {
+            n_operators: (5, 10),
+            parallelism: (1, 10),
+            ..RandomTopologySpec::default()
+        };
+        let specs = [
+            base.clone(),
+            RandomTopologySpec {
+                skew: Skew::Zipf { s: 0.1 },
+                ..base.clone()
+            },
+            RandomTopologySpec {
+                style: TopologyStyle::Full,
+                ..base.clone()
+            },
+            RandomTopologySpec {
+                join_fraction: 0.5,
+                ..base
+            },
+        ];
+        let mut rng = StdRng::seed_from_u64(42);
+        for spec in &specs {
+            corpus.extend((0..6).map(|_| spec.generate(&mut rng)));
+        }
+        corpus
+    }
+
+    fn random_set(n: usize, rng: &mut StdRng) -> TaskSet {
+        let p: f64 = rng.gen_range(0.0..1.0);
+        TaskSet::from_tasks(n, (0..n).filter(|_| rng.gen_bool(p)).map(TaskIndex))
+    }
+
+    /// Plan sequences as the planners issue them: a plan growing by trials
+    /// `plan ∪ add` (SA), distinct unions in sorted row order (the DP), and
+    /// unrelated sets.
+    fn call_sequences(n: usize, rng: &mut StdRng) -> [Vec<TaskSet>; 3] {
+        let mut growing = Vec::new();
+        let mut plan = TaskSet::empty(n);
+        while plan.len() < n {
+            growing.push(plan.clone());
+            let mut trial = plan.clone();
+            for _ in 0..3 {
+                trial = plan.clone();
+                for _ in 0..rng.gen_range(1..=3) {
+                    trial.insert(TaskIndex(rng.gen_range(0..n)));
+                }
+                growing.push(trial.clone());
+            }
+            plan = trial;
+        }
+        let mut rows: Vec<TaskSet> = (0..40).map(|_| random_set(n, rng)).collect();
+        rows.sort();
+        rows.dedup();
+        let jumps = (0..40).map(|_| random_set(n, rng)).collect();
+        [growing, rows, jumps]
+    }
+
+    /// The objective under `all_independent` with `failed` down, from
+    /// scratch.
+    fn full_pass(cx: &PlanContext, failed: &TaskSet, all_independent: bool) -> f64 {
+        if all_independent {
+            cx.fidelity().internal_completeness(failed)
+        } else {
+            cx.fidelity().output_fidelity(failed)
+        }
+    }
+
+    #[test]
+    fn delta_pass_matches_a_full_pass_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for (i, topology) in delta_corpus().iter().enumerate() {
+            let cx = PlanContext::new(topology).unwrap();
+            let n = cx.n_tasks();
+            let (model, closure) = (cx.fidelity(), DownstreamClosure::new(cx.graph()));
+            // One anchor across every sequence: each starts from whatever
+            // the previous one left.
+            let mut anchor = LossAnchor::new(n);
+            let sequences = call_sequences(n, &mut rng);
+            for (kind, sequence) in sequences.iter().enumerate() {
+                for all_independent in [false, true] {
+                    for set in sequence {
+                        // Plans fail their complement; the unrelated sets
+                        // fail as they are, under either objective.
+                        let (failed, all_independent) = match kind {
+                            2 => (set.clone(), rng.gen_bool(0.5)),
+                            _ => (set.complement(), all_independent),
+                        };
+                        let got = model.score_delta(
+                            failed.words(),
+                            all_independent,
+                            Some(&closure),
+                            &mut anchor,
+                        );
+                        let want = full_pass(&cx, &failed, all_independent);
+                        assert_eq!(got.to_bits(), want.to_bits(), "topology {i}, kind {kind}");
+                    }
+                }
+            }
+            // Re-scoring after any history, twice in a row, is exact.
+            for sequence in &sequences {
+                let failed = sequence[0].complement();
+                for _ in 0..2 {
+                    let got = model.score_delta(failed.words(), false, Some(&closure), &mut anchor);
+                    assert_eq!(got.to_bits(), cx.of_plan(&sequence[0]).to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scorer_matches_one_off_scores_with_and_without_failure_sets() {
+        let mut rng = StdRng::seed_from_u64(8);
+        for (i, topology) in delta_corpus().iter().enumerate() {
+            let n = PlanContext::new(topology).unwrap().n_tasks();
+            let sets: Vec<TaskSet> = (0..4).map(|_| random_set(n, &mut rng)).collect();
+            let sequences = call_sequences(n, &mut rng);
+            let cone = random_set(n, &mut rng);
+            for objective in [Objective::OutputFidelity, Objective::InternalCompleteness] {
+                let all_independent = objective == Objective::InternalCompleteness;
+                for failure_sets in [None, Some(sets.clone())] {
+                    let mut cx = PlanContext::new(topology)
+                        .unwrap()
+                        .with_objective(objective);
+                    if let Some(sets) = &failure_sets {
+                        cx = cx.with_failure_sets(sets.clone());
+                    }
+                    let want_plan = |plan: &TaskSet| match &failure_sets {
+                        None => full_pass(&cx, &plan.complement(), all_independent),
+                        Some(sets) => sets
+                            .iter()
+                            .map(|d| full_pass(&cx, &d.difference(plan), all_independent))
+                            .fold(
+                                full_pass(&cx, &TaskSet::empty(n), all_independent),
+                                f64::min,
+                            ),
+                    };
+                    let mut scorer = Scorer::new(&cx);
+                    for sequence in &sequences {
+                        for plan in sequence {
+                            let got = scorer.score_plan(plan);
+                            assert_eq!(got.to_bits(), want_plan(plan).to_bits(), "topology {i}");
+                            // SA's local scores interleave with its global
+                            // ones, on the other anchor.
+                            let got = scorer.score_cone(&cone, plan);
+                            let want = full_pass(&cx, &cone.difference(plan), all_independent);
+                            assert_eq!(got.to_bits(), want.to_bits(), "topology {i}");
+                        }
+                    }
+                    for sequence in &sequences {
+                        let plan = &sequence[0];
+                        assert_eq!(scorer.score_plan(plan).to_bits(), want_plan(plan).to_bits());
+                        assert_eq!(
+                            scorer.score_failed(plan).to_bits(),
+                            cx.score_failed(plan).to_bits()
+                        );
+                    }
+                }
+            }
+        }
     }
 }

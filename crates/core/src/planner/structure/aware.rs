@@ -16,14 +16,14 @@
 //! "treated as an independent topology" evaluation does, while reusing the
 //! global loss propagation.
 
-use super::full::plan_full;
+use super::full::{operator_deltas, plan_full};
 use super::structured::plan_structured;
 use super::units::UnitGraph;
 use super::{decompose, SubKind, SubTopology};
 use crate::error::Result;
 use crate::mctree::min_tree_size;
-use crate::model::{TaskGraph, TaskSet};
-use crate::planner::{Plan, PlanContext, Planner};
+use crate::model::{TaskGraph, TaskIndex, TaskSet};
+use crate::planner::{Plan, PlanContext, Planner, Scorer};
 
 /// The structure-aware planner (Algorithm 5).
 #[derive(Debug, Clone, Copy)]
@@ -52,11 +52,20 @@ struct SubState {
     /// independence because its boundaries are Full; our decomposition of
     /// arbitrary graphs cannot).
     cone: TaskSet,
-    units: Option<UnitGraph>,
+    planning: SubPlanning,
+}
+
+/// What a sub-topology's dedicated algorithm plans from.
+enum SubPlanning {
+    /// Algorithm 3: the sub-topology's units and their segments.
+    Structured(UnitGraph),
+    /// Algorithm 4: each operator's tasks ranked by `δ`.
+    Full(Vec<Vec<(TaskIndex, f64)>>),
 }
 
 impl StructureAwarePlanner {
-    fn build_states(&self, cx: &PlanContext, subs: Vec<SubTopology>) -> Vec<SubState> {
+    fn build_states(&self, scorer: &mut Scorer<'_>, subs: Vec<SubTopology>) -> Vec<SubState> {
+        let cx = scorer.cx();
         let graph = cx.graph();
         let n = cx.n_tasks();
         let mut states: Vec<SubState> = subs
@@ -77,17 +86,25 @@ impl StructureAwarePlanner {
                 }
                 let joins_as_union =
                     cx.objective() == crate::planner::Objective::InternalCompleteness;
-                let units = match sub.kind {
-                    SubKind::Structured => Some(UnitGraph::build_with(
+                let planning = match sub.kind {
+                    SubKind::Structured => SubPlanning::Structured(UnitGraph::build_with(
                         graph,
                         cx.rates(),
                         &sub.ops,
                         self.segment_cap,
                         joins_as_union,
                     )),
-                    SubKind::Full => None,
+                    SubKind::Full => {
+                        SubPlanning::Full(operator_deltas(graph, &sub.ops, &mut |f| {
+                            scorer.score_failed(f)
+                        }))
+                    }
                 };
-                SubState { sub, cone, units }
+                SubState {
+                    sub,
+                    cone,
+                    planning,
+                }
             })
             .collect();
         // Plan upstream sub-topologies first, so downstream segments can
@@ -115,39 +132,36 @@ impl StructureAwarePlanner {
     /// increments, bounded by `budget` total tasks in the plan.
     fn plan_sub(
         &self,
-        cx: &PlanContext,
-        graph: &TaskGraph,
+        scorer: &mut Scorer<'_>,
         state: &SubState,
         plan: &mut TaskSet,
         budget: usize,
         max_steps: usize,
     ) -> bool {
+        let graph = scorer.cx().graph();
         // Local objective: the sub's unplanned tasks fail, together with
         // every unplanned task of its upstream cone.
-        let local = |p: &TaskSet| cx.score_failed(&state.cone.difference(p));
-        match &state.units {
-            Some(units) => plan_structured(
+        let mut local = |p: &TaskSet| scorer.score_cone(&state.cone, p);
+        match &state.planning {
+            SubPlanning::Structured(units) => plan_structured(
                 graph,
                 units,
                 plan,
                 budget,
                 max_steps,
                 self.eval_cap,
-                &local,
+                &mut local,
                 true, // blind proposals: Algorithm 5 completes them cross-sub
             ),
-            None => {
-                let failed_score = |f: &TaskSet| cx.score_failed(f);
-                plan_full(
-                    graph,
-                    &state.sub.ops,
-                    plan,
-                    budget,
-                    max_steps,
-                    &local,
-                    &failed_score,
-                )
-            }
+            SubPlanning::Full(deltas) => plan_full(
+                graph,
+                &state.sub.ops,
+                deltas,
+                plan,
+                budget,
+                max_steps,
+                &mut local,
+            ),
         }
     }
 }
@@ -169,7 +183,8 @@ impl Planner for StructureAwarePlanner {
             return Ok(cx.make_plan(TaskSet::empty(n)));
         }
 
-        let states = self.build_states(cx, decompose(graph.topology()));
+        let mut scorer = Scorer::new(cx);
+        let states = self.build_states(&mut scorer, decompose(graph.topology()));
         let mut plan = TaskSet::empty(n);
 
         // Profit-density expansion (paper lines 11–18). The paper's phase 1
@@ -183,12 +198,12 @@ impl Planner for StructureAwarePlanner {
             if remaining == 0 {
                 break;
             }
-            let before_global = cx.score_plan(&plan);
+            let before_global = scorer.score_plan(&plan);
             let mut best: Option<(TaskSet, f64)> = None;
-            for (si, state) in states.iter().enumerate() {
+            for state in &states {
                 let budget_cap = plan.len() + remaining;
                 let mut trial = plan.clone();
-                let expanded = self.plan_sub(cx, graph, state, &mut trial, budget_cap, 1);
+                let expanded = self.plan_sub(&mut scorer, state, &mut trial, budget_cap, 1);
                 if !expanded {
                     continue;
                 }
@@ -199,7 +214,9 @@ impl Planner for StructureAwarePlanner {
                 // complement that lets it contribute — so proposals are
                 // priced by their real worst-case value without dragging in
                 // unrelated budget-polluting increments.
-                if cx.score_plan(&trial) <= before_global + 1e-12 {
+                let mut trial_score = scorer.score_plan(&trial);
+                let completing = trial_score <= before_global + 1e-12;
+                if completing {
                     let addition = trial.difference(&plan);
                     for t in addition.iter() {
                         let group = support_group(cx, graph, &trial, t);
@@ -209,12 +226,14 @@ impl Planner for StructureAwarePlanner {
                         }
                     }
                 }
-                let _ = si;
                 let cost = trial.len() - plan.len();
                 if cost == 0 || cost > remaining {
                     continue;
                 }
-                let density = (cx.score_plan(&trial) - before_global) / cost as f64;
+                if completing {
+                    trial_score = scorer.score_plan(&trial);
+                }
+                let density = (trial_score - before_global) / cost as f64;
                 let better = match &best {
                     None => true,
                     Some((cur, d)) => {
@@ -235,23 +254,24 @@ impl Planner for StructureAwarePlanner {
         }
 
         // Remainder fill (see `fill_support_groups`).
-        fill_support_groups(cx, graph, &mut plan, budget);
+        fill_support_groups(&mut scorer, &mut plan, budget);
 
         // Portfolio safeguard: the density pipeline can commit to a large
         // seeding proposal (e.g. one task per operator of a wide full
         // sub-topology) that a pure support-group construction beats. Build
         // the fill-only plan too and keep the better of the two.
         let mut fill_only = TaskSet::empty(n);
-        fill_support_groups(cx, graph, &mut fill_only, budget);
-        let plan_value = cx.score_plan(&plan);
-        let fill_value = cx.score_plan(&fill_only);
-        if fill_value > plan_value + 1e-12
+        fill_support_groups(&mut scorer, &mut fill_only, budget);
+        let plan_value = scorer.score_plan(&plan);
+        let fill_value = scorer.score_plan(&fill_only);
+        let (tasks, value) = if fill_value > plan_value + 1e-12
             || (fill_value > plan_value - 1e-12 && fill_only.len() < plan.len())
         {
-            plan = fill_only;
-        }
-
-        Ok(cx.make_plan(plan))
+            (fill_only, fill_value)
+        } else {
+            (plan, plan_value)
+        };
+        Ok(Plan { tasks, value })
     }
 }
 
@@ -261,14 +281,16 @@ impl Planner for StructureAwarePlanner {
 /// the paper's Algorithm 5 strands budget once no complete MC-tree fits).
 /// Also covers tasks that segment-cap truncation hid from the candidate
 /// enumeration.
-fn fill_support_groups(cx: &PlanContext, graph: &TaskGraph, plan: &mut TaskSet, budget: usize) {
+fn fill_support_groups(scorer: &mut Scorer<'_>, plan: &mut TaskSet, budget: usize) {
+    let cx = scorer.cx();
+    let graph = cx.graph();
     let n = graph.n_tasks();
     loop {
         let remaining = budget.saturating_sub(plan.len());
         if remaining == 0 {
             break;
         }
-        let base = cx.score_plan(plan);
+        let base = scorer.score_plan(plan);
         let mut best: Option<(TaskSet, f64)> = None;
         for t in 0..n {
             let t = crate::model::TaskIndex(t);
@@ -280,7 +302,7 @@ fn fill_support_groups(cx: &PlanContext, graph: &TaskGraph, plan: &mut TaskSet, 
             if add.is_empty() || add.len() > remaining {
                 continue;
             }
-            let s = cx.score_plan(&plan.union(&add));
+            let s = scorer.score_plan(&plan.union(&add));
             if s <= base + 1e-12 {
                 continue;
             }

@@ -13,11 +13,12 @@ use crate::model::{OperatorId, TaskGraph, TaskIndex, TaskSet};
 /// Per-operator task rankings by `δ` (descending).
 ///
 /// `δ_ij = score(fail all of O_i except t_ij) − score(fail all of O_i)`,
-/// evaluated on the global graph with every other operator healthy.
+/// evaluated on the global graph with every other operator healthy, so the
+/// rankings depend only on the graph and the objective.
 pub(crate) fn operator_deltas(
     graph: &TaskGraph,
     ops: &[OperatorId],
-    score_failed: &dyn Fn(&TaskSet) -> f64,
+    score_failed: &mut dyn FnMut(&TaskSet) -> f64,
 ) -> Vec<Vec<(TaskIndex, f64)>> {
     let n = graph.n_tasks();
     ops.iter()
@@ -40,11 +41,11 @@ pub(crate) fn operator_deltas(
 
 /// Expands `plan` within the full sub-topology `ops`.
 ///
+/// * `deltas` are `ops`' [`operator_deltas`];
 /// * `budget` caps `plan.len()` after expansion;
 /// * `max_steps` caps the number of tasks added in the iterative phase
 ///   (the initial one-task-per-operator seeding counts as one step);
-/// * `score` evaluates candidate plans; `score_failed` evaluates failures
-///   (used for the δ ranking).
+/// * `score` evaluates candidate plans.
 ///
 /// Returns `true` if anything was added. Mirroring the paper's lines 4–9:
 /// if the plan holds nothing of this sub-topology yet and the budget cannot
@@ -52,16 +53,15 @@ pub(crate) fn operator_deltas(
 pub(crate) fn plan_full(
     graph: &TaskGraph,
     ops: &[OperatorId],
+    deltas: &[Vec<(TaskIndex, f64)>],
     plan: &mut TaskSet,
     budget: usize,
     max_steps: usize,
-    score: &dyn Fn(&TaskSet) -> f64,
-    score_failed: &dyn Fn(&TaskSet) -> f64,
+    score: &mut dyn FnMut(&TaskSet) -> f64,
 ) -> bool {
     if max_steps == 0 {
         return false;
     }
-    let deltas = operator_deltas(graph, ops, score_failed);
     let n = graph.n_tasks();
     let sub_tasks: TaskSet = TaskSet::from_tasks(n, ops.iter().flat_map(|&op| graph.op_tasks(op)));
 
@@ -73,7 +73,7 @@ pub(crate) fn plan_full(
         if plan.len() + ops.len() > budget {
             return false; // N > R: no complete tree fits (paper line 9).
         }
-        for ranked in &deltas {
+        for ranked in deltas {
             let (best, _) = ranked[0];
             plan.insert(best);
         }
@@ -85,7 +85,7 @@ pub(crate) fn plan_full(
     // the resulting plan score (paper lines 10–16).
     while steps < max_steps && plan.len() < budget {
         let mut best: Option<(TaskIndex, f64, f64)> = None; // (task, plan score, delta)
-        for ranked in &deltas {
+        for ranked in deltas {
             let next = ranked.iter().find(|(t, _)| !plan.contains(*t));
             if let Some(&(t, d)) = next {
                 let mut trial = plan.clone();
@@ -140,19 +140,25 @@ mod tests {
         vec![OperatorId(0), OperatorId(1), OperatorId(2)]
     }
 
+    /// `plan_full` over every operator of `cx`, scoring plans globally.
+    fn expand(cx: &PlanContext, plan: &mut TaskSet, budget: usize, max_steps: usize) -> bool {
+        let deltas = operator_deltas(cx.graph(), &ops(), &mut |f| cx.score_failed(f));
+        plan_full(
+            cx.graph(),
+            &ops(),
+            &deltas,
+            plan,
+            budget,
+            max_steps,
+            &mut |p| cx.score_plan(p),
+        )
+    }
+
     #[test]
     fn seeds_one_task_per_operator() {
         let cx = full_context(true);
         let mut plan = TaskSet::empty(cx.n_tasks());
-        let applied = plan_full(
-            cx.graph(),
-            &ops(),
-            &mut plan,
-            3,
-            usize::MAX,
-            &|p| cx.score_plan(p),
-            &|f| cx.score_failed(f),
-        );
+        let applied = expand(&cx, &mut plan, 3, usize::MAX);
         assert!(applied);
         assert_eq!(plan.len(), 3);
         assert!(
@@ -167,15 +173,7 @@ mod tests {
     fn refuses_budgets_below_one_per_operator() {
         let cx = full_context(false);
         let mut plan = TaskSet::empty(cx.n_tasks());
-        let applied = plan_full(
-            cx.graph(),
-            &ops(),
-            &mut plan,
-            2,
-            usize::MAX,
-            &|p| cx.score_plan(p),
-            &|f| cx.score_failed(f),
-        );
+        let applied = expand(&cx, &mut plan, 2, usize::MAX);
         assert!(!applied);
         assert!(plan.is_empty());
     }
@@ -186,15 +184,7 @@ mod tests {
         let mut prev = 0.0;
         for budget in 3..=7 {
             let mut plan = TaskSet::empty(cx.n_tasks());
-            plan_full(
-                cx.graph(),
-                &ops(),
-                &mut plan,
-                budget,
-                usize::MAX,
-                &|p| cx.score_plan(p),
-                &|f| cx.score_failed(f),
-            );
+            expand(&cx, &mut plan, budget, usize::MAX);
             let score = cx.score_plan(&plan);
             assert!(score >= prev - 1e-12, "budget {budget}: {score} < {prev}");
             assert!(plan.len() <= budget);
@@ -207,22 +197,14 @@ mod tests {
         let cx = full_context(true);
         let n = cx.n_tasks();
         let mut plan = TaskSet::empty(n);
-        plan_full(
-            cx.graph(),
-            &ops(),
-            &mut plan,
-            n,
-            usize::MAX,
-            &|p| cx.score_plan(p),
-            &|f| cx.score_failed(f),
-        );
+        expand(&cx, &mut plan, n, usize::MAX);
         assert!((cx.score_plan(&plan) - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn deltas_rank_heavier_tasks_first() {
         let cx = full_context(true);
-        let deltas = operator_deltas(cx.graph(), &ops(), &|f| cx.score_failed(f));
+        let deltas = operator_deltas(cx.graph(), &ops(), &mut |f| cx.score_failed(f));
         // Source deltas: task 0 carries 70% of the rate.
         assert_eq!(deltas[0][0].0, TaskIndex(0));
         assert!(deltas[0][0].1 > deltas[0][1].1);
@@ -233,26 +215,10 @@ mod tests {
         let cx = full_context(false);
         let mut plan = TaskSet::empty(cx.n_tasks());
         // Seed first.
-        plan_full(
-            cx.graph(),
-            &ops(),
-            &mut plan,
-            3,
-            usize::MAX,
-            &|p| cx.score_plan(p),
-            &|f| cx.score_failed(f),
-        );
+        expand(&cx, &mut plan, 3, usize::MAX);
         let seeded = plan.len();
         // One more step adds exactly one task.
-        plan_full(
-            cx.graph(),
-            &ops(),
-            &mut plan,
-            7,
-            1,
-            &|p| cx.score_plan(p),
-            &|f| cx.score_failed(f),
-        );
+        expand(&cx, &mut plan, 7, 1);
         assert_eq!(plan.len(), seeded + 1);
     }
 }

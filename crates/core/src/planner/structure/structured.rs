@@ -37,7 +37,7 @@ pub(crate) fn plan_structured(
     budget: usize,
     max_steps: usize,
     eval_cap: usize,
-    score: &dyn Fn(&TaskSet) -> f64,
+    score: &mut dyn FnMut(&TaskSet) -> f64,
     allow_blind: bool,
 ) -> bool {
     let mut applied = false;
@@ -51,7 +51,7 @@ pub(crate) fn plan_structured(
 
         // Collect candidate groups.
         let mut best: Option<(TaskSet, f64)> = None; // (addition, density)
-        for (ui, unit) in units.units.iter().enumerate() {
+        for unit in &units.units {
             for (seg, _w) in unit
                 .segments
                 .iter()
@@ -62,24 +62,27 @@ pub(crate) fn plan_structured(
                 if addition.len() > remaining {
                     continue;
                 }
-                let trial = plan.union(&addition);
-                let gain = score(&trial) - base_score;
-                let group = if gain > EPS {
+                let lone_score = score(&plan.union(&addition));
+                let (group, gain) = if lone_score - base_score > EPS {
                     // The lone segment already completes an MC-tree.
-                    addition
+                    (addition, lone_score - base_score)
                 } else {
                     // Pull in connected upstream segments (possibly several
                     // from one unit — a join has one branch per cut edge)
                     // until the tree completes.
-                    match complete_group(graph, units, plan, &addition, remaining, eval_cap, score)
-                    {
-                        Some(group) => group,
+                    let plan = Scored {
+                        tasks: plan,
+                        score: base_score,
+                    };
+                    let seed = Scored {
+                        tasks: &addition,
+                        score: lone_score,
+                    };
+                    match complete_group(graph, units, plan, seed, remaining, eval_cap, score) {
+                        Some((group, group_score)) => (group, group_score - base_score),
                         None => continue,
                     }
                 };
-                let _ = ui;
-                let trial = plan.union(&group);
-                let gain = score(&trial) - base_score;
                 if gain <= EPS || group.is_empty() {
                     continue;
                 }
@@ -134,25 +137,35 @@ pub(crate) fn plan_structured(
     applied
 }
 
+/// A task set and the score that goes with it.
+#[derive(Clone, Copy)]
+struct Scored<'s> {
+    tasks: &'s TaskSet,
+    score: f64,
+}
+
 /// Grows `seed` into a (hopefully) complete MC-tree by repeatedly attaching
 /// the best-scoring connected segment whose tasks lie in the upstream cone
 /// of the seed — the generalization of Algorithm 3's unit BFS (lines 10–15)
 /// that also handles joins needing several segments from one unit (one per
-/// cut input branch).
+/// cut input branch). `plan` comes with its score, `seed` with the score
+/// of `plan ∪ seed`; the group is returned with the score of `plan ∪
+/// group`.
 fn complete_group(
     graph: &TaskGraph,
     units: &UnitGraph,
-    plan: &TaskSet,
-    seed: &TaskSet,
+    plan: Scored<'_>,
+    seed: Scored<'_>,
     remaining: usize,
     eval_cap: usize,
-    score: &dyn Fn(&TaskSet) -> f64,
-) -> Option<TaskSet> {
-    let mut group = seed.clone();
+    score: &mut dyn FnMut(&TaskSet) -> f64,
+) -> Option<(TaskSet, f64)> {
+    let mut group = seed.tasks.clone();
     if group.len() > remaining {
         return None;
     }
-    let base = score(plan);
+    let (base, mut current_score) = (plan.score, seed.score);
+    let (plan, seed) = (plan.tasks, seed.tasks);
 
     // Completion scope: everything that can feed the outputs this seed
     // contributes to — the upstream closure of the seed's downstream
@@ -184,10 +197,12 @@ fn complete_group(
         }
     }
 
+    // Each attached segment's trial score is the next round's score of
+    // `plan ∪ group`.
     loop {
         let current = plan.union(&group);
-        if score(&current) > base + EPS {
-            return Some(group); // the tree completed
+        if current_score > base + EPS {
+            return Some((group, current_score)); // the tree completed
         }
         // Best attachable segment across every unit.
         let mut best: Option<(TaskSet, f64)> = None;
@@ -218,8 +233,11 @@ fn complete_group(
             }
         }
         match best {
-            Some((extra, _)) => group.union_with(&extra),
-            None => return Some(group), // may be zero-gain; caller filters
+            Some((extra, trial_score)) => {
+                group.union_with(&extra);
+                current_score = trial_score;
+            }
+            None => return Some((group, current_score)), // may be zero-gain; caller filters
         }
     }
 }
@@ -256,7 +274,7 @@ mod tests {
             3,
             usize::MAX,
             64,
-            &|p| cx.score_plan(p),
+            &mut |p| cx.score_plan(p),
             false,
         );
         assert!(applied);
@@ -278,7 +296,7 @@ mod tests {
             2,
             usize::MAX,
             64,
-            &|p| cx.score_plan(p),
+            &mut |p| cx.score_plan(p),
             false,
         );
         assert!(plan.len() <= 2);
@@ -298,7 +316,7 @@ mod tests {
             usize::MAX,
             1,
             64,
-            &|p| cx.score_plan(p),
+            &mut |p| cx.score_plan(p),
             false,
         );
         assert!(applied);
@@ -311,7 +329,7 @@ mod tests {
             10,
             usize::MAX,
             64,
-            &|p| cx.score_plan(p),
+            &mut |p| cx.score_plan(p),
             false,
         );
         assert!(
@@ -332,7 +350,7 @@ mod tests {
             n,
             usize::MAX,
             64,
-            &|p| cx.score_plan(p),
+            &mut |p| cx.score_plan(p),
             false,
         );
         assert!(
@@ -356,7 +374,7 @@ mod tests {
             3,
             usize::MAX,
             64,
-            &|p| cx.score_plan(p),
+            &mut |p| cx.score_plan(p),
             false,
         );
         let full_tree_score = cx.score_plan(&plan);
@@ -371,7 +389,7 @@ mod tests {
             3,
             usize::MAX,
             64,
-            &|p| cx.score_plan(p),
+            &mut |p| cx.score_plan(p),
             false,
         );
         assert!(applied);

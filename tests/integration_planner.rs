@@ -154,3 +154,64 @@ fn sa_value_grows_with_budget_on_q2() {
         prev = plan.value;
     }
 }
+
+/// Planners score by delta passes, each from the plan scored before it, so
+/// a returned value comes after a long history of other plans. It must
+/// equal a from-scratch full pass over the returned tasks, bit for bit,
+/// under both objectives, with Definition 2's failure and with rack
+/// failure sets.
+#[test]
+fn planner_values_equal_a_full_pass_bit_for_bit() {
+    use ppa::faults::FaultDomainTree;
+    let topologies = [
+        fig6_query(&Fig6Config::default()).topology().clone(),
+        q1_query(&Q1Config::default()).topology().clone(),
+        q2_query(&NavigationConfig::default()).topology().clone(),
+    ];
+    let planners: [(&dyn Planner, &[f64]); 3] = [
+        (&StructureAwarePlanner::default(), &[0.2, 0.4, 0.6, 0.8]),
+        (&GreedyPlanner, &[0.2, 0.4, 0.6, 0.8]),
+        // Higher ratios take seconds each in a debug build.
+        (&DpPlanner::default(), &[0.2, 0.4]),
+    ];
+    for topology in &topologies {
+        let n = PlanContext::new(topology).unwrap().n_tasks();
+        let nodes: Vec<usize> = (0..n).collect();
+        let racks = FaultDomainTree::racks(&nodes, 4);
+        let minus =
+            |a: &TaskSet, b: &TaskSet| TaskSet::from_tasks(n, a.iter().filter(|&t| !b.contains(t)));
+        for objective in [Objective::OutputFidelity, Objective::InternalCompleteness] {
+            let contexts = [
+                PlanContext::new(topology).unwrap(),
+                PlanContext::with_fault_domains(topology, &racks, &nodes).unwrap(),
+            ];
+            for cx in contexts.map(|cx| cx.with_objective(objective)) {
+                let full = |failed: &TaskSet| match objective {
+                    Objective::OutputFidelity => cx.fidelity().output_fidelity(failed),
+                    Objective::InternalCompleteness => cx.fidelity().internal_completeness(failed),
+                };
+                let want = |plan: &TaskSet| match cx.failure_sets() {
+                    None => full(&minus(&TaskSet::full(n), plan)),
+                    Some(sets) => sets
+                        .iter()
+                        .map(|d| full(&minus(d, plan)))
+                        .fold(full(&TaskSet::empty(n)), f64::min),
+                };
+                for (planner, ratios) in planners {
+                    for &ratio in ratios {
+                        let budget = (n as f64 * ratio).round() as usize;
+                        let plan = planner.plan(&cx, budget).unwrap();
+                        assert_eq!(
+                            plan.value.to_bits(),
+                            want(&plan.tasks).to_bits(),
+                            "{} on {n} tasks, IC {}, sets {}, budget {budget}",
+                            planner.name(),
+                            objective == Objective::InternalCompleteness,
+                            cx.failure_sets().is_some()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
