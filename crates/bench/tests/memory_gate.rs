@@ -25,12 +25,14 @@
 //! list of sink tasks, made 34.
 //!
 //! It also bounds whole planner calls on Fig. 6 at budget 25 (ratio 0.8).
-//! `DpPlanner::plan` (473 856 unions fold into 61 255 candidates) makes
-//! 418 allocations, ceiling 460: the candidates live as rows of bit words
-//! in a few flat buffers, and one `Scorer` per call scores them all into
-//! the same failed-word and loss buffers. Holding the candidates as one
+//! `DpPlanner::plan` makes 25 allocations, ceiling 28: its depth-first
+//! search keeps the open unions and the excluded trees on stacks sized
+//! once, scores 10 114 plans (unions and bounds) into the buffers of two
+//! `Scorer`s, and holds no candidate set. Holding the candidates as one
 //! heap `TaskSet` per union in a `BTreeSet`, cloned on retirement, made
-//! 666 632; a fresh complement and loss vector per score made 122 921.
+//! 666 632; flat bit-word rows per usage level, radix-sorted (473 856
+//! unions folded into 61 255 candidates), made 122 921 with a fresh
+//! complement and loss vector per score, and 418 without.
 //! `StructureAwarePlanner::plan` makes 2 445 (ceiling 2 700; 3 615 with
 //! per-score buffers) and `GreedyPlanner::plan` 11 (ceiling 12; 36).
 //!
@@ -98,9 +100,9 @@ static ALLOCATOR: LiveCounting = LiveCounting;
 
 const MIB: f64 = 1024.0 * 1024.0;
 /// About 10 % above the allocations each planner makes on Fig. 6 at
-/// budget 25: 418 (`DpPlanner`), 2 445 (`StructureAwarePlanner`) and 11
+/// budget 25: 25 (`DpPlanner`), 2 445 (`StructureAwarePlanner`) and 11
 /// (`GreedyPlanner`).
-const DP_ALLOCS: usize = 460;
+const DP_ALLOCS: usize = 28;
 const SA_ALLOCS: usize = 2_700;
 const GREEDY_ALLOCS: usize = 12;
 

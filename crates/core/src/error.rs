@@ -39,7 +39,8 @@ pub enum CoreError {
     /// fall back to a heuristic planner (the paper hits the same wall with
     /// the dynamic program on Fig. 14's random topologies).
     McTreeExplosion { limit: usize },
-    /// The dynamic program's candidate-plan set exceeded its limit.
+    /// The exact planner's search would score more plans (unions and
+    /// bounds) than its limit.
     DpExplosion { limit: usize },
     /// A task → node mapping handed to the planner does not cover the task
     /// graph (fault-domain planning needs one node per task).
@@ -97,7 +98,7 @@ impl fmt::Display for CoreError {
             }
             CoreError::DpExplosion { limit } => write!(
                 f,
-                "dynamic-programming candidate set exceeded the limit of {limit} plans"
+                "the exact planner's search exceeded the limit of {limit} scored plans"
             ),
             CoreError::TaskNodeMapLength { expected, got } => write!(
                 f,

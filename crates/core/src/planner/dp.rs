@@ -1,34 +1,42 @@
-//! Algorithm 1: the exact bottom-up dynamic program over MC-tree unions.
+//! Algorithm 1: the exact planner over MC-tree unions, as a depth-first
+//! branch-and-bound.
 //!
-//! Candidate plans are unions of MC-trees. Resource usage grows one unit at
-//! a time; at usage `u`, every candidate plan `CP` is expanded with each
-//! MC-tree whose non-replicated task count equals `u − |CP|`, so a plan's
-//! size always equals the usage at which it was created. A plan is retired
-//! from the working set once no remaining tree can ever match the growing
-//! difference (paper lines 7 and 12); retired plans stay eligible for the
-//! final arg-max, which (together with the tie-break on fewer resources)
-//! realizes Theorem 1.
+//! Algorithm 1's candidate plans are the distinct unions of MC-trees that
+//! fit the budget, the empty plan included: a usage level expands a
+//! candidate by every tree that still fits, so every such union is
+//! reached. Its arg-max ([`Plan::offer`], ties to fewer resources) is
+//! Theorem 1. This planner reaches the same unions without the usage
+//! levels, by a depth-first search over the trees in index order that
+//! tries "include tree `j`" before "exclude tree `j`":
 //!
-//! A candidate's non-replicated counts never change, so they are counted
-//! once, when the DP reaches the candidate's own size: they fix every
-//! union it will be expanded into (a tree counting `d` makes one of
-//! `|CP| + d` tasks) and the usage at which it retires. The planner thus
-//! visits the sizes in order and, per size, sorts and deduplicates the
-//! unions written for it (many candidate × tree pairs reach the same
-//! union), scans each distinct one once and writes its unions into the
-//! buckets of larger sizes. Every task set is a row of `n.div_ceil(64)`
-//! bit words in a flat buffer: the MC-trees, each size's unions and each
-//! usage's retirements. Slice order on rows is `TaskSet`'s order, so the
-//! arg-max ([`Plan::offer`]) visits candidates exactly as a sorted
-//! working set would: the ones still live after the last usage in sorted
-//! order, then the retired ones by usage of retirement, each usage's in
-//! sorted order. It scores them through one reused [`TaskSet`] and one
-//! [`Scorer`].
+//! * A tree already inside the union is in it: it is neither included nor
+//!   excluded, so it opens no branch.
+//! * Including a tree is refused when the union would exceed the budget,
+//!   or would cover a tree excluded earlier on the path: the branch that
+//!   included that tree makes this union.
 //!
-//! The working set is worst-case exponential in the number of MC-trees
-//! (`O(2^T)`, §IV-A), so the planner carries an explicit candidate cap and
-//! reports [`CoreError::DpExplosion`] when more live candidates than that
-//! remain after a usage.
+//! A path thus includes exactly the trees its union covers, so each union
+//! is made, scored and offered once, when it is created.
+//!
+//! **Bound.** Before it tries to include tree `j`, the search scores the
+//! union with trees `j..` all added, and tries no tree from `j` on when
+//! that score is below `best.value − 1e-9`. OF and IC are monotone in the
+//! plan: replicating more tasks fails fewer, and no task's loss grows when
+//! an upstream loss falls. The minimum over failure sets is monotone too.
+//! Every union the dropped branches would make, through tree `j` or any
+//! later one, is a subset of the scored set, so it scores at most that,
+//! up to rounding far below 1e-9. It is then below `best.value` by more
+//! than [`Plan::offer`]'s 1e-12 tie margin, as every later `best.value` is
+//! at least this one, so it could neither be adopted nor move the
+//! threshold: the result is the unpruned search's. The bounds are scored
+//! by a second [`Scorer`], so each kind of score keeps its own delta
+//! anchors.
+//!
+//! The search is worst-case exponential in the number of MC-trees
+//! (`O(2^T)`, §IV-A), so the planner caps the plans it scores, unions and
+//! bounds, and reports [`CoreError::DpExplosion`] when it would score one
+//! more. Each nested search adds a tree's tasks to its union, so the
+//! recursion is no deeper than the budget.
 
 use super::{Plan, PlanContext, Planner, Scorer};
 use crate::error::{CoreError, Result};
@@ -39,7 +47,7 @@ use crate::model::TaskSet;
 /// fall back to [`super::StructureAwarePlanner`].
 #[derive(Debug, Clone, Copy)]
 pub struct DpPlanner {
-    /// Maximum number of simultaneously tracked candidate plans.
+    /// Maximum number of plans the search scores.
     pub(crate) max_candidates: usize,
 }
 
@@ -57,148 +65,145 @@ impl Planner for DpPlanner {
     }
 
     fn plan(&self, cx: &PlanContext, budget: usize) -> Result<Plan> {
-        let trees = cx.mc_trees()?;
-        let n = cx.n_tasks();
-        if trees.is_empty() || budget == 0 {
-            return Ok(cx.make_plan(TaskSet::empty(n)));
-        }
+        let mut search = Search::new(cx, cx.mc_trees()?, budget, self.max_candidates);
+        search.visit(0)?;
+        // `offer` keeps the running maximum, which a near-tied other
+        // candidate may have set: report the chosen plan's own score.
+        Ok(search.scorers[0].make_plan(search.best.tasks))
+    }
+}
 
+/// The state of one search. Every task set is a row of `n.div_ceil(64)`
+/// bit words.
+struct Search<'c> {
+    w: usize,
+    budget: usize,
+    limit: usize,
+    /// Plans scored so far.
+    nodes: usize,
+    trees: Vec<u64>,
+    /// Per tree, the OR of it and the trees after it.
+    suffix: Vec<u64>,
+    /// Each open search's union, the innermost on top.
+    unions: Vec<u64>,
+    /// The trees excluded on the current path.
+    excluded: Vec<usize>,
+    row: TaskSet,
+    /// The unions' scorer and the bounds'.
+    scorers: [Scorer<'c>; 2],
+    best: Plan,
+}
+
+impl<'c> Search<'c> {
+    fn new(cx: &'c PlanContext, trees: &[TaskSet], budget: usize, limit: usize) -> Self {
+        let n = cx.n_tasks();
         let w = n.div_ceil(64);
         let trees: Vec<u64> = trees.iter().flat_map(TaskSet::words).copied().collect();
-        // `created[s]`: the unions of `s` tasks, starting from the empty
-        // plan; `retiring[u]`: the candidates that retire at usage `u`;
-        // `kept`: those still live after usage `budget`.
-        let mut created: Vec<Vec<u64>> = vec![Vec::new(); budget + 1];
-        created[0] = vec![0; w];
-        let mut retiring: Vec<Vec<u64>> = vec![Vec::new(); budget + 1];
-        let mut kept: Vec<u64> = Vec::new();
-        let mut spare: Vec<u64> = Vec::new();
-        let mut live = 0;
-
-        for size in 0..=budget {
-            let mut level = std::mem::take(&mut created[size]);
-            sort_dedup(&mut level, w, &mut spare);
-            // The working set after usage `size`: every candidate created
-            // so far, less the retired ones (all of fewer tasks, so all
-            // already scanned).
-            live = live + level.len() / w - retiring[size].len() / w;
-            if live > self.max_candidates {
-                return Err(CoreError::DpExplosion {
-                    limit: self.max_candidates,
-                });
-            }
-            for cp in level.chunks_exact(w) {
-                let mut max_nonrep = 0;
-                for tree in trees.chunks_exact(w) {
-                    let nonrep = count_difference(tree, cp);
-                    max_nonrep = max_nonrep.max(nonrep);
-                    if nonrep > 0 && size + nonrep <= budget {
-                        created[size + nonrep].extend(tree.iter().zip(cp).map(|(t, c)| t | c));
-                    }
-                }
-                // At usage `u` the candidate is expanded by the trees
-                // counting `u − size`; once that exceeds every count (all
-                // 0 once every tree is in the plan) it retires.
-                let retires = size + max_nonrep + 1;
-                if retires <= budget {
-                    retiring[retires].extend_from_slice(cp);
-                } else {
-                    kept.extend_from_slice(cp);
-                }
-            }
+        let mut suffix = trees.clone();
+        for i in (w..suffix.len()).rev() {
+            suffix[i - w] |= suffix[i];
         }
-        sort_dedup(&mut kept, w, &mut spare);
-        for rows in &mut retiring {
-            sort_dedup(rows, w, &mut spare);
+        let mut unions = Vec::with_capacity((budget.min(n) + 1) * w);
+        unions.resize(w, 0);
+        Search {
+            w,
+            budget,
+            limit,
+            nodes: 0,
+            excluded: Vec::with_capacity(trees.len() / w),
+            trees,
+            suffix,
+            unions,
+            row: TaskSet::empty(n),
+            scorers: [Scorer::new(cx), Scorer::new(cx)],
+            best: Plan {
+                tasks: TaskSet::empty(n),
+                value: f64::NEG_INFINITY,
+            },
         }
-
-        // Consecutive rows in this order share most of their tasks, so
-        // each score recomputes only what its row changed.
-        let mut scorer = Scorer::new(cx);
-        let mut best = scorer.make_plan(TaskSet::empty(n));
-        let mut row = TaskSet::empty(n);
-        let retired = retiring.iter().flat_map(|rows| rows.chunks_exact(w));
-        for cp in kept.chunks_exact(w).chain(retired) {
-            row.words_mut().copy_from_slice(cp);
-            best.offer(&row, scorer.score_plan(&row));
-        }
-        Ok(best)
     }
-}
 
-/// `|tree \ cp|`: the tree's tasks the candidate does not replicate.
-fn count_difference(tree: &[u64], cp: &[u64]) -> usize {
-    tree.iter()
-        .zip(cp)
-        .map(|(t, c)| (t & !c).count_ones() as usize)
-        .sum()
-}
-
-/// Sorts rows of `w` words into ascending slice order and drops
-/// duplicates: a least-significant-digit radix sort, one byte at a time
-/// from the last word's low byte to the first word's high byte, skipping
-/// a byte every row shares. `spare` is scratch room.
-fn sort_dedup(rows: &mut Vec<u64>, w: usize, spare: &mut Vec<u64>) {
-    let n = rows.len() / w;
-    spare.resize(rows.len(), 0);
-    for word in (0..w).rev() {
-        let mut counts = [[0usize; 256]; 8];
-        for row in rows.chunks_exact(w) {
-            for (byte, count) in counts.iter_mut().enumerate() {
-                count[(row[word] >> (8 * byte)) as usize & 0xff] += 1;
-            }
-        }
-        for (byte, count) in counts.iter_mut().enumerate() {
-            if count.contains(&n) {
+    /// Offers the union on top of `unions`, then searches the unions that
+    /// add trees from `from` on to it.
+    fn visit(&mut self, from: usize) -> Result<()> {
+        let (w, excluded) = (self.w, self.excluded.len());
+        let top = self.unions.len() - w;
+        self.row.words_mut().copy_from_slice(&self.unions[top..]);
+        let score = self.score(false)?;
+        self.best.offer(&self.row, score);
+        let len = self.row.len();
+        for j in from..self.trees.len() / w {
+            let adds = outside(&self.unions[top..], &self.trees[j * w..][..w]);
+            if adds == 0 || len + adds > self.budget {
                 continue;
             }
-            // Counts become each byte value's first destination.
-            let mut at = 0;
-            for c in count.iter_mut() {
-                (*c, at) = (at, at + *c * w);
+            let bound = self.unions[top..].iter().zip(&self.suffix[j * w..]);
+            for (r, (u, s)) in self.row.words_mut().iter_mut().zip(bound) {
+                *r = u | s;
             }
-            for row in rows.chunks_exact(w) {
-                let to = &mut count[(row[word] >> (8 * byte)) as usize & 0xff];
-                spare[*to..*to + w].copy_from_slice(row);
-                *to += w;
+            // No union through tree `j` or a later one can reach `best`
+            // (module doc).
+            if self.score(true)? < self.best.value - 1e-9 {
+                break;
             }
-            std::mem::swap(rows, spare);
+            self.unions.extend_from_within(top..top + w);
+            for (u, t) in self.unions[top + w..].iter_mut().zip(&self.trees[j * w..]) {
+                *u |= t;
+            }
+            let with = &self.unions[top + w..];
+            let covered = |&e: &usize| outside(with, &self.trees[e * w..][..w]) == 0;
+            if !self.excluded.iter().any(covered) {
+                self.visit(j + 1)?;
+            }
+            self.unions.truncate(top + w);
+            self.excluded.push(j);
         }
+        self.excluded.truncate(excluded);
+        Ok(())
     }
-    let mut distinct = 0;
-    for i in 0..n {
-        if distinct == 0 || rows[(distinct - 1) * w..distinct * w] != rows[i * w..(i + 1) * w] {
-            rows.copy_within(i * w..(i + 1) * w, distinct * w);
-            distinct += 1;
+
+    /// Scores `row`, a union or a bound, as one more node of the search.
+    fn score(&mut self, bound: bool) -> Result<f64> {
+        if self.nodes == self.limit {
+            return Err(CoreError::DpExplosion { limit: self.limit });
         }
+        self.nodes += 1;
+        Ok(self.scorers[usize::from(bound)].score_plan(&self.row))
     }
-    rows.truncate(distinct * w);
+}
+
+/// The tasks of the row `tree` outside the row `set`.
+fn outside(set: &[u64], tree: &[u64]) -> usize {
+    tree.iter()
+        .zip(set)
+        .map(|(t, s)| (t & !s).count_ones() as usize)
+        .sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{OperatorSpec, Partitioning, TaskWeights, Topology, TopologyBuilder};
-    use crate::planner::BruteForcePlanner;
+    use crate::model::{
+        OperatorSpec, Partitioning, TaskIndex, TaskWeights, Topology, TopologyBuilder,
+    };
+    use crate::planner::{BruteForcePlanner, Objective};
     use crate::random::RandomTopologySpec;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::BTreeSet;
 
-    /// Algorithm 1 as the planner ran it over `BTreeSet<TaskSet>`
-    /// candidates, uncapped: the reference the flat-row planner must match
-    /// plan for plan and bit for bit. Also returns the most live
-    /// candidates any usage left.
-    fn reference_plan(cx: &PlanContext, budget: usize) -> (Plan, usize) {
+    /// Algorithm 1 as the planner once ran it, over `BTreeSet<TaskSet>`
+    /// candidates by usage level, uncapped: the reference the search must
+    /// match plan for plan and bit for bit.
+    fn reference_plan(cx: &PlanContext, budget: usize) -> Plan {
         let trees = cx.mc_trees().unwrap();
         let n = cx.n_tasks();
         if trees.is_empty() || budget == 0 {
-            return (cx.make_plan(TaskSet::empty(n)), 0);
+            return cx.make_plan(TaskSet::empty(n));
         }
         let mut sc: BTreeSet<TaskSet> = BTreeSet::new();
         sc.insert(TaskSet::empty(n));
         let mut retired: Vec<TaskSet> = Vec::new();
-        let mut peak = 0;
         for usage in 1..=budget {
             let mut additions: BTreeSet<TaskSet> = BTreeSet::new();
             let mut removals: Vec<TaskSet> = Vec::new();
@@ -220,7 +225,6 @@ mod tests {
                 retired.push(cp);
             }
             sc.append(&mut additions);
-            peak = peak.max(sc.len());
         }
         let mut best = TaskSet::empty(n);
         let mut best_score = cx.score_plan(&best);
@@ -235,26 +239,29 @@ mod tests {
                 best_score = best_score.max(score);
             }
         }
-        let plan = Plan {
-            tasks: best,
-            value: best_score,
-        };
-        (plan, peak)
+        cx.make_plan(best)
+    }
+
+    /// The plans the search scores on `cx` at `budget`, uncapped.
+    fn nodes(cx: &PlanContext, budget: usize) -> usize {
+        let mut search = Search::new(cx, cx.mc_trees().unwrap(), budget, usize::MAX);
+        search.visit(0).unwrap();
+        search.nodes
     }
 
     /// The planner and [`reference_plan`] agree on `cx` at `budget`: the
-    /// same tasks, the same value bits, and the same live candidates, so
-    /// the planner plans under a cap of the reference's peak and explodes
-    /// under one less.
+    /// same tasks and the same value bits. The planner plans under a cap
+    /// of its own node count and explodes under one less.
     fn assert_matches_reference(cx: &PlanContext, budget: usize, what: &str) {
-        let (want, peak) = reference_plan(cx, budget);
+        let want = reference_plan(cx, budget);
+        let nodes = nodes(cx, budget);
         let capped = |limit| {
             DpPlanner {
                 max_candidates: limit,
             }
             .plan(cx, budget)
         };
-        let got = capped(peak.max(1)).unwrap();
+        let got = capped(nodes).unwrap();
         assert_eq!(got.tasks, want.tasks, "{what}, budget {budget}: tasks");
         assert_eq!(
             got.value.to_bits(),
@@ -263,14 +270,12 @@ mod tests {
             got.value,
             want.value
         );
-        if peak > 0 {
-            assert_eq!(
-                capped(peak - 1).err(),
-                Some(CoreError::DpExplosion { limit: peak - 1 }),
-                "{what}, budget {budget}: more than {} live candidates",
-                peak - 1
-            );
-        }
+        assert_eq!(
+            capped(nodes - 1).err(),
+            Some(CoreError::DpExplosion { limit: nodes - 1 }),
+            "{what}, budget {budget}: more than {} nodes",
+            nodes - 1
+        );
     }
 
     fn merge_tree(weights: Option<Vec<f64>>) -> Topology {
@@ -406,6 +411,23 @@ mod tests {
             planner.plan(&cx, 7),
             Err(CoreError::DpExplosion { limit: 1 })
         ));
+        // At budget 40, 36 of the wide tree's 66 sources fit beside their
+        // mids and the sink: far more unions than any of these caps. The
+        // search scores as many plans as the cap allows, and no more.
+        let cx = wide_merge_tree();
+        let trees = cx.mc_trees().unwrap();
+        for limit in [0, 1, 1_000] {
+            let mut search = Search::new(&cx, trees, 40, limit);
+            assert_eq!(search.visit(0), Err(CoreError::DpExplosion { limit }));
+            assert_eq!(search.nodes, limit, "scored plans");
+            let planner = DpPlanner {
+                max_candidates: limit,
+            };
+            assert_eq!(
+                planner.plan(&cx, 40).err(),
+                Some(CoreError::DpExplosion { limit })
+            );
+        }
     }
 
     #[test]
@@ -425,7 +447,7 @@ mod tests {
     }
 
     #[test]
-    fn flat_rows_match_the_btreeset_reference_on_random_topologies() {
+    fn search_matches_the_btreeset_reference_on_random_topologies() {
         let specs = [
             RandomTopologySpec {
                 parallelism: (1, 4),
@@ -441,28 +463,47 @@ mod tests {
         for (i, spec) in specs.iter().enumerate() {
             let mut rng = StdRng::seed_from_u64(40 + i as u64);
             for draw in 0..24 {
-                let cx = PlanContext::new(&spec.generate(&mut rng)).unwrap();
-                // Keep to topologies the planner enumerates within limits
-                // and the reference plans quickly in a debug build.
-                if cx.mc_trees().map_or(true, |trees| trees.len() > 14) {
-                    continue;
-                }
-                for ratio in [0.2, 0.4, 0.6, 0.8] {
-                    let budget = (cx.n_tasks() as f64 * ratio).round() as usize;
-                    assert_matches_reference(&cx, budget, &format!("spec {i}, draw {draw}"));
-                    planned += 1;
+                let topology = spec.generate(&mut rng);
+                let n = topology.n_tasks();
+                let sets = (0..3)
+                    .map(|_| {
+                        TaskSet::from_tasks(n, (0..n).filter(|_| rng.gen_bool(0.4)).map(TaskIndex))
+                    })
+                    .collect();
+                let contexts = [
+                    ("OF", PlanContext::new(&topology).unwrap()),
+                    (
+                        "IC",
+                        PlanContext::new(&topology)
+                            .unwrap()
+                            .with_objective(Objective::InternalCompleteness),
+                    ),
+                    (
+                        "failure sets",
+                        PlanContext::new(&topology).unwrap().with_failure_sets(sets),
+                    ),
+                ];
+                for (kind, cx) in &contexts {
+                    // Keep to topologies the reference plans quickly in a
+                    // debug build.
+                    if cx.mc_trees().map_or(true, |trees| trees.len() > 14) {
+                        continue;
+                    }
+                    for ratio in [0.2, 0.4, 0.6, 0.8] {
+                        let budget = (n as f64 * ratio).round() as usize;
+                        let what = format!("spec {i}, draw {draw}, {kind}");
+                        assert_matches_reference(cx, budget, &what);
+                        planned += 1;
+                    }
                 }
             }
         }
-        assert!(planned >= 40, "only {planned} plans compared");
+        assert!(planned >= 120, "only {planned} plans compared");
     }
 
-    #[test]
-    fn flat_rows_match_the_btreeset_reference_two_words_wide() {
-        // 66 sources → 3 mids → 1 sink: 70 tasks, so every row spans two
-        // words. The trees through sources 64 and 65 have an empty first
-        // word, so rows that differ only in the second word are sorted and
-        // merged too.
+    /// 66 sources → 3 mids → 1 sink: 70 tasks, so every row spans two
+    /// words, and 66 MC-trees.
+    fn wide_merge_tree() -> PlanContext {
         let mut rng = StdRng::seed_from_u64(7);
         let weights: Vec<f64> = (0..66).map(|_| rng.gen_range(0.5..2.0)).collect();
         let mut b = TopologyBuilder::new();
@@ -473,7 +514,13 @@ mod tests {
         let k = b.add_operator(OperatorSpec::map("k", 1, 1.0));
         b.connect(s, m, Partitioning::Merge).unwrap();
         b.connect(m, k, Partitioning::Merge).unwrap();
-        let cx = PlanContext::new(&b.build().unwrap()).unwrap();
+        PlanContext::new(&b.build().unwrap()).unwrap()
+    }
+
+    #[test]
+    fn search_matches_the_btreeset_reference_two_words_wide() {
+        // The trees through sources 64 and 65 have an empty first word.
+        let cx = wide_merge_tree();
         assert_eq!(cx.n_tasks().div_ceil(64), 2);
         for budget in 0..=6 {
             assert_matches_reference(&cx, budget, "70 tasks");

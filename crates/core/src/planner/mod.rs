@@ -2,7 +2,8 @@
 //! replicable tasks, choose the task set maximizing the quality of tentative
 //! outputs under a worst-case correlated failure (Definition 2).
 //!
-//! * [`DpPlanner`] — Algorithm 1, the exact dynamic program over MC-trees.
+//! * [`DpPlanner`] — Algorithm 1's exact optimum over MC-tree unions, found
+//!   by a depth-first branch-and-bound.
 //! * [`GreedyPlanner`] — Algorithm 2, topology-agnostic task ranking.
 //! * [`StructureAwarePlanner`] — Algorithms 3–5, decomposition into
 //!   structured/full sub-topologies with profit-density expansion.
@@ -403,7 +404,9 @@ impl Planner for BruteForcePlanner {
                 best.offer(&union, scorer.score_plan(&union));
             }
         }
-        Ok(best)
+        // `offer` keeps the running maximum, which a near-tied other
+        // candidate may have set: report the chosen plan's own score.
+        Ok(scorer.make_plan(best.tasks))
     }
 }
 
@@ -670,6 +673,20 @@ mod tests {
         }
     }
 
+    /// [`PlanContext::score_plan`] from scratch.
+    fn plan_pass(cx: &PlanContext, plan: &TaskSet, all_independent: bool) -> f64 {
+        match cx.failure_sets() {
+            None => full_pass(cx, &plan.complement(), all_independent),
+            Some(sets) => sets
+                .iter()
+                .map(|d| full_pass(cx, &d.difference(plan), all_independent))
+                .fold(
+                    full_pass(cx, &TaskSet::empty(cx.n_tasks()), all_independent),
+                    f64::min,
+                ),
+        }
+    }
+
     #[test]
     fn delta_pass_matches_a_full_pass_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(7);
@@ -729,16 +746,7 @@ mod tests {
                     if let Some(sets) = &failure_sets {
                         cx = cx.with_failure_sets(sets.clone());
                     }
-                    let want_plan = |plan: &TaskSet| match &failure_sets {
-                        None => full_pass(&cx, &plan.complement(), all_independent),
-                        Some(sets) => sets
-                            .iter()
-                            .map(|d| full_pass(&cx, &d.difference(plan), all_independent))
-                            .fold(
-                                full_pass(&cx, &TaskSet::empty(n), all_independent),
-                                f64::min,
-                            ),
-                    };
+                    let want_plan = |plan: &TaskSet| plan_pass(&cx, plan, all_independent);
                     let mut scorer = Scorer::new(&cx);
                     for sequence in &sequences {
                         for plan in sequence {
@@ -762,5 +770,55 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn exact_planners_report_their_own_plans_score() {
+        // On draw 12 at ratio 0.8, under OF and under IC, brute force kept
+        // the score of a near-tied other candidate, one ulp above its
+        // plan's own.
+        let spec = RandomTopologySpec {
+            parallelism: (1, 4),
+            ..RandomTopologySpec::default()
+        };
+        let mut rng = StdRng::seed_from_u64(100);
+        let mut sets_rng = StdRng::seed_from_u64(9);
+        let planners: [&dyn Planner; 2] = [&DpPlanner::default(), &BruteForcePlanner::default()];
+        let mut checked = 0;
+        for draw in 0..16 {
+            let topology = spec.generate(&mut rng);
+            let n = topology.n_tasks();
+            let sets: Vec<TaskSet> = (0..3).map(|_| random_set(n, &mut sets_rng)).collect();
+            for objective in [Objective::OutputFidelity, Objective::InternalCompleteness] {
+                for failure_sets in [None, Some(sets.clone())] {
+                    let mut cx = PlanContext::new(&topology)
+                        .unwrap()
+                        .with_objective(objective);
+                    if let Some(sets) = failure_sets {
+                        cx = cx.with_failure_sets(sets);
+                    }
+                    if cx.mc_trees().map_or(true, |trees| trees.len() > 14) {
+                        continue;
+                    }
+                    for ratio in [0.2, 0.4, 0.6, 0.8, 1.0] {
+                        let budget = (n as f64 * ratio).round() as usize;
+                        for planner in planners {
+                            let plan = planner.plan(&cx, budget).unwrap();
+                            let all_independent = objective == Objective::InternalCompleteness;
+                            let want = plan_pass(&cx, &plan.tasks, all_independent);
+                            assert_eq!(
+                                plan.value.to_bits(),
+                                want.to_bits(),
+                                "{}, draw {draw}, {objective:?}, sets {}, budget {budget}",
+                                planner.name(),
+                                cx.failure_sets().is_some()
+                            );
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked >= 250, "only {checked} plans checked");
     }
 }

@@ -285,13 +285,15 @@ fn fill_support_groups(scorer: &mut Scorer<'_>, plan: &mut TaskSet, budget: usiz
     let cx = scorer.cx();
     let graph = cx.graph();
     let n = graph.n_tasks();
+    // `plan`'s score: after the first round, the winning trial's.
+    let mut scored = None;
     loop {
         let remaining = budget.saturating_sub(plan.len());
         if remaining == 0 {
             break;
         }
-        let base = scorer.score_plan(plan);
-        let mut best: Option<(TaskSet, f64)> = None;
+        let base = *scored.get_or_insert_with(|| scorer.score_plan(plan));
+        let mut best: Option<(TaskSet, f64, f64)> = None;
         for t in 0..n {
             let t = crate::model::TaskIndex(t);
             if plan.contains(t) {
@@ -309,16 +311,15 @@ fn fill_support_groups(scorer: &mut Scorer<'_>, plan: &mut TaskSet, budget: usiz
             let density = (s - base) / add.len() as f64;
             let better = match &best {
                 None => true,
-                Some((cur, d)) => density > *d + 1e-12 || (density > *d - 1e-12 && add < *cur),
+                Some((cur, d, _)) => density > *d + 1e-12 || (density > *d - 1e-12 && add < *cur),
             };
             if better {
-                best = Some((add, density));
+                best = Some((add, density, s));
             }
         }
-        match best {
-            Some((add, _)) => plan.union_with(&add),
-            None => break,
-        }
+        let Some((add, _, s)) = best else { break };
+        plan.union_with(&add);
+        scored = Some(s);
     }
 }
 
