@@ -8,7 +8,8 @@
 //!           [EXPERIMENT.. | all]
 //! ```
 //!
-//! `--list` prints the experiment ids (the registry is the only list).
+//! `--list` prints the experiment ids, descriptions and paper sections
+//! (the registry is the only list).
 //!
 //! Experiments run concurrently on a bounded worker pool (`--jobs`,
 //! default = available parallelism); stdout is byte-identical for any job
@@ -95,9 +96,9 @@ fn main() -> ExitCode {
             "--list" | "-l" => {
                 // Discovery without reading experiments/mod.rs: one line
                 // per experiment, id first (stable column for scripts),
-                // then what it reproduces.
+                // then what it reproduces and the paper section.
                 for e in registry() {
-                    println!("{:16} {}", e.id, e.description);
+                    println!("{:16} {} [{}]", e.id, e.description, e.section);
                 }
                 return ExitCode::SUCCESS;
             }

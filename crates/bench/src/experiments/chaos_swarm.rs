@@ -1,10 +1,11 @@
 //! `chaos_swarm`: the seeded chaos swarm (`ppa-chaos`) as a harness
-//! experiment — N seeded scenarios with buggified heartbeats and restores,
-//! every run checked against cross-layer engine invariants instead of
-//! golden outputs, failures shrunk to minimal replayable repros.
+//! experiment — 1000 seeded scenarios (200 with `--quick`) with buggified
+//! heartbeats and restores and mid-recovery re-kills, every run checked
+//! against cross-layer engine invariants instead of golden outputs,
+//! failures shrunk to minimal replayable repros.
 //!
 //! Stdout carries only the aggregate verdict table, byte-identical for any
-//! `--jobs`. On violation the experiment writes each failing
+//! `--jobs`; its `violating` row must read 0. On violation the experiment writes each failing
 //! seed's shrunk repro under `chaos-repro/seed-<seed>/` (kill trace,
 //! chaos schedule, JSONL event stream, violation list) and panics, so a CI
 //! run fails loudly with the artifacts already on disk.

@@ -1,6 +1,6 @@
 //! `corr_sweep`: beyond the paper's fixed §VI-A kill set — a systematic
-//! sweep over a *generated* correlated-failure scenario space on the
-//! Fig. 6 topology.
+//! sweep over a *generated* correlated-failure scenario space (the
+//! `ppa-faults` cascade process) on the Fig. 6 topology.
 //!
 //! The sweep has three axes:
 //!

@@ -199,7 +199,7 @@ pub(crate) fn run(ctx: &RunCtx) -> Vec<Figure> {
         &objectives,
         |&(harness, &ratio), &objective| {
             let cx = harness.context(objective);
-            let plan = StructureAwarePlanner::default()
+            let plan = StructureAwarePlanner
                 .plan(&cx, harness.budget(ratio))
                 .expect("SA plan")
                 .tasks;

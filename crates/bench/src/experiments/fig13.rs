@@ -20,7 +20,7 @@ pub(crate) fn run(ctx: &RunCtx) -> Vec<Figure> {
     let cells = cross(&harnesses, &rs);
     let planners: [Entry; 3] = [
         ("DP", || Box::new(DpPlanner::default())),
-        ("SA", || Box::new(StructureAwarePlanner::default())),
+        ("SA", || Box::new(StructureAwarePlanner)),
         ("Greedy", || Box::new(GreedyPlanner)),
     ];
     let table = Table::run(

@@ -47,7 +47,7 @@ fn corpus_means(
         let mut gr_vals = Vec::with_capacity(ratios.len());
         for &r in ratios {
             let budget = ((n_tasks as f64) * r).round() as usize;
-            let sa = StructureAwarePlanner::default()
+            let sa = StructureAwarePlanner
                 .plan(&cx, budget)
                 .expect("SA never errors");
             let gr = GreedyPlanner

@@ -208,7 +208,7 @@ pub(crate) fn held_down(config: EngineConfig) -> EngineConfig {
 /// The evaluation's PPA-0.5 plan: half the tasks, chosen by the
 /// structure-aware planner against the failure sets `cx` hedges.
 pub(crate) fn half_plan(cx: &PlanContext) -> TaskSet {
-    StructureAwarePlanner::default()
+    StructureAwarePlanner
         .plan(cx, cx.n_tasks() / 2)
         .expect("SA plan")
         .tasks

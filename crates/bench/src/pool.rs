@@ -68,9 +68,9 @@ impl Gate {
         Permit(self)
     }
 
-    /// Applies `f` to every item on worker threads, with at most
-    /// [`Gate::permits`] leaves running at once globally, and returns the
-    /// results in input order.
+    /// Applies `f` to every item on worker threads, with at most the
+    /// gate's permit count of leaves running at once globally, and returns
+    /// the results in input order.
     ///
     /// `f` must not call `map` again (leaves never nest — see module docs).
     pub(crate) fn map<T, U, F>(&self, items: Vec<T>, f: F) -> Vec<U>

@@ -99,23 +99,6 @@ fn every_registry_entry_runs_quick_and_yields_figures() {
     }
 }
 
-/// README's "Figures → paper sections" table lists every registered
-/// experiment, once each, in registry order.
-#[test]
-fn readme_figure_table_matches_the_registry() {
-    let readme = include_str!("../../../README.md");
-    let table_ids: Vec<&str> = readme
-        .lines()
-        .skip_while(|line| *line != "## Figures → paper sections")
-        .skip(1)
-        .skip_while(|line| !line.starts_with('|'))
-        .take_while(|line| line.starts_with('|'))
-        .filter_map(|row| row.strip_prefix("| `")?.split('`').next())
-        .collect();
-    let registry_ids: Vec<&str> = registry().iter().map(|e| e.id).collect();
-    assert_eq!(table_ids, registry_ids);
-}
-
 /// "Same bytes out", checked by the repository: the quick registry's JSON
 /// report equals the committed `BENCH_repro.json` once the wall-clock
 /// lines are dropped from both. A behaviour change *is* its diff in that

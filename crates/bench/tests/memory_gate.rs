@@ -33,7 +33,7 @@
 //! 666 632; flat bit-word rows per usage level, radix-sorted (473 856
 //! unions folded into 61 255 candidates), made 122 921 with a fresh
 //! complement and loss vector per score, and 418 without.
-//! `StructureAwarePlanner::plan` makes 2 445 (ceiling 2 700; 3 615 with
+//! `StructureAwarePlanner::plan` makes 2 429 (ceiling 2 700; 3 615 with
 //! per-score buffers) and `GreedyPlanner::plan` 11 (ceiling 12; 36).
 //!
 //! The counts are of bytes and calls requested from the allocator, so
@@ -100,7 +100,7 @@ static ALLOCATOR: LiveCounting = LiveCounting;
 
 const MIB: f64 = 1024.0 * 1024.0;
 /// About 10 % above the allocations each planner makes on Fig. 6 at
-/// budget 25: 25 (`DpPlanner`), 2 445 (`StructureAwarePlanner`) and 11
+/// budget 25: 25 (`DpPlanner`), 2 429 (`StructureAwarePlanner`) and 11
 /// (`GreedyPlanner`).
 const DP_ALLOCS: usize = 28;
 const SA_ALLOCS: usize = 2_700;
@@ -148,7 +148,7 @@ fn fig6_recovery_keeps_only_what_nobody_can_rebuild() {
         "DP at budget 25 made {allocs} allocations, over the ceiling of {DP_ALLOCS}"
     );
     let heuristics: [(&dyn Planner, usize); 2] = [
-        (&StructureAwarePlanner::default(), SA_ALLOCS),
+        (&StructureAwarePlanner, SA_ALLOCS),
         (&GreedyPlanner, GREEDY_ALLOCS),
     ];
     for (planner, ceiling) in heuristics {

@@ -300,7 +300,7 @@ pub fn build(params: &ScenarioParams) -> Result<BuiltScenario, ScenarioError> {
             let cx = placement
                 .plan_context(query.topology())
                 .map_err(|e| err(&e))?;
-            let plan = StructureAwarePlanner::default()
+            let plan = StructureAwarePlanner
                 .plan(&cx, n_tasks / 2)
                 .map_err(|e| err(&e))?
                 .tasks;

@@ -29,7 +29,7 @@
 //!
 //! let cx = PlanContext::new(&topology).unwrap();
 //! // Budget: actively replicate 4 of the 7 tasks.
-//! let plan = StructureAwarePlanner::default().plan(&cx, 4).unwrap();
+//! let plan = StructureAwarePlanner.plan(&cx, 4).unwrap();
 //! assert!(plan.tasks.len() <= 4);
 //! // Output fidelity of the tentative output under a worst-case correlated
 //! // failure (every non-replicated task down):

@@ -2,7 +2,7 @@
 //! expanded into its parallel tasks and every operator edge into the
 //! substream connections implied by its partitioning scheme (§II-A).
 
-use super::{EdgeId, OperatorId, TaskIndex, Topology};
+use super::{EdgeId, OperatorId, TaskIndex, TaskSet, Topology};
 
 /// One *input stream* of a task: the substreams received from the tasks of a
 /// single upstream neighbouring operator (§II-A: "the input substreams
@@ -201,6 +201,36 @@ impl TaskGraph {
             .flat_map(|s| s.targets.iter().copied())
             .collect()
     }
+
+    /// `tasks` and every task with a path to one of them.
+    pub fn upstream_closure(&self, tasks: &TaskSet) -> TaskSet {
+        Self::closure(tasks, |t| {
+            self.inputs[t.0].iter().flat_map(|s| &s.substreams)
+        })
+    }
+
+    /// `tasks` and every task one of them has a path to.
+    pub(crate) fn downstream_closure(&self, tasks: &TaskSet) -> TaskSet {
+        Self::closure(tasks, |t| self.outputs[t.0].iter().flat_map(|s| &s.targets))
+    }
+
+    /// `tasks` and everything reachable from them through `next`.
+    fn closure<'g, I>(tasks: &TaskSet, next: impl Fn(TaskIndex) -> I) -> TaskSet
+    where
+        I: Iterator<Item = &'g TaskIndex>,
+    {
+        let mut closure = tasks.clone();
+        let mut stack: Vec<TaskIndex> = tasks.iter().collect();
+        while let Some(t) = stack.pop() {
+            for &u in next(t) {
+                if !closure.contains(u) {
+                    closure.insert(u);
+                    stack.push(u);
+                }
+            }
+        }
+        closure
+    }
 }
 
 #[cfg(test)]
@@ -305,5 +335,21 @@ mod tests {
         let t31 = g.op_tasks(OperatorId(2)).next().unwrap();
         assert_eq!(g.upstream_tasks(t31).len(), 4);
         assert_eq!(g.downstream_tasks(TaskIndex(0)), vec![t31]);
+    }
+
+    #[test]
+    fn closures_follow_fig2_paths_both_ways() {
+        let g = fig2();
+        let n = g.n_tasks();
+        let set = |ts: &[usize]| TaskSet::from_tasks(n, ts.iter().map(|&t| TaskIndex(t)));
+        // t11 = 0, t12 = 1, t21 = 2, t22 = 3, t31 = 4.
+        assert_eq!(g.upstream_closure(&set(&[4])), set(&[0, 1, 2, 3, 4]));
+        assert_eq!(g.upstream_closure(&set(&[0])), set(&[0]));
+        assert_eq!(g.downstream_closure(&set(&[0])), set(&[0, 4]));
+        assert_eq!(g.downstream_closure(&set(&[2, 4])), set(&[2, 4]));
+        // The join's sibling branch is upstream of t11's downstream closure.
+        let cone = g.upstream_closure(&g.downstream_closure(&set(&[0])));
+        assert_eq!(cone, set(&[0, 1, 2, 3, 4]));
+        assert!(g.upstream_closure(&set(&[])).is_empty());
     }
 }

@@ -95,20 +95,6 @@ impl TaskSet {
         s
     }
 
-    /// `self ∩ other`, new set.
-    pub(crate) fn intersection(&self, other: &TaskSet) -> TaskSet {
-        debug_assert_eq!(self.capacity, other.capacity);
-        TaskSet {
-            words: self
-                .words
-                .iter()
-                .zip(&other.words)
-                .map(|(a, b)| a & b)
-                .collect(),
-            capacity: self.capacity,
-        }
-    }
-
     /// `self \ other`, new set.
     pub(crate) fn difference(&self, other: &TaskSet) -> TaskSet {
         debug_assert_eq!(self.capacity, other.capacity);
@@ -208,7 +194,6 @@ mod tests {
         let a = set(10, &[1, 2, 3]);
         let b = set(10, &[3, 4]);
         assert_eq!(a.union(&b), set(10, &[1, 2, 3, 4]));
-        assert_eq!(a.intersection(&b), set(10, &[3]));
         assert_eq!(a.difference(&b), set(10, &[1, 2]));
     }
 

@@ -138,7 +138,7 @@ mod tests {
     fn rate_shift_migrates_the_plan() {
         // Plan for a left-heavy workload, then observe a right-heavy one.
         let cx_old = PlanContext::new(&topo(vec![10.0, 1.0, 1.0, 1.0])).unwrap();
-        let planner = StructureAwarePlanner::default();
+        let planner = StructureAwarePlanner;
         let old = planner.plan(&cx_old, 3).unwrap().tasks;
         assert!(
             old.contains(TaskIndex(0)),
@@ -159,7 +159,7 @@ mod tests {
     #[test]
     fn stable_rates_are_a_noop() {
         let cx = PlanContext::new(&topo(vec![10.0, 1.0, 1.0, 1.0])).unwrap();
-        let planner = StructureAwarePlanner::default();
+        let planner = StructureAwarePlanner;
         let old = planner.plan(&cx, 3).unwrap().tasks;
         let adaptive = AdaptivePlanner::new(planner);
         let step = adaptive.step(&cx, &old, 3).unwrap();
@@ -170,13 +170,13 @@ mod tests {
     #[test]
     fn hysteresis_suppresses_marginal_migrations() {
         let cx_old = PlanContext::new(&topo(vec![10.0, 1.0, 1.0, 1.0])).unwrap();
-        let planner = StructureAwarePlanner::default();
+        let planner = StructureAwarePlanner;
         let old = planner.plan(&cx_old, 3).unwrap().tasks;
         // A barely different workload: re-planning would shuffle replicas
         // for a negligible gain; hysteresis must keep the current plan.
         let cx_new = PlanContext::new(&topo(vec![9.8, 1.05, 1.0, 1.0])).unwrap();
         let adaptive = AdaptivePlanner {
-            inner: StructureAwarePlanner::default(),
+            inner: StructureAwarePlanner,
             min_gain: 0.05,
             min_gain_per_activation: 0.01,
         };
@@ -187,10 +187,10 @@ mod tests {
     #[test]
     fn hysteresis_allows_large_migrations() {
         let cx_old = PlanContext::new(&topo(vec![10.0, 1.0, 1.0, 1.0])).unwrap();
-        let planner = StructureAwarePlanner::default();
+        let planner = StructureAwarePlanner;
         let old = planner.plan(&cx_old, 3).unwrap().tasks;
         let cx_new = PlanContext::new(&topo(vec![1.0, 1.0, 1.0, 20.0])).unwrap();
-        let adaptive = AdaptivePlanner::new(StructureAwarePlanner::default());
+        let adaptive = AdaptivePlanner::new(StructureAwarePlanner);
         let step = adaptive.step(&cx_new, &old, 3).unwrap();
         assert_ne!(step.plan.tasks, old);
         assert!(step.plan.tasks.contains(TaskIndex(3)));
@@ -199,7 +199,7 @@ mod tests {
     #[test]
     fn budget_shrink_deactivates_only() {
         let cx = PlanContext::new(&topo(vec![4.0, 3.0, 2.0, 1.0])).unwrap();
-        let planner = StructureAwarePlanner::default();
+        let planner = StructureAwarePlanner;
         let old = planner.plan(&cx, 7).unwrap().tasks;
         let adaptation = adapt_plan(&cx, &planner, &old, 3).unwrap();
         assert!(adaptation.plan.resources() <= 3);

@@ -313,7 +313,7 @@ mod tests {
         let cx = PlanContext::new(&t).unwrap();
         for budget in 0..=7 {
             let dp = DpPlanner::default().plan(&cx, budget).unwrap();
-            let bf = BruteForcePlanner::default().plan(&cx, budget).unwrap();
+            let bf = BruteForcePlanner.plan(&cx, budget).unwrap();
             assert!(
                 (dp.value - bf.value).abs() < 1e-9,
                 "budget {budget}: dp {} vs brute force {}",
@@ -342,7 +342,7 @@ mod tests {
         let cx = PlanContext::new(&b.build().unwrap()).unwrap();
         for budget in 0..=7 {
             let dp = DpPlanner::default().plan(&cx, budget).unwrap();
-            let bf = BruteForcePlanner::default().plan(&cx, budget).unwrap();
+            let bf = BruteForcePlanner.plan(&cx, budget).unwrap();
             assert!(
                 (dp.value - bf.value).abs() < 1e-9,
                 "budget {budget}: dp {} vs bf {}",
@@ -370,7 +370,7 @@ mod tests {
             }
             for budget in 0..=cx.n_tasks() {
                 let dp = DpPlanner::default().plan(&cx, budget).unwrap();
-                let bf = BruteForcePlanner::default().plan(&cx, budget).unwrap();
+                let bf = BruteForcePlanner.plan(&cx, budget).unwrap();
                 assert_eq!(dp.tasks, bf.tasks, "draw {draw}, budget {budget}");
                 assert!(
                     (dp.value - bf.value).abs() < 1e-9,

@@ -366,17 +366,11 @@ pub trait Planner {
 
 /// Exhaustive search over subsets of MC-trees: the optimality oracle used in
 /// tests to validate [`DpPlanner`]. Exponential in the number of MC-trees.
-#[derive(Debug, Clone, Copy)]
-pub struct BruteForcePlanner {
-    /// Refuses instances with more MC-trees than this (default 20).
-    pub(crate) max_trees: usize,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BruteForcePlanner;
 
-impl Default for BruteForcePlanner {
-    fn default() -> Self {
-        BruteForcePlanner { max_trees: 20 }
-    }
-}
+/// [`BruteForcePlanner`] refuses instances with more MC-trees than this.
+const BRUTE_FORCE_TREES: usize = 20;
 
 impl Planner for BruteForcePlanner {
     fn name(&self) -> &'static str {
@@ -385,9 +379,9 @@ impl Planner for BruteForcePlanner {
 
     fn plan(&self, cx: &PlanContext, budget: usize) -> Result<Plan> {
         let trees = cx.mc_trees()?;
-        if trees.len() > self.max_trees {
+        if trees.len() > BRUTE_FORCE_TREES {
             return Err(crate::error::CoreError::McTreeExplosion {
-                limit: self.max_trees,
+                limit: BRUTE_FORCE_TREES,
             });
         }
         let n = cx.n_tasks();
@@ -449,11 +443,11 @@ mod tests {
     fn brute_force_finds_a_tree_when_budget_allows() {
         let cx = PlanContext::new(&small()).unwrap();
         // Budget 2 fits one MC-tree (1 source + sink).
-        let plan = BruteForcePlanner::default().plan(&cx, 2).unwrap();
+        let plan = BruteForcePlanner.plan(&cx, 2).unwrap();
         assert_eq!(plan.resources(), 2);
         assert!(plan.value > 0.0);
         // Budget 1 fits nothing useful.
-        let plan = BruteForcePlanner::default().plan(&cx, 1).unwrap();
+        let plan = BruteForcePlanner.plan(&cx, 1).unwrap();
         assert_eq!(plan.resources(), 0);
         assert_eq!(plan.value, 0.0);
     }
@@ -783,7 +777,7 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(100);
         let mut sets_rng = StdRng::seed_from_u64(9);
-        let planners: [&dyn Planner; 2] = [&DpPlanner::default(), &BruteForcePlanner::default()];
+        let planners: [&dyn Planner; 2] = [&DpPlanner::default(), &BruteForcePlanner];
         let mut checked = 0;
         for draw in 0..16 {
             let topology = spec.generate(&mut rng);

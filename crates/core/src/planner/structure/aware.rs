@@ -6,18 +6,23 @@
 //!    and plan it with its dedicated algorithm — one complete (local)
 //!    MC-tree each. Because neighbouring sub-topologies are joined by `Full`
 //!    partitioning, locally chosen trees stitch into global MC-trees.
-//! 3. Repeatedly ask each sub-topology for its next one-increment expansion,
-//!    and apply the proposal with the highest profit density
-//!    `ΔOF / Δresources` that still fits the budget.
+//!    This planner skips the up-front seeding: step 3 seeds upstream
+//!    sub-topologies first on its own (documented deviation, README.md
+//!    §Design notes).
+//! 3. Repeatedly ask each sub-topology for its next one-increment expansion
+//!    ([`propose_structured`], [`propose_full`]): the tasks to add, none
+//!    already planned, within the budget left. Apply the proposal with the
+//!    highest profit density `ΔOF / Δresources`, after completing it
+//!    across sub-topologies if it gains nothing on its own.
 //!
 //! Scores during sub-topology planning are *local*: the candidate plan is
-//! evaluated with only this sub-topology's unplanned tasks failed, which
-//! isolates the sub-topology's contribution exactly as the paper's
-//! "treated as an independent topology" evaluation does, while reusing the
-//! global loss propagation.
+//! evaluated with only the unplanned tasks of this sub-topology and its
+//! upstream closure failed, which isolates the sub-topology's contribution
+//! as the paper's "treated as an independent topology" evaluation does,
+//! while reusing the global loss propagation.
 
-use super::full::{operator_deltas, plan_full};
-use super::structured::plan_structured;
+use super::full::{operator_deltas, propose_full};
+use super::structured::propose_structured;
 use super::units::UnitGraph;
 use super::{decompose, SubKind, SubTopology};
 use crate::error::Result;
@@ -25,23 +30,13 @@ use crate::mctree::min_tree_size;
 use crate::model::{TaskGraph, TaskIndex, TaskSet};
 use crate::planner::{Plan, PlanContext, Planner, Scorer};
 
-/// The structure-aware planner (Algorithm 5).
-#[derive(Debug, Clone, Copy)]
-pub struct StructureAwarePlanner {
-    /// Per-unit segment enumeration cap (heuristic truncation).
-    pub(crate) segment_cap: usize,
-    /// How many top segments per unit are evaluated as candidate seeds.
-    pub(crate) eval_cap: usize,
-}
+/// Per-unit segment enumeration cap (heuristic truncation, see
+/// [`UnitGraph::build_with`]).
+const SEGMENT_CAP: usize = 512;
 
-impl Default for StructureAwarePlanner {
-    fn default() -> Self {
-        StructureAwarePlanner {
-            segment_cap: 512,
-            eval_cap: 48,
-        }
-    }
-}
+/// The structure-aware planner (Algorithm 5).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct StructureAwarePlanner;
 
 struct SubState {
     sub: SubTopology,
@@ -63,8 +58,9 @@ enum SubPlanning {
     Full(Vec<Vec<(TaskIndex, f64)>>),
 }
 
-impl StructureAwarePlanner {
-    fn build_states(&self, scorer: &mut Scorer<'_>, subs: Vec<SubTopology>) -> Vec<SubState> {
+impl SubState {
+    /// One state per sub-topology, upstream sub-topologies first.
+    fn build_all(scorer: &mut Scorer<'_>, subs: Vec<SubTopology>) -> Vec<SubState> {
         let cx = scorer.cx();
         let graph = cx.graph();
         let n = cx.n_tasks();
@@ -73,17 +69,7 @@ impl StructureAwarePlanner {
             .map(|sub| {
                 let tasks =
                     TaskSet::from_tasks(n, sub.ops.iter().flat_map(|&op| graph.op_tasks(op)));
-                // Upstream closure of the sub's tasks.
-                let mut cone = tasks.clone();
-                let mut stack: Vec<_> = tasks.iter().collect();
-                while let Some(t) = stack.pop() {
-                    for u in graph.upstream_tasks(t) {
-                        if !cone.contains(u) {
-                            cone.insert(u);
-                            stack.push(u);
-                        }
-                    }
-                }
+                let cone = graph.upstream_closure(&tasks);
                 let joins_as_union =
                     cx.objective() == crate::planner::Objective::InternalCompleteness;
                 let planning = match sub.kind {
@@ -91,7 +77,7 @@ impl StructureAwarePlanner {
                         graph,
                         cx.rates(),
                         &sub.ops,
-                        self.segment_cap,
+                        SEGMENT_CAP,
                         joins_as_union,
                     )),
                     SubKind::Full => {
@@ -128,40 +114,25 @@ impl StructureAwarePlanner {
         states
     }
 
-    /// Expands `plan` within one sub-topology by up to `max_steps`
-    /// increments, bounded by `budget` total tasks in the plan.
-    fn plan_sub(
+    /// This sub-topology's next increment of `plan`: at most `remaining`
+    /// tasks, none already planned.
+    fn propose(
         &self,
         scorer: &mut Scorer<'_>,
-        state: &SubState,
-        plan: &mut TaskSet,
-        budget: usize,
-        max_steps: usize,
-    ) -> bool {
+        plan: &TaskSet,
+        remaining: usize,
+    ) -> Option<TaskSet> {
         let graph = scorer.cx().graph();
         // Local objective: the sub's unplanned tasks fail, together with
         // every unplanned task of its upstream cone.
-        let mut local = |p: &TaskSet| scorer.score_cone(&state.cone, p);
-        match &state.planning {
-            SubPlanning::Structured(units) => plan_structured(
-                graph,
-                units,
-                plan,
-                budget,
-                max_steps,
-                self.eval_cap,
-                &mut local,
-                true, // blind proposals: Algorithm 5 completes them cross-sub
-            ),
-            SubPlanning::Full(deltas) => plan_full(
-                graph,
-                &state.sub.ops,
-                deltas,
-                plan,
-                budget,
-                max_steps,
-                &mut local,
-            ),
+        let mut local = |p: &TaskSet| scorer.score_cone(&self.cone, p);
+        match &self.planning {
+            SubPlanning::Structured(units) => {
+                propose_structured(graph, units, plan, remaining, &mut local)
+            }
+            SubPlanning::Full(deltas) => {
+                propose_full(graph, &self.sub.ops, deltas, plan, remaining, &mut local)
+            }
         }
     }
 }
@@ -184,7 +155,7 @@ impl Planner for StructureAwarePlanner {
         }
 
         let mut scorer = Scorer::new(cx);
-        let states = self.build_states(&mut scorer, decompose(graph.topology()));
+        let states = SubState::build_all(&mut scorer, decompose(graph.topology()));
         let mut plan = TaskSet::empty(n);
 
         // Profit-density expansion (paper lines 11–18). The paper's phase 1
@@ -201,12 +172,10 @@ impl Planner for StructureAwarePlanner {
             let before_global = scorer.score_plan(&plan);
             let mut best: Option<(TaskSet, f64)> = None;
             for state in &states {
-                let budget_cap = plan.len() + remaining;
-                let mut trial = plan.clone();
-                let expanded = self.plan_sub(&mut scorer, state, &mut trial, budget_cap, 1);
-                if !expanded {
+                let Some(addition) = state.propose(&mut scorer, &plan, remaining) else {
                     continue;
-                }
+                };
+                let mut trial = plan.union(&addition);
                 // Cross-sub completion: an increment alone may not reach a
                 // sink yet (its tree's remaining segments live in other
                 // sub-topologies). Complete it *minimally*: every added task
@@ -217,17 +186,16 @@ impl Planner for StructureAwarePlanner {
                 let mut trial_score = scorer.score_plan(&trial);
                 let completing = trial_score <= before_global + 1e-12;
                 if completing {
-                    let addition = trial.difference(&plan);
                     for t in addition.iter() {
                         let group = support_group(cx, graph, &trial, t);
                         trial.union_with(&group);
-                        if trial.len() > budget_cap {
+                        if trial.len() > budget {
                             break;
                         }
                     }
                 }
                 let cost = trial.len() - plan.len();
-                if cost == 0 || cost > remaining {
+                if cost > remaining {
                     continue;
                 }
                 if completing {
@@ -424,7 +392,7 @@ mod tests {
     #[test]
     fn sa_completes_trees_on_structured_chain() {
         let cx = PlanContext::new(&merge_chain(vec![8.0, 4.0, 2.0, 1.0])).unwrap();
-        let plan = StructureAwarePlanner::default().plan(&cx, 3).unwrap();
+        let plan = StructureAwarePlanner.plan(&cx, 3).unwrap();
         assert!(plan.value > 0.0, "3 tasks complete the heaviest MC-tree");
         assert!(plan.tasks.contains(crate::model::TaskIndex(0)));
     }
@@ -433,7 +401,7 @@ mod tests {
     fn sa_matches_dp_on_small_chain() {
         let cx = PlanContext::new(&merge_chain(vec![8.0, 4.0, 2.0, 1.0])).unwrap();
         for budget in [3, 4, 7] {
-            let sa = StructureAwarePlanner::default().plan(&cx, budget).unwrap();
+            let sa = StructureAwarePlanner.plan(&cx, budget).unwrap();
             let dp = DpPlanner::default().plan(&cx, budget).unwrap();
             assert!(
                 sa.value <= dp.value + 1e-9,
@@ -464,7 +432,7 @@ mod tests {
         b.connect(s, m, Partitioning::OneToOne).unwrap();
         b.connect(m, k, Partitioning::Merge).unwrap();
         let cx = PlanContext::new(&b.build().unwrap()).unwrap();
-        let sa = StructureAwarePlanner::default().plan(&cx, 4).unwrap();
+        let sa = StructureAwarePlanner.plan(&cx, 4).unwrap();
         let greedy = GreedyPlanner.plan(&cx, 4).unwrap();
         assert_eq!(greedy.value, 0.0, "greedy assembles no complete MC-tree");
         assert!(sa.value > 0.0, "SA completes a tree: {:?}", sa.tasks);
@@ -482,10 +450,10 @@ mod tests {
         b.connect(s, m, Partitioning::Full).unwrap();
         b.connect(m, k, Partitioning::Full).unwrap();
         let cx = PlanContext::new(&b.build().unwrap()).unwrap();
-        let plan = StructureAwarePlanner::default().plan(&cx, 3).unwrap();
+        let plan = StructureAwarePlanner.plan(&cx, 3).unwrap();
         assert_eq!(plan.resources(), 3, "one task per operator");
         assert!(plan.value > 0.0);
-        let plan_all = StructureAwarePlanner::default().plan(&cx, 8).unwrap();
+        let plan_all = StructureAwarePlanner.plan(&cx, 8).unwrap();
         assert!((plan_all.value - 1.0).abs() < 1e-9);
     }
 
@@ -501,7 +469,7 @@ mod tests {
         b.connect(m, f, Partitioning::Full).unwrap();
         b.connect(f, k, Partitioning::Full).unwrap();
         let cx = PlanContext::new(&b.build().unwrap()).unwrap();
-        let plan = StructureAwarePlanner::default().plan(&cx, 4).unwrap();
+        let plan = StructureAwarePlanner.plan(&cx, 4).unwrap();
         assert!(
             plan.value > 0.0,
             "stitched tree across sub-topologies: {:?}",
@@ -513,7 +481,7 @@ mod tests {
     #[test]
     fn sa_returns_empty_below_min_tree_size() {
         let cx = PlanContext::new(&merge_chain(vec![1.0; 4])).unwrap();
-        let plan = StructureAwarePlanner::default().plan(&cx, 2).unwrap();
+        let plan = StructureAwarePlanner.plan(&cx, 2).unwrap();
         assert!(plan.tasks.is_empty());
         assert_eq!(plan.value, 0.0);
     }
@@ -523,7 +491,7 @@ mod tests {
         let cx = PlanContext::new(&merge_chain(vec![8.0, 4.0, 2.0, 1.0])).unwrap();
         let mut prev = 0.0;
         for budget in 0..=7 {
-            let plan = StructureAwarePlanner::default().plan(&cx, budget).unwrap();
+            let plan = StructureAwarePlanner.plan(&cx, budget).unwrap();
             assert!(
                 plan.value >= prev - 1e-9,
                 "budget {budget}: {} < {prev}",

@@ -1,12 +1,12 @@
-//! Algorithm 4: planning one *full* sub-topology.
+//! Algorithm 4: one increment for a *full* sub-topology.
 //!
 //! In a full topology every task feeds every downstream task, so any
 //! one-task-per-operator selection is a complete MC-tree. Within each
 //! operator, tasks are ranked by `δ`: the objective increase from keeping
 //! that task alive while all its operator siblings are failed (and all
-//! other operators healthy). The plan first takes the best task of every
-//! operator (one complete MC-tree), then repeatedly adds the task whose
-//! addition maximizes the objective.
+//! other operators healthy). [`propose_full`]'s first increment is the best
+//! task of every operator (one complete MC-tree); each later one is the
+//! single task whose addition maximizes the objective.
 
 use crate::model::{OperatorId, TaskGraph, TaskIndex, TaskSet};
 
@@ -39,81 +39,59 @@ pub(crate) fn operator_deltas(
         .collect()
 }
 
-/// Expands `plan` within the full sub-topology `ops`.
+/// The next increment of the full sub-topology `ops`: tasks to add to
+/// `plan`, none already in it, at most `remaining` of them.
 ///
 /// * `deltas` are `ops`' [`operator_deltas`];
-/// * `budget` caps `plan.len()` after expansion;
-/// * `max_steps` caps the number of tasks added in the iterative phase
-///   (the initial one-task-per-operator seeding counts as one step);
 /// * `score` evaluates candidate plans.
 ///
-/// Returns `true` if anything was added. Mirroring the paper's lines 4–9:
-/// if the plan holds nothing of this sub-topology yet and the budget cannot
-/// seat one task per operator, nothing is added (no complete MC-tree fits).
-pub(crate) fn plan_full(
+/// Mirroring the paper's lines 4–16: while `plan` holds nothing of this
+/// sub-topology the increment is the best task of every operator, and
+/// `None` if `remaining` cannot seat one per operator (no complete
+/// MC-tree fits, line 9); after that it is the next-ranked task of the
+/// operator whose addition scores best.
+pub(crate) fn propose_full(
     graph: &TaskGraph,
     ops: &[OperatorId],
     deltas: &[Vec<(TaskIndex, f64)>],
-    plan: &mut TaskSet,
-    budget: usize,
-    max_steps: usize,
+    plan: &TaskSet,
+    remaining: usize,
     score: &mut dyn FnMut(&TaskSet) -> f64,
-) -> bool {
-    if max_steps == 0 {
-        return false;
-    }
+) -> Option<TaskSet> {
     let n = graph.n_tasks();
-    let sub_tasks: TaskSet = TaskSet::from_tasks(n, ops.iter().flat_map(|&op| graph.op_tasks(op)));
-
-    let mut applied = false;
-    let mut steps = 0usize;
-
-    // Initial phase: one best task per operator (a complete MC-tree).
-    if plan.intersection(&sub_tasks).is_empty() {
-        if plan.len() + ops.len() > budget {
-            return false; // N > R: no complete tree fits (paper line 9).
-        }
-        for ranked in deltas {
-            let (best, _) = ranked[0];
-            plan.insert(best);
-        }
-        applied = true;
-        steps += 1;
+    let seeded = ops
+        .iter()
+        .flat_map(|&op| graph.op_tasks(op))
+        .any(|t| plan.contains(t));
+    if !seeded {
+        return (ops.len() <= remaining)
+            .then(|| TaskSet::from_tasks(n, deltas.iter().map(|ranked| ranked[0].0)));
     }
-
-    // Iterative phase: add the next-best task of some operator, judged by
-    // the resulting plan score (paper lines 10–16).
-    while steps < max_steps && plan.len() < budget {
-        let mut best: Option<(TaskIndex, f64, f64)> = None; // (task, plan score, delta)
-        for ranked in deltas {
-            let next = ranked.iter().find(|(t, _)| !plan.contains(*t));
-            if let Some(&(t, d)) = next {
-                let mut trial = plan.clone();
-                trial.insert(t);
-                let s = score(&trial);
-                let better = match best {
-                    None => true,
-                    Some((bt, bs, bd)) => {
-                        s > bs + 1e-12
-                            || (s > bs - 1e-12 && d > bd + 1e-12)
-                            || (s > bs - 1e-12 && (d - bd).abs() <= 1e-12 && t < bt)
-                    }
-                };
-                if better {
-                    best = Some((t, s, d));
+    if remaining == 0 {
+        return None;
+    }
+    let mut best: Option<(TaskIndex, f64, f64)> = None; // (task, plan score, delta)
+    let mut trial = plan.clone();
+    for ranked in deltas {
+        let next = ranked.iter().find(|(t, _)| !plan.contains(*t));
+        if let Some(&(t, d)) = next {
+            trial.insert(t);
+            let s = score(&trial);
+            trial.remove(t);
+            let better = match best {
+                None => true,
+                Some((bt, bs, bd)) => {
+                    s > bs + 1e-12
+                        || (s > bs - 1e-12 && d > bd + 1e-12)
+                        || (s > bs - 1e-12 && (d - bd).abs() <= 1e-12 && t < bt)
                 }
+            };
+            if better {
+                best = Some((t, s, d));
             }
-        }
-        match best {
-            Some((t, _, _)) => {
-                plan.insert(t);
-                applied = true;
-                steps += 1;
-            }
-            None => break,
         }
     }
-    applied
+    best.map(|(t, _, _)| TaskSet::from_tasks(n, [t]))
 }
 
 #[cfg(test)]
@@ -140,42 +118,42 @@ mod tests {
         vec![OperatorId(0), OperatorId(1), OperatorId(2)]
     }
 
-    /// `plan_full` over every operator of `cx`, scoring plans globally.
-    fn expand(cx: &PlanContext, plan: &mut TaskSet, budget: usize, max_steps: usize) -> bool {
+    /// One [`propose_full`] increment over every operator of `cx`,
+    /// scoring plans globally.
+    fn propose(cx: &PlanContext, plan: &TaskSet, remaining: usize) -> Option<TaskSet> {
         let deltas = operator_deltas(cx.graph(), &ops(), &mut |f| cx.score_failed(f));
-        plan_full(
-            cx.graph(),
-            &ops(),
-            &deltas,
-            plan,
-            budget,
-            max_steps,
-            &mut |p| cx.score_plan(p),
-        )
+        let add = propose_full(cx.graph(), &ops(), &deltas, plan, remaining, &mut |p| {
+            cx.score_plan(p)
+        })?;
+        assert!(!add.is_empty() && add.len() <= remaining, "{add:?}");
+        assert_eq!(add.difference(plan), add, "proposes only unplanned tasks");
+        Some(add)
+    }
+
+    /// Applies proposals to `plan` until none fits in `budget`.
+    fn fill(cx: &PlanContext, plan: &mut TaskSet, budget: usize) {
+        while let Some(add) = propose(cx, plan, budget - plan.len()) {
+            plan.union_with(&add);
+        }
     }
 
     #[test]
     fn seeds_one_task_per_operator() {
         let cx = full_context(true);
-        let mut plan = TaskSet::empty(cx.n_tasks());
-        let applied = expand(&cx, &mut plan, 3, usize::MAX);
-        assert!(applied);
-        assert_eq!(plan.len(), 3);
+        let seed = propose(&cx, &TaskSet::empty(cx.n_tasks()), 3).unwrap();
+        assert_eq!(seed.len(), 3);
         assert!(
-            cx.score_plan(&plan) > 0.0,
+            cx.score_plan(&seed) > 0.0,
             "one task per op forms a complete tree"
         );
         // The heaviest source must be part of the seed.
-        assert!(plan.contains(TaskIndex(0)));
+        assert!(seed.contains(TaskIndex(0)));
     }
 
     #[test]
     fn refuses_budgets_below_one_per_operator() {
         let cx = full_context(false);
-        let mut plan = TaskSet::empty(cx.n_tasks());
-        let applied = expand(&cx, &mut plan, 2, usize::MAX);
-        assert!(!applied);
-        assert!(plan.is_empty());
+        assert_eq!(propose(&cx, &TaskSet::empty(cx.n_tasks()), 2), None);
     }
 
     #[test]
@@ -184,7 +162,7 @@ mod tests {
         let mut prev = 0.0;
         for budget in 3..=7 {
             let mut plan = TaskSet::empty(cx.n_tasks());
-            expand(&cx, &mut plan, budget, usize::MAX);
+            fill(&cx, &mut plan, budget);
             let score = cx.score_plan(&plan);
             assert!(score >= prev - 1e-12, "budget {budget}: {score} < {prev}");
             assert!(plan.len() <= budget);
@@ -197,7 +175,7 @@ mod tests {
         let cx = full_context(true);
         let n = cx.n_tasks();
         let mut plan = TaskSet::empty(n);
-        expand(&cx, &mut plan, n, usize::MAX);
+        fill(&cx, &mut plan, n);
         assert!((cx.score_plan(&plan) - 1.0).abs() < 1e-9);
     }
 
@@ -211,14 +189,11 @@ mod tests {
     }
 
     #[test]
-    fn max_steps_one_adds_one_increment() {
+    fn one_proposal_is_one_increment() {
         let cx = full_context(false);
-        let mut plan = TaskSet::empty(cx.n_tasks());
-        // Seed first.
-        expand(&cx, &mut plan, 3, usize::MAX);
-        let seeded = plan.len();
-        // One more step adds exactly one task.
-        expand(&cx, &mut plan, 7, 1);
-        assert_eq!(plan.len(), seeded + 1);
+        let plan = propose(&cx, &TaskSet::empty(cx.n_tasks()), 3).unwrap();
+        // After the seed, one proposal is one task.
+        let add = propose(&cx, &plan, 4).unwrap();
+        assert_eq!(add.len(), 1, "{add:?}");
     }
 }

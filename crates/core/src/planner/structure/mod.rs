@@ -1,7 +1,8 @@
 //! Structure-aware planning (§IV-C): decompose the topology into *full* and
-//! *structured* sub-topologies (Algorithm 5's split step), plan each with a
-//! dedicated algorithm (Algorithms 3 and 4), and combine expansions by
-//! profit density.
+//! *structured* sub-topologies (Algorithm 5's split step), ask each one's
+//! dedicated algorithm (Algorithm 3 in `structured`, Algorithm 4 in
+//! `full`) for its next one-increment proposal, and apply the proposal
+//! with the highest profit density (Algorithm 5 in `aware`).
 
 mod aware;
 mod full;

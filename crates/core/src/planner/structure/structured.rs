@@ -1,140 +1,107 @@
-//! Algorithm 3: planning one *structured* sub-topology.
+//! Algorithm 3: one increment for a *structured* sub-topology.
 //!
-//! The plan is grown one candidate group at a time. A candidate is either a
-//! single segment (if replicating it alone already raises the objective —
-//! i.e. it completes an MC-tree with already-replicated segments), or a
-//! chain of connected segments gathered by a BFS across neighbouring units
-//! (so that the group forms a complete MC-tree by itself). Among all
-//! candidates the one with the highest *profit density*
-//! `(score(P ∪ CG) − score(P)) / |CG \ P|` is applied.
+//! A candidate group is either a single segment (if replicating it alone
+//! already raises the objective — i.e. it completes an MC-tree with
+//! already-replicated segments), or a chain of connected segments gathered
+//! by a BFS across neighbouring units (so that the group forms a complete
+//! MC-tree by itself). [`propose_structured`] returns the candidate with
+//! the highest *profit density* `(score(P ∪ CG) − score(P)) / |CG \ P|`;
+//! Algorithm 5 ([`super::StructureAwarePlanner`]) asks for one such
+//! increment per sub-topology and round.
 
 use super::units::{sets_connected, UnitGraph};
 use crate::model::{TaskGraph, TaskSet};
 
 const EPS: f64 = 1e-9;
 
-/// Expands `plan` with segments of the sub-topology described by `units`.
+/// How many segments per unit, heaviest first, are tried as group seeds
+/// and as attachments (heuristic truncation).
+const EVAL_CAP: usize = 48;
+
+/// The next increment of the sub-topology described by `units`: tasks to
+/// add to `plan`, none already in it, at most `remaining` of them.
 ///
-/// * `budget` caps the total number of tasks in `plan` after expansion;
-/// * `max_steps` caps how many candidate groups are applied (use 1 for
-///   Algorithm 5's incremental proposals, `usize::MAX` to fill the budget);
-/// * `score` evaluates a candidate plan (callers pass a sub-topology-local
-///   objective, see [`super::StructureAwarePlanner`]);
-/// * `eval_cap` bounds how many segments per unit are tried as group seeds;
-/// * `allow_blind` permits proposing the heaviest unplanned segment even
-///   when no candidate raises the score — needed when completing a join
-///   whose input streams live in *different* sub-topologies: neither sub
-///   gains alone, so Algorithm 5's cross-sub completion must be handed a
-///   zero-gain seed to build on (it discards the proposal if the combined
-///   global gain stays zero).
+/// `score` evaluates a candidate plan (Algorithm 5 passes a
+/// sub-topology-local objective, see [`super::StructureAwarePlanner`]).
 ///
-/// Returns `true` if at least one group was applied.
-#[expect(clippy::too_many_arguments, reason = "Algorithm 5's inputs")]
-pub(crate) fn plan_structured(
+/// When no candidate raises the score, the heaviest affordable unplanned
+/// segment is proposed anyway (a *blind* proposal): completing a join
+/// whose input streams live in *different* sub-topologies gains nothing
+/// in either sub alone, so Algorithm 5's cross-sub completion must be
+/// handed a zero-gain seed to build on (it discards the proposal if the
+/// combined global gain stays zero).
+///
+/// Returns `None` when no unplanned segment fits in `remaining`.
+pub(crate) fn propose_structured(
     graph: &TaskGraph,
     units: &UnitGraph,
-    plan: &mut TaskSet,
-    budget: usize,
-    max_steps: usize,
-    eval_cap: usize,
+    plan: &TaskSet,
+    remaining: usize,
     score: &mut dyn FnMut(&TaskSet) -> f64,
-    allow_blind: bool,
-) -> bool {
-    let mut applied = false;
-    let mut steps = 0;
-    while steps < max_steps {
-        let remaining = budget.saturating_sub(plan.len());
-        if remaining == 0 {
-            break;
-        }
-        let base_score = score(plan);
-
-        // Collect candidate groups.
-        let mut best: Option<(TaskSet, f64)> = None; // (addition, density)
-        for unit in &units.units {
-            for (seg, _w) in unit
-                .segments
+) -> Option<TaskSet> {
+    let base_score = score(plan);
+    let unplanned = || {
+        units.units.iter().flat_map(|unit| {
+            unit.segments
                 .iter()
                 .filter(|(seg, _)| !seg.is_subset_of(plan))
-                .take(eval_cap)
-            {
-                let addition = seg.difference(plan);
-                if addition.len() > remaining {
-                    continue;
-                }
-                let lone_score = score(&plan.union(&addition));
-                let (group, gain) = if lone_score - base_score > EPS {
-                    // The lone segment already completes an MC-tree.
-                    (addition, lone_score - base_score)
-                } else {
-                    // Pull in connected upstream segments (possibly several
-                    // from one unit — a join has one branch per cut edge)
-                    // until the tree completes.
-                    let plan = Scored {
-                        tasks: plan,
-                        score: base_score,
-                    };
-                    let seed = Scored {
-                        tasks: &addition,
-                        score: lone_score,
-                    };
-                    match complete_group(graph, units, plan, seed, remaining, eval_cap, score) {
-                        Some((group, group_score)) => (group, group_score - base_score),
-                        None => continue,
-                    }
-                };
-                if gain <= EPS || group.is_empty() {
-                    continue;
-                }
-                let density = gain / group.len() as f64;
-                let better = match &best {
-                    None => true,
-                    Some((cur, d)) => density > *d + EPS || (density > *d - EPS && group < *cur),
-                };
-                if better {
-                    best = Some((group, density));
-                }
-            }
-        }
+                .take(EVAL_CAP)
+        })
+    };
 
-        match best {
-            Some((group, _)) => {
-                plan.union_with(&group);
-                applied = true;
-                steps += 1;
+    let mut best: Option<(TaskSet, f64)> = None; // (addition, density)
+    for (seg, _w) in unplanned() {
+        let addition = seg.difference(plan);
+        if addition.len() > remaining {
+            continue;
+        }
+        let lone_score = score(&plan.union(&addition));
+        let (group, gain) = if lone_score - base_score > EPS {
+            // The lone segment already completes an MC-tree.
+            (addition, lone_score - base_score)
+        } else {
+            // Pull in connected upstream segments (possibly several from
+            // one unit — a join has one branch per cut edge) until the
+            // tree completes.
+            let plan = Scored {
+                tasks: plan,
+                score: base_score,
+            };
+            let seed = Scored {
+                tasks: &addition,
+                score: lone_score,
+            };
+            match complete_group(graph, units, plan, seed, remaining, score) {
+                Some((group, group_score)) => (group, group_score - base_score),
+                None => continue,
             }
-            None if allow_blind => {
-                // Blind proposal: the heaviest affordable unplanned segment
-                // (with its BFS completion), even at zero local gain.
-                let mut blind: Option<(TaskSet, f64)> = None;
-                for unit in &units.units {
-                    for (seg, w) in unit
-                        .segments
-                        .iter()
-                        .filter(|(seg, _)| !seg.is_subset_of(plan))
-                        .take(eval_cap)
-                    {
-                        let addition = seg.difference(plan);
-                        if addition.len() > remaining {
-                            continue;
-                        }
-                        if blind.as_ref().is_none_or(|(_, bw)| *w > *bw) {
-                            blind = Some((addition, *w));
-                        }
-                    }
-                }
-                match blind {
-                    Some((addition, _)) => {
-                        plan.union_with(&addition);
-                        return true;
-                    }
-                    None => break,
-                }
-            }
-            None => break,
+        };
+        if gain <= EPS || group.is_empty() {
+            continue;
+        }
+        let density = gain / group.len() as f64;
+        let better = match &best {
+            None => true,
+            Some((cur, d)) => density > *d + EPS || (density > *d - EPS && group < *cur),
+        };
+        if better {
+            best = Some((group, density));
         }
     }
-    applied
+    if let Some((group, _)) = best {
+        return Some(group);
+    }
+
+    // Blind proposal: the heaviest affordable unplanned segment, even at
+    // zero local gain.
+    let mut blind: Option<(TaskSet, f64)> = None;
+    for (seg, w) in unplanned() {
+        let addition = seg.difference(plan);
+        if addition.len() <= remaining && blind.as_ref().is_none_or(|(_, bw)| *w > *bw) {
+            blind = Some((addition, *w));
+        }
+    }
+    blind.map(|(addition, _)| addition)
 }
 
 /// A task set and the score that goes with it.
@@ -157,7 +124,6 @@ fn complete_group(
     plan: Scored<'_>,
     seed: Scored<'_>,
     remaining: usize,
-    eval_cap: usize,
     score: &mut dyn FnMut(&TaskSet) -> f64,
 ) -> Option<(TaskSet, f64)> {
     let mut group = seed.tasks.clone();
@@ -165,37 +131,14 @@ fn complete_group(
         return None;
     }
     let (base, mut current_score) = (plan.score, seed.score);
-    let (plan, seed) = (plan.tasks, seed.tasks);
+    let plan = plan.tasks;
 
     // Completion scope: everything that can feed the outputs this seed
     // contributes to — the upstream closure of the seed's downstream
     // closure. This covers sibling join branches (a join needs *every*
     // input stream, and the missing branches are not upstream of the seed
     // itself) while excluding unrelated sinks.
-    let n = graph.n_tasks();
-    let mut reach = TaskSet::empty(n);
-    let mut stack: Vec<_> = seed.iter().collect();
-    for t in seed.iter() {
-        reach.insert(t);
-    }
-    while let Some(t) = stack.pop() {
-        for d in graph.downstream_tasks(t) {
-            if !reach.contains(d) {
-                reach.insert(d);
-                stack.push(d);
-            }
-        }
-    }
-    let mut cone = reach.clone();
-    let mut stack: Vec<_> = cone.iter().collect();
-    while let Some(t) = stack.pop() {
-        for u in graph.upstream_tasks(t) {
-            if !cone.contains(u) {
-                cone.insert(u);
-                stack.push(u);
-            }
-        }
-    }
+    let cone = graph.upstream_closure(&graph.downstream_closure(seed.tasks));
 
     // Each attached segment's trial score is the next round's score of
     // `plan ∪ group`.
@@ -211,7 +154,7 @@ fn complete_group(
                 .segments
                 .iter()
                 .filter(|(seg, _)| !seg.is_subset_of(&current))
-                .take(eval_cap)
+                .take(EVAL_CAP)
             {
                 let extra = seg.difference(&current);
                 if group.len() + extra.len() > remaining || !extra.is_subset_of(&cone) {
@@ -245,14 +188,17 @@ fn complete_group(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{OperatorId, OperatorSpec, Partitioning, TopologyBuilder};
-    use crate::planner::PlanContext;
+    use crate::model::{
+        OperatorId, OperatorSpec, Partitioning, TaskIndex, TaskWeights, TopologyBuilder,
+    };
+    use crate::planner::{PlanContext, Planner, StructureAwarePlanner};
 
     /// src(4) -(merge)-> mid(2) -(split)-> out(4): the merge edge is cut, so
     /// there are two units and complete MC-trees need segments from both.
-    fn two_unit_context() -> (PlanContext, UnitGraph) {
+    /// The source tasks carry `weights`.
+    fn two_unit_context_with(weights: TaskWeights) -> (PlanContext, UnitGraph) {
         let mut b = TopologyBuilder::new();
-        let s = b.add_operator(OperatorSpec::source("s", 4, 10.0));
+        let s = b.add_operator(OperatorSpec::source("s", 4, 10.0).with_weights(weights));
         let m = b.add_operator(OperatorSpec::map("m", 2, 1.0));
         let o = b.add_operator(OperatorSpec::map("o", 4, 1.0));
         b.connect(s, m, Partitioning::Merge).unwrap();
@@ -263,21 +209,35 @@ mod tests {
         (cx, ug)
     }
 
+    fn two_unit_context() -> (PlanContext, UnitGraph) {
+        two_unit_context_with(TaskWeights::Uniform)
+    }
+
+    /// One proposal for `plan` under the global objective.
+    fn propose(
+        cx: &PlanContext,
+        ug: &UnitGraph,
+        plan: &TaskSet,
+        remaining: usize,
+    ) -> Option<TaskSet> {
+        let add = propose_structured(cx.graph(), ug, plan, remaining, &mut |p| cx.score_plan(p))?;
+        assert!(!add.is_empty() && add.len() <= remaining, "{add:?}");
+        assert_eq!(add.difference(plan), add, "proposes only unplanned tasks");
+        Some(add)
+    }
+
+    /// Applies proposals to `plan` until none fits in `budget`.
+    fn fill(cx: &PlanContext, ug: &UnitGraph, plan: &mut TaskSet, budget: usize) {
+        while let Some(add) = propose(cx, ug, plan, budget - plan.len()) {
+            plan.union_with(&add);
+        }
+    }
+
     #[test]
     fn assembles_cross_unit_mc_trees() {
         let (cx, ug) = two_unit_context();
         let mut plan = TaskSet::empty(cx.n_tasks());
-        let applied = plan_structured(
-            cx.graph(),
-            &ug,
-            &mut plan,
-            3,
-            usize::MAX,
-            64,
-            &mut |p| cx.score_plan(p),
-            false,
-        );
-        assert!(applied);
+        fill(&cx, &ug, &mut plan, 3);
         assert!(
             cx.score_plan(&plan) > 0.0,
             "a complete MC-tree was formed: {plan:?}"
@@ -289,53 +249,26 @@ mod tests {
     fn respects_budget() {
         let (cx, ug) = two_unit_context();
         let mut plan = TaskSet::empty(cx.n_tasks());
-        plan_structured(
-            cx.graph(),
-            &ug,
-            &mut plan,
-            2,
-            usize::MAX,
-            64,
-            &mut |p| cx.score_plan(p),
-            false,
-        );
+        fill(&cx, &ug, &mut plan, 2);
         assert!(plan.len() <= 2);
-        // Minimum complete tree is 3 tasks, so nothing useful fits in 2 and
-        // the algorithm must not waste the budget on incomplete segments.
+        // Minimum complete tree is 3 tasks, so nothing useful fits in 2:
+        // the proposals are blind, and SA, which applies only proposals
+        // that raise the global score, wastes none of the budget.
         assert_eq!(cx.score_plan(&plan), 0.0);
+        let sa = StructureAwarePlanner.plan(&cx, 2).unwrap();
+        assert!(sa.tasks.is_empty(), "{:?}", sa.tasks);
     }
 
     #[test]
-    fn max_steps_limits_expansion() {
+    fn one_proposal_is_one_increment() {
         let (cx, ug) = two_unit_context();
-        let mut plan = TaskSet::empty(cx.n_tasks());
-        let applied = plan_structured(
-            cx.graph(),
-            &ug,
-            &mut plan,
-            usize::MAX,
-            1,
-            64,
-            &mut |p| cx.score_plan(p),
-            false,
-        );
-        assert!(applied);
-        let one_step = plan.len();
-        let mut plan2 = TaskSet::empty(cx.n_tasks());
-        plan_structured(
-            cx.graph(),
-            &ug,
-            &mut plan2,
-            10,
-            usize::MAX,
-            64,
-            &mut |p| cx.score_plan(p),
-            false,
-        );
-        assert!(
-            plan2.len() >= one_step,
-            "unbounded steps cover at least as much"
-        );
+        let empty = TaskSet::empty(cx.n_tasks());
+        let one = propose(&cx, &ug, &empty, usize::MAX).unwrap();
+        assert_eq!(one.len(), 3, "one source -> mid -> out tree: {one:?}");
+        assert!(cx.score_plan(&one) > 0.0);
+        let mut filled = TaskSet::empty(cx.n_tasks());
+        fill(&cx, &ug, &mut filled, 10);
+        assert!(filled.len() > one.len(), "more proposals cover more");
     }
 
     #[test]
@@ -343,16 +276,7 @@ mod tests {
         let (cx, ug) = two_unit_context();
         let n = cx.n_tasks();
         let mut plan = TaskSet::empty(n);
-        plan_structured(
-            cx.graph(),
-            &ug,
-            &mut plan,
-            n,
-            usize::MAX,
-            64,
-            &mut |p| cx.score_plan(p),
-            false,
-        );
+        fill(&cx, &ug, &mut plan, n);
         assert!(
             (cx.score_plan(&plan) - 1.0).abs() < 1e-9,
             "with budget = all tasks the plan reaches OF 1, got {}",
@@ -365,34 +289,30 @@ mod tests {
         let (cx, ug) = two_unit_context();
         let n = cx.n_tasks();
         // Seed the plan with a full tree minus one source; the single
-        // missing source segment should be added as a lone candidate.
+        // missing source segment should be proposed as a lone candidate.
         let mut plan = TaskSet::empty(n);
-        plan_structured(
-            cx.graph(),
-            &ug,
-            &mut plan,
-            3,
-            usize::MAX,
-            64,
-            &mut |p| cx.score_plan(p),
-            false,
-        );
+        fill(&cx, &ug, &mut plan, 3);
         let full_tree_score = cx.score_plan(&plan);
         // Remove one source task from the plan.
         let source = plan.iter().find(|&t| cx.graph().is_source_task(t)).unwrap();
         plan.remove(source);
         assert_eq!(cx.score_plan(&plan), 0.0);
-        let applied = plan_structured(
-            cx.graph(),
-            &ug,
-            &mut plan,
-            3,
-            usize::MAX,
-            64,
-            &mut |p| cx.score_plan(p),
-            false,
-        );
-        assert!(applied);
+        let add = propose(&cx, &ug, &plan, 1).unwrap();
+        assert_eq!(add, TaskSet::from_tasks(n, [source]));
+        plan.union_with(&add);
         assert!((cx.score_plan(&plan) - full_tree_score).abs() < 1e-9);
+    }
+
+    #[test]
+    fn gainless_candidates_propose_the_heaviest_affordable_segment() {
+        // Source t2 carries the most rate. One task completes no MC-tree,
+        // so no candidate gains, and the only affordable segments are the
+        // lone sources: the blind proposal is the heaviest of them.
+        let weights = TaskWeights::Explicit(vec![1.0, 2.0, 8.0, 4.0]);
+        let (cx, ug) = two_unit_context_with(weights);
+        let n = cx.n_tasks();
+        let add = propose(&cx, &ug, &TaskSet::empty(n), 1);
+        assert_eq!(add, Some(TaskSet::from_tasks(n, [TaskIndex(2)])));
+        assert_eq!(cx.score_plan(&add.unwrap()), 0.0);
     }
 }

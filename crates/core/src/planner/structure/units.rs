@@ -41,14 +41,14 @@ impl UnitGraph {
     /// optionally treating joins as unions (see
     /// [`crate::mctree::enumerate_mc_trees_with`]).
     ///
-    /// `segment_cap` truncates the per-unit segment enumeration (segments
+    /// `cap` truncates the per-unit segment enumeration (segments
     /// are kept in descending weight order, so truncation keeps the most
     /// valuable ones).
     pub(crate) fn build_with(
         graph: &TaskGraph,
         rates: &crate::rates::RateModel,
         ops: &[OperatorId],
-        segment_cap: usize,
+        cap: usize,
         joins_as_union: bool,
     ) -> UnitGraph {
         let topo = graph.topology();
@@ -128,9 +128,9 @@ impl UnitGraph {
             .into_iter()
             .map(|unit_ops| {
                 let mut segments =
-                    enumerate_unit_segments(graph, rates, &unit_ops, segment_cap, joins_as_union);
+                    enumerate_unit_segments(graph, rates, &unit_ops, cap, joins_as_union);
                 segments.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                segments.truncate(segment_cap);
+                segments.truncate(cap);
                 Unit { segments }
             })
             .collect();

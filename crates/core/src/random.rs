@@ -424,7 +424,7 @@ mod tests {
             let t = spec.generate(&mut rng);
             let cx = PlanContext::new(&t).unwrap();
             let budget = (t.n_tasks() / 2).max(1);
-            let sa = StructureAwarePlanner::default().plan(&cx, budget).unwrap();
+            let sa = StructureAwarePlanner.plan(&cx, budget).unwrap();
             let gr = GreedyPlanner.plan(&cx, budget).unwrap();
             assert!(sa.resources() <= budget);
             assert!(gr.resources() <= budget);

@@ -17,7 +17,7 @@ use crate::config::{EngineConfig, FtMode};
 use crate::report::SinkBatch;
 use crate::tuple::{route, Chunk, Tuple};
 use crate::udf::{BatchCtx, InputBatch, Output};
-use ppa_core::{TaskGraph, TaskIndex};
+use ppa_core::{TaskGraph, TaskIndex, TaskSet};
 use ppa_sim::{Scheduler, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
@@ -28,9 +28,10 @@ pub(super) struct LaneCtx<'a> {
     pub(crate) config: &'a EngineConfig,
     pub(crate) replica_slot: &'a [Option<Rt>],
     pub(crate) backup: Backup,
-    /// Storm-mode replay cones per recovering target (see
-    /// [`upstream_cone`]); filled before the target's first replay send.
-    pub(crate) replay_cones: &'a BTreeMap<usize, Vec<TaskIndex>>,
+    /// Storm-mode replay cones per recovering target: the target and
+    /// every logical task with a path to it; filled before the target's
+    /// first replay send.
+    pub(crate) replay_cones: &'a BTreeMap<usize, TaskSet>,
     pub(crate) sched: &'a mut Scheduler<Event>,
     /// Sink records produced by active sink incarnations.
     pub(crate) sink: &'a mut Vec<SinkBatch>,
@@ -38,8 +39,9 @@ pub(super) struct LaneCtx<'a> {
     pub(crate) tuples_moved: &'a mut u64,
 }
 
-/// Reserves `work` on a node CPU horizon; returns the finish instant.
-fn reserve(busy: &mut SimTime, now: SimTime, work: SimDuration) -> SimTime {
+/// Reserves `work` on a node CPU horizon, starting no earlier than `now`;
+/// returns the finish instant.
+pub(super) fn reserve(busy: &mut SimTime, now: SimTime, work: SimDuration) -> SimTime {
     let start = (*busy).max(now);
     let finish = start + work;
     *busy = finish;
@@ -315,7 +317,7 @@ fn forward_replay(
     };
     for k in 0..task.out_targets.len() {
         let (to, to_substream) = (task.out_targets[k].to, task.out_targets[k].to_substream);
-        if to != target && cone.binary_search(&to).is_err() {
+        if !cone.contains(to) {
             continue;
         }
         if let Some(i) = task.out_buffer[k].iter().position(|(b, _, _)| *b == batch) {
@@ -332,25 +334,6 @@ fn forward_replay(
             );
         }
     }
-}
-
-/// Logical tasks with a path to `t` (the replay cone), excluding `t`,
-/// in ascending order.
-pub(super) fn upstream_cone(graph: &TaskGraph, t: TaskIndex) -> Vec<TaskIndex> {
-    let mut seen = vec![false; graph.n_tasks()];
-    let mut stack = vec![t];
-    while let Some(x) = stack.pop() {
-        for u in graph.upstream_tasks(x) {
-            if !seen[u.0] {
-                seen[u.0] = true;
-                stack.push(u);
-            }
-        }
-    }
-    (0..seen.len())
-        .filter(|&u| seen[u])
-        .map(TaskIndex)
-        .collect()
 }
 
 /// Processes as many consecutive ready batches as possible (deliveries

@@ -32,8 +32,8 @@
 //! * `lane` — the data plane: source generation, delivery, batch
 //!   processing, emit;
 //! * `ledger` — the outage books: the only code that writes an
-//!   [`OutageRecord`] field or a [`Lifecycle`], and the source of the
-//!   [`EngineEvent`] each transition implies;
+//!   [`OutageRecord`] field or a [`Lifecycle`](crate::report::Lifecycle),
+//!   and the source of the [`EngineEvent`] each transition implies;
 //! * `recovery` — detection → close: the shared recovery steps and the
 //!   three restore families composed from them, replica takeover, proxy
 //!   punctuations.
@@ -389,7 +389,7 @@ pub struct Simulation {
     /// Storm-mode replay cones (sorted logical tasks with a path to the
     /// key), computed once when a target's replay starts; the graph never
     /// changes, so entries stay valid for late forwarded deliveries.
-    replay_cones: BTreeMap<usize, Vec<TaskIndex>>,
+    replay_cones: BTreeMap<usize, TaskSet>,
     /// Per-fault-domain time-decayed failure scores (when the placement
     /// carries a node → domain mapping) — the raw material of the
     /// control plane's [`HealthView`].
@@ -895,10 +895,7 @@ impl Simulation {
     /// events, past the scheduler clock — the shipped state must not
     /// complete before the decision that ordered it).
     fn reserve_from(&mut self, node: NodeId, work: SimDuration, at: SimTime) -> SimTime {
-        let start = self.node_busy[node].max(self.sched.now()).max(at);
-        let finish = start + work;
-        self.node_busy[node] = finish;
-        finish
+        lane::reserve(&mut self.node_busy[node], self.sched.now().max(at), work)
     }
 
     /// Re-plans active replication through `AdaptivePlanner::step` (§V-C
@@ -959,7 +956,7 @@ impl Simulation {
             sets.push(dead.clone());
             cx.with_failure_sets(sets)
         };
-        let planner = AdaptivePlanner::new(StructureAwarePlanner::default());
+        let planner = AdaptivePlanner::new(StructureAwarePlanner);
         let step = match planner.step(&cx, &self.active_plan, budget) {
             Ok(step) => step,
             Err(_) => {
@@ -1228,19 +1225,6 @@ impl Simulation {
     }
 
     // ------------------------------------------------------------------
-    // CPU accounting
-    // ------------------------------------------------------------------
-
-    /// Reserves `work` on `node` starting no earlier than now; returns the
-    /// completion instant.
-    fn reserve(&mut self, node: NodeId, work: SimDuration) -> SimTime {
-        let start = self.node_busy[node].max(self.sched.now());
-        let finish = start + work;
-        self.node_busy[node] = finish;
-        finish
-    }
-
-    // ------------------------------------------------------------------
     // The event loop
     // ------------------------------------------------------------------
 
@@ -1380,7 +1364,7 @@ impl Simulation {
         let work = self.config.costs.checkpoint_base
             + self.config.costs.checkpoint_per_state_tuple * state_tuples as u64;
         let node = self.tasks[rt].node;
-        let _finish = self.reserve(node, work);
+        let _finish = self.reserve_from(node, work, self.sched.now());
         self.tasks[rt].cpu.checkpoint += work;
 
         let task = &self.tasks[rt];

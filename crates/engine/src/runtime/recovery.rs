@@ -16,7 +16,7 @@
 use super::{lane, Backup, Checkpoint, Event, Msg, Rt, Simulation, Status};
 use crate::config::FtMode;
 use crate::placement::NodeId;
-use ppa_core::TaskIndex;
+use ppa_core::{TaskIndex, TaskSet};
 use ppa_obs::EngineEvent;
 use ppa_sim::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
@@ -35,7 +35,8 @@ impl Simulation {
                         let buffered = self.tasks[slot].buffered_tuples();
                         let work = self.config.costs.resend_per_tuple * buffered as u64
                             + self.config.costs.batch_overhead;
-                        let finish = self.reserve(self.tasks[slot].node, work);
+                        let finish =
+                            self.reserve_from(self.tasks[slot].node, work, self.sched.now());
                         self.ledger.begin_takeover(t);
                         self.sched.at(finish, Event::TakeoverDone { logical: t });
                         return;
@@ -64,7 +65,7 @@ impl Simulation {
         };
         self.tasks[t].status = Status::Restoring;
         self.tasks[t].node = standby;
-        let finish = self.reserve(standby, work);
+        let finish = self.reserve_from(standby, work, self.sched.now());
         self.sched.at(finish, Event::RestoreDone { rt: t });
         let started = self.ledger.begin_restore(t, standby);
         self.note(self.sched.now(), started);
@@ -323,9 +324,9 @@ impl Simulation {
         }
         let logical = self.tasks[rt].logical;
         let graph = &self.graph;
-        self.replay_cones
-            .entry(logical.0)
-            .or_insert_with(|| lane::upstream_cone(graph, logical));
+        self.replay_cones.entry(logical.0).or_insert_with(|| {
+            graph.upstream_closure(&TaskSet::from_tasks(graph.n_tasks(), [logical]))
+        });
         let cursor = self.tasks[rt].next_batch;
         let at = self.sched.now() + self.config.costs.network_latency;
         let live_sources: Vec<Rt> = self.replay_cones[&logical.0]
@@ -337,9 +338,9 @@ impl Simulation {
             })
             .collect();
         for s in live_sources {
-            // Along every edge inside the cone (or directly to the target).
+            // Along every edge inside the cone (the target included).
             self.resend(s, cursor, at, Some(logical), |cx, to| {
-                to == logical || cx.replay_cones[&logical.0].binary_search(&to).is_ok()
+                cx.replay_cones[&logical.0].contains(to)
             });
         }
     }

@@ -36,7 +36,7 @@ fn sa_matches_dp_on_fig6_at_every_budget() {
     let cx = fig6_cx();
     for budget in [0, 3, 5, 10, 16, 24, 31] {
         let dp = DpPlanner::default().plan(&cx, budget).unwrap();
-        let sa = StructureAwarePlanner::default().plan(&cx, budget).unwrap();
+        let sa = StructureAwarePlanner.plan(&cx, budget).unwrap();
         assert!(
             (sa.value - dp.value).abs() < 1e-9,
             "budget {budget}: SA {} vs DP {}",
@@ -61,7 +61,7 @@ fn fig6_planners_respect_budgets() {
     let cx = fig6_cx();
     let planners: Vec<Box<dyn Planner>> = vec![
         Box::new(DpPlanner::default()),
-        Box::new(StructureAwarePlanner::default()),
+        Box::new(StructureAwarePlanner),
         Box::new(GreedyPlanner),
     ];
     for planner in &planners {
@@ -85,7 +85,7 @@ fn q1_dp_is_optimal_over_brute_force_range() {
         ..Q1Config::default()
     });
     let cx = PlanContext::new(q.topology()).unwrap();
-    let bf = ppa::core::BruteForcePlanner::default();
+    let bf = ppa::core::BruteForcePlanner;
     for budget in 0..=cx.n_tasks() {
         let dp = DpPlanner::default().plan(&cx, budget).unwrap();
         let opt = bf.plan(&cx, budget).unwrap();
@@ -110,9 +110,7 @@ fn q2_join_makes_of_and_ic_diverge() {
         .with_objective(Objective::InternalCompleteness);
     let mut max_gap = 0.0f64;
     for budget in [n / 3, n / 2, 2 * n / 3] {
-        let ic_plan = StructureAwarePlanner::default()
-            .plan(&cx_ic, budget)
-            .unwrap();
+        let ic_plan = StructureAwarePlanner.plan(&cx_ic, budget).unwrap();
         let of = cx.of_plan(&ic_plan.tasks);
         // IC never underestimates OF for the same plan...
         assert!(of <= ic_plan.value + 1e-9, "budget {budget}");
@@ -149,7 +147,7 @@ fn sa_value_grows_with_budget_on_q2() {
     let cx = PlanContext::new(q.topology()).unwrap();
     let mut prev = -1.0;
     for budget in [0, 4, 8, 12, 16, 19] {
-        let plan = StructureAwarePlanner::default().plan(&cx, budget).unwrap();
+        let plan = StructureAwarePlanner.plan(&cx, budget).unwrap();
         assert!(plan.value >= prev - 1e-9, "budget {budget}");
         prev = plan.value;
     }
@@ -169,7 +167,7 @@ fn planner_values_equal_a_full_pass_bit_for_bit() {
         q2_query(&NavigationConfig::default()).topology().clone(),
     ];
     let planners: [(&dyn Planner, &[f64]); 3] = [
-        (&StructureAwarePlanner::default(), &[0.2, 0.4, 0.6, 0.8]),
+        (&StructureAwarePlanner, &[0.2, 0.4, 0.6, 0.8]),
         (&GreedyPlanner, &[0.2, 0.4, 0.6, 0.8]),
         // Higher ratios take seconds each in a debug build.
         (&DpPlanner::default(), &[0.2, 0.4]),

@@ -138,10 +138,7 @@ fn ppa_half_sits_between_full_and_zero() {
     let scenario = fig6_scenario(&c);
     let kill = scenario.worker_kill_set.clone();
     let cx = PlanContext::new(scenario.query.topology()).unwrap();
-    let half = StructureAwarePlanner::default()
-        .plan(&cx, 16)
-        .unwrap()
-        .tasks;
+    let half = StructureAwarePlanner.plan(&cx, 16).unwrap().tasks;
     let interval = SimDuration::from_secs(15);
 
     let full = mean_secs(&run(
@@ -173,10 +170,7 @@ fn tentative_output_long_before_full_recovery() {
     };
     let scenario = fig6_scenario(&c);
     let cx = PlanContext::new(scenario.query.topology()).unwrap();
-    let half = StructureAwarePlanner::default()
-        .plan(&cx, 16)
-        .unwrap()
-        .tasks;
+    let half = StructureAwarePlanner.plan(&cx, 16).unwrap().tasks;
     let report = run(
         &scenario,
         FtMode::ppa(half, SimDuration::from_secs(30)),

@@ -13,7 +13,7 @@ fn q1_accuracy_tracks_of_and_grows_with_budget() {
     let cx = harness.context(Objective::OutputFidelity);
     let mut prev_acc = -1.0;
     for ratio in [0.3, 0.6, 0.9] {
-        let plan = StructureAwarePlanner::default()
+        let plan = StructureAwarePlanner
             .plan(&cx, harness.budget(ratio))
             .unwrap();
         let acc = harness.measure(&plan.tasks);
@@ -55,12 +55,8 @@ fn q2_of_plan_beats_ic_plan_in_reality() {
     let cx_of = harness.context(Objective::OutputFidelity);
     let cx_ic = harness.context(Objective::InternalCompleteness);
     let budget = harness.budget(0.6);
-    let plan_of = StructureAwarePlanner::default()
-        .plan(&cx_of, budget)
-        .unwrap();
-    let plan_ic = StructureAwarePlanner::default()
-        .plan(&cx_ic, budget)
-        .unwrap();
+    let plan_of = StructureAwarePlanner.plan(&cx_of, budget).unwrap();
+    let plan_ic = StructureAwarePlanner.plan(&cx_ic, budget).unwrap();
     let acc_of = harness.measure(&plan_of.tasks);
     let acc_ic = harness.measure(&plan_ic.tasks);
     assert!(

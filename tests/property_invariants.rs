@@ -143,7 +143,7 @@ fn planners_respect_budget_and_bounds() {
         let n = cx.n_tasks();
         for ratio in [0.2, 0.5] {
             let budget = ((n as f64) * ratio) as usize;
-            let sa = StructureAwarePlanner::default().plan(&cx, budget).unwrap();
+            let sa = StructureAwarePlanner.plan(&cx, budget).unwrap();
             let gr = GreedyPlanner.plan(&cx, budget).unwrap();
             assert!(sa.resources() <= budget, "seed {seed}");
             assert!(gr.resources() <= budget, "seed {seed}");
@@ -171,7 +171,7 @@ fn sa_is_near_monotone_in_budget() {
         let mut prev = -1.0;
         for ratio in [0.1, 0.3, 0.6, 1.0] {
             let budget = ((n as f64) * ratio).ceil() as usize;
-            let plan = StructureAwarePlanner::default().plan(&cx, budget).unwrap();
+            let plan = StructureAwarePlanner.plan(&cx, budget).unwrap();
             assert!(
                 plan.value >= prev - 0.05,
                 "seed {seed}: budget {budget} dropped OF from {prev} to {}",
@@ -180,7 +180,7 @@ fn sa_is_near_monotone_in_budget() {
             prev = prev.max(plan.value);
         }
         // Full budget must reach OF 1.
-        let full = StructureAwarePlanner::default().plan(&cx, n).unwrap();
+        let full = StructureAwarePlanner.plan(&cx, n).unwrap();
         assert!(
             (full.value - 1.0).abs() < 1e-9,
             "seed {seed}: full budget OF {}",
