@@ -28,6 +28,16 @@ const USAGE: &str = "usage: reproduce [--quick] [--jobs N] [--seed S] \
      [--swarm N] [--json PATH] [--trace-dir DIR] [--list] [--filter SUBSTR] \
      [EXPERIMENT.. | all]";
 
+/// The registry, one line per experiment: id first (a stable column for
+/// scripts), then what it reproduces and the paper section. `--list`,
+/// `--help` and an unknown id all print it.
+fn listing() -> String {
+    registry()
+        .iter()
+        .map(|e| format!("{:16} {} [{}]\n", e.id, e.description, e.section))
+        .collect()
+}
+
 fn main() -> ExitCode {
     let mut opts = RunOptions {
         progress: true,
@@ -94,19 +104,11 @@ fn main() -> ExitCode {
                 opts.filter = Some(f);
             }
             "--list" | "-l" => {
-                // Discovery without reading experiments/mod.rs: one line
-                // per experiment, id first (stable column for scripts),
-                // then what it reproduces and the paper section.
-                for e in registry() {
-                    println!("{:16} {} [{}]", e.id, e.description, e.section);
-                }
+                print!("{}", listing());
                 return ExitCode::SUCCESS;
             }
             "--help" | "-h" => {
-                println!("{USAGE}\n\nknown experiments:");
-                for e in registry() {
-                    println!("  {:10} {} [{}]", e.id, e.description, e.section);
-                }
+                print!("{USAGE}\n\nknown experiments:\n{}", listing());
                 return ExitCode::SUCCESS;
             }
             flag if flag.starts_with('-') => {
@@ -125,10 +127,7 @@ fn main() -> ExitCode {
     }
 
     if let Err(err) = ppa_bench::select(&opts.only, opts.filter.as_deref()) {
-        eprintln!("{err}; known ids:");
-        for e in registry() {
-            eprintln!("  {:10} {}", e.id, e.description);
-        }
+        eprint!("{err}; known ids:\n{}", listing());
         return ExitCode::from(2);
     }
     // Made before any experiment runs, so an unwritable directory costs

@@ -9,12 +9,13 @@
 //! buffers go with its node. Each synthetic operator keeps every 2nd tuple
 //! of two equal input chunks, which is its first chunk, and forwards that
 //! chunk instead of copying it, so one source chunk is the output of every
-//! operator down to the sink. The runs peak at about 34.7 MiB (Active) and
-//! 20.0 MiB (Storm). Copying the forwarded chunk peaks them at about 66.6
-//! and 31.8 MiB; buffers that keep every tuple, a dead incarnation's too,
-//! peak Active at about 117 MiB; regenerating without a weak handle
-//! rebuilds the same replay window once per recovering task under Storm,
-//! about 59 MiB.
+//! operator down to the sink; its window counts tuples and holds no chunk.
+//! The runs peak at about 19.7 MiB (Active) and 14.3 MiB (Storm). Windows
+//! that hold their input chunks peak them at about 34.7 and 20.0 MiB;
+//! copying the forwarded chunk at about 35.0 and 21.7 MiB; buffers that
+//! keep every tuple, a dead incarnation's too, peak Active at about
+//! 60.5 MiB; regenerating without a weak handle rebuilds the same replay
+//! window once per recovering task under Storm, about 54.7 MiB.
 //!
 //! The same counting allocator also counts allocation calls, and bounds
 //! the planner's unit of work: scoring one plan (`PlanContext::of_plan`
@@ -168,13 +169,13 @@ fn fig6_recovery_keeps_only_what_nobody_can_rebuild() {
     let kill = FailureTrace::once(SimTime::from_secs(70), scenario.worker_kill_set.clone());
     // Ceilings about 10 % above what the runs peak at.
     let runs = [
-        ("Active", FtMode::active(n), 38.0),
+        ("Active", FtMode::active(n), 22.0),
         (
             "Storm",
             FtMode::SourceReplay {
                 buffer: cfg.window + SimDuration::from_secs(5),
             },
-            22.0,
+            16.0,
         ),
     ];
     for (name, mode, ceiling_mib) in runs {

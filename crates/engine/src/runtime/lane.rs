@@ -15,7 +15,7 @@
 use super::{trim_below, Backup, Event, Held, Msg, Rt, Status, TaskRt};
 use crate::config::{EngineConfig, FtMode};
 use crate::report::SinkBatch;
-use crate::tuple::{route, Chunk, Tuple};
+use crate::tuple::{route, Chunk, Tuple, WeakChunk};
 use crate::udf::{BatchCtx, InputBatch, Output};
 use ppa_core::{TaskGraph, TaskIndex, TaskSet};
 use ppa_sim::{Scheduler, SimDuration, SimTime};
@@ -78,6 +78,11 @@ pub(super) fn source_batch(
 
 /// Generates one source batch; `regen` marks catch-up regeneration
 /// (restore paths call this bare, with no cadence rescheduling).
+///
+/// A muted slot sends nothing, so it draws no tuples: it charges its CPU
+/// from the batch length and buffers handles that reach nothing, which a
+/// takeover's re-serve regenerates. Only a stream that bins the batch
+/// across several targets needs the tuples, for each bin's count.
 pub(super) fn generate(
     cx: &mut LaneCtx<'_>,
     task: &mut TaskRt,
@@ -89,17 +94,31 @@ pub(super) fn generate(
         debug_assert!(false, "generate_source_batch on a non-source task");
         return;
     };
-    let tuples = source.batch(batch);
+    let muted = !task.outputs_enabled && task.stream_spans.iter().all(|&(_, len)| len == 1);
+    let (len, whole) = if muted {
+        (source.batch_len(batch), None)
+    } else {
+        let tuples = source.batch(batch);
+        (tuples.len(), Some(Chunk::from(tuples)))
+    };
     let cost = if regen {
         cx.config.costs.replay_per_tuple
     } else {
         cx.config.costs.source_per_tuple
     };
-    let work = cost * tuples.len() as u64;
+    let work = cost * len as u64;
     let finish = reserve(busy, cx.sched.now(), work);
     task.cpu.processing += work;
     task.next_batch = task.next_batch.max(batch + 1);
-    emit(cx, task, batch, tuples.into(), false, finish);
+    match whole {
+        Some(whole) => emit(cx, task, batch, whole, false, finish),
+        None => {
+            for queue in &mut task.out_buffer {
+                let held = Held::Source(WeakChunk::dangling(), tuple_count(len));
+                queue.push_back((batch, held, false));
+            }
+        }
+    }
     trim_storm_buffer(cx, task);
 }
 
@@ -122,7 +141,7 @@ fn emit(
     let deliver_at = finish + cx.config.costs.network_latency;
     let mut send = |task: &mut TaskRt, k: usize, part: Chunk| {
         let held = if task.source.is_some() {
-            Held::Source(part.downgrade(), tuple_count(&part))
+            Held::Source(part.downgrade(), tuple_count(part.len()))
         } else {
             Held::Tuples(part.clone())
         };
@@ -164,15 +183,15 @@ fn bins(whole: &[Tuple], n: usize) -> Vec<Vec<Tuple>> {
 
 /// A source chunk's length as [`Held::Source`] stores it (a batch is far
 /// below 2^32 tuples; the count only prices a takeover's re-send).
-fn tuple_count(chunk: &Chunk) -> u32 {
-    u32::try_from(chunk.len()).unwrap_or(u32::MAX)
+fn tuple_count(len: usize) -> u32 {
+    u32::try_from(len).unwrap_or(u32::MAX)
 }
 
 /// The chunk entry `i` of out-target `k`'s buffer re-serves: a held
 /// chunk, the source chunk its weak handle still reaches, or else the
 /// batch regenerated and routed exactly as [`emit`] routed it. The entry
 /// then points at the regenerated chunk, so a second re-serve shares it
-/// while the first one's delivery or window still holds it.
+/// while the first one's delivery still holds it.
 pub(super) fn held_chunk(task: &mut TaskRt, k: usize, i: usize) -> Chunk {
     let (batch, held, _) = &task.out_buffer[k][i];
     let batch = *batch;
@@ -198,7 +217,7 @@ pub(super) fn held_chunk(task: &mut TaskRt, k: usize, i: usize) -> Chunk {
     } else {
         Chunk::from(bins(&whole, len).swap_remove(k - start))
     };
-    task.out_buffer[k][i].1 = Held::Source(part.downgrade(), tuple_count(&part));
+    task.out_buffer[k][i].1 = Held::Source(part.downgrade(), tuple_count(part.len()));
     part
 }
 

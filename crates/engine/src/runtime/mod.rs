@@ -21,8 +21,8 @@
 //!   buffer, so a restored task can re-serve its downstream immediately;
 //! * a buffer keeps only what nobody can rebuild: a source buffers weak
 //!   handles to the chunks it emitted and regenerates a batch on re-serve
-//!   once no window, delivery or checkpoint holds it, and a dead
-//!   incarnation's buffers go with its node.
+//!   once no delivery, checkpoint or downstream buffer holds it, and a
+//!   dead incarnation's buffers go with its node.
 //!
 //! Module map:
 //! * this file — the cluster state, the one way in ([`FaultFeed`] →
@@ -107,8 +107,9 @@ enum Held {
     Tuples(Chunk),
     /// A source's output and its length in tuples. The generator rebuilds
     /// the batch from its id, so the buffer keeps a handle that reaches
-    /// the chunk only while a window, delivery or checkpoint still holds
-    /// it. Lives only in a slot that owns its generator.
+    /// the chunk only while a delivery, checkpoint, downstream buffer or
+    /// sink record still holds it (a muted slot's reaches nothing). Lives
+    /// only in a slot that owns its generator.
     Source(WeakChunk, u32),
 }
 

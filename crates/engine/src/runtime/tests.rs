@@ -16,7 +16,7 @@ use std::error::Error;
 
 type TestResult = Result<(), Box<dyn Error>>;
 
-/// A stateful pass-through holding a sliding window of its input — the
+/// A stateful pass-through pricing a sliding window of its input — the
 /// shape of the paper's synthetic operators (state grows with window×rate).
 #[derive(Clone)]
 struct WindowedPass {
@@ -38,8 +38,8 @@ impl Udf for WindowedPass {
         for i in inputs {
             out.extend(i.iter().cloned());
         }
-        let chunks = inputs.iter().flat_map(|i| i.chunks()).cloned();
-        self.buf.push(ctx.batch, chunks, self.window_batches);
+        let tuples = inputs.iter().map(InputBatch::len).sum();
+        self.buf.push(ctx.batch, tuples, self.window_batches);
     }
 
     fn snapshot(&self) -> Box<dyn Udf> {
@@ -690,54 +690,52 @@ fn a_zero_interval_is_a_typed_error_not_a_hang() -> TestResult {
 
 /// The zero-copy contract of the tuple plane, checked on allocations
 /// rather than on a clock (so it executes on any core count): the chunk a
-/// task emits is the one delivered and the one a downstream window
-/// retains; a non-source's output buffer keeps that chunk too, while a
-/// source's buffer reaches it only for as long as the window does; a sink
+/// task emits is the one delivered; a non-source's output buffer keeps that
+/// chunk, while a source's buffer reaches it only for as long as a
+/// delivery does; a window prices its input without holding it; a sink
 /// record is shared, never copied, by the reports that carry it.
 #[test]
-fn one_chunk_from_emit_to_window_and_sink_record() -> TestResult {
+fn one_chunk_from_emit_to_delivery_and_sink_record() -> TestResult {
     let window = 3u64;
     let q = chain_query(100, window)?;
-    // No checkpoint fires inside the horizon, so no buffer is trimmed.
+    // No checkpoint fires inside the horizon, so no buffer is trimmed and
+    // no checkpoint holds a chunk.
     let mode = FtMode::checkpoint(5, SimDuration::from_secs(1000));
     let mut sim = Simulation::new(&q, one_task_per_node(&q)?, base_config(mode));
     let first = drive_to(&mut sim, 8, vec![])?;
 
-    // Hop source 0 -> mid 2 (one-to-one): while the mid's window covers a
-    // batch, the source's entry upgrades to the window's chunk — its only
-    // other holder — and a re-serve hands out that very chunk; once the
-    // window slid past, the tuples are freed and the entry reaches nothing.
+    // Hop source 0 -> mid 2 (one-to-one): while a batch is in flight or
+    // staged, the source's entry upgrades to the delivered chunk and a
+    // re-serve hands out that very chunk; once the mid processed it,
+    // nothing holds it (its window counts tuples), and the entry reaches
+    // nothing.
     let done = sim.tasks[2].next_batch;
     assert!(done > window + 1, "the window slid at least once");
+    let mut unprocessed = 0;
     for i in 0..sim.tasks[0].out_buffer[0].len() {
         let (b, upgraded) = match &sim.tasks[0].out_buffer[0][i] {
             (b, Held::Source(weak, 100), _) => (*b, weak.upgrade()),
             _ => return Err("a source buffers a handle to each 100-tuple batch".into()),
         };
         if b >= done {
-            continue; // still in flight
-        }
-        if b + window >= done {
-            let chunk = upgraded.ok_or(format!("batch {b}: the window holds it"))?;
-            assert_eq!(chunk.holders(), 2, "batch {b}: the window and this upgrade");
+            let chunk = upgraded.ok_or(format!("batch {b}: its delivery holds it"))?;
             let reserved = lane::held_chunk(&mut sim.tasks[0], 0, i);
             assert!(Chunk::ptr_eq(&chunk, &reserved), "batch {b}");
+            unprocessed += 1;
         } else {
-            assert!(upgraded.is_none(), "batch {b}: the window slid past");
+            assert!(upgraded.is_none(), "batch {b}: processed, held by nobody");
         }
     }
+    assert!(unprocessed > 0, "a batch is still in flight");
 
-    // Hop mid 2 -> sink 4 (two-way Merge fan-in): every buffered batch the
-    // receiver's window still covers has exactly two holders — the sender's
-    // buffer and that window — and every batch the window slid past is back
-    // to one.
+    // Hop mid 2 -> sink 4 (two-way Merge fan-in): once the sink processed
+    // a buffered batch, the sender's buffer is its only holder.
     let done = sim.tasks[4].next_batch;
     for (b, held, _) in sim.tasks[2].out_buffer[0].iter().filter(|e| e.0 < done) {
         let Held::Tuples(chunk) = held else {
             return Err("a non-source buffers its tuples".into());
         };
-        let expected = if *b + window >= done { 2 } else { 1 };
-        assert_eq!(chunk.holders(), expected, "2->4 batch {b}");
+        assert_eq!(chunk.holders(), 1, "2->4 batch {b}");
         assert_eq!(chunk.len(), 100);
     }
     for (receiver, fan_in) in [(2usize, 1usize), (4, 2)] {
@@ -909,8 +907,8 @@ impl Udf for KeepHalf {
         inputs
             .iter()
             .fold(0, |first, i| i.copy_every(first, 2, out));
-        let chunks = inputs.iter().flat_map(|i| i.chunks()).cloned();
-        self.buf.push(ctx.batch, chunks, self.window_batches);
+        let tuples = inputs.iter().map(InputBatch::len).sum();
+        self.buf.push(ctx.batch, tuples, self.window_batches);
     }
 
     fn snapshot(&self) -> Box<dyn Udf> {
@@ -1013,6 +1011,73 @@ fn a_halving_merge_forwards_its_first_chunk_from_source_to_sink() -> TestResult 
         shared > 0 && tentative > 0,
         "{shared} shared, {tentative} tentative"
     );
+    Ok(())
+}
+
+thread_local! {
+    /// (`batch` calls, `batch_len` calls) of every [`CallCounting`] on
+    /// this thread; a run is single-threaded.
+    static GENERATOR_CALLS: std::cell::Cell<[usize; 2]> = const { std::cell::Cell::new([0, 0]) };
+}
+
+/// A generator that counts its calls in [`GENERATOR_CALLS`].
+struct CallCounting(CountingSource);
+
+impl CallCounting {
+    fn count(call: usize) {
+        GENERATOR_CALLS.with(|calls| {
+            let mut counts = calls.get();
+            counts[call] += 1;
+            calls.set(counts);
+        });
+    }
+}
+
+impl SourceGen for CallCounting {
+    fn batch(&mut self, batch: u64) -> Vec<Tuple> {
+        Self::count(0);
+        self.0.batch(batch)
+    }
+
+    fn batch_len(&mut self, batch: u64) -> usize {
+        Self::count(1);
+        self.0.batch_len(batch)
+    }
+}
+
+/// A muted source replica draws no tuples: failure-free Fig. 6-shaped
+/// Active (16 sources merged 2->1 down to one sink, every task
+/// replicated) generates each batch once per source, on its primary, and
+/// each replica charges its CPU from the batch length alone.
+#[test]
+fn muted_source_replicas_generate_nothing() -> TestResult {
+    GENERATOR_CALLS.set([0, 0]);
+    let mut q = QueryBuilder::new();
+    let mut prev = q.add_source(OperatorSpec::source("src", 16, 100.0), |task| {
+        Box::new(CallCounting(counting(100, task)))
+    });
+    for (name, parallelism) in [("O1", 8), ("O2", 4), ("O3", 2), ("O4", 1)] {
+        let op = q.add_operator(OperatorSpec::map(name, parallelism, 0.5), |_| {
+            Box::new(KeepHalf {
+                window_batches: 30,
+                buf: WindowBuffer::new(),
+            })
+        });
+        q.connect(prev, op, Partitioning::Merge)?;
+        prev = op;
+    }
+    let q = q.build()?;
+    let n = ppa_core::TaskGraph::new(q.topology().clone()).n_tasks();
+    let mut sim = Simulation::new(&q, one_task_per_node(&q)?, base_config(FtMode::active(n)));
+    drive_to(&mut sim, 160, vec![])?;
+    for t in 0..16 {
+        let replica = sim.replica_slot[t].ok_or("every source is replicated")?;
+        assert_eq!(sim.tasks[t].next_batch, 160, "source {t}");
+        assert_eq!(sim.tasks[replica].next_batch, 160, "replica of source {t}");
+    }
+    let [batch, batch_len] = GENERATOR_CALLS.get();
+    assert_eq!(batch, 16 * 160, "batch calls");
+    assert_eq!(batch_len, 16 * 160, "batch_len calls");
     Ok(())
 }
 

@@ -14,7 +14,7 @@ pub(crate) type Key = u64;
 /// Value payloads used by the evaluation workloads.
 ///
 /// A `Value` is 16 bytes (a tag plus one 8-byte word), so a [`Tuple`] is 24.
-/// Every chunk, output buffer, UDF window, checkpoint and sink record holds
+/// Every chunk, output buffer, checkpoint and sink record holds
 /// tuples by value, which makes this size the memory a run faults in,
 /// copies and drops. Two variants are shaped to keep it; see their docs.
 ///
@@ -98,9 +98,10 @@ impl Tuple {
 /// non-source task also buffers it until the downstream checkpoint
 /// acknowledges it (§V-B); a source buffers only a weak handle, because
 /// its generator can rebuild the batch from the batch id, so its output
-/// lives exactly as long as a window, delivery or checkpoint holds it. A chunk is therefore **never mutated** after it is
-/// built: whoever holds a clone (a UDF's window, an output buffer, a
-/// checkpoint, a report) sees the same tuples for as long as it keeps it.
+/// lives exactly as long as a delivery, checkpoint or downstream buffer
+/// holds it. A chunk is therefore **never mutated** after it is built:
+/// whoever holds a clone (a UDF's state, an output buffer, a checkpoint, a
+/// report) sees the same tuples for as long as it keeps it.
 ///
 /// It dereferences to `[Tuple]` and prints exactly like the `Vec<Tuple>` it
 /// is built from.
@@ -123,6 +124,11 @@ impl Chunk {
 pub(crate) struct WeakChunk(Weak<Vec<Tuple>>);
 
 impl WeakChunk {
+    /// A handle that never reaches any tuples.
+    pub(crate) fn dangling() -> WeakChunk {
+        WeakChunk(Weak::new())
+    }
+
     /// The chunk, if some holder still keeps it alive.
     pub(crate) fn upgrade(&self) -> Option<Chunk> {
         self.0.upgrade().map(Chunk)

@@ -251,6 +251,14 @@ impl Deref for Output {
 pub trait SourceGen: Send {
     /// The tuples this source task emits for batch `batch`.
     fn batch(&mut self, batch: u64) -> Vec<Tuple>;
+
+    /// How many tuples [`batch`](SourceGen::batch) emits for `batch`. A
+    /// muted replica charges its CPU from this alone and sends nothing, so
+    /// a generator that knows its batch length without drawing the tuples
+    /// should say so here; it must equal `self.batch(batch).len()`.
+    fn batch_len(&mut self, batch: u64) -> usize {
+        self.batch(batch).len()
+    }
 }
 
 /// A stateless map UDF built from a function; handy for tests and examples.
@@ -305,14 +313,19 @@ impl SourceGen for CountingSource {
             })
             .collect()
     }
+
+    fn batch_len(&mut self, _batch: u64) -> usize {
+        self.per_batch
+    }
 }
 
 /// A sliding window over raw input — the building block for windowed
-/// UDFs. Retains the input chunks it is handed (no copy), so snapshots are
-/// cheap while `len_tuples` still reflects the real window volume.
+/// UDFs. It keeps each batch's tuple count, not its tuples: `len_tuples`
+/// reflects the real window volume (what checkpoints are priced from),
+/// and the chunks die once their deliveries and buffers drop them.
 #[derive(Debug, Clone, Default)]
 pub struct WindowBuffer {
-    batches: std::collections::VecDeque<(u64, Chunk)>,
+    batches: std::collections::VecDeque<(u64, usize)>,
     tuples: usize,
 }
 
@@ -321,21 +334,14 @@ impl WindowBuffer {
         Self::default()
     }
 
-    /// Appends a batch's chunks and evicts batches older than
-    /// `window_batches`.
-    pub fn push(
-        &mut self,
-        batch: u64,
-        chunks: impl IntoIterator<Item = Chunk>,
-        window_batches: u64,
-    ) {
-        for chunk in chunks {
-            self.tuples += chunk.len();
-            self.batches.push_back((batch, chunk));
-        }
+    /// Counts a batch of `tuples` tuples into the window and evicts
+    /// batches older than `window_batches`.
+    pub fn push(&mut self, batch: u64, tuples: usize, window_batches: u64) {
+        self.tuples += tuples;
+        self.batches.push_back((batch, tuples));
         let min_keep = batch.saturating_sub(window_batches.saturating_sub(1));
         while let Some((_, dropped)) = self.batches.pop_front_if(|(b, _)| *b < min_keep) {
-            self.tuples -= dropped.len();
+            self.tuples -= dropped;
         }
     }
 
@@ -394,7 +400,7 @@ mod tests {
     fn window_buffer_evicts_old_batches() {
         let mut w = WindowBuffer::new();
         for b in 0..10u64 {
-            w.push(b, [vec![Tuple::key_only(b); 5].into()], 3);
+            w.push(b, 5, 3);
         }
         assert_eq!(w.len_tuples(), 15, "3 batches × 5 tuples");
         let batches: Vec<u64> = w.batches.iter().map(|(b, _)| *b).collect();
@@ -405,13 +411,13 @@ mod tests {
     fn window_buffer_snapshot_is_cheap_but_counts_state() {
         let chunks = [Chunk::from(vec![Tuple::key_only(1); 600]), Chunk::default()];
         let mut w = WindowBuffer::new();
-        w.push(0, chunks.iter().cloned(), 10);
-        w.push(1, [], 10);
+        w.push(0, InputBatch::new(0, &chunks).len(), 10);
+        w.push(1, 0, 10);
+        assert_eq!(chunks[0].holders(), 1, "the window holds no chunk");
         let snap = w.clone();
         assert_eq!(snap.len_tuples(), 600);
-        assert!(Chunk::ptr_eq(&snap.batches[0].1, &chunks[0]), "no copy");
-        // A batch without chunks still slides the window.
-        w.push(10, [], 10);
+        // A batch without tuples still slides the window.
+        w.push(10, 0, 10);
         assert_eq!(w.len_tuples(), 0);
     }
 

@@ -163,7 +163,8 @@ pub(crate) const DEDICATED: &str = "Dedicated";
 /// Checks the contract a source's re-serve rests on: `SourceGen::batch`
 /// is a pure function of the batch id. Every batch a fresh generator
 /// yields comes back equal from one generator asked for it twice, out of
-/// order, after other batches.
+/// order, after other batches, and `SourceGen::batch_len` (what a muted
+/// replica charges) is its length, asked in order and out of it.
 #[cfg(test)]
 fn assert_pure_source(name: &str, fresh: impl Fn() -> Box<dyn ppa_engine::SourceGen>) {
     const BATCHES: u64 = 64;
@@ -172,10 +173,17 @@ fn assert_pure_source(name: &str, fresh: impl Fn() -> Box<dyn ppa_engine::Source
         expected.iter().any(|tuples| !tuples.is_empty()),
         "{name} emits tuples"
     );
+    let mut counted = fresh();
+    for b in 0..BATCHES {
+        let len = counted.batch_len(b);
+        assert_eq!(len, expected[b as usize].len(), "{name} batch_len {b}");
+    }
     let mut reused = fresh();
     for round in 0..2 {
         // 37 is coprime to 64: every batch once per round, out of order.
         for b in (0..BATCHES).map(|i| (i * 37 + round * 11) % BATCHES) {
+            let len = reused.batch_len(b);
+            assert_eq!(len, expected[b as usize].len(), "{name} batch_len {b}");
             assert_eq!(reused.batch(b), expected[b as usize], "{name} batch {b}");
         }
     }

@@ -180,23 +180,34 @@ struct IncidentSource {
     zipf: Zipf,
 }
 
+impl IncidentSource {
+    /// The incidents `(id, segment, reports)` this task emits at `batch`.
+    fn reports(&self, batch: u64) -> impl Iterator<Item = (u64, usize, usize)> + '_ {
+        (self.schedule.starting_at(batch).into_iter())
+            .filter(|&(_, seg)| self.cfg_map.o3_task_of(seg) == self.task)
+            .map(|(id, seg)| {
+                // Every user on the segment reports the incident (paper); we
+                // cap the report volume to keep tuple counts reasonable.
+                let users = (self.zipf.pmf(seg) * self.n_users as f64).ceil() as usize;
+                (id, seg, users.clamp(1, 200))
+            })
+    }
+}
+
 impl SourceGen for IncidentSource {
     fn batch(&mut self, batch: u64) -> Vec<Tuple> {
         let mut out = Vec::new();
-        for (id, seg) in self.schedule.starting_at(batch) {
-            if self.cfg_map.o3_task_of(seg) != self.task {
-                continue;
-            }
-            // Every user on the segment reports the incident (paper); we cap
-            // the report volume to keep tuple counts reasonable.
-            let users = (self.zipf.pmf(seg) * self.n_users as f64).ceil() as usize;
-            let reports = users.clamp(1, 200);
+        for (id, seg, reports) in self.reports(batch) {
             out.extend(std::iter::repeat_n(
                 Tuple::new(seg as u64, Value::Int(id as i64)),
                 reports,
             ));
         }
         out
+    }
+
+    fn batch_len(&mut self, batch: u64) -> usize {
+        self.reports(batch).map(|(_, _, reports)| reports).sum()
     }
 }
 

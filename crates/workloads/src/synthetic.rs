@@ -34,8 +34,8 @@ impl Default for Fig6Config {
     }
 }
 
-/// A synthetic sliding-window operator: keeps the window's raw input as
-/// state (the input chunks themselves, not a copy) and emits a
+/// A synthetic sliding-window operator: prices the window's raw input as
+/// state (a tuple count per batch; nothing reads the tuples) and emits a
 /// `selectivity` fraction of each batch.
 #[derive(Clone)]
 pub struct SyntheticOp {
@@ -68,8 +68,8 @@ impl Udf for SyntheticOp {
         inputs.iter().fold(0, |first, input| {
             input.copy_every(first, self.keep_every, out)
         });
-        let chunks = inputs.iter().flat_map(|i| i.chunks()).cloned();
-        self.buf.push(ctx.batch, chunks, self.window_batches);
+        let tuples = inputs.iter().flat_map(|i| i.chunks()).map(|c| c.len());
+        self.buf.push(ctx.batch, tuples.sum(), self.window_batches);
     }
 
     fn snapshot(&self) -> Box<dyn Udf> {
@@ -96,6 +96,10 @@ impl SourceGen for UniformSource {
                 Tuple::key_only((u * 1_000_000.0) as u64)
             })
             .collect()
+    }
+
+    fn batch_len(&mut self, _batch: u64) -> usize {
+        self.per_batch
     }
 }
 

@@ -15,7 +15,8 @@ use crate::zipf::{uniform_hash, Zipf};
 use crate::{dedicated_placement, merge_link, Scenario};
 use ppa_core::OperatorSpec;
 use ppa_engine::{BatchCtx, InputBatch, Output, Query, QueryBuilder, SourceGen, Tuple, Udf, Value};
-use std::collections::BTreeMap;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// Q1 parameters.
@@ -83,6 +84,10 @@ impl SourceGen for AccessLogSource {
             })
             .collect()
     }
+
+    fn batch_len(&mut self, _batch: u64) -> usize {
+        self.rate
+    }
 }
 
 /// O1/O2: aggregate per-object hit counts within each batch (O1 counts raw
@@ -116,12 +121,16 @@ impl Udf for CountCombine {
     }
 }
 
-/// O3: sliding-window top-k. State: the window's per-batch count maps.
+/// O3: sliding-window top-k. State: the window's per-batch counts, and
+/// their running total per object.
 #[derive(Clone)]
 struct TopK {
     k: usize,
     window_batches: u64,
-    window: std::collections::VecDeque<(u64, BTreeMap<u64, i64>)>,
+    /// Per batch in the window, oldest first: its counts, by object.
+    window: VecDeque<(u64, Vec<(u64, i64)>)>,
+    /// Per object counted in the window: (count sum, batches counting it).
+    total: BTreeMap<u64, (i64, u64)>,
 }
 
 impl TopK {
@@ -129,9 +138,16 @@ impl TopK {
         TopK {
             k,
             window_batches,
-            window: Default::default(),
+            window: VecDeque::new(),
+            total: BTreeMap::new(),
         }
     }
+}
+
+/// The top-k order: count descending, then object ascending. It is total
+/// over distinct objects, so any sort yields one ranking.
+fn rank(a: &(u64, i64), b: &(u64, i64)) -> std::cmp::Ordering {
+    b.1.cmp(&a.1).then(a.0.cmp(&b.0))
 }
 
 impl Udf for TopK {
@@ -142,23 +158,36 @@ impl Udf for TopK {
                 *counts.entry(t.key).or_insert(0) += t.value.as_int().unwrap_or(1);
             }
         }
-        self.window.push_back((ctx.batch, counts));
+        for (&key, &count) in &counts {
+            let (sum, batches) = self.total.entry(key).or_insert((0, 0));
+            *sum += count;
+            *batches += 1;
+        }
+        self.window
+            .push_back((ctx.batch, counts.into_iter().collect()));
         let min_keep = ctx
             .batch
             .saturating_sub(self.window_batches.saturating_sub(1));
-        while self.window.front().is_some_and(|(b, _)| *b < min_keep) {
-            self.window.pop_front();
-        }
-        // Global counts over the window.
-        let mut total: BTreeMap<u64, i64> = BTreeMap::new();
-        for (_, m) in &self.window {
-            for (k, c) in m {
-                *total.entry(*k).or_insert(0) += c;
+        while let Some((_, evicted)) = self.window.pop_front_if(|(b, _)| *b < min_keep) {
+            for (key, count) in evicted {
+                if let Entry::Occupied(mut entry) = self.total.entry(key) {
+                    let (sum, batches) = entry.get_mut();
+                    *sum -= count;
+                    *batches -= 1;
+                    if *batches == 0 {
+                        entry.remove();
+                    }
+                }
             }
         }
-        let mut ranked: Vec<(u64, i64)> = total.into_iter().collect();
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        ranked.truncate(self.k);
+        let mut ranked: Vec<(u64, i64)> = (self.total.iter())
+            .map(|(&key, &(sum, _))| (key, sum))
+            .collect();
+        if self.k < ranked.len() {
+            ranked.select_nth_unstable_by(self.k, rank);
+            ranked.truncate(self.k);
+        }
+        ranked.sort_unstable_by(rank);
         out.push(Tuple::new(0, Value::Counts(Arc::new(ranked))));
     }
 
@@ -167,7 +196,7 @@ impl Udf for TopK {
     }
 
     fn state_tuples(&self) -> usize {
-        self.window.iter().map(|(_, m)| m.len()).sum()
+        self.window.iter().map(|(_, counts)| counts.len()).sum()
     }
 }
 
@@ -357,6 +386,101 @@ mod tests {
         );
         let set = topk_set(&out);
         assert_eq!(set, vec![2, 3], "object 1 fell out of the window");
+    }
+
+    /// The from-scratch `TopK` the running total replaced, kept as the
+    /// reference: every batch re-merges the window's per-batch maps and
+    /// sorts every object.
+    struct ReferenceTopK {
+        k: usize,
+        window_batches: u64,
+        window: VecDeque<(u64, BTreeMap<u64, i64>)>,
+    }
+
+    impl ReferenceTopK {
+        fn on_batch(&mut self, batch: u64, inputs: &[InputBatch<'_>]) -> Vec<(u64, i64)> {
+            let mut counts: BTreeMap<u64, i64> = BTreeMap::new();
+            for input in inputs {
+                for t in input.iter() {
+                    *counts.entry(t.key).or_insert(0) += t.value.as_int().unwrap_or(1);
+                }
+            }
+            self.window.push_back((batch, counts));
+            let min_keep = batch.saturating_sub(self.window_batches.saturating_sub(1));
+            while self.window.front().is_some_and(|(b, _)| *b < min_keep) {
+                self.window.pop_front();
+            }
+            let mut total: BTreeMap<u64, i64> = BTreeMap::new();
+            for (_, m) in &self.window {
+                for (k, c) in m {
+                    *total.entry(*k).or_insert(0) += c;
+                }
+            }
+            let mut ranked: Vec<(u64, i64)> = total.into_iter().collect();
+            ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            ranked.truncate(self.k);
+            ranked
+        }
+
+        fn state_tuples(&self) -> usize {
+            self.window.iter().map(|(_, m)| m.len()).sum()
+        }
+    }
+
+    #[test]
+    fn topk_running_total_matches_the_from_scratch_merge() {
+        use ppa_sim::SimTime;
+        // Few objects and small counts, so ranks tie; zero and negative
+        // partial counts keep an object in the window at a zero sum; some
+        // tuples carry no count and count 1.
+        for seed in 0..24u64 {
+            let draw = |b: u64, i: u64, below: u64| {
+                (uniform_hash(seed, b, i, below) * below as f64) as u64
+            };
+            let n_objects = 1 + draw(0, 0, 30);
+            let window_batches = draw(0, 1, 6);
+            // k = 0, k below the object count, and k above it.
+            for k in [0, 1, 3, 10, 64] {
+                let mut udf = TopK::new(k, window_batches);
+                let mut reference = ReferenceTopK {
+                    k,
+                    window_batches,
+                    window: VecDeque::new(),
+                };
+                for b in 0..40u64 {
+                    let chunks: Vec<Chunk> = (0..draw(b, 0, 4))
+                        .map(|c| {
+                            let tuples = (0..draw(b, 1 + c, 12)).map(|i| {
+                                let at = 100 * c + i;
+                                let key = draw(b, 1000 + at, n_objects);
+                                match draw(b, 2000 + at, 8) {
+                                    0 => Tuple::key_only(key),
+                                    v => Tuple::new(key, Value::Int(v as i64 - 2)),
+                                }
+                            });
+                            tuples.collect::<Vec<_>>().into()
+                        })
+                        .collect();
+                    let inputs = [InputBatch::new(0, &chunks)];
+                    let ctx = BatchCtx {
+                        batch: b,
+                        now: SimTime::ZERO,
+                        task_local: 0,
+                        parallelism: 1,
+                    };
+                    let mut out = Output::new();
+                    udf.on_batch(&ctx, &inputs, &mut out);
+                    let expected = reference.on_batch(b, &inputs);
+                    let what = format!("seed {seed}, k {k}, batch {b}");
+                    assert_eq!(
+                        out[..],
+                        [Tuple::new(0, Value::Counts(Arc::new(expected)))],
+                        "{what}"
+                    );
+                    assert_eq!(udf.state_tuples(), reference.state_tuples(), "{what}");
+                }
+            }
+        }
     }
 
     #[test]
