@@ -5,6 +5,7 @@
 
 use ppa_bench::RunSummary;
 use ppa_bench::{registry, render_markdown, report, run_experiments, Figure, RunOptions};
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 fn opts(jobs: usize) -> RunOptions {
@@ -15,12 +16,25 @@ fn opts(jobs: usize) -> RunOptions {
     }
 }
 
-/// The whole quick registry at `--jobs 4`, run once and shared by the
-/// shape test, the golden test, the claim tests and (as the parallel
-/// side) the determinism test.
+/// Where the shared run writes its traces (read by the trace-digest
+/// test only).
+fn trace_dir() -> PathBuf {
+    std::env::temp_dir().join(format!("ppa_harness_traces_{}", std::process::id()))
+}
+
+/// The whole quick registry at `--jobs 4`, traced, run once and shared by
+/// the shape test, the golden tests, the claim tests and (as the parallel
+/// side, against an untraced serial run) the determinism test.
 fn summary() -> &'static RunSummary {
     static SUMMARY: OnceLock<RunSummary> = OnceLock::new();
-    SUMMARY.get_or_init(|| run_experiments(&opts(4)))
+    SUMMARY.get_or_init(|| {
+        let dir = trace_dir();
+        let _ = std::fs::remove_dir_all(&dir);
+        run_experiments(&RunOptions {
+            trace_dir: Some(dir),
+            ..opts(4)
+        })
+    })
 }
 
 /// Figure `figure` of experiment `experiment` in the shared run.
@@ -150,6 +164,69 @@ fn quick_report_matches_the_committed_golden_outside_timing_lines() {
         at + 1,
         context(&golden),
         context(&actual),
+    );
+}
+
+/// FNV-1a, 64-bit.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// `<digest>  <experiment>/<file>` for every file under `dir`, sorted by
+/// path.
+fn digest_lines(dir: &Path) -> std::io::Result<Vec<String>> {
+    let mut files = Vec::new();
+    for experiment in std::fs::read_dir(dir)? {
+        let experiment = experiment?;
+        for file in std::fs::read_dir(experiment.path())? {
+            let file = file?;
+            let path = format!(
+                "{}/{}",
+                experiment.file_name().to_string_lossy(),
+                file.file_name().to_string_lossy()
+            );
+            files.push((path, fnv1a64(&std::fs::read(file.path())?)));
+        }
+    }
+    files.sort();
+    Ok(files
+        .into_iter()
+        .map(|(path, digest)| format!("{digest:016x}  {path}"))
+        .collect())
+}
+
+/// "Same bytes out" for traces: every `--trace-dir` file of the shared
+/// run digests to its line in the committed `BENCH_traces.txt`. The
+/// untimed-JSON golden and the determinism test already hold the traced
+/// run's report to an untraced one.
+#[test]
+fn quick_traces_match_the_committed_digests() {
+    summary();
+    let dir = trace_dir();
+    let actual = digest_lines(&dir).expect("the shared run wrote its traces");
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_traces.txt");
+    let golden = std::fs::read_to_string(path).expect("BENCH_traces.txt is committed");
+    let golden: Vec<&str> = golden.lines().collect();
+    if golden == actual {
+        return;
+    }
+    let fresh = std::env::temp_dir().join(format!("BENCH_traces_{}.txt", std::process::id()));
+    std::fs::write(&fresh, actual.join("\n") + "\n").expect("write the fresh digests");
+    let at = (0..golden.len().max(actual.len()))
+        .find(|&i| golden.get(i).copied() != actual.get(i).map(String::as_str))
+        .unwrap_or(0);
+    panic!(
+        "trace digests diverge from BENCH_traces.txt at line {}: golden {:?}, this run {:?} \
+         ({} vs {} files; an intended change copies {} over BENCH_traces.txt)",
+        at + 1,
+        golden.get(at),
+        actual.get(at),
+        golden.len(),
+        actual.len(),
+        fresh.display(),
     );
 }
 

@@ -3,12 +3,12 @@
 //! story.
 //!
 //! `ppa_obs::check_stream` validates what the stream alone can express
-//! (the per-task outage lifecycle machine); this module adds every check
-//! that needs a second witness:
+//! (the per-task outage lifecycle machine) and hands back the histories
+//! it folded; this module adds every check that needs a second witness:
 //!
-//! * **events ↔ report** — each task's `OutageOpened`/close events agree
-//!   with its `TaskOutages` record history, record timestamps are
-//!   ordered, and only the last record may be open;
+//! * **events ↔ report** — the stream, folded through
+//!   [`OutageFold`], equals the report's outage histories record for
+//!   record;
 //! * **events ↔ trace** — `FailureInjected` waves replay the resolved
 //!   kill trace exactly;
 //! * **events ↔ metrics** — the run's counters equal its stream folded
@@ -24,7 +24,7 @@
 
 use crate::feed::ResolvedChaos;
 use ppa_engine::{EngineEvent, MetricsRegistry, MetricsSnapshot, RunReport, HEARTBEAT_INTERVAL};
-use ppa_obs::{check_stream, Violation};
+use ppa_obs::{check_stream, OutageFold, OutageRecord, Violation};
 use ppa_sim::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -54,147 +54,38 @@ fn violation(
 /// Runs the stream checker plus every cross-layer check; returns all
 /// violations found (empty = the run holds its invariants).
 pub(crate) fn check_run(input: &CheckInput<'_>) -> Vec<Violation> {
-    let mut out = check_stream(input.events).violations;
-    let by_task = fold_task_events(input.events);
-    check_report_agreement(input, &by_task, &mut out);
+    let check = check_stream(input.events);
+    let mut out = check.violations;
+    check_report_agreement(input, &check.outages, &mut out);
     check_trace_agreement(input, &mut out);
     check_metrics_agreement(input, &mut out);
-    check_sink_exactly_once(input, &by_task, &mut out);
-    check_closed_or_explained(input, &by_task, &mut out);
+    check_sink_exactly_once(input, &mut out);
+    check_closed_or_explained(input, &check.outages, &mut out);
     out
 }
 
-/// Per-task event counts folded out of the stream.
-#[derive(Default)]
-struct TaskEvents {
-    opened: usize,
-    closed: usize,
-    restores_started: usize,
-    /// Instant of the last `OutageOpened`/`RecoverySetback` — the last
-    /// time the task's detection clock was (re)armed.
-    last_armed: SimTime,
-}
-
-fn fold_task_events(events: &[(SimTime, EngineEvent)]) -> BTreeMap<usize, TaskEvents> {
-    let mut tasks: BTreeMap<usize, TaskEvents> = BTreeMap::new();
-    for &(at, ref event) in events {
-        match event {
-            EngineEvent::OutageOpened { task, .. } => {
-                let st = tasks.entry(*task).or_default();
-                st.opened += 1;
-                st.last_armed = st.last_armed.max(at);
-            }
-            EngineEvent::RecoverySetback { task } => {
-                let st = tasks.entry(*task).or_default();
-                st.last_armed = st.last_armed.max(at);
-            }
-            EngineEvent::RestoreDone { task } | EngineEvent::ReplicaActivated { task } => {
-                tasks.entry(*task).or_default().closed += 1;
-            }
-            EngineEvent::RestoreStarted { task, .. } => {
-                tasks.entry(*task).or_default().restores_started += 1;
-            }
-            _ => {}
-        }
-    }
-    tasks
-}
-
-/// events ↔ report: outage histories and the stream must agree.
-fn check_report_agreement(
-    input: &CheckInput<'_>,
-    by_task: &BTreeMap<usize, TaskEvents>,
-    out: &mut Vec<Violation>,
-) {
-    let end = input.report.ended_at;
-
-    for outages in &input.report.outages {
-        let task = outages.task.0;
-        let folded = by_task.get(&task);
-        let opened = folded.map_or(0, |f| f.opened);
-        if opened != outages.records.len() {
-            out.push(violation(
-                "report_open_count_mismatch",
-                end,
-                Some(task),
-                format!(
-                    "{} OutageOpened events but {} outage records",
-                    opened,
-                    outages.records.len()
-                ),
-            ));
-        }
-        let closed_events = folded.map_or(0, |f| f.closed);
-        let closed_records = outages.records.iter().filter(|r| !r.open()).count();
-        if closed_events != closed_records {
-            out.push(violation(
-                "report_close_count_mismatch",
-                end,
-                Some(task),
-                format!("{closed_events} close events but {closed_records} recovered records"),
-            ));
-        }
-        for (i, r) in outages.records.iter().enumerate() {
-            if r.detected() && r.detected_at < r.failed_at {
-                out.push(violation(
-                    "record_detected_before_failed",
-                    r.detected_at,
-                    Some(task),
-                    format!(
-                        "record #{i}: detected {} < failed {}",
-                        r.detected_at, r.failed_at
-                    ),
-                ));
-            }
-            if let Some(rec) = r.recovered_at {
-                if !r.detected() {
-                    out.push(violation(
-                        "record_recovered_undetected",
-                        rec,
-                        Some(task),
-                        format!("record #{i} recovered without a detection"),
-                    ));
-                } else if rec < r.detected_at {
-                    out.push(violation(
-                        "record_recovered_before_detected",
-                        rec,
-                        Some(task),
-                        format!(
-                            "record #{i}: recovered {} < detected {}",
-                            rec, r.detected_at
-                        ),
-                    ));
-                }
-            }
-            if r.open() && i + 1 != outages.records.len() {
-                out.push(violation(
-                    "non_final_record_open",
-                    end,
-                    Some(task),
-                    format!(
-                        "record #{i} is open but {} records follow it",
-                        outages.records.len() - i - 1
-                    ),
-                ));
-            }
-        }
-    }
-
-    // The converse direction: a task with outage events must own a
-    // report history.
-    for (&task, folded) in by_task {
-        if folded.opened > 0 && !input.report.outages.iter().any(|o| o.task.0 == task) {
-            out.push(violation(
-                "report_history_missing",
-                end,
-                Some(task),
-                format!(
-                    "{} OutageOpened events but no outage history",
-                    folded.opened
-                ),
-            ));
-        }
-    }
+/// events ↔ report: the stream must fold to exactly the report's outage
+/// histories — same tasks in the same order, same records. The first
+/// history that differs is named.
+fn check_report_agreement(input: &CheckInput<'_>, fold: &OutageFold, out: &mut Vec<Violation>) {
+    let folded: Vec<(usize, &[OutageRecord])> = fold.histories().collect();
+    let reported: Vec<(usize, &[OutageRecord])> = input
+        .report
+        .outages
+        .iter()
+        .map(|h| (h.task.0, h.records.as_slice()))
+        .collect();
+    let Some(i) = (0..folded.len().max(reported.len())).find(|&i| folded.get(i) != reported.get(i))
+    else {
+        return;
+    };
+    let (ours, theirs) = (folded.get(i), reported.get(i));
+    out.push(violation(
+        "report_outages_mismatch",
+        input.report.ended_at,
+        ours.or(theirs).map(|&(task, _)| task),
+        format!("history #{i}: the stream folds to {ours:?}, the report holds {theirs:?}"),
+    ));
 }
 
 /// events ↔ trace: `FailureInjected` waves must replay the resolved kill
@@ -265,11 +156,15 @@ fn check_metrics_agreement(input: &CheckInput<'_>, out: &mut Vec<Violation>) {
 /// may repeat only if that sink task went through a state restore (the
 /// restore rewinds its batch cursor; downstream re-emission is the
 /// documented at-least-once window of checkpoint recovery).
-fn check_sink_exactly_once(
-    input: &CheckInput<'_>,
-    by_task: &BTreeMap<usize, TaskEvents>,
-    out: &mut Vec<Violation>,
-) {
+fn check_sink_exactly_once(input: &CheckInput<'_>, out: &mut Vec<Violation>) {
+    let restored: BTreeSet<usize> = input
+        .events
+        .iter()
+        .filter_map(|(_, e)| match e {
+            EngineEvent::RestoreStarted { task, .. } => Some(*task),
+            _ => None,
+        })
+        .collect();
     let mut seen: BTreeMap<(usize, u64), usize> = BTreeMap::new();
     for batch in &input.report.sink {
         if batch.tentative {
@@ -278,7 +173,7 @@ fn check_sink_exactly_once(
         *seen.entry((batch.task.0, batch.batch)).or_default() += 1;
     }
     for ((task, batch), count) in seen {
-        if count > 1 && by_task.get(&task).map_or(0, |f| f.restores_started) == 0 {
+        if count > 1 && !restored.contains(&task) {
             out.push(violation(
                 "sink_duplicate_batch",
                 input.horizon,
@@ -296,11 +191,7 @@ fn check_sink_exactly_once(
 /// within the detection allowance measured from the last (re)arming of
 /// its detection clock: two heartbeat scans plus whatever slack the
 /// chaos schedule legitimately injected.
-fn check_closed_or_explained(
-    input: &CheckInput<'_>,
-    by_task: &BTreeMap<usize, TaskEvents>,
-    out: &mut Vec<Violation>,
-) {
+fn check_closed_or_explained(input: &CheckInput<'_>, fold: &OutageFold, out: &mut Vec<Violation>) {
     let slack = input.resolved.schedule.detection_slack();
     let allowance = HEARTBEAT_INTERVAL + HEARTBEAT_INTERVAL + slack;
     for outages in &input.report.outages {
@@ -311,7 +202,7 @@ fn check_closed_or_explained(
         if !last.open() || last.detected() {
             continue;
         }
-        let armed = by_task.get(&task).map_or(last.failed_at, |f| f.last_armed);
+        let armed = fold.armed_at(task).unwrap_or(last.failed_at);
         let overdue = input.horizon.since(armed.min(input.horizon));
         if overdue > allowance {
             out.push(violation(

@@ -269,6 +269,7 @@ pub fn run_swarm(root_seed: u64, n: usize) -> Result<SwarmReport, SwarmError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppa_sim::SimDuration;
     use std::error::Error;
 
     type TestResult = Result<(), Box<dyn Error>>;
@@ -278,6 +279,66 @@ mod tests {
         let outcome = run_seed(42, 0)?;
         assert!(outcome.ok(), "violations: {:?}", outcome.violations);
         assert!(outcome.events > 0, "the trace sink saw the run");
+        Ok(())
+    }
+
+    /// Each mutation of a clean run's report breaks exactly the one
+    /// events ↔ report rule, naming the history that differs.
+    #[test]
+    fn every_report_mutation_is_one_outage_mismatch() -> TestResult {
+        let (built, resolved, arts) = (0..64)
+            .map(|index| -> Result<_, SwarmError> {
+                let built = build(&ScenarioParams::for_seed(42, index))?;
+                let resolved = built.feed.resolve(&built.placement, built.horizon)?;
+                let arts = run_once(&built, &resolved.trace, &resolved.schedule)?;
+                Ok((built, resolved, arts))
+            })
+            .find(|run| {
+                run.as_ref().map_or(true, |(_, _, arts)| {
+                    let outages = &arts.report.outages;
+                    outages.len() >= 2 && outages[0].records.iter().any(|r| !r.open())
+                })
+            })
+            .ok_or("no seed with two histories and a closed record")??;
+        assert_eq!(check_artifacts(&built, &resolved, &arts), Vec::new());
+
+        let first = arts.report.outages[0].task.0;
+        let second = arts.report.outages[1].task.0;
+        let closed = arts.report.outages[0]
+            .records
+            .iter()
+            .position(|r| !r.open())
+            .ok_or("a closed record")?;
+        type Mutation = fn(&mut RunReport, usize);
+        let mutations: [(&str, usize, Mutation); 4] = [
+            ("drop a record", first, |r, _| {
+                r.outages[0].records.pop();
+            }),
+            ("shift a recovered_at", first, |r, i| {
+                let rec = &mut r.outages[0].records[i];
+                rec.recovered_at = rec.recovered_at.map(|at| at + SimDuration::from_micros(1));
+            }),
+            ("flip a closed record's via_replica", first, |r, i| {
+                let rec = &mut r.outages[0].records[i];
+                rec.via_replica = !rec.via_replica;
+            }),
+            ("drop a history", second, |r, _| {
+                r.outages.remove(1);
+            }),
+        ];
+        for (what, task, mutate) in mutations {
+            let mut mutated = RunArtifacts {
+                report: arts.report.clone(),
+                events: arts.events.clone(),
+                metrics: arts.metrics.clone(),
+            };
+            mutate(&mut mutated.report, closed);
+            let flagged: Vec<(&str, Option<usize>)> = check_artifacts(&built, &resolved, &mutated)
+                .iter()
+                .map(|v| (v.invariant, v.task))
+                .collect();
+            assert_eq!(flagged, [("report_outages_mismatch", Some(task))], "{what}");
+        }
         Ok(())
     }
 

@@ -138,9 +138,12 @@ impl DomainHealth {
         }
     }
 
+    /// `0.5^(elapsed / half_life)`, written as `exp2` because an
+    /// optimised build rewrites `0.5.powf(x)` into `exp2(-x)`: calling it
+    /// directly keeps debug and release builds bit-identical.
     fn decay(&self, from: SimTime, to: SimTime) -> f64 {
         let elapsed = to.since(from);
-        0.5f64.powf(elapsed.as_secs_f64() / self.half_life.as_secs_f64())
+        (-(elapsed.as_secs_f64() / self.half_life.as_secs_f64())).exp2()
     }
 
     /// Records one failure under `domain` at `at`.
@@ -198,12 +201,12 @@ impl<'a> HealthView<'a> {
         self.scores.get(domain.0).copied().unwrap_or(0.0)
     }
 
-    /// Monotone count of recovery setbacks: re-failures, deaths that
+    /// Monotone count of recovery setbacks: re-failures, and deaths that
     /// re-armed an open outage mid-recovery (which do NOT grow the
-    /// outage count), and pending takeovers lost to a muted replica's
-    /// death. Comparing against the value last acted on is how a policy
-    /// detects that *something went backwards* since its last hook, even
-    /// inside domains it already evacuated.
+    /// outage count) — a muted replica's death while its takeover was
+    /// pending among them. Comparing against the value last acted on is
+    /// how a policy detects that *something went backwards* since its
+    /// last hook, even inside domains it already evacuated.
     pub(crate) fn recovery_setbacks(&self) -> usize {
         self.setbacks
     }

@@ -2,65 +2,8 @@
 
 use crate::tuple::Chunk;
 use ppa_core::TaskIndex;
+pub use ppa_obs::OutageRecord;
 use ppa_sim::{SimDuration, SimTime};
-
-/// Where a task sits in its failure/recovery lifecycle.
-///
-/// The runtime walks each task through
-/// `Healthy → Failed → Replaying → Recovered → ReFailed → Replaying → …`:
-/// every failure of the task's *active incarnation* (primary, restored
-/// primary, or activated replica) opens a fresh [`OutageRecord`] and moves
-/// the task to `Failed`/`ReFailed`; detection + a started recovery path
-/// moves it to `Replaying`; restoring its pre-failure progress moves it to
-/// `Recovered`, from which it can fail again.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Lifecycle {
-    /// Never failed.
-    Healthy,
-    /// In its first outage, no recovery path running yet.
-    Failed,
-    /// A recovery path is running (pending replica takeover, checkpoint
-    /// restore + catch-up, or source replay).
-    Replaying,
-    /// The most recent outage recovered; the task serves again.
-    Recovered,
-    /// Failed again after recovering — the honest re-failure state the
-    /// one-shot bookkeeping used to paper over.
-    ReFailed,
-}
-
-/// One outage in a task's lifecycle: a failure of its active incarnation,
-/// its detection, and (if the run lasted long enough) its recovery.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OutageRecord {
-    /// Whether this outage was recovered from an active replica.
-    pub via_replica: bool,
-    /// When the hosting node actually failed.
-    pub failed_at: SimTime,
-    /// When the master's heartbeat scan detected it (`SimTime::MAX` until
-    /// then).
-    pub detected_at: SimTime,
-    /// When the task's progress vector dominated its pre-failure progress
-    /// (`None` if the run ended first).
-    pub recovered_at: Option<SimTime>,
-}
-
-impl OutageRecord {
-    /// The paper's recovery latency: detection → progress restored.
-    pub fn latency(&self) -> Option<SimDuration> {
-        self.recovered_at.map(|r| r.since(self.detected_at))
-    }
-
-    /// Whether the heartbeat scan has detected this outage.
-    pub fn detected(&self) -> bool {
-        self.detected_at != SimTime::MAX
-    }
-
-    /// Whether the outage is still unrecovered.
-    pub fn open(&self) -> bool {
-        self.recovered_at.is_none()
-    }
-}
 
 /// Full outage history of one task, oldest first.
 #[derive(Debug, Clone)]

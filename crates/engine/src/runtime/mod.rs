@@ -28,12 +28,13 @@
 //! * this file — the cluster state, the one way in ([`FaultFeed`] →
 //!   [`Simulation::drive`]; [`Simulation::run`] is `new` + `drive` +
 //!   [`StaticPolicy`]), the event loop and dispatch, failure and
-//!   detection, backups, and the application of control-plane actions;
+//!   detection, backups, and the application of control-plane actions.
+//!   The outage books are an [`OutageFold`] fed every emitted
+//!   [`EngineEvent`]: each transition's call site picks its event from
+//!   the fold's current record, and the fold writes the
+//!   [`OutageRecord`] fields that event implies;
 //! * `lane` — the data plane: source generation, delivery, batch
 //!   processing, emit;
-//! * `ledger` — the outage books: the only code that writes an
-//!   [`OutageRecord`] field or a [`Lifecycle`](crate::report::Lifecycle),
-//!   and the source of the [`EngineEvent`] each transition implies;
 //! * `recovery` — detection → close: the shared recovery steps and the
 //!   three restore families composed from them, replica takeover, proxy
 //!   punctuations.
@@ -43,7 +44,6 @@
     reason = "the runtime's internal bookkeeping uses nested generic types whose shape is the documentation (batch id -> (payload, tentative), per-slot); naming each would add indirection without clarity"
 )]
 
-use self::ledger::OutageLedger;
 use crate::chaos::{ChaosError, ChaosKind, ChaosSpec};
 use crate::config::{EngineConfig, FtMode, HEALTH_HALF_LIFE, HEARTBEAT_INTERVAL};
 use crate::control::{
@@ -54,18 +54,17 @@ use crate::error::EngineError;
 use crate::feed::FaultFeed;
 use crate::placement::{move_counts, plan_evacuation, MoveRole, NodeId, Placement};
 use crate::query::{Incarnation, Query};
-use crate::report::{CpuStats, OutageRecord, RunReport, SinkBatch};
+use crate::report::{CpuStats, OutageRecord, RunReport, SinkBatch, TaskOutages};
 use crate::tuple::{Chunk, WeakChunk};
 use crate::udf::{SourceGen, Udf};
 use ppa_core::{AdaptivePlanner, StructureAwarePlanner, TaskSet};
 use ppa_core::{TaskGraph, TaskIndex};
-use ppa_obs::{EngineEvent, MetricsRegistry, TraceSink};
+use ppa_obs::{EngineEvent, MetricsRegistry, OutageFold, TraceSink};
 use ppa_sim::{Scheduler, SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
 mod lane;
-mod ledger;
 mod recovery;
 
 /// A failure injection: the listed nodes die at `at`.
@@ -371,8 +370,9 @@ pub struct Simulation {
     /// Node CPU horizon.
     node_busy: Vec<SimTime>,
     node_alive: Vec<bool>,
-    /// Outage histories, lifecycle states and the setback count.
-    ledger: OutageLedger,
+    /// The outage books: every emitted event folded through the
+    /// lifecycle state machine — the report's outage histories.
+    outages: OutageFold,
     sink: Vec<SinkBatch>,
     events: u64,
     /// Tuples scheduled for delivery so far (replica copies included) —
@@ -521,7 +521,7 @@ impl Simulation {
             sched: Scheduler::with_capacity(2 * tasks.len() + 16),
             node_busy: vec![SimTime::ZERO; placement.n_nodes()],
             node_alive: vec![true; placement.n_nodes()],
-            ledger: OutageLedger::new(n),
+            outages: OutageFold::new(),
             sink: Vec::new(),
             events: 0,
             tuples_moved: 0,
@@ -687,7 +687,14 @@ impl Simulation {
     fn report_at(&self, until: SimTime) -> RunReport {
         let primaries = &self.tasks[..self.graph.n_tasks()];
         RunReport {
-            outages: self.ledger.histories().to_vec(),
+            outages: self
+                .outages
+                .histories()
+                .map(|(task, records)| TaskOutages {
+                    task: TaskIndex(task),
+                    records: records.to_vec(),
+                })
+                .collect(),
             sink: self.sink.clone(),
             cpu: primaries.iter().map(|t| t.cpu).collect(),
             events: self.events,
@@ -820,7 +827,7 @@ impl Simulation {
                 .as_ref()
                 .map(|h| h.snapshot(at))
                 .unwrap_or_default(),
-            self.ledger.setbacks(),
+            self.metrics.counter("engine.recovery.setbacks") as usize,
         )
     }
 
@@ -837,32 +844,51 @@ impl Simulation {
         self.trace_sink.take()
     }
 
-    /// Records one lifecycle transition: always into the metrics
-    /// registry, and into the trace sink when one is attached. `at` is
-    /// the transition's *semantic* instant — a recovery completes at a
-    /// CPU horizon that can run ahead of the event-loop clock.
+    /// Records one lifecycle transition: into the outage books and the
+    /// metrics registry, and into the trace sink when one is attached.
+    /// `at` is the transition's *semantic* instant — a recovery completes
+    /// at a CPU horizon that can run ahead of the event-loop clock. Every
+    /// call site picks its event from the books' current state, so no
+    /// transition may break a lifecycle rule.
     fn note(&mut self, at: SimTime, event: EngineEvent) {
+        let broken = self.outages.apply(at, &event);
+        debug_assert!(broken.is_empty(), "{event:?} at {at}: {broken:?}");
         self.metrics.record(&event);
         if let Some(sink) = self.trace_sink.as_mut() {
             sink.record(at, &event);
         }
     }
 
-    /// Task `t`'s active incarnation just died: opens (or re-arms) its
-    /// outage in the ledger.
+    /// Task `t`'s active incarnation just died: a healthy or recovered
+    /// task opens a fresh outage record; a task dying again mid-recovery
+    /// keeps its open record but loses its detection and any pending
+    /// recovery path — the master must re-detect it.
     fn fail_task(&mut self, t: usize) {
         let now = self.sched.now();
-        let opened = self.ledger.fail(t, now);
-        self.note(now, opened);
+        let event = match self.outages.current(t) {
+            Some(rec) if rec.open() => EngineEvent::RecoverySetback { task: t },
+            last => EngineEvent::OutageOpened {
+                task: t,
+                refail: last.is_some(),
+            },
+        };
+        self.note(now, event);
     }
 
     /// Closes task `t`'s current outage at `at` — by replica `takeover`,
     /// else by restore. Every recovery path ends here; a second close of
-    /// the same record is a no-op.
+    /// the same record is a no-op, so each record has exactly one closing
+    /// event.
     fn mark_recovered(&mut self, t: usize, at: SimTime, takeover: bool) {
-        if let Some(closed) = self.ledger.close(t, at, takeover) {
-            self.note(at, closed);
+        if !self.outages.current(t).is_some_and(OutageRecord::open) {
+            return;
         }
+        let event = if takeover {
+            EngineEvent::ReplicaActivated { task: t }
+        } else {
+            EngineEvent::RestoreDone { task: t }
+        };
+        self.note(at, event);
     }
 
     // ------------------------------------------------------------------
@@ -946,7 +972,7 @@ impl Simulation {
             (0..n)
                 .filter(|&t| {
                     self.tasks[t].status == Status::Dead
-                        || self.ledger.current(t).is_some_and(OutageRecord::open)
+                        || self.outages.current(t).is_some_and(OutageRecord::open)
                 })
                 .map(TaskIndex),
         );
@@ -1194,7 +1220,7 @@ impl Simulation {
         // replica's takeover. A not-yet-detected outage waits for the
         // heartbeat scan, whose start_recovery finds this replica running.
         if self.tasks[t].status == Status::Dead
-            && self.ledger.current(t).is_some_and(OutageRecord::detected)
+            && self.outages.current(t).is_some_and(OutageRecord::detected)
         {
             self.sched.at(finish, Event::TakeoverDone { logical: t });
         }
@@ -1481,16 +1507,16 @@ impl Simulation {
                         self.tasks[logical].pre_failure_progress = Some(progress);
                         self.fail_task(logical);
                     } else if self.tasks[logical].status == Status::Dead
-                        && self.ledger.awaiting_recovery(logical)
+                        && self.outages.awaiting_recovery(logical)
                     {
                         // A muted replica with a pending takeover died
                         // mid-recovery (the primary is still down and no
-                        // restore is in flight): fall straight back to
-                        // the passive path — the scheduled takeover will
-                        // find the slot dead and do nothing.
-                        let setback = self.ledger.lose_takeover(logical);
-                        self.note(now, setback);
-                        self.start_recovery(logical);
+                        // restore is in flight): the same re-arm as any
+                        // death mid-recovery. The next heartbeat scan
+                        // re-detects the task onto the passive path; the
+                        // scheduled takeover finds the slot dead and does
+                        // nothing.
+                        self.fail_task(logical);
                     }
                 }
             }
@@ -1543,10 +1569,16 @@ impl Simulation {
             }
             // Detect the task's *current* outage — a re-failed task (its
             // activated replica died) re-enters here with a fresh record.
-            let Some(detected) = self.ledger.detect(t, now) else {
+            // An already-detected record is skipped, which makes a
+            // repeated scan a no-op.
+            if !self
+                .outages
+                .current(t)
+                .is_some_and(|rec| rec.open() && !rec.detected())
+            {
                 continue;
-            };
-            self.note(now, detected);
+            }
+            self.note(now, EngineEvent::OutageDetected { task: t });
             self.start_recovery(t);
         }
     }

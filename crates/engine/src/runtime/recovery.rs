@@ -37,7 +37,6 @@ impl Simulation {
                             + self.config.costs.batch_overhead;
                         let finish =
                             self.reserve_from(self.tasks[slot].node, work, self.sched.now());
-                        self.ledger.begin_takeover(t);
                         self.sched.at(finish, Event::TakeoverDone { logical: t });
                         return;
                     }
@@ -67,8 +66,14 @@ impl Simulation {
         self.tasks[t].node = standby;
         let finish = self.reserve_from(standby, work, self.sched.now());
         self.sched.at(finish, Event::RestoreDone { rt: t });
-        let started = self.ledger.begin_restore(t, standby);
-        self.note(self.sched.now(), started);
+        let now = self.sched.now();
+        self.note(
+            now,
+            EngineEvent::RestoreStarted {
+                task: t,
+                node: standby,
+            },
+        );
     }
 
     /// The node a passive recovery restores task `t` onto: its configured
@@ -397,15 +402,13 @@ impl Simulation {
             // Proxy the task's *current* outage: a re-failed task (its
             // activated replica died) is proxied again once re-detected,
             // exactly like a first failure.
-            if !self.ledger.awaiting_recovery(t) {
+            if !self.outages.awaiting_recovery(t) {
                 continue;
             }
-            if !self.tasks[t].out_targets.is_empty() {
-                // The first proxy of this outage record: tentative
-                // (degraded) output starts flowing downstream.
-                if let Some(resumed) = self.ledger.first_proxy(t) {
-                    self.note(now, resumed);
-                }
+            // The first proxy of this outage record: tentative (degraded)
+            // output starts flowing downstream.
+            if !self.tasks[t].out_targets.is_empty() && !self.outages.tentative(t) {
+                self.note(now, EngineEvent::TentativeResumed { task: t });
             }
             self.send_proxy(t, frontier, now + self.config.costs.network_latency);
         }

@@ -1774,6 +1774,67 @@ fn inject_rejects_nodes_already_dead() -> TestResult {
 }
 
 #[test]
+fn takeover_lost_mid_recovery_rearms_and_restores() -> TestResult {
+    // Task 2's primary dies at 14 s and is detected at the 15 s scan; a
+    // slow resend keeps its muted replica's takeover pending past 16 s,
+    // when the replica's node dies too. That death re-arms the open
+    // record like any death mid-recovery: detection void, one setback,
+    // re-detection at the 20 s scan, and a restore closes the outage.
+    let q = chain_query(100, 10)?;
+    let mut config = base_config(FtMode::active(5));
+    config.costs.resend_per_tuple = SimDuration::from_millis(20);
+    let mut sim = Simulation::new(&q, one_task_per_node(&q)?, config);
+    sim.set_trace_sink(Box::new(ppa_obs::VecSink::new()));
+    let driven = sim.drive(
+        &vec![kill(14, node_of(2)), kill(16, 5 + 2)].into(),
+        &mut StaticPolicy,
+        SimTime::from_secs(60),
+    )?;
+    let events = sim
+        .take_trace_sink()
+        .map(|mut s| s.take_events())
+        .unwrap_or_default();
+    let check = ppa_obs::check_stream(&events);
+    assert!(check.ok(), "{:?}", check.violations);
+
+    let of_task_2: Vec<(SimTime, &EngineEvent)> = events
+        .iter()
+        .filter(|(_, e)| e.task() == Some(2))
+        .map(|(at, e)| (*at, e))
+        .collect();
+    let s = SimTime::from_secs;
+    assert_eq!(
+        of_task_2[..4],
+        [
+            (
+                s(14),
+                &EngineEvent::OutageOpened {
+                    task: 2,
+                    refail: false
+                }
+            ),
+            (s(15), &EngineEvent::OutageDetected { task: 2 }),
+            (s(16), &EngineEvent::RecoverySetback { task: 2 }),
+            (s(20), &EngineEvent::OutageDetected { task: 2 }),
+        ],
+        "{of_task_2:?}"
+    );
+    assert!(
+        matches!(of_task_2[4], (at, EngineEvent::RestoreStarted { task: 2, .. }) if at == s(20)),
+        "{of_task_2:?}"
+    );
+    assert_eq!(driven.metrics.counter("engine.recovery.setbacks"), 1);
+
+    let outages = driven.report.outages_of(TaskIndex(2));
+    assert_eq!(outages.len(), 1, "{outages:?}");
+    let rec = &outages[0];
+    assert_eq!((rec.failed_at, rec.detected_at), (s(14), s(20)));
+    assert!(rec.recovered_at.is_some(), "the restore closes it: {rec:?}");
+    assert!(!rec.via_replica, "{rec:?}");
+    Ok(())
+}
+
+#[test]
 fn dead_replica_falls_back_to_checkpoint_recovery() -> TestResult {
     // Kill the primary's node AND its replica's standby node: recovery must
     // fall back to the passive path and still complete.

@@ -21,8 +21,10 @@ pub enum EngineEvent {
     /// A task's active incarnation died: a fresh outage record opened.
     /// `refail` marks outages beyond the task's first.
     OutageOpened { task: usize, refail: bool },
-    /// A death mid-recovery re-armed the task's open outage record: the
-    /// pending recovery path (and its detection) is void.
+    /// The task's active incarnation, or the muted replica whose takeover
+    /// was pending, died mid-recovery: the open outage record is re-armed.
+    /// Its detection and pending recovery path are void; the master
+    /// re-detects it at a later heartbeat scan.
     RecoverySetback { task: usize },
     /// The master's heartbeat scan detected the task's current outage.
     OutageDetected { task: usize },

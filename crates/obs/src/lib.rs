@@ -32,6 +32,6 @@ mod timeline;
 
 pub use event::{EngineEvent, TraceSink, VecSink};
 pub use export::{escape_json, to_chrome_trace, to_jsonl};
-pub use invariant::{check_stream, StreamCheck, Violation};
+pub use invariant::{check_stream, OutageFold, OutageRecord, StreamCheck, Violation};
 pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use timeline::{render_timeline, TimelineConfig};
