@@ -167,6 +167,31 @@ fn quick_report_matches_the_committed_golden_outside_timing_lines() {
     );
 }
 
+/// "Same bytes out" for stdout: the shared run renders exactly the
+/// committed `BENCH_quick.md`; regenerate with
+/// `reproduce --quick --jobs 1 > BENCH_quick.md`.
+#[test]
+fn quick_stdout_matches_the_committed_golden() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_quick.md");
+    let golden = std::fs::read_to_string(path).expect("BENCH_quick.md is committed");
+    let actual = render_markdown(summary());
+    if golden == actual {
+        return;
+    }
+    let at = golden
+        .lines()
+        .zip(actual.lines())
+        .take_while(|(g, a)| g == a)
+        .count();
+    panic!(
+        "quick stdout diverges from BENCH_quick.md at line {}: golden {:?}, this run {:?} \
+         (an intended change: reproduce --quick --jobs 1 > BENCH_quick.md)",
+        at + 1,
+        golden.lines().nth(at),
+        actual.lines().nth(at),
+    );
+}
+
 /// FNV-1a, 64-bit.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {

@@ -13,7 +13,7 @@
 //! return instead of unwinding mid-run.
 
 use super::{trim_below, Backup, Event, Held, Msg, Rt, Status, TaskRt};
-use crate::config::{EngineConfig, FtMode};
+use crate::config::EngineConfig;
 use crate::report::SinkBatch;
 use crate::tuple::{route, Chunk, Tuple, WeakChunk};
 use crate::udf::{BatchCtx, InputBatch, Output};
@@ -476,7 +476,7 @@ fn process_batch(
     // bound arms a backup ship at this batch's CPU finish; replicas and
     // catch-up replay never ship (a replica's primary owns the drift,
     // and catch-up reprocesses tuples already counted).
-    if let FtMode::Approximate { error_bound } = cx.config.mode {
+    if let Backup::Divergence(error_bound) = cx.backup {
         if !task.is_replica && !catching_up && task.divergence.absorb(total_in as u64, error_bound)
         {
             cx.sched
@@ -486,7 +486,8 @@ fn process_batch(
 
     // Sink collection: active incarnations record directly; muted sink
     // replicas stash records so a takeover can backfill the gap between
-    // the primary's death and its own activation.
+    // the primary's death and its own activation (replica sync trims the
+    // stash below the primary's progress).
     if cx.graph.is_sink_task(task.logical) {
         let record = SinkBatch {
             task: task.logical,
@@ -498,11 +499,7 @@ fn process_batch(
         if task.outputs_enabled {
             cx.sink.push(record);
         } else {
-            task.pending_sink.push_back(record);
-            // Bound the stash to the replica sync horizon.
-            if task.pending_sink.len() > 256 {
-                task.pending_sink.pop_front();
-            }
+            task.pending_sink.push(record);
         }
     }
 

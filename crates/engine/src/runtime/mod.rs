@@ -35,9 +35,10 @@
 //!   [`OutageRecord`] fields that event implies;
 //! * `lane` — the data plane: source generation, delivery, batch
 //!   processing, emit;
-//! * `recovery` — detection → close: the shared recovery steps and the
-//!   three restore families composed from them, replica takeover, proxy
-//!   punctuations.
+//! * `recovery` — detection → close: the one passive restore
+//!   (`Simulation::restore`, the shared recovery steps in a fixed
+//!   sequence; a family is three choices on it, read off [`Backup`]),
+//!   replica takeover, proxy punctuations.
 
 #![expect(
     clippy::type_complexity,
@@ -189,7 +190,7 @@ struct TaskRt {
     pre_failure_progress: Option<u64>,
     /// Sink outputs a muted replica produced; promoted at takeover so the
     /// record has no hole between the primary's death and the takeover.
-    pending_sink: VecDeque<SinkBatch>,
+    pending_sink: Vec<SinkBatch>,
     cpu: CpuStats,
     /// Approximate mode: drift since the last shipped backup (idle — all
     /// zeros — under every other mode).
@@ -239,7 +240,7 @@ impl TaskRt {
             out_targets,
             checkpoint: None,
             pre_failure_progress: None,
-            pending_sink: VecDeque::new(),
+            pending_sink: Vec::new(),
             cpu: CpuStats::default(),
             divergence: crate::approx::DivergenceModel::default(),
         }
@@ -326,21 +327,27 @@ enum Event {
     },
 }
 
-/// How the run's [`FtMode`] backs task state up — what the recovery
-/// families' cadence and replay window derive from, fixed in
-/// [`Simulation::new`].
+/// The run's recovery family, read off [`FtMode`] once in
+/// [`Simulation::new`]: the only value in the runtime that says which
+/// family is running. It fixes how task state is backed up and the three
+/// choices [`Simulation::restore`] makes — where to rewind, which cursor
+/// to resume from and who re-serves the gap.
 #[derive(Debug, Clone, Copy)]
 enum Backup {
-    /// Nothing is backed up (`FtMode::None`, pure active replication).
+    /// No fault tolerance (`FtMode::None`): a failed task stays dead.
     None,
-    /// A checkpoint per task every interval.
-    Interval(SimDuration),
-    /// Storm: no task state; sources keep this many batches for replay.
+    /// PPA: a checkpoint per task every interval; restore rewinds to it
+    /// and upstreams re-serve the gap. `None` is pure active
+    /// replication, whose fallback restore starts from scratch.
+    Checkpoint(Option<SimDuration>),
+    /// Storm: no task state; sources keep this many batches and replay
+    /// them through the task's upstream cone.
     SourceBuffer(u64),
-    /// Approximate: a task ships when its drift crosses the mode's error
-    /// bound, never on a timer. Doubles as the gate on approximate-only
-    /// metric flushes so exact runs stay byte-identical.
-    Divergence,
+    /// Approximate: a task ships when its drift crosses this error bound,
+    /// never on a timer, and restore forfeits the gap to the frontier.
+    /// Doubles as the gate on approximate-only metric flushes so exact
+    /// runs stay byte-identical.
+    Divergence(u64),
 }
 
 /// Armed chaos (buggify) state, consumed by the heartbeat and restore
@@ -478,11 +485,8 @@ impl Simulation {
             FtMode::Ppa {
                 plan,
                 checkpoint_interval,
-            } => (
-                Some(plan),
-                checkpoint_interval.map_or(Backup::None, Backup::Interval),
-            ),
-            FtMode::Approximate { .. } => (None, Backup::Divergence),
+            } => (Some(plan), Backup::Checkpoint(*checkpoint_interval)),
+            FtMode::Approximate { error_bound } => (None, Backup::Divergence(*error_bound)),
         };
 
         // The operator state or generator of one incarnation of task `t`.
@@ -568,7 +572,7 @@ impl Simulation {
         self.sched.at(SimTime::ZERO + b, Event::ProxyTick);
         // Checkpoints, staggered per task so correlated recovery sees
         // asynchronous checkpoint ages (§V-B's synchronization effect).
-        if let Backup::Interval(interval) = self.backup {
+        if let Backup::Checkpoint(Some(interval)) = self.backup {
             for t in 0..self.graph.n_tasks() {
                 let offset = SimDuration::from_micros(
                     (t as u64).wrapping_mul(2_654_435_761) % interval.as_micros().max(1),
@@ -797,7 +801,7 @@ impl Simulation {
         // counter no event explains. Gated on the mode so exact runs never
         // grow a zero-valued extra metric (their drive reports must stay
         // byte-identical to pre-approximate builds).
-        if let Backup::Divergence = self.backup {
+        if let Backup::Divergence(_) = self.backup {
             let skipped = self.tasks.iter().map(|t| t.divergence.skipped()).sum();
             self.meter("engine.approx.backups_skipped", skipped);
         }
@@ -939,10 +943,7 @@ impl Simulation {
         at: SimTime,
         control_cpu: &mut SimDuration,
     ) -> ActionOutcome {
-        if !matches!(
-            self.config.mode,
-            FtMode::Ppa { .. } | FtMode::Approximate { .. }
-        ) {
+        if !matches!(self.backup, Backup::Checkpoint(_) | Backup::Divergence(_)) {
             return ActionOutcome::NoEffect {
                 action: "replan",
                 reason: "replication plans only exist under FtMode::Ppa",
@@ -1353,7 +1354,7 @@ impl Simulation {
     // ------------------------------------------------------------------
 
     fn on_checkpoint(&mut self, rt: Rt) {
-        if let Backup::Interval(interval) = self.backup {
+        if let Backup::Checkpoint(Some(interval)) = self.backup {
             self.sched.after(interval, Event::Checkpoint { rt });
         }
         if self.tasks[rt].status != Status::Running {
@@ -1449,11 +1450,15 @@ impl Simulation {
                 continue; // primary dead / replica activated: no more trims
             }
             // The primary's sent progress lets the replica trim its muted
-            // output buffer (§V-B "Active Replication").
+            // output buffer (§V-B "Active Replication") and its sink
+            // stash: a takeover backfills only from the primary's cut on,
+            // and the cut is at least this ack.
             let ack = self.tasks[t].next_batch;
-            for q in &mut self.tasks[slot].out_buffer {
+            let replica = &mut self.tasks[slot];
+            for q in &mut replica.out_buffer {
                 trim_below(q, ack);
             }
+            replica.pending_sink.retain(|s| s.batch >= ack);
         }
     }
 

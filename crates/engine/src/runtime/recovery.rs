@@ -1,20 +1,21 @@
 //! Recovery: what happens between an outage's detection and its close.
 //!
-//! The three passive families — checkpoint restore + replay
-//! ([`Simulation::restore_from_checkpoint`]), AF-Stream's lossy restore
-//! ([`Simulation::restore_approximate`]) and Storm's source replay
-//! ([`Simulation::restore_storm`]) — are the same three steps at
-//! different strengths: rewind to a backup, re-serve the gap, resume.
-//! Each family is a short composition of the shared steps below
-//! (`rewind`, `resume_source`, `reserve_from_upstreams`, `send_proxy`,
-//! `resend`); the steps schedule in a fixed order (a consumer's primary
-//! before its replica, targets in `out_targets` order, upstreams in
-//! `sub_from` order), which is what keeps same-instant tie-breaks stable.
-//! Active replication's takeover and the master's proxy punctuations
-//! (tentative output while an outage is open) live here too.
+//! The three passive families — checkpoint restore + replay, AF-Stream's
+//! lossy restore and Storm's source replay — are one recovery at three
+//! strengths: rewind to a backup, re-serve the gap, resume. They run
+//! through one executor, [`Simulation::restore`], a fixed sequence of the
+//! shared steps below (`rewind`, `resume_source`, `flush_out_buffer`,
+//! `forfeit_to_frontier`, `reserve_from_upstreams`,
+//! `replay_from_sources`); a family is three choices on that path —
+//! where to rewind, which cursor to resume from, who re-serves the gap —
+//! each read off the run's [`Backup`]. The steps schedule in a fixed
+//! order (a consumer's primary before its replica, targets in
+//! `out_targets` order, upstreams in `sub_from` order), which is what
+//! keeps same-instant tie-breaks stable. Active replication's takeover
+//! and the master's proxy punctuations (tentative output while an outage
+//! is open) live here too.
 
 use super::{lane, Backup, Checkpoint, Event, Msg, Rt, Simulation, Status};
-use crate::config::FtMode;
 use crate::placement::NodeId;
 use ppa_core::{TaskIndex, TaskSet};
 use ppa_obs::EngineEvent;
@@ -24,31 +25,27 @@ use std::collections::{BTreeMap, VecDeque};
 impl Simulation {
     /// Starts the recovery of freshly detected task `t`: replica takeover
     /// when a live replica exists (lossless under every replicating
-    /// mode), else the mode's passive restore. The families differ here
-    /// only in what the restore has to load.
+    /// mode), else the passive restore, billed for the checkpoint it
+    /// loads (none under Storm: its load is the bare batch overhead).
     pub(super) fn start_recovery(&mut self, t: usize) {
-        match &self.config.mode {
-            FtMode::None => { /* stays dead */ }
-            FtMode::Ppa { .. } | FtMode::Approximate { .. } => {
-                if let Some(slot) = self.replica_slot[t] {
-                    if self.tasks[slot].status == Status::Running {
-                        let buffered = self.tasks[slot].buffered_tuples();
-                        let work = self.config.costs.resend_per_tuple * buffered as u64
-                            + self.config.costs.batch_overhead;
-                        let finish =
-                            self.reserve_from(self.tasks[slot].node, work, self.sched.now());
-                        self.sched.at(finish, Event::TakeoverDone { logical: t });
-                        return;
-                    }
-                }
-                let state = self.tasks[t]
-                    .checkpoint
-                    .as_ref()
-                    .map_or(0, |cp| cp.state_tuples);
-                self.begin_restore(t, self.state_ship_work(state));
-            }
-            FtMode::SourceReplay { .. } => self.begin_restore(t, self.config.costs.batch_overhead),
+        if let Backup::None = self.backup {
+            return; // stays dead
         }
+        if let Some(slot) = self.replica_slot[t] {
+            if self.tasks[slot].status == Status::Running {
+                let buffered = self.tasks[slot].buffered_tuples();
+                let work = self.config.costs.resend_per_tuple * buffered as u64
+                    + self.config.costs.batch_overhead;
+                let finish = self.reserve_from(self.tasks[slot].node, work, self.sched.now());
+                self.sched.at(finish, Event::TakeoverDone { logical: t });
+                return;
+            }
+        }
+        let state = self.tasks[t]
+            .checkpoint
+            .as_ref()
+            .map_or(0, |cp| cp.state_tuples);
+        self.begin_restore(t, self.state_ship_work(state));
     }
 
     /// Schedules task `t`'s passive restore, `work` of loading, on its
@@ -109,12 +106,44 @@ impl Simulation {
             self.sched.after(by, Event::RestoreDone { rt });
             return;
         }
-        match &self.config.mode {
-            FtMode::Ppa { .. } => self.restore_from_checkpoint(rt),
-            FtMode::Approximate { .. } => self.restore_approximate(rt),
-            FtMode::SourceReplay { .. } => self.restore_storm(rt),
-            FtMode::None => {}
+        self.restore(rt);
+    }
+
+    /// The one passive restore, once slot `rt`'s load has finished:
+    /// 1. rewind — to the last snapshot (or scratch), or under Storm to
+    ///    scratch one replay window before the failure;
+    /// 2. a source resumes by regeneration and is done;
+    /// 3. flush the restored output buffer downstream;
+    /// 4. choose the cursor — the rewound `next_batch`, or under
+    ///    approximate mode the stream frontier (`forfeit_to_frontier`);
+    /// 5. have the gap from the cursor on re-served — by the upstreams,
+    ///    or under Storm by the live sources of the upstream cone;
+    /// 6. process whatever is ready; the outage closes when the replay
+    ///    catches up (approximate mode closed it at step 4).
+    fn restore(&mut self, rt: Rt) {
+        let (snapshot, scratch) = match self.backup {
+            Backup::SourceBuffer(window) => {
+                let pre = self.tasks[rt].pre_failure_progress.unwrap_or(0);
+                (None, pre.saturating_sub(window))
+            }
+            _ => (self.tasks[rt].checkpoint.clone(), 0),
+        };
+        self.rewind(rt, snapshot, scratch);
+        if self.tasks[rt].source.is_some() {
+            // Regeneration is exact: a source forfeits nothing.
+            return self.resume_source(rt);
         }
+        let at = self.sched.now() + self.config.costs.network_latency;
+        self.flush_out_buffer(rt, at);
+        let cursor = match self.backup {
+            Backup::Divergence(_) => self.forfeit_to_frontier(rt, at),
+            _ => self.tasks[rt].next_batch,
+        };
+        match self.backup {
+            Backup::SourceBuffer(_) => self.replay_from_sources(rt, cursor, at),
+            _ => self.reserve_from_upstreams(rt, cursor, at),
+        }
+        self.try_process(rt);
     }
 
     // ------------------------------------------------------------------
@@ -234,45 +263,24 @@ impl Simulation {
     }
 
     /// Flushes a slot's entire output buffer downstream (dedup makes this
-    /// idempotent); used at replica takeover and checkpoint restore.
+    /// idempotent); used at replica takeover and restore.
     fn flush_out_buffer(&mut self, rt: Rt, at: SimTime) {
         self.resend(rt, 0, at, None, |_, _| true);
     }
 
-    // ------------------------------------------------------------------
-    // The three families
-    // ------------------------------------------------------------------
-
-    /// Exact restore: rewind to the last checkpoint (or scratch), re-serve
-    /// downstream from the restored buffer, have upstreams replay the
-    /// whole gap; the outage closes when the replay catches up.
-    fn restore_from_checkpoint(&mut self, rt: Rt) {
-        let snapshot = self.tasks[rt].checkpoint.clone();
-        self.rewind(rt, snapshot, 0);
-        if self.tasks[rt].source.is_some() {
-            return self.resume_source(rt);
-        }
-        let at = self.sched.now() + self.config.costs.network_latency;
-        self.flush_out_buffer(rt, at);
-        self.reserve_from_upstreams(rt, self.tasks[rt].next_batch, at);
-        self.try_process(rt);
-    }
-
-    /// Approximate mode's lossy restore: the same rewind (already billed
-    /// when `RestoreDone` was scheduled), then a jump straight to the
-    /// stream frontier *without* replaying the gap. The batches between
-    /// the snapshot and the frontier are forfeited; one cumulative proxy
-    /// per out-edge closes them downstream so healthy consumers never
-    /// stall waiting for output that will never come. The loss is noted
-    /// as an `ApproxRecovery` event — the drift forfeited and the batches
-    /// skipped — before the `RestoreDone` that closes the outage.
-    fn restore_approximate(&mut self, rt: Rt) {
-        let snapshot = self.tasks[rt].checkpoint.clone();
-        self.rewind(rt, snapshot, 0);
-        if self.tasks[rt].source.is_some() {
-            // Regeneration *is* exact: a source forfeits nothing.
-            return self.resume_source(rt);
-        }
+    /// Approximate mode's cursor: a jump straight to the stream frontier
+    /// *without* replaying the gap. The batches between the snapshot and
+    /// the frontier are forfeited; one cumulative proxy per out-edge
+    /// (`Msg::Proxy` at batch `frontier - 1`, arriving at `at`) closes them
+    /// downstream so healthy consumers never stall waiting for output
+    /// that will never come. It follows the flush, or it would close
+    /// batches the flush re-serves and consumers would drop them as
+    /// duplicates. The loss is noted as an `ApproxRecovery` event — the
+    /// drift forfeited and the batches skipped — and the outage closes
+    /// at `now`, the restore's own CPU-reserved completion instant: the
+    /// jump is pure bookkeeping, so progress dominates here, not after
+    /// whatever other restores are queued on this standby.
+    fn forfeit_to_frontier(&mut self, rt: Rt, at: SimTime) -> u64 {
         let now = self.sched.now();
         let logical = self.tasks[rt].logical.0;
         let frontier = self.current_batch();
@@ -287,18 +295,9 @@ impl Simulation {
         task.status = Status::Running;
         let divergence = task.divergence.pending();
         task.divergence.reset();
-
-        // Re-serve downstream what the snapshot still covers, close the
-        // forfeited gap (`Msg::Proxy` at batch `frontier - 1` unblocks
-        // consumers through the frontier), and ask upstreams only for
-        // what the resumed task will actually process.
-        let at = now + self.config.costs.network_latency;
-        self.flush_out_buffer(rt, at);
         if frontier > 0 {
             self.send_proxy(logical, frontier - 1, at);
         }
-        self.reserve_from_upstreams(rt, frontier, at);
-
         self.note(
             now,
             EngineEvent::ApproxRecovery {
@@ -307,33 +306,20 @@ impl Simulation {
                 skipped_batches: skipped,
             },
         );
-        // `now` is the restore's own CPU-reserved completion instant, and
-        // the frontier jump is pure bookkeeping: progress dominates here,
-        // not after whatever other restores are queued on this standby.
         self.mark_recovered(logical, now, false);
-        self.try_process(rt);
+        frontier
     }
 
-    /// Storm's restore: rewind to an empty operator one replay window
-    /// before the failure; live sources replay their buffered window
-    /// through the topology toward this task, hops forwarding with
+    /// Storm's re-serve: the live sources of slot `rt`'s upstream cone
+    /// replay their buffered batches `>= cursor` toward it along every
+    /// edge inside the cone (the target included), hops forwarding with
     /// reprocessing charges.
-    fn restore_storm(&mut self, rt: Rt) {
-        let Backup::SourceBuffer(window) = self.backup else {
-            return;
-        };
-        let pre = self.tasks[rt].pre_failure_progress.unwrap_or(0);
-        self.rewind(rt, None, pre.saturating_sub(window));
-        if self.tasks[rt].source.is_some() {
-            return self.resume_source(rt);
-        }
+    fn replay_from_sources(&mut self, rt: Rt, cursor: u64, at: SimTime) {
         let logical = self.tasks[rt].logical;
         let graph = &self.graph;
         self.replay_cones.entry(logical.0).or_insert_with(|| {
             graph.upstream_closure(&TaskSet::from_tasks(graph.n_tasks(), [logical]))
         });
-        let cursor = self.tasks[rt].next_batch;
-        let at = self.sched.now() + self.config.costs.network_latency;
         let live_sources: Vec<Rt> = self.replay_cones[&logical.0]
             .iter()
             .map(|u| u.0)
@@ -343,7 +329,6 @@ impl Simulation {
             })
             .collect();
         for s in live_sources {
-            // Along every edge inside the cone (the target included).
             self.resend(s, cursor, at, Some(logical), |cx, to| {
                 cx.replay_cones[&logical.0].contains(to)
             });
@@ -380,10 +365,7 @@ impl Simulation {
     pub(super) fn on_proxy_tick(&mut self) {
         self.sched
             .after(self.config.batch_interval, Event::ProxyTick);
-        if !matches!(
-            self.config.mode,
-            FtMode::Ppa { .. } | FtMode::Approximate { .. }
-        ) {
+        if !matches!(self.backup, Backup::Checkpoint(_) | Backup::Divergence(_)) {
             return;
         }
         let frontier = self.current_batch().saturating_sub(1);

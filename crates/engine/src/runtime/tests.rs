@@ -51,8 +51,42 @@ impl Udf for WindowedPass {
     }
 }
 
+/// A mid that emits one tuple per batch, keyed by its window's tuple
+/// count once the batch is in: a window a restore rebuilt short shows in
+/// the output.
+#[derive(Clone)]
+struct WindowTotal(WindowedPass);
+
+impl Udf for WindowTotal {
+    fn on_batch(&mut self, ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Output) {
+        let WindowTotal(pass) = self;
+        let tuples = inputs.iter().map(InputBatch::len).sum();
+        pass.buf.push(ctx.batch, tuples, pass.window_batches);
+        out.push(Tuple::key_only(pass.buf.len_tuples() as u64));
+    }
+
+    fn snapshot(&self) -> Box<dyn Udf> {
+        Box::new(self.clone())
+    }
+
+    fn state_tuples(&self) -> usize {
+        self.0.state_tuples()
+    }
+}
+
 /// source(2 tasks) -> mid(2, one-to-one) -> sink(1, merge).
 fn chain_query(per_batch: usize, window_batches: u64) -> Result<Query, Box<dyn Error>> {
+    chain_with_mid(per_batch, window_batches, |w| {
+        Box::new(WindowedPass::new(w))
+    })
+}
+
+/// [`chain_query`] with `mid(window_batches)` as the mid operator.
+fn chain_with_mid(
+    per_batch: usize,
+    window_batches: u64,
+    mid: fn(u64) -> Box<dyn Udf>,
+) -> Result<Query, Box<dyn Error>> {
     let mut q = QueryBuilder::new();
     let s = q.add_source(
         OperatorSpec::source("src", 2, per_batch as f64),
@@ -65,7 +99,7 @@ fn chain_query(per_batch: usize, window_batches: u64) -> Result<Query, Box<dyn E
         },
     );
     let m = q.add_operator(OperatorSpec::map("mid", 2, 1.0), move |_| {
-        Box::new(WindowedPass::new(window_batches))
+        mid(window_batches)
     });
     let k = q.add_operator(OperatorSpec::map("sink", 1, 1.0), move |_| {
         Box::new(WindowedPass::new(window_batches))
@@ -876,7 +910,7 @@ fn a_second_reserve_shares_the_first_regeneration() -> TestResult {
 fn a_killed_slot_keeps_no_buffers() -> TestResult {
     let q = chain_query(100, 3)?;
     let mut sim = Simulation::new(&q, one_task_per_node(&q)?, base_config(FtMode::active(5)));
-    drive_to(&mut sim, 10, vec![])?;
+    drive_to(&mut sim, 9, vec![])?;
     let (mid, sink_replica) = (2, sim.replica_slot[4].ok_or("the sink is replicated")?);
     let standby = sim.tasks[sink_replica].node;
     assert!(!sim.tasks[mid].out_buffer[0].is_empty());
@@ -891,6 +925,97 @@ fn a_killed_slot_keeps_no_buffers() -> TestResult {
         assert!(sim.tasks[rt].out_buffer.iter().all(VecDeque::is_empty));
         assert!(sim.tasks[rt].pending_sink.is_empty());
     }
+    Ok(())
+}
+
+/// The sink's batch ids in record order, sorted: exactly `0..=last`
+/// means every batch was recorded once.
+fn sorted_sink_batches(report: &RunReport) -> Vec<u64> {
+    let mut batches: Vec<u64> = report.sink.iter().map(|s| s.batch).collect();
+    batches.sort_unstable();
+    batches
+}
+
+/// Every sink takeover records every batch exactly once, wherever the
+/// cut falls: the primary's records end below it and the takeover
+/// backfills the muted replica's stash from it on.
+#[test]
+fn every_sink_takeover_records_every_batch_exactly_once() -> TestResult {
+    let q = chain_query(100, 3)?;
+    for secs in [11, 13, 17, 23] {
+        let report = Simulation::run(
+            &q,
+            one_task_per_node(&q)?,
+            base_config(FtMode::active(5)),
+            vec![kill(secs, node_of(4))],
+            SimDuration::from_secs(40),
+        );
+        assert!(report.recoveries()[0].via_replica, "kill at {secs} s");
+        let batches = sorted_sink_batches(&report);
+        let last = batches.last().copied().ok_or("sink produced batches")?;
+        assert_eq!(batches, (0..=last).collect::<Vec<_>>(), "kill at {secs} s");
+        assert!(report.sink.iter().all(|s| s.tuples.len() == 200));
+    }
+    Ok(())
+}
+
+/// A takeover detected long after the sink's death still backfills every
+/// batch since the cut: replica sync trims the muted replica's stash only
+/// below the primary's progress, and nothing else bounds it.
+#[test]
+fn a_late_sink_takeover_backfills_every_batch_since_the_cut() -> TestResult {
+    let q = chain_query(100, 3)?;
+    let mut sim = Simulation::new(&q, one_task_per_node(&q)?, base_config(FtMode::active(5)));
+    sim.inject_chaos(ChaosSpec {
+        at: SimTime::from_secs(10),
+        kind: ChaosKind::HeartbeatDrop { scans: 60 },
+    })?;
+    let report = drive_to(&mut sim, 400, vec![kill(11, node_of(4))])?;
+    let r = &report.recoveries()[0];
+    assert!(r.via_replica);
+    let recovered = r.recovered_at.ok_or("the takeover completes")?;
+    assert!(recovered > SimTime::from_secs(300), "detection is late");
+    let batches = sorted_sink_batches(&report);
+    let last = batches.last().copied().ok_or("sink produced batches")?;
+    assert_eq!(batches, (0..=last).collect::<Vec<_>>());
+    Ok(())
+}
+
+/// A Storm restore rewinds one replay window before the failure, so the
+/// replay rebuilds the window the task lost: every sink batch after the
+/// restore carries the same window totals as a run without failure.
+#[test]
+fn a_storm_restore_rebuilds_the_window_it_lost() -> TestResult {
+    let q = chain_with_mid(100, 8, |w| Box::new(WindowTotal(WindowedPass::new(w))))?;
+    let storm = || {
+        base_config(FtMode::SourceReplay {
+            buffer: SimDuration::from_secs(10),
+        })
+    };
+    let sink_totals = |failures: Vec<FailureSpec>| -> Result<Vec<(u64, Vec<u64>)>, Box<dyn Error>> {
+        let report = Simulation::run(
+            &q,
+            one_task_per_node(&q)?,
+            storm(),
+            failures,
+            SimDuration::from_secs(60),
+        );
+        let mut totals: Vec<(u64, Vec<u64>)> = report
+            .sink
+            .iter()
+            .map(|s| {
+                let mut keys: Vec<u64> = s.tuples.iter().map(|t| t.key).collect();
+                keys.sort_unstable();
+                (s.batch, keys)
+            })
+            .collect();
+        totals.sort_unstable();
+        Ok(totals)
+    };
+    let healthy = sink_totals(vec![])?;
+    let restored = sink_totals(vec![kill(22, node_of(2))])?;
+    assert!(healthy.len() > 50);
+    assert_eq!(restored, healthy);
     Ok(())
 }
 

@@ -53,11 +53,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000)
     }
 
-    pub fn from_secs_f64(s: f64) -> Self {
-        debug_assert!(s >= 0.0 && s.is_finite());
-        SimDuration((s * 1e6).round() as u64)
-    }
-
     pub const fn as_micros(self) -> u64 {
         self.0
     }
@@ -151,7 +146,6 @@ mod tests {
     fn construction_round_trips() {
         assert_eq!(SimTime::from_secs(3).as_micros(), 3_000_000);
         assert_eq!(SimTime::from_micros(5_000).as_micros(), 5_000);
-        assert_eq!(SimDuration::from_secs_f64(0.5).as_micros(), 500_000);
         assert!((SimTime::from_micros(1_250_000).as_secs_f64() - 1.25).abs() < 1e-9);
     }
 
