@@ -15,6 +15,7 @@
 //!   (`|ST ∩ SA| / |SA|`) comparing tentative runs against golden runs.
 
 mod accuracy;
+mod key_sums;
 mod navigation;
 pub mod synthetic;
 mod worldcup;
@@ -192,6 +193,90 @@ fn assert_pure_source(name: &str, fresh: impl Fn() -> Box<dyn ppa_engine::Source
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppa_engine::{SourceGen, Tuple, Value};
+
+    /// Folds `bytes` into the FNV-1a-64 state `h`.
+    fn fnv1a64(mut h: u64, bytes: &[u8]) -> u64 {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        h
+    }
+
+    /// A tuple as its key, a variant tag and its payload, little-endian;
+    /// a float by its bits.
+    fn tuple_bytes(t: &Tuple) -> Vec<u8> {
+        let mut out = t.key.to_le_bytes().to_vec();
+        match &t.value {
+            Value::Empty => out.push(0),
+            Value::Int(v) => {
+                out.push(1);
+                out.extend(v.to_le_bytes());
+            }
+            Value::Float(v) => {
+                out.push(2);
+                out.extend(v.to_bits().to_le_bytes());
+            }
+            Value::Pair(a, b) => {
+                out.push(3);
+                out.extend(a.to_le_bytes());
+                out.extend(b.to_le_bytes());
+            }
+            Value::Counts(counts) => {
+                out.push(4);
+                out.extend((counts.len() as u64).to_le_bytes());
+                for (k, n) in counts.iter() {
+                    out.extend(k.to_le_bytes());
+                    out.extend(n.to_le_bytes());
+                }
+            }
+        }
+        out
+    }
+
+    /// Batches 0..64 of every task of each default-config generator,
+    /// folded with their lengths into one FNV-1a-64 digest per generator:
+    /// a change to any tuple a generator emits, or to their order, shows
+    /// here. The generators are built by the same factories the queries
+    /// use.
+    #[test]
+    fn default_generators_emit_the_pinned_tuples() {
+        let digest = |tasks: usize, factory: &dyn Fn(usize) -> Box<dyn SourceGen>| {
+            let mut h = 0xCBF2_9CE4_8422_2325;
+            for task in 0..tasks {
+                let mut gen = factory(task);
+                for b in 0..64 {
+                    let tuples = gen.batch(b);
+                    assert_eq!(gen.batch_len(b), tuples.len(), "task {task} batch {b}");
+                    h = fnv1a64(h, &(tuples.len() as u64).to_le_bytes());
+                    for t in &tuples {
+                        h = fnv1a64(h, &tuple_bytes(t));
+                    }
+                }
+            }
+            format!("{h:016x}")
+        };
+        let (q1, q2) = (Q1Config::default(), NavigationConfig::default());
+        let (location, incident) = navigation::q2_sources(&q2);
+        let fig6 = synthetic::uniform_sources(&Fig6Config::default());
+        let got = [
+            ("UniformSource", digest(16, &fig6)),
+            (
+                "AccessLogSource",
+                digest(q1.src_tasks, &worldcup::access_log_sources(&q1)),
+            ),
+            ("LocationSource", digest(q2.loc_src_tasks, &location)),
+            ("IncidentSource", digest(q2.o3_tasks, &incident)),
+        ];
+        let pinned = [
+            ("UniformSource", "b9ea82e66500e3a9"),
+            ("AccessLogSource", "228e535a8c4ac847"),
+            ("LocationSource", "b9c99aa406e14191"),
+            ("IncidentSource", "d506753e9c657b46"),
+        ];
+        let got: Vec<(&str, &str)> = got.iter().map(|(name, h)| (*name, h.as_str())).collect();
+        assert_eq!(got, pinned);
+    }
 
     #[test]
     fn the_engine_counting_source_is_pure() {

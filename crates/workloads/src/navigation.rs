@@ -17,6 +17,7 @@
 //! merge partitioning routes every segment to a unique O1/O3 task; the
 //! incident generator mirrors the same mapping so the join sees both sides.
 
+use crate::key_sums::KeySums;
 use crate::zipf::{uniform_hash, Zipf};
 use crate::{dedicated_placement, merge_link, Scenario};
 use ppa_core::{OperatorSpec, Partitioning};
@@ -83,9 +84,10 @@ pub(crate) struct IncidentSchedule {
 }
 
 impl IncidentSchedule {
-    pub(crate) fn new(cfg: &NavigationConfig) -> Self {
+    /// `zipf` is the query's distribution of users over segments.
+    pub(crate) fn new(cfg: &NavigationConfig, zipf: &Zipf) -> Self {
         IncidentSchedule {
-            zipf: Zipf::new(cfg.n_segments, cfg.zipf_s),
+            zipf: zipf.clone(),
             every: cfg.incident_every_batches,
             duration: cfg.incident_duration_batches,
             seed: cfg.seed ^ 0xD1CE,
@@ -125,36 +127,46 @@ impl IncidentSchedule {
 #[derive(Clone)]
 struct LocationSource {
     task: usize,
-    n_tasks: usize,
+    /// Per segment, whether this task owns it: the rejection test without
+    /// a division.
+    owns: Vec<bool>,
     per_batch: usize,
     zipf: Zipf,
     schedule: IncidentSchedule,
     seed: u64,
 }
 
-impl SourceGen for LocationSource {
-    fn batch(&mut self, batch: u64) -> Vec<Tuple> {
-        let slow: BTreeSet<usize> = self
-            .schedule
-            .active_at(batch)
-            .into_iter()
-            .map(|(_, s)| s)
-            .collect();
-        let mut out = Vec::with_capacity(self.per_batch);
+impl LocationSource {
+    /// Calls `emit(i, segment)` for each accepted draw of `batch`, in draw
+    /// order, where `i` counts the draws made so far. Rejection-samples the
+    /// segments this task owns; bounded retries keep generation
+    /// O(per_batch) in expectation.
+    fn draws(&self, batch: u64, mut emit: impl FnMut(u64, usize)) {
         let mut i = 0u64;
-        // Rejection-sample segments owned by this task; bounded retries keep
-        // generation O(per_batch) in expectation.
         let mut emitted = 0;
         while emitted < self.per_batch {
             let u = uniform_hash(self.seed, self.task as u64, batch, i);
             i += 1;
             let seg = self.zipf.sample_u(u);
-            if seg % self.n_tasks != self.task {
+            if !self.owns[seg] {
                 if i > (self.per_batch as u64) * 64 {
                     break; // pathological config; keep determinism and move on
                 }
                 continue;
             }
+            emit(i, seg);
+            emitted += 1;
+        }
+    }
+}
+
+impl SourceGen for LocationSource {
+    fn batch(&mut self, batch: u64) -> Vec<Tuple> {
+        let slow: Vec<usize> = (self.schedule.active_at(batch).into_iter())
+            .map(|(_, s)| s)
+            .collect();
+        let mut out = Vec::with_capacity(self.per_batch);
+        self.draws(batch, |i, seg| {
             // `uniform_hash` is in [0, 1), so the user id is below 100 000
             // and the speed below 55: both convert to `i32` exactly.
             let user =
@@ -163,9 +175,14 @@ impl SourceGen for LocationSource {
             let base = if slow.contains(&seg) { 8.0 } else { 45.0 };
             let speed = (base + noise) as i32;
             out.push(Tuple::new(seg as u64, Value::Pair(user, speed)));
-            emitted += 1;
-        }
+        });
         out
+    }
+
+    fn batch_len(&mut self, batch: u64) -> usize {
+        let mut len = 0;
+        self.draws(batch, |_, _| len += 1);
+        len
     }
 }
 
@@ -233,25 +250,25 @@ impl SegmentMap {
     }
 }
 
-/// O1: average speed per segment per batch.
-#[derive(Clone)]
-struct AvgSpeed;
+/// O1: average speed per segment per batch. Stateless across batches; the
+/// table is the task's scratch space.
+#[derive(Clone, Default)]
+struct AvgSpeed {
+    speeds: KeySums<f64>,
+}
 
 impl Udf for AvgSpeed {
     fn on_batch(&mut self, _ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Output) {
-        let mut acc: BTreeMap<u64, (f64, usize)> = BTreeMap::new();
         for input in inputs {
             for t in input.iter() {
                 if let Some((_user, speed)) = t.value.as_pair() {
-                    let e = acc.entry(t.key).or_insert((0.0, 0));
-                    e.0 += speed as f64;
-                    e.1 += 1;
+                    self.speeds.add(t.key, f64::from(speed));
                 }
             }
         }
         out.extend(
-            acc.into_iter()
-                .map(|(seg, (sum, n))| Tuple::new(seg, Value::Float(sum / n as f64))),
+            (self.speeds.drain())
+                .map(|(seg, sum, n)| Tuple::new(seg, Value::Float(sum / f64::from(n)))),
         );
     }
 
@@ -432,6 +449,47 @@ impl Udf for JamAggregate {
     }
 }
 
+/// A source's generator for each of its tasks.
+type SourceFactory = Box<dyn Fn(usize) -> Box<dyn SourceGen> + Send + Sync>;
+
+/// The generators of each task of Q2's two sources: the location stream's
+/// and the incident stream's.
+pub(crate) fn q2_sources(cfg: &NavigationConfig) -> (SourceFactory, SourceFactory) {
+    let map = SegmentMap {
+        loc_src_tasks: cfg.loc_src_tasks,
+        o1_tasks: cfg.o1_tasks,
+        o3_tasks: cfg.o3_tasks,
+    };
+    let zipf = Zipf::new(cfg.n_segments, cfg.zipf_s);
+    let schedule = IncidentSchedule::new(cfg, &zipf);
+    let location = {
+        let (zipf, schedule) = (zipf.clone(), schedule.clone());
+        let (n_segments, n_tasks, seed) = (cfg.n_segments, cfg.loc_src_tasks, cfg.seed);
+        let per_batch = cfg.location_rate / cfg.loc_src_tasks;
+        move |task| -> Box<dyn SourceGen> {
+            Box::new(LocationSource {
+                task,
+                owns: (0..n_segments).map(|seg| seg % n_tasks == task).collect(),
+                per_batch,
+                zipf: zipf.clone(),
+                schedule: schedule.clone(),
+                seed,
+            })
+        }
+    };
+    let n_users = cfg.n_users;
+    let incident = move |task| -> Box<dyn SourceGen> {
+        Box::new(IncidentSource {
+            task,
+            cfg_map: map,
+            schedule: schedule.clone(),
+            n_users,
+            zipf: zipf.clone(),
+        })
+    };
+    (Box::new(location), Box::new(incident))
+}
+
 /// Builds the Q2 query.
 pub fn q2_query(cfg: &NavigationConfig) -> Query {
     #[expect(
@@ -444,54 +502,23 @@ pub fn q2_query(cfg: &NavigationConfig) -> Query {
 fn try_q2_query(cfg: &NavigationConfig) -> Result<Query, ppa_core::CoreError> {
     assert!(cfg.loc_src_tasks.is_multiple_of(cfg.o1_tasks));
     assert!(cfg.o1_tasks.is_multiple_of(cfg.o3_tasks));
-    let map = SegmentMap {
-        loc_src_tasks: cfg.loc_src_tasks,
-        o1_tasks: cfg.o1_tasks,
-        o3_tasks: cfg.o3_tasks,
-    };
-    let schedule = IncidentSchedule::new(cfg);
-    let zipf = Zipf::new(cfg.n_segments, cfg.zipf_s);
     let per_task_rate = cfg.location_rate / cfg.loc_src_tasks;
+    let (location_sources, incident_sources) = q2_sources(cfg);
 
     let mut q = QueryBuilder::new();
-    let loc = {
-        let (zipf, schedule) = (zipf.clone(), schedule.clone());
-        let (n_tasks, seed) = (cfg.loc_src_tasks, cfg.seed);
-        q.add_source(
-            OperatorSpec::source("loc-src", cfg.loc_src_tasks, per_task_rate as f64),
-            move |task| {
-                Box::new(LocationSource {
-                    task,
-                    n_tasks,
-                    per_batch: per_task_rate,
-                    zipf: zipf.clone(),
-                    schedule: schedule.clone(),
-                    seed,
-                })
-            },
-        )
-    };
-    let inc = {
-        let (zipf, schedule) = (zipf.clone(), schedule.clone());
-        let n_users = cfg.n_users;
-        q.add_source(
-            // Mean report volume per incident is modest; rate estimate 30/s.
-            OperatorSpec::source("inc-src", cfg.o3_tasks, 30.0),
-            move |task| {
-                Box::new(IncidentSource {
-                    task,
-                    cfg_map: map,
-                    schedule: schedule.clone(),
-                    n_users,
-                    zipf: zipf.clone(),
-                })
-            },
-        )
-    };
+    let loc = q.add_source(
+        OperatorSpec::source("loc-src", cfg.loc_src_tasks, per_task_rate as f64),
+        location_sources,
+    );
+    // Mean report volume per incident is modest; rate estimate 30/s.
+    let inc = q.add_source(
+        OperatorSpec::source("inc-src", cfg.o3_tasks, 30.0),
+        incident_sources,
+    );
     let seg_sel = (cfg.n_segments as f64 / per_task_rate as f64).min(1.0);
     let o1 = q.add_operator(
         OperatorSpec::map("O1-avg-speed", cfg.o1_tasks, seg_sel),
-        |_| Box::new(AvgSpeed),
+        |_| Box::new(AvgSpeed::default()),
     );
     let o2 = q.add_operator(OperatorSpec::map("O2-dedup", cfg.o3_tasks, 0.2), |_| {
         Box::new(DedupIncidents::new())
@@ -560,11 +587,13 @@ mod tests {
     fn the_location_and_incident_sources_are_pure() {
         let cfg = small();
         let zipf = Zipf::new(cfg.n_segments, cfg.zipf_s);
-        let schedule = IncidentSchedule::new(&cfg);
+        let schedule = IncidentSchedule::new(&cfg, &zipf);
         crate::assert_pure_source("LocationSource", || {
             Box::new(LocationSource {
                 task: 1,
-                n_tasks: cfg.loc_src_tasks,
+                owns: (0..cfg.n_segments)
+                    .map(|seg| seg % cfg.loc_src_tasks == 1)
+                    .collect(),
                 per_batch: cfg.location_rate / cfg.loc_src_tasks,
                 zipf: zipf.clone(),
                 schedule: schedule.clone(),
@@ -589,7 +618,7 @@ mod tests {
     #[test]
     fn schedule_is_consistent() {
         let cfg = small();
-        let s = IncidentSchedule::new(&cfg);
+        let s = IncidentSchedule::new(&cfg, &Zipf::new(cfg.n_segments, cfg.zipf_s));
         // Active set contains exactly the incidents within their duration.
         let active = s.active_at(5);
         for (id, seg) in &active {
@@ -648,7 +677,7 @@ mod tests {
     fn q2_detections_match_schedule() {
         let cfg = small();
         let s = q2_scenario(&cfg);
-        let schedule = IncidentSchedule::new(&cfg);
+        let schedule = IncidentSchedule::new(&cfg, &Zipf::new(cfg.n_segments, cfg.zipf_s));
         let report = Simulation::run(
             &s.query,
             s.placement.clone(),
@@ -701,6 +730,61 @@ mod tests {
         }
         assert_eq!(out.len(), 1);
         assert_eq!(out[0], Tuple::new(7, Value::Int(1)));
+    }
+
+    /// `AvgSpeed` against a map built per batch, floats compared by their
+    /// bits, over ragged random batches split into two inputs: empty
+    /// chunks, key 0 and the largest key, tuples without a speed, a table
+    /// that grows mid-run, and the operator swapped for its snapshot
+    /// mid-run.
+    #[test]
+    fn dense_avg_speed_matches_a_map() {
+        use crate::key_sums::ragged_batches;
+        use ppa_sim::SimTime;
+        for seed in 0..16u64 {
+            let max_key = 1 + seed * 61;
+            let batches = ragged_batches(seed, 40, max_key, |key, u| match (u * 70.0) as i32 {
+                v if v < 5 => Tuple::new(key, Value::Int(i64::from(v))),
+                v => Tuple::new(key, Value::Pair(v * 7, v - 15)),
+            });
+            let mut udf: Box<dyn Udf> = Box::new(AvgSpeed::default());
+            for (b, chunks) in (0u64..).zip(&batches) {
+                if b == 25 {
+                    udf = udf.snapshot();
+                }
+                let half = chunks.len() / 2;
+                let inputs = [
+                    InputBatch::new(0, &chunks[..half]),
+                    InputBatch::new(0, &chunks[half..]),
+                ];
+                let mut acc: BTreeMap<u64, (f64, usize)> = BTreeMap::new();
+                for t in inputs.iter().flat_map(|input| input.iter()) {
+                    if let Some((_user, speed)) = t.value.as_pair() {
+                        let e = acc.entry(t.key).or_insert((0.0, 0));
+                        e.0 += speed as f64;
+                        e.1 += 1;
+                    }
+                }
+                let expected: Vec<(u64, u64)> = (acc.into_iter())
+                    .map(|(seg, (sum, n))| (seg, (sum / n as f64).to_bits()))
+                    .collect();
+                let ctx = BatchCtx {
+                    batch: b,
+                    now: SimTime::ZERO,
+                    task_local: 0,
+                    parallelism: 1,
+                };
+                let mut out = Output::new();
+                udf.on_batch(&ctx, &inputs, &mut out);
+                let got: Vec<(u64, u64)> = (out.iter())
+                    .map(|t| match t.value {
+                        Value::Float(v) => (t.key, v.to_bits()),
+                        _ => panic!("AvgSpeed emits floats: {t:?}"),
+                    })
+                    .collect();
+                assert_eq!(got, expected, "seed {seed}, batch {b}");
+            }
+        }
     }
 
     #[test]

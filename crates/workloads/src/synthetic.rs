@@ -93,13 +93,28 @@ impl SourceGen for UniformSource {
         (0..self.per_batch)
             .map(|i| {
                 let u = crate::zipf::uniform_hash(self.seed, batch, i as u64, 0);
-                Tuple::key_only((u * 1_000_000.0) as u64)
+                // In [0, 10^6), so the signed conversion, one instruction
+                // where the unsigned one takes several, gives the same key.
+                Tuple::key_only((u * 1_000_000.0) as i64 as u64)
             })
             .collect()
     }
 
     fn batch_len(&mut self, _batch: u64) -> usize {
         self.per_batch
+    }
+}
+
+/// The generator of each task of the Fig. 6 source.
+pub(crate) fn uniform_sources(
+    cfg: &Fig6Config,
+) -> impl Fn(usize) -> Box<dyn SourceGen> + Send + Sync + 'static {
+    let (rate, seed) = (cfg.rate, cfg.seed);
+    move |task| -> Box<dyn SourceGen> {
+        Box::new(UniformSource {
+            per_batch: rate,
+            seed: seed ^ (task as u64) << 8,
+        })
     }
 }
 
@@ -115,18 +130,11 @@ pub fn fig6_query(cfg: &Fig6Config) -> Query {
 fn try_fig6_query(cfg: &Fig6Config) -> Result<Query, ppa_core::CoreError> {
     let window_batches = (cfg.window.as_micros() / 1_000_000).max(1);
     let sel = cfg.selectivity;
-    let rate = cfg.rate;
-    let seed = cfg.seed;
 
     let mut q = QueryBuilder::new();
     let src = q.add_source(
-        OperatorSpec::source("source", 16, rate as f64),
-        move |task| {
-            Box::new(UniformSource {
-                per_batch: rate,
-                seed: seed ^ (task as u64) << 8,
-            })
-        },
+        OperatorSpec::source("source", 16, cfg.rate as f64),
+        uniform_sources(cfg),
     );
     let o1 = q.add_operator(OperatorSpec::map("O1", 8, sel), move |_| {
         Box::new(SyntheticOp::new(window_batches, sel))

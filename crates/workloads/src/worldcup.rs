@@ -11,6 +11,7 @@
 //! object, O2 merges partial counts, O3 maintains the sliding window and
 //! continuously updates the global top-100.
 
+use crate::key_sums::KeySums;
 use crate::zipf::{uniform_hash, Zipf};
 use crate::{dedicated_placement, merge_link, Scenario};
 use ppa_core::OperatorSpec;
@@ -90,25 +91,30 @@ impl SourceGen for AccessLogSource {
     }
 }
 
+/// Adds each tuple of `inputs` to its object's count: its `Int` value, or
+/// 1 for a raw hit.
+fn count_hits(counts: &mut KeySums<i64>, inputs: &[InputBatch<'_>]) {
+    for input in inputs {
+        for t in input.iter() {
+            counts.add(t.key, t.value.as_int().unwrap_or(1));
+        }
+    }
+}
+
 /// O1/O2: aggregate per-object hit counts within each batch (O1 counts raw
 /// hits; O2 sums partial counts). Stateless across batches — the window
-/// lives at O3 (hierarchical aggregation).
-#[derive(Clone)]
-struct CountCombine;
+/// lives at O3 (hierarchical aggregation); the table is the task's scratch
+/// space.
+#[derive(Clone, Default)]
+struct CountCombine {
+    counts: KeySums<i64>,
+}
 
 impl Udf for CountCombine {
     fn on_batch(&mut self, _ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Output) {
-        let mut counts: BTreeMap<u64, i64> = BTreeMap::new();
-        for input in inputs {
-            for t in input.iter() {
-                let add = t.value.as_int().unwrap_or(1);
-                *counts.entry(t.key).or_insert(0) += add;
-            }
-        }
+        count_hits(&mut self.counts, inputs);
         out.extend(
-            counts
-                .into_iter()
-                .map(|(k, c)| Tuple::new(k, Value::Int(c))),
+            (self.counts.drain()).map(|(object, count, _)| Tuple::new(object, Value::Int(count))),
         );
     }
 
@@ -131,6 +137,8 @@ struct TopK {
     window: VecDeque<(u64, Vec<(u64, i64)>)>,
     /// Per object counted in the window: (count sum, batches counting it).
     total: BTreeMap<u64, (i64, u64)>,
+    /// The batch's counts, by object: scratch space.
+    counts: KeySums<i64>,
 }
 
 impl TopK {
@@ -140,6 +148,7 @@ impl TopK {
             window_batches,
             window: VecDeque::new(),
             total: BTreeMap::new(),
+            counts: KeySums::default(),
         }
     }
 }
@@ -152,19 +161,16 @@ fn rank(a: &(u64, i64), b: &(u64, i64)) -> std::cmp::Ordering {
 
 impl Udf for TopK {
     fn on_batch(&mut self, ctx: &BatchCtx, inputs: &[InputBatch<'_>], out: &mut Output) {
-        let mut counts: BTreeMap<u64, i64> = BTreeMap::new();
-        for input in inputs {
-            for t in input.iter() {
-                *counts.entry(t.key).or_insert(0) += t.value.as_int().unwrap_or(1);
-            }
-        }
-        for (&key, &count) in &counts {
+        count_hits(&mut self.counts, inputs);
+        let counts: Vec<(u64, i64)> = (self.counts.drain())
+            .map(|(object, count, _)| (object, count))
+            .collect();
+        for &(key, count) in &counts {
             let (sum, batches) = self.total.entry(key).or_insert((0, 0));
             *sum += count;
             *batches += 1;
         }
-        self.window
-            .push_back((ctx.batch, counts.into_iter().collect()));
+        self.window.push_back((ctx.batch, counts));
         let min_keep = ctx
             .batch
             .saturating_sub(self.window_batches.saturating_sub(1));
@@ -200,6 +206,24 @@ impl Udf for TopK {
     }
 }
 
+/// The generator of each task of Q1's access-log source.
+pub(crate) fn access_log_sources(
+    cfg: &Q1Config,
+) -> impl Fn(usize) -> Box<dyn SourceGen> + Send + Sync + 'static {
+    let objects_per_task = (cfg.n_objects / cfg.src_tasks).max(1);
+    let zipf = Zipf::new(objects_per_task, cfg.zipf_s);
+    let (rate, seed) = (cfg.rate, cfg.seed);
+    move |task| -> Box<dyn SourceGen> {
+        Box::new(AccessLogSource {
+            task: task as u64,
+            rate,
+            zipf: zipf.clone(),
+            objects_per_task: objects_per_task as u64,
+            seed,
+        })
+    }
+}
+
 /// Builds the Q1 query.
 pub fn q1_query(cfg: &Q1Config) -> Query {
     #[expect(
@@ -214,30 +238,19 @@ fn try_q1_query(cfg: &Q1Config) -> Result<Query, ppa_core::CoreError> {
         cfg.src_tasks.is_multiple_of(cfg.o1_tasks) && cfg.o1_tasks.is_multiple_of(cfg.o2_tasks)
     );
     let mut q = QueryBuilder::new();
-    let objects_per_task = (cfg.n_objects / cfg.src_tasks).max(1);
-    let zipf = Zipf::new(objects_per_task, cfg.zipf_s);
-    let (rate, seed) = (cfg.rate, cfg.seed);
     let src = q.add_source(
         OperatorSpec::source("access-log", cfg.src_tasks, cfg.rate as f64),
-        move |task| {
-            Box::new(AccessLogSource {
-                task: task as u64,
-                rate,
-                zipf: zipf.clone(),
-                objects_per_task: objects_per_task as u64,
-                seed,
-            })
-        },
+        access_log_sources(cfg),
     );
     // Selectivity estimates drive the rate model's OF weights: O1 compresses
     // hits into per-object counts; O2 merges counts; O3 emits one digest.
     let o1_sel = (cfg.n_objects as f64 / cfg.rate as f64).min(1.0);
     let o1 = q.add_operator(
         OperatorSpec::map("O1-slice-count", cfg.o1_tasks, o1_sel),
-        |_| Box::new(CountCombine),
+        |_| Box::new(CountCombine::default()),
     );
     let o2 = q.add_operator(OperatorSpec::map("O2-merge", cfg.o2_tasks, 1.0), |_| {
-        Box::new(CountCombine)
+        Box::new(CountCombine::default())
     });
     let (k, w) = (cfg.k, cfg.window_batches);
     let o3 = q.add_operator(OperatorSpec::map("O3-top-k", 1, 0.01), move |_| {
@@ -483,10 +496,71 @@ mod tests {
         }
     }
 
+    /// `CountCombine` and `TopK` against maps built per batch, over ragged
+    /// random batches split into two inputs: empty chunks, key 0 and the
+    /// largest key, zero and negative partial counts, a table that grows
+    /// mid-run, and each operator swapped for its snapshot mid-window.
+    #[test]
+    fn dense_counts_match_a_map() {
+        use crate::key_sums::ragged_batches;
+        use ppa_sim::SimTime;
+        for seed in 0..16u64 {
+            let max_key = 1 + seed * 37;
+            let batches = ragged_batches(seed, 40, max_key, |key, u| match (u * 8.0) as i64 {
+                0 => Tuple::key_only(key),
+                v => Tuple::new(key, Value::Int(v - 3)),
+            });
+            let mut count: Box<dyn Udf> = Box::new(CountCombine::default());
+            let mut topk: Box<dyn Udf> = Box::new(TopK::new(5, 4));
+            let mut reference = ReferenceTopK {
+                k: 5,
+                window_batches: 4,
+                window: VecDeque::new(),
+            };
+            for (b, chunks) in (0u64..).zip(&batches) {
+                if b == 25 {
+                    count = count.snapshot();
+                    topk = topk.snapshot();
+                }
+                let half = chunks.len() / 2;
+                let inputs = [
+                    InputBatch::new(0, &chunks[..half]),
+                    InputBatch::new(0, &chunks[half..]),
+                ];
+                let ctx = BatchCtx {
+                    batch: b,
+                    now: SimTime::ZERO,
+                    task_local: 0,
+                    parallelism: 1,
+                };
+                let mut counts: BTreeMap<u64, i64> = BTreeMap::new();
+                for t in inputs.iter().flat_map(|input| input.iter()) {
+                    *counts.entry(t.key).or_insert(0) += t.value.as_int().unwrap_or(1);
+                }
+                let expected: Vec<Tuple> = (counts.into_iter())
+                    .map(|(k, c)| Tuple::new(k, Value::Int(c)))
+                    .collect();
+                let what = format!("seed {seed}, batch {b}");
+                let mut out = Output::new();
+                count.on_batch(&ctx, &inputs, &mut out);
+                assert_eq!(out[..], expected[..], "CountCombine, {what}");
+                let mut out = Output::new();
+                topk.on_batch(&ctx, &inputs, &mut out);
+                let expected = reference.on_batch(b, &inputs);
+                assert_eq!(
+                    out[..],
+                    [Tuple::new(0, Value::Counts(Arc::new(expected)))],
+                    "TopK, {what}"
+                );
+                assert_eq!(topk.state_tuples(), reference.state_tuples(), "{what}");
+            }
+        }
+    }
+
     #[test]
     fn count_combine_sums_partials() {
         use ppa_sim::SimTime;
-        let mut udf = CountCombine;
+        let mut udf = CountCombine::default();
         let ctx = BatchCtx {
             batch: 0,
             now: SimTime::ZERO,

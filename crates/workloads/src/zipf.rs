@@ -1,26 +1,35 @@
 //! A small deterministic Zipf sampler (rand's distribution crates are not in
 //! the dependency budget; the CDF-table approach is simple and exact).
 
+use std::sync::Arc;
+
+/// Guide buckets per item. With one, a draw lands in a bucket holding about
+/// one CDF entry, and whether the scan steps past it is a coin toss the
+/// branch predictor loses; with eight, the scan almost always stops at its
+/// first entry.
+const GUIDE_PER_ITEM: usize = 8;
+
 /// Zipf distribution over `{0, 1, …, n-1}` with exponent `s`: item `i` has
-/// probability proportional to `1/(i+1)^s`.
+/// probability proportional to `1/(i+1)^s`. Clones share the tables.
 #[derive(Debug, Clone)]
 pub(crate) struct Zipf {
-    cdf: Vec<f64>,
+    cdf: Arc<[f64]>,
     /// `guide[b]` is the first item whose CDF entry lies in [`bucket`] `b`
-    /// or a later one, for the `n` buckets of `[0, 1)` and the bucket of
-    /// 1.0: where the search for a draw in bucket `b` starts.
-    guide: Vec<usize>,
+    /// or a later one, for the `GUIDE_PER_ITEM · n` buckets of `[0, 1)` and
+    /// the bucket of 1.0: where the search for a draw in bucket `b` starts.
+    guide: Arc<[u32]>,
 }
 
-/// The guide bucket of `u ∈ [0, 1]` among `n`: `⌊u·n⌋`. Monotone in `u`, so
+/// The guide bucket of `u ∈ [0, 1]` among `m`: `⌊u·m⌋`. Monotone in `u`, so
 /// every CDF entry in an earlier bucket than a draw's is below the draw.
-fn bucket(u: f64, n: usize) -> usize {
-    (u * n as f64) as usize
+fn bucket(u: f64, m: usize) -> usize {
+    (u * m as f64) as usize
 }
 
 impl Zipf {
     pub(crate) fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "Zipf needs at least one item");
+        assert!(u32::try_from(n).is_ok(), "Zipf items are indexed by u32");
         assert!(s >= 0.0 && s.is_finite());
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;
@@ -32,17 +41,21 @@ impl Zipf {
         for c in &mut cdf {
             *c /= total;
         }
-        // The last entry is total / total = 1.0, in bucket `n`.
+        // The last entry is total / total = 1.0, in bucket `m`.
+        let m = GUIDE_PER_ITEM * n;
         let mut item = 0;
-        let guide = (0..=n)
+        let guide = (0..=m)
             .map(|b| {
-                while bucket(cdf[item], n) < b {
+                while bucket(cdf[item], m) < b {
                     item += 1;
                 }
-                item
+                item as u32
             })
             .collect();
-        Zipf { cdf, guide }
+        Zipf {
+            cdf: cdf.into(),
+            guide,
+        }
     }
 
     /// Maps a uniform sample `u ∈ [0,1)` to an item: the first whose CDF
@@ -51,9 +64,10 @@ impl Zipf {
     pub(crate) fn sample_u(&self, u: f64) -> usize {
         let u = u.clamp(0.0, 1.0 - f64::EPSILON);
         // A NaN lands in bucket 0 and is below no entry; otherwise the last
-        // entry, 1.0 > u, ends the scan. About one step on average, as
-        // there are as many buckets as entries.
-        let mut item = self.guide[bucket(u, self.cdf.len())];
+        // entry, 1.0 > u, ends the scan. For any bucket count the start
+        // never passes the answer, as `bucket` is monotone; the count sets
+        // only how far the scan walks: rarely a step, at eight per item.
+        let mut item = self.guide[bucket(u, self.guide.len() - 1)] as usize;
         while self.cdf[item] <= u {
             item += 1;
         }
@@ -82,7 +96,9 @@ pub(crate) fn uniform_hash(seed: u64, a: u64, b: u64, c: u64) -> f64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
+    // Below 2^53, so the signed conversion, one instruction where the
+    // unsigned one takes several, is exact.
+    ((z >> 11) as i64) as f64 / (1u64 << 53) as f64
 }
 
 #[cfg(test)]
@@ -152,6 +168,7 @@ mod tests {
             (1, 0.5),
             (2, 1.0),
             (7, 0.0),
+            (25, 0.8),
             (100, 0.5),
             (1000, 0.5),
             (1000, 1.2),
@@ -159,11 +176,13 @@ mod tests {
         ];
         for (n, s) in shapes {
             let z = Zipf::new(n, s);
-            assert_eq!(z.guide.len(), n + 1);
+            assert_eq!(z.guide.len(), GUIDE_PER_ITEM * n + 1);
             let draws = (0..200_000).map(|k| uniform_hash(11, k, n as u64, 0));
-            // Every CDF entry and the floats next to it, where the two
-            // searches could part.
-            let edges = z.cdf.iter().flat_map(|c| {
+            // Every CDF entry and every bucket edge, with the floats next
+            // to them, where the two searches could part.
+            let m = (GUIDE_PER_ITEM * n) as f64;
+            let bucket_edges = (1..GUIDE_PER_ITEM * n).map(|b| b as f64 / m);
+            let edges = z.cdf.iter().copied().chain(bucket_edges).flat_map(|c| {
                 let bits = c.to_bits();
                 [bits - 1, bits, bits + 1].map(f64::from_bits)
             });
